@@ -180,16 +180,24 @@ def parse_matrix_file(text: str, sig: Signature, name: str = "matrix") -> Matrix
     for raw in _content_lines(text):
         parts = raw.split()
         if parts[0] == "carrier":
-            size = int(parts[1])
+            values = _integers("carrier", parts[1:])
+            if len(values) != 1 or values[0] < 1:
+                raise FormatError(f"carrier: expected one positive integer, got {raw!r}")
+            size = values[0]
         elif parts[0] == "designated":
-            designated = frozenset(int(x) for x in parts[1:])
+            designated = _integers("designated", parts[1:])
         elif parts[0] == "op":
-            cname = parts[1]
-            tables[cname] = [int(x) for x in parts[2:]]
+            if len(parts) < 2:
+                raise FormatError("op: missing constructor name")
+            tables[parts[1]] = _integers(f"op {parts[1]}", parts[2:])
         else:
             raise FormatError(f"unknown matrix directive {parts[0]!r}")
     if size is None or designated is None:
         raise FormatError("matrix file needs carrier and designated headers")
+    for what, values in [("designated", designated)] + [(f"op {c}", v) for c, v in tables.items()]:
+        bad = [v for v in values if not 0 <= v < size]
+        if bad:
+            raise FormatError(f"{what}: index {bad[0]} outside 0..{size - 1}")
     carrier = tuple(range(size))
     ops = {}
     for n in sig.arities():
@@ -204,19 +212,22 @@ def parse_matrix_file(text: str, sig: Signature, name: str = "matrix") -> Matrix
                 ops[ctor] = (lambda v: (lambda args: v))(tables[VERUM][0])
             else:
                 raise FormatError(f"matrix file lacks a table for {cname}")
-    return Matrix(name, sig, carrier, designated, ops)
+    return Matrix(name, sig, carrier, frozenset(designated), ops)
+
+
+def _integers(what: str, words) -> list:
+    try:
+        return [int(w) for w in words]
+    except ValueError:
+        raise FormatError(f"{what}: expected integers, got {' '.join(words)!r}") from None
 
 
 def serialize_matrix_file(m: Matrix) -> str:
-    size = len(m.carrier)
-    index = {v: i for i, v in enumerate(m.carrier)}
-    out = [f"carrier {size}", "designated " + " ".join(str(index[v]) for v in sorted(m.designated, key=index.get))]
-    for ctor, op in m.ops.items():
+    out = [f"carrier {len(m.carrier)}",
+           "designated " + " ".join(str(i) for i, d in enumerate(m.designated_flags) if d)]
+    for ctor in m.ops:
         name = getattr(ctor, "name", None) or ctor.display
-        values = " ".join(
-            str(index[op(args)]) for args in itertools.product(m.carrier, repeat=ctor.arity)
-        )
-        out.append(f"op {name} {values}".rstrip())
+        out.append(f"op {name} {' '.join(map(str, m.table(ctor)))}".rstrip())
     return "\n".join(out) + "\n"
 
 

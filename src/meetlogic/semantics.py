@@ -3,19 +3,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Mapping
 
-from .combination import CombinedSignature, PairCtor, project
-from .syntax import (
-    App,
-    FALSUM,
-    Formula,
-    SignatureError,
-    VERUM,
-    Var,
-    variables_of,
-    verum_family_name,
-)
+from .combination import CombinedSignature, PairCtor
+from .syntax import App, FALSUM, Formula, VERUM, Var
 
 
 class SemanticsError(Exception):
@@ -28,6 +20,10 @@ class Matrix:
 
     Operations map argument tuples of carrier elements to a carrier element;
     they are stored as callables taking one tuple argument.
+
+    `holds` and `entails` evaluate on an integer form of the matrix, built on
+    first use and cached on it: `index`, `designated_flags` and one `table`
+    per constructor. A matrix must not be mutated after its first evaluation.
     """
 
     name: str
@@ -35,6 +31,7 @@ class Matrix:
     carrier: tuple
     designated: frozenset
     ops: Mapping  # ctor -> Callable[[tuple], element]
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.designated:
@@ -57,35 +54,35 @@ class Matrix:
                     return op(())
         raise SemanticsError(f"matrix {self.name}: no nullary constructor {name}")
 
-    def op_for_name(self, name, arity):
-        for ctor, op in self.ops.items():
-            if ctor.arity == arity and getattr(ctor, "name", None) == name:
-                return op
-        raise SemanticsError(f"matrix {self.name}: no operation for {name}/{arity}")
-
     def op(self, ctor) -> Callable:
         try:
             return self.ops[ctor]
         except KeyError:
             raise SemanticsError(f"matrix {self.name}: no operation for {ctor.display}") from None
 
+    @cached_property
+    def index(self) -> dict:
+        """Carrier element -> its position in `carrier`."""
+        return {v: i for i, v in enumerate(self.carrier)}
 
-def table_matrix(name, signature, carrier, designated, tables) -> Matrix:
-    """Build a matrix from explicit tables: ctor -> dict argtuple -> element.
+    @cached_property
+    def designated_flags(self) -> list:
+        """Per carrier index: whether that element is designated."""
+        return [v in self.designated for v in self.carrier]
 
-    The verum family is filled in automatically as the constant returning
-    top's value.
-    """
-    ops = {}
-    for ctor, table in tables.items():
-        ops[ctor] = (lambda t: (lambda args: t[args]))(dict(table))
-    top_value = ops[signature.by_arity[0][VERUM]](())
-    for n in signature.arities():
-        if n == 0:
-            continue
-        vf = signature.by_arity[n][verum_family_name(n)]
-        ops.setdefault(vf, (lambda v: (lambda args: v))(top_value))
-    return Matrix(name, signature, tuple(carrier), frozenset(designated), ops)
+    def table(self, ctor) -> list:
+        """The operation of `ctor` over carrier indices, as a flat row-major
+        list (the layout of matrix files); tabulated on first use."""
+        t = self._tables.get(ctor)
+        if t is None:
+            op, index = self.op(ctor), self.index
+            try:
+                t = [index[op(args)] for args in itertools.product(self.carrier, repeat=ctor.arity)]
+            except KeyError:
+                raise SemanticsError(
+                    f"matrix {self.name}: {ctor.display} yields a value outside the carrier") from None
+            self._tables[ctor] = t
+        return t
 
 
 def eval_formula(m: Matrix, assignment: Mapping, f: Formula):
@@ -98,28 +95,91 @@ def eval_formula(m: Matrix, assignment: Mapping, f: Formula):
     return m.op(f.ctor)(tuple(eval_formula(m, assignment, a) for a in f.args))
 
 
-def _assignments(m: Matrix, variables):
-    variables = sorted(variables)
-    for values in itertools.product(m.carrier, repeat=len(variables)):
-        yield dict(zip(variables, values))
+# Column-wise evaluation. The assignments of carrier elements to k variables
+# (sorted by index) are numbered 0..n^k-1 in `itertools.product` order; a
+# column holds one carrier index per assignment. Formulas are walked with an
+# explicit stack, so deep formulas do not hit the recursion limit.
+
+def _postorder(f: Formula) -> list:
+    """The node occurrences of f, arguments before their parent."""
+    out, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        out.append(g)
+        if isinstance(g, App):
+            todo.extend(g.args)
+    out.reverse()
+    return out
+
+
+def _variable_columns(n: int, variables) -> dict:
+    k = len(variables)
+    return {v: [i for i in range(n) for _ in range(n ** (k - 1 - j))] * n ** j
+            for j, v in enumerate(variables)}
+
+
+def _column(m: Matrix, nodes: list, env: dict, size: int) -> list:
+    """Column of the formula whose postorder is `nodes`; `env` maps each
+    variable to its column, all of length `size`."""
+    n = len(m.carrier)
+    stack = []
+    for g in nodes:
+        if isinstance(g, Var):
+            stack.append(env[g.index])
+            continue
+        t = m.table(g.ctor)
+        arity = len(g.args)
+        if arity == 0:
+            stack.append([t[0]] * size)
+        elif arity == 1:
+            stack.append([t[x] for x in stack.pop()])
+        elif arity == 2:
+            y = stack.pop()
+            stack.append([t[a * n + b] for a, b in zip(stack.pop(), y)])
+        else:
+            cols = stack[-arity:]
+            del stack[-arity:]
+            idx = cols[0]
+            for c in cols[1:]:
+                idx = [a * n + b for a, b in zip(idx, c)]
+            stack.append([t[i] for i in idx])
+    return stack.pop()
+
+
+def _variables(node_lists) -> list:
+    return sorted({g.index for nodes in node_lists for g in nodes if isinstance(g, Var)})
+
+
+def _entails_in(m: Matrix, hyps: list, goal: list, variables: list) -> bool:
+    """`entails` in one matrix, for formulas given as postorders. Each
+    hypothesis is evaluated on the assignments that designate the ones before
+    it; the goal only on those that designate them all."""
+    flags = m.designated_flags
+    size = len(m.carrier) ** len(variables)
+    env = _variable_columns(len(m.carrier), variables)
+    for nodes in hyps:
+        kept = [a for a, x in enumerate(_column(m, nodes, env, size)) if flags[x]]
+        if not kept:
+            return True
+        if len(kept) < size:
+            size = len(kept)
+            env = {v: [col[a] for a in kept] for v, col in env.items()}
+    return all(map(flags.__getitem__, _column(m, goal, env, size)))
 
 
 def holds(m: Matrix, f: Formula) -> bool:
     """True iff f denotes a designated value under every assignment."""
-    return all(
-        eval_formula(m, asg, f) in m.designated for asg in _assignments(m, variables_of(f))
-    )
+    nodes = _postorder(f)
+    return _entails_in(m, [], nodes, _variables([nodes]))
 
 
 def entails(matrices: Iterable[Matrix], gamma: Iterable[Formula], f: Formula) -> bool:
-    gamma = tuple(gamma)
-    variables = set(variables_of(f)).union(*(variables_of(g) for g in gamma)) if gamma else variables_of(f)
-    for m in matrices:
-        for asg in _assignments(m, variables):
-            if all(eval_formula(m, asg, g) in m.designated for g in gamma):
-                if eval_formula(m, asg, f) not in m.designated:
-                    return False
-    return True
+    """True iff, in every matrix, every assignment designating all of gamma
+    designates f."""
+    hyps = [_postorder(g) for g in gamma]
+    goal = _postorder(f)
+    variables = _variables(hyps + [goal])
+    return all(_entails_in(m, hyps, goal, variables) for m in matrices)
 
 
 def product_matrix(m1: Matrix, m2: Matrix, cs: CombinedSignature) -> Matrix:

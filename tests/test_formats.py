@@ -158,6 +158,21 @@ op iff 1 0 0 1
         with pytest.raises(FormatError):
             parse_matrix_file("carrier 2\ndesignated 1\nop top 1\n", CPL.signature)
 
+    @pytest.mark.parametrize("old, new, names", [
+        ("op neg 1 0", "op neg 1 7", "op neg"),
+        ("op neg 1 0", "op neg 1 -1", "op neg"),
+        ("op neg 1 0", "op neg 1 x", "op neg"),
+        ("designated 1", "designated 1 9", "designated"),
+        ("designated 1", "designated one", "designated"),
+        ("carrier 2", "carrier x", "carrier"),
+        ("carrier 2", "carrier", "carrier"),
+        ("carrier 2", "carrier 0", "carrier"),
+    ])
+    def test_bad_values_rejected(self, old, new, names):
+        text = self.BOOL_TEXT.replace(old, new)
+        with pytest.raises(FormatError, match=names):
+            parse_matrix_file(text, CPL.signature)
+
 
 class TestOracleTables:
     def test_parse(self):

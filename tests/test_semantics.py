@@ -3,11 +3,14 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meetlogic.calculus import Rule
 from meetlogic.combination import combine_signatures, embed, project
-from meetlogic.presets import godel_chain
+from meetlogic.formats import parse_matrix_file
+from meetlogic.presets import KripkeFrame, generate_frames, godel_chain, kripke_matrix, load_preset
 from meetlogic.semantics import (
+    Matrix,
     SemanticsError,
     check_rule_soundness,
     entails,
@@ -16,7 +19,7 @@ from meetlogic.semantics import (
     product_matrix,
     project_assignment,
 )
-from meetlogic.syntax import Var, make_signature, parse_formula, variables_of
+from meetlogic.syntax import App, Var, make_signature, parse_formula, variables_of
 
 from strategies import formula_strategy, random_formula
 
@@ -123,3 +126,107 @@ class TestRuleSoundness:
         b2 = embed(SIG2.bot, 2, CS)
         assert check_rule_soundness([PROD], Rule("fx12", (b1,), b2))
         assert check_rule_soundness([PROD], Rule("fx21", (b2,), b1))
+
+
+# ---------------------------------------------------------------------------
+# column-wise holds/entails against per-assignment evaluation
+
+def pointwise_entails(matrices, gamma, f):
+    """Reference: every assignment, one eval_formula per formula."""
+    variables = sorted(set(variables_of(f)).union(*map(variables_of, gamma)))
+    for m in matrices:
+        for values in itertools.product(m.carrier, repeat=len(variables)):
+            asg = dict(zip(variables, values))
+            if all(eval_formula(m, asg, g) in m.designated for g in gamma):
+                if eval_formula(m, asg, f) not in m.designated:
+                    return False
+    return True
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SemanticsError:
+        return SemanticsError
+
+
+LP_TEXT = """
+# three values (false, both, true), two of them designated
+carrier 3
+designated 1 2
+op top 2
+op bot 0
+op neg 2 1 0
+op and 0 0 0 0 1 1 0 1 2
+op or 0 1 2 1 1 2 2 2 2
+op -> 2 2 2 1 1 2 0 1 2
+op iff 2 1 0 1 1 1 0 1 2
+"""
+
+
+def _families():
+    b = {n: load_preset(n, max_worlds=2) for n in ("CPL", "G3", "IPL", "S43")}
+    gl_sig = load_preset("GL", max_worlds=1).signature
+    chain2w = kripke_matrix(KripkeFrame((0, 1), frozenset({(0, 0), (0, 1), (1, 1)}), "s43"),
+                            b["S43"].signature)
+    products = {}
+    for key, (b1, b2, m1, m2) in {
+        "product6": (b["CPL"], b["G3"], b["CPL"].characteristic, b["G3"].characteristic),
+        "product9": (b["G3"], load_preset("G3"), b["G3"].characteristic, b["G3"].characteristic),
+        "product20": (b["IPL"], b["S43"], b["IPL"].matrices[-1], chain2w),
+    }.items():
+        cs = combine_signatures(b1.signature, b2.signature)
+        products[key] = (cs, [product_matrix(m1, m2, cs)])
+    chains = [godel_chain(SIG, k) for k in range(2, 6)]
+    return {
+        "chains": (SIG, chains),
+        "chains, modal formulas": (b["S43"].signature, chains),
+        "s43 frames": (b["S43"].signature,
+                       [kripke_matrix(fr, b["S43"].signature) for fr in generate_frames("s43", 3)]),
+        "gl frames": (gl_sig, [kripke_matrix(fr, gl_sig) for fr in generate_frames("gl", 3)]),
+        **products,
+        "matrix file": (SIG, [parse_matrix_file(LP_TEXT, SIG, name="lp")]),
+    }
+
+
+FAMILIES = _families()
+
+
+class TestColumnwiseAgainstPointwise:
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_pointwise(self, family, data):
+        sig, matrices = FAMILIES[family]
+        formulas = formula_strategy(sig, max_depth=3, max_var=2)
+        gamma = tuple(data.draw(st.lists(formulas, max_size=2)))
+        f = data.draw(formulas)
+        for m in matrices:
+            assert outcome(holds, m, f) == outcome(pointwise_entails, [m], (), f)
+        want = outcome(pointwise_entails, matrices, gamma, f)
+        assert outcome(entails, matrices, gamma, f) == want
+        assert outcome(check_rule_soundness, matrices, Rule("r", gamma, f)) == want
+
+    def test_missing_constructor_raises_on_both_paths(self):
+        f = parse_formula("box xi1", FAMILIES["s43 frames"][0])
+        with pytest.raises(SemanticsError):
+            eval_formula(BOOL, {1: 1}, f)
+        with pytest.raises(SemanticsError):
+            holds(BOOL, f)
+        with pytest.raises(SemanticsError):
+            entails([BOOL], [P("xi1")], f)
+
+    def test_op_value_outside_carrier_rejected(self):
+        ops = dict(BOOL.ops)
+        ops[SIG.resolve("neg", None, 1)] = lambda args: 7
+        m = Matrix("bad", SIG, BOOL.carrier, BOOL.designated, ops)
+        with pytest.raises(SemanticsError, match="outside the carrier"):
+            holds(m, P("neg xi1"))
+
+    def test_deep_formula_evaluates(self):
+        neg = SIG.resolve("neg", None, 1)
+        f = P("xi1 or (neg xi1)")
+        for _ in range(5000):
+            f = App(neg, (f,))
+        assert holds(BOOL, f)
+        assert not entails([BOOL], [f], App(neg, (f,)))

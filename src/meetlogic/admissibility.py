@@ -4,13 +4,16 @@ basis-augmented derivability, combined bases, and structural-completeness sampli
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .calculus import Derivation, Rule, SearchBounds, bounded_proof_search, inherit_rule
 from .combination import CombinedSignature, project
-from .semantics import entails, holds
-from .syntax import App, Formula, formula_size, print_formula, variables_of
+from .semantics import entails
+from .syntax import App, Ctor, FALSUM, Formula, formula_size, print_formula, variables_of
+
+# The component falsum the fallback call asks about, on either side.
+_COMPONENT_FALSUM = App(Ctor(FALSUM, 0))
 
 
 @dataclass
@@ -63,20 +66,14 @@ def decide_admissible_meet(o1: AdmissibilityOracle, o2: AdmissibilityOracle,
     elif not a1 and not a2:
         result = False
     elif a1:
-        result = o1(proj[1], _component_falsum(o1, proj, beta, 1))
+        result = o1(proj[1], _COMPONENT_FALSUM)
         trace.append(f"fallback o1(bot)={int(result)}")
     else:
-        result = o2(proj[2], _component_falsum(o2, proj, beta, 2))
+        result = o2(proj[2], _COMPONENT_FALSUM)
         trace.append(f"fallback o2(bot)={int(result)}")
     calls = o1.calls + o2.calls - start
     exact = all(o.exact for o in consulted)
     return MeetDecision(result, exact, calls, tuple(trace))
-
-
-def _component_falsum(oracle, proj, beta, k):
-    from .syntax import Ctor, FALSUM
-
-    return App(Ctor(FALSUM, 0))
 
 
 @dataclass(frozen=True)

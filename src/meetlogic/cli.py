@@ -72,11 +72,7 @@ def _oracle(spec, bundle):
         if len(parts) > 2:
             default = bool(int(parts[2]))
         return admissibility.oracle_from_table(bundle.name, table, default)
-    raise FormatErrorish(f"unknown oracle spec {spec!r} (auto, stub:A[:F], table:PATH[:D])")
-
-
-class FormatErrorish(Exception):
-    pass
+    raise formats.FormatError(f"unknown oracle spec {spec!r} (auto, stub:A[:F], table:PATH[:D])")
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +348,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     try:
         return args.fn(args)
-    except (ParseError, SignatureError, formats.FormatError, FormatErrorish,
+    except (ParseError, SignatureError, formats.FormatError,
             presets.PresetError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,10 +3,6 @@ and sectioned logic-definition files.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Optional
-
 from .calculus import (
     Calculus,
     Clft,
@@ -21,9 +17,6 @@ from .calculus import (
 )
 from .semantics import Matrix, SemanticsError
 from .syntax import (
-    App,
-    FALSUM,
-    ParseError,
     Signature,
     VERUM,
     make_signature,
@@ -125,7 +118,11 @@ def parse_derivation_file(text: str, sig) -> Derivation:
             raise FormatError(f"line {n}: missing `; JUST` part")
         ftext, jtext = rest.split(";", 1)
         formula = parse_formula(ftext.strip(), sig)
-        lines.append(Line(formula, _parse_just(jtext.strip(), sig, n)))
+        try:
+            just = _parse_just(jtext.strip(), sig, n)
+        except ValueError:
+            raise FormatError(f"line {n}: malformed justification {jtext.strip()!r}") from None
+        lines.append(Line(formula, just))
     if not lines:
         raise FormatError("empty derivation file")
     return Derivation(tuple(lines))
@@ -135,16 +132,12 @@ def _parse_just(text: str, sig, n: int):
     if text == "HYP":
         return Hyp()
     if text.startswith("RULE "):
-        body = text[5:]
-        try:
-            name, rest = body.split(" s={", 1)
-            entries, rest = rest.rsplit("}", 1)
-            lines_part = rest.strip()
-            if not lines_part.startswith("lines="):
-                raise ValueError
-            cited = tuple(int(x) for x in lines_part[6:].split(",") if x)
-        except ValueError:
-            raise FormatError(f"line {n}: malformed RULE justification") from None
+        name, rest = text[5:].split(" s={", 1)
+        entries, rest = rest.rsplit("}", 1)
+        lines_part = rest.strip()
+        if not lines_part.startswith("lines="):
+            raise ValueError
+        cited = tuple(int(x) for x in lines_part[6:].split(",") if x)
         subst = {}
         for entry in entries.split(";"):
             entry = entry.strip()
@@ -172,11 +165,13 @@ def _parse_just(text: str, sig, n: int):
 
 def parse_matrix_file(text: str, sig: Signature, name: str = "matrix") -> Matrix:
     """Header `carrier N` and `designated i j ...`; then one `op <name> v...`
-    per constructor, values row-major over carrier indices 0..N-1.
+    per constructor of the signature, values row-major over carrier indices
+    0..N-1. Verum-family tables default to the `top` value.
     """
     size = None
     designated = None
-    tables = {}
+    rows = {}
+    names = {c.name for c in sig.all_ctors()}
     for raw in _content_lines(text):
         parts = raw.split()
         if parts[0] == "carrier":
@@ -189,30 +184,23 @@ def parse_matrix_file(text: str, sig: Signature, name: str = "matrix") -> Matrix
         elif parts[0] == "op":
             if len(parts) < 2:
                 raise FormatError("op: missing constructor name")
-            tables[parts[1]] = _integers(f"op {parts[1]}", parts[2:])
+            if parts[1] not in names:
+                raise FormatError(f"op {parts[1]}: no such constructor in signature {sig.tag}")
+            rows[parts[1]] = _integers(f"op {parts[1]}", parts[2:])
         else:
             raise FormatError(f"unknown matrix directive {parts[0]!r}")
     if size is None or designated is None:
         raise FormatError("matrix file needs carrier and designated headers")
-    for what, values in [("designated", designated)] + [(f"op {c}", v) for c, v in tables.items()]:
-        bad = [v for v in values if not 0 <= v < size]
-        if bad:
-            raise FormatError(f"{what}: index {bad[0]} outside 0..{size - 1}")
-    carrier = tuple(range(size))
-    ops = {}
-    for n in sig.arities():
-        for cname, ctor in sig.by_arity[n].items():
-            if cname in tables:
-                values = tables[cname]
-                if len(values) != size ** n:
-                    raise FormatError(f"op {cname}: expected {size ** n} values")
-                table = dict(zip(itertools.product(carrier, repeat=n), values))
-                ops[ctor] = (lambda t: (lambda args: t[args]))(table)
-            elif cname == verum_family_name(n) and VERUM in tables:
-                ops[ctor] = (lambda v: (lambda args: v))(tables[VERUM][0])
-            else:
-                raise FormatError(f"matrix file lacks a table for {cname}")
-    return Matrix(name, sig, carrier, frozenset(designated), ops)
+    tables = {}
+    for ctor in sig.all_ctors():
+        if ctor.name in rows:
+            tables[ctor] = rows[ctor.name]
+        elif ctor.name == verum_family_name(ctor.arity) and VERUM in rows:
+            tables[ctor] = rows[VERUM][:1] * size ** ctor.arity
+    try:
+        return Matrix(name, sig, tuple(range(size)), frozenset(designated), tables)
+    except SemanticsError as e:
+        raise FormatError(str(e)) from None
 
 
 def _integers(what: str, words) -> list:
@@ -225,9 +213,8 @@ def _integers(what: str, words) -> list:
 def serialize_matrix_file(m: Matrix) -> str:
     out = [f"carrier {len(m.carrier)}",
            "designated " + " ".join(str(i) for i, d in enumerate(m.designated_flags) if d)]
-    for ctor in m.ops:
-        name = getattr(ctor, "name", None) or ctor.display
-        out.append(f"op {name} {' '.join(map(str, m.table(ctor)))}".rstrip())
+    for ctor, table in m.tables.items():
+        out.append(f"op {ctor.display} {' '.join(map(str, table))}".rstrip())
     return "\n".join(out) + "\n"
 
 
@@ -275,8 +262,11 @@ def load_logic_definition(text: str, name: str = "custom"):
 
     ctors = []
     for line in sections["signature"]:
-        cname, arity = line.split()
-        ctors.append((cname, int(arity)))
+        try:
+            cname, arity = line.split()
+            ctors.append((cname, int(arity)))
+        except ValueError:
+            raise FormatError(f"[signature]: expected `name arity`, got {line!r}") from None
     sig = make_signature(name, ctors)
 
     rules = tuple(parse_rule_line(line, sig) for line in sections["rules"])

@@ -11,9 +11,8 @@ from typing import Callable, Optional
 
 from .admissibility import Basis
 from .calculus import Calculus, Rule
-from .semantics import Matrix, SemanticsError
+from .semantics import Matrix
 from .syntax import (
-    App,
     FALSUM,
     Formula,
     Signature,
@@ -45,7 +44,6 @@ class LogicBundle:
     completion_profile: CompletionProfile
     basis: Optional[Basis]
     fixtures: dict = field(default_factory=dict)
-    has_equivalence: bool = True
 
     def refute(self, f: Formula) -> Optional[bool]:
         """False if some finite matrix refutes f; None otherwise (bounded check)."""
@@ -64,19 +62,20 @@ _PROP_CTORS = [("and", 2), ("or", 2), ("->", 2), ("iff", 2), ("neg", 1)]
 _MODAL_CTORS = _PROP_CTORS + [("box", 1), ("dia", 1)]
 
 
-def _fn_matrix(name, sig, carrier, designated, fns) -> Matrix:
-    """Matrix from per-name python functions; verum family filled as constant top."""
-    ops = {}
-    top_value = fns[VERUM]()
-    for n in sig.arities():
-        for cname, ctor in sig.by_arity[n].items():
-            if cname in fns:
-                ops[ctor] = (lambda f: (lambda args: f(*args)))(fns[cname])
-            elif cname == verum_family_name(n):
-                ops[ctor] = (lambda v: (lambda args: v))(top_value)
-            else:
-                raise PresetError(f"{name}: no operation for {cname}")
-    return Matrix(name, sig, tuple(carrier), frozenset(designated), ops)
+def _tabulate(name, sig, size, designated, fns) -> Matrix:
+    """Matrix on carrier 0..size-1 whose tables tabulate per-name python
+    functions once; the verum family is the constant top."""
+    top = fns[VERUM]()
+    tables = {}
+    for ctor in sig.all_ctors():
+        cells = itertools.product(range(size), repeat=ctor.arity)
+        if ctor.name in fns:
+            tables[ctor] = [fns[ctor.name](*args) for args in cells]
+        elif ctor.name == verum_family_name(ctor.arity):
+            tables[ctor] = [top] * size ** ctor.arity
+        else:
+            raise PresetError(f"{name}: no operation for {ctor.name}")
+    return Matrix(name, sig, tuple(range(size)), frozenset(designated), tables)
 
 
 def godel_chain(sig: Signature, size: int, name: Optional[str] = None) -> Matrix:
@@ -95,7 +94,7 @@ def godel_chain(sig: Signature, size: int, name: Optional[str] = None) -> Matrix
         "neg": lambda a: imp(a, 0),
         "iff": lambda a, b: min(imp(a, b), imp(b, a)),
     }
-    return _fn_matrix(name or f"chain{size}", sig, range(size), {top}, fns)
+    return _tabulate(name or f"chain{size}", sig, size, {top}, fns)
 
 
 # ---------------------------------------------------------------------------
@@ -144,30 +143,32 @@ class KripkeFrame:
 
 
 def kripke_matrix(frame: KripkeFrame, sig: Signature) -> Matrix:
-    """Powerset algebra of the frame with only the full set designated."""
-    w_all = frozenset(frame.worlds)
-    carrier = [frozenset(s) for r in range(len(frame.worlds) + 1)
-               for s in itertools.combinations(frame.worlds, r)]
+    """Powerset algebra of the frame with only the full set designated. A set
+    of worlds is the bitmask with bit i set for the i-th world of the frame."""
+    bit = {w: 1 << i for i, w in enumerate(frame.worlds)}
+    w_all = (1 << len(frame.worlds)) - 1
+    succ = {w: 0 for w in frame.worlds}
+    for y, x in frame.relation:
+        succ[y] |= bit[x]
 
     def box(u):
-        return frozenset(w for w in frame.worlds
-                         if all(x in u for y, x in frame.relation if y == w))
+        return sum(bit[w] for w in frame.worlds if succ[w] & ~u == 0)
 
     def imp(a, b):
-        return (w_all - a) | b
+        return (w_all ^ a) | b
 
     fns = {
         VERUM: lambda: w_all,
-        FALSUM: lambda: frozenset(),
+        FALSUM: lambda: 0,
         "and": lambda a, b: a & b,
         "or": lambda a, b: a | b,
         "->": imp,
-        "neg": lambda a: w_all - a,
+        "neg": lambda a: w_all ^ a,
         "iff": lambda a, b: imp(a, b) & imp(b, a),
         "box": box,
-        "dia": lambda a: w_all - box(w_all - a),
+        "dia": lambda a: w_all ^ box(w_all ^ a),
     }
-    return _fn_matrix(f"frame{len(frame.worlds)}w", sig, carrier, {w_all}, fns)
+    return _tabulate(f"frame{len(frame.worlds)}w", sig, w_all + 1, {w_all}, fns)
 
 
 def generate_frames(constraint: str, max_worlds: int) -> list:
@@ -188,13 +189,18 @@ def generate_frames(constraint: str, max_worlds: int) -> list:
 # ---------------------------------------------------------------------------
 # intuitionistic theoremhood (terminating contraction-free sequent search)
 
-_TOP = ("top",)
-_BOT = ("bot",)
+# Normal-form tags are ints, not strings: int hashes do not depend on
+# PYTHONHASHSEED, so the prover explores sequents in the same order in
+# every process.
+_ATOM, _AND, _OR, _IMP = 0, 1, 2, 3
+_TOP = (4,)
+_BOT = (5,)
+_TAGS = {"and": _AND, "or": _OR, "->": _IMP}
 
 
 def _ipl_norm(f: Formula):
     if isinstance(f, Var):
-        return ("atom", f.index)
+        return (_ATOM, f.index)
     name, n = f.ctor.name, f.ctor.arity
     if n == 0:
         return _BOT if name == FALSUM else _TOP
@@ -202,13 +208,11 @@ def _ipl_norm(f: Formula):
         return _TOP
     args = tuple(_ipl_norm(a) for a in f.args)
     if name == "neg":
-        return ("imp", args[0], _BOT)
+        return (_IMP, args[0], _BOT)
     if name == "iff":
-        return ("and", ("imp", args[0], args[1]), ("imp", args[1], args[0]))
-    if name in ("and", "or"):
-        return (name, *args)
-    if name == "->":
-        return ("imp", *args)
+        return (_AND, (_IMP, args[0], args[1]), (_IMP, args[1], args[0]))
+    if name in _TAGS:
+        return (_TAGS[name], *args)
     raise PresetError(f"constructor {name!r} is outside the intuitionistic language")
 
 
@@ -219,36 +223,36 @@ def _g4ip(gamma: frozenset, goal) -> bool:
     for h in gamma:
         rest = gamma - {h}
         tag = h[0]
-        if tag == "top":
+        if h == _TOP:
             return _g4ip(rest, goal)
-        if tag == "and":
+        if tag == _AND:
             return _g4ip(rest | {h[1], h[2]}, goal)
-        if tag == "or":
+        if tag == _OR:
             return _g4ip(rest | {h[1]}, goal) and _g4ip(rest | {h[2]}, goal)
-        if tag == "imp":
+        if tag == _IMP:
             a, b = h[1], h[2]
             if a == _TOP:
                 return _g4ip(rest | {b}, goal)
             if a == _BOT:
                 return _g4ip(rest, goal)
-            if a[0] == "atom" and a in gamma:
+            if a[0] == _ATOM and a in gamma:
                 return _g4ip(rest | {b}, goal)
-            if a[0] == "and":
-                return _g4ip(rest | {("imp", a[1], ("imp", a[2], b))}, goal)
-            if a[0] == "or":
-                return _g4ip(rest | {("imp", a[1], b), ("imp", a[2], b)}, goal)
-    if goal[0] == "and":
+            if a[0] == _AND:
+                return _g4ip(rest | {(_IMP, a[1], (_IMP, a[2], b))}, goal)
+            if a[0] == _OR:
+                return _g4ip(rest | {(_IMP, a[1], b), (_IMP, a[2], b)}, goal)
+    if goal[0] == _AND:
         return _g4ip(gamma, goal[1]) and _g4ip(gamma, goal[2])
-    if goal[0] == "imp":
+    if goal[0] == _IMP:
         return _g4ip(gamma | {goal[1]}, goal[2])
     # non-invertible choices
-    if goal[0] == "or" and (_g4ip(gamma, goal[1]) or _g4ip(gamma, goal[2])):
+    if goal[0] == _OR and (_g4ip(gamma, goal[1]) or _g4ip(gamma, goal[2])):
         return True
     for h in gamma:
-        if h[0] == "imp" and h[1][0] == "imp":
+        if h[0] == _IMP and h[1][0] == _IMP:
             rest = gamma - {h}
             c, d, b = h[1][1], h[1][2], h[2]
-            if _g4ip(rest | {("imp", d, b)}, ("imp", c, d)) and _g4ip(rest | {b}, goal):
+            if _g4ip(rest | {(_IMP, d, b)}, (_IMP, c, d)) and _g4ip(rest | {b}, goal):
                 return True
     return False
 

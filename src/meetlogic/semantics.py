@@ -3,86 +3,73 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from .combination import CombinedSignature, PairCtor
-from .syntax import App, FALSUM, Formula, VERUM, Var
+from .combination import CombinedSignature
+from .syntax import App, Formula, Var
 
 
 class SemanticsError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Matrix:
     """Finite algebra with a nonempty designated subset.
 
-    Operations map argument tuples of carrier elements to a carrier element;
-    they are stored as callables taking one tuple argument.
-
-    `holds` and `entails` evaluate on an integer form of the matrix, built on
-    first use and cached on it: `index`, `designated_flags` and one `table`
-    per constructor. A matrix must not be mutated after its first evaluation.
+    `carrier` lists the elements (labels); position i is index i. `tables`
+    maps every constructor of the signature to its operation over carrier
+    indices, as a flat row-major list (the layout of matrix files).
+    `designated` is a set of labels. The constructor checks all of this;
+    `index` (label -> position) and `designated_flags` (per position) are
+    derived from it.
     """
 
     name: str
     signature: object  # Signature or CombinedSignature
     carrier: tuple
     designated: frozenset
-    ops: Mapping  # ctor -> Callable[[tuple], element]
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    tables: Mapping  # ctor -> list of carrier indices, n^arity long
+    index: dict = field(init=False, repr=False, compare=False)
+    designated_flags: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n = len(self.carrier)
+        index = {v: i for i, v in enumerate(self.carrier)}
         if not self.designated:
             raise SemanticsError(f"matrix {self.name}: empty designated set")
-        top = self.constant(VERUM)
-        bot = self.constant(FALSUM)
-        if top not in self.designated:
-            raise SemanticsError(f"matrix {self.name}: top must be designated")
-        if bot in self.designated:
-            raise SemanticsError(f"matrix {self.name}: bot must not be designated")
-
-    def constant(self, name: str):
-        for ctor, op in self.ops.items():
-            if ctor.arity == 0 and getattr(ctor, "name", None) == name:
-                return op(())
-        # combined matrices: the pairing of the two constants
-        for ctor, op in self.ops.items():
-            if ctor.arity == 0 and isinstance(ctor, PairCtor):
-                if ctor.c1.name == name and ctor.c2.name == name:
-                    return op(())
-        raise SemanticsError(f"matrix {self.name}: no nullary constructor {name}")
-
-    def op(self, ctor) -> Callable:
-        try:
-            return self.ops[ctor]
-        except KeyError:
-            raise SemanticsError(f"matrix {self.name}: no operation for {ctor.display}") from None
-
-    @cached_property
-    def index(self) -> dict:
-        """Carrier element -> its position in `carrier`."""
-        return {v: i for i, v in enumerate(self.carrier)}
-
-    @cached_property
-    def designated_flags(self) -> list:
-        """Per carrier index: whether that element is designated."""
-        return [v in self.designated for v in self.carrier]
-
-    def table(self, ctor) -> list:
-        """The operation of `ctor` over carrier indices, as a flat row-major
-        list (the layout of matrix files); tabulated on first use."""
-        t = self._tables.get(ctor)
-        if t is None:
-            op, index = self.op(ctor), self.index
-            try:
-                t = [index[op(args)] for args in itertools.product(self.carrier, repeat=ctor.arity)]
-            except KeyError:
+        for v in self.designated:
+            if v not in index:
+                raise SemanticsError(f"matrix {self.name}: designated value {v!r} is not in the carrier")
+        ctors = set(self.signature.all_ctors())
+        missing = sorted(c.display for c in ctors.difference(self.tables))
+        if missing:
+            raise SemanticsError(f"matrix {self.name}: no operation for {missing[0]}")
+        extra = sorted(c.display for c in set(self.tables).difference(ctors))
+        if extra:
+            raise SemanticsError(f"matrix {self.name}: op {extra[0]} is not in the signature")
+        for ctor, t in self.tables.items():
+            if len(t) != n ** ctor.arity:
                 raise SemanticsError(
-                    f"matrix {self.name}: {ctor.display} yields a value outside the carrier") from None
-            self._tables[ctor] = t
-        return t
+                    f"matrix {self.name}: op {ctor.display}: expected {n ** ctor.arity} values, got {len(t)}")
+            bad = [v for v in (min(t), max(t)) if not 0 <= v < n]
+            if bad:
+                raise SemanticsError(
+                    f"matrix {self.name}: op {ctor.display} yields {bad[0]}, outside the carrier 0..{n - 1}")
+        flags = tuple(v in self.designated for v in self.carrier)
+        if not flags[self.tables[self.signature.top.ctor][0]]:
+            raise SemanticsError(f"matrix {self.name}: top must be designated")
+        if flags[self.tables[self.signature.bot.ctor][0]]:
+            raise SemanticsError(f"matrix {self.name}: bot must not be designated")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "designated_flags", flags)
+
+
+def _table(m: Matrix, ctor) -> list:
+    try:
+        return m.tables[ctor]
+    except KeyError:
+        raise SemanticsError(f"matrix {m.name}: no operation for {ctor.display}") from None
 
 
 def eval_formula(m: Matrix, assignment: Mapping, f: Formula):
@@ -92,7 +79,15 @@ def eval_formula(m: Matrix, assignment: Mapping, f: Formula):
             return assignment[f.index]
         except KeyError:
             raise SemanticsError(f"no binding for xi{f.index}") from None
-    return m.op(f.ctor)(tuple(eval_formula(m, assignment, a) for a in f.args))
+    t = _table(m, f.ctor)
+    i = 0
+    for a in f.args:
+        v = eval_formula(m, assignment, a)
+        try:
+            i = i * len(m.carrier) + m.index[v]
+        except KeyError:
+            raise SemanticsError(f"matrix {m.name}: {v!r} is not in the carrier") from None
+    return m.carrier[t[i]]
 
 
 # Column-wise evaluation. The assignments of carrier elements to k variables
@@ -127,7 +122,7 @@ def _column(m: Matrix, nodes: list, env: dict, size: int) -> list:
         if isinstance(g, Var):
             stack.append(env[g.index])
             continue
-        t = m.table(g.ctor)
+        t = _table(m, g.ctor)
         arity = len(g.args)
         if arity == 0:
             stack.append([t[0]] * size)
@@ -183,17 +178,24 @@ def entails(matrices: Iterable[Matrix], gamma: Iterable[Formula], f: Formula) ->
 
 
 def product_matrix(m1: Matrix, m2: Matrix, cs: CombinedSignature) -> Matrix:
-    """Componentwise product over the combined signature."""
-    ops = {}
+    """Componentwise product over the combined signature. The pair (a, b) of
+    component indices is product index a * n2 + b."""
+    n1, n2 = len(m1.carrier), len(m2.carrier)
+    # per arity: the component indices of every product argument tuple, in
+    # row-major order over the product carrier
+    rows = {0: ([0], [0])}
+    for k in range(1, max(cs.arities()) + 1):
+        i1, i2 = rows[k - 1]
+        rows[k] = ([a * n1 + i for a in i1 for i in range(n1) for _ in range(n2)],
+                   [b * n2 + j for b in i2 for _ in range(n1) for j in range(n2)])
+    tables = {}
     for ctor in cs.all_ctors():
-        op1 = m1.op(ctor.c1)
-        op2 = m2.op(ctor.c2)
-        ops[ctor] = (lambda o1, o2: (
-            lambda args: (o1(tuple(a[0] for a in args)), o2(tuple(a[1] for a in args)))
-        ))(op1, op2)
+        t1, t2 = _table(m1, ctor.c1), _table(m2, ctor.c2)
+        i1, i2 = rows[ctor.arity]
+        tables[ctor] = [t1[a] * n2 + t2[b] for a, b in zip(i1, i2)]
     carrier = tuple(itertools.product(m1.carrier, m2.carrier))
     designated = frozenset(itertools.product(m1.designated, m2.designated))
-    return Matrix(f"{m1.name}x{m2.name}", cs, carrier, designated, ops)
+    return Matrix(f"{m1.name}x{m2.name}", cs, carrier, designated, tables)
 
 
 def project_assignment(assignment: Mapping, k: int) -> dict:

@@ -7,7 +7,7 @@ every inhabited arity n >= 1, next to the nullary top and bot.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 VERUM = "top"
@@ -153,12 +153,6 @@ def subformulas(f: Formula) -> Iterator[Formula]:
     if isinstance(f, App):
         for a in f.args:
             yield from subformulas(a)
-
-
-def formula_depth(f: Formula) -> int:
-    if isinstance(f, Var) or not f.args:
-        return 0
-    return 1 + max(formula_depth(a) for a in f.args)
 
 
 def formula_size(f: Formula) -> int:

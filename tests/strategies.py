@@ -47,27 +47,3 @@ def random_formula(rng: random.Random, sig, depth: int, max_var: int = 3):
 
 def random_substitution(rng: random.Random, sig, variables, depth: int = 2, max_var: int = 3):
     return {v: random_formula(rng, sig, depth, max_var) for v in variables}
-
-
-def enumerate_formulas(sig, depth: int, max_var: int = 1, cap: int = None):
-    """All formulas up to the given depth, smallest first, optionally capped."""
-    ctors = ctor_inventory(sig)
-    atoms = [Var(i) for i in range(1, max_var + 1)]
-    atoms += [App(c) for c in ctors if c.arity == 0]
-    layers = [list(atoms)]
-    for _ in range(depth):
-        pool = [f for layer in layers for f in layer]
-        new = []
-        import itertools
-
-        for c in ctors:
-            if c.arity == 0:
-                continue
-            for args in itertools.product(pool, repeat=c.arity):
-                g = App(c, args)
-                new.append(g)
-                if cap is not None and sum(len(l) for l in layers) + len(new) >= cap:
-                    layers.append(new)
-                    return [f for layer in layers for f in layer]
-        layers.append(new)
-    return [f for layer in layers for f in layer]

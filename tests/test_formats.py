@@ -116,6 +116,14 @@ class TestDerivationFiles:
         with pytest.raises(FormatError):
             parse_derivation_file("# nothing\n", CPL.signature)
 
+    @pytest.mark.parametrize("just", [
+        "CLFT line=x", "CLFT line=1", "LFT lines=1", "LFT lines=a,b", "FX line=",
+        "RULE r s={xi1} lines=",
+    ])
+    def test_malformed_justification_rejected(self, just):
+        with pytest.raises(FormatError, match="line 2"):
+            parse_derivation_file(f"1. xi1 ; HYP\n2. xi1 ; {just}\n", CPL.signature)
+
 
 class TestMatrixFiles:
     BOOL_TEXT = """
@@ -167,6 +175,9 @@ op iff 1 0 0 1
         ("carrier 2", "carrier x", "carrier"),
         ("carrier 2", "carrier", "carrier"),
         ("carrier 2", "carrier 0", "carrier"),
+        ("op neg 1 0", "op neg 1 0\nop box 1 0", "op box"),
+        ("op top 1", "op top 0", "top must be designated"),
+        ("op bot 0", "op bot 1", "bot must not be designated"),
     ])
     def test_bad_values_rejected(self, old, new, names):
         text = self.BOOL_TEXT.replace(old, new)
@@ -226,3 +237,8 @@ b1: neg (xi1 and xi2) / neg xi1
     def test_content_before_section_rejected(self):
         with pytest.raises(FormatError):
             load_logic_definition("and 2\n[signature]\n")
+
+    @pytest.mark.parametrize("line", ["and x", "and"])
+    def test_malformed_signature_line_rejected(self, line):
+        with pytest.raises(FormatError, match=repr(line)):
+            load_logic_definition(f"[signature]\n{line}\n")

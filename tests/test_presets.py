@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import meetlogic
 
 from meetlogic.admissibility import brute_force_admissible
 from meetlogic.calculus import Rule
@@ -94,6 +101,25 @@ class TestIplProver:
         P = lambda s: parse_formula(s, self.SIG)
         assert ipl_consequence([P("xi1"), P("xi1 -> xi2")], P("xi2"))
         assert not ipl_consequence([P("xi1 or xi2")], P("xi1"))
+
+    def test_work_independent_of_hash_seed(self):
+        script = (
+            "import random\n"
+            "from strategies import random_formula\n"
+            "from meetlogic.presets import _g4ip, ipl_theorem, load_preset\n"
+            "sig = load_preset('IPL').signature\n"
+            "rng = random.Random(0)\n"
+            "for _ in range(100):\n"
+            "    ipl_theorem(random_formula(rng, sig, 4))\n"
+            "print(_g4ip.cache_info().misses)\n"
+        )
+        path = os.pathsep.join([str(Path(meetlogic.__file__).parent.parent), str(Path(__file__).parent)])
+        misses = [
+            subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")
+        ]
+        assert misses[0] == misses[1] != ""
 
     def test_classical_fragment_agrees_on_negative_formulas(self):
         # Glivenko: classically valid iff double negation intuitionistically valid

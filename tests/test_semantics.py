@@ -217,11 +217,10 @@ class TestColumnwiseAgainstPointwise:
             entails([BOOL], [P("xi1")], f)
 
     def test_op_value_outside_carrier_rejected(self):
-        ops = dict(BOOL.ops)
-        ops[SIG.resolve("neg", None, 1)] = lambda args: 7
-        m = Matrix("bad", SIG, BOOL.carrier, BOOL.designated, ops)
+        tables = dict(BOOL.tables)
+        tables[SIG.resolve("neg", None, 1)] = [1, 7]
         with pytest.raises(SemanticsError, match="outside the carrier"):
-            holds(m, P("neg xi1"))
+            Matrix("bad", SIG, BOOL.carrier, BOOL.designated, tables)
 
     def test_deep_formula_evaluates(self):
         neg = SIG.resolve("neg", None, 1)

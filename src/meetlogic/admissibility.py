@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .calculus import Derivation, Rule, SearchBounds, bounded_proof_search, inherit_rule
 from .combination import CombinedSignature, project
 from .semantics import entails
-from .syntax import App, Ctor, FALSUM, Formula, formula_size, print_formula, variables_of
+from .syntax import App, Ctor, FALSUM, Formula, print_formula, variables_of
 
 # The component falsum the fallback call asks about, on either side.
 _COMPONENT_FALSUM = App(Ctor(FALSUM, 0))
@@ -117,7 +117,7 @@ def _closed_candidates(signature, bounds: BruteForceBounds) -> list:
                 break
         layers.append(new)
     flat = [f for layer in layers for f in layer]
-    flat.sort(key=lambda f: (formula_size(f), print_formula(f)))
+    flat.sort(key=lambda f: (f.size, print_formula(f)))
     return flat[: bounds.max_candidates]
 
 

@@ -4,12 +4,11 @@ meet-calculus assembly, bounded proof search, and derivation-template builders.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .combination import (
     CombinedSignature,
-    PairCtor,
     embed,
     proj_embedded,
     project,
@@ -20,10 +19,10 @@ from .syntax import (
     Formula,
     Var,
     apply_substitution,
-    formula_size,
     match_formula,
     max_schema_index,
     print_formula,
+    subformulas,
     variables_of,
 )
 
@@ -296,41 +295,14 @@ class SearchBounds:
 def _candidate_pool(calc, hyps, goal, bounds):
     pool = set()
     for f in list(hyps) + [goal]:
-        for sub in _subformula_list(f):
-            pool.add(sub)
+        pool.update(subformulas(f))
     sig = calc.signature
     if isinstance(sig, CombinedSignature):
         pool.update({sig.top, sig.bot, sig.falsum(1), sig.falsum(2)})
     else:
         pool.update({sig.top, sig.bot})
-    ordered = sorted(pool, key=lambda f: (formula_size(f), print_formula(f)))
+    ordered = sorted(pool, key=lambda f: (f.size, print_formula(f)))
     return ordered[: bounds.max_candidates]
-
-
-def _subformula_list(f):
-    from .syntax import subformulas
-
-    return list(subformulas(f))
-
-
-def _match_seeded(pattern, target, binding):
-    """match_formula extended with an initial binding; facts may themselves
-    contain schema variables, so the pattern is never pre-instantiated.
-    """
-    out = dict(binding)
-
-    def go(p, t):
-        if isinstance(p, Var):
-            bound = out.get(p.index)
-            if bound is None:
-                out[p.index] = t
-                return True
-            return bound == t
-        if isinstance(t, Var) or p.ctor != t.ctor:
-            return False
-        return all(go(pa, ta) for pa, ta in zip(p.args, t.args))
-
-    return out if go(pattern, target) else None
 
 
 def _match_all_premises(rule, facts_order, by_head, facts_set):
@@ -341,7 +313,7 @@ def _match_all_premises(rule, facts_order, by_head, facts_set):
     """
     idxs = sorted(
         range(len(rule.premises)),
-        key=lambda i: -formula_size(rule.premises[i]),
+        key=lambda i: -rule.premises[i].size,
     )
 
     def candidates(premise, subst):
@@ -358,13 +330,14 @@ def _match_all_premises(rule, facts_order, by_head, facts_set):
             return
         i = idxs[pos]
         for fact in candidates(rule.premises[i], subst):
-            nxt = _match_seeded(rule.premises[i], fact, subst)
+            nxt = match_formula(rule.premises[i], fact, subst)
             if nxt is not None:
                 chosen[i] = fact
                 yield from rec(pos + 1, nxt, chosen)
         chosen.pop(i, None)
 
     yield from rec(0, {}, {})
+    del rec  # it refers to itself; see bounded_proof_search
 
 
 def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[Formula],
@@ -383,12 +356,14 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
     order: list = []
 
     def add(f, record) -> bool:
-        if f in facts or formula_size(f) > bounds.max_size or len(facts) >= bounds.max_facts:
+        if f in facts or f.size > bounds.max_size or len(facts) >= bounds.max_facts:
             return False
         facts[f] = record
         order.append(f)
         _close(f)
         return True
+
+    falsa = (cs.falsum(1), cs.falsum(2)) if cs is not None else ()
 
     def _close(f):
         if cs is None:
@@ -398,8 +373,8 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
                 add(proj_embedded(f, k, cs), ("clft", f, k))
         if calc.fx:
             for k in (1, 2):
-                if f == cs.falsum(k):
-                    add(cs.falsum(3 - k), ("fx", f))
+                if f is falsa[k - 1]:
+                    add(falsa[2 - k], ("fx", f))
 
     for h in hyps:
         add(h, ("hyp",))
@@ -416,7 +391,7 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
             full = dict(subst)
             full.update(zip(unbound, values))
             concl = apply_substitution(full, rule.conclusion)
-            if concl not in facts and formula_size(concl) <= bounds.max_size:
+            if concl not in facts and concl.size <= bounds.max_size:
                 out.append((concl, ("rule", rule, full, cited)))
 
     for _round in range(bounds.depth):
@@ -442,7 +417,7 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
                 p2 = proj_embedded(target, 2, cs)
                 if p1 in facts and p2 in facts:
                     additions.append((target, ("lft", p1, p2)))
-        additions.sort(key=lambda item: (formula_size(item[0]), print_formula(item[0])))
+        additions.sort(key=lambda item: (item[0].size, print_formula(item[0])))
         progressed = False
         for f, record in additions:
             if add(f, record):
@@ -450,6 +425,10 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
         if goal in facts or not progressed:
             break
 
+    # add and _close refer to each other. Unlinking them frees the facts
+    # when the search returns, not at the next cyclic collection, which
+    # keeps the intern table from filling with finished searches.
+    del add, _close
     if goal not in facts:
         return None
     return _reconstruct(goal, facts)
@@ -487,6 +466,7 @@ def _reconstruct(goal, facts) -> Derivation:
         return index[f]
 
     build(goal)
+    del build  # it refers to itself; see bounded_proof_search
     return Derivation(tuple(lines))
 
 

@@ -8,37 +8,47 @@ from .syntax import (
     App,
     Ctor,
     Formula,
+    Interned,
     Signature,
     SignatureError,
     Var,
     max_schema_index,
+    name_hash,
     verum_family_name,
 )
 
 
-@dataclass(frozen=True)
-class PairCtor:
-    """Combined constructor <c1.tag1|c2.tag2>; component identity is the ordered pair."""
+_pairs: dict = {}  # (id(c1), id(c2), tag1, tag2) -> PairCtor; ctors are never freed
 
-    c1: Ctor
-    c2: Ctor
-    tag1: str
-    tag2: str
 
-    def __post_init__(self):
-        if self.c1.arity != self.c2.arity:
-            raise SignatureError(f"arity mismatch in pair {self.c1.name}/{self.c2.name}")
+class PairCtor(Interned):
+    """Combined constructor <c1.tag1|c2.tag2>, interned like every kernel node."""
 
-    @property
-    def arity(self) -> int:
-        return self.c1.arity
+    __slots__ = ("c1", "c2", "tag1", "tag2", "arity", "display", "_hash")
 
-    @property
-    def display(self) -> str:
-        return f"<{self.c1.name}.{self.tag1}|{self.c2.name}.{self.tag2}>"
+    def __new__(cls, c1: Ctor, c2: Ctor, tag1: str, tag2: str):
+        key = (id(c1), id(c2), tag1, tag2)
+        p = _pairs.get(key)
+        if p is None:
+            if c1.arity != c2.arity:
+                raise SignatureError(f"arity mismatch in pair {c1.name}/{c2.name}")
+            p = object.__new__(cls)
+            init = object.__setattr__
+            init(p, "c1", c1)
+            init(p, "c2", c2)
+            init(p, "tag1", tag1)
+            init(p, "tag2", tag2)
+            init(p, "arity", c1.arity)
+            init(p, "display", f"<{c1.name}.{tag1}|{c2.name}.{tag2}>")
+            init(p, "_hash", hash((c1._hash, c2._hash, name_hash(tag1), name_hash(tag2))))
+            p = _pairs.setdefault(key, p)
+        return p
 
-    def component(self, k: int) -> Ctor:
-        return self.c1 if k == 1 else self.c2
+    def __reduce__(self):
+        return PairCtor, (self.c1, self.c2, self.tag1, self.tag2)
+
+    def __repr__(self):
+        return f"PairCtor({self.display})"
 
 
 @dataclass
@@ -58,6 +68,8 @@ class CombinedSignature:
             self.tag2 = f"{self.sig2.tag}2"
         else:
             self.tag1, self.tag2 = self.sig1.tag, self.sig2.tag
+        self._embedded = {k: {c: self._pad(c, k) for n in self.arities()
+                              for c in self.component(k).by_arity[n].values()} for k in (1, 2)}
 
     def component(self, k: int) -> Signature:
         return self.sig1 if k == 1 else self.sig2
@@ -96,6 +108,10 @@ class CombinedSignature:
                 yield self.embed_ctor(self.component(k).by_arity[n][c], k)
 
     def embed_ctor(self, c: Ctor, k: int) -> PairCtor:
+        pair = self._embedded[k].get(c)
+        return self._pad(c, k) if pair is None else pair
+
+    def _pad(self, c: Ctor, k: int) -> PairCtor:
         other = self.component(3 - k)
         pad = other.by_arity[0][verum_family_name(0)] if c.arity == 0 else other.verum_at(c.arity)
         return self.pair(c, pad) if k == 1 else self.pair(pad, c)
@@ -137,31 +153,79 @@ def combine_signatures(s1: Signature, s2: Signature) -> CombinedSignature:
 
 
 def embed(f: Formula, k: int, cs: CombinedSignature) -> Formula:
-    """The embedding of a component-k formula, padding with the verum family."""
-    if isinstance(f, Var):
+    """The embedding of a component-k formula, padding with the verum family.
+
+    Nodes are visited without recursion, each shared node once.
+    """
+    if f.__class__ is Var:
         return f
-    return App(cs.embed_ctor(f.ctor, k), tuple(embed(a, k, cs) for a in f.args))
+    image = {}
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        if g in image:
+            todo.pop()
+            continue
+        waiting = [a for a in g.args if a.__class__ is App and a not in image]
+        if waiting:
+            todo.extend(waiting)
+            continue
+        todo.pop()
+        image[g] = App(cs.embed_ctor(g.ctor, k), tuple(a if a.__class__ is Var else image[a] for a in g.args))
+    return image[f]
 
 
 def project(f: Formula, k: int) -> Formula:
-    """Replace every combined constructor by its k-th component."""
-    if isinstance(f, Var):
+    """Replace every combined constructor by its k-th component.
+
+    Both projections are memoised on every node; nodes are visited without
+    recursion.
+    """
+    if f.__class__ is Var:
         return f
-    return App(f.ctor.component(k), tuple(project(a, k) for a in f.args))
+    if f._proj is None:
+        todo = [f]
+        while todo:
+            g = todo[-1]
+            if g._proj is not None:
+                todo.pop()
+                continue
+            waiting = [a for a in g.args if a.__class__ is App and a._proj is None]
+            if waiting:
+                todo.extend(waiting)
+                continue
+            todo.pop()
+            args1 = tuple(a if a.__class__ is Var else a._proj[0] for a in g.args)
+            args2 = tuple(a if a.__class__ is Var else a._proj[1] for a in g.args)
+            object.__setattr__(g, "_proj", (App(g.ctor.c1, args1), App(g.ctor.c2, args2)))
+    return f._proj[0] if k == 1 else f._proj[1]
 
 
 def proj_embedded(f: Formula, k: int, cs: CombinedSignature) -> Formula:
-    """Projection read back into the combined language via the embedding."""
-    return embed(project(f, k), k, cs)
+    """Projection read back into the combined language via the embedding.
+
+    Both sides are memoised on f for the last `cs` asked. An image that is f
+    itself is stored as None: a node that referred to itself, or embed
+    memoised on the component nodes that project memoises on f, would form
+    reference cycles that only the cyclic collector frees.
+    """
+    if f.__class__ is Var:
+        return f
+    memo = f._pe
+    if memo is None or memo[0] is not cs:
+        g1, g2 = embed(project(f, 1), 1, cs), embed(project(f, 2), 2, cs)
+        memo = (cs, None if g1 is f else g1, None if g2 is f else g2)
+        object.__setattr__(f, "_pe", memo)
+    g = memo[1] if k == 1 else memo[2]
+    return f if g is None else g
 
 
 @dataclass
 class TaggedRuleSet:
-    """Result of tagging one rule: the rules plus provenance by rule name."""
+    """Result of tagging one rule."""
 
     source: object  # calculus.Rule
     rules: tuple
-    ctor_by_name: dict  # rule name -> tagging constructor (None for the untouched rule)
 
     def __iter__(self):
         return iter(self.rules)
@@ -188,10 +252,10 @@ def tag_rule(rule, sig) -> TaggedRuleSet:
     from .syntax import apply_substitution
 
     if not rule.liberal:
-        return TaggedRuleSet(rule, (rule,), {rule.name: None})
+        return TaggedRuleSet(rule, (rule,))
     j = max_schema_index(rule)
     beta_index = rule.conclusion.index
-    out, provenance = [], {}
+    out = []
     for c in _ctors_of(sig):
         fresh = App(c, tuple(Var(j + i) for i in range(1, c.arity + 1)))
         rho = {beta_index: fresh}
@@ -201,8 +265,7 @@ def tag_rule(rule, sig) -> TaggedRuleSet:
             conclusion=fresh,
         )
         out.append(tagged)
-        provenance[tagged.name] = c
-    return TaggedRuleSet(rule, tuple(out), provenance)
+    return TaggedRuleSet(rule, tuple(out))
 
 
 def tag_ruleset(rules, sig) -> list:

@@ -224,13 +224,19 @@ def serialize_matrix_file(m: Matrix) -> str:
 def parse_oracle_table(text: str):
     table = {}
     default = False
-    for raw in _content_lines(text):
+    for n, raw in enumerate(_content_lines(text), start=1):
         head, _, rest = raw.partition(" ")
         if head == "default":
-            default = bool(int(rest.strip()))
+            default = _verdict(rest.strip(), n)
             continue
-        table[rest.strip()] = bool(int(head))
+        table[rest.strip()] = _verdict(head, n)
     return table, default
+
+
+def _verdict(word: str, n: int) -> bool:
+    if word not in ("0", "1"):
+        raise FormatError(f"line {n}: expected a verdict 0 or 1, got {word!r}")
+    return word == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +249,7 @@ def load_logic_definition(text: str, name: str = "custom"):
     """Sectioned bundle definition; see the README for the section grammars."""
     from .admissibility import Basis
     from .presets import LogicBundle
-    from .treetools import CompletionProfile, IdentityProfile
+    from .treetools import CompletionProfile, IdentityProfile, TreeError
 
     sections = {s: [] for s in _SECTIONS}
     current = None
@@ -286,9 +292,14 @@ def load_logic_definition(text: str, name: str = "custom"):
     for line in sections["profiles"]:
         parts = line.split()
         if parts[0] == "identity":
-            cname, arity, pos = parts[1], int(parts[2]), int(parts[3])
-            fillers = tuple(parts[4:])
-            identity_profiles[cname] = IdentityProfile(cname, arity, pos, fillers)
+            try:
+                cname, arity, pos = parts[1], int(parts[2]), int(parts[3])
+                identity_profiles[cname] = IdentityProfile(cname, arity, pos, tuple(parts[4:]))
+            except (IndexError, ValueError):
+                raise FormatError(
+                    f"[profiles]: expected `identity name arity position filler...`, got {line!r}") from None
+            except TreeError as e:
+                raise FormatError(f"[profiles]: {e}, in {line!r}") from None
         elif parts[0] == "structurally-complete":
             structurally_complete = True
         else:

@@ -7,6 +7,9 @@ every inhabited arity n >= 1, next to the nullary top and bot.
 """
 from __future__ import annotations
 
+import threading
+import weakref
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -28,36 +31,197 @@ class ParseError(Exception):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Ctor:
-    name: str
-    arity: int
+# ---------------------------------------------------------------------------
+# hash-consed nodes
+#
+# Constructors, variables and applications are interned: each value has one
+# live object, so equality is identity. Size and hash are computed once, at
+# construction, from the children's cached values. Hashes are built from
+# names through crc32, never from addresses or the string hash, so the
+# iteration order of a set of formulas is the same in every process.
 
-    @property
-    def display(self) -> str:
-        return self.name
+
+def name_hash(name: str) -> int:
+    return zlib.crc32(name.encode())
 
 
-@dataclass(frozen=True)
-class Var:
+class Interned:
+    """Base of the immutable interned node types; a copy is the node itself."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} objects are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} objects are immutable")
+
+    def __hash__(self):
+        return self._hash
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+_init = object.__setattr__
+_ctors: dict = {}  # (name, arity) -> Ctor; constructors are never freed
+
+
+class Ctor(Interned):
+    __slots__ = ("name", "arity", "display", "_hash")
+
+    def __new__(cls, name: str, arity: int):
+        c = _ctors.get((name, arity))
+        if c is None:
+            c = object.__new__(cls)
+            _init(c, "name", name)
+            _init(c, "arity", arity)
+            _init(c, "display", name)
+            _init(c, "_hash", hash((name_hash(name), arity)))
+            c = _ctors.setdefault((name, arity), c)
+        return c
+
+    def __reduce__(self):
+        return Ctor, (self.name, self.arity)
+
+    def __repr__(self):
+        return f"Ctor({self.name!r}, {self.arity})"
+
+
+_vars: dict = {}  # index -> Var
+_VAR_SALT = name_hash("xi")
+
+
+class Var(Interned):
     """Schema variable xi_<index>."""
 
-    index: int
+    __slots__ = ("index", "size", "_hash")
+
+    def __new__(cls, index: int):
+        v = _vars.get(index)
+        if v is None:
+            v = object.__new__(cls)
+            _init(v, "index", index)
+            _init(v, "size", 1)
+            _init(v, "_hash", hash((_VAR_SALT, index)))
+            v = _vars.setdefault(index, v)
+        return v
+
+    def __reduce__(self):
+        return Var, (self.index,)
 
     def __repr__(self):
         return f"xi{self.index}"
 
 
-@dataclass(frozen=True)
-class App:
-    ctor: object  # Ctor or combination.PairCtor
-    args: tuple = ()
+# The application table maps the ids of the ctor and the arguments, packed
+# into one int at 64 bits each (ids are addresses below 2**64), to a weak
+# reference to the node. A live node keeps its ctor and arguments alive, so a
+# live entry's ids name exactly those objects. An entry whose node has died
+# stays until its key is built again or until the next sweep; sweeps run
+# whenever the table has grown by a quarter. Entries are only ever added by
+# `setdefault`, and replaced or deleted under the lock, so two threads never
+# intern two nodes for one value. The lock is reentrant because a collection
+# triggered inside it may run finalizers that build formulas.
+_apps: dict = {}
+_SWEEP_MIN = 1 << 12
+_sweep_at = _SWEEP_MIN
+_apps_lock = threading.RLock()
+_lock, _unlock = _apps_lock.acquire, _apps_lock.release
+_new = object.__new__
+_weakref = weakref.ref
 
-    def __post_init__(self):
-        if len(self.args) != self.ctor.arity:
-            raise SignatureError(
-                f"{self.ctor.display} expects {self.ctor.arity} arguments, got {len(self.args)}"
-            )
+
+def _sweep():
+    global _sweep_at
+    _lock()
+    try:
+        for key, ref in _apps.copy().items():
+            if ref() is None and _apps.get(key) is ref:
+                del _apps[key]
+        _sweep_at = len(_apps) + max(_SWEEP_MIN, len(_apps) // 4)
+    finally:
+        _unlock()
+
+
+class _AppSlots:
+    __slots__ = ("ctor", "args", "size", "_hash", "_proj", "_pe", "__weakref__")
+
+
+class App(_AppSlots, Interned):
+    """Constructor application. `size` counts node occurrences; `_proj` and
+    `_pe` memoise `combination.project` and `combination.proj_embedded`.
+
+    A node is filled in as a `_AppSlots`, which has no immutability guard,
+    and then given its class: plain stores cost a fraction of
+    `object.__setattr__`, and construction is the kernel's hot path.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ctor, args: tuple = ()):
+        n = len(args)
+        key = id(ctor)
+        if n == 1:
+            key = key << 64 | id(args[0])
+        elif n == 2:
+            key = (key << 64 | id(args[0])) << 64 | id(args[1])
+        else:
+            for a in args:
+                key = key << 64 | id(a)
+        dead = _apps.get(key)
+        if dead is not None:
+            node = dead()
+            if node is not None:
+                return node
+        if n != ctor.arity:
+            raise SignatureError(f"{ctor.display} expects {ctor.arity} arguments, got {n}")
+        if n == 0:
+            size, h = 1, hash((ctor._hash,))
+        elif n == 1:
+            a = args[0]
+            size, h = 1 + a.size, hash((ctor._hash, a._hash))
+        elif n == 2:
+            a, b = args
+            size, h = 1 + a.size + b.size, hash((ctor._hash, a._hash, b._hash))
+        else:
+            size = 1 + sum(a.size for a in args)
+            h = hash((ctor._hash, *(a._hash for a in args)))
+        node = _new(_AppSlots)
+        node.ctor = ctor
+        node.args = args if args.__class__ is tuple else tuple(args)
+        node.size = size
+        node._hash = h
+        node._proj = None
+        node._pe = None
+        node.__class__ = cls
+        ref = _weakref(node)
+        if dead is None:
+            found = _apps.setdefault(key, ref)
+            if found is ref:
+                if len(_apps) > _sweep_at:
+                    _sweep()
+                return node
+            other = found()
+            if other is not None:
+                return other
+        _lock()
+        try:
+            found = _apps.setdefault(key, ref)
+            if found is not ref:
+                other = found()
+                if other is not None:
+                    return other
+                _apps[key] = ref
+        finally:
+            _unlock()
+        return node
+
+    def __reduce__(self):
+        return App, (self.ctor, self.args)
 
     def __repr__(self):
         return print_formula(self)
@@ -148,19 +312,17 @@ def make_signature(tag: str, ctors: Iterable) -> Signature:
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """All subformula occurrences, root first."""
-    yield f
-    if isinstance(f, App):
-        for a in f.args:
-            yield from subformulas(a)
-
-
-def formula_size(f: Formula) -> int:
-    return sum(1 for _ in subformulas(f))
+    """All subformula occurrences, root first, arguments left to right."""
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        yield g
+        if g.__class__ is App:
+            todo.extend(reversed(g.args))
 
 
 def variables_of(f: Formula) -> set:
-    return {g.index for g in subformulas(f) if isinstance(g, Var)}
+    return {g.index for g in subformulas(f) if g.__class__ is Var}
 
 
 def max_schema_index(obj) -> int:
@@ -178,11 +340,16 @@ def max_schema_index(obj) -> int:
 
 
 def apply_substitution(s: Substitution, f: Formula) -> Formula:
-    if isinstance(f, Var):
+    if f.__class__ is Var:
         return s.get(f.index, f)
-    if not f.args:
+    args = f.args
+    if len(args) == 2:
+        return App(f.ctor, (apply_substitution(s, args[0]), apply_substitution(s, args[1])))
+    if len(args) == 1:
+        return App(f.ctor, (apply_substitution(s, args[0]),))
+    if not args:
         return f
-    return App(f.ctor, tuple(apply_substitution(s, a) for a in f.args))
+    return App(f.ctor, tuple([apply_substitution(s, a) for a in args]))
 
 
 def compose_substitutions(s2: Substitution, s1: Substitution) -> Substitution:
@@ -193,33 +360,52 @@ def compose_substitutions(s2: Substitution, s1: Substitution) -> Substitution:
     return out
 
 
-def match_formula(pattern: Formula, target: Formula) -> Optional[Substitution]:
-    """Least substitution s with apply(s, pattern) == target, or None."""
-    binding: Substitution = {}
+def match_formula(pattern: Formula, target: Formula, binding: Optional[Substitution] = None) -> Optional[Substitution]:
+    """Least extension s of `binding` with apply(s, pattern) == target, or None.
 
-    def go(p, t):
-        if isinstance(p, Var):
-            bound = binding.get(p.index)
+    The target may itself contain schema variables; the pattern is never
+    instantiated with the binding first. `binding` is not modified.
+    """
+    out: Substitution = {} if binding is None else dict(binding)
+    todo = [(pattern, target)]
+    while todo:
+        p, t = todo.pop()
+        if p.__class__ is Var:
+            bound = out.get(p.index)
             if bound is None:
-                binding[p.index] = t
-                return True
-            return bound == t
-        if isinstance(t, Var) or p.ctor != t.ctor:
-            return False
-        return all(go(pa, ta) for pa, ta in zip(p.args, t.args))
-
-    return binding if go(pattern, target) else None
+                out[p.index] = t
+            elif bound is not t:
+                return None
+        elif t.__class__ is Var or p.ctor is not t.ctor:
+            return None
+        else:
+            todo.extend(zip(reversed(p.args), reversed(t.args)))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # printer
 
 def print_formula(f: Formula) -> str:
-    if isinstance(f, Var):
-        return f"xi{f.index}"
-    if not f.args:
-        return f.ctor.display
-    return f"{f.ctor.display}({', '.join(print_formula(a) for a in f.args)})"
+    out = []
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if g.__class__ is str:
+            out.append(g)
+        elif g.__class__ is Var:
+            out.append(f"xi{g.index}")
+        elif not g.args:
+            out.append(g.ctor.display)
+        else:
+            out.append(f"{g.ctor.display}(")
+            todo.append(")")
+            args = g.args
+            for a in args[:0:-1]:
+                todo.append(a)
+                todo.append(", ")
+            todo.append(args[0])
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,18 @@ class TestOracleTables:
         table, default = parse_oracle_table("")
         assert table == {} and default is False
 
+    @pytest.mark.parametrize("text, line", [
+        ("x xi1 / xi1\n", 1),
+        ("1 xi1 / xi1\n2 a\n", 2),
+        ("# comment\n-1 xi1 / xi1\n", 1),
+        ("default yes\n", 1),
+        ("0 a\ndefault 2\n", 2),
+        ("default\n", 1),
+    ])
+    def test_bad_verdict_rejected(self, text, line):
+        with pytest.raises(FormatError, match=f"line {line}: expected a verdict 0 or 1"):
+            parse_oracle_table(text)
+
 
 class TestLogicDefinition:
     TEXT = """
@@ -242,3 +254,8 @@ b1: neg (xi1 and xi2) / neg xi1
     def test_malformed_signature_line_rejected(self, line):
         with pytest.raises(FormatError, match=repr(line)):
             load_logic_definition(f"[signature]\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["identity", "identity and x 1 top", "identity and 2 3 top"])
+    def test_malformed_profile_line_rejected(self, line):
+        with pytest.raises(FormatError, match=repr(line)):
+            load_logic_definition(f"[signature]\nand 2\n[profiles]\n{line}\n")

@@ -117,6 +117,13 @@ class TestMatch:
         f = P("neg (xi1 or xi2)")
         assert match_formula(Var(1), f) == {1: f}
 
+    def test_seeded_binding_extended_not_modified(self):
+        seed = {1: P("xi3")}
+        assert match_formula(P("xi1 -> xi2"), P("xi3 -> (xi1 and xi3)"), seed) == \
+            {1: P("xi3"), 2: P("xi1 and xi3")}
+        assert match_formula(P("xi1 -> xi2"), P("xi4 -> xi3"), seed) is None
+        assert seed == {1: P("xi3")}
+
     @settings(max_examples=150)
     @given(formula_strategy(SIG, max_depth=3), st.data())
     def test_match_apply_adjunction(self, p, data):

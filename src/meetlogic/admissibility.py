@@ -81,6 +81,7 @@ class AdmissibilityVerdict:
     status: str  # "admissible" | "not-admissible" | "inconclusive"
     exact: bool
     witness: Optional[tuple] = None  # frozen substitution for not-admissible
+    tried: int = 0  # distinct key tuples the substitution sweep checked
 
     def __bool__(self):
         return self.status == "admissible"
@@ -129,29 +130,40 @@ def brute_force_admissible(bundle, premises: Sequence[Formula], beta: Formula,
     are swept for a counterexample. A structurally complete bundle with a
     characteristic matrix additionally gets exact positive answers via
     entailment. Everything else is inconclusive, never an error.
+
+    The sweep builds no formula. The procedure gives each closed candidate a
+    key (`thm.key(c)`), and `thm.instances(p)` decides, from a map of the
+    pattern p's variable indices to keys, whether that substitution instance
+    of p is a theorem. So the verdict on a substitution depends only on its
+    tuple of keys, and each distinct tuple is decided once, by the tuple of
+    the first candidates with those keys. Those tuples come in the order of
+    the full candidate product, and the first counterexample of the full
+    product has one, so the witness is the one the full sweep would find.
     """
     premises = tuple(premises)
     thm = getattr(bundle, "theorem", None)
+    tried = 0
     if thm is not None:
         variables = sorted(set().union(variables_of(beta), *(variables_of(p) for p in premises)))
-        candidates = _closed_candidates(bundle.signature, bounds)
-        for values in itertools.product(candidates, repeat=len(variables)):
-            subst = dict(zip(variables, values))
-            from .syntax import apply_substitution
-
-            if all(thm(apply_substitution(subst, p)) for p in premises):
-                if not thm(apply_substitution(subst, beta)):
-                    return AdmissibilityVerdict(
-                        "not-admissible", True, tuple(sorted(subst.items()))
-                    )
+        representative = {}
+        for c in _closed_candidates(bundle.signature, bounds):
+            representative.setdefault(thm.key(c), c)
+        premise_tests = [thm.instances(p) for p in premises]
+        goal_test = thm.instances(beta)
+        for keys in itertools.product(representative, repeat=len(variables)):
+            tried += 1
+            env = dict(zip(variables, keys))
+            if all(t(env) for t in premise_tests) and not goal_test(env):
+                witness = tuple(zip(variables, map(representative.__getitem__, keys)))
+                return AdmissibilityVerdict("not-admissible", True, witness, tried)
     char = getattr(bundle, "characteristic", None)
     if getattr(bundle, "structurally_complete", False) and char is not None:
         if entails([char], premises, beta):
-            return AdmissibilityVerdict("admissible", True)
+            return AdmissibilityVerdict("admissible", True, tried=tried)
         # entailment says non-admissible; report it exactly even if the
         # bounded witness sweep missed a concrete substitution
-        return AdmissibilityVerdict("not-admissible", True)
-    return AdmissibilityVerdict("inconclusive", False)
+        return AdmissibilityVerdict("not-admissible", True, tried=tried)
+    return AdmissibilityVerdict("inconclusive", False, tried=tried)
 
 
 # ---------------------------------------------------------------------------

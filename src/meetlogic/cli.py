@@ -1,12 +1,14 @@
 """Batch command-line front end.
 
 Exit codes: 0 affirmative/accept, 1 negative/reject, 2 inconclusive,
-3 and above usage or parse errors.
+3 usage or parse error, 4 internal error (any other exception, such as
+input nested too deeply to read).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import admissibility, calculus, combination, formats, presets, semantics, treetools
@@ -16,6 +18,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -355,6 +358,14 @@ def main(argv=None) -> int:
     except calculus.BuilderError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:
+        # 1 means "no", so a failure must never end with Python's exit code 1
+        tb = e.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
+        print(f"error: internal: {type(e).__name__}: {e} (raised at {where})", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

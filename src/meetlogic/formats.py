@@ -15,7 +15,7 @@ from .calculus import (
     RuleApp,
     freeze_subst,
 )
-from .semantics import Matrix, SemanticsError
+from .semantics import Matrix, MatrixTheorem, SemanticsError
 from .syntax import (
     Signature,
     VERUM,
@@ -307,12 +307,7 @@ def load_logic_definition(text: str, name: str = "custom"):
 
     basis = Basis(name, tuple(parse_rule_line(line, sig) for line in sections["basis"]))
 
-    theorem = None
-    if characteristic is not None:
-        from .semantics import holds
-
-        theorem = lambda f: holds(characteristic, f)
-
+    theorem = MatrixTheorem(characteristic) if characteristic is not None else None
     completion = CompletionProfile(sig, {}, {}, theorem)
     return LogicBundle(
         name=name, signature=sig, calculus=calc, matrices=matrices,

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 from .admissibility import Basis
 from .calculus import Calculus, Rule
-from .semantics import Matrix
+from .semantics import Matrix, MatrixTheorem
 from .syntax import (
     FALSUM,
     Formula,
@@ -39,7 +39,7 @@ class LogicBundle:
     matrices: tuple  # finite soundness filters
     characteristic: Optional[Matrix]  # sound & complete finite matrix, if any
     structurally_complete: bool
-    theorem: Optional[Callable]  # exact theoremhood, if decidable here
+    theorem: Optional[Callable]  # exact theoremhood with key/instances, if decidable here
     identity_profiles: dict  # ctor name -> IdentityProfile
     completion_profile: CompletionProfile
     basis: Optional[Basis]
@@ -262,6 +262,37 @@ def ipl_theorem(f: Formula) -> bool:
     return _g4ip(frozenset(), _ipl_norm(f))
 
 
+def _plug(nf, keys):
+    """The normal form nf with each atom i replaced by the normal form keys[i]."""
+    tag = nf[0]
+    if tag == _ATOM:
+        return keys[nf[1]]
+    if len(nf) == 1:
+        return nf
+    return (tag, _plug(nf[1], keys), _plug(nf[2], keys))
+
+
+class G4ipTheorem:
+    """Exact intuitionistic theoremhood, called like `ipl_theorem`.
+
+    For the substitution sweep of `brute_force_admissible`, the key of a
+    closed formula is its normal form. Normalising commutes with
+    substitution, so an instance of a pattern is decided by G4ip on the
+    pattern's normal form, computed once, with the keys plugged in for its
+    atoms.
+    """
+
+    def __call__(self, f: Formula) -> bool:
+        return ipl_theorem(f)
+
+    def key(self, closed: Formula):
+        return _ipl_norm(closed)
+
+    def instances(self, pattern: Formula):
+        nf = _ipl_norm(pattern)
+        return lambda keys: _g4ip(frozenset(), _plug(nf, keys))
+
+
 def ipl_consequence(hyps, f: Formula) -> bool:
     return _g4ip(frozenset(_ipl_norm(h) for h in hyps), _ipl_norm(f))
 
@@ -409,7 +440,7 @@ def load_preset(name: str, schema_bound: int = DEFAULT_SCHEMA_BOUND,
         sig = make_signature("CPL", _PROP_CTORS)
         calc = Calculus("CPL", sig, _rules(sig, _INT_CORE + _DNE))
         char = godel_chain(sig, 2, "bool2")
-        thm = lambda f: _holds(char, f)
+        thm = MatrixTheorem(char)
         return LogicBundle(
             name="CPL", signature=sig, calculus=calc, matrices=(char,),
             characteristic=char, structurally_complete=True, theorem=thm,
@@ -421,7 +452,7 @@ def load_preset(name: str, schema_bound: int = DEFAULT_SCHEMA_BOUND,
         sig = make_signature("G3", _PROP_CTORS)
         calc = Calculus("G3", sig, _rules(sig, _INT_CORE + _LIN))
         char = godel_chain(sig, 3, "g3")
-        thm = lambda f: _holds(char, f)
+        thm = MatrixTheorem(char)
         return LogicBundle(
             name="G3", signature=sig, calculus=calc, matrices=(char,),
             characteristic=char, structurally_complete=True, theorem=thm,
@@ -435,11 +466,12 @@ def load_preset(name: str, schema_bound: int = DEFAULT_SCHEMA_BOUND,
         chains = tuple(godel_chain(sig, k) for k in range(2, 6))
         basis = Basis("IPL", tuple(visser_rule(sig, n) for n in range(1, schema_bound + 1)),
                       schema_bound=schema_bound)
+        thm = G4ipTheorem()
         return LogicBundle(
             name="IPL", signature=sig, calculus=calc, matrices=chains,
-            characteristic=None, structurally_complete=False, theorem=ipl_theorem,
+            characteristic=None, structurally_complete=False, theorem=thm,
             identity_profiles=_identity_profiles(),
-            completion_profile=_prop_completion(sig, ipl_theorem),
+            completion_profile=_prop_completion(sig, thm),
             basis=basis,
             fixtures={"harrop": harrop_rule(sig)},
         )
@@ -473,12 +505,6 @@ def load_preset(name: str, schema_bound: int = DEFAULT_SCHEMA_BOUND,
             basis=basis,
         )
     raise PresetError(f"unknown preset {name!r} (expected CPL, G3, IPL, S43 or GL)")
-
-
-def _holds(matrix, f):
-    from .semantics import holds
-
-    return holds(matrix, f)
 
 
 PRESET_NAMES = ("CPL", "G3", "IPL", "S43", "GL")

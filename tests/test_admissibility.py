@@ -1,9 +1,13 @@
 import itertools
+import random
 
 import pytest
 
+import meetlogic.presets
+import meetlogic.syntax
 from meetlogic.admissibility import (
     AdmissibilityOracle,
+    AdmissibilityVerdict,
     Basis,
     BruteForceBounds,
     brute_force_admissible,
@@ -16,13 +20,18 @@ from meetlogic.admissibility import (
     rule_key,
     semantic_oracle,
     stub_oracle,
+    _closed_candidates,
 )
 from meetlogic.calculus import Rule, SearchBounds, check_derivation
 from meetlogic.combination import combine_signatures, embed
+from meetlogic.formats import load_logic_definition
 from meetlogic.presets import harrop_rule, load_preset
-from meetlogic.syntax import App, Var, apply_substitution, parse_formula
+from meetlogic.semantics import entails
+from meetlogic.syntax import App, Var, apply_substitution, parse_formula, variables_of
+from strategies import random_formula
 
 CPL = load_preset("CPL")
+G3 = load_preset("G3")
 IPL = load_preset("IPL")
 S43 = load_preset("S43", max_worlds=2)
 
@@ -78,13 +87,10 @@ class TestMeetDecider:
         assert d.admissible and not d.exact
 
     def test_semantic_oracles_mirror_product_entailment(self):
-        from meetlogic.semantics import entails, product_matrix
+        from meetlogic.semantics import product_matrix
 
         cs = combine_signatures(CPL.signature, CPL.signature)
         prod = product_matrix(CPL.characteristic, CPL.characteristic, cs)
-        from strategies import random_formula
-        import random
-
         rng = random.Random(41)
         for _ in range(120):
             prem = [random_formula(rng, cs, 2, max_var=2)]
@@ -130,6 +136,132 @@ class TestBruteForce:
         r = S43.fixtures["non-admissible"]
         v = brute_force_admissible(S43, list(r.premises), r.conclusion)
         assert v.status == "inconclusive" and not v.exact
+        assert v.tried == 0
+
+    def test_harrop_tries_one_instance_per_key_tuple(self):
+        # the 8 closed candidates fall into 5 intuitionistic normal forms,
+        # and the rule has 3 variables: 5^3 key tuples, not 8^3 substitutions
+        h = harrop_rule(IPL.signature)
+        v = brute_force_admissible(IPL, list(h.premises), h.conclusion)
+        assert v.tried == 125
+
+    def test_tried_counts_up_to_the_counterexample(self):
+        v = brute_force_admissible(IPL, [], Var(1))
+        assert v.tried == 1
+
+
+# The tiny three-valued Lukasiewicz logic below is given as a matrix file in a
+# logic definition, with a constant for the middle value so that closed
+# candidates reach all three keys. It is not declared structurally complete,
+# so its verdicts come from the sweep alone.
+L3_TEXT = """
+name L3
+[signature]
+and 2
+-> 2
+neg 1
+half 0
+[matrix]
+characteristic
+carrier 3
+designated 2
+op top 2
+op bot 0
+op half 1
+op neg 2 1 0
+op and 0 0 0 0 1 1 0 1 2
+op -> 2 2 2 1 2 2 0 1 2
+"""
+L3 = load_logic_definition(L3_TEXT)
+
+
+def reference_sweep(bundle, premises, beta, bounds=BruteForceBounds()):
+    """The sweep as specified: build every substitution instance over the full
+    candidate product, in order, and ask the theoremhood procedure about it."""
+    thm = bundle.theorem
+    variables = sorted(set().union(variables_of(beta), *(variables_of(p) for p in premises)))
+    candidates = _closed_candidates(bundle.signature, bounds)
+    for values in itertools.product(candidates, repeat=len(variables)):
+        subst = dict(zip(variables, values))
+        if all(thm(apply_substitution(subst, p)) for p in premises):
+            if not thm(apply_substitution(subst, beta)):
+                return AdmissibilityVerdict("not-admissible", True, tuple(sorted(subst.items())))
+    if bundle.structurally_complete and bundle.characteristic is not None:
+        return AdmissibilityVerdict(
+            "admissible" if entails([bundle.characteristic], premises, beta) else "not-admissible", True)
+    return AdmissibilityVerdict("inconclusive", False)
+
+
+def seeded_rules(bundle, seed, count, max_var=3, depth=2):
+    """Rules with 0-2 premises and 1 to max_var variables."""
+    rng = random.Random(seed)
+    sig = bundle.signature
+    rules = []
+    while len(rules) < count:
+        premises = tuple(random_formula(rng, sig, rng.randint(1, depth), max_var)
+                         for _ in range(rng.randint(0, 2)))
+        beta = random_formula(rng, sig, rng.randint(1, depth), max_var)
+        if 1 <= len(set().union(variables_of(beta), *map(variables_of, premises))) <= max_var:
+            rules.append((premises, beta))
+    return rules
+
+
+class TestSweepAgainstReference:
+    """The key sweep against `reference_sweep`: equal status, exactness and
+    witness on every rule."""
+
+    def check(self, bundle, rules, bounds=BruteForceBounds()):
+        verdicts = []
+        for premises, beta in rules:
+            got = brute_force_admissible(bundle, premises, beta, bounds)
+            want = reference_sweep(bundle, premises, beta, bounds)
+            assert (got.status, got.exact, got.witness) == (want.status, want.exact, want.witness), \
+                (premises, beta)
+            verdicts.append(got)
+        return verdicts
+
+    def test_ipl_seeded_rules(self):
+        verdicts = self.check(IPL, seeded_rules(IPL, 5, 300))
+        assert {v.status for v in verdicts} == {"not-admissible", "inconclusive"}
+
+    def test_ipl_smaller_bounds(self):
+        self.check(IPL, seeded_rules(IPL, 6, 60), BruteForceBounds(depth=1, max_candidates=5))
+
+    def test_harrop(self):
+        h = harrop_rule(IPL.signature)
+        self.check(IPL, [(h.premises, h.conclusion)])
+
+    @pytest.mark.parametrize("bundle", [CPL, G3], ids=["CPL", "G3"])
+    def test_characteristic_matrix_presets(self, bundle):
+        verdicts = self.check(bundle, seeded_rules(bundle, 8, 120))
+        assert {v.status for v in verdicts} == {"admissible", "not-admissible"}
+
+    def test_matrix_file_logic_definition(self):
+        verdicts = self.check(L3, seeded_rules(L3, 9, 150))
+        assert {v.status for v in verdicts} == {"not-admissible", "inconclusive"}
+        # some witness uses the middle value, so the sweep really has three keys
+        assert any(L3.theorem.key(f) == 1 for v in verdicts if v.witness for _, f in v.witness)
+
+    def test_sweep_builds_no_instances(self, monkeypatch):
+        """Normal forms are computed once per candidate and per pattern, never
+        per substitution, and no instance is built by substitution."""
+        def refuse(*args):
+            raise AssertionError("apply_substitution called by the sweep")
+
+        monkeypatch.setattr(meetlogic.syntax, "apply_substitution", refuse)
+        norm = meetlogic.presets._ipl_norm
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return norm(f)
+
+        monkeypatch.setattr(meetlogic.presets, "_ipl_norm", counting)
+        h = harrop_rule(IPL.signature)
+        v = brute_force_admissible(IPL, list(h.premises), h.conclusion)
+        nodes = sum(c.size for c in _closed_candidates(IPL.signature, BruteForceBounds()))
+        nodes += sum(f.size for f in (*h.premises, h.conclusion))
+        assert v.tried == 125 and len(calls) <= nodes
 
 
 class TestDerivableWithBasis:
@@ -179,10 +311,6 @@ class TestCombinedBasis:
 
 class TestCompletenessSampling:
     def test_cpl_random_rules_zero_confirmed_counterexamples(self):
-        import random
-
-        from strategies import random_formula
-
         rng = random.Random(7)
         rules = [
             Rule(f"r{i}",

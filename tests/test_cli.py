@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from meetlogic.cli import EXIT_INCONCLUSIVE, EXIT_NO, EXIT_USAGE, EXIT_YES, main
+from meetlogic import cli, presets
+from meetlogic.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_NO, EXIT_USAGE, EXIT_YES, main
 
 
 def run(capsys, *argv):
@@ -236,3 +241,67 @@ class TestJsonOutput:
         assert code == EXIT_YES
         payload = json.loads(out)
         assert payload["holds"] is True
+
+
+# One well-formed call of every verb; rule and derivation paths are never
+# opened, because each verb loads its presets first.
+VERB_ARGV = {
+    "combine": ["--l1", "CPL", "--l2", "G3"],
+    "project": ["--l1", "CPL", "--l2", "G3", "-k", "1", "xi1"],
+    "embed": ["--l1", "CPL", "--l2", "G3", "-k", "1", "xi1"],
+    "tag": ["--logic", "CPL", "--rule", "r.rule"],
+    "check-derivation": ["--logic", "CPL", "--derivation", "d.txt"],
+    "search": ["--logic", "CPL", "--goal", "xi1 -> xi1"],
+    "decide-admissible": ["--l1", "CPL", "--l2", "G3", "--rule", "r.rule"],
+    "basis": ["--l1", "IPL", "--l2", "S43"],
+    "eval": ["--logic", "CPL", "xi1"],
+    "entails": ["--logic", "CPL", "--goal", "xi1"],
+    "trees": ["xi1", "xi2"],
+    "complete": ["--target", "top", "xi1"],
+    "equalize": ["--l1", "CPL", "--l2", "CPL", "--f1", "xi1", "--f2", "xi2"],
+    "soundness-audit": ["--logic", "CPL"],
+}
+
+
+class TestErrorContract:
+    """Exit code 1 only ever means "no": an exception the CLI does not expect
+    is an internal error, exit 4."""
+
+    def test_every_verb_listed(self):
+        verbs = cli.build_parser()._subparsers._group_actions[0].choices
+        assert set(verbs) == set(VERB_ARGV)
+
+    @pytest.mark.parametrize("verb", sorted(VERB_ARGV))
+    @pytest.mark.parametrize("exc", [RuntimeError, RecursionError, KeyError, ZeroDivisionError, ValueError])
+    def test_no_verb_exits_one_on_an_exception(self, monkeypatch, capsys, verb, exc):
+        def fail(*args, **kwargs):
+            raise exc("injected")
+
+        monkeypatch.setattr(presets, "load_preset", fail)
+        code, _, err = run(capsys, verb, *VERB_ARGV[verb])
+        # ValueError is a usage error by contract; anything else is internal
+        assert code == (EXIT_USAGE if exc is ValueError else EXIT_INTERNAL)
+        assert err.startswith("error: internal: " if code == EXIT_INTERNAL else "error: ")
+
+    def test_verb_raising_runtime_error_exits_internal(self, monkeypatch, capsys):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_eval", boom)
+        code, out, err = run(capsys, "eval", "--logic", "CPL", "xi1")
+        assert code == EXIT_INTERNAL and out == ""
+        assert err.startswith("error: internal: RuntimeError: boom (raised at test_cli.py:")
+
+    @pytest.mark.parametrize("text", ["neg(" * 3000 + "xi1" + ")" * 3000, "neg " * 3000 + "xi1"])
+    def test_deep_input_exits_internal(self, capsys, text):
+        code, _, err = run(capsys, "eval", "--logic", "CPL", text)
+        assert code == EXIT_INTERNAL and "error: internal: RecursionError" in err
+
+    def test_deep_input_process_exit_code(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "meetlogic.cli", "eval", "--logic", "CPL", "neg " * 3000 + "xi1"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_INTERNAL
+        assert proc.stderr.startswith("error: internal: RecursionError")

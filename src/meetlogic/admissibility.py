@@ -4,8 +4,8 @@ basis-augmented derivability, combined bases, and structural-completeness sampli
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Protocol, Sequence
 
 from .calculus import Derivation, Rule, SearchBounds, bounded_proof_search, inherit_rule
 from .combination import CombinedSignature, project
@@ -76,12 +76,24 @@ def decide_admissible_meet(o1: AdmissibilityOracle, o2: AdmissibilityOracle,
     return MeetDecision(result, exact, calls, tuple(trace))
 
 
+class TheoremProcedure(Protocol):
+    """Exact theoremhood, with the instance form `brute_force_admissible`
+    sweeps: `key(c)` for a closed candidate c, and `instances(p)`, a test of
+    the substitution instance of p given by {variable index: key}."""
+
+    def __call__(self, f: Formula) -> bool: ...
+
+    def key(self, closed: Formula) -> Hashable: ...
+
+    def instances(self, pattern: Formula) -> Callable[[Mapping[int, Hashable]], bool]: ...
+
+
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
     status: str  # "admissible" | "not-admissible" | "inconclusive"
     exact: bool
     witness: Optional[tuple] = None  # frozen substitution for not-admissible
-    tried: int = 0  # distinct key tuples the substitution sweep checked
+    tried: int = field(default=0, compare=False)  # distinct key tuples the sweep checked
 
     def __bool__(self):
         return self.status == "admissible"

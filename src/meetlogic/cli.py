@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import admissibility, calculus, combination, formats, presets, semantics, treetools
@@ -360,11 +359,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except Exception as e:
         # 1 means "no", so a failure must never end with Python's exit code 1
-        tb = e.__traceback__
-        while tb.tb_next is not None:
-            tb = tb.tb_next
-        where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
-        print(f"error: internal: {type(e).__name__}: {e} (raised at {where})", file=sys.stderr)
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

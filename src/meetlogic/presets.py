@@ -7,9 +7,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
-from .admissibility import Basis
+from .admissibility import Basis, TheoremProcedure
 from .calculus import Calculus, Rule
 from .semantics import Matrix, MatrixTheorem
 from .syntax import (
@@ -39,7 +39,7 @@ class LogicBundle:
     matrices: tuple  # finite soundness filters
     characteristic: Optional[Matrix]  # sound & complete finite matrix, if any
     structurally_complete: bool
-    theorem: Optional[Callable]  # exact theoremhood with key/instances, if decidable here
+    theorem: Optional[TheoremProcedure]  # exact theoremhood, if decidable here
     identity_profiles: dict  # ctor name -> IdentityProfile
     completion_profile: CompletionProfile
     basis: Optional[Basis]

@@ -215,8 +215,7 @@ class TestSweepAgainstReference:
         for premises, beta in rules:
             got = brute_force_admissible(bundle, premises, beta, bounds)
             want = reference_sweep(bundle, premises, beta, bounds)
-            assert (got.status, got.exact, got.witness) == (want.status, want.exact, want.witness), \
-                (premises, beta)
+            assert got == want, (premises, beta)
             verdicts.append(got)
         return verdicts
 

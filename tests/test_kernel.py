@@ -138,11 +138,8 @@ class TestInterning:
         gc.collect()
         live_after = _live_nodes()
         assert live_after <= live_before + 10
-        # dead entries are swept once the table has grown by a quarter over
-        # the nodes alive at the last sweep, which may have counted the
-        # formula then being built (at most 151 nodes)
-        live_then = live_after + 151
-        assert len(syntax._apps) <= live_then + max(syntax._SWEEP_MIN, live_then // 4) + 1
+        # dead entries are swept once the table has grown by a quarter
+        assert len(syntax._apps) <= live_after + max(syntax._SWEEP_MIN, live_after // 4) + 1
 
 
 class TestDeepFormulas:

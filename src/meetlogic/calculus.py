@@ -305,38 +305,47 @@ def _candidate_pool(calc, hyps, goal, bounds):
     return ordered[: bounds.max_candidates]
 
 
-def _match_all_premises(rule, facts_order, by_head, facts_set):
-    """Yield (substitution, cited facts per premise) for joint premise matches.
+def _match_all_premises(rule, every, new):
+    """Yield (substitution, cited facts per premise) for the joint premise
+    matches that cite at least one new fact, in the order of the full join.
 
-    Candidate facts are narrowed by the premise's head constructor; a premise
-    that is an already-bound variable only needs a membership check.
+    `every` and `new` are (facts in order, facts by head constructor, fact
+    set) for all facts and for the new ones, which are a suffix of each list
+    of `every`. Candidate facts are narrowed by the premise's head
+    constructor; a premise that is an already-bound variable only needs a
+    membership check. Only the last premise position, when no earlier one
+    chose a new fact, is cut to the new facts, so the matches kept come out
+    in the same relative order as in the full join.
     """
     idxs = sorted(
         range(len(rule.premises)),
         key=lambda i: -rule.premises[i].size,
     )
+    last = len(idxs) - 1
+    new_set = new[2]
 
-    def candidates(premise, subst):
+    def candidates(premise, subst, facts):
+        order, by_head, fact_set = facts
         if isinstance(premise, Var):
             bound = subst.get(premise.index)
             if bound is not None:
-                return [bound] if bound in facts_set else []
-            return facts_order
+                return [bound] if bound in fact_set else []
+            return order
         return by_head.get(premise.ctor, ())
 
-    def rec(pos, subst, chosen):
+    def rec(pos, subst, chosen, cites_new):
         if pos == len(idxs):
             yield dict(subst), tuple(chosen[i] for i in range(len(rule.premises)))
             return
         i = idxs[pos]
-        for fact in candidates(rule.premises[i], subst):
+        for fact in candidates(rule.premises[i], subst, every if cites_new or pos < last else new):
             nxt = match_formula(rule.premises[i], fact, subst)
             if nxt is not None:
                 chosen[i] = fact
-                yield from rec(pos + 1, nxt, chosen)
+                yield from rec(pos + 1, nxt, chosen, cites_new or fact in new_set)
         chosen.pop(i, None)
 
-    yield from rec(0, {}, {})
+    yield from rec(0, {}, {}, False)
     del rec  # it refers to itself; see bounded_proof_search
 
 
@@ -346,6 +355,11 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
 
     None is inconclusive (search exhausted), never a non-derivability claim.
     Exploration order is fixed, so results are deterministic for fixed bounds.
+
+    Rounds are semi-naive: a round makes only the premise matches that cite
+    a fact added by the round before. A match of older facts was made in an
+    earlier round, which added all its conclusions unless the fact cap
+    refused them, and no round starts once the cap is reached.
     """
     hyps = list(dict.fromkeys(hyps))
     rules = list(calc.rules) + list(extra)
@@ -391,36 +405,41 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
             full = dict(subst)
             full.update(zip(unbound, values))
             concl = apply_substitution(full, rule.conclusion)
-            if concl not in facts and concl.size <= bounds.max_size:
-                out.append((concl, ("rule", rule, full, cited)))
+            if concl not in facts and concl not in out and concl.size <= bounds.max_size:
+                out[concl] = ("rule", rule, full, cited)
 
+    by_head: dict = {}
+    seen = 0  # facts before order[seen] were matched in an earlier round
     for _round in range(bounds.depth):
-        if goal in facts:
+        if goal in facts or len(facts) >= bounds.max_facts:
             break
-        snapshot = list(order)
-        by_head: dict = {}
-        for f in snapshot:
-            if isinstance(f, App):
-                by_head.setdefault(f.ctor, []).append(f)
-        additions: list = []
+        fresh = order[seen:]
+        seen = len(order)
+        fresh_by_head: dict = {}
+        for f in fresh:
+            if f.__class__ is App:
+                fresh_by_head.setdefault(f.ctor, []).append(f)
+        for c, fs in fresh_by_head.items():
+            by_head.setdefault(c, []).extend(fs)
+        every, new = (order, by_head, facts), (fresh, fresh_by_head, set(fresh))
+        additions: dict = {}  # conclusion -> record of its first instance
         if _round == 0:
             for rule in axioms:
                 instances(rule, {}, (), additions)
         for rule in proper:
-            for subst, cited in _match_all_premises(rule, snapshot, by_head, facts):
+            for subst, cited in _match_all_premises(rule, every, new):
                 instances(rule, subst, cited, additions)
         if cs is not None and calc.lft:
             for target in [goal] + candidates:
-                if target in facts or isinstance(target, Var):
+                if target in facts or target in additions or isinstance(target, Var):
                     continue
                 p1 = proj_embedded(target, 1, cs)
                 p2 = proj_embedded(target, 2, cs)
                 if p1 in facts and p2 in facts:
-                    additions.append((target, ("lft", p1, p2)))
-        additions.sort(key=lambda item: (item[0].size, print_formula(item[0])))
+                    additions[target] = ("lft", p1, p2)
         progressed = False
-        for f, record in additions:
-            if add(f, record):
+        for f in sorted(additions, key=lambda f: (f.size, print_formula(f))):
+            if add(f, additions[f]):
                 progressed = True
         if goal in facts or not progressed:
             break

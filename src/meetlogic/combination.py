@@ -204,18 +204,34 @@ def project(f: Formula, k: int) -> Formula:
 def proj_embedded(f: Formula, k: int, cs: CombinedSignature) -> Formula:
     """Projection read back into the combined language via the embedding.
 
-    Both sides are memoised on f for the last `cs` asked. An image that is f
-    itself is stored as None: a node that referred to itself, or embed
-    memoised on the component nodes that project memoises on f, would form
-    reference cycles that only the cyclic collector frees.
+    The image of c(args) is the embedded k-th component of c applied to the
+    images of args, so both sides are built from the children's images and
+    memoised on every node for the last `cs` asked; nodes are visited
+    without recursion. An image that is the node itself is stored as None: a
+    node that referred to itself would form a reference cycle that only the
+    cyclic collector frees.
     """
     if f.__class__ is Var:
         return f
     memo = f._pe
     if memo is None or memo[0] is not cs:
-        g1, g2 = embed(project(f, 1), 1, cs), embed(project(f, 2), 2, cs)
-        memo = (cs, None if g1 is f else g1, None if g2 is f else g2)
-        object.__setattr__(f, "_pe", memo)
+        todo = [f]
+        while todo:
+            g = todo[-1]
+            if g._pe is not None and g._pe[0] is cs:
+                todo.pop()
+                continue
+            waiting = [a for a in g.args if a.__class__ is App and (a._pe is None or a._pe[0] is not cs)]
+            if waiting:
+                todo.extend(waiting)
+                continue
+            todo.pop()
+            args1 = tuple(a if a.__class__ is Var else a._pe[1] or a for a in g.args)
+            args2 = tuple(a if a.__class__ is Var else a._pe[2] or a for a in g.args)
+            g1 = App(cs.embed_ctor(g.ctor.c1, 1), args1)
+            g2 = App(cs.embed_ctor(g.ctor.c2, 2), args2)
+            object.__setattr__(g, "_pe", (cs, None if g1 is g else g1, None if g2 is g else g2))
+        memo = f._pe
     g = memo[1] if k == 1 else memo[2]
     return f if g is None else g
 

@@ -31,8 +31,14 @@ class FormatError(Exception):
 
 
 def _content_lines(text):
+    """Non-blank lines without comments. A comment starts at a `#` that
+    begins a line or follows whitespace; other `#`s belong to the text, as in
+    tagged rule names such as `mp@1#<->.CPL|topn.2.G3>`."""
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+        cut = raw.find("#")
+        while cut > 0 and not raw[cut - 1].isspace():
+            cut = raw.find("#", cut + 1)
+        line = (raw if cut < 0 else raw[:cut]).strip()
         if line:
             yield line
 

@@ -1,4 +1,6 @@
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +16,8 @@ from meetlogic.calculus import (
     Rule,
     RuleApp,
     SearchBounds,
+    _candidate_pool,
+    _reconstruct,
     assemble_meet_calculus,
     bounded_proof_search,
     build_both_admissible_derivation,
@@ -23,10 +27,19 @@ from meetlogic.calculus import (
     freeze_subst,
     inherit_rule,
 )
-from meetlogic.combination import combine_signatures, embed, proj_embedded, project
+from meetlogic.combination import CombinedSignature, combine_signatures, embed, proj_embedded, project
+from meetlogic.formats import serialize_derivation
 from meetlogic.presets import godel_chain, load_preset
 from meetlogic.semantics import entails, product_matrix
-from meetlogic.syntax import Var, parse_formula, print_formula
+from meetlogic.syntax import (
+    App,
+    Var,
+    apply_substitution,
+    match_formula,
+    parse_formula,
+    print_formula,
+    variables_of,
+)
 
 from strategies import random_formula
 
@@ -257,3 +270,161 @@ class TestConsistencyGuard:
             assert check_derivation(d, MEET)
             for k in (1, 2):
                 assert entails([bool2], [], project(goal, k))
+
+
+# ---------------------------------------------------------------------------
+# differential test of the search against the naive round loop
+
+def _reference_matches(rule, facts_order, by_head, facts_set):
+    idxs = sorted(range(len(rule.premises)), key=lambda i: -rule.premises[i].size)
+
+    def candidates(premise, subst):
+        if isinstance(premise, Var):
+            bound = subst.get(premise.index)
+            if bound is not None:
+                return [bound] if bound in facts_set else []
+            return facts_order
+        return by_head.get(premise.ctor, ())
+
+    def rec(pos, subst, chosen):
+        if pos == len(idxs):
+            yield dict(subst), tuple(chosen[i] for i in range(len(rule.premises)))
+            return
+        i = idxs[pos]
+        for fact in candidates(rule.premises[i], subst):
+            nxt = match_formula(rule.premises[i], fact, subst)
+            if nxt is not None:
+                chosen[i] = fact
+                yield from rec(pos + 1, nxt, chosen)
+        chosen.pop(i, None)
+
+    yield from rec(0, {}, {})
+
+
+def _reference_search(calc, hyps, goal, bounds):
+    """The naive round loop: every round joins all facts against every rule,
+    rounds go on after the fact cap is reached, and embedded projections are
+    built as `embed(project(f, k))`."""
+    hyps = list(dict.fromkeys(hyps))
+    cs = calc.signature if isinstance(calc.signature, CombinedSignature) else None
+    candidates = _candidate_pool(calc, hyps, goal, bounds)
+    facts: dict = {}
+    order: list = []
+
+    def pe(f, k):
+        return f if isinstance(f, Var) else embed(project(f, k), k, cs)
+
+    def add(f, record):
+        if f in facts or f.size > bounds.max_size or len(facts) >= bounds.max_facts:
+            return False
+        facts[f] = record
+        order.append(f)
+        if cs is not None and calc.clft:
+            for k in (1, 2):
+                add(pe(f, k), ("clft", f, k))
+        if cs is not None and calc.fx:
+            for k in (1, 2):
+                if f == cs.falsum(k):
+                    add(cs.falsum(3 - k), ("fx", f))
+        return True
+
+    for h in hyps:
+        add(h, ("hyp",))
+
+    def instances(rule, subst, cited, out):
+        unbound = sorted(variables_of(rule.conclusion) - set(subst))
+        for values in itertools.product(candidates, repeat=len(unbound)):
+            full = dict(subst)
+            full.update(zip(unbound, values))
+            concl = apply_substitution(full, rule.conclusion)
+            if concl not in facts and concl.size <= bounds.max_size:
+                out.append((concl, ("rule", rule, full, cited)))
+
+    for _round in range(bounds.depth):
+        if goal in facts:
+            break
+        snapshot = list(order)
+        by_head: dict = {}
+        for f in snapshot:
+            if isinstance(f, App):
+                by_head.setdefault(f.ctor, []).append(f)
+        additions: list = []
+        if _round == 0:
+            for rule in calc.rules:
+                if not rule.premises:
+                    instances(rule, {}, (), additions)
+        for rule in calc.rules:
+            if rule.premises:
+                for subst, cited in _reference_matches(rule, snapshot, by_head, facts):
+                    instances(rule, subst, cited, additions)
+        if cs is not None and calc.lft:
+            for target in [goal] + candidates:
+                if target in facts or isinstance(target, Var):
+                    continue
+                p1, p2 = pe(target, 1), pe(target, 2)
+                if p1 in facts and p2 in facts:
+                    additions.append((target, ("lft", p1, p2)))
+        additions.sort(key=lambda item: (item[0].size, print_formula(item[0])))
+        progressed = False
+        for f, record in additions:
+            if add(f, record):
+                progressed = True
+        if goal in facts or not progressed:
+            break
+    return _reconstruct(goal, facts) if goal in facts else None
+
+
+# Besides the default bounds: fact caps reached in the middle of a round,
+# and a size filter that drops most instances.
+DIFF_BOUNDS = (SearchBounds(max_facts=200), SearchBounds(max_facts=700), SearchBounds(max_size=8))
+
+
+def _component_queries(logic):
+    b = load_preset(logic)
+    sig = b.signature
+    for depth in (1, 2, 3, 4):
+        rng = random.Random(f"reference:{logic}:{depth}")
+        a, c = random_formula(rng, sig, 2, 2), random_formula(rng, sig, 1, 2)
+        for hyps, goal in (([a], App(sig.resolve("or", None, 2), (a, a))),
+                           ([], App(sig.resolve("->", None, 2), (a, a))),
+                           ([a, c], App(sig.resolve("and", None, 2), (a, c)))):
+            for bounds in (SearchBounds(),) + DIFF_BOUNDS:
+                yield b.calculus, hyps, goal, replace(bounds, depth=depth)
+
+
+def _meet_queries(l1, l2):
+    b1, b2 = load_preset(l1), load_preset(l2, max_worlds=2)
+    cs = combine_signatures(b1.signature, b2.signature)
+    calc = assemble_meet_calculus(b1.calculus, b2.calculus, cs)
+    t1, t2 = cs.tag1, cs.tag2
+    for text in (f"<->.{t1}|->.{t2}>(xi1, xi1)", f"xi1 ->.{t2} (xi2 ->.{t2} xi1)"):
+        for bounds in (SearchBounds(),) + DIFF_BOUNDS:
+            yield calc, [], parse_formula(text, cs), bounds
+
+
+def _text(d):
+    return None if d is None else serialize_derivation(d)
+
+
+def _assert_same_as_reference(queries):
+    found = 0
+    for calc, hyps, goal, bounds in queries:
+        got = bounded_proof_search(calc, (), hyps, goal, bounds)
+        want = _reference_search(calc, hyps, goal, bounds)
+        found += got is not None
+        assert _text(got) == _text(want), \
+            f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
+    assert found
+
+
+class TestSearchMatchesReference:
+    """Semi-naive rounds, the stop at the fact cap and incrementally built
+    embedded projections change no search result."""
+
+    @pytest.mark.parametrize("logic", ["CPL", "G3", "IPL"])
+    def test_component(self, logic):
+        _assert_same_as_reference(_component_queries(logic))
+
+    @pytest.mark.parametrize("pair", [("CPL", "CPL"), ("CPL", "G3"), ("IPL", "S43")], ids="x".join)
+    def test_meet(self, pair):
+        _assert_same_as_reference(_meet_queries(*pair))

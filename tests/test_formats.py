@@ -102,6 +102,28 @@ class TestDerivationFiles:
         ))
         assert parse_derivation_file(serialize_derivation(d), cs) == d
 
+    def test_tagged_rule_names_roundtrip(self):
+        # inherited liberal rules are named `rule@k#<pair ctor>`; the `#`
+        # there does not start a comment
+        from meetlogic.calculus import (SearchBounds, assemble_meet_calculus, bounded_proof_search,
+                                        build_both_admissible_derivation)
+        from meetlogic.combination import combine_signatures, project
+
+        cpl, g3 = CPL, load_preset("G3")
+        cs = combine_signatures(cpl.signature, g3.signature)
+        meet = assemble_meet_calculus(cpl.calculus, g3.calculus, cs)
+        hyps = [parse_formula("xi1", cs), parse_formula("<->.CPL|->.G3>(xi1, <neg.CPL|neg.G3>(xi1))", cs)]
+        goal = parse_formula("<neg.CPL|neg.G3>(xi1)", cs)
+        search = bounded_proof_search(meet, (), hyps, parse_formula("neg.CPL xi1", cs), SearchBounds(depth=2))
+        ds = [bounded_proof_search(b.calculus, (), [project(h, k) for h in hyps], project(goal, k),
+                                   SearchBounds(depth=2)) for k, b in ((1, cpl), (2, g3))]
+        template = build_both_admissible_derivation(hyps, goal, *ds, meet, cpl, g3)
+        for d in (search, template):
+            text = serialize_derivation(d)
+            assert "#<" in text
+            assert parse_derivation_file(text, cs) == d
+            assert parse_derivation_file(text.replace("\n", "  # a comment\n"), cs) == d
+
     def test_bad_indices_rejected(self):
         with pytest.raises(FormatError):
             parse_derivation_file("2. xi1 ; HYP\n", CPL.signature)

@@ -6,6 +6,7 @@ import gc
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 import threading
@@ -18,9 +19,10 @@ import meetlogic
 from meetlogic import syntax
 from meetlogic.combination import combine_signatures, embed, proj_embedded, project
 from meetlogic.presets import load_preset
-from meetlogic.syntax import App, Ctor, Var, parse_formula, print_formula
+from meetlogic.syntax import App, Ctor, Var, parse_formula, print_formula, subformulas
 
 from golden import GOLDEN, queries, results
+from strategies import random_formula
 
 
 def _live_nodes() -> int:
@@ -67,8 +69,9 @@ class TestInterning:
         assert hash(f) != hash(parse_formula("(xi1 -> xi2) or neg (xi2 and top)", sig))
 
     def test_memos_make_no_reference_cycles(self):
-        # nodes with filled project/proj_embedded memos are freed by
-        # reference counting alone, without the cyclic collector
+        # nodes with filled project/proj_embedded memos, inner nodes and the
+        # component nodes they point to included, are freed by reference
+        # counting alone, without the cyclic collector
         cs = combine_signatures(load_preset("CPL").signature, load_preset("G3").signature)
         gc.disable()
         try:
@@ -78,11 +81,29 @@ class TestInterning:
                 for k in (1, 2):
                     proj_embedded(g, k, cs)
                     project(g, k)
-            refs = [weakref.ref(g) for g in [f] + images]
-            del f, images, g
+            combined = {g for h in [f] + images for g in subformulas(h) if g.__class__ is App}
+            assert all(g._pe[0] is cs for g in combined)
+            component = {c for g in combined for k in (1, 2) for c in subformulas(project(g, k))
+                         if c.__class__ is App}
+            refs = [weakref.ref(g) for g in combined | component]
+            del f, images, g, combined, component
             assert all(r() is None for r in refs)
         finally:
             gc.enable()
+
+    def test_proj_embedded_built_from_children_is_embed_of_projection(self):
+        # seeded formulas share subformulas, so most images are built from
+        # memos filled by earlier formulas; a second combination of the same
+        # signatures makes every memo be rebuilt for it and then again
+        rng = random.Random(11)
+        for l1, l2 in (("CPL", "G3"), ("CPL", "CPL"), ("IPL", "S43")):
+            sig1, sig2 = load_preset(l1).signature, load_preset(l2, max_worlds=2).signature
+            css = (combine_signatures(sig1, sig2), combine_signatures(sig1, sig2))
+            for _ in range(60):
+                f = random_formula(rng, css[0], 4)
+                for cs in css + css[:1]:
+                    for k in (2, 1):
+                        assert proj_embedded(f, k, cs) is embed(project(f, k), k, cs)
 
     def test_threads_intern_one_node_per_value(self, monkeypatch):
         # Each round, four threads build the same formulas at once, whose

@@ -26,7 +26,6 @@ from .combination import (
     proj_embedded,
     project,
     tag_rule,
-    tag_ruleset,
 )
 from .calculus import (
     BuilderError,

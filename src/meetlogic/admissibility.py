@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Protocol, Sequence
 
-from .calculus import Derivation, Rule, SearchBounds, bounded_proof_search, inherit_rule
+from .calculus import Derivation, Rule, SearchBounds, bounded_proof_search, inherit_rules
 from .combination import CombinedSignature, project
 from .semantics import entails
 from .syntax import App, Ctor, FALSUM, Formula, print_formula, variables_of
@@ -185,13 +185,6 @@ def brute_force_admissible(bundle, premises: Sequence[Formula], beta: Formula,
 class Basis:
     provenance: str
     rules: tuple
-    schema_bound: Optional[int] = None
-
-    def __iter__(self):
-        return iter(self.rules)
-
-    def __len__(self):
-        return len(self.rules)
 
 
 def derivable_with_basis(premises, goal, basis: Basis, bundle,
@@ -206,15 +199,7 @@ def derivable_with_basis(premises, goal, basis: Basis, bundle,
 
 def combined_basis(b1: Basis, b2: Basis, cs: CombinedSignature) -> Basis:
     """Union of the component bases, each embedded and tagged like calculus rules."""
-    rules = []
-    for k, b in ((1, b1), (2, b2)):
-        for r in b.rules:
-            rules.extend(inherit_rule(r, k, cs))
-    return Basis(
-        provenance=f"meet({b1.provenance},{b2.provenance})",
-        rules=tuple(rules),
-        schema_bound=b1.schema_bound or b2.schema_bound,
-    )
+    return Basis(f"meet({b1.provenance},{b2.provenance})", inherit_rules(b1.rules, b2.rules, cs))
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +212,6 @@ class CompletenessReport:
     not_admissible: int
     inconclusive: int
     flagged: tuple  # rules admissible (per oracle) but not found derivable
-
-    @property
-    def confirmed_counterexamples(self) -> int:
-        """Always 0 by construction: bounded search cannot confirm underivability."""
-        return 0
 
 
 def check_structural_completeness_sample(bundle, rules: Iterable[Rule],

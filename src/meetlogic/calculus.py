@@ -20,7 +20,6 @@ from .syntax import (
     Var,
     apply_substitution,
     match_formula,
-    max_schema_index,
     print_formula,
     subformulas,
     variables_of,
@@ -48,18 +47,16 @@ class Rule:
 
 @dataclass
 class Calculus:
-    """A named finite rule set, optionally with the schematic LFT/cLFT/FX families.
+    """A named finite rule set over a signature.
 
-    The schematic families are checker-native (parameterized by arbitrary
-    formulas) and only meaningful over a combined signature.
+    A calculus over a `CombinedSignature` is a meet calculus: it also has the
+    schematic LFT/cLFT/FX families, which the checker and the search apply
+    to arbitrary formulas.
     """
 
     name: str
     signature: object
     rules: tuple
-    lft: bool = False
-    clft: bool = False
-    fx: bool = False
 
     def rule_named(self, name: str) -> Optional[Rule]:
         for r in self.rules:
@@ -179,7 +176,7 @@ def check_derivation(d: Derivation, calc: Calculus, extra: Sequence[Rule] = (),
             if apply_substitution(s, rule.conclusion) != line.formula:
                 return fail(i, f"line is not the witnessed instance of the conclusion of {rule.name}")
         elif isinstance(just, Lft):
-            if cs is None or not calc.lft:
+            if cs is None:
                 return fail(i, "LFT is not available in this calculus")
             l1, l2 = just.cites
             if d.lines[l1 - 1].formula != proj_embedded(line.formula, 1, cs):
@@ -187,7 +184,7 @@ def check_derivation(d: Derivation, calc: Calculus, extra: Sequence[Rule] = (),
             if d.lines[l2 - 1].formula != proj_embedded(line.formula, 2, cs):
                 return fail(i, "second LFT citation is not the component-2 projection")
         elif isinstance(just, Clft):
-            if cs is None or not calc.clft:
+            if cs is None:
                 return fail(i, "cLFT is not available in this calculus")
             if just.side not in (1, 2):
                 return fail(i, "cLFT side must be 1 or 2")
@@ -195,7 +192,7 @@ def check_derivation(d: Derivation, calc: Calculus, extra: Sequence[Rule] = (),
             if line.formula != proj_embedded(src, just.side, cs):
                 return fail(i, "cLFT line is not the projection of the cited line")
         elif isinstance(just, Fx):
-            if cs is None or not calc.fx:
+            if cs is None:
                 return fail(i, "FX is not available in this calculus")
             src = d.lines[just.cite - 1].formula
             matched = False
@@ -212,25 +209,29 @@ def check_derivation(d: Derivation, calc: Calculus, extra: Sequence[Rule] = (),
 # ---------------------------------------------------------------------------
 # meet-calculus assembly
 
-def inherit_rule(rule: Rule, k: int, cs: CombinedSignature) -> list:
+def _embed_rule(rule: Rule, k: int, cs: CombinedSignature) -> Rule:
+    return Rule(f"{rule.name}@{k}", tuple(embed(p, k, cs) for p in rule.premises), embed(rule.conclusion, k, cs))
+
+
+def inherit_rule(rule: Rule, k: int, cs: CombinedSignature) -> tuple:
     """Embed a component-k rule into the combined language and tag it.
 
     Liberal rules are tagged over the embedded image of the component's own
     constructors (pairs padded with the other side's verum family), which is
     the tagging of the rule over its component read through the embedding.
     """
-    embedded = Rule(
-        name=f"{rule.name}@{k}",
-        premises=tuple(embed(p, k, cs) for p in rule.premises),
-        conclusion=rule.conclusion if isinstance(rule.conclusion, Var) else embed(rule.conclusion, k, cs),
-    )
-    if not embedded.liberal:
-        return [embedded]
-    return list(tag_rule(embedded, cs.side_ctors(k)))
+    return tag_rule(_embed_rule(rule, k, cs), cs.side_ctors(k))
+
+
+def inherit_rules(rules1, rules2, cs: CombinedSignature) -> tuple:
+    """The inherited rules of both components, component 1 first, in rule order."""
+    return tuple(t for k, rules in ((1, rules1), (2, rules2))
+                 for r in rules for t in inherit_rule(r, k, cs))
 
 
 def assemble_meet_calculus(l1, l2, cs: Optional[CombinedSignature] = None) -> Calculus:
-    """The combined calculus: inherited tagged rules plus the LFT/cLFT/FX families."""
+    """The meet calculus: the inherited tagged rules over the combined
+    signature, which brings the LFT/cLFT/FX families."""
     c1 = getattr(l1, "calculus", l1)
     c2 = getattr(l2, "calculus", l2)
     if cs is None:
@@ -239,46 +240,31 @@ def assemble_meet_calculus(l1, l2, cs: Optional[CombinedSignature] = None) -> Ca
         raise BuilderError("component-1 calculus does not match the combined signature")
     if c2.signature is not cs.sig2 and c2.signature != cs.sig2:
         raise BuilderError("component-2 calculus does not match the combined signature")
-    rules = []
-    for k, comp in ((1, c1), (2, c2)):
-        for r in comp.rules:
-            rules.extend(inherit_rule(r, k, cs))
-    return Calculus(
-        name=f"meet({c1.name},{c2.name})",
-        signature=cs,
-        rules=tuple(rules),
-        lft=True,
-        clft=True,
-        fx=True,
-    )
+    return Calculus(f"meet({c1.name},{c2.name})", cs, inherit_rules(c1.rules, c2.rules, cs))
 
 
 def embed_rule_application(rule: Rule, subst: dict, k: int, cs: CombinedSignature):
     """Re-justify a component rule application inside the combined calculus.
 
     Returns (combined rule name, witness substitution). For a liberal rule the
-    applicable tagged variant is selected by the head of the concrete
-    conclusion; an application concluding a bare schema variable has no tagged
-    counterpart and is a builder error.
+    applicable tagged variant is the one for the head of the embedded
+    conclusion, and its fresh variables are bound by matching its conclusion
+    against that formula; they take precedence over any other witness entry
+    of the same index. An application concluding a bare schema variable has
+    no tagged counterpart and is a builder error.
     """
-    def emb(f):
-        return embed(f, k, cs)
-
+    witness = {v: embed(f, k, cs) for v, f in subst.items()}
+    embedded = _embed_rule(rule, k, cs)
     if not rule.liberal:
-        return f"{rule.name}@{k}", {v: emb(f) for v, f in subst.items()}
-    beta = rule.conclusion.index
-    concrete = subst.get(beta)
+        return embedded.name, witness
+    concrete = witness.pop(rule.conclusion.index, None)
     if concrete is None or isinstance(concrete, Var):
         raise BuilderError(
             f"application of liberal rule {rule.name} concluding a bare variable cannot be inherited"
         )
-    ctor = cs.embed_ctor(concrete.ctor, k)
-    j = max_schema_index(rule)
-    witness = {j + i: emb(a) for i, a in enumerate(concrete.args, start=1)}
-    for v, f in subst.items():
-        if v != beta:
-            witness[v] = emb(f)
-    return f"{rule.name}@{k}#{ctor.display}", witness
+    (tagged,) = tag_rule(embedded, (concrete.ctor,))
+    witness.update(match_formula(tagged.conclusion, concrete))
+    return tagged.name, witness
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +368,11 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
     def _close(f):
         if cs is None:
             return
-        if calc.clft:
-            for k in (1, 2):
-                add(proj_embedded(f, k, cs), ("clft", f, k))
-        if calc.fx:
-            for k in (1, 2):
-                if f is falsa[k - 1]:
-                    add(falsa[2 - k], ("fx", f))
+        for k in (1, 2):
+            add(proj_embedded(f, k, cs), ("clft", f, k))
+        for k in (1, 2):
+            if f is falsa[k - 1]:
+                add(falsa[2 - k], ("fx", f))
 
     for h in hyps:
         add(h, ("hyp",))
@@ -429,7 +413,7 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
         for rule in proper:
             for subst, cited in _match_all_premises(rule, every, new):
                 instances(rule, subst, cited, additions)
-        if cs is not None and calc.lft:
+        if cs is not None:
             for target in [goal] + candidates:
                 if target in facts or target in additions or isinstance(target, Var):
                     continue
@@ -522,75 +506,63 @@ def _splice(d, k, cs, component_calc, component_extra, lines, hyp_line_of) -> in
     return local[len(d.lines)]
 
 
+def _template_prologue(premises, calc, l1, l2, sides):
+    """The start both templates share: a HYP line per premise, then for each
+    of `sides` a cLFT line per premise. Returns the combined signature, the
+    component calculi by side, the lines, and per side the line of each
+    projected premise."""
+    cs = calc.signature
+    if not isinstance(cs, CombinedSignature):
+        raise BuilderError("template requires a combined calculus")
+    premises = tuple(premises)
+    comp = {1: getattr(l1, "calculus", l1), 2: getattr(l2, "calculus", l2)}
+    lines = [Line(a, Hyp()) for a in premises]
+    hyp_line_of = {}
+    for k in sides:
+        hyp_line_of[k] = {}
+        for i, a in enumerate(premises, start=1):
+            lines.append(Line(proj_embedded(a, k, cs), Clft(i, k)))
+            hyp_line_of[k].setdefault(project(a, k), len(lines))
+    return cs, comp, lines, hyp_line_of
+
+
 def build_both_admissible_derivation(premises, conclusion, d1, d2, calc: Calculus,
-                                     l1=None, l2=None, extra1=(), extra2=()) -> Derivation:
+                                     l1, l2, extra1=(), extra2=()) -> Derivation:
     """Both-sides template: hypotheses, cLFT to each side, spliced component
     derivations of the projected conclusion, final LFT.
 
     d1 derives conclusion|1 from the projected premises in component 1 (with
     basis rules in extra1 for the basis-mode layout); d2 symmetrically.
     """
-    cs = calc.signature
-    if not isinstance(cs, CombinedSignature):
-        raise BuilderError("template requires a combined calculus")
-    premises = tuple(premises)
-    comp1 = getattr(l1, "calculus", l1) if l1 is not None else None
-    comp2 = getattr(l2, "calculus", l2) if l2 is not None else None
-    if comp1 is None or comp2 is None:
-        raise BuilderError("component calculi are required to splice derivations")
-
-    proj1 = [project(a, 1) for a in premises]
-    proj2 = [project(a, 2) for a in premises]
-    _check_component_derivation(d1, set(proj1), project(conclusion, 1), "component-1 derivation")
-    _check_component_derivation(d2, set(proj2), project(conclusion, 2), "component-2 derivation")
-
-    lines = [Line(a, Hyp()) for a in premises]
-    m = len(premises)
-    endpoints = []
-    for k, d, proj, comp, extra in ((1, d1, proj1, comp1, extra1), (2, d2, proj2, comp2, extra2)):
-        hyp_line_of = {}
-        for i, p in enumerate(proj, start=1):
-            lines.append(Line(proj_embedded(premises[i - 1], k, cs), Clft(i, k)))
-            hyp_line_of.setdefault(p, len(lines))
-        endpoints.append(_splice(d, k, cs, comp, extra, lines, hyp_line_of))
-    lines.append(Line(conclusion, Lft((endpoints[0], endpoints[1]))))
+    cs, comp, lines, hyp_line_of = _template_prologue(premises, calc, l1, l2, (1, 2))
+    sides = ((1, d1, extra1), (2, d2, extra2))
+    for k, d, _ in sides:
+        _check_component_derivation(d, hyp_line_of[k], project(conclusion, k), f"component-{k} derivation")
+    endpoints = tuple(_splice(d, k, cs, comp[k], extra, lines, hyp_line_of[k]) for k, d, extra in sides)
+    lines.append(Line(conclusion, Lft(endpoints)))
     return Derivation(tuple(lines))
 
 
 def build_vacuous_side_derivation(premises, conclusion, falsum_side: int, dfalsum,
                                   dexfalso_same, dexfalso_other, calc: Calculus,
-                                  l1=None, l2=None, extra_same=(), extra_other=()) -> Derivation:
+                                  l1, l2, extra_same=(), extra_other=()) -> Derivation:
     """Vacuous-side template: derive the falsum of one component from its projected
     premises, continue to the projected conclusion, propagate falsum with FX,
     continue on the other side, and lift.
     """
-    cs = calc.signature
-    if not isinstance(cs, CombinedSignature):
-        raise BuilderError("template requires a combined calculus")
-    premises = tuple(premises)
     fs = falsum_side
     other = 3 - fs
-    comp = {1: getattr(l1, "calculus", l1), 2: getattr(l2, "calculus", l2)}
-    if comp[1] is None or comp[2] is None:
-        raise BuilderError("component calculi are required to splice derivations")
-
+    cs, comp, lines, hyp_line_of = _template_prologue(premises, calc, l1, l2, (fs,))
     bot_same = comp[fs].signature.bot
     bot_other = comp[other].signature.bot
-    proj_same = [project(a, fs) for a in premises]
-    _check_component_derivation(dfalsum, set(proj_same), bot_same, "falsum derivation")
+    _check_component_derivation(dfalsum, hyp_line_of[fs], bot_same, "falsum derivation")
     _check_component_derivation(dexfalso_same, {bot_same}, project(conclusion, fs), "same-side continuation")
     _check_component_derivation(dexfalso_other, {bot_other}, project(conclusion, other), "other-side continuation")
 
-    lines = [Line(a, Hyp()) for a in premises]
-    hyp_line_of = {}
-    for i, p in enumerate(proj_same, start=1):
-        lines.append(Line(proj_embedded(premises[i - 1], fs, cs), Clft(i, fs)))
-        hyp_line_of.setdefault(p, len(lines))
-    falsum_line = _splice(dfalsum, fs, cs, comp[fs], extra_same, lines, hyp_line_of)
+    falsum_line = _splice(dfalsum, fs, cs, comp[fs], extra_same, lines, hyp_line_of[fs])
     end_same = _splice(dexfalso_same, fs, cs, comp[fs], extra_same, lines, {bot_same: falsum_line})
     lines.append(Line(cs.falsum(other), Fx(falsum_line)))
-    fx_line = len(lines)
-    end_other = _splice(dexfalso_other, other, cs, comp[other], extra_other, lines, {bot_other: fx_line})
+    end_other = _splice(dexfalso_other, other, cs, comp[other], extra_other, lines, {bot_other: len(lines)})
     cites = (end_same, end_other) if fs == 1 else (end_other, end_same)
     lines.append(Line(conclusion, Lft(cites)))
     return Derivation(tuple(lines))

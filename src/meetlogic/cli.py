@@ -116,12 +116,12 @@ def cmd_tag(args):
     if args.logic:
         bundle = _bundle(args.logic, args)
         rule = formats.parse_rule_file(_read(args.rule), bundle.signature, name=args.name)
-        tagged = list(combination.tag_rule(rule, bundle.signature))
+        tagged = combination.tag_rule(rule, bundle.signature)
     else:
         b1, b2, cs, _ = _meet(args)
         if args.side == "mc":
             rule = formats.parse_rule_file(_read(args.rule), cs, name=args.name)
-            tagged = list(combination.tag_rule(rule, cs))
+            tagged = combination.tag_rule(rule, cs)
         else:
             k = int(args.side)
             comp = b1 if k == 1 else b2
@@ -198,14 +198,18 @@ def cmd_basis(args):
     return EXIT_YES
 
 
+def _product(b1, b2, cs):
+    """The product of each side's characteristic matrix, or of its first matrix."""
+    return semantics.product_matrix(b1.characteristic or b1.matrices[0],
+                                    b2.characteristic or b2.matrices[0], cs)
+
+
 def _matrices(args):
     if args.logic:
         bundle = _bundle(args.logic, args)
         return bundle.signature, list(bundle.matrices)
     b1, b2, cs, _ = _meet(args)
-    m1 = b1.characteristic or b1.matrices[0]
-    m2 = b2.characteristic or b2.matrices[0]
-    return cs, [semantics.product_matrix(m1, m2, cs)]
+    return cs, [_product(b1, b2, cs)]
 
 
 def cmd_eval(args):
@@ -277,9 +281,7 @@ def cmd_soundness_audit(args):
         rules, matrices = bundle.calculus.rules, bundle.matrices
     else:
         b1, b2, cs, calc = _meet(args)
-        m1 = b1.characteristic or b1.matrices[0]
-        m2 = b2.characteristic or b2.matrices[0]
-        rules, matrices = calc.rules, (semantics.product_matrix(m1, m2, cs),)
+        rules, matrices = calc.rules, (_product(b1, b2, cs),)
     failures = [r.name for r in rules
                 if not semantics.check_rule_soundness(matrices, r)]
     ok = not failures
@@ -350,11 +352,8 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     try:
         return args.fn(args)
-    except (ParseError, SignatureError, formats.FormatError,
-            presets.PresetError, FileNotFoundError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except calculus.BuilderError as e:
+    except (ParseError, SignatureError, formats.FormatError, presets.PresetError,
+            calculus.BuilderError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:

@@ -12,6 +12,7 @@ from .syntax import (
     Signature,
     SignatureError,
     Var,
+    apply_substitution,
     max_schema_index,
     name_hash,
     verum_family_name,
@@ -236,54 +237,26 @@ def proj_embedded(f: Formula, k: int, cs: CombinedSignature) -> Formula:
     return f if g is None else g
 
 
-@dataclass
-class TaggedRuleSet:
-    """Result of tagging one rule."""
-
-    source: object  # calculus.Rule
-    rules: tuple
-
-    def __iter__(self):
-        return iter(self.rules)
-
-    def __len__(self):
-        return len(self.rules)
-
-
-def _ctors_of(sig) -> list:
-    if hasattr(sig, "all_ctors"):
-        return list(sig.all_ctors())
-    return list(sig)
-
-
-def tag_rule(rule, sig) -> TaggedRuleSet:
+def tag_rule(rule, sig) -> tuple:
     """Tag one rule over a signature (or an explicit constructor family).
 
     A non-liberal rule is kept whole. A liberal rule (conclusion a schema
-    variable) yields one rule per constructor c: the conclusion variable is
-    replaced, everywhere it occurs, by c applied to fresh variables starting
-    just past the rule's maximum index.
+    variable) yields one rule per constructor c, named `rule#c`: the
+    conclusion variable is replaced, everywhere it occurs, by c applied to
+    fresh variables starting just past the rule's maximum index.
     """
     from .calculus import Rule
-    from .syntax import apply_substitution
 
     if not rule.liberal:
-        return TaggedRuleSet(rule, (rule,))
+        return (rule,)
     j = max_schema_index(rule)
-    beta_index = rule.conclusion.index
     out = []
-    for c in _ctors_of(sig):
+    for c in sig.all_ctors() if hasattr(sig, "all_ctors") else sig:
         fresh = App(c, tuple(Var(j + i) for i in range(1, c.arity + 1)))
-        rho = {beta_index: fresh}
-        tagged = Rule(
+        rho = {rule.conclusion.index: fresh}
+        out.append(Rule(
             name=f"{rule.name}#{c.display}",
             premises=tuple(apply_substitution(rho, p) for p in rule.premises),
             conclusion=fresh,
-        )
-        out.append(tagged)
-    return TaggedRuleSet(rule, tuple(out))
-
-
-def tag_ruleset(rules, sig) -> list:
-    """Union of tag_rule over a rule set; returns the TaggedRuleSets in order."""
-    return [tag_rule(r, sig) for r in rules]
+        ))
+    return tuple(out)

@@ -45,15 +45,6 @@ class LogicBundle:
     basis: Optional[Basis]
     fixtures: dict = field(default_factory=dict)
 
-    def refute(self, f: Formula) -> Optional[bool]:
-        """False if some finite matrix refutes f; None otherwise (bounded check)."""
-        for m in self.matrices:
-            from .semantics import holds
-
-            if not holds(m, f):
-                return False
-        return None
-
 
 # ---------------------------------------------------------------------------
 # signatures
@@ -464,8 +455,7 @@ def load_preset(name: str, schema_bound: int = DEFAULT_SCHEMA_BOUND,
         sig = make_signature("IPL", _PROP_CTORS)
         calc = Calculus("IPL", sig, _rules(sig, _INT_CORE))
         chains = tuple(godel_chain(sig, k) for k in range(2, 6))
-        basis = Basis("IPL", tuple(visser_rule(sig, n) for n in range(1, schema_bound + 1)),
-                      schema_bound=schema_bound)
+        basis = Basis("IPL", tuple(visser_rule(sig, n) for n in range(1, schema_bound + 1)))
         thm = G4ipTheorem()
         return LogicBundle(
             name="IPL", signature=sig, calculus=calc, matrices=chains,
@@ -495,8 +485,7 @@ def load_preset(name: str, schema_bound: int = DEFAULT_SCHEMA_BOUND,
         calc = Calculus("GL", sig, _rules(sig, _INT_CORE + _DNE + _MODAL_GL))
         frames = generate_frames("gl", max_worlds)
         matrices = tuple(kripke_matrix(fr, sig) for fr in frames)
-        basis = Basis("GL", tuple(gl_basis_rule(sig, n) for n in range(1, schema_bound + 1)),
-                      schema_bound=schema_bound)
+        basis = Basis("GL", tuple(gl_basis_rule(sig, n) for n in range(1, schema_bound + 1)))
         return LogicBundle(
             name="GL", signature=sig, calculus=calc, matrices=matrices,
             characteristic=None, structurally_complete=False, theorem=None,

@@ -4,8 +4,7 @@ formula pair up to equivalence with matching tree shapes.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .syntax import App, FALSUM, Formula, VERUM, Var

@@ -36,6 +36,7 @@ from meetlogic.syntax import (
     Var,
     apply_substitution,
     match_formula,
+    max_schema_index,
     parse_formula,
     print_formula,
     variables_of,
@@ -139,9 +140,6 @@ class TestAssemble:
         a1 = next(r for r in MEET.rules if r.name == "a1@1")
         assert a1.conclusion == embed(P("xi1 -> (xi2 -> xi1)"), 1, CS)
 
-    def test_flags_enabled(self):
-        assert MEET.lft and MEET.clft and MEET.fx
-
     def test_signature_mismatch_rejected(self):
         other = load_preset("G3")
         with pytest.raises(BuilderError):
@@ -170,6 +168,34 @@ class TestEmbedRuleApplication:
         mp = CPL.calculus.rule_named("mp")
         with pytest.raises(BuilderError):
             embed_rule_application(mp, {1: P("xi1"), 2: Var(2)}, 1, CS)
+
+    def test_every_component_application_is_a_meet_rule_instance(self):
+        # Every component rule, and for a liberal rule every head constructor
+        # of its component, in all ordered preset pairs. Each variable is
+        # renamed, and the witness carries an extra entry at the first fresh
+        # index, so a fresh variable bound from that entry gives a wrong instance.
+        logics = ("CPL", "G3", "IPL", "S43", "GL")
+        bundles = {name: load_preset(name, max_worlds=1) for name in logics}
+        applications = 0
+        for n1, n2 in itertools.product(logics, repeat=2):
+            b1, b2 = bundles[n1], bundles[n2]
+            cs = combine_signatures(b1.signature, b2.signature)
+            meet = {r.name: r for r in assemble_meet_calculus(b1.calculus, b2.calculus, cs).rules}
+            for k, b in ((1, b1), (2, b2)):
+                for rule in b.calculus.rules:
+                    j = max_schema_index(rule)
+                    base = {v: Var(v + 20) for v in range(1, j + 1)}
+                    base[j + 1] = b.signature.bot
+                    for c in b.signature.all_ctors() if rule.liberal else [None]:
+                        subst = dict(base)
+                        if c is not None:
+                            subst[rule.conclusion.index] = App(c, tuple(Var(40 + i) for i in range(c.arity)))
+                        name, witness = embed_rule_application(rule, subst, k, cs)
+                        got = meet[name]
+                        for p, q in zip(got.premises + (got.conclusion,), rule.premises + (rule.conclusion,)):
+                            assert apply_substitution(witness, p) == embed(apply_substitution(subst, q), k, cs), name
+                        applications += 1
+        assert applications > 1000
 
 
 class TestSearch:
@@ -252,6 +278,24 @@ class TestTemplates:
         d = build_vacuous_side_derivation([bot2], beta, 2, dfalsum, dsame, dother, MEET, CPL, CPL2)
         assert check_derivation(d, MEET, hyps=[bot2])
 
+    def test_witness_entry_outside_the_rule_is_not_spliced_over_a_fresh_variable(self):
+        # The mp line's witness also names xi3, which is not a variable of mp
+        # but is the first fresh variable of its tagged variants.
+        alpha = PM("xi1")
+        imp = PM("<->.CPL1|->.CPL2>(xi1, <neg.CPL1|neg.CPL2>(xi5))")
+        beta = PM("<neg.CPL1|neg.CPL2>(xi5)")
+        ds = []
+        for b in (CPL, CPL2):
+            def Pk(s):
+                return parse_formula(s, b.signature)
+            witness = freeze_subst({1: Pk("xi1"), 2: Pk("neg xi5"), 3: Pk("xi7")})
+            d = Derivation((Line(Pk("xi1"), Hyp()), Line(Pk("xi1 -> neg xi5"), Hyp()),
+                            Line(Pk("neg xi5"), RuleApp("mp", (1, 2), witness))))
+            assert check_derivation(d, b.calculus, hyps=[Pk("xi1"), Pk("xi1 -> neg xi5")])
+            ds.append(d)
+        d = build_both_admissible_derivation([alpha, imp], beta, ds[0], ds[1], MEET, CPL, CPL2)
+        assert check_derivation(d, MEET, hyps=[alpha, imp])
+
 
 class TestConsistencyGuard:
     def test_no_falsum_or_bare_variable_from_empty(self):
@@ -319,10 +363,10 @@ def _reference_search(calc, hyps, goal, bounds):
             return False
         facts[f] = record
         order.append(f)
-        if cs is not None and calc.clft:
+        if cs is not None:
             for k in (1, 2):
                 add(pe(f, k), ("clft", f, k))
-        if cs is not None and calc.fx:
+        if cs is not None:
             for k in (1, 2):
                 if f == cs.falsum(k):
                     add(cs.falsum(3 - k), ("fx", f))
@@ -357,7 +401,7 @@ def _reference_search(calc, hyps, goal, bounds):
             if rule.premises:
                 for subst, cited in _reference_matches(rule, snapshot, by_head, facts):
                     instances(rule, subst, cited, additions)
-        if cs is not None and calc.lft:
+        if cs is not None:
             for target in [goal] + candidates:
                 if target in facts or isinstance(target, Var):
                     continue

@@ -10,7 +10,6 @@ from meetlogic.combination import (
     proj_embedded,
     project,
     tag_rule,
-    tag_ruleset,
 )
 from meetlogic.syntax import (
     App,
@@ -152,10 +151,3 @@ class TestTagging:
         r = Rule("wide", (P1("xi7"),), Var(1))
         tagged = {t.name: t for t in tag_rule(r, IPL)}
         assert tagged["wide#and"].conclusion == P1("and(xi8, xi9)")
-
-    def test_tag_ruleset_union(self):
-        k = Rule("k", (), P2("box (xi1 -> xi2) -> (box xi1 -> box xi2)"))
-        sets = tag_ruleset([self.mp(GL), k], GL)
-        assert len(sets) == 2
-        assert list(sets[1]) == [k]
-        assert len(sets[0]) == sum(len(GL.by_arity[n]) for n in GL.arities())

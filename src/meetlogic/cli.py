@@ -1,8 +1,7 @@
 """Batch command-line front end.
 
 Exit codes: 0 affirmative/accept, 1 negative/reject, 2 inconclusive,
-3 usage or parse error, 4 internal error (any other exception, such as
-input nested too deeply to read).
+3 usage or parse error, 4 internal error (any other exception).
 """
 from __future__ import annotations
 
@@ -45,10 +44,6 @@ def _meet(args):
     cs = combination.combine_signatures(b1.signature, b2.signature)
     calc = calculus.assemble_meet_calculus(b1.calculus, b2.calculus, cs)
     return b1, b2, cs, calc
-
-
-def _search_bounds(args):
-    return calculus.SearchBounds(depth=args.depth, max_size=args.max_size)
 
 
 def _read(path):
@@ -168,7 +163,8 @@ def cmd_search(args):
             extra = admissibility.combined_basis(b1.basis, b2.basis, cs).rules
     goal = parse_formula(args.goal, sig)
     hyps = _split_formulas(args.hyps, sig) if args.hyps else []
-    d = calculus.bounded_proof_search(calc, extra, hyps, goal, _search_bounds(args))
+    bounds = calculus.SearchBounds(depth=args.depth, max_size=args.max_size)
+    d = calculus.bounded_proof_search(calc, extra, hyps, goal, bounds)
     if d is None:
         _emit(args, {"found": False}, "not found within bounds")
         return EXIT_INCONCLUSIVE
@@ -292,12 +288,8 @@ def cmd_soundness_audit(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--format", choices=("text", "json"), default="text")
+def _add_schema_bound(p):
     p.add_argument("--schema-bound", type=int, default=presets.DEFAULT_SCHEMA_BOUND)
-    p.add_argument("--max-worlds", type=int, default=2)
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--max-size", type=int, default=30)
 
 
 def _add_meet(p):
@@ -318,8 +310,9 @@ def build_parser() -> _Parser:
     def verb(name, fn, setup):
         p = sub.add_parser(name)
         setup(p)
-        _add_common(p)
-        p.set_defaults(fn=fn)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--max-worlds", type=int, default=presets.DEFAULT_MAX_WORLDS)
+        p.set_defaults(fn=fn, schema_bound=presets.DEFAULT_SCHEMA_BOUND)
         return p
 
     verb("combine", cmd_combine, _add_meet)
@@ -327,9 +320,12 @@ def build_parser() -> _Parser:
     verb("embed", cmd_embed, lambda p: (_add_meet(p), p.add_argument("-k", type=int, choices=(1, 2), required=True), p.add_argument("formula")))
     verb("tag", cmd_tag, lambda p: (_add_either(p), p.add_argument("--rule", required=True), p.add_argument("--side", choices=("1", "2", "mc"), default="mc"), p.add_argument("--name", default="rule")))
     verb("check-derivation", cmd_check_derivation, lambda p: (_add_either(p), p.add_argument("--derivation", required=True), p.add_argument("--hyps"), p.add_argument("--extra")))
-    verb("search", cmd_search, lambda p: (_add_either(p), p.add_argument("--goal", required=True), p.add_argument("--hyps"), p.add_argument("--with-basis", action="store_true")))
+    verb("search", cmd_search, lambda p: (
+        _add_either(p), p.add_argument("--goal", required=True), p.add_argument("--hyps"),
+        p.add_argument("--with-basis", action="store_true"), _add_schema_bound(p),
+        p.add_argument("--depth", type=int, default=6), p.add_argument("--max-size", type=int, default=30)))
     verb("decide-admissible", cmd_decide_admissible, lambda p: (_add_meet(p), p.add_argument("--rule", required=True), p.add_argument("--oracle1", default="auto"), p.add_argument("--oracle2", default="auto"), p.add_argument("--name", default="rule")))
-    verb("basis", cmd_basis, _add_meet)
+    verb("basis", cmd_basis, lambda p: (_add_meet(p), _add_schema_bound(p)))
     verb("eval", cmd_eval, lambda p: (_add_either(p), p.add_argument("formula")))
     verb("entails", cmd_entails, lambda p: (_add_either(p), p.add_argument("--hyps"), p.add_argument("--goal", required=True)))
     verb("trees", cmd_trees, lambda p: (p.add_argument("--logic", default="IPL"), p.add_argument("f1"), p.add_argument("f2")))

@@ -3,6 +3,7 @@ and sectioned logic-definition files.
 """
 from __future__ import annotations
 
+from .admissibility import rule_key
 from .calculus import (
     Calculus,
     Clft,
@@ -66,8 +67,7 @@ def serialize_rule_file(rule: Rule) -> str:
 
 
 def rule_line(rule: Rule) -> str:
-    ps = " ; ".join(print_formula(p) for p in rule.premises)
-    return f"{rule.name}: {ps} / {print_formula(rule.conclusion)}"
+    return f"{rule.name}: {rule_key(rule.premises, rule.conclusion)}"
 
 
 def parse_rule_line(line: str, sig) -> Rule:

@@ -419,6 +419,7 @@ def harrop_rule(sig: Signature) -> Rule:
 # bundle assembly
 
 DEFAULT_SCHEMA_BOUND = 3
+DEFAULT_MAX_WORLDS = 2
 
 
 def _prop_completion(sig, verify):
@@ -426,7 +427,7 @@ def _prop_completion(sig, verify):
 
 
 def load_preset(name: str, schema_bound: int = DEFAULT_SCHEMA_BOUND,
-                max_worlds: int = 3) -> LogicBundle:
+                max_worlds: int = DEFAULT_MAX_WORLDS) -> LogicBundle:
     if name == "CPL":
         sig = make_signature("CPL", _PROP_CTORS)
         calc = Calculus("CPL", sig, _rules(sig, _INT_CORE + _DNE))

@@ -414,26 +414,15 @@ def print_formula(f: Formula) -> str:
 # Grammar (ASCII): variables xi<digits>; nullary constructors bare names;
 # application name(arg1, arg2); combined constructors <name1.TAG1|name2.TAG2>;
 # component abbreviation name.TAG; infix for ->, and, or, iff and prefix for
-# neg, box, dia with a fixed precedence table; whitespace insignificant
-# outside names.
+# neg, box, dia with a fixed precedence table (prefix binds tightest, ->
+# groups to the right); whitespace insignificant outside names.
 
 _INFIX = {"iff": 1, "->": 2, "or": 3, "and": 4}
 _RIGHT_ASSOC = {"->"}
 _PREFIX = {"neg", "box", "dia"}
-_PREFIX_PREC = 9
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CHARS = _IDENT_START | set("0123456789")
-
-
-@dataclass
-class _Tok:
-    kind: str  # 'name' | 'pair' | 'var' | '(' | ')' | ',' | 'end'
-    pos: int
-    name: Optional[str] = None
-    tag: Optional[str] = None
-    pair: Optional[tuple] = None  # (n1, t1, n2, t2)
-    index: int = 0
 
 
 def _lex_name(text: str, i: int):
@@ -468,6 +457,9 @@ def _lex_name(text: str, i: int):
 
 
 def _tokenize(text: str) -> list:
+    """Tokens as (kind, pos, value) tuples. The kinds are 'name' with value
+    (name, tag), 'pair' with value (n1, t1, n2, t2), 'var' with the index,
+    and '(', ')', ',' and 'end' with None."""
     toks, i, n = [], 0, len(text)
     while i < n:
         ch = text[i]
@@ -475,7 +467,7 @@ def _tokenize(text: str) -> list:
             i += 1
             continue
         if ch in "(),":
-            toks.append(_Tok(ch, i))
+            toks.append((ch, i, None))
             i += 1
             continue
         if ch == "<":
@@ -488,108 +480,102 @@ def _tokenize(text: str) -> list:
                 raise ParseError("expected '>' closing combined constructor", i)
             if t1 is None or t2 is None:
                 raise ParseError("combined constructor components need .TAG suffixes", start)
-            toks.append(_Tok("pair", start, pair=(n1, t1, n2, t2)))
+            toks.append(("pair", start, (n1, t1, n2, t2)))
             i += 1
             continue
         name, tag, j = _lex_name(text, i)
         if tag is None and name.startswith("xi") and name[2:].isdigit():
-            toks.append(_Tok("var", i, index=int(name[2:])))
+            toks.append(("var", i, int(name[2:])))
         else:
-            toks.append(_Tok("name", i, name=name, tag=tag))
+            toks.append(("name", i, (name, tag)))
         i = j
-    toks.append(_Tok("end", n))
+    toks.append(("end", n, None))
     return toks
 
 
-class _Parser:
-    def __init__(self, toks, sig):
-        self.toks = toks
-        self.sig = sig
-        self.i = 0
+def _resolve(sig, tok, arity):
+    kind, pos, value = tok
+    try:
+        if kind == "pair":
+            return sig.resolve_pair(*value, arity)
+        return sig.resolve(*value, arity)
+    except SignatureError as exc:
+        raise ParseError(str(exc), pos) from exc
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
 
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, kind: str) -> _Tok:
-        t = self.next()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.kind!r}", t.pos)
-        return t
-
-    def resolve(self, tok: _Tok, arity=None):
-        try:
-            if tok.kind == "pair":
-                n1, t1, n2, t2 = tok.pair
-                return self.sig.resolve_pair(n1, t1, n2, t2, arity)
-            return self.sig.resolve(tok.name, tok.tag, arity)
-        except SignatureError as exc:
-            raise ParseError(str(exc), tok.pos) from exc
-
-    def _base_names(self, tok: _Tok):
-        if tok.kind == "pair":
-            return (tok.pair[0], tok.pair[2])
-        return (tok.name,)
-
-    def parse(self, min_prec=0) -> Formula:
-        left = self.unary()
-        while True:
-            tok = self.peek()
-            if tok.kind not in ("name", "pair"):
-                return left
-            names = self._base_names(tok)
-            if not all(nm in _INFIX for nm in names):
-                return left
-            prec = _INFIX[names[0]]
-            if prec < min_prec:
-                return left
-            self.next()
-            ctor = self.resolve(tok, arity=2)
-            nxt = prec if names[0] in _RIGHT_ASSOC else prec + 1
-            right = self.parse(nxt)
-            left = App(ctor, (left, right))
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
-            f = self.parse(0)
-            self.expect(")")
-            return f
-        if tok.kind == "var":
-            self.next()
-            if self.peek().kind == "(":
-                raise ParseError("schema variables are nullary", self.peek().pos)
-            return Var(tok.index)
-        if tok.kind in ("name", "pair"):
-            self.next()
-            if self.peek().kind == "(":
-                self.next()
-                args = [self.parse(0)]
-                while self.peek().kind == ",":
-                    self.next()
-                    args.append(self.parse(0))
-                self.expect(")")
-                ctor = self.resolve(tok, arity=len(args))
-                return App(ctor, tuple(args))
-            names = self._base_names(tok)
-            if all(nm in _PREFIX for nm in names):
-                ctor = self.resolve(tok, arity=1)
-                return App(ctor, (self.unary(),))
-            ctor = self.resolve(tok, arity=0)
-            return App(ctor)
-        raise ParseError(f"unexpected {tok.kind!r}", tok.pos)
+def _in(table, tok) -> bool:
+    """Whether every base name of a name or pair token is in `table`."""
+    kind, _, value = tok
+    if kind == "name":
+        return value[0] in table
+    return kind == "pair" and value[0] in table and value[2] in table
 
 
 def parse_formula(text: str, sig) -> Formula:
-    """Parse a formula over a component or combined signature."""
-    parser = _Parser(_tokenize(text), sig)
-    f = parser.parse(0)
-    end = parser.next()
-    if end.kind != "end":
-        raise ParseError(f"trailing input starting with {end.kind!r}", end.pos)
-    return f
+    """Parse a formula over a component or combined signature.
+
+    One loop over the tokens, without recursion, so input of any depth
+    reads. `out` holds finished operands; `pending` holds what waits for
+    operands: an open group or application ('(' with the operand count at
+    its start and the applied token, None for a group), a prefix
+    constructor, or an infix constructor with the least precedence its
+    right operand may hold. Prefix and infix constructors are resolved
+    when they are read, an application's when its ')' is.
+    """
+    toks = _tokenize(text)
+    out: list = []
+    pending: list = []
+    i = 0
+    while True:
+        tok = toks[i]
+        kind = tok[0]
+        i += 1
+        if kind == "(":
+            pending.append(("(", len(out), None))
+            continue
+        if kind == "var":
+            if toks[i][0] == "(":
+                raise ParseError("schema variables are nullary", toks[i][1])
+            out.append(Var(tok[2]))
+        elif kind == "name" or kind == "pair":
+            if toks[i][0] == "(":
+                pending.append(("(", len(out), tok))
+                i += 1
+                continue
+            if _in(_PREFIX, tok):
+                pending.append(("prefix", _resolve(sig, tok, 1), 0))
+                continue
+            out.append(App(_resolve(sig, tok, 0)))
+        else:
+            raise ParseError(f"unexpected {kind!r}", tok[1])
+        # An operand is finished: apply the prefix constructors waiting for
+        # it, then read an infix constructor, or a ',' or ')' that closes the
+        # innermost group or application, or the end.
+        while True:
+            while pending and pending[-1][0] == "prefix":
+                out[-1] = App(pending.pop()[1], (out[-1],))
+            tok = toks[i]
+            kind = tok[0]
+            i += 1
+            prec = _INFIX[tok[2][0]] if _in(_INFIX, tok) else 0
+            while pending and pending[-1][0] == "infix" and prec < pending[-1][2]:
+                right = out.pop()
+                out[-1] = App(pending.pop()[1], (out[-1], right))
+            if prec:
+                least = prec if tok[2][0] in _RIGHT_ASSOC else prec + 1
+                pending.append(("infix", _resolve(sig, tok, 2), least))
+                break
+            if not pending:
+                if kind != "end":
+                    raise ParseError(f"trailing input starting with {kind!r}", tok[1])
+                return out[0]
+            _, start, head = pending[-1]
+            if kind == "," and head is not None:
+                break
+            if kind != ")":
+                raise ParseError(f"expected ')', found {kind!r}", tok[1])
+            pending.pop()
+            if head is not None:
+                args = tuple(out[start:])
+                del out[start:]
+                out.append(App(_resolve(sig, head, len(args)), args))

@@ -8,6 +8,8 @@ import pytest
 
 from meetlogic import cli, presets
 from meetlogic.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_NO, EXIT_USAGE, EXIT_YES, main
+from meetlogic.combination import combine_signatures, project
+from meetlogic.syntax import parse_formula, print_formula
 
 
 def run(capsys, *argv):
@@ -59,6 +61,22 @@ class TestCombineProjectEmbed:
         code, out, _ = run(capsys, "project", "--l1", "CPL", "--l2", "G3", "-k", "1",
                            embedded)
         assert code == EXIT_YES and out.strip() == "neg(xi1)"
+
+    def test_deep_project_reads_back(self, capsys):
+        code, out, _ = run(capsys, "project", "--l1", "CPL", "--l2", "G3", "-k", "2",
+                           "<neg.CPL|neg.G3> " * 3000 + "xi1")
+        assert code == EXIT_YES
+        g3 = presets.load_preset("G3").signature
+        assert parse_formula(out, g3) is parse_formula("neg " * 3000 + "xi1", g3)
+
+    def test_deep_embed_reads_back(self, capsys):
+        code, out, _ = run(capsys, "embed", "--l1", "CPL", "--l2", "G3", "-k", "1",
+                           "xi1 -> " * 3000 + "xi1")
+        assert code == EXIT_YES
+        cpl, g3 = presets.load_preset("CPL").signature, presets.load_preset("G3").signature
+        f = parse_formula(out, combine_signatures(cpl, g3))
+        assert print_formula(f) == out.strip()
+        assert project(f, 1) is parse_formula("xi1 -> " * 3000 + "xi1", cpl)
 
 
 class TestTagVerb:
@@ -292,16 +310,21 @@ class TestErrorContract:
         assert code == EXIT_INTERNAL and out == ""
         assert err == "error: internal: RuntimeError: boom\n"
 
-    @pytest.mark.parametrize("text", ["neg(" * 3000 + "xi1" + ")" * 3000, "neg " * 3000 + "xi1"])
-    def test_deep_input_exits_internal(self, capsys, text):
-        code, _, err = run(capsys, "eval", "--logic", "CPL", text)
-        assert code == EXIT_INTERNAL and "error: internal: RecursionError" in err
+    @pytest.mark.parametrize("text", ["neg " * 3000 + "top", "neg(" * 3000 + "top" + ")" * 3000],
+                             ids=["prefix", "application"])
+    def test_deep_input_evaluates(self, capsys, text):
+        # the parser reads any depth, so deep input gets an answer
+        code, out, _ = run(capsys, "eval", "--logic", "CPL", text)
+        assert code == EXIT_YES and out == "holds on 1 matrices: True\n"
 
     def test_deep_input_process_exit_code(self):
+        # the tree tools still recurse, so a deep `trees` query is an internal
+        # error, and the process exit code is 4, never 1
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run(
-            [sys.executable, "-m", "meetlogic.cli", "eval", "--logic", "CPL", "neg " * 3000 + "xi1"],
+            [sys.executable, "-m", "meetlogic.cli", "trees", "--logic", "IPL", "neg " * 3000 + "xi1", "xi1"],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == EXIT_INTERNAL
         assert proc.stderr.startswith("error: internal: RecursionError")
+

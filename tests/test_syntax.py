@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,9 @@ from meetlogic.syntax import (
     print_formula,
 )
 from meetlogic.calculus import Rule
+from meetlogic.combination import combine_signatures
 
+from ref_parser import ref_parse_formula
 from strategies import formula_strategy
 
 SIG = make_signature("IPL", [("and", 2), ("or", 2), ("->", 2), ("iff", 2), ("neg", 1)])
@@ -81,6 +85,128 @@ class TestParser:
     @given(formula_strategy(SIG))
     def test_roundtrip(self, f):
         assert parse_formula(print_formula(f), SIG) == f
+
+
+# Surface syntax for the differential test: one component signature, and
+# a combined one whose sides differ, so that tags and pairs can fail to resolve.
+K = make_signature("K", [("and", 2), ("or", 2), ("->", 2), ("iff", 2), ("neg", 1),
+                         ("box", 1), ("dia", 1), ("f", 3), ("g", 1), ("c", 0)])
+CA = make_signature("A", [("and", 2), ("or", 2), ("->", 2), ("iff", 2), ("neg", 1)])
+CB = make_signature("B", [("and", 2), ("or", 2), ("->", 2), ("neg", 1), ("box", 1), ("dia", 1), ("c", 0)])
+CAB = combine_signatures(CA, CB)
+INFIX, PREFIX = ["and", "or", "->", "iff"], ["neg", "box", "dia"]
+SNIPPETS = ["(", ")", ",", "<", ">", "|", ".", " ", "xi", "and", "neg", "->", "-", "A", "1", ".A", "box "]
+
+
+def random_surface(rng, sig, depth):
+    """Seeded text over `sig` with infix, prefix, applications and parentheses;
+    about one name in twenty is picked regardless of the signature."""
+    def name(arity, only=None):
+        def pick(side):
+            names = [n for n in side.by_arity.get(arity, ()) if only is None or n in only]
+            if not names or rng.random() < 0.05:
+                names = INFIX + PREFIX + ["f", "top", "topn.1"]
+            return rng.choice(names)
+        if sig is not CAB:
+            return pick(sig)
+        if rng.random() < 0.5:
+            k = rng.choice((1, 2))
+            return f"{pick(CA if k == 1 else CB)}.{'AB'[k - 1]}"
+        return f"<{pick(CA)}.A|{pick(CB)}.B>"
+
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        return f"xi{rng.randint(1, 3)}" if rng.random() < 0.6 else name(0)
+    sub = lambda: random_surface(rng, sig, depth - 1)
+    if r < 0.4:
+        return name(1, PREFIX) + rng.choice([" ", "  ", ""]) + sub()
+    if r < 0.7:
+        return sub() + rng.choice([" ", " ", "\t"]) + name(2, INFIX) + " " + sub()
+    if r < 0.85:
+        n = rng.choice([1, 1, 2, 2, 3])
+        return f"{name(n)}({', '.join(sub() for _ in range(n))})"
+    return f"({sub()})"
+
+
+def mutate_text(rng, text):
+    """One to three edits: insert a snippet, delete or duplicate a few characters."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        op = rng.random()
+        if op < 0.4:
+            text = text[:i] + rng.choice(SNIPPETS) + text[i:]
+        elif op < 0.7:
+            text = text[:i] + text[i + rng.randint(1, 3):]
+        else:
+            j = min(len(text), i + rng.randint(1, 6))
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+def parse_outcome(parse, text, sig):
+    try:
+        return ("ok", parse(text, sig))
+    except ParseError as e:
+        return ("ParseError", str(e), e.pos)
+
+
+class TestParserAgainstReference:
+    """The iterative parser against the recursive-descent one it replaced
+    (tests/ref_parser.py): the same node, or the same error at the same place."""
+
+    def test_seeded_texts(self):
+        rng = random.Random("parser-differential")
+        counts = {"ok": 0, "ParseError": 0}
+        for i in range(6000):
+            sig = K if i % 2 == 0 else CAB
+            text = random_surface(rng, sig, rng.randint(0, 5))
+            if rng.random() < 0.5:
+                text = mutate_text(rng, text)
+            ref = parse_outcome(ref_parse_formula, text, sig)
+            new = parse_outcome(parse_formula, text, sig)
+            counts[ref[0]] += 1
+            if ref[0] == "ok":
+                assert new[0] == "ok" and new[1] is ref[1], text
+            else:
+                assert new == ref, text
+        # both outcomes are well represented
+        assert min(counts.values()) > 2000
+
+    @pytest.mark.parametrize("text", [
+        "xi1 -> xi2 -> xi3 and xi1 or xi2 iff xi3",
+        "xi1 iff xi2 iff xi3 -> neg neg xi1",
+        "neg box dia xi1 and f(xi1, g(xi2) or c, neg (xi3))",
+        "(xi1 and (xi2 or", "f(xi1, xi2)", "xi1 (", "g(xi1,)", "neg", "and xi1", "xi1 neg xi2",
+    ])
+    def test_fixed_texts(self, text):
+        assert parse_outcome(parse_formula, text, K) == parse_outcome(ref_parse_formula, text, K)
+
+
+class TestDeepInput:
+    """Text 10,000 levels deep parses, and the formula prints and reads back
+    to the same node."""
+
+    N = 10_000
+    SHAPES = {
+        "prefix": ("neg " * N + "xi1", lambda f: App(SIG.resolve("neg", None, 1), (f,))),
+        "application": ("iff(xi2, " * N + "xi1" + ")" * N,
+                        lambda f: App(SIG.resolve("iff", None, 2), (Var(2), f))),
+        "parentheses": ("(" * N + "xi1" + ")" * N, lambda f: f),
+        "arrow-chain": ("xi2 -> " * N + "xi1", lambda f: App(SIG.resolve("->", None, 2), (Var(2), f))),
+        "and-chain": ("xi1" + " and xi2" * N, lambda f: App(SIG.resolve("and", None, 2), (f, Var(2)))),
+        "pair-application": ("<and.A|->.B>(xi2, " * N + "xi1" + ")" * N,
+                             lambda f: App(CAB.resolve_pair("and", "A", "->", "B"), (Var(2), f))),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_roundtrip(self, shape):
+        text, build = self.SHAPES[shape]
+        sig = CAB if shape.startswith("pair") else SIG
+        f = Var(1)
+        for _ in range(self.N):
+            f = build(f)
+        assert parse_formula(text, sig) is f
+        assert parse_formula(print_formula(f), sig) is f
 
 
 class TestSubstitution:

@@ -45,7 +45,7 @@ class Rule:
         return f"{self.name}: {ps} / {print_formula(self.conclusion)}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Calculus:
     """A named finite rule set over a signature.
 

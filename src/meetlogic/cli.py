@@ -6,6 +6,7 @@ Exit codes: 0 affirmative/accept, 1 negative/reject, 2 inconclusive,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -41,9 +42,15 @@ def _bundle(name, args):
 def _meet(args):
     b1 = _bundle(args.l1, args)
     b2 = _bundle(args.l2, args)
+    return (b1, b2, *_meet_calculus(b1, b2))
+
+
+@functools.lru_cache(maxsize=64)
+def _meet_calculus(b1, b2):
+    """The combined signature and meet calculus of two bundles, built once
+    per pair; bundles hash by identity."""
     cs = combination.combine_signatures(b1.signature, b2.signature)
-    calc = calculus.assemble_meet_calculus(b1.calculus, b2.calculus, cs)
-    return b1, b2, cs, calc
+    return cs, calculus.assemble_meet_calculus(b1.calculus, b2.calculus, cs)
 
 
 def _read(path):
@@ -303,35 +310,38 @@ def _add_either(p):
     p.add_argument("--l2")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process. It holds no verb
+    functions: `main` looks up `cmd_<verb>` at each call."""
     top = _Parser(prog="meetlogic", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def verb(name, fn, setup):
+    def verb(name, setup):
         p = sub.add_parser(name)
         setup(p)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--max-worlds", type=int, default=presets.DEFAULT_MAX_WORLDS)
-        p.set_defaults(fn=fn, schema_bound=presets.DEFAULT_SCHEMA_BOUND)
+        p.set_defaults(schema_bound=presets.DEFAULT_SCHEMA_BOUND)
         return p
 
-    verb("combine", cmd_combine, _add_meet)
-    verb("project", cmd_project, lambda p: (_add_meet(p), p.add_argument("-k", type=int, choices=(1, 2), required=True), p.add_argument("formula")))
-    verb("embed", cmd_embed, lambda p: (_add_meet(p), p.add_argument("-k", type=int, choices=(1, 2), required=True), p.add_argument("formula")))
-    verb("tag", cmd_tag, lambda p: (_add_either(p), p.add_argument("--rule", required=True), p.add_argument("--side", choices=("1", "2", "mc"), default="mc"), p.add_argument("--name", default="rule")))
-    verb("check-derivation", cmd_check_derivation, lambda p: (_add_either(p), p.add_argument("--derivation", required=True), p.add_argument("--hyps"), p.add_argument("--extra")))
-    verb("search", cmd_search, lambda p: (
+    verb("combine", _add_meet)
+    verb("project", lambda p: (_add_meet(p), p.add_argument("-k", type=int, choices=(1, 2), required=True), p.add_argument("formula")))
+    verb("embed", lambda p: (_add_meet(p), p.add_argument("-k", type=int, choices=(1, 2), required=True), p.add_argument("formula")))
+    verb("tag", lambda p: (_add_either(p), p.add_argument("--rule", required=True), p.add_argument("--side", choices=("1", "2", "mc"), default="mc"), p.add_argument("--name", default="rule")))
+    verb("check-derivation", lambda p: (_add_either(p), p.add_argument("--derivation", required=True), p.add_argument("--hyps"), p.add_argument("--extra")))
+    verb("search", lambda p: (
         _add_either(p), p.add_argument("--goal", required=True), p.add_argument("--hyps"),
         p.add_argument("--with-basis", action="store_true"), _add_schema_bound(p),
         p.add_argument("--depth", type=int, default=6), p.add_argument("--max-size", type=int, default=30)))
-    verb("decide-admissible", cmd_decide_admissible, lambda p: (_add_meet(p), p.add_argument("--rule", required=True), p.add_argument("--oracle1", default="auto"), p.add_argument("--oracle2", default="auto"), p.add_argument("--name", default="rule")))
-    verb("basis", cmd_basis, lambda p: (_add_meet(p), _add_schema_bound(p)))
-    verb("eval", cmd_eval, lambda p: (_add_either(p), p.add_argument("formula")))
-    verb("entails", cmd_entails, lambda p: (_add_either(p), p.add_argument("--hyps"), p.add_argument("--goal", required=True)))
-    verb("trees", cmd_trees, lambda p: (p.add_argument("--logic", default="IPL"), p.add_argument("f1"), p.add_argument("f2")))
-    verb("complete", cmd_complete, lambda p: (p.add_argument("--logic", default="IPL"), p.add_argument("--target", choices=("top", "bot"), required=True), p.add_argument("--root-head"), p.add_argument("formula")))
-    verb("equalize", cmd_equalize, lambda p: (_add_meet(p), p.add_argument("--f1", required=True), p.add_argument("--f2", required=True)))
-    verb("soundness-audit", cmd_soundness_audit, _add_either)
+    verb("decide-admissible", lambda p: (_add_meet(p), p.add_argument("--rule", required=True), p.add_argument("--oracle1", default="auto"), p.add_argument("--oracle2", default="auto"), p.add_argument("--name", default="rule")))
+    verb("basis", lambda p: (_add_meet(p), _add_schema_bound(p)))
+    verb("eval", lambda p: (_add_either(p), p.add_argument("formula")))
+    verb("entails", lambda p: (_add_either(p), p.add_argument("--hyps"), p.add_argument("--goal", required=True)))
+    verb("trees", lambda p: (p.add_argument("--logic", default="IPL"), p.add_argument("f1"), p.add_argument("f2")))
+    verb("complete", lambda p: (p.add_argument("--logic", default="IPL"), p.add_argument("--target", choices=("top", "bot"), required=True), p.add_argument("--root-head"), p.add_argument("formula")))
+    verb("equalize", lambda p: (_add_meet(p), p.add_argument("--f1", required=True), p.add_argument("--f2", required=True)))
+    verb("soundness-audit", _add_either)
     return top
 
 
@@ -347,7 +357,7 @@ def main(argv=None) -> int:
             print("error: give --logic NAME or both --l1 and --l2", file=sys.stderr)
             return EXIT_USAGE
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.verb.replace("-", "_")](args)
     except (ParseError, SignatureError, formats.FormatError, presets.PresetError,
             calculus.BuilderError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

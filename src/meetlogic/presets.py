@@ -29,9 +29,15 @@ class PresetError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LogicBundle:
-    """Everything the rest of the library needs to know about one logic."""
+    """Everything the rest of the library needs to know about one logic.
+
+    `load_preset` hands the same bundle to every caller that passes equal
+    arguments, so a bundle is frozen and hashes by identity, and no caller
+    writes to its dict fields (`identity_profiles`, `fixtures` and the
+    completion profile's tables).
+    """
 
     name: str
     signature: Signature
@@ -428,6 +434,22 @@ def _prop_completion(sig, verify):
 
 def load_preset(name: str, schema_bound: int = DEFAULT_SCHEMA_BOUND,
                 max_worlds: int = DEFAULT_MAX_WORLDS) -> LogicBundle:
+    """The bundle of a built-in logic. Basis families run to `schema_bound`
+    and Kripke frames to `max_worlds` worlds; both must be at least 1.
+
+    A bundle is built once per process for each `(name, schema_bound,
+    max_worlds)`: equal arguments return the same shared, frozen bundle.
+    Errors are raised again on every call, never cached.
+    """
+    if schema_bound < 1:
+        raise PresetError(f"schema bound must be at least 1, got {schema_bound}")
+    if max_worlds < 1:
+        raise PresetError(f"max worlds must be at least 1, got {max_worlds}")
+    return _load(name, schema_bound, max_worlds)
+
+
+@lru_cache(maxsize=32)
+def _load(name: str, schema_bound: int, max_worlds: int) -> LogicBundle:
     if name == "CPL":
         sig = make_signature("CPL", _PROP_CTORS)
         calc = Calculus("CPL", sig, _rules(sig, _INT_CORE + _DNE))

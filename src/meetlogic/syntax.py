@@ -231,7 +231,7 @@ Formula = Union[Var, App]
 Substitution = dict  # int -> Formula
 
 
-@dataclass
+@dataclass(frozen=True)
 class Signature:
     """Per-arity constructor sets of one component logic."""
 

@@ -328,3 +328,44 @@ class TestErrorContract:
         assert proc.returncode == EXIT_INTERNAL
         assert proc.stderr.startswith("error: internal: RecursionError")
 
+
+class TestBounds:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--logic", "S43", "--max-worlds", "0", "box xi1 -> xi1"],
+        ["eval", "--logic", "S43", "--max-worlds", "-1", "box xi1 -> xi1"],
+        ["basis", "--l1", "IPL", "--l2", "GL", "--schema-bound", "0"],
+        ["search", "--logic", "IPL", "--with-basis", "--schema-bound", "-1", "--goal", "xi1"],
+    ])
+    def test_bound_below_one_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and "at least 1" in err
+
+
+class TestReuse:
+    """In-process calls share the parser, the bundles and the meet calculi,
+    and still answer exactly as a fresh process does."""
+
+    def test_max_worlds_respected_in_one_process(self, capsys):
+        counts = []
+        for n in ("1", "2"):
+            code, out, _ = run(capsys, "eval", "--logic", "S43", "--max-worlds", n,
+                               "--format", "json", "box xi1 -> xi1")
+            assert code == EXIT_YES
+            counts.append(json.loads(out)["matrices"])
+        assert counts[0] < counts[1]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("verb", sorted(VERB_ARGV))
+    def test_fresh_process_and_repeated_calls_agree(self, tmp_path, monkeypatch, capsys, verb, fmt):
+        (tmp_path / "r.rule").write_text("xi1\n---\nxi1\n")
+        (tmp_path / "d.txt").write_text("1. xi1 ; HYP\n")
+        argv = [verb, *VERB_ARGV[verb], "--format", fmt]
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "meetlogic.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        monkeypatch.chdir(tmp_path)
+        cold = (proc.returncode, proc.stdout, proc.stderr)
+        assert run(capsys, *argv) == cold
+        assert run(capsys, *argv) == cold

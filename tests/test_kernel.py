@@ -16,10 +16,10 @@ from pathlib import Path
 import pytest
 
 import meetlogic
-from meetlogic import syntax
+from meetlogic import presets, syntax
 from meetlogic.combination import combine_signatures, embed, proj_embedded, project
 from meetlogic.presets import load_preset
-from meetlogic.syntax import App, Ctor, Var, parse_formula, print_formula, subformulas
+from meetlogic.syntax import App, Ctor, Var, make_signature, parse_formula, print_formula, subformulas
 
 from golden import GOLDEN, queries, results
 from strategies import random_formula
@@ -31,7 +31,8 @@ def _live_nodes() -> int:
 
 class TestInterning:
     def test_same_value_same_object_across_presets(self):
-        s1, s2 = load_preset("CPL").signature, load_preset("CPL").signature
+        s1, s2 = load_preset("CPL").signature, make_signature("CPL", presets._PROP_CTORS)
+        assert s1 is not s2
         text = "(xi1 -> neg xi2) or (top and bot)"
         assert parse_formula(text, s1) is parse_formula(text, s2)
         assert s1.resolve("->", None, 2) is s2.resolve("->", None, 2) is Ctor("->", 2)

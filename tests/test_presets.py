@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import meetlogic
 from meetlogic.admissibility import brute_force_admissible
 from meetlogic.calculus import Rule
 from meetlogic.presets import (
+    DEFAULT_MAX_WORLDS,
+    DEFAULT_SCHEMA_BOUND,
     KripkeFrame,
     PRESET_NAMES,
     PresetError,
@@ -162,6 +165,40 @@ class TestLoadPreset:
 
     def test_schema_bound_respected(self):
         assert len(load_preset("IPL", schema_bound=5).basis.rules) == 5
+
+    @pytest.mark.parametrize("bounds", [{"max_worlds": 0}, {"max_worlds": -1},
+                                        {"schema_bound": 0}, {"schema_bound": -1}])
+    def test_bounds_below_one_rejected(self, bounds):
+        for name in PRESET_NAMES * 2:  # an error is raised again, never cached
+            with pytest.raises(PresetError, match="at least 1"):
+                load_preset(name, **bounds)
+
+
+class TestSharedBundles:
+    """A bundle is built once per argument tuple and shared, so it is frozen."""
+
+    def test_equal_arguments_same_bundle(self):
+        b = load_preset("S43")
+        assert load_preset("S43", DEFAULT_SCHEMA_BOUND, DEFAULT_MAX_WORLDS) is b
+        assert load_preset("S43", max_worlds=DEFAULT_MAX_WORLDS) is b
+
+    def test_different_bounds_different_bundle(self):
+        s1, s2 = load_preset("S43", max_worlds=1), load_preset("S43", max_worlds=2)
+        assert s1 is not s2 and len(s1.matrices) < len(s2.matrices)
+        i1, i2 = load_preset("IPL", schema_bound=1), load_preset("IPL", schema_bound=2)
+        assert i1 is not i2 and len(i1.basis.rules) == 1 and len(i2.basis.rules) == 2
+
+    def test_fields_cannot_be_reassigned(self):
+        b = load_preset("IPL")
+        for obj, field in ((b, "name"), (b, "fixtures"), (b.calculus, "rules"),
+                           (b.signature, "by_arity")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field, getattr(obj, field))
+
+    def test_bundles_hash_by_identity(self):
+        b = load_preset("CPL")
+        assert {b: 1}[load_preset("CPL")] == 1
+        assert b != load_preset("CPL", max_worlds=1)
 
 
 class TestSoundness:

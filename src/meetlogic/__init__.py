@@ -62,14 +62,12 @@ from .admissibility import (
 )
 from .treetools import (
     CompletionProfile,
-    DecompTree,
     IdentityProfile,
     TreeError,
     completion_formula,
     decomposition_tree,
     equalize_pair,
     transliterate_shape,
-    tree_embeds,
     trees_equiv,
 )
 from .presets import (

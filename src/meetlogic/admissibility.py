@@ -268,8 +268,6 @@ def stub_oracle(logic: str, main: bool, falsum_answer: bool = False,
     """Fixed-answer oracle for case-table exercises: main answer for ordinary
     queries, falsum_answer when the query conclusion is the falsum constant.
     """
-    from .syntax import FALSUM
-
     def fn(premises, beta):
         if isinstance(beta, App) and beta.ctor.arity == 0 and beta.ctor.name == FALSUM:
             return falsum_answer

@@ -235,9 +235,8 @@ def cmd_entails(args):
 
 def cmd_trees(args):
     bundle = _bundle(args.logic, args)
-    t1 = treetools.decomposition_tree(parse_formula(args.f1, bundle.signature))
-    t2 = treetools.decomposition_tree(parse_formula(args.f2, bundle.signature))
-    ok = treetools.trees_equiv(t1, t2)
+    ok = treetools.trees_equiv(parse_formula(args.f1, bundle.signature),
+                               parse_formula(args.f2, bundle.signature))
     _emit(args, {"equivalent": ok}, f"trees equivalent: {ok}")
     return EXIT_YES if ok else EXIT_NO
 
@@ -270,8 +269,7 @@ def cmd_equalize(args):
         b1.signature, b2.signature,
         b1.completion_profile, b2.completion_profile,
     )
-    ok = treetools.trees_equiv(treetools.decomposition_tree(out1),
-                               treetools.decomposition_tree(out2))
+    ok = treetools.trees_equiv(out1, out2)
     s1, s2 = print_formula(out1), print_formula(out2)
     _emit(args, {"f1": s1, "f2": s2, "trees_equivalent": ok},
           f"{s1}\n{s2}\ntrees equivalent: {ok}")
@@ -359,7 +357,7 @@ def main(argv=None) -> int:
     try:
         return globals()["cmd_" + args.verb.replace("-", "_")](args)
     except (ParseError, SignatureError, formats.FormatError, presets.PresetError,
-            calculus.BuilderError, FileNotFoundError, ValueError) as e:
+            calculus.BuilderError, treetools.TreeError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:

@@ -75,9 +75,6 @@ class CombinedSignature:
     def component(self, k: int) -> Signature:
         return self.sig1 if k == 1 else self.sig2
 
-    def tag_of(self, k: int) -> str:
-        return self.tag1 if k == 1 else self.tag2
-
     def side_of(self, tag: str) -> int:
         if tag == self.tag1:
             return 1

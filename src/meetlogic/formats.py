@@ -314,10 +314,9 @@ def load_logic_definition(text: str, name: str = "custom"):
     basis = Basis(name, tuple(parse_rule_line(line, sig) for line in sections["basis"]))
 
     theorem = MatrixTheorem(characteristic) if characteristic is not None else None
-    completion = CompletionProfile(sig, {}, {}, theorem)
     return LogicBundle(
         name=name, signature=sig, calculus=calc, matrices=matrices,
         characteristic=characteristic, structurally_complete=structurally_complete,
         theorem=theorem, identity_profiles=identity_profiles,
-        completion_profile=completion, basis=basis,
+        completion_profile=CompletionProfile(sig, {}, {}), basis=basis,
     )

@@ -428,8 +428,8 @@ DEFAULT_SCHEMA_BOUND = 3
 DEFAULT_MAX_WORLDS = 2
 
 
-def _prop_completion(sig, verify):
-    return CompletionProfile(sig, dict(_PROP_UNARY), dict(_PROP_BINARY), verify)
+def _prop_completion(sig):
+    return CompletionProfile(sig, dict(_PROP_UNARY), dict(_PROP_BINARY))
 
 
 def load_preset(name: str, schema_bound: int = DEFAULT_SCHEMA_BOUND,
@@ -459,7 +459,7 @@ def _load(name: str, schema_bound: int, max_worlds: int) -> LogicBundle:
             name="CPL", signature=sig, calculus=calc, matrices=(char,),
             characteristic=char, structurally_complete=True, theorem=thm,
             identity_profiles=_identity_profiles(),
-            completion_profile=_prop_completion(sig, thm),
+            completion_profile=_prop_completion(sig),
             basis=Basis("CPL", ()),
         )
     if name == "G3":
@@ -471,7 +471,7 @@ def _load(name: str, schema_bound: int, max_worlds: int) -> LogicBundle:
             name="G3", signature=sig, calculus=calc, matrices=(char,),
             characteristic=char, structurally_complete=True, theorem=thm,
             identity_profiles=_identity_profiles(),
-            completion_profile=_prop_completion(sig, thm),
+            completion_profile=_prop_completion(sig),
             basis=Basis("G3", ()),
         )
     if name == "IPL":
@@ -484,7 +484,7 @@ def _load(name: str, schema_bound: int, max_worlds: int) -> LogicBundle:
             name="IPL", signature=sig, calculus=calc, matrices=chains,
             characteristic=None, structurally_complete=False, theorem=thm,
             identity_profiles=_identity_profiles(),
-            completion_profile=_prop_completion(sig, thm),
+            completion_profile=_prop_completion(sig),
             basis=basis,
             fixtures={"harrop": harrop_rule(sig)},
         )

@@ -1,11 +1,13 @@
-"""Decomposition trees of formulas, tree embeddings and mutual embeddability,
-identity-position metadata, pairwise formula completion, and equalization of a
-formula pair up to equivalence with matching tree shapes.
+"""Formulas as their own decomposition trees, their equivalence as equality
+of unordered shapes, identity-position metadata, pairwise formula completion,
+and equalization of a formula pair up to equivalence with matching tree shapes.
+
+Every walk here keeps its own stack, so formulas of any depth are handled.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .syntax import App, FALSUM, Formula, VERUM, Var
 
@@ -14,95 +16,42 @@ class TreeError(Exception):
     pass
 
 
-@dataclass(eq=False)
-class TreeNode:
-    """One subformula occurrence; duplicates elsewhere in the formula stay distinct."""
-
-    formula: Formula
-    children: tuple
-
-    @property
-    def outdegree(self) -> int:
-        return len(self.children)
+def decomposition_tree(f: Formula) -> Formula:
+    """The decomposition tree of f, which is f itself: its vertices are the
+    subformula occurrences and a node's children are its arguments."""
+    return f
 
 
-@dataclass
-class DecompTree:
-    root: TreeNode
+def trees_equiv(t1: Formula, t2: Formula) -> bool:
+    """Mutual embeddability of two decomposition trees.
 
-    def vertices(self) -> list:
-        out = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(reversed(v.children))
-        return out
-
-    def edges(self) -> list:
-        """(source, target, child position) triples, positions 1-based."""
-        out = []
-        for v in self.vertices():
-            for i, c in enumerate(v.children, start=1):
-                out.append((v, c, i))
-        return out
-
-    def __len__(self):
-        return len(self.vertices())
-
-
-def decomposition_tree(f: Formula) -> DecompTree:
-    def build(g) -> TreeNode:
-        if isinstance(g, Var):
-            return TreeNode(g, ())
-        return TreeNode(g, tuple(build(a) for a in g.args))
-
-    return DecompTree(build(f))
-
-
-def _rooted_embeds(u: TreeNode, w: TreeNode) -> bool:
-    """Whether the subtree at u maps onto the subtree at w.
-
-    Every edge of u's subtree must land on an edge, preserving endpoints and
-    the outdegree of sources; a leaf can sit anywhere. Child order need not be
-    preserved, so the identity arrangement is tried before a full matching.
+    An embedding maps t1 onto a pruned rooted subtree of t2, keeping each
+    source's outdegree and ignoring child order; a leaf can sit anywhere.
+    Two mutual embeddings force equal sizes, so each sends root to root and
+    prunes nothing: mutual embeddability is equality of unordered shapes.
+    Shapes are numbered bottom-up, once per distinct node of either formula:
+    every leaf, variable or constant, has shape 0, and an inner node's shape
+    is the number given to the sorted tuple of its arguments' shapes.
     """
-    if u.outdegree == 0:
-        return True
-    if u.outdegree != w.outdegree:
+    if t1.size != t2.size:
         return False
-    if all(_rooted_embeds(a, b) for a, b in zip(u.children, w.children)):
-        return True
-    return _perfect_matching(u.children, w.children)
-
-
-def _perfect_matching(us, ws) -> bool:
-    n = len(us)
-    ok = [[_rooted_embeds(u, w) for w in ws] for u in us]
-    assigned = [None] * n
-
-    def augment(i, seen):
-        for j in range(n):
-            if ok[i][j] and j not in seen:
-                seen.add(j)
-                if assigned[j] is None or augment(assigned[j], seen):
-                    assigned[j] = i
-                    return True
-        return False
-
-    return all(augment(i, set()) for i in range(n))
-
-
-def tree_embeds(t1: DecompTree, t2: DecompTree) -> bool:
-    """Whether t1 embeds into t2 (root may land on any vertex of t2)."""
-    if len(t1) > len(t2):
-        return False
-    return any(_rooted_embeds(t1.root, w) for w in t2.vertices())
-
-
-def trees_equiv(t1: DecompTree, t2: DecompTree) -> bool:
-    """Mutual embeddability."""
-    return tree_embeds(t1, t2) and tree_embeds(t2, t1)
+    numbers = {(): 0}  # sorted tuple of argument shapes -> shape
+    shape = {}  # id of a node (nodes are interned) -> shape
+    todo = [t1, t2]
+    while todo:
+        g = todo[-1]
+        if id(g) in shape:
+            todo.pop()
+            continue
+        args = () if g.__class__ is Var else g.args
+        pending = [a for a in args if id(a) not in shape]
+        if pending:
+            todo.extend(pending)
+            continue
+        todo.pop()
+        key = tuple(sorted([shape[id(a)] for a in args]))
+        shape[id(g)] = numbers.setdefault(key, len(numbers))
+    return shape[id(t1)] == shape[id(t2)]
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +91,13 @@ class CompletionProfile:
     target <=> delta holds in the profile's logic.
 
     Tables map a head name and target name to the output head and the child
-    targets. The verify callable (theoremhood or matrix check) is used by
-    callers to certify the recorded laws; the builder itself is purely
-    syntactic.
+    targets. The builder is purely syntactic: callers certify the recorded
+    laws with the logic's theoremhood or matrix check.
     """
 
     signature: object
     unary: Mapping  # name -> {target name -> (out name, child target)}
     binary: Mapping  # name -> {target name -> (out name, (left target, right target))}
-    verify: Optional[Callable] = None
 
     def constant(self, target: str) -> Formula:
         return App(self.signature.resolve(target, None, 0))
@@ -161,58 +108,90 @@ def completion_formula(psi: Formula, target: str, profile: CompletionProfile,
     """Structural induction over psi; root_head optionally picks a different
     same-arity head's table at the root (tree shape only fixes arities, not
     constructor names).
+
+    Each distinct (node, target) pair is completed once. A node's table is
+    checked before its arguments are visited, left to right, so a failure is
+    reported at the first failing node in preorder.
     """
     if target not in (VERUM, FALSUM):
         raise TreeError(f"completion target must be {VERUM} or {FALSUM}")
-    sig = profile.signature
-
-    def build(f, tgt, override=None) -> Formula:
-        if isinstance(f, Var) or f.ctor.arity == 0:
-            return profile.constant(tgt)
-        name = override or f.ctor.name
-        if f.ctor.arity == 1:
-            table = profile.unary.get(name)
-            if table is None:
-                raise TreeError(f"no unary completion table for {name!r}")
-            out, child_t = table[tgt]
-            return App(sig.resolve(out, None, 1), (build(f.args[0], child_t),))
-        if f.ctor.arity == 2:
-            table = profile.binary.get(name)
-            if table is None:
-                raise TreeError(f"no binary completion table for {name!r}")
-            out, (lt, rt) = table[tgt]
-            return App(sig.resolve(out, None, 2), (build(f.args[0], lt), build(f.args[1], rt)))
-        raise TreeError(f"no completion table for arity {f.ctor.arity}")
-
-    return build(psi, target, root_head)
+    resolve = profile.signature.resolve
+    done = {}  # (id of a node of psi, target) -> completion
+    todo = [(psi, target, root_head)]  # the third slot of a finished node holds its plan
+    while todo:
+        g, tgt, head = todo.pop()
+        if head.__class__ is tuple:
+            ctor, kids = head
+            done[id(g), tgt] = App(ctor, tuple([done[id(a), t] for a, t in zip(g.args, kids)]))
+            continue
+        if (id(g), tgt) in done:
+            continue
+        if g.__class__ is Var or g.ctor.arity == 0:
+            done[id(g), tgt] = profile.constant(tgt)
+            continue
+        n = g.ctor.arity
+        if n > 2:
+            raise TreeError(f"no completion table for arity {n}")
+        name = head or g.ctor.name
+        table = (profile.unary if n == 1 else profile.binary).get(name)
+        if table is None:
+            raise TreeError(f"no {'unary' if n == 1 else 'binary'} completion table for {name!r}")
+        out, kids = table[tgt]
+        if n == 1:
+            kids = (kids,)
+        todo.append((g, tgt, (resolve(out, None, n), kids)))
+        todo.extend((a, t, None) for a, t in zip(reversed(g.args), reversed(kids)))
+    return done[id(psi), target]
 
 
 # ---------------------------------------------------------------------------
 # shape transfer and pair equalization
 
+_PREFERRED = {1: ("neg", "box"), 2: ("and", "->", "or")}
+
+
+def _representative(sig, n: int):
+    names = sig.by_arity.get(n, {})
+    if not names:
+        raise TreeError(f"target signature has no constructor of arity {n}")
+    for cand in _PREFERRED.get(n, ()):
+        if cand in names:
+            return names[cand]
+    return names[sorted(names)[0]]
+
+
 def transliterate_shape(f: Formula, sig_b) -> Formula:
     """Rebuild f over sig_b with a fixed same-arity representative per head;
     the result's decomposition tree has exactly f's shape.
+
+    Each distinct node is rebuilt once, and each arity's representative is
+    looked up at the first node in preorder that needs it.
     """
-    preferred = {1: ("neg", "box"), 2: ("and", "->", "or")}
-
-    def representative(n: int):
-        names = sig_b.by_arity.get(n, {})
-        if not names:
-            raise TreeError(f"target signature has no constructor of arity {n}")
-        for cand in preferred.get(n, ()):
-            if cand in names:
-                return names[cand]
-        return names[sorted(names)[0]]
-
-    def walk(g) -> Formula:
-        if isinstance(g, Var):
-            return g
-        if g.ctor.arity == 0:
-            return App(sig_b.resolve(VERUM, None, 0))
-        return App(representative(g.ctor.arity), tuple(walk(a) for a in g.args))
-
-    return walk(f)
+    reps = {}  # arity -> representative constructor of sig_b
+    done = {}  # id of a node of f -> its image
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        if id(g) in done:
+            todo.pop()
+            continue
+        if g.__class__ is Var:
+            done[id(g)] = g
+            continue
+        n = g.ctor.arity
+        if n == 0:
+            done[id(g)] = App(sig_b.resolve(VERUM, None, 0))
+            continue
+        rep = reps.get(n)
+        if rep is None:
+            rep = reps[n] = _representative(sig_b, n)
+        pending = [a for a in reversed(g.args) if id(a) not in done]
+        if pending:
+            todo.extend(pending)
+            continue
+        todo.pop()
+        done[id(g)] = App(rep, tuple([done[id(a)] for a in g.args]))
+    return done[id(f)]
 
 
 def _wrap(f, shape_delta, profile: IdentityProfile, sig) -> Formula:

@@ -241,6 +241,48 @@ class TestTreeVerbs:
                            "--f1", "xi1", "--f2", "xi2 and xi2")
         assert code == EXIT_YES and "trees equivalent: True" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--target", "top", "topn.1(xi1)"], "no unary completion table for 'topn.1'"),
+        (["--target", "top", "--root-head", "neg", "xi1 and xi2"], "no binary completion table for 'neg'"),
+        (["--target", "top", "--root-head", "bogus", "xi1 and xi2"], "no binary completion table for 'bogus'"),
+    ], ids=["verum-family", "root-head-arity", "root-head-unknown"])
+    def test_complete_without_a_table_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "complete", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {message}\n"
+
+
+DEEP = 3000
+
+
+class TestDeepTreeVerbs:
+    """The tree tools keep their own stacks, so deep input gets an answer."""
+
+    def test_trees(self, capsys):
+        neg = "neg " * DEEP + "xi1"
+        code, out, _ = run(capsys, "trees", "--logic", "IPL", neg, "neg(" * DEEP + "top" + ")" * DEEP)
+        assert code == EXIT_YES and out == "trees equivalent: True\n"
+        code, out, _ = run(capsys, "trees", "--logic", "IPL", neg, "xi1")
+        assert code == EXIT_NO and out == "trees equivalent: False\n"
+        code, out, _ = run(capsys, "trees", "--logic", "IPL", neg, "neg " * (DEEP - 2) + "(xi1 and xi2)")
+        assert code == EXIT_NO and out == "trees equivalent: False\n"
+
+    def test_equalize(self, capsys):
+        cpl = presets.load_preset("CPL").signature
+        f1 = "neg " * DEEP + "xi1"
+        code, out, _ = run(capsys, "equalize", "--l1", "CPL", "--l2", "CPL", "--f1", f1, "--f2", "xi2")
+        assert code == EXIT_YES
+        s1, s2, verdict = out.splitlines()
+        assert verdict == "trees equivalent: True"
+        g1, g2 = parse_formula(s1, cpl), parse_formula(s2, cpl)
+        assert g1 is parse_formula(f"({f1}) and top", cpl)
+        assert g2 is parse_formula("(" + "neg " * DEEP + "top) -> xi2", cpl)
+
+    def test_complete(self, capsys):
+        code, out, _ = run(capsys, "complete", "--logic", "CPL", "--target", "top", "neg " * DEEP + "xi1")
+        assert code == EXIT_YES
+        assert out == "neg(" * DEEP + "top" + ")" * DEEP + "  # equivalence verified: True\n"
+
 
 class TestSoundnessAudit:
     def test_component(self, capsys):
@@ -318,12 +360,14 @@ class TestErrorContract:
         assert code == EXIT_YES and out == "holds on 1 matrices: True\n"
 
     def test_deep_input_process_exit_code(self):
-        # the tree tools still recurse, so a deep `trees` query is an internal
-        # error, and the process exit code is 4, never 1
+        # the G4ip prover that verifies an IPL completion still recurses, so a
+        # deep `complete` query is an internal error, and the process exit
+        # code is 4, never 1
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run(
-            [sys.executable, "-m", "meetlogic.cli", "trees", "--logic", "IPL", "neg " * 3000 + "xi1", "xi1"],
+            [sys.executable, "-m", "meetlogic.cli", "complete", "--logic", "IPL", "--target", "top",
+             "neg " * 3000 + "xi1"],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == EXIT_INTERNAL
         assert proc.stderr.startswith("error: internal: RecursionError")

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import ref_trees
 from meetlogic.presets import load_preset
 from meetlogic.semantics import holds
-from meetlogic.syntax import App, Var, parse_formula, print_formula
+from meetlogic.syntax import App, SignatureError, Var, make_signature, parse_formula, print_formula, subformulas
 from meetlogic.treetools import (
     IdentityProfile,
     TreeError,
@@ -13,7 +14,6 @@ from meetlogic.treetools import (
     decomposition_tree,
     equalize_pair,
     transliterate_shape,
-    tree_embeds,
     trees_equiv,
 )
 
@@ -29,8 +29,8 @@ def P(s):
     return parse_formula(s, IPL.signature)
 
 
-def T(s):
-    return decomposition_tree(P(s))
+def outdegree(g):
+    return 0 if isinstance(g, Var) else len(g.args)
 
 
 def base_formula(rng, sig, depth, max_var=3):
@@ -49,40 +49,49 @@ def shape_hash(f):
 
 
 class TestDecompositionTree:
+    """A formula is its own decomposition tree: the vertices are its
+    subformula occurrences, and the edges lead from a node to its arguments."""
+
     def test_single_vertex(self):
-        t = decomposition_tree(Var(1))
-        assert len(t) == 1 and not t.edges()
+        f = Var(1)
+        assert decomposition_tree(f) is f
+        assert f.size == 1 and list(subformulas(f)) == [f] and outdegree(f) == 0
 
     def test_occurrences_distinct(self):
-        t = T("xi1 and xi1")
-        assert len(t) == 3 and len(t.edges()) == 2
+        f = P("xi1 and xi1")
+        assert decomposition_tree(f) is f
+        assert f.size == len(list(subformulas(f))) == 3
+        assert sum(outdegree(g) for g in subformulas(f)) == 2
 
     def test_outdegrees_of_worked_example(self):
-        t = T("xi1 -> (neg xi2)")
-        outs = [v.outdegree for v in t.vertices()]
+        outs = [outdegree(g) for g in subformulas(P("xi1 -> (neg xi2)"))]
         assert sorted(outs, reverse=True) == [2, 1, 0, 0]
 
 
 class TestTreesEquiv:
     def test_reflexive(self):
-        t = T("(xi1 or xi2) -> (neg xi1)")
+        t = P("(xi1 or xi2) -> (neg xi1)")
         assert trees_equiv(t, t)
 
     def test_worked_example(self):
-        assert trees_equiv(T("top or (neg bot)"), T("xi1 -> (neg xi2)"))
+        assert trees_equiv(P("top or (neg bot)"), P("xi1 -> (neg xi2)"))
 
     def test_vertex_count_blocks_embedding(self):
-        assert not trees_equiv(decomposition_tree(Var(1)), T("xi1 and xi2"))
+        assert not trees_equiv(Var(1), P("xi1 and xi2"))
 
-    def test_strict_subtree_embeds_one_way(self):
-        small, big = T("neg xi1"), T("(neg xi1) and xi2")
-        assert tree_embeds(small, big) and not tree_embeds(big, small)
+    def test_strict_subtree_not_equivalent(self):
+        small, big = P("neg xi1"), P("(neg xi1) and xi2")
+        assert not trees_equiv(small, big) and not trees_equiv(big, small)
+
+    def test_leaves_share_one_shape(self):
+        assert trees_equiv(P("xi1 and top"), P("bot or xi2"))
+        assert trees_equiv(P("neg (xi1 and top)"), P("neg (bot or bot)"))
 
     def test_unordered_children(self):
-        assert trees_equiv(T("(neg xi1) and xi2"), T("xi2 and (neg xi1)"))
+        assert trees_equiv(P("(neg xi1) and xi2"), P("xi2 and (neg xi1)"))
 
     def test_outdegree_respected(self):
-        assert not trees_equiv(T("neg xi1"), T("xi1 and xi2"))
+        assert not trees_equiv(P("neg xi1"), P("xi1 and xi2"))
 
     def test_matches_shape_hash_oracle(self):
         rng = random.Random(17)
@@ -90,7 +99,7 @@ class TestTreesEquiv:
         for _ in range(1000):
             f = random_formula(rng, IPL.signature, 3, max_var=2)
             g = random_formula(rng, IPL.signature, 3, max_var=2)
-            got = trees_equiv(decomposition_tree(f), decomposition_tree(g))
+            got = trees_equiv(f, g)
             want = shape_hash(f) == shape_hash(g)
             assert got == want, (print_formula(f), print_formula(g))
             agree += 1
@@ -99,9 +108,8 @@ class TestTreesEquiv:
     @settings(max_examples=100)
     @given(formula_strategy(IPL.signature, max_depth=3))
     def test_symmetric(self, f):
-        t = decomposition_tree(f)
-        u = T("xi1 -> (neg xi2)")
-        assert trees_equiv(t, u) == trees_equiv(u, t)
+        u = P("xi1 -> (neg xi2)")
+        assert trees_equiv(f, u) == trees_equiv(u, f)
 
 
 class TestCompletion:
@@ -132,7 +140,7 @@ class TestCompletion:
             psi = base_formula(rng, IPL.signature, 4, max_var=3)
             for target in ("top", "bot"):
                 delta = completion_formula(psi, target, prof)
-                assert trees_equiv(decomposition_tree(delta), decomposition_tree(psi))
+                assert trees_equiv(delta, psi)
 
     def test_equivalences_verified_by_prover(self):
         rng = random.Random(29)
@@ -152,7 +160,7 @@ class TestCompletion:
                 psi = base_formula(rng, bundle.signature, 3, max_var=2)
                 for target in ("top", "bot"):
                     delta = completion_formula(psi, target, prof)
-                    assert trees_equiv(decomposition_tree(delta), decomposition_tree(psi))
+                    assert trees_equiv(delta, psi)
                     law = parse_formula(f"{target} iff ({print_formula(delta)})", bundle.signature)
                     # necessary condition: no small frame matrix refutes the law
                     assert all(holds(m, law) for m in bundle.matrices)
@@ -186,7 +194,7 @@ class TestTransliterate:
     def test_unary_relabel(self):
         f = parse_formula("neg xi1", CPL.signature)
         g = transliterate_shape(f, GL.signature)
-        assert trees_equiv(decomposition_tree(f), decomposition_tree(g))
+        assert trees_equiv(f, g)
 
     def test_variable_fixed(self):
         assert transliterate_shape(Var(3), GL.signature) == Var(3)
@@ -211,7 +219,7 @@ class TestEqualizePair:
         f1p, f2p = equalize_pair(Var(1), Var(2), self.p1(), self.p2(),
                                  CPL.signature, CPL.signature,
                                  CPL.completion_profile, CPL.completion_profile)
-        assert trees_equiv(decomposition_tree(f1p), decomposition_tree(f2p))
+        assert trees_equiv(f1p, f2p)
 
     def test_spec_pair_with_truth_tables(self):
         from meetlogic.semantics import holds
@@ -221,7 +229,7 @@ class TestEqualizePair:
         f1p, f2p = equalize_pair(f1, f2, self.p1(), self.p2(),
                                  CPL.signature, CPL.signature,
                                  CPL.completion_profile, CPL.completion_profile)
-        assert trees_equiv(decomposition_tree(f1p), decomposition_tree(f2p))
+        assert trees_equiv(f1p, f2p)
         for orig, new in ((f1, f1p), (f2, f2p)):
             law = parse_formula(f"({print_formula(orig)}) iff ({print_formula(new)})", CPL.signature)
             assert holds(CPL.characteristic, law)
@@ -231,3 +239,157 @@ class TestEqualizePair:
             equalize_pair(Var(1), Var(2), self.p1(), self.p1(),
                           CPL.signature, CPL.signature,
                           CPL.completion_profile, CPL.completion_profile)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the recursive reference in ref_trees.py
+
+TRI = make_signature("TRI", [("tri", 3), ("and", 2), ("neg", 1)])
+
+
+def reshape(rng, f, sig):
+    """A formula of f's unordered shape over sig: children permuted, heads
+    replaced by same-arity constructors, leaves redrawn as variables or
+    constants."""
+    if isinstance(f, Var) or not f.args:
+        if rng.random() < 0.5:
+            return Var(rng.randint(1, 3))
+        return App(rng.choice(list(sig.by_arity[0].values())))
+    args = [reshape(rng, a, sig) for a in f.args]
+    rng.shuffle(args)
+    return App(rng.choice(list(sig.by_arity[len(args)].values())), tuple(args))
+
+
+def ref_equiv(f, g):
+    return ref_trees.trees_equiv(ref_trees.decomposition_tree(f), ref_trees.decomposition_tree(g))
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return "ok", fn(*args, **kwargs)
+    except (TreeError, SignatureError) as e:
+        return type(e).__name__, str(e)
+
+
+def equiv_pairs(seed):
+    """Seeded pairs: reshaped copies (equivalent), independent draws, draws
+    of equal size, and equalize_pair outputs, matched and crossed."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(700):
+        f = random_formula(rng, IPL.signature, rng.randint(1, 4), max_var=2)
+        pairs.append((f, reshape(rng, f, rng.choice((IPL.signature, S43.signature)))))
+    for _ in range(500):
+        sig = rng.choice((IPL.signature, S43.signature))
+        pairs.append((random_formula(rng, sig, rng.randint(0, 4)), random_formula(rng, sig, rng.randint(0, 4))))
+    by_size = {}
+    for _ in range(600):
+        f = random_formula(rng, S43.signature, rng.randint(2, 4), max_var=2)
+        by_size.setdefault(f.size, []).append(f)
+    same = [(f, g) for group in by_size.values() for f, g in zip(group, group[1:])]
+    pairs.extend(rng.sample(same, min(len(same), 400)))
+    G3 = load_preset("G3")
+    outs = []
+    for _ in range(150):
+        f1 = random_formula(rng, CPL.signature, rng.randint(0, 3), max_var=2)
+        f2 = random_formula(rng, G3.signature, rng.randint(0, 3), max_var=2)
+        outs.append(equalize_pair(f1, f2, CPL.identity_profiles["and"], G3.identity_profiles["->"],
+                                  CPL.signature, G3.signature,
+                                  CPL.completion_profile, G3.completion_profile))
+    pairs.extend(outs)
+    pairs.extend((a[0], b[1]) for a, b in zip(outs, outs[1:]))
+    pairs.extend((a, reshape(rng, b, CPL.signature)) for a, b in outs)
+    return pairs
+
+
+class TestAgainstReference:
+    def test_trees_equiv_is_mutual_embedding(self):
+        pairs = equiv_pairs(41)
+        assert len(pairs) >= 2000
+        equivalent = 0
+        for f, g in pairs:
+            want = ref_equiv(f, g)
+            assert trees_equiv(f, g) == want, (print_formula(f), print_formula(g))
+            equivalent += want
+        assert equivalent * 3 >= len(pairs)
+        assert len(pairs) - equivalent >= 500
+
+    def test_completion_matches_reference(self):
+        rng = random.Random(43)
+        errors = set()
+        for bundle in (IPL, S43, GL):
+            heads = [c.name for c in bundle.signature.all_ctors() if c.arity] + ["bogus"]
+            for _ in range(120):
+                psi = random_formula(rng, bundle.signature, rng.randint(0, 4), max_var=2)
+                for owner in (IPL, S43, GL, CPL):
+                    prof = owner.completion_profile
+                    for target in ("top", "bot"):
+                        head = rng.choice([None, None, *heads])
+                        want = outcome(ref_trees.completion_formula, psi, target, prof, root_head=head)
+                        got = outcome(completion_formula, psi, target, prof, root_head=head)
+                        assert got == want, (print_formula(psi), target, owner.name, head)
+                        if want[0] != "ok":
+                            errors.add(want[1])
+        assert len(errors) >= 8, errors
+
+    def test_transliterate_matches_reference(self):
+        rng = random.Random(53)
+        targets = (CPL.signature, GL.signature, make_signature("B2", [("and", 2)]),
+                   make_signature("U1", [("box", 1)]), TRI)
+        errors = set()
+        for source in (IPL.signature, S43.signature, GL.signature, TRI):
+            for _ in range(150):
+                f = random_formula(rng, source, rng.randint(0, 4), max_var=2)
+                for sig_b in targets:
+                    want = outcome(ref_trees.transliterate_shape, f, sig_b)
+                    assert outcome(transliterate_shape, f, sig_b) == want, (print_formula(f), sig_b.tag)
+                    if want[0] != "ok":
+                        errors.add(want[1])
+        assert len(errors) == 3, errors
+
+
+# ---------------------------------------------------------------------------
+# deep and shared input: no walk recurses, and each distinct node is visited once
+
+DEPTH = 10_000
+
+
+def chain(sig, name, depth, leaf):
+    ctor = sig.resolve(name, None, 1)
+    for _ in range(depth):
+        leaf = App(ctor, (leaf,))
+    return leaf
+
+
+class TestDeepInput:
+    def test_trees_equiv(self):
+        assert trees_equiv(chain(IPL.signature, "neg", DEPTH, Var(1)),
+                           chain(S43.signature, "box", DEPTH, S43.signature.top))
+        pair = P("xi1 and xi2")
+        inner = chain(IPL.signature, "neg", DEPTH, pair)
+        outer = App(pair.ctor, (chain(IPL.signature, "neg", DEPTH, Var(1)), Var(2)))
+        assert inner.size == outer.size
+        assert not trees_equiv(inner, outer) and trees_equiv(inner, inner)
+
+    def test_completion_formula(self):
+        for target, leaf in (("top", "top"), ("bot", "bot")):
+            got = completion_formula(chain(IPL.signature, "neg", DEPTH, Var(1)), target,
+                                     IPL.completion_profile)
+            assert got is chain(IPL.signature, "neg", DEPTH, P(leaf))
+        deep_box = chain(S43.signature, "neg", DEPTH, parse_formula("box xi1", S43.signature))
+        with pytest.raises(TreeError, match="no unary completion table for 'box'"):
+            completion_formula(deep_box, "top", IPL.completion_profile)
+
+    def test_transliterate_shape(self):
+        f = chain(S43.signature, "box", DEPTH, Var(1))
+        assert transliterate_shape(f, CPL.signature) is chain(CPL.signature, "neg", DEPTH, Var(1))
+
+    def test_shared_subformulas_are_not_unfolded(self):
+        # 2**61 - 1 occurrences, 61 distinct nodes
+        f = g = Var(1)
+        conj, disj = IPL.signature.resolve("and", None, 2), IPL.signature.resolve("or", None, 2)
+        for _ in range(60):
+            f, g = App(conj, (f, f)), App(disj, (g, g))
+        assert trees_equiv(f, g)
+        assert completion_formula(f, "bot", IPL.completion_profile).size == f.size
+        assert transliterate_shape(g, CPL.signature) is f

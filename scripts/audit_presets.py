@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
 """Soundness audit over every preset: check each calculus rule against the
-preset's finite matrices, and each pairwise meet calculus against the product
-of the components' first matrices. Exits nonzero on any unsound rule.
+preset's finite matrices, and each pairwise meet calculus against the meet
+bundle's product matrix. Exits nonzero on any unsound rule.
 """
 import itertools
 import sys
 
-from meetlogic.calculus import assemble_meet_calculus
-from meetlogic.combination import combine_signatures
-from meetlogic.presets import PRESET_NAMES, load_preset
-from meetlogic.semantics import check_rule_soundness, product_matrix
+from meetlogic.presets import PRESET_NAMES, combine_bundles, load_preset
+from meetlogic.semantics import check_rule_soundness
 
 
 def main():
@@ -24,14 +22,9 @@ def main():
         failures += [(name, r) for r in bad]
 
     for n1, n2 in itertools.combinations_with_replacement(PRESET_NAMES, 2):
-        b1, b2 = bundles[n1], bundles[n2]
-        cs = combine_signatures(b1.signature, b2.signature)
-        calc = assemble_meet_calculus(b1.calculus, b2.calculus, cs)
-        m1 = b1.characteristic or b1.matrices[0]
-        m2 = b2.characteristic or b2.matrices[0]
-        prod = product_matrix(m1, m2, cs)
-        bad = [r.name for r in calc.rules if not check_rule_soundness([prod], r)]
-        print(f"meet({n1},{n2}): {len(calc.rules)} rules"
+        meet = combine_bundles(bundles[n1], bundles[n2])
+        bad = [r.name for r in meet.calculus.rules if not check_rule_soundness(meet.matrices, r)]
+        print(f"meet({n1},{n2}): {len(meet.calculus.rules)} rules"
               + ("" if not bad else f"  UNSOUND: {', '.join(bad)}"))
         failures += [(f"meet({n1},{n2})", r) for r in bad]
 

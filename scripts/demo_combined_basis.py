@@ -5,28 +5,28 @@ the combined admissibility basis, and a worked basis-step derivation.
 """
 import sys
 
-from meetlogic.admissibility import combined_basis, derivable_with_basis
-from meetlogic.calculus import SearchBounds, assemble_meet_calculus, check_derivation
-from meetlogic.combination import combine_signatures
+from meetlogic.admissibility import derivable_with_basis
+from meetlogic.calculus import SearchBounds, check_derivation
 from meetlogic.formats import rule_line, serialize_derivation
-from meetlogic.presets import load_preset
+from meetlogic.presets import combine_bundles, load_preset
 from meetlogic.syntax import parse_formula
 
 
 def main():
     ipl = load_preset("IPL")
     s43 = load_preset("S43", max_worlds=1)
-    cs = combine_signatures(ipl.signature, s43.signature)
+    meet = combine_bundles(ipl, s43)
+    cs = meet.signature
 
     print(f"combined signature {ipl.name}|{s43.name}")
     for n in sorted(cs.arities()):
         print(f"  arity {n}: {len(list(cs.ctors_at(n)))} constructors")
 
-    calc = assemble_meet_calculus(ipl.calculus, s43.calculus, cs)
+    calc = meet.calculus
     print(f"\nmeet calculus {calc.name}: {len(calc.rules)} inherited rules "
           "plus the lifting, co-lifting and falsum-propagation families")
 
-    basis = combined_basis(ipl.basis, s43.basis, cs)
+    basis = meet.basis
     print(f"\ncombined basis ({basis.provenance}):")
     for r in basis.rules:
         print(f"  {rule_line(r)}")

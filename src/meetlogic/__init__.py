@@ -44,10 +44,8 @@ from .semantics import (
     SemanticsError,
     check_rule_soundness,
     entails,
-    eval_formula,
     holds,
     product_matrix,
-    project_assignment,
 )
 from .admissibility import (
     AdmissibilityOracle,
@@ -74,6 +72,7 @@ from .presets import (
     KripkeFrame,
     LogicBundle,
     PresetError,
+    combine_bundles,
     generate_frames,
     ipl_theorem,
     kripke_matrix,

@@ -153,7 +153,7 @@ def brute_force_admissible(bundle, premises: Sequence[Formula], beta: Formula,
     product has one, so the witness is the one the full sweep would find.
     """
     premises = tuple(premises)
-    thm = getattr(bundle, "theorem", None)
+    thm = bundle.theorem
     tried = 0
     if thm is not None:
         variables = sorted(set().union(variables_of(beta), *(variables_of(p) for p in premises)))
@@ -168,8 +168,8 @@ def brute_force_admissible(bundle, premises: Sequence[Formula], beta: Formula,
             if all(t(env) for t in premise_tests) and not goal_test(env):
                 witness = tuple(zip(variables, map(representative.__getitem__, keys)))
                 return AdmissibilityVerdict("not-admissible", True, witness, tried)
-    char = getattr(bundle, "characteristic", None)
-    if getattr(bundle, "structurally_complete", False) and char is not None:
+    char = bundle.characteristic
+    if bundle.structurally_complete and char is not None:
         if entails([char], premises, beta):
             return AdmissibilityVerdict("admissible", True, tried=tried)
         # entailment says non-admissible; report it exactly even if the
@@ -193,8 +193,7 @@ def derivable_with_basis(premises, goal, basis: Basis, bundle,
 
     None means not found within bounds, never underivability.
     """
-    calc = getattr(bundle, "calculus", bundle)
-    return bounded_proof_search(calc, tuple(basis.rules), premises, goal, bounds)
+    return bounded_proof_search(bundle.calculus, tuple(basis.rules), premises, goal, bounds)
 
 
 def combined_basis(b1: Basis, b2: Basis, cs: CombinedSignature) -> Basis:
@@ -297,7 +296,7 @@ def bundle_oracle(bundle, bounds: BruteForceBounds = BruteForceBounds()) -> Admi
     otherwise a bounded procedure marked inexact (inconclusive counts as a
     negative answer, which is why the caveat must travel with the verdict).
     """
-    if getattr(bundle, "structurally_complete", False) and getattr(bundle, "characteristic", None) is not None:
+    if bundle.structurally_complete and bundle.characteristic is not None:
         return semantic_oracle(bundle)
 
     def fn(premises, beta):

@@ -229,13 +229,9 @@ def inherit_rules(rules1, rules2, cs: CombinedSignature) -> tuple:
                  for r in rules for t in inherit_rule(r, k, cs))
 
 
-def assemble_meet_calculus(l1, l2, cs: Optional[CombinedSignature] = None) -> Calculus:
+def assemble_meet_calculus(c1: Calculus, c2: Calculus, cs: CombinedSignature) -> Calculus:
     """The meet calculus: the inherited tagged rules over the combined
     signature, which brings the LFT/cLFT/FX families."""
-    c1 = getattr(l1, "calculus", l1)
-    c2 = getattr(l2, "calculus", l2)
-    if cs is None:
-        cs = CombinedSignature(c1.signature, c2.signature)
     if c1.signature is not cs.sig1 and c1.signature != cs.sig1:
         raise BuilderError("component-1 calculus does not match the combined signature")
     if c2.signature is not cs.sig2 and c2.signature != cs.sig2:
@@ -272,10 +268,18 @@ def embed_rule_application(rule: Rule, subst: dict, k: int, cs: CombinedSignatur
 
 @dataclass(frozen=True)
 class SearchBounds:
+    """Rounds of rule application (0 answers from the hypotheses alone), the
+    largest fact size, the fact cap, and the candidate-pool size."""
+
     depth: int = 6
     max_size: int = 30
     max_facts: int = 3000
     max_candidates: int = 14
+
+    def __post_init__(self):
+        for name, least in (("depth", 0), ("max_size", 1), ("max_facts", 1), ("max_candidates", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"search bound {name} must be at least {least}, got {getattr(self, name)}")
 
 
 def _candidate_pool(calc, hyps, goal, bounds):
@@ -506,16 +510,16 @@ def _splice(d, k, cs, component_calc, component_extra, lines, hyp_line_of) -> in
     return local[len(d.lines)]
 
 
-def _template_prologue(premises, calc, l1, l2, sides):
+def _template_prologue(premises, calc, b1, b2, sides):
     """The start both templates share: a HYP line per premise, then for each
     of `sides` a cLFT line per premise. Returns the combined signature, the
-    component calculi by side, the lines, and per side the line of each
-    projected premise."""
+    component calculi of bundles b1 and b2 by side, the lines, and per side
+    the line of each projected premise."""
     cs = calc.signature
     if not isinstance(cs, CombinedSignature):
         raise BuilderError("template requires a combined calculus")
     premises = tuple(premises)
-    comp = {1: getattr(l1, "calculus", l1), 2: getattr(l2, "calculus", l2)}
+    comp = {1: b1.calculus, 2: b2.calculus}
     lines = [Line(a, Hyp()) for a in premises]
     hyp_line_of = {}
     for k in sides:
@@ -527,14 +531,14 @@ def _template_prologue(premises, calc, l1, l2, sides):
 
 
 def build_both_admissible_derivation(premises, conclusion, d1, d2, calc: Calculus,
-                                     l1, l2, extra1=(), extra2=()) -> Derivation:
+                                     b1, b2, extra1=(), extra2=()) -> Derivation:
     """Both-sides template: hypotheses, cLFT to each side, spliced component
     derivations of the projected conclusion, final LFT.
 
     d1 derives conclusion|1 from the projected premises in component 1 (with
     basis rules in extra1 for the basis-mode layout); d2 symmetrically.
     """
-    cs, comp, lines, hyp_line_of = _template_prologue(premises, calc, l1, l2, (1, 2))
+    cs, comp, lines, hyp_line_of = _template_prologue(premises, calc, b1, b2, (1, 2))
     sides = ((1, d1, extra1), (2, d2, extra2))
     for k, d, _ in sides:
         _check_component_derivation(d, hyp_line_of[k], project(conclusion, k), f"component-{k} derivation")
@@ -545,14 +549,14 @@ def build_both_admissible_derivation(premises, conclusion, d1, d2, calc: Calculu
 
 def build_vacuous_side_derivation(premises, conclusion, falsum_side: int, dfalsum,
                                   dexfalso_same, dexfalso_other, calc: Calculus,
-                                  l1, l2, extra_same=(), extra_other=()) -> Derivation:
+                                  b1, b2, extra_same=(), extra_other=()) -> Derivation:
     """Vacuous-side template: derive the falsum of one component from its projected
     premises, continue to the projected conclusion, propagate falsum with FX,
     continue on the other side, and lift.
     """
     fs = falsum_side
     other = 3 - fs
-    cs, comp, lines, hyp_line_of = _template_prologue(premises, calc, l1, l2, (fs,))
+    cs, comp, lines, hyp_line_of = _template_prologue(premises, calc, b1, b2, (fs,))
     bot_same = comp[fs].signature.bot
     bot_other = comp[other].signature.bot
     _check_component_derivation(dfalsum, hyp_line_of[fs], bot_same, "falsum derivation")

@@ -39,18 +39,11 @@ def _bundle(name, args):
                                max_worlds=args.max_worlds)
 
 
-def _meet(args):
-    b1 = _bundle(args.l1, args)
-    b2 = _bundle(args.l2, args)
-    return (b1, b2, *_meet_calculus(b1, b2))
-
-
-@functools.lru_cache(maxsize=64)
-def _meet_calculus(b1, b2):
-    """The combined signature and meet calculus of two bundles, built once
-    per pair; bundles hash by identity."""
-    cs = combination.combine_signatures(b1.signature, b2.signature)
-    return cs, calculus.assemble_meet_calculus(b1.calculus, b2.calculus, cs)
+def _logic(args):
+    """The `--logic` bundle, or the meet bundle of `--l1` and `--l2`."""
+    if getattr(args, "logic", None):
+        return _bundle(args.logic, args)
+    return presets.combine_bundles(_bundle(args.l1, args), _bundle(args.l2, args))
 
 
 def _read(path):
@@ -83,11 +76,11 @@ def _oracle(spec, bundle):
 # verbs
 
 def cmd_combine(args):
-    b1, b2, cs, calc = _meet(args)
-    ctors = [c.display for c in cs.all_ctors()]
-    rules = [r.name for r in calc.rules]
+    meet = _logic(args)
+    ctors = [c.display for c in meet.signature.all_ctors()]
+    rules = [r.name for r in meet.calculus.rules]
     text = "\n".join([
-        f"combined signature {b1.name}|{b2.name}: {len(ctors)} constructors",
+        f"combined signature {args.l1}|{args.l2}: {len(ctors)} constructors",
         *(f"  {c}" for c in ctors),
         f"calculus: {len(rules)} inherited rules plus LFT/cLFT/FX",
         *(f"  {r}" for r in rules),
@@ -98,49 +91,37 @@ def cmd_combine(args):
 
 
 def cmd_project(args):
-    _, _, cs, _ = _meet(args)
-    f = parse_formula(args.formula, cs)
+    f = parse_formula(args.formula, _logic(args).signature)
     out = print_formula(combination.project(f, args.k))
     _emit(args, {"projection": out}, out)
     return EXIT_YES
 
 
 def cmd_embed(args):
-    b1, b2, cs, _ = _meet(args)
-    comp = b1 if args.k == 1 else b2
-    f = parse_formula(args.formula, comp.signature)
+    cs = _logic(args).signature
+    f = parse_formula(args.formula, cs.component(args.k))
     out = print_formula(combination.embed(f, args.k, cs))
     _emit(args, {"embedding": out}, out)
     return EXIT_YES
 
 
 def cmd_tag(args):
-    if args.logic:
-        bundle = _bundle(args.logic, args)
-        rule = formats.parse_rule_file(_read(args.rule), bundle.signature, name=args.name)
-        tagged = combination.tag_rule(rule, bundle.signature)
+    sig = _logic(args).signature
+    if args.logic or args.side == "mc":
+        rule = formats.parse_rule_file(_read(args.rule), sig, name=args.name)
+        tagged = combination.tag_rule(rule, sig)
     else:
-        b1, b2, cs, _ = _meet(args)
-        if args.side == "mc":
-            rule = formats.parse_rule_file(_read(args.rule), cs, name=args.name)
-            tagged = combination.tag_rule(rule, cs)
-        else:
-            k = int(args.side)
-            comp = b1 if k == 1 else b2
-            rule = formats.parse_rule_file(_read(args.rule), comp.signature, name=args.name)
-            tagged = calculus.inherit_rule(rule, k, cs)
+        k = int(args.side)
+        rule = formats.parse_rule_file(_read(args.rule), sig.component(k), name=args.name)
+        tagged = calculus.inherit_rule(rule, k, sig)
     lines = [formats.rule_line(r) for r in tagged]
     _emit(args, {"rules": lines}, "\n".join(lines))
     return EXIT_YES
 
 
 def cmd_check_derivation(args):
-    if args.logic:
-        bundle = _bundle(args.logic, args)
-        calc, sig = bundle.calculus, bundle.signature
-    else:
-        _, _, cs, calc = _meet(args)
-        sig = cs
+    bundle = _logic(args)
+    calc, sig = bundle.calculus, bundle.signature
     d = formats.parse_derivation_file(_read(args.derivation), sig)
     hyps = _split_formulas(args.hyps, sig) if args.hyps else []
     extra = ()
@@ -157,17 +138,9 @@ def cmd_check_derivation(args):
 
 
 def cmd_search(args):
-    extra = ()
-    if args.logic:
-        bundle = _bundle(args.logic, args)
-        calc, sig = bundle.calculus, bundle.signature
-        if args.with_basis and bundle.basis:
-            extra = bundle.basis.rules
-    else:
-        b1, b2, cs, calc = _meet(args)
-        sig = cs
-        if args.with_basis:
-            extra = admissibility.combined_basis(b1.basis, b2.basis, cs).rules
+    bundle = _logic(args)
+    calc, sig = bundle.calculus, bundle.signature
+    extra = bundle.basis.rules if args.with_basis and bundle.basis else ()
     goal = parse_formula(args.goal, sig)
     hyps = _split_formulas(args.hyps, sig) if args.hyps else []
     bounds = calculus.SearchBounds(depth=args.depth, max_size=args.max_size)
@@ -181,10 +154,10 @@ def cmd_search(args):
 
 
 def cmd_decide_admissible(args):
-    b1, b2, cs, _ = _meet(args)
+    cs = _logic(args).signature
     rule = formats.parse_rule_file(_read(args.rule), cs, name=args.name)
-    o1 = _oracle(args.oracle1, b1)
-    o2 = _oracle(args.oracle2, b2)
+    o1 = _oracle(args.oracle1, _bundle(args.l1, args))
+    o2 = _oracle(args.oracle2, _bundle(args.l2, args))
     decision = admissibility.decide_admissible_meet(o1, o2, rule.premises, rule.conclusion)
     text = " ".join(decision.trace) + f" -> {int(decision.admissible)}" \
         + ("" if decision.exact else " (inexact oracles)")
@@ -194,41 +167,26 @@ def cmd_decide_admissible(args):
 
 
 def cmd_basis(args):
-    b1, b2, cs, _ = _meet(args)
-    combined = admissibility.combined_basis(b1.basis, b2.basis, cs)
+    combined = _logic(args).basis
     lines = [formats.rule_line(r) for r in combined.rules]
     _emit(args, {"provenance": combined.provenance, "rules": lines}, "\n".join(lines))
     return EXIT_YES
 
 
-def _product(b1, b2, cs):
-    """The product of each side's characteristic matrix, or of its first matrix."""
-    return semantics.product_matrix(b1.characteristic or b1.matrices[0],
-                                    b2.characteristic or b2.matrices[0], cs)
-
-
-def _matrices(args):
-    if args.logic:
-        bundle = _bundle(args.logic, args)
-        return bundle.signature, list(bundle.matrices)
-    b1, b2, cs, _ = _meet(args)
-    return cs, [_product(b1, b2, cs)]
-
-
 def cmd_eval(args):
-    sig, matrices = _matrices(args)
-    f = parse_formula(args.formula, sig)
-    ok = all(semantics.holds(m, f) for m in matrices)
-    _emit(args, {"holds": ok, "matrices": len(matrices)},
-          f"holds on {len(matrices)} matrices: {ok}")
+    bundle = _logic(args)
+    f = parse_formula(args.formula, bundle.signature)
+    ok = all(semantics.holds(m, f) for m in bundle.matrices)
+    _emit(args, {"holds": ok, "matrices": len(bundle.matrices)},
+          f"holds on {len(bundle.matrices)} matrices: {ok}")
     return EXIT_YES if ok else EXIT_NO
 
 
 def cmd_entails(args):
-    sig, matrices = _matrices(args)
-    goal = parse_formula(args.goal, sig)
-    hyps = _split_formulas(args.hyps, sig) if args.hyps else []
-    ok = semantics.entails(matrices, hyps, goal)
+    bundle = _logic(args)
+    goal = parse_formula(args.goal, bundle.signature)
+    hyps = _split_formulas(args.hyps, bundle.signature) if args.hyps else []
+    ok = semantics.entails(bundle.matrices, hyps, goal)
     _emit(args, {"entails": ok}, f"entails: {ok}")
     return EXIT_YES if ok else EXIT_NO
 
@@ -277,14 +235,9 @@ def cmd_equalize(args):
 
 
 def cmd_soundness_audit(args):
-    if args.logic:
-        bundle = _bundle(args.logic, args)
-        rules, matrices = bundle.calculus.rules, bundle.matrices
-    else:
-        b1, b2, cs, calc = _meet(args)
-        rules, matrices = calc.rules, (_product(b1, b2, cs),)
-    failures = [r.name for r in rules
-                if not semantics.check_rule_soundness(matrices, r)]
+    bundle = _logic(args)
+    failures = [r.name for r in bundle.calculus.rules
+                if not semantics.check_rule_soundness(bundle.matrices, r)]
     ok = not failures
     text = "all rules sound" if ok else "unsound rules: " + ", ".join(failures)
     _emit(args, {"sound": ok, "failures": failures}, text)
@@ -349,11 +302,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
-    needs_pair = args.verb in ("combine", "project", "embed", "decide-admissible", "basis", "equalize")
-    if not needs_pair and hasattr(args, "logic") and args.verb not in ("trees", "complete"):
-        if not args.logic and not (args.l1 and args.l2):
-            print("error: give --logic NAME or both --l1 and --l2", file=sys.stderr)
-            return EXIT_USAGE
+    # only the verbs that take `--logic` or `--l1/--l2` have both attributes
+    if hasattr(args, "logic") and hasattr(args, "l1") and not (args.logic or args.l1 and args.l2):
+        print("error: give --logic NAME or both --l1 and --l2", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return globals()["cmd_" + args.verb.replace("-", "_")](args)
     except (ParseError, SignatureError, formats.FormatError, presets.PresetError,

@@ -9,9 +9,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .admissibility import Basis, TheoremProcedure
-from .calculus import Calculus, Rule
-from .semantics import Matrix, MatrixTheorem
+from .admissibility import Basis, TheoremProcedure, combined_basis
+from .calculus import Calculus, Rule, assemble_meet_calculus
+from .combination import CombinedSignature
+from .semantics import Matrix, MatrixTheorem, product_matrix
 from .syntax import (
     FALSUM,
     Formula,
@@ -33,14 +34,14 @@ class PresetError(Exception):
 class LogicBundle:
     """Everything the rest of the library needs to know about one logic.
 
-    `load_preset` hands the same bundle to every caller that passes equal
-    arguments, so a bundle is frozen and hashes by identity, and no caller
-    writes to its dict fields (`identity_profiles`, `fixtures` and the
-    completion profile's tables).
+    `load_preset` and `combine_bundles` hand the same bundle to every caller
+    that passes equal arguments, so a bundle is frozen and hashes by
+    identity, and no caller writes to its dict fields (`identity_profiles`,
+    `fixtures` and the completion profile's tables).
     """
 
     name: str
-    signature: Signature
+    signature: Signature  # a CombinedSignature in a meet bundle
     calculus: Calculus
     matrices: tuple  # finite soundness filters
     characteristic: Optional[Matrix]  # sound & complete finite matrix, if any
@@ -520,3 +521,20 @@ def _load(name: str, schema_bound: int, max_worlds: int) -> LogicBundle:
 
 
 PRESET_NAMES = ("CPL", "G3", "IPL", "S43", "GL")
+
+
+@lru_cache(maxsize=64)
+def combine_bundles(b1: LogicBundle, b2: LogicBundle) -> LogicBundle:
+    """The meet of two bundles, itself a bundle, built once per pair. Its one
+    matrix is the product of each side's characteristic matrix, or of its
+    first matrix; it claims no theorem procedure or structural completeness."""
+    cs = CombinedSignature(b1.signature, b2.signature)
+    return LogicBundle(
+        name=f"meet({b1.name},{b2.name})", signature=cs,
+        calculus=assemble_meet_calculus(b1.calculus, b2.calculus, cs),
+        matrices=(product_matrix(b1.characteristic or b1.matrices[0],
+                                 b2.characteristic or b2.matrices[0], cs),),
+        characteristic=None, structurally_complete=False, theorem=None,
+        identity_profiles={}, completion_profile=CompletionProfile(cs, {}, {}),
+        basis=combined_basis(b1.basis, b2.basis, cs),
+    )

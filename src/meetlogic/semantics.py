@@ -72,24 +72,6 @@ def _table(m: Matrix, ctor) -> list:
         raise SemanticsError(f"matrix {m.name}: no operation for {ctor.display}") from None
 
 
-def eval_formula(m: Matrix, assignment: Mapping, f: Formula):
-    """Homomorphic evaluation; the assignment must cover the formula's variables."""
-    if isinstance(f, Var):
-        try:
-            return assignment[f.index]
-        except KeyError:
-            raise SemanticsError(f"no binding for xi{f.index}") from None
-    t = _table(m, f.ctor)
-    i = 0
-    for a in f.args:
-        v = eval_formula(m, assignment, a)
-        try:
-            i = i * len(m.carrier) + m.index[v]
-        except KeyError:
-            raise SemanticsError(f"matrix {m.name}: {v!r} is not in the carrier") from None
-    return m.carrier[t[i]]
-
-
 # Column-wise evaluation. The assignments of carrier elements to k variables
 # (sorted by index) are numbered 0..n^k-1 in `itertools.product` order; a
 # column holds one carrier index per assignment. Formulas are walked with an
@@ -221,11 +203,6 @@ def product_matrix(m1: Matrix, m2: Matrix, cs: CombinedSignature) -> Matrix:
     carrier = tuple(itertools.product(m1.carrier, m2.carrier))
     designated = frozenset(itertools.product(m1.designated, m2.designated))
     return Matrix(f"{m1.name}x{m2.name}", cs, carrier, designated, tables)
-
-
-def project_assignment(assignment: Mapping, k: int) -> dict:
-    """Componentwise projection of a pair-valued assignment."""
-    return {v: pair[k - 1] for v, pair in assignment.items()}
 
 
 def check_rule_soundness(matrices: Iterable[Matrix], rule) -> bool:

@@ -27,10 +27,8 @@ from meetlogic.presets import ipl_theorem, load_preset
 from meetlogic.semantics import (
     check_rule_soundness,
     entails,
-    eval_formula,
     holds,
     product_matrix,
-    project_assignment,
 )
 from meetlogic.syntax import (
     App,
@@ -44,6 +42,7 @@ from meetlogic.syntax import (
 from meetlogic.treetools import completion_formula, decomposition_tree, equalize_pair, trees_equiv
 from meetlogic.formats import parse_matrix_file
 
+from ref_semantics import eval_formula, project_assignment
 from strategies import random_formula, random_substitution
 
 CPL = load_preset("CPL")

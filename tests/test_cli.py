@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from meetlogic import cli, presets
+from meetlogic.calculus import SearchBounds
 from meetlogic.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_NO, EXIT_USAGE, EXIT_YES, main
 from meetlogic.combination import combine_signatures, project
 from meetlogic.syntax import parse_formula, print_formula
@@ -322,6 +323,14 @@ VERB_ARGV = {
     "soundness-audit": ["--logic", "CPL"],
 }
 
+# The verbs that read the meet bundle's matrices or basis, on a meet.
+MEET_ARGV = {
+    "eval": ["--l1", "IPL", "--l2", "GL", "<->.IPL|->.GL>(xi1, xi1)"],
+    "entails": ["--l1", "S43", "--l2", "G3", "--hyps", "<and.S43|or.G3>(xi1, xi2)", "--goal", "xi1"],
+    "soundness-audit": ["--l1", "GL", "--l2", "IPL"],
+    "basis": ["--l1", "GL", "--l2", "IPL", "--schema-bound", "2"],
+}
+
 
 class TestErrorContract:
     """Exit code 1 only ever means "no": an exception the CLI does not expect
@@ -385,9 +394,31 @@ class TestBounds:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and "at least 1" in err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["search", "--logic", "CPL", "--goal", "top", "--depth", "-3"], "depth"),
+        (["search", "--logic", "CPL", "--goal", "top", "--max-size", "0"], "max_size"),
+        (["search", "--l1", "CPL", "--l2", "G3", "--goal", "xi1", "--max-size", "-1"], "max_size"),
+    ])
+    def test_impossible_search_bound_is_a_usage_error(self, capsys, argv, field):
+        # no search can run, so the answer is an error, not "inconclusive"
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: search bound {field} must be at least ")
+
+    @pytest.mark.parametrize("field, value", [
+        ("depth", -1), ("max_size", 0), ("max_facts", 0), ("max_candidates", -1)])
+    def test_search_bounds_reject_impossible_values(self, field, value):
+        with pytest.raises(ValueError, match=f"search bound {field} "):
+            SearchBounds(**{field: value})
+
+    def test_depth_zero_answers_from_the_hypotheses(self, capsys):
+        code, out, _ = run(capsys, "search", "--logic", "CPL", "--hyps", "xi1", "--goal", "xi1",
+                           "--depth", "0")
+        assert code == EXIT_YES and out == "1. xi1 ; HYP\n"
+
 
 class TestReuse:
-    """In-process calls share the parser, the bundles and the meet calculi,
+    """In-process calls share the parser, the bundles and the meet bundles,
     and still answer exactly as a fresh process does."""
 
     def test_max_worlds_respected_in_one_process(self, capsys):
@@ -400,11 +431,12 @@ class TestReuse:
         assert counts[0] < counts[1]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("verb", sorted(VERB_ARGV))
+    @pytest.mark.parametrize("verb", sorted(VERB_ARGV) + [f"{v}-meet" for v in sorted(MEET_ARGV)])
     def test_fresh_process_and_repeated_calls_agree(self, tmp_path, monkeypatch, capsys, verb, fmt):
         (tmp_path / "r.rule").write_text("xi1\n---\nxi1\n")
         (tmp_path / "d.txt").write_text("1. xi1 ; HYP\n")
-        argv = [verb, *VERB_ARGV[verb], "--format", fmt]
+        verb, meet, _ = verb.partition("-meet")
+        argv = [verb, *(MEET_ARGV if meet else VERB_ARGV)[verb], "--format", fmt]
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run([sys.executable, "-m", "meetlogic.cli", *argv], cwd=tmp_path,

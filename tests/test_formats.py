@@ -25,8 +25,10 @@ from meetlogic.formats import (
     serialize_rule_file,
 )
 from meetlogic.presets import load_preset
-from meetlogic.semantics import eval_formula, holds
+from meetlogic.semantics import holds
 from meetlogic.syntax import Var, parse_formula
+
+from ref_semantics import eval_formula
 
 CPL = load_preset("CPL")
 

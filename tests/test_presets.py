@@ -8,14 +8,16 @@ import pytest
 
 import meetlogic
 
-from meetlogic.admissibility import brute_force_admissible
-from meetlogic.calculus import Rule
+from meetlogic.admissibility import brute_force_admissible, combined_basis
+from meetlogic.calculus import Rule, assemble_meet_calculus
+from meetlogic.combination import combine_signatures
 from meetlogic.presets import (
     DEFAULT_MAX_WORLDS,
     DEFAULT_SCHEMA_BOUND,
     KripkeFrame,
     PRESET_NAMES,
     PresetError,
+    combine_bundles,
     generate_frames,
     gl_basis_rule,
     godel_chain,
@@ -26,7 +28,7 @@ from meetlogic.presets import (
     load_preset,
     visser_rule,
 )
-from meetlogic.semantics import check_rule_soundness, holds
+from meetlogic.semantics import check_rule_soundness, holds, product_matrix
 from meetlogic.syntax import make_signature, parse_formula
 
 
@@ -199,6 +201,39 @@ class TestSharedBundles:
         b = load_preset("CPL")
         assert {b: 1}[load_preset("CPL")] == 1
         assert b != load_preset("CPL", max_worlds=1)
+
+
+class TestMeetBundle:
+    """The meet of two bundles is a bundle, built once per ordered pair."""
+
+    def test_built_once_per_ordered_pair(self):
+        cpl, g3 = load_preset("CPL"), load_preset("G3")
+        assert combine_bundles(cpl, g3) is combine_bundles(cpl, g3)
+        assert combine_bundles(cpl, g3) is combine_bundles(load_preset("CPL"), load_preset("G3"))
+        swapped = combine_bundles(g3, cpl)
+        assert swapped is not combine_bundles(cpl, g3)
+        assert swapped.signature.sig1 is g3.signature
+
+    @pytest.mark.parametrize("n1", PRESET_NAMES)
+    @pytest.mark.parametrize("n2", PRESET_NAMES)
+    def test_fields_match_component_recipe(self, n1, n2):
+        # the recipe the CLI used before meets were bundles, from public functions
+        b1, b2 = load_preset(n1), load_preset(n2)
+        cs = combine_signatures(b1.signature, b2.signature)
+        calc = assemble_meet_calculus(b1.calculus, b2.calculus, cs)
+        prod = product_matrix(b1.characteristic or b1.matrices[0],
+                              b2.characteristic or b2.matrices[0], cs)
+        basis = combined_basis(b1.basis, b2.basis, cs)
+
+        meet = combine_bundles(b1, b2)
+        assert meet.signature == cs
+        assert meet.calculus.name == calc.name and meet.calculus.rules == calc.rules
+        (m,) = meet.matrices
+        assert m.carrier == prod.carrier and m.designated == prod.designated
+        assert m.tables == prod.tables
+        assert meet.basis.provenance == basis.provenance and meet.basis.rules == basis.rules
+        assert meet.characteristic is None and meet.theorem is None
+        assert not meet.structurally_complete and meet.identity_profiles == {}
 
 
 class TestSoundness:

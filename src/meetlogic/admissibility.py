@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Protocol, Sequence
 
 from .calculus import Derivation, Rule, SearchBounds, bounded_proof_search, inherit_rules
@@ -105,8 +106,11 @@ class BruteForceBounds:
     max_candidates: int = 8
 
 
-def _closed_candidates(signature, bounds: BruteForceBounds) -> list:
-    """Variable-free formulas of bounded depth, smallest first, deterministic."""
+@lru_cache(maxsize=32)
+def _closed_candidates(bundle, bounds: BruteForceBounds) -> tuple:
+    """Variable-free formulas of bounded depth over the bundle's signature,
+    smallest first, deterministic; built once per bundle and bounds."""
+    signature = bundle.signature
     layers = [sorted(
         (App(c) for c in signature.by_arity.get(0, {}).values()),
         key=print_formula,
@@ -131,7 +135,7 @@ def _closed_candidates(signature, bounds: BruteForceBounds) -> list:
         layers.append(new)
     flat = [f for layer in layers for f in layer]
     flat.sort(key=lambda f: (f.size, print_formula(f)))
-    return flat[: bounds.max_candidates]
+    return tuple(flat[: bounds.max_candidates])
 
 
 def brute_force_admissible(bundle, premises: Sequence[Formula], beta: Formula,
@@ -158,7 +162,7 @@ def brute_force_admissible(bundle, premises: Sequence[Formula], beta: Formula,
     if thm is not None:
         variables = sorted(set().union(variables_of(beta), *(variables_of(p) for p in premises)))
         representative = {}
-        for c in _closed_candidates(bundle.signature, bounds):
+        for c in _closed_candidates(bundle, bounds):
             representative.setdefault(thm.key(c), c)
         premise_tests = [thm.instances(p) for p in premises]
         goal_test = thm.instances(beta)

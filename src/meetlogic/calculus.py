@@ -295,32 +295,48 @@ def _candidate_pool(calc, hyps, goal, bounds):
     return ordered[: bounds.max_candidates]
 
 
+def _arg_key(premise):
+    """(constructor, argument position, argument constructor) of an `App`
+    premise's first argument that is not a variable, or None."""
+    if premise.__class__ is App:
+        for j, a in enumerate(premise.args):
+            if a.__class__ is App:
+                return premise.ctor, j, a.ctor
+    return None
+
+
 def _match_all_premises(rule, every, new):
     """Yield (substitution, cited facts per premise) for the joint premise
     matches that cite at least one new fact, in the order of the full join.
 
-    `every` and `new` are (facts in order, facts by head constructor, fact
-    set) for all facts and for the new ones, which are a suffix of each list
-    of `every`. Candidate facts are narrowed by the premise's head
-    constructor; a premise that is an already-bound variable only needs a
-    membership check. Only the last premise position, when no earlier one
-    chose a new fact, is cut to the new facts, so the matches kept come out
-    in the same relative order as in the full join.
+    `every` and `new` are (facts in order, facts by head constructor, facts
+    by argument key, fact set) for all facts and for the new ones, which are
+    a suffix of each list of `every`. Candidate facts are narrowed by the
+    premise's head constructor, or by its `_arg_key` when it has one: a fact
+    matches only if its argument at that position has that constructor too,
+    and both lists are in fact order. A premise that is an already-bound
+    variable only needs a membership check. Only the last premise position,
+    when no earlier one chose a new fact, is cut to the new facts, so the
+    matches kept come out in the same relative order as in the full join.
     """
     idxs = sorted(
         range(len(rule.premises)),
         key=lambda i: -rule.premises[i].size,
     )
     last = len(idxs) - 1
-    new_set = new[2]
+    new_set = new[3]
+    keys = [_arg_key(p) for p in rule.premises]
 
-    def candidates(premise, subst, facts):
-        order, by_head, fact_set = facts
+    def candidates(i, subst, facts):
+        order, by_head, by_arg, fact_set = facts
+        premise = rule.premises[i]
         if isinstance(premise, Var):
             bound = subst.get(premise.index)
             if bound is not None:
                 return [bound] if bound in fact_set else []
             return order
+        if keys[i] is not None:
+            return by_arg.get(keys[i], ())
         return by_head.get(premise.ctor, ())
 
     def rec(pos, subst, chosen, cites_new):
@@ -328,7 +344,7 @@ def _match_all_premises(rule, every, new):
             yield dict(subst), tuple(chosen[i] for i in range(len(rule.premises)))
             return
         i = idxs[pos]
-        for fact in candidates(rule.premises[i], subst, every if cites_new or pos < last else new):
+        for fact in candidates(i, subst, every if cites_new or pos < last else new):
             nxt = match_formula(rule.premises[i], fact, subst)
             if nxt is not None:
                 chosen[i] = fact
@@ -337,6 +353,25 @@ def _match_all_premises(rule, every, new):
 
     yield from rec(0, {}, {}, False)
     del rec  # it refers to itself; see bounded_proof_search
+
+
+def _index(fresh, keys, every):
+    """Index the new facts by head constructor and by the argument keys in
+    `keys`, append them to the indexes in `every`, and return the new facts
+    as the `new` argument of `_match_all_premises`."""
+    by_head: dict = {}
+    by_arg: dict = {}
+    for f in fresh:
+        if f.__class__ is App:
+            c = f.ctor
+            by_head.setdefault(c, []).append(f)
+            for j, a in enumerate(f.args):
+                if a.__class__ is App and (c, j, a.ctor) in keys:
+                    by_arg.setdefault((c, j, a.ctor), []).append(f)
+    for index, part in ((every[1], by_head), (every[2], by_arg)):
+        for key, fs in part.items():
+            index.setdefault(key, []).extend(fs)
+    return fresh, by_head, by_arg, set(fresh)
 
 
 def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[Formula],
@@ -350,6 +385,11 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
     a fact added by the round before. A match of older facts was made in an
     earlier round, which added all its conclusions unless the fact cap
     refused them, and no round starts once the cap is reached.
+
+    A round adds its new conclusions smallest first, and those of one size
+    in the order of their printed texts. It stops adding once the goal is a
+    fact or the fact cap is reached, since later additions change neither,
+    so only the sizes it reaches are ever put in order.
     """
     hyps = list(dict.fromkeys(hyps))
     rules = list(calc.rules) + list(extra)
@@ -358,6 +398,10 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
 
     facts: dict = {}
     order: list = []
+    texts: dict = {}  # print_formula memo for the round order
+
+    def finished() -> bool:
+        return goal in facts or len(facts) >= bounds.max_facts
 
     def add(f, record) -> bool:
         if f in facts or f.size > bounds.max_size or len(facts) >= bounds.max_facts:
@@ -396,20 +440,15 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
             if concl not in facts and concl not in out and concl.size <= bounds.max_size:
                 out[concl] = ("rule", rule, full, cited)
 
-    by_head: dict = {}
+    arg_keys = {_arg_key(p) for r in proper for p in r.premises}
+    every = (order, {}, {}, facts)  # facts by head constructor and by argument key
     seen = 0  # facts before order[seen] were matched in an earlier round
     for _round in range(bounds.depth):
-        if goal in facts or len(facts) >= bounds.max_facts:
+        if finished():
             break
         fresh = order[seen:]
         seen = len(order)
-        fresh_by_head: dict = {}
-        for f in fresh:
-            if f.__class__ is App:
-                fresh_by_head.setdefault(f.ctor, []).append(f)
-        for c, fs in fresh_by_head.items():
-            by_head.setdefault(c, []).extend(fs)
-        every, new = (order, by_head, facts), (fresh, fresh_by_head, set(fresh))
+        new = _index(fresh, arg_keys, every)
         additions: dict = {}  # conclusion -> record of its first instance
         if _round == 0:
             for rule in axioms:
@@ -425,10 +464,18 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
                 p2 = proj_embedded(target, 2, cs)
                 if p1 in facts and p2 in facts:
                     additions[target] = ("lft", p1, p2)
+        by_size: dict = {}
+        for f in additions:
+            by_size.setdefault(f.size, []).append(f)
         progressed = False
-        for f in sorted(additions, key=lambda f: (f.size, print_formula(f))):
-            if add(f, additions[f]):
-                progressed = True
+        for size in sorted(by_size):
+            if size > bounds.max_size or finished():
+                break  # add refuses larger formulas
+            for f in sorted(by_size[size], key=lambda f: print_formula(f, texts)):
+                if add(f, additions[f]):
+                    progressed = True
+                    if finished():
+                        break
         if goal in facts or not progressed:
             break
 

@@ -528,6 +528,9 @@ def combine_bundles(b1: LogicBundle, b2: LogicBundle) -> LogicBundle:
     """The meet of two bundles, itself a bundle, built once per pair. Its one
     matrix is the product of each side's characteristic matrix, or of its
     first matrix; it claims no theorem procedure or structural completeness."""
+    for b in (b1, b2):
+        if isinstance(b.signature, CombinedSignature):
+            raise PresetError(f"nested meets are not supported yet: {b.name} is itself a meet")
     cs = CombinedSignature(b1.signature, b2.signature)
     return LogicBundle(
         name=f"meet({b1.name},{b2.name})", signature=cs,

@@ -180,7 +180,7 @@ def reference_sweep(bundle, premises, beta, bounds=BruteForceBounds()):
     candidate product, in order, and ask the theoremhood procedure about it."""
     thm = bundle.theorem
     variables = sorted(set().union(variables_of(beta), *(variables_of(p) for p in premises)))
-    candidates = _closed_candidates(bundle.signature, bounds)
+    candidates = _closed_candidates(bundle, bounds)
     for values in itertools.product(candidates, repeat=len(variables)):
         subst = dict(zip(variables, values))
         if all(thm(apply_substitution(subst, p)) for p in premises):
@@ -258,7 +258,7 @@ class TestSweepAgainstReference:
         monkeypatch.setattr(meetlogic.presets, "_ipl_norm", counting)
         h = harrop_rule(IPL.signature)
         v = brute_force_admissible(IPL, list(h.premises), h.conclusion)
-        nodes = sum(c.size for c in _closed_candidates(IPL.signature, BruteForceBounds()))
+        nodes = sum(c.size for c in _closed_candidates(IPL, BruteForceBounds()))
         nodes += sum(f.size for f in (*h.premises, h.conclusion))
         assert v.tried == 125 and len(calls) <= nodes
 

@@ -436,13 +436,35 @@ def _component_queries(logic):
                 yield b.calculus, hyps, goal, replace(bounds, depth=depth)
 
 
-def _meet_queries(l1, l2):
+def _meet_calculus(l1, l2):
     b1, b2 = load_preset(l1), load_preset(l2, max_worlds=2)
     cs = combine_signatures(b1.signature, b2.signature)
-    calc = assemble_meet_calculus(b1.calculus, b2.calculus, cs)
+    return cs, assemble_meet_calculus(b1.calculus, b2.calculus, cs)
+
+
+def _meet_queries(l1, l2):
+    cs, calc = _meet_calculus(l1, l2)
     t1, t2 = cs.tag1, cs.tag2
     for text in (f"<->.{t1}|->.{t2}>(xi1, xi1)", f"xi1 ->.{t2} (xi2 ->.{t2} xi1)"):
         for bounds in (SearchBounds(),) + DIFF_BOUNDS:
+            yield calc, [], parse_formula(text, cs), bounds
+
+
+# CPL x G3 goals whose search stops inside round 0. The second is an axiom
+# instance (`a1@1`), the 215th fact; the first is only reached as its cLFT
+# projection, the 216th. So 215 and 216 are the least fact caps that find
+# them, and both are of size 5, the last size bucket a round adds at
+# max_size 5.
+STOP_GOALS = ("<topn.2.CPL|topn.2.G3>(xi1, <topn.2.CPL|topn.2.G3>(xi2, xi1))",
+              "xi1 ->.CPL (xi2 ->.CPL xi1)")
+STOP_BOUNDS = tuple(SearchBounds(max_facts=n) for n in (20, 200, 215, 216, 700, 3000)) \
+    + (SearchBounds(max_size=5),)
+
+
+def _stop_queries():
+    cs, calc = _meet_calculus("CPL", "G3")
+    for text in STOP_GOALS:
+        for bounds in STOP_BOUNDS:
             yield calc, [], parse_formula(text, cs), bounds
 
 
@@ -462,7 +484,8 @@ def _assert_same_as_reference(queries):
 
 
 class TestSearchMatchesReference:
-    """Semi-naive rounds, the stop at the fact cap and incrementally built
+    """Semi-naive rounds, the stop at the goal or the fact cap, the order by
+    size then text, the argument-key candidate lists and incrementally built
     embedded projections change no search result."""
 
     @pytest.mark.parametrize("logic", ["CPL", "G3", "IPL"])
@@ -472,3 +495,14 @@ class TestSearchMatchesReference:
     @pytest.mark.parametrize("pair", [("CPL", "CPL"), ("CPL", "G3"), ("IPL", "S43")], ids="x".join)
     def test_meet(self, pair):
         _assert_same_as_reference(_meet_queries(*pair))
+
+    def test_stop_at_goal_or_cap(self):
+        """A round stops adding at the goal, at the fact cap, or past the
+        size bound."""
+        _assert_same_as_reference(_stop_queries())
+        got = [bounded_proof_search(calc, (), hyps, goal, bounds)
+               for calc, hyps, goal, bounds in _stop_queries()]
+        assert [d is not None for d in got] == [False, False, False, True, True, True, True] \
+            + [False, False, True, True, True, True, True]
+        projected = got[STOP_BOUNDS.index(SearchBounds(max_facts=700))]
+        assert len(projected) == 2 and isinstance(projected.lines[-1].just, Clft)

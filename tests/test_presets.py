@@ -214,6 +214,13 @@ class TestMeetBundle:
         assert swapped is not combine_bundles(cpl, g3)
         assert swapped.signature.sig1 is g3.signature
 
+    def test_nested_meet_is_a_preset_error(self):
+        cpl, ipl, g3 = load_preset("CPL"), load_preset("IPL"), load_preset("G3")
+        meet = combine_bundles(cpl, ipl)
+        for b1, b2 in ((meet, g3), (g3, meet), (meet, meet)):
+            with pytest.raises(PresetError, match="nested meets are not supported yet"):
+                combine_bundles(b1, b2)
+
     @pytest.mark.parametrize("n1", PRESET_NAMES)
     @pytest.mark.parametrize("n2", PRESET_NAMES)
     def test_fields_match_component_recipe(self, n1, n2):

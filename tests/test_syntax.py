@@ -22,7 +22,7 @@ from meetlogic.calculus import Rule
 from meetlogic.combination import combine_signatures
 
 from ref_parser import ref_parse_formula
-from strategies import formula_strategy
+from strategies import formula_strategy, random_formula
 
 SIG = make_signature("IPL", [("and", 2), ("or", 2), ("->", 2), ("iff", 2), ("neg", 1)])
 
@@ -85,6 +85,17 @@ class TestParser:
     @given(formula_strategy(SIG))
     def test_roundtrip(self, f):
         assert parse_formula(print_formula(f), SIG) == f
+
+    def test_memoised_print_matches_plain(self):
+        """One memo shared by many seeded formulas, as a proof search shares
+        it, gives every formula and every subformula its plain text."""
+        memo: dict = {}
+        for sig in (SIG, CAB):
+            for i in range(300):
+                f = random_formula(random.Random(f"memo:{i}"), sig, 4)
+                assert print_formula(f, memo) == print_formula(f)
+        assert len(memo) > 600
+        assert all(text == print_formula(g) for g, text in memo.items())
 
 
 # Surface syntax for the differential test: one component signature, and

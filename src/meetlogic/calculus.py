@@ -4,7 +4,9 @@ meet-calculus assembly, bounded proof search, and derivation-template builders.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .combination import (
@@ -22,7 +24,6 @@ from .syntax import (
     match_formula,
     print_formula,
     subformulas,
-    variables_of,
 )
 
 
@@ -39,6 +40,19 @@ class Rule:
     @property
     def liberal(self) -> bool:
         return isinstance(self.conclusion, Var)
+
+    @cached_property
+    def shape(self) -> tuple:
+        """(constructor nodes, ((variable index, occurrences), ...), text template
+        with the variables' texts as fields, in index order) of the conclusion."""
+        nodes = list(subformulas(self.conclusion))
+        counts = Counter(g.index for g in nodes if g.__class__ is Var)
+        texts = {Var(v): f"{{{k}}}" for k, v in enumerate(sorted(counts))}
+        for g in reversed(nodes):  # arguments before their applications
+            if g not in texts:
+                d = g.ctor.display.replace("{", "{{").replace("}", "}}")
+                texts[g] = f"{d}({', '.join([texts[a] for a in g.args])})" if g.args else d
+        return len(nodes) - sum(counts.values()), tuple(sorted(counts.items())), texts[self.conclusion]
 
     def __repr__(self):
         ps = "; ".join(print_formula(p) for p in self.premises)
@@ -139,9 +153,7 @@ def check_derivation(d: Derivation, calc: Calculus, extra: Sequence[Rule] = (),
     not an error.
     """
     hyps = frozenset(hyps)
-    rules = {}
-    for r in list(calc.rules) + list(extra):
-        rules[r.name] = r
+    rules = {r.name: r for r in list(calc.rules) + list(extra)}
     cs = calc.signature if isinstance(calc.signature, CombinedSignature) else None
 
     def fail(i, reason):
@@ -374,6 +386,30 @@ def _index(fresh, keys, every):
     return fresh, by_head, by_arg, set(fresh)
 
 
+def _instance_text(rule, subst, texts: dict) -> str:
+    """The text of the rule's conclusion under `subst`, made in one step from
+    `Rule.shape`'s template and the images' texts, which `texts` keeps."""
+    _, counts, template = rule.shape
+    images = [subst[v] for v, _ in counts]
+    return template.format(*[texts.get(g) or texts.setdefault(g, print_formula(g)) for g in images])
+
+
+def _bucket_instances(rule, subst, cited, candidates, max_size, buckets):
+    """Append `(None, ("rule", rule, substitution, cited))` to `buckets[size]` for each
+    instance of the conclusion within `max_size`, sized by `Rule.shape`, not built;
+    the variables that `subst` leaves unbound range over `candidates`."""
+    size, counts, _ = rule.shape
+    size += sum([n * subst[v].size for v, n in counts if v in subst])
+    unbound = [v for v, _ in counts if v not in subst]
+    weights = [n for v, n in counts if v not in subst]
+    for values in itertools.product(candidates, repeat=len(unbound)):
+        total = size + sum([n * f.size for n, f in zip(weights, values)])
+        if total <= max_size:
+            full = dict(subst)
+            full.update(zip(unbound, values))
+            buckets.setdefault(total, []).append((None, ("rule", rule, full, cited)))
+
+
 def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[Formula],
                          goal: Formula, bounds: SearchBounds = SearchBounds()) -> Optional[Derivation]:
     """Iterative forward search; a returned derivation always passes the checker.
@@ -387,9 +423,10 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
     refused them, and no round starts once the cap is reached.
 
     A round adds its new conclusions smallest first, and those of one size
-    in the order of their printed texts. It stops adding once the goal is a
-    fact or the fact cap is reached, since later additions change neither,
-    so only the sizes it reaches are ever put in order.
+    in the order of their printed texts (of equal ones the first made, rules
+    before LFT). It stops once the goal is a fact or the fact cap is reached,
+    so it builds a size's instances only on reaching it; they meet that size's
+    facts of the round's start, as `proj_embedded` and FX keep size.
     """
     hyps = list(dict.fromkeys(hyps))
     rules = list(calc.rules) + list(extra)
@@ -398,7 +435,7 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
 
     facts: dict = {}
     order: list = []
-    texts: dict = {}  # print_formula memo for the round order
+    texts: dict = {}  # texts of substitution images
 
     def finished() -> bool:
         return goal in facts or len(facts) >= bounds.max_facts
@@ -427,19 +464,6 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
 
     axioms = [r for r in rules if not r.premises]
     proper = [r for r in rules if r.premises]
-
-    def instances(rule, subst, cited, out):
-        unbound = sorted(variables_of(rule.conclusion) - set(subst))
-        fillers = (
-            itertools.product(candidates, repeat=len(unbound)) if unbound else [()]
-        )
-        for values in fillers:
-            full = dict(subst)
-            full.update(zip(unbound, values))
-            concl = apply_substitution(full, rule.conclusion)
-            if concl not in facts and concl not in out and concl.size <= bounds.max_size:
-                out[concl] = ("rule", rule, full, cited)
-
     arg_keys = {_arg_key(p) for r in proper for p in r.premises}
     every = (order, {}, {}, facts)  # facts by head constructor and by argument key
     seen = 0  # facts before order[seen] were matched in an earlier round
@@ -449,34 +473,36 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
         fresh = order[seen:]
         seen = len(order)
         new = _index(fresh, arg_keys, every)
-        additions: dict = {}  # conclusion -> record of its first instance
+        buckets: dict = {}  # size -> (conclusion or None, record), in the order made
         if _round == 0:
             for rule in axioms:
-                instances(rule, {}, (), additions)
+                _bucket_instances(rule, {}, (), candidates, bounds.max_size, buckets)
         for rule in proper:
             for subst, cited in _match_all_premises(rule, every, new):
-                instances(rule, subst, cited, additions)
+                _bucket_instances(rule, subst, cited, candidates, bounds.max_size, buckets)
         if cs is not None:
             for target in [goal] + candidates:
-                if target in facts or target in additions or isinstance(target, Var):
+                if target in facts or isinstance(target, Var):
                     continue
                 p1 = proj_embedded(target, 1, cs)
                 p2 = proj_embedded(target, 2, cs)
-                if p1 in facts and p2 in facts:
-                    additions[target] = ("lft", p1, p2)
-        by_size: dict = {}
-        for f in additions:
-            by_size.setdefault(f.size, []).append(f)
-        progressed = False
-        for size in sorted(by_size):
-            if size > bounds.max_size or finished():
-                break  # add refuses larger formulas
-            for f in sorted(by_size[size], key=lambda f: print_formula(f, texts)):
-                if add(f, additions[f]):
-                    progressed = True
-                    if finished():
-                        break
-        if goal in facts or not progressed:
+                if p1 in facts and p2 in facts:  # so target.size <= bounds.max_size
+                    buckets.setdefault(target.size, []).append((target, ("lft", p1, p2)))
+        before = len(facts)
+        for size in sorted(buckets):
+            if finished():
+                break
+            built: dict = {}  # conclusion -> (its text, record of its first instance)
+            for f, record in buckets[size]:
+                if f is None:
+                    f = apply_substitution(record[2], record[1].conclusion)
+                if f not in facts and f not in built:
+                    text = print_formula(f) if record[0] == "lft" else _instance_text(record[1], record[2], texts)
+                    built[f] = text, record
+            for f in sorted(built, key=lambda f: built[f][0]):
+                if add(f, built[f][1]) and finished():
+                    break
+        if goal in facts or len(facts) == before:
             break
 
     # add and _close refer to each other. Unlinking them frees the facts
@@ -502,9 +528,7 @@ def _reconstruct(goal, facts) -> Derivation:
         elif kind == "rule":
             _, rule, subst, cited = record
             cites = tuple(build(c) for c in cited)
-            keep = variables_of(rule.conclusion).union(*(variables_of(p) for p in rule.premises)) \
-                if rule.premises else variables_of(rule.conclusion)
-            just = RuleApp(rule.name, cites, freeze_subst({v: t for v, t in subst.items() if v in keep}))
+            just = RuleApp(rule.name, cites, freeze_subst(subst))
         elif kind == "clft":
             _, src, side = record
             just = Clft(build(src), side)
@@ -539,9 +563,7 @@ def _check_component_derivation(d, premises_proj, endpoint, what):
 
 def _splice(d, k, cs, component_calc, component_extra, lines, hyp_line_of) -> int:
     """Append the embedded image of a component derivation; returns the endpoint line."""
-    rules = {}
-    for r in list(component_calc.rules) + list(component_extra):
-        rules[r.name] = r
+    rules = {r.name: r for r in list(component_calc.rules) + list(component_extra)}
     local: dict = {}
     for j, ln in enumerate(d.lines, start=1):
         if isinstance(ln.just, Hyp):

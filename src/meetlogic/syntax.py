@@ -386,29 +386,7 @@ def match_formula(pattern: Formula, target: Formula, binding: Optional[Substitut
 # ---------------------------------------------------------------------------
 # printer
 
-def print_formula(f: Formula, memo: Optional[dict] = None) -> str:
-    """The formula's text. With `memo`, a dict from formulas to texts that
-    the caller keeps, each distinct subformula is printed once, from its
-    arguments' texts, and stays in the memo."""
-    if memo is not None:
-        todo = [f]
-        while todo:
-            g = todo[-1]
-            if g in memo:
-                todo.pop()
-                continue
-            if g.__class__ is Var:
-                memo[g] = f"xi{g.index}"
-            elif not g.args:
-                memo[g] = g.ctor.display
-            else:
-                waiting = [a for a in g.args if a not in memo]
-                if waiting:
-                    todo.extend(waiting)
-                    continue
-                memo[g] = f"{g.ctor.display}({', '.join([memo[a] for a in g.args])})"
-            todo.pop()
-        return memo[f]
+def print_formula(f: Formula) -> str:
     out = []
     todo = [f]
     while todo:

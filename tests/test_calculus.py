@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from meetlogic import calculus
 from meetlogic.calculus import (
     BuilderError,
     Calculus,
@@ -16,7 +17,9 @@ from meetlogic.calculus import (
     Rule,
     RuleApp,
     SearchBounds,
+    _bucket_instances,
     _candidate_pool,
+    _instance_text,
     _reconstruct,
     assemble_meet_calculus,
     bounded_proof_search,
@@ -442,6 +445,9 @@ def _meet_calculus(l1, l2):
     return cs, assemble_meet_calculus(b1.calculus, b2.calculus, cs)
 
 
+MEET_PAIRS = (("CPL", "CPL"), ("CPL", "G3"), ("IPL", "S43"))
+
+
 def _meet_queries(l1, l2):
     cs, calc = _meet_calculus(l1, l2)
     t1, t2 = cs.tag1, cs.tag2
@@ -485,14 +491,15 @@ def _assert_same_as_reference(queries):
 
 class TestSearchMatchesReference:
     """Semi-naive rounds, the stop at the goal or the fact cap, the order by
-    size then text, the argument-key candidate lists and incrementally built
-    embedded projections change no search result."""
+    size then text, conclusions sized from their substitution and built only
+    in the sizes a round reaches, the argument-key candidate lists and
+    incrementally built embedded projections change no search result."""
 
     @pytest.mark.parametrize("logic", ["CPL", "G3", "IPL"])
     def test_component(self, logic):
         _assert_same_as_reference(_component_queries(logic))
 
-    @pytest.mark.parametrize("pair", [("CPL", "CPL"), ("CPL", "G3"), ("IPL", "S43")], ids="x".join)
+    @pytest.mark.parametrize("pair", MEET_PAIRS, ids="x".join)
     def test_meet(self, pair):
         _assert_same_as_reference(_meet_queries(*pair))
 
@@ -506,3 +513,94 @@ class TestSearchMatchesReference:
             + [False, False, True, True, True, True, True]
         projected = got[STOP_BOUNDS.index(SearchBounds(max_facts=700))]
         assert len(projected) == 2 and isinstance(projected.lines[-1].just, Clft)
+
+    def test_instance_sizes_predicted_from_substitution(self):
+        """`_bucket_instances` files the same instances, in the same order,
+        as building every conclusion and keeping those within `max_size`,
+        each under the size of the node `apply_substitution` builds, and
+        `_instance_text` prints each without building it."""
+        bounds = SearchBounds(max_candidates=4, max_size=10)
+        calcs = [load_preset(logic).calculus for logic in ("CPL", "G3", "IPL", "S43", "GL")] \
+            + [_meet_calculus(*pair)[1] for pair in MEET_PAIRS]
+        kept = dropped = 0
+        for calc in calcs:
+            sig = calc.signature
+            rng = random.Random(f"sizes:{calc.name}")
+            candidates = _candidate_pool(calc, [], random_formula(rng, sig, 3, 2), bounds)
+            for rule in calc.rules:
+                rule_vars = sorted(variables_of(rule.conclusion).union(*map(variables_of, rule.premises)))
+                for _ in range(3):
+                    # a search binds the premises' variables; any subset shows the sizing
+                    subst = {v: random_formula(rng, sig, 2, 3) for v in rule_vars if rng.random() < 0.5}
+                    buckets: dict = {}
+                    _bucket_instances(rule, subst, (), candidates, bounds.max_size, buckets)
+                    want: dict = {}
+                    unbound = sorted(variables_of(rule.conclusion) - set(subst))
+                    for values in itertools.product(candidates, repeat=len(unbound)):
+                        full = {**subst, **dict(zip(unbound, values))}
+                        concl = apply_substitution(full, rule.conclusion)
+                        if concl.size <= bounds.max_size:
+                            want.setdefault(concl.size, []).append((concl, full))
+                        else:
+                            dropped += 1
+                    got = {size: [(apply_substitution(record[2], rule.conclusion), record[2])
+                                   for _, record in entries] for size, entries in buckets.items()}
+                    assert all(_instance_text(rule, s, {}) == print_formula(c)
+                               for entries in got.values() for c, s in entries), rule
+                    assert got.keys() == want.keys(), rule
+                    for size, entries in got.items():
+                        assert [(c.size, s) for c, s in entries] == [(size, s) for _, s in want[size]], rule
+                        assert all(c is w for (c, _), (w, _) in zip(entries, want[size])), rule
+                        kept += len(entries)
+        assert kept > 1000 and dropped > 1000
+
+    def test_embedded_projection_keeps_size(self):
+        """The per-size build order relies on this: a fact's cLFT images have
+        the fact's size, so they land in the size a round is adding."""
+        for pair in MEET_PAIRS:
+            cs, _ = _meet_calculus(*pair)
+            rng = random.Random(f"projection-size:{cs.tag1}:{cs.tag2}")
+            for _ in range(300):
+                f = random_formula(rng, cs, 4)
+                assert all(proj_embedded(f, k, cs).size == f.size for k in (1, 2)), print_formula(f)
+
+    def test_no_unreached_size_is_built(self, monkeypatch):
+        """A round stopping at the goal or the fact cap builds no conclusion
+        larger than the size it stopped in, the size of the last fact added
+        (every added fact passes through `proj_embedded` for its cLFT
+        images)."""
+        built: list = []
+        added: list = []
+
+        def build(s, f):
+            g = apply_substitution(s, f)
+            built.append(g.size)
+            return g
+
+        def pe(f, k, cs):
+            added.append(f.size)
+            return proj_embedded(f, k, cs)
+
+        monkeypatch.setattr(calculus, "apply_substitution", build)
+        monkeypatch.setattr(calculus, "proj_embedded", pe)
+        cases = 0
+        for calc, hyps, goal, bounds in _stop_queries():
+            if bounds.max_facts in (215, 216, 700) or bounds.max_size == 5:
+                built.clear()
+                added.clear()
+                bounded_proof_search(calc, (), hyps, goal, bounds)
+                assert max(built) == added[-1] == 5, (print_formula(goal), bounds)
+                cases += 1
+        assert cases == 8
+
+    def test_rule_instance_kept_over_lft_of_the_same_formula(self):
+        """A goal that is both a rule conclusion and an LFT target in one
+        size keeps the rule instance, which was made first."""
+        cs, calc = _meet_calculus("CPL", "G3")
+        goal = parse_formula("<->.CPL|->.G3>(xi1, xi1)", cs)
+        halves = tuple(proj_embedded(goal, k, cs) for k in (1, 2))
+        calc = Calculus(calc.name, cs, calc.rules + (Rule("join", halves, goal),))
+        query = (calc, list(halves), goal, SearchBounds(max_facts=700))
+        _assert_same_as_reference([query])
+        d = bounded_proof_search(calc, (), *query[1:])
+        assert d.lines[-1].just == RuleApp("join", (1, 2), ((1, Var(1)),))

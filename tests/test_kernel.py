@@ -182,10 +182,6 @@ class TestDeepFormulas:
         assert {f: 1}[g] == 1
         assert print_formula(f) == "neg(" * self.DEPTH + "xi1" + ")" * self.DEPTH
         assert repr(f) == print_formula(f)
-        # the memo keeps the text of every level, about 250 MB at this depth
-        memo: dict = {}
-        assert print_formula(f, memo) == print_formula(f)
-        assert len(memo) == self.DEPTH + 1 and memo[f.args[0]] == print_formula(f.args[0])
 
     def test_project_and_embed(self):
         cpl, g3 = load_preset("CPL").signature, load_preset("G3").signature

@@ -17,8 +17,9 @@ from meetlogic.syntax import (
     max_schema_index,
     parse_formula,
     print_formula,
+    variables_of,
 )
-from meetlogic.calculus import Rule
+from meetlogic.calculus import Rule, _instance_text
 from meetlogic.combination import combine_signatures
 
 from ref_parser import ref_parse_formula
@@ -87,15 +88,21 @@ class TestParser:
         assert parse_formula(print_formula(f), SIG) == f
 
     def test_memoised_print_matches_plain(self):
-        """One memo shared by many seeded formulas, as a proof search shares
-        it, gives every formula and every subformula its plain text."""
-        memo: dict = {}
-        for sig in (SIG, CAB):
+        """The text a proof search orders an instance by, made in one step
+        from its rule's template and the images' texts in a table that many
+        seeded instances share, is the instance's plain text; braces in a
+        constructor's name are not template fields."""
+        braces = make_signature("BR", [("{0}", 2), ("}", 1)])
+        texts: dict = {}
+        for sig in (SIG, CAB, braces):
             for i in range(300):
-                f = random_formula(random.Random(f"memo:{i}"), sig, 4)
-                assert print_formula(f, memo) == print_formula(f)
-        assert len(memo) > 600
-        assert all(text == print_formula(g) for g, text in memo.items())
+                rng = random.Random(f"memo:{i}")
+                rule = Rule("r", (), random_formula(rng, sig, 3))
+                subst = {v: random_formula(rng, sig, 3) for v in variables_of(rule.conclusion)}
+                text = _instance_text(rule, subst, texts)
+                assert text == print_formula(apply_substitution(subst, rule.conclusion))
+        assert len(texts) > 600
+        assert all(text == print_formula(g) for g, text in texts.items())
 
 
 # Surface syntax for the differential test: one component signature, and

@@ -1,7 +1,7 @@
 """Meet-combination of signatures: paired constructors, embeddings, projection, tagging."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .syntax import (
@@ -62,6 +62,7 @@ class CombinedSignature:
 
     sig1: Signature
     sig2: Signature
+    _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # for the parser
 
     def __post_init__(self):
         if self.sig1.tag == self.sig2.tag:

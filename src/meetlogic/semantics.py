@@ -22,7 +22,8 @@ class Matrix:
     indices, as a flat row-major list (the layout of matrix files).
     `designated` is a set of labels. The constructor checks all of this;
     `index` (label -> position) and `designated_flags` (per position) are
-    derived from it.
+    derived from it. A product keeps its two `factors` (see `product_matrix`),
+    through which `holds` and `entails` evaluate it.
     """
 
     name: str
@@ -30,6 +31,7 @@ class Matrix:
     carrier: tuple
     designated: frozenset
     tables: Mapping  # ctor -> list of carrier indices, n^arity long
+    factors: tuple = field(default=(), repr=False, compare=False)
     index: dict = field(init=False, repr=False, compare=False)
     designated_flags: tuple = field(init=False, repr=False, compare=False)
 
@@ -99,12 +101,13 @@ def _column(m: Matrix, nodes: list, env: dict, size: int) -> list:
     """Column of the formula whose postorder is `nodes`; `env` maps each
     variable to its column, all of length `size`."""
     n = len(m.carrier)
+    tables = m.tables
     stack = []
     for g in nodes:
-        if isinstance(g, Var):
+        if g.__class__ is Var:
             stack.append(env[g.index])
             continue
-        t = _table(m, g.ctor)
+        t = tables.get(g.ctor) or _table(m, g.ctor)
         arity = len(g.args)
         if arity == 0:
             stack.append([t[0]] * size)
@@ -127,27 +130,43 @@ def _variables(node_lists) -> list:
     return sorted({g.index for nodes in node_lists for g in nodes if isinstance(g, Var)})
 
 
-def _entails_in(m: Matrix, hyps: list, goal: list, variables: list) -> bool:
-    """`entails` in one matrix, for formulas given as postorders. Each
-    hypothesis is evaluated on the assignments that designate the ones before
-    it; the goal only on those that designate them all."""
+def _entails_in(m: Matrix, hyps: list, goal: list, variables: list) -> tuple:
+    """`entails` in one matrix, for formulas given as postorders, as the pair
+    (some assignment designates every hypothesis, the goal is designated
+    wherever they all are). Each hypothesis is evaluated on the assignments
+    that designate the ones before it; the goal only on those that designate
+    them all."""
     flags = m.designated_flags
     size = len(m.carrier) ** len(variables)
     env = _variable_columns(len(m.carrier), variables)
     for nodes in hyps:
         kept = [a for a, x in enumerate(_column(m, nodes, env, size)) if flags[x]]
         if not kept:
-            return True
+            return False, True
         if len(kept) < size:
             size = len(kept)
             env = {v: [col[a] for a in kept] for v, col in env.items()}
-    return all(map(flags.__getitem__, _column(m, goal, env, size)))
+    return True, all(map(flags.__getitem__, _column(m, goal, env, size)))
+
+
+def _entails(m: Matrix, hyps: list, goal: list, variables: list) -> bool:
+    """`_entails_in`'s answer; a product is answered from its factors.
+
+    A product assignment is a pair of factor assignments, and it designates
+    a formula iff both do. So when some factor never designates all the
+    hypotheses, neither does the product, and it entails vacuously;
+    otherwise it entails iff both factors do.
+    """
+    if not m.factors:
+        return _entails_in(m, hyps, goal, variables)[1]
+    (sat1, ok1), (sat2, ok2) = (_entails_in(f, hyps, goal, variables) for f in m.factors)
+    return not (sat1 and sat2) or (ok1 and ok2)
 
 
 def holds(m: Matrix, f: Formula) -> bool:
     """True iff f denotes a designated value under every assignment."""
     nodes = _postorder(f)
-    return _entails_in(m, [], nodes, _variables([nodes]))
+    return _entails(m, [], nodes, _variables([nodes]))
 
 
 def entails(matrices: Iterable[Matrix], gamma: Iterable[Formula], f: Formula) -> bool:
@@ -156,7 +175,7 @@ def entails(matrices: Iterable[Matrix], gamma: Iterable[Formula], f: Formula) ->
     hyps = [_postorder(g) for g in gamma]
     goal = _postorder(f)
     variables = _variables(hyps + [goal])
-    return all(_entails_in(m, hyps, goal, variables) for m in matrices)
+    return all(_entails(m, hyps, goal, variables) for m in matrices)
 
 
 @dataclass(frozen=True)
@@ -186,7 +205,14 @@ class MatrixTheorem:
 
 def product_matrix(m1: Matrix, m2: Matrix, cs: CombinedSignature) -> Matrix:
     """Componentwise product over the combined signature. The pair (a, b) of
-    component indices is product index a * n2 + b."""
+    component indices is product index a * n2 + b.
+
+    The product also keeps its factors: each component matrix read over
+    `cs` through its projection, with the component's carrier and
+    designated set and, for each pair constructor, the component's own table
+    of that side (the same list, not a copy). They carry the product's name,
+    so an error found in a factor names the product.
+    """
     n1, n2 = len(m1.carrier), len(m2.carrier)
     # per arity: the component indices of every product argument tuple, in
     # row-major order over the product carrier
@@ -200,9 +226,12 @@ def product_matrix(m1: Matrix, m2: Matrix, cs: CombinedSignature) -> Matrix:
         t1, t2 = _table(m1, ctor.c1), _table(m2, ctor.c2)
         i1, i2 = rows[ctor.arity]
         tables[ctor] = [t1[a] * n2 + t2[b] for a, b in zip(i1, i2)]
+    name = f"{m1.name}x{m2.name}"
+    factors = (Matrix(name, cs, m1.carrier, m1.designated, {c: m1.tables[c.c1] for c in tables}),
+               Matrix(name, cs, m2.carrier, m2.designated, {c: m2.tables[c.c2] for c in tables}))
     carrier = tuple(itertools.product(m1.carrier, m2.carrier))
     designated = frozenset(itertools.product(m1.designated, m2.designated))
-    return Matrix(f"{m1.name}x{m2.name}", cs, carrier, designated, tables)
+    return Matrix(name, cs, carrier, designated, tables, factors)
 
 
 def check_rule_soundness(matrices: Iterable[Matrix], rule) -> bool:

@@ -7,10 +7,12 @@ every inhabited arity n >= 1, next to the nullary top and bot.
 """
 from __future__ import annotations
 
+import itertools
+import re
 import threading
 import weakref
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
 VERUM = "top"
@@ -237,6 +239,7 @@ class Signature:
 
     tag: str
     by_arity: dict  # int -> dict name -> Ctor
+    _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # for the parser
 
     def __post_init__(self):
         nullary = self.by_arity.get(0, {})
@@ -421,94 +424,112 @@ _INFIX = {"iff": 1, "->": 2, "or": 3, "and": 4}
 _RIGHT_ASSOC = {"->"}
 _PREFIX = {"neg", "box", "dia"}
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CHARS = _IDENT_START | set("0123456789")
-
-
-def _lex_name(text: str, i: int):
-    """Lex a constructor name with optional .TAG suffix, starting at i."""
-    n = len(text)
-    if text.startswith("->", i):
-        name, j = "->", i + 2
-    elif i < n and text[i] in _IDENT_START:
-        j = i
-        while j < n and text[j] in _IDENT_CHARS:
-            j += 1
-        name = text[i:j]
-        # absorb a numeric suffix of the verum family: topn.2
-        if name == "topn" and j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-            k = j + 1
-            while k < n and text[k].isdigit():
-                k += 1
-            name, j = text[i:k], k
-    else:
-        raise ParseError(f"expected a constructor name, found {text[i:i+1]!r}", i)
-    tag = None
-    if j < n and text[j] == ".":
-        k = j + 1
-        if k < n and text[k] in _IDENT_START:
-            m = k
-            while m < n and text[m] in _IDENT_CHARS:
-                m += 1
-            tag, j = text[k:m], m
-        else:
-            j = k  # lone trailing dot: tolerated, no tag
-    return name, tag, j
+# One regular expression reads the tokens. A name is '->', an identifier, or
+# the verum family's topn.<digits>, with an optional .TAG or a lone trailing
+# dot; a name without a tag that reads xi<digits> is a variable; a combined
+# constructor is <name.TAG|name.TAG>, with no space inside. The groups are:
+# punctuation, variable index, pair (n1, t1, n2, t2), name, tag, and a
+# character that starts no token. The empty match at the end takes trailing
+# whitespace in one step, where a failed match would rescan it from every
+# position. The verum suffix is what str.isdigit accepts, which outside
+# ASCII includes characters such as '²' that no character class can tell
+# from letters; the regex takes both there, and `_lex_check` reads them
+# apart.
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME = rf"(->|topn\.[^\W_a-zA-Z]+|{_IDENT})"
+_TAG = rf"(?:\.({_IDENT})?)?"
+_TOKEN = re.compile(rf"""\s*(?:
+    ([(),])
+  | xi([0-9]+)(?![A-Za-z0-9_]|\.[A-Za-z_])\.?
+  | <{_NAME}\.({_IDENT})\|{_NAME}\.({_IDENT})>
+  | {_NAME}{_TAG}
+  | (\S)
+  | \Z)""", re.VERBOSE)
+_NAME_TAG = re.compile(_NAME + _TAG)
+_PUNCT = {c: (c, None, None) for c in "(),"}
+_END = ("end", None, None)
 
 
 def _tokenize(text: str) -> list:
-    """Tokens as (kind, pos, value) tuples. The kinds are 'name' with value
+    """Tokens as (kind, value, op) triples. The kinds are 'name' with value
     (name, tag), 'pair' with value (n1, t1, n2, t2), 'var' with the index,
-    and '(', ')', ',' and 'end' with None."""
-    toks, i, n = [], 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "(),":
-            toks.append((ch, i, None))
-            i += 1
-            continue
-        if ch == "<":
-            start = i
-            n1, t1, i = _lex_name(text, i + 1)
-            if i >= n or text[i] != "|":
-                raise ParseError("expected '|' in combined constructor", i)
-            n2, t2, i = _lex_name(text, i + 1)
-            if i >= n or text[i] != ">":
-                raise ParseError("expected '>' closing combined constructor", i)
-            if t1 is None or t2 is None:
-                raise ParseError("combined constructor components need .TAG suffixes", start)
-            toks.append(("pair", start, (n1, t1, n2, t2)))
-            i += 1
-            continue
-        name, tag, j = _lex_name(text, i)
-        if tag is None and name.startswith("xi") and name[2:].isdigit():
-            toks.append(("var", i, int(name[2:])))
-        else:
-            toks.append(("name", i, (name, tag)))
-        i = j
-    toks.append(("end", n, None))
+    and '(', ')', ',' and 'end' with None. `op` is the name the infix and
+    prefix tables are read by: a name's own, or a pair's first name if its
+    two names are both infix, both prefix or both neither, else None.
+    Tokens carry no position: an error finds it with `_token_pos`."""
+    toks = []
+    for punct, var, n1, t1, n2, t2, name, tag, bad in _TOKEN.findall(text):
+        if punct:
+            toks.append(_PUNCT[punct])
+        elif var:
+            toks.append(("var", int(var), None))
+        elif name:
+            toks.append(("name", (name, tag or None), name))
+        elif n1:
+            same = (n1 in _INFIX) == (n2 in _INFIX) and (n1 in _PREFIX) == (n2 in _PREFIX)
+            toks.append(("pair", (n1, t1, n2, t2), n1 if same else None))
+        elif bad:  # a character that starts no token
+            _lex_check(text)
+    if not text.isascii():
+        _lex_check(text)
+    toks.append(_END)
     return toks
 
 
-def _resolve(sig, tok, arity):
-    kind, pos, value = tok
+def _lex_check(text: str) -> None:
+    """Raise the ParseError of the first token that `_TOKEN` misread: a
+    character that starts no token, a malformed combined constructor, or a
+    verum suffix with a character that str.isdigit rejects, where the name
+    ends. Return if there is none."""
+    for m in _TOKEN.finditer(text):
+        token = m[0].lstrip()
+        if m[9] or not token.isascii():
+            i = m.end() - len(token)
+            if text[i] != "<":
+                j = _name_end(text, i)[0]
+                if j < m.end():
+                    raise ParseError(f"expected a constructor name, found {text[j]!r}", j)
+                continue
+            j, tag1 = _name_end(text, i + 1)
+            if text[j:j + 1] != "|":
+                raise ParseError("expected '|' in combined constructor", j)
+            j, tag2 = _name_end(text, j + 1)
+            if text[j:j + 1] != ">":
+                raise ParseError("expected '>' closing combined constructor", j)
+            if not (tag1 and tag2):
+                raise ParseError("combined constructor components need .TAG suffixes", i)
+
+
+def _name_end(text: str, i: int) -> tuple:
+    """Where the name at i ends, after its tag or lone dot, and whether it
+    has a tag. A verum suffix ends where str.isdigit stops, and a name cut
+    short there has no tag."""
+    m = _NAME_TAG.match(text, i)
+    if m is None:
+        raise ParseError(f"expected a constructor name, found {text[i:i + 1]!r}", i)
+    digits = m[1][5:]
+    if m[1].startswith("topn.") and not digits.isdigit():
+        return i + 5 + next(k for k, c in enumerate(digits) if not c.isdigit()), False
+    return m.end(), m[2] is not None
+
+
+def _token_pos(text: str, k: int) -> int:
+    """Where token k of `text` starts."""
+    m = next(itertools.islice(_TOKEN.finditer(text), k, None), None)
+    return len(text) if m is None else m.end() - len(m[0].lstrip())
+
+
+def _resolve(sig, text: str, toks: list, k: int, arity: int):
+    """The constructor that token k names at `arity`, kept in the signature's
+    `_resolved` by token value and arity, where the parser looks first; a
+    failure is not kept."""
+    kind, value, _ = toks[k]
     try:
-        if kind == "pair":
-            return sig.resolve_pair(*value, arity)
-        return sig.resolve(*value, arity)
+        ctor = sig.resolve_pair(*value, arity) if kind == "pair" else sig.resolve(*value, arity)
     except SignatureError as exc:
-        raise ParseError(str(exc), pos) from exc
-
-
-def _in(table, tok) -> bool:
-    """Whether every base name of a name or pair token is in `table`."""
-    kind, _, value = tok
-    if kind == "name":
-        return value[0] in table
-    return kind == "pair" and value[0] in table and value[2] in table
+        raise ParseError(str(exc), _token_pos(text, k)) from exc
+    sig._resolved[value, arity] = ctor
+    return ctor
 
 
 def parse_formula(text: str, sig) -> Formula:
@@ -517,65 +538,65 @@ def parse_formula(text: str, sig) -> Formula:
     One loop over the tokens, without recursion, so input of any depth
     reads. `out` holds finished operands; `pending` holds what waits for
     operands: an open group or application ('(' with the operand count at
-    its start and the applied token, None for a group), a prefix
-    constructor, or an infix constructor with the least precedence its
-    right operand may hold. Prefix and infix constructors are resolved
+    its start and the index of the applied token, None for a group), a
+    prefix constructor, or an infix constructor with the least precedence
+    its right operand may hold. Prefix and infix constructors are resolved
     when they are read, an application's when its ')' is.
     """
     toks = _tokenize(text)
+    memo = sig._resolved
     out: list = []
     pending: list = []
     i = 0
     while True:
-        tok = toks[i]
-        kind = tok[0]
+        kind, value, op = toks[i]
         i += 1
         if kind == "(":
             pending.append(("(", len(out), None))
             continue
         if kind == "var":
             if toks[i][0] == "(":
-                raise ParseError("schema variables are nullary", toks[i][1])
-            out.append(Var(tok[2]))
+                raise ParseError("schema variables are nullary", _token_pos(text, i))
+            out.append(Var(value))
         elif kind == "name" or kind == "pair":
             if toks[i][0] == "(":
-                pending.append(("(", len(out), tok))
+                pending.append(("(", len(out), i - 1))
                 i += 1
                 continue
-            if _in(_PREFIX, tok):
-                pending.append(("prefix", _resolve(sig, tok, 1), 0))
+            if op in _PREFIX:
+                pending.append(("prefix", memo.get((value, 1)) or _resolve(sig, text, toks, i - 1, 1), 0))
                 continue
-            out.append(App(_resolve(sig, tok, 0)))
+            out.append(App(memo.get((value, 0)) or _resolve(sig, text, toks, i - 1, 0)))
         else:
-            raise ParseError(f"unexpected {kind!r}", tok[1])
+            raise ParseError(f"unexpected {kind!r}", _token_pos(text, i - 1))
         # An operand is finished: apply the prefix constructors waiting for
         # it, then read an infix constructor, or a ',' or ')' that closes the
         # innermost group or application, or the end.
         while True:
             while pending and pending[-1][0] == "prefix":
                 out[-1] = App(pending.pop()[1], (out[-1],))
-            tok = toks[i]
-            kind = tok[0]
+            kind, value, op = toks[i]
             i += 1
-            prec = _INFIX[tok[2][0]] if _in(_INFIX, tok) else 0
+            prec = _INFIX.get(op, 0)
             while pending and pending[-1][0] == "infix" and prec < pending[-1][2]:
                 right = out.pop()
                 out[-1] = App(pending.pop()[1], (out[-1], right))
             if prec:
-                least = prec if tok[2][0] in _RIGHT_ASSOC else prec + 1
-                pending.append(("infix", _resolve(sig, tok, 2), least))
+                least = prec if op in _RIGHT_ASSOC else prec + 1
+                pending.append(("infix", memo.get((value, 2)) or _resolve(sig, text, toks, i - 1, 2), least))
                 break
             if not pending:
                 if kind != "end":
-                    raise ParseError(f"trailing input starting with {kind!r}", tok[1])
+                    raise ParseError(f"trailing input starting with {kind!r}", _token_pos(text, i - 1))
                 return out[0]
             _, start, head = pending[-1]
             if kind == "," and head is not None:
                 break
             if kind != ")":
-                raise ParseError(f"expected ')', found {kind!r}", tok[1])
+                raise ParseError(f"expected ')', found {kind!r}", _token_pos(text, i - 1))
             pending.pop()
             if head is not None:
                 args = tuple(out[start:])
                 del out[start:]
-                out.append(App(_resolve(sig, head, len(args)), args))
+                out.append(App(memo.get((toks[head][1], len(args))) or _resolve(sig, text, toks, head, len(args)),
+                               args))

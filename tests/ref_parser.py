@@ -5,18 +5,53 @@ replaced, kept unchanged: its results and its `ParseError` messages and
 positions are what the iterative parser must reproduce. It recurses once
 per nesting level, so it only reads shallow input. It keeps its own copy of
 the operator tables, so a change to the library's grammar shows up as a
-difference; only the name lexer is shared.
+difference. Its name lexer is the library's former one, copied verbatim,
+so the reference does not share the lexer under test.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from meetlogic.syntax import App, Formula, ParseError, SignatureError, Var, _lex_name
+from meetlogic.syntax import App, Formula, ParseError, SignatureError, Var
 
 _INFIX = {"iff": 1, "->": 2, "or": 3, "and": 4}
 _RIGHT_ASSOC = {"->"}
 _PREFIX = {"neg", "box", "dia"}
+
+_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CHARS = _IDENT_START | set("0123456789")
+
+
+def _lex_name(text: str, i: int):
+    """Lex a constructor name with optional .TAG suffix, starting at i."""
+    n = len(text)
+    if text.startswith("->", i):
+        name, j = "->", i + 2
+    elif i < n and text[i] in _IDENT_START:
+        j = i
+        while j < n and text[j] in _IDENT_CHARS:
+            j += 1
+        name = text[i:j]
+        # absorb a numeric suffix of the verum family: topn.2
+        if name == "topn" and j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            k = j + 1
+            while k < n and text[k].isdigit():
+                k += 1
+            name, j = text[i:k], k
+    else:
+        raise ParseError(f"expected a constructor name, found {text[i:i+1]!r}", i)
+    tag = None
+    if j < n and text[j] == ".":
+        k = j + 1
+        if k < n and text[k] in _IDENT_START:
+            m = k
+            while m < n and text[m] in _IDENT_CHARS:
+                m += 1
+            tag, j = text[k:m], m
+        else:
+            j = k  # lone trailing dot: tolerated, no tag
+    return name, tag, j
 
 
 @dataclass

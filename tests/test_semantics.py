@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meetlogic.calculus import Rule
+from meetlogic.calculus import Rule, assemble_meet_calculus
 from meetlogic.combination import combine_signatures, embed, project
 from meetlogic.formats import parse_matrix_file
 from meetlogic.presets import KripkeFrame, generate_frames, godel_chain, kripke_matrix, load_preset
@@ -164,11 +164,13 @@ op iff 2 1 0 1 1 1 0 1 2
 
 
 def _families():
+    """The matrix families of the column-wise test, and for each product its
+    two component matrices and its meet calculus."""
     b = {n: load_preset(n, max_worlds=2) for n in ("CPL", "G3", "IPL", "S43")}
     gl_sig = load_preset("GL", max_worlds=1).signature
     chain2w = kripke_matrix(KripkeFrame((0, 1), frozenset({(0, 0), (0, 1), (1, 1)}), "s43"),
                             b["S43"].signature)
-    products = {}
+    products, meets = {}, {}
     for key, (b1, b2, m1, m2) in {
         "product6": (b["CPL"], b["G3"], b["CPL"].characteristic, b["G3"].characteristic),
         "product9": (b["G3"], load_preset("G3"), b["G3"].characteristic, b["G3"].characteristic),
@@ -176,8 +178,9 @@ def _families():
     }.items():
         cs = combine_signatures(b1.signature, b2.signature)
         products[key] = (cs, [product_matrix(m1, m2, cs)])
+        meets[key] = (m1, m2, assemble_meet_calculus(b1.calculus, b2.calculus, cs))
     chains = [godel_chain(SIG, k) for k in range(2, 6)]
-    return {
+    families = {
         "chains": (SIG, chains),
         "chains, modal formulas": (b["S43"].signature, chains),
         "s43 frames": (b["S43"].signature,
@@ -186,9 +189,10 @@ def _families():
         **products,
         "matrix file": (SIG, [parse_matrix_file(LP_TEXT, SIG, name="lp")]),
     }
+    return families, meets
 
 
-FAMILIES = _families()
+FAMILIES, MEETS = _families()
 
 
 class TestColumnwiseAgainstPointwise:
@@ -228,3 +232,92 @@ class TestColumnwiseAgainstPointwise:
             f = App(neg, (f,))
         assert holds(BOOL, f)
         assert not entails([BOOL], [f], App(neg, (f,)))
+
+
+# ---------------------------------------------------------------------------
+# products evaluated through their factors
+
+def flat(prod):
+    """The same product without factors: it evaluates its own tables."""
+    return Matrix(prod.name, prod.signature, prod.carrier, prod.designated, prod.tables)
+
+
+class TestProductFactors:
+    """`holds`/`entails` answer a product from its two factors. References:
+    the same product without factors, and the pointwise evaluator."""
+
+    @staticmethod
+    def check(prod, gamma, f, pointwise=True):
+        want = entails([flat(prod)], gamma, f)
+        if pointwise:
+            assert pointwise_entails([prod], gamma, f) == want
+        assert entails([prod], gamma, f) == want
+        assert check_rule_soundness([prod], Rule("r", tuple(gamma), f)) == want
+        if not gamma:
+            assert holds(prod, f) == want
+        return want
+
+    @pytest.mark.parametrize("key", sorted(MEETS))
+    def test_factors_are_the_components_read_over_the_meet(self, key):
+        m1, m2, _ = MEETS[key]
+        prod = FAMILIES[key][1][0]
+        assert prod == flat(prod)
+        for m, factor, side in ((m1, prod.factors[0], "c1"), (m2, prod.factors[1], "c2")):
+            assert (factor.carrier, factor.designated, factor.signature) == (m.carrier, m.designated, prod.signature)
+            assert set(factor.tables) == set(prod.tables)
+            assert all(t is m.tables[getattr(c, side)] for c, t in factor.tables.items())
+            assert factor.factors == ()
+
+    @pytest.mark.parametrize("key", sorted(MEETS))
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_hypotheses_unsatisfiable_in_one_factor(self, key, k):
+        """Factor k never designates the hypotheses, so the product entails
+        every goal, though the other factor alone refutes it."""
+        cs, (prod,) = FAMILIES[key]
+        falsum = cs.falsum(k)
+        conj = embed(parse_formula("xi1 and bot", cs.component(k)), k, cs)
+        for gamma in ([falsum], [conj], [Var(1), falsum], [conj, Var(1)]):
+            for goal in (Var(2), cs.falsum(3 - k), cs.bot, embed(parse_formula("neg xi1", cs.component(3 - k)), 3 - k, cs)):
+                assert not entails([prod.factors[2 - k]], gamma, goal)
+                assert self.check(prod, gamma, goal)
+
+    @pytest.mark.parametrize("key", sorted(MEETS))
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_one_factor_entails_and_the_other_not(self, key, k):
+        cs, (prod,) = FAMILIES[key]
+        goal = embed(parse_formula("xi1 -> xi2", cs.component(k)), k, cs)
+        for gamma in ([], [Var(1)], [embed(parse_formula("neg xi2", cs.component(3 - k)), 3 - k, cs)]):
+            assert entails([prod.factors[2 - k]], gamma, goal)
+            assert not entails([prod.factors[k - 1]], gamma, goal)
+            assert not self.check(prod, gamma, goal)
+
+    @pytest.mark.parametrize("key", sorted(MEETS))
+    def test_closed_formulas(self, key):
+        cs, (prod,) = FAMILIES[key]
+        closed = [cs.top, cs.bot, cs.falsum(1), cs.falsum(2)]
+        closed += [embed(parse_formula(t, cs.component(k)), k, cs)
+                   for k in (1, 2) for t in ("top -> bot", "neg bot", "bot or top")]
+        for f in closed:
+            self.check(prod, [], f)
+            for g in closed:
+                self.check(prod, [g], f)
+
+    @pytest.mark.parametrize("key", sorted(MEETS))
+    def test_meet_calculus_rules(self, key):
+        """Every rule of the meet calculus; pointwise only up to 1000
+        assignments (the 8000 of three variables on the 20-element product
+        take seconds per rule)."""
+        prod = FAMILIES[key][1][0]
+        calculus = MEETS[key][2]
+        for rule in calculus.rules:
+            n_vars = len(set().union(*map(variables_of, rule.premises + (rule.conclusion,))))
+            self.check(prod, rule.premises, rule.conclusion, len(prod.carrier) ** n_vars <= 1000)
+
+    @pytest.mark.parametrize("key", sorted(MEETS))
+    def test_errors_name_the_product(self, key):
+        cs, (prod,) = FAMILIES[key]
+        f = parse_formula("xi1 -> xi2", cs.sig1)
+        for call in (lambda: holds(prod, f), lambda: entails([prod], [Var(1)], f),
+                     lambda: check_rule_soundness([prod], Rule("r", (), f))):
+            with pytest.raises(SemanticsError, match=f"^matrix {prod.name}: no operation for ->"):
+                call()

@@ -8,6 +8,7 @@ from meetlogic.syntax import (
     App,
     Ctor,
     ParseError,
+    Signature,
     SignatureError,
     Var,
     apply_substitution,
@@ -20,7 +21,7 @@ from meetlogic.syntax import (
     variables_of,
 )
 from meetlogic.calculus import Rule, _instance_text
-from meetlogic.combination import combine_signatures
+from meetlogic.combination import CombinedSignature, PairCtor, combine_signatures
 
 from ref_parser import ref_parse_formula
 from strategies import formula_strategy, random_formula
@@ -195,9 +196,45 @@ class TestParserAgainstReference:
         "xi1 iff xi2 iff xi3 -> neg neg xi1",
         "neg box dia xi1 and f(xi1, g(xi2) or c, neg (xi3))",
         "(xi1 and (xi2 or", "f(xi1, xi2)", "xi1 (", "g(xi1,)", "neg", "and xi1", "xi1 neg xi2",
+        # edge cases of the name lexer: a lone trailing dot, a tagged
+        # variable name, verum suffixes (str.isdigit accepts '²', which no
+        # [0-9] does), whitespace inside and around combined constructors
+        "xi1.", "xi2.A", "topn.2.A(xi1, xi2)", "topn.(xi1)", "topn.²(xi1)", "xi1 and xi2",
+        "<-> .A|->.B>(xi1, xi1)", "<and.A|or>(xi1, xi2)", "<and.A|or.B",
+        # outside ASCII: what str.isdigit and str.isspace accept
+        "topn.2é(xi1)", "topn.½(xi1)", "<topn.2é.A|and.B>(xi1, xi2)", "<and.A|topn.²>", "xi1\u00a0and\u2003xi2 ",
+        "é", "xi1 and\u00a0",
     ])
     def test_fixed_texts(self, text):
-        assert parse_outcome(parse_formula, text, K) == parse_outcome(ref_parse_formula, text, K)
+        for sig in (K, CAB):
+            assert parse_outcome(parse_formula, text, sig) == parse_outcome(ref_parse_formula, text, sig)
+
+
+def fresh(sig):
+    """A new signature object with the same constructors and nothing resolved yet."""
+    if isinstance(sig, CombinedSignature):
+        return combine_signatures(fresh(sig.sig1), fresh(sig.sig2))
+    return Signature(sig.tag, sig.by_arity)
+
+
+class TestResolutionMemo:
+    """The parser keeps the constructors it resolved on the signature object;
+    that changes no outcome."""
+
+    def test_cold_and_warm_parses_agree(self):
+        rng = random.Random("resolution-memo")
+        for template in (K, CAB):
+            texts = [random_surface(rng, template, rng.randint(0, 4)) for _ in range(1500)]
+            texts = [mutate_text(rng, t) if rng.random() < 0.5 else t for t in texts]
+            warm = fresh(template)
+            first = [parse_outcome(parse_formula, t, warm) for t in texts]
+            kinds = {outcome[0] for outcome in first}
+            assert kinds == {"ok", "ParseError"}
+            for text, outcome in zip(texts, first):
+                assert parse_outcome(parse_formula, text, fresh(template)) == outcome, text
+                assert parse_outcome(parse_formula, text, warm) == outcome, text
+            assert warm._resolved
+            assert all(isinstance(c, (Ctor, PairCtor)) for c in warm._resolved.values())
 
 
 class TestDeepInput:

@@ -24,6 +24,7 @@ from .syntax import (
     match_formula,
     print_formula,
     subformulas,
+    variables_of,
 )
 
 
@@ -53,6 +54,31 @@ class Rule:
                 d = g.ctor.display.replace("{", "{{").replace("}", "}}")
                 texts[g] = f"{d}({', '.join([texts[a] for a in g.args])})" if g.args else d
         return len(nodes) - sum(counts.values()), tuple(sorted(counts.items())), texts[self.conclusion]
+
+    @cached_property
+    def plan(self) -> tuple:
+        """How `_join` matches the premises: one step per pattern premise, in
+        the visit order (largest premise first). A step is (premise index,
+        premise, its `_arg_key`, whether it is visited last, checks). Its
+        checks are the bare-variable premises visited after it and before
+        the next step whose variable an earlier premise binds: (premise
+        index, variable index, path, whether it is visited last). The path
+        leads, as (constructor, argument position) pairs, to an occurrence
+        of the variable in the step's premise; it is None when an earlier
+        step binds the variable."""
+        visit = sorted(range(len(self.premises)), key=lambda i: -self.premises[i].size)
+        steps: list = []
+        bound: set = set()
+        for pos, i in enumerate(visit):
+            p, last = self.premises[i], pos == len(visit) - 1
+            if p.__class__ is Var and p.index in bound:
+                _, step, _, _, checks = steps[-1]
+                checks.append((i, p.index, None if p.index in before else _path_to(step, p.index), last))
+                continue
+            before = set(bound)
+            bound.update(variables_of(p))
+            steps.append((i, p, _arg_key(p), last, []))
+        return tuple((i, p, key, last, tuple(checks)) for i, p, key, last, checks in steps)
 
     def __repr__(self):
         ps = "; ".join(print_formula(p) for p in self.premises)
@@ -317,60 +343,93 @@ def _arg_key(premise):
     return None
 
 
-def _match_all_premises(rule, every, new):
+def _path_to(f, v):
+    """The shortest path of (constructor, argument position) pairs from `f`
+    to an occurrence of the variable of index `v`."""
+    todo = [(f, ())]
+    for g, path in todo:  # breadth first: the loop reads what it appends
+        if g.__class__ is Var:
+            if g.index == v:
+                return path
+        else:
+            todo.extend((a, path + ((g.ctor, j),)) for j, a in enumerate(g.args))
+
+
+def _at(f, path):
+    """The subterm of `f` at `path`, or None when `f` leaves the path's
+    constructors, and so cannot match the premise the path was read from."""
+    for ctor, j in path:
+        if f.__class__ is not App or f.ctor is not ctor:
+            return None
+        f = f.args[j]
+    return f
+
+
+def _candidates(step, facts):
+    order, by_head, by_arg, _ = facts
+    premise, key = step[1], step[2]
+    if premise.__class__ is Var:
+        return order
+    if key is not None:
+        return by_arg.get(key, ())
+    return by_head.get(premise.ctor, ())
+
+
+def _join(rule, every, new):
     """Yield (substitution, cited facts per premise) for the joint premise
     matches that cite at least one new fact, in the order of the full join.
 
     `every` and `new` are (facts in order, facts by head constructor, facts
     by argument key, fact set) for all facts and for the new ones, which are
-    a suffix of each list of `every`. Candidate facts are narrowed by the
-    premise's head constructor, or by its `_arg_key` when it has one: a fact
-    matches only if its argument at that position has that constructor too,
-    and both lists are in fact order. A premise that is an already-bound
-    variable only needs a membership check. Only the last premise position,
-    when no earlier one chose a new fact, is cut to the new facts, so the
-    matches kept come out in the same relative order as in the full join.
+    a suffix of each list of `every`. The join follows `Rule.plan` and walks
+    its steps with an explicit stack. A step's candidate facts are narrowed
+    by the premise's head constructor, or by its `_arg_key` when it has one:
+    a fact matches only if its argument at that position has that
+    constructor too, and both lists are in fact order. A bare-variable
+    premise that no earlier premise binds scans all facts.
+
+    Before a candidate is matched, the image of each of the step's checks is
+    read off the candidate (or the substitution) and must be a fact. Only
+    the last premise visited, when no earlier one cited a new fact, is cut
+    to the new facts, so the matches kept come out in the same relative
+    order as in the full join. The substitution yielded is the one that
+    `match_formula` made for the joint match.
     """
-    idxs = sorted(
-        range(len(rule.premises)),
-        key=lambda i: -rule.premises[i].size,
-    )
-    last = len(idxs) - 1
-    new_set = new[3]
-    keys = [_arg_key(p) for p in rule.premises]
-
-    def candidates(i, subst, facts):
-        order, by_head, by_arg, fact_set = facts
-        premise = rule.premises[i]
-        if isinstance(premise, Var):
-            bound = subst.get(premise.index)
-            if bound is not None:
-                return [bound] if bound in fact_set else []
-            return order
-        if keys[i] is not None:
-            return by_arg.get(keys[i], ())
-        return by_head.get(premise.ctor, ())
-
-    def rec(pos, subst, chosen, cites_new):
-        if pos == len(idxs):
-            yield dict(subst), tuple(chosen[i] for i in range(len(rule.premises)))
-            return
-        i = idxs[pos]
-        for fact in candidates(i, subst, every if cites_new or pos < last else new):
-            nxt = match_formula(rule.premises[i], fact, subst)
-            if nxt is not None:
+    steps = rule.plan
+    match = match_formula
+    facts, new_set = every[3], new[3]
+    chosen = [None] * len(rule.premises)
+    frames = [(iter(_candidates(steps[0], new if steps[0][3] else every)), {}, False)]
+    while frames:
+        it, subst, cites = frames[-1]
+        i, premise, _, _, checks = steps[len(frames) - 1]
+        for fact in it:
+            now = cites or fact in new_set
+            for j, v, path, last in checks:
+                g = subst[v] if path is None else _at(fact, path)
+                if g not in (new_set if last and not now else facts):
+                    break
+                chosen[j] = g
+                now = now or g in new_set
+            else:  # every check passed
+                nxt = match(premise, fact, subst)
+                if nxt is None:
+                    continue
                 chosen[i] = fact
-                yield from rec(pos + 1, nxt, chosen, cites_new or fact in new_set)
-        chosen.pop(i, None)
-
-    yield from rec(0, {}, {}, False)
-    del rec  # it refers to itself; see bounded_proof_search
+                if len(frames) == len(steps):
+                    yield nxt, tuple(chosen)
+                    continue
+                step = steps[len(frames)]
+                frames.append((iter(_candidates(step, new if step[3] and not now else every)), nxt, now))
+                break  # this frame's candidates resume once the new frame is done
+        else:
+            frames.pop()
 
 
 def _index(fresh, keys, every):
     """Index the new facts by head constructor and by the argument keys in
     `keys`, append them to the indexes in `every`, and return the new facts
-    as the `new` argument of `_match_all_premises`."""
+    as the `new` argument of `_join`."""
     by_head: dict = {}
     by_arg: dict = {}
     for f in fresh:
@@ -397,7 +456,8 @@ def _instance_text(rule, subst, texts: dict) -> str:
 def _bucket_instances(rule, subst, cited, candidates, max_size, buckets):
     """Append `(None, ("rule", rule, substitution, cited))` to `buckets[size]` for each
     instance of the conclusion within `max_size`, sized by `Rule.shape`, not built;
-    the variables that `subst` leaves unbound range over `candidates`."""
+    the variables that `subst` leaves unbound range over `candidates`. When it
+    leaves none, the instance keeps `subst` itself."""
     size, counts, _ = rule.shape
     size += sum([n * subst[v].size for v, n in counts if v in subst])
     unbound = [v for v, _ in counts if v not in subst]
@@ -405,7 +465,7 @@ def _bucket_instances(rule, subst, cited, candidates, max_size, buckets):
     for values in itertools.product(candidates, repeat=len(unbound)):
         total = size + sum([n * f.size for n, f in zip(weights, values)])
         if total <= max_size:
-            full = dict(subst)
+            full = dict(subst) if unbound else subst
             full.update(zip(unbound, values))
             buckets.setdefault(total, []).append((None, ("rule", rule, full, cited)))
 
@@ -478,7 +538,7 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
             for rule in axioms:
                 _bucket_instances(rule, {}, (), candidates, bounds.max_size, buckets)
         for rule in proper:
-            for subst, cited in _match_all_premises(rule, every, new):
+            for subst, cited in _join(rule, every, new):
                 _bucket_instances(rule, subst, cited, candidates, bounds.max_size, buckets)
         if cs is not None:
             for target in [goal] + candidates:

@@ -72,6 +72,8 @@ class CombinedSignature:
             self.tag1, self.tag2 = self.sig1.tag, self.sig2.tag
         self._embedded = {k: {c: self._pad(c, k) for n in self.arities()
                               for c in self.component(k).by_arity[n].values()} for k in (1, 2)}
+        # each pair constructor's embedded side constructors, for proj_embedded
+        self._sides = {p: (self._embedded[1][p.c1], self._embedded[2][p.c2]) for p in self.all_ctors()}
 
     def component(self, k: int) -> Signature:
         return self.sig1 if k == 1 else self.sig2
@@ -214,21 +216,36 @@ def proj_embedded(f: Formula, k: int, cs: CombinedSignature) -> Formula:
         return f
     memo = f._pe
     if memo is None or memo[0] is not cs:
+        sides = cs._sides
         todo = [f]
         while todo:
             g = todo[-1]
             if g._pe is not None and g._pe[0] is cs:
                 todo.pop()
                 continue
-            waiting = [a for a in g.args if a.__class__ is App and (a._pe is None or a._pe[0] is not cs)]
+            args = g.args
+            waiting = False
+            for a in args:
+                if a.__class__ is App and (a._pe is None or a._pe[0] is not cs):
+                    todo.append(a)
+                    waiting = True
             if waiting:
-                todo.extend(waiting)
                 continue
             todo.pop()
-            args1 = tuple(a if a.__class__ is Var else a._pe[1] or a for a in g.args)
-            args2 = tuple(a if a.__class__ is Var else a._pe[2] or a for a in g.args)
-            g1 = App(cs.embed_ctor(g.ctor.c1, 1), args1)
-            g2 = App(cs.embed_ctor(g.ctor.c2, 2), args2)
+            pair = sides.get(g.ctor)
+            c1, c2 = pair if pair is not None else (cs.embed_ctor(g.ctor.c1, 1), cs.embed_ctor(g.ctor.c2, 2))
+            if len(args) == 2:
+                a, b = args
+                a1, a2 = (a, a) if a.__class__ is Var else (a._pe[1] or a, a._pe[2] or a)
+                b1, b2 = (b, b) if b.__class__ is Var else (b._pe[1] or b, b._pe[2] or b)
+                args1, args2 = (a1, b1), (a2, b2)
+            elif len(args) == 1:
+                a = args[0]
+                args1, args2 = (args, args) if a.__class__ is Var else ((a._pe[1] or a,), (a._pe[2] or a,))
+            else:
+                args1 = tuple([a if a.__class__ is Var else a._pe[1] or a for a in args])
+                args2 = tuple([a if a.__class__ is Var else a._pe[2] or a for a in args])
+            g1, g2 = App(c1, args1), App(c2, args2)
             object.__setattr__(g, "_pe", (cs, None if g1 is g else g1, None if g2 is g else g2))
         memo = f._pe
     g = memo[1] if k == 1 else memo[2]

@@ -17,9 +17,12 @@ from meetlogic.calculus import (
     Rule,
     RuleApp,
     SearchBounds,
+    _arg_key,
     _bucket_instances,
     _candidate_pool,
+    _index,
     _instance_text,
+    _join,
     _reconstruct,
     assemble_meet_calculus,
     bounded_proof_search,
@@ -32,7 +35,7 @@ from meetlogic.calculus import (
 )
 from meetlogic.combination import CombinedSignature, combine_signatures, embed, proj_embedded, project
 from meetlogic.formats import serialize_derivation
-from meetlogic.presets import godel_chain, load_preset
+from meetlogic.presets import godel_chain, harrop_rule, load_preset
 from meetlogic.semantics import entails, product_matrix
 from meetlogic.syntax import (
     App,
@@ -348,11 +351,65 @@ def _reference_matches(rule, facts_order, by_head, facts_set):
     yield from rec(0, {}, {})
 
 
-def _reference_search(calc, hyps, goal, bounds):
+# The semi-naive join as it was before `Rule.plan`: each premise in turn,
+# a bound bare-variable premise looked up after the premise binding it was
+# matched. `_join` must yield the same matches in the same order.
+def _match_all_premises(rule, every, new):
+    """Yield (substitution, cited facts per premise) for the joint premise
+    matches that cite at least one new fact, in the order of the full join.
+
+    `every` and `new` are (facts in order, facts by head constructor, facts
+    by argument key, fact set) for all facts and for the new ones, which are
+    a suffix of each list of `every`. Candidate facts are narrowed by the
+    premise's head constructor, or by its `_arg_key` when it has one: a fact
+    matches only if its argument at that position has that constructor too,
+    and both lists are in fact order. A premise that is an already-bound
+    variable only needs a membership check. Only the last premise position,
+    when no earlier one chose a new fact, is cut to the new facts, so the
+    matches kept come out in the same relative order as in the full join.
+    """
+    idxs = sorted(
+        range(len(rule.premises)),
+        key=lambda i: -rule.premises[i].size,
+    )
+    last = len(idxs) - 1
+    new_set = new[3]
+    keys = [_arg_key(p) for p in rule.premises]
+
+    def candidates(i, subst, facts):
+        order, by_head, by_arg, fact_set = facts
+        premise = rule.premises[i]
+        if isinstance(premise, Var):
+            bound = subst.get(premise.index)
+            if bound is not None:
+                return [bound] if bound in fact_set else []
+            return order
+        if keys[i] is not None:
+            return by_arg.get(keys[i], ())
+        return by_head.get(premise.ctor, ())
+
+    def rec(pos, subst, chosen, cites_new):
+        if pos == len(idxs):
+            yield dict(subst), tuple(chosen[i] for i in range(len(rule.premises)))
+            return
+        i = idxs[pos]
+        for fact in candidates(i, subst, every if cites_new or pos < last else new):
+            nxt = match_formula(rule.premises[i], fact, subst)
+            if nxt is not None:
+                chosen[i] = fact
+                yield from rec(pos + 1, nxt, chosen, cites_new or fact in new_set)
+        chosen.pop(i, None)
+
+    yield from rec(0, {}, {}, False)
+    del rec  # it refers to itself; see bounded_proof_search
+
+
+def _reference_search(calc, hyps, goal, bounds, extra=()):
     """The naive round loop: every round joins all facts against every rule,
     rounds go on after the fact cap is reached, and embedded projections are
     built as `embed(project(f, k))`."""
     hyps = list(dict.fromkeys(hyps))
+    rules = list(calc.rules) + list(extra)
     cs = calc.signature if isinstance(calc.signature, CombinedSignature) else None
     candidates = _candidate_pool(calc, hyps, goal, bounds)
     facts: dict = {}
@@ -397,10 +454,10 @@ def _reference_search(calc, hyps, goal, bounds):
                 by_head.setdefault(f.ctor, []).append(f)
         additions: list = []
         if _round == 0:
-            for rule in calc.rules:
+            for rule in rules:
                 if not rule.premises:
                     instances(rule, {}, (), additions)
-        for rule in calc.rules:
+        for rule in rules:
             if rule.premises:
                 for subst, cited in _reference_matches(rule, snapshot, by_head, facts):
                     instances(rule, subst, cited, additions)
@@ -474,15 +531,27 @@ def _stop_queries():
             yield calc, [], parse_formula(text, cs), bounds
 
 
+def _basis_queries(logic):
+    """Searches with the logic's basis rules as `extra`, as
+    `derivable_with_basis` and `search --with-basis` run them: each basis
+    rule's conclusion from its premises, and a hypothesis-free goal."""
+    b = load_preset(logic)
+    imp = b.signature.resolve("->", None, 2)
+    goals = [(list(r.premises), r.conclusion) for r in b.basis.rules] + [([], App(imp, (Var(1), Var(1))))]
+    for hyps, goal in goals:
+        for bounds in (SearchBounds(),) + DIFF_BOUNDS:
+            yield b.calculus, hyps, goal, bounds
+
+
 def _text(d):
     return None if d is None else serialize_derivation(d)
 
 
-def _assert_same_as_reference(queries):
+def _assert_same_as_reference(queries, extra=()):
     found = 0
     for calc, hyps, goal, bounds in queries:
-        got = bounded_proof_search(calc, (), hyps, goal, bounds)
-        want = _reference_search(calc, hyps, goal, bounds)
+        got = bounded_proof_search(calc, extra, hyps, goal, bounds)
+        want = _reference_search(calc, hyps, goal, bounds, extra)
         found += got is not None
         assert _text(got) == _text(want), \
             f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
@@ -502,6 +571,12 @@ class TestSearchMatchesReference:
     @pytest.mark.parametrize("pair", MEET_PAIRS, ids="x".join)
     def test_meet(self, pair):
         _assert_same_as_reference(_meet_queries(*pair))
+
+    @pytest.mark.parametrize("logic", ["IPL", "GL"])
+    def test_basis_rules(self, logic):
+        """Basis rules given as `extra` join, size and order like the
+        calculus's own rules."""
+        _assert_same_as_reference(_basis_queries(logic), load_preset(logic).basis.rules)
 
     def test_stop_at_goal_or_cap(self):
         """A round stops adding at the goal, at the fact cap, or past the
@@ -593,6 +668,27 @@ class TestSearchMatchesReference:
                 cases += 1
         assert cases == 8
 
+    def test_one_match_per_joint_match(self, monkeypatch):
+        """Bound premises are tested on the candidate fact before it is
+        matched, so on the meet calculi every `match_formula` call of a
+        search is a joint premise match: one that `_bucket_instances` gets."""
+        calls = {"match": 0, "joint": 0}
+
+        def match(*args):
+            calls["match"] += 1
+            return match_formula(*args)
+
+        def bucket(rule, *args):
+            calls["joint"] += bool(rule.premises)
+            return _bucket_instances(rule, *args)
+
+        monkeypatch.setattr(calculus, "match_formula", match)
+        monkeypatch.setattr(calculus, "_bucket_instances", bucket)
+        queries = itertools.chain(*(_meet_queries(*pair) for pair in MEET_PAIRS), _stop_queries())
+        for calc, hyps, goal, bounds in queries:
+            bounded_proof_search(calc, (), hyps, goal, bounds)
+        assert calls["joint"] > 1000 and calls["match"] == calls["joint"]
+
     def test_rule_instance_kept_over_lft_of_the_same_formula(self):
         """A goal that is both a rule conclusion and an LFT target in one
         size keeps the rule instance, which was made first."""
@@ -604,3 +700,94 @@ class TestSearchMatchesReference:
         _assert_same_as_reference([query])
         d = bounded_proof_search(calc, (), *query[1:])
         assert d.lines[-1].just == RuleApp("join", (1, 2), ((1, Var(1)),))
+
+
+# ---------------------------------------------------------------------------
+# the planned join against the join before it
+
+def _plan_test_rules():
+    """Rules whose plans are not those of `mp`: a check whose path leaves
+    the argument key, two checks on one step, a check bound by an earlier
+    step, and two scans followed by a constant."""
+    P = lambda text: parse_formula(text, CPL.signature)
+    return (Rule("deep", (P("(xi1 -> xi2) and (xi3 -> xi4)"), P("xi4"), P("xi1")), P("xi2 or xi3")),
+            Rule("chain", (P("xi1 -> xi2"), P("xi2 -> xi3"), P("xi1"), P("xi3")), P("xi1 -> xi3")),
+            Rule("scans", (P("xi1"), P("xi2"), P("top")), P("xi1 and xi2")))
+
+
+def _join_rule_sets():
+    for logic in ("CPL", "G3", "IPL", "S43", "GL"):
+        b = load_preset(logic)
+        yield b.signature, b.calculus.rules
+    for pair in MEET_PAIRS:
+        cs, calc = _meet_calculus(*pair)
+        yield cs, calc.rules
+    ipl, gl = load_preset("IPL"), load_preset("GL")
+    yield ipl.signature, ipl.basis.rules + (harrop_rule(ipl.signature),)
+    yield gl.signature, gl.basis.rules
+    yield CPL.signature, _plan_test_rules()
+
+
+def _join_facts(rule, sig, rng):
+    """Distinct facts in a shuffled order: formulas at random, and instances
+    of the rule's premises under substitutions at random, each premise
+    instance and each substitution image kept at random, so that a bound
+    premise is sometimes a fact and sometimes not."""
+    facts = [random_formula(rng, sig, 2, 2) for _ in range(8)]
+    rule_vars = sorted(set().union(*map(variables_of, rule.premises)))
+    for _ in range(10):
+        s = {v: random_formula(rng, sig, 2, 2) for v in rule_vars}
+        facts += [apply_substitution(s, p) for p in rule.premises if rng.random() < 0.7]
+        facts += [f for f in s.values() if rng.random() < 0.3]
+    facts = list(dict.fromkeys(facts))
+    rng.shuffle(facts)
+    return facts
+
+
+class TestJoinMatchesReference:
+    """`_join` yields the matches of the join before `Rule.plan`, with the
+    same substitutions and citations, in the same order."""
+
+    def test_same_matches_in_same_order(self):
+        rules = matches = passed = failed = 0
+        for sig, rule_set in _join_rule_sets():
+            for rule in rule_set:
+                if not rule.premises:
+                    continue
+                rules += 1
+                rng = random.Random(f"join:{rule.name}")
+                facts = _join_facts(rule, sig, rng)
+                keys = {_arg_key(p) for p in rule.premises}
+                for cut in (0, len(facts) // 3, 2 * len(facts) // 3):
+                    every = (facts, {}, {}, set(facts))
+                    _index(facts[:cut], keys, every)
+                    new = _index(facts[cut:], keys, every)
+                    want = list(_match_all_premises(rule, every, new))
+                    assert list(_join(rule, every, new)) == want, (rule, cut)
+                    matches += len(want)
+                for _, premise, _, _, checks in rule.plan:
+                    for f in facts:
+                        s = match_formula(premise, f)
+                        for _, v, path, _ in checks:
+                            if s is not None and path is not None:
+                                passed += s[v] in facts
+                                failed += s[v] not in facts
+        assert rules > 70 and matches > 2000 and passed > 300 and failed > 50
+
+    def test_plan_of_mp(self):
+        """`mp` visits its implication, and reads its minor premise off the
+        implication's first argument."""
+        mp = CPL.calculus.rule_named("mp")
+        imp = CPL.signature.resolve("->", None, 2)
+        (step,) = mp.plan
+        assert step == (1, mp.premises[1], None, False, ((0, 1, ((imp, 0),), True),))
+
+    def test_plans_of_the_test_rules(self):
+        deep, chain, scans = _plan_test_rules()
+        imp = CPL.signature.resolve("->", None, 2)
+        conj = CPL.signature.resolve("and", None, 2)
+        assert [step[0] for step in deep.plan] == [0]
+        assert deep.plan[0][4] == ((1, 4, ((conj, 1), (imp, 1)), False), (2, 1, ((conj, 0), (imp, 0)), True))
+        assert [step[0] for step in chain.plan] == [0, 1]
+        assert chain.plan[1][4] == ((2, 1, None, False), (3, 3, ((imp, 1),), True))
+        assert [(step[0], step[3], step[4]) for step in scans.plan] == [(0, False, ()), (1, False, ()), (2, True, ())]

@@ -14,7 +14,6 @@ ALLOWED = {
     "presets._ipl_norm": "normal form for the G4ip prover, one level per formula level",
     "presets._g4ip": "the G4ip proof search recurses per sequent rule",
     "presets._plug": "plugs keys into a normal form, one level per formula level",
-    "calculus._match_all_premises.rec": "one level per rule premise",
     "calculus._reconstruct.build": "one level per derivation step",
 }
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -16,6 +16,7 @@ from .combination import (
     project,
     tag_rule,
 )
+from .semantics import check_rule_soundness, entails, product_matrix
 from .syntax import (
     App,
     Formula,
@@ -25,6 +26,7 @@ from .syntax import (
     print_formula,
     subformulas,
     variables_of,
+    verum_family_name,
 )
 
 
@@ -92,17 +94,50 @@ class Calculus:
     A calculus over a `CombinedSignature` is a meet calculus: it also has the
     schematic LFT/cLFT/FX families, which the checker and the search apply
     to arbitrary formulas.
+
+    `matrices` are the matrices the calculus is meant to be sound in, and a
+    meet calculus keeps its two component calculi as `components`. Neither
+    takes part in equality; `models` is read from them.
     """
 
     name: str
     signature: object
     rules: tuple
+    matrices: tuple = field(default=(), compare=False, repr=False)
+    components: tuple = field(default=(), compare=False, repr=False)
+
+    @cached_property
+    def models(self) -> tuple:
+        """The matrices in which every rule is sound, worked out on first use.
+
+        A component calculus tries its `matrices`. A meet tries the product
+        of its components' first models, and only when each factor gives
+        every verum-family constructor designated values: LFT and cLFT are
+        sound in the product only then, while FX always is, as no factor
+        designates `bot`.
+        """
+        if self.components:
+            firsts = [c.models[0] for c in self.components if c.models]
+            if len(firsts) < 2 or not all(map(_verum_designated, firsts)):
+                return ()
+            tried = (product_matrix(*firsts, self.signature),)
+        else:
+            tried = self.matrices
+        return tuple(m for m in tried if all(check_rule_soundness((m,), r) for r in self.rules))
 
     def rule_named(self, name: str) -> Optional[Rule]:
         for r in self.rules:
             if r.name == name:
                 return r
         return None
+
+
+def _verum_designated(m) -> bool:
+    """Whether every verum-family constructor of m's signature takes only
+    designated values."""
+    flags = m.designated_flags
+    return all(flags[x] for c in m.signature.all_ctors() if c.name == verum_family_name(c.arity)
+               for x in m.tables[c])
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +309,8 @@ def assemble_meet_calculus(c1: Calculus, c2: Calculus, cs: CombinedSignature) ->
         raise BuilderError("component-1 calculus does not match the combined signature")
     if c2.signature is not cs.sig2 and c2.signature != cs.sig2:
         raise BuilderError("component-2 calculus does not match the combined signature")
-    return Calculus(f"meet({c1.name},{c2.name})", cs, inherit_rules(c1.rules, c2.rules, cs))
+    return Calculus(f"meet({c1.name},{c2.name})", cs, inherit_rules(c1.rules, c2.rules, cs),
+                    components=(c1, c2))
 
 
 def embed_rule_application(rule: Rule, subst: dict, k: int, cs: CombinedSignature):
@@ -470,12 +506,36 @@ def _bucket_instances(rule, subst, cited, candidates, max_size, buckets):
             buckets.setdefault(total, []).append((None, ("rule", rule, full, cited)))
 
 
+# The search tries a model only while its columns stay this short: `entails`
+# holds n**k values per column for k variables on an n-element carrier (on
+# each factor of a product), so a wide goal would cost far more than the
+# search it saves.
+_MAX_COLUMN = 1 << 12
+
+
+def _refuted(calc: Calculus, hyps: list, goal: Formula) -> bool:
+    """Whether some model of the calculus, of those small enough to try,
+    designates every hypothesis but not the goal under some assignment."""
+    k = len(set().union(variables_of(goal), *map(variables_of, hyps)))
+    tried = [m for m in calc.models if max(len(f.carrier) for f in m.factors or (m,)) ** k <= _MAX_COLUMN]
+    return bool(tried) and not entails(tried, hyps, goal)
+
+
 def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[Formula],
                          goal: Formula, bounds: SearchBounds = SearchBounds()) -> Optional[Derivation]:
     """Iterative forward search; a returned derivation always passes the checker.
 
-    None is inconclusive (search exhausted), never a non-derivability claim.
+    None is inconclusive, never a non-derivability claim: the search gave up
+    at its bounds, or it never started because no fact could be the goal.
     Exploration order is fixed, so results are deterministic for fixed bounds.
+
+    Two tests return None before round 0, and neither loses a derivation
+    the rounds would find. A goal over `max_size` is never added as a fact,
+    not even as a hypothesis. Without `extra`, a goal that the hypotheses do
+    not entail in one of `calc.models` is not derivable, as every rule is
+    sound there. Rules in `extra` (basis rules) are admissible, not
+    derivable, and need not be sound in those models, so with `extra` the
+    models are not read.
 
     Rounds are semi-naive: a round makes only the premise matches that cite
     a fact added by the round before. A match of older facts was made in an
@@ -489,6 +549,8 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
     facts of the round's start, as `proj_embedded` and FX keep size.
     """
     hyps = list(dict.fromkeys(hyps))
+    if goal.size > bounds.max_size or not extra and _refuted(calc, hyps, goal):
+        return None
     rules = list(calc.rules) + list(extra)
     cs = calc.signature if isinstance(calc.signature, CombinedSignature) else None
     candidates = _candidate_pool(calc, hyps, goal, bounds)

@@ -282,7 +282,6 @@ def load_logic_definition(text: str, name: str = "custom"):
     sig = make_signature(name, ctors)
 
     rules = tuple(parse_rule_line(line, sig) for line in sections["rules"])
-    calc = Calculus(name, sig, rules)
 
     matrices = ()
     characteristic = None
@@ -292,6 +291,7 @@ def load_logic_definition(text: str, name: str = "custom"):
         matrices = (m,)
         if "characteristic" in sections["matrix"]:
             characteristic = m
+    calc = Calculus(name, sig, rules, matrices=matrices)
 
     identity_profiles = {}
     structurally_complete = False

@@ -12,7 +12,7 @@ from typing import Optional
 from .admissibility import Basis, TheoremProcedure, combined_basis
 from .calculus import Calculus, Rule, assemble_meet_calculus
 from .combination import CombinedSignature
-from .semantics import Matrix, MatrixTheorem, product_matrix
+from .semantics import Matrix, MatrixTheorem
 from .syntax import (
     FALSUM,
     Formula,
@@ -453,8 +453,8 @@ def load_preset(name: str, schema_bound: int = DEFAULT_SCHEMA_BOUND,
 def _load(name: str, schema_bound: int, max_worlds: int) -> LogicBundle:
     if name == "CPL":
         sig = make_signature("CPL", _PROP_CTORS)
-        calc = Calculus("CPL", sig, _rules(sig, _INT_CORE + _DNE))
         char = godel_chain(sig, 2, "bool2")
+        calc = Calculus("CPL", sig, _rules(sig, _INT_CORE + _DNE), matrices=(char,))
         thm = MatrixTheorem(char)
         return LogicBundle(
             name="CPL", signature=sig, calculus=calc, matrices=(char,),
@@ -465,8 +465,8 @@ def _load(name: str, schema_bound: int, max_worlds: int) -> LogicBundle:
         )
     if name == "G3":
         sig = make_signature("G3", _PROP_CTORS)
-        calc = Calculus("G3", sig, _rules(sig, _INT_CORE + _LIN))
         char = godel_chain(sig, 3, "g3")
+        calc = Calculus("G3", sig, _rules(sig, _INT_CORE + _LIN), matrices=(char,))
         thm = MatrixTheorem(char)
         return LogicBundle(
             name="G3", signature=sig, calculus=calc, matrices=(char,),
@@ -477,8 +477,8 @@ def _load(name: str, schema_bound: int, max_worlds: int) -> LogicBundle:
         )
     if name == "IPL":
         sig = make_signature("IPL", _PROP_CTORS)
-        calc = Calculus("IPL", sig, _rules(sig, _INT_CORE))
         chains = tuple(godel_chain(sig, k) for k in range(2, 6))
+        calc = Calculus("IPL", sig, _rules(sig, _INT_CORE), matrices=chains)
         basis = Basis("IPL", tuple(visser_rule(sig, n) for n in range(1, schema_bound + 1)))
         thm = G4ipTheorem()
         return LogicBundle(
@@ -491,9 +491,9 @@ def _load(name: str, schema_bound: int, max_worlds: int) -> LogicBundle:
         )
     if name == "S43":
         sig = make_signature("S43", _MODAL_CTORS)
-        calc = Calculus("S43", sig, _rules(sig, _INT_CORE + _DNE + _MODAL_S43))
         frames = generate_frames("s43", max_worlds)
         matrices = tuple(kripke_matrix(fr, sig) for fr in frames)
+        calc = Calculus("S43", sig, _rules(sig, _INT_CORE + _DNE + _MODAL_S43), matrices=matrices)
         P = lambda s: parse_formula(s, sig)
         basis = Basis("S43", (Rule("s43b", (P("(dia xi1) and (dia (neg xi1))"),), P("bot")),))
         return LogicBundle(
@@ -506,9 +506,9 @@ def _load(name: str, schema_bound: int, max_worlds: int) -> LogicBundle:
         )
     if name == "GL":
         sig = make_signature("GL", _MODAL_CTORS)
-        calc = Calculus("GL", sig, _rules(sig, _INT_CORE + _DNE + _MODAL_GL))
         frames = generate_frames("gl", max_worlds)
         matrices = tuple(kripke_matrix(fr, sig) for fr in frames)
+        calc = Calculus("GL", sig, _rules(sig, _INT_CORE + _DNE + _MODAL_GL), matrices=matrices)
         basis = Basis("GL", tuple(gl_basis_rule(sig, n) for n in range(1, schema_bound + 1)))
         return LogicBundle(
             name="GL", signature=sig, calculus=calc, matrices=matrices,
@@ -526,17 +526,17 @@ PRESET_NAMES = ("CPL", "G3", "IPL", "S43", "GL")
 @lru_cache(maxsize=64)
 def combine_bundles(b1: LogicBundle, b2: LogicBundle) -> LogicBundle:
     """The meet of two bundles, itself a bundle, built once per pair. Its one
-    matrix is the product of each side's characteristic matrix, or of its
-    first matrix; it claims no theorem procedure or structural completeness."""
+    matrix is its calculus's model (`Calculus.models`): the product of each
+    side's first matrix in which that side's rules are sound. A meet without
+    a model has no matrix. It claims no theorem procedure or structural
+    completeness."""
     for b in (b1, b2):
         if isinstance(b.signature, CombinedSignature):
             raise PresetError(f"nested meets are not supported yet: {b.name} is itself a meet")
     cs = CombinedSignature(b1.signature, b2.signature)
+    calc = assemble_meet_calculus(b1.calculus, b2.calculus, cs)
     return LogicBundle(
-        name=f"meet({b1.name},{b2.name})", signature=cs,
-        calculus=assemble_meet_calculus(b1.calculus, b2.calculus, cs),
-        matrices=(product_matrix(b1.characteristic or b1.matrices[0],
-                                 b2.characteristic or b2.matrices[0], cs),),
+        name=f"meet({b1.name},{b2.name})", signature=cs, calculus=calc, matrices=calc.models,
         characteristic=None, structurally_complete=False, theorem=None,
         identity_profiles={}, completion_profile=CompletionProfile(cs, {}, {}),
         basis=combined_basis(b1.basis, b2.basis, cs),

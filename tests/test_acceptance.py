@@ -6,6 +6,7 @@ per criterion.
 """
 import itertools
 import random
+from dataclasses import replace
 
 from meetlogic.admissibility import (
     decide_admissible_meet,
@@ -397,10 +398,13 @@ def test_criterion_10_consistency_guard(capsys):
     ]
     failures = []
     for calc, cs in meets:
-        for goal in (cs.falsum(1), cs.falsum(2), Var(1)):
-            d = bounded_proof_search(calc, (), [], goal, SearchBounds(depth=6))
-            if d is not None:
-                failures.append((calc.name, print_formula(goal)))
+        # The product model refutes these goals before round 0; the copy
+        # without models runs the rounds.
+        for searched in (calc, replace(calc, matrices=(), components=())):
+            for goal in (cs.falsum(1), cs.falsum(2), Var(1)):
+                d = bounded_proof_search(searched, (), [], goal, SearchBounds(depth=6))
+                if d is not None:
+                    failures.append((calc.name, print_formula(goal)))
 
     products = [product_matrix(CPL.characteristic, CPL2.characteristic, CS)]
     products += [product_matrix(m1, m2, cs2)

@@ -36,7 +36,7 @@ from meetlogic.calculus import (
 from meetlogic.combination import CombinedSignature, combine_signatures, embed, proj_embedded, project
 from meetlogic.formats import serialize_derivation
 from meetlogic.presets import godel_chain, harrop_rule, load_preset
-from meetlogic.semantics import entails, product_matrix
+from meetlogic.semantics import check_rule_soundness, entails, product_matrix
 from meetlogic.syntax import (
     App,
     Var,
@@ -305,8 +305,11 @@ class TestTemplates:
 
 class TestConsistencyGuard:
     def test_no_falsum_or_bare_variable_from_empty(self):
-        for goal in (CS.falsum(1), CS.falsum(2), Var(1)):
-            assert bounded_proof_search(MEET, (), [], goal, SearchBounds(depth=4)) is None
+        # The product model refutes these goals before round 0; the copy
+        # without models shows that the rounds do not derive them either.
+        for calc in (MEET, replace(MEET, matrices=(), components=())):
+            for goal in (CS.falsum(1), CS.falsum(2), Var(1)):
+                assert bounded_proof_search(calc, (), [], goal, SearchBounds(depth=4)) is None
 
     def test_hypothesis_free_derivations_project_to_validities(self):
         # combined theorems found by search have valid component projections
@@ -668,6 +671,22 @@ class TestSearchMatchesReference:
                 cases += 1
         assert cases == 8
 
+    def test_goal_over_max_size_builds_nothing(self, monkeypatch):
+        """A goal larger than `max_size` can never be a fact, so the search
+        returns before round 0, with basis rules in `extra` too."""
+        built: list = []
+
+        def build(s, f):
+            built.append(f)
+            return apply_substitution(s, f)
+
+        monkeypatch.setattr(calculus, "apply_substitution", build)
+        ipl = load_preset("IPL")
+        for rule in ipl.basis.rules[1:]:  # visser2 and visser3: 41 and 71 nodes
+            assert rule.conclusion.size > SearchBounds().max_size
+            assert bounded_proof_search(ipl.calculus, ipl.basis.rules, rule.premises, rule.conclusion) is None
+        assert built == []
+
     def test_one_match_per_joint_match(self, monkeypatch):
         """Bound premises are tested on the candidate fact before it is
         matched, so on the meet calculi every `match_formula` call of a
@@ -700,6 +719,101 @@ class TestSearchMatchesReference:
         _assert_same_as_reference([query])
         d = bounded_proof_search(calc, (), *query[1:])
         assert d.lines[-1].just == RuleApp("join", (1, 2), ((1, Var(1)),))
+
+
+# ---------------------------------------------------------------------------
+# the test in the calculus's sound matrices before round 0
+
+def _models_free(calc):
+    """The same calculus with no models: the search without the matrix test."""
+    return replace(calc, matrices=(), components=())
+
+
+def _refutation_queries():
+    """Seeded goals with and without hypotheses over the component presets
+    and the meet pairs, and on the meets the consistency-guard goals."""
+    calcs = [load_preset(logic, max_worlds=2).calculus for logic in ("CPL", "G3", "IPL", "S43", "GL")] \
+        + [_meet_calculus(*pair)[1] for pair in MEET_PAIRS]
+    for calc in calcs:
+        sig = calc.signature
+        meet = isinstance(sig, CombinedSignature)
+        imp = sig.resolve_pair("->", sig.tag1, "->", sig.tag2) if meet else sig.resolve("->", None, 2)
+        rng = random.Random(f"refutation:{calc.name}")
+        goals = []
+        for _ in range(2):
+            a, c = random_formula(rng, sig, 2, 2), random_formula(rng, sig, 1, 2)
+            goals += [([a], c), ([], App(imp, (a, c))), ([], App(imp, (a, a)))]
+        if meet:
+            goals += [([], sig.falsum(1)), ([], sig.falsum(2)), ([], Var(1))]
+        for hyps, goal in goals:
+            for bounds in (SearchBounds(),) + DIFF_BOUNDS:
+                yield calc, hyps, goal, bounds
+
+
+class TestRefutationLosesNothing:
+    """A goal that the hypotheses do not entail in a model of the calculus
+    is not derivable, so returning None for it changes no search result."""
+
+    def test_same_results_as_without_models(self):
+        refuted = found = 0
+        for calc, hyps, goal, bounds in _refutation_queries():
+            assert calc.models
+            got = bounded_proof_search(calc, (), hyps, goal, bounds)
+            want = bounded_proof_search(_models_free(calc), (), hyps, goal, bounds)
+            assert _text(got) == _text(want), \
+                f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
+            refuted += not entails(calc.models, hyps, goal)
+            if got is not None:
+                found += 1
+                assert entails(calc.models, hyps, got.conclusion)
+        assert refuted > 50 and found > 10
+
+    def test_wide_goals_skip_large_models(self, monkeypatch):
+        """A model is tried only while a column over the goal's variables
+        stays short: IPL's five-element chain not on six variables, and no
+        model on thirteen."""
+        tried: list = []
+
+        def spy(ms, hyps, goal):
+            tried.append([len(m.carrier) for m in ms])
+            return True
+
+        monkeypatch.setattr(calculus, "entails", spy)
+        ipl = load_preset("IPL")
+        for n in (6, 13):
+            goal = parse_formula(" or ".join(f"xi{i}" for i in range(1, n + 1)), ipl.signature)
+            bounded_proof_search(ipl.calculus, (), [], goal, SearchBounds(depth=0))
+        assert tried == [[2, 3, 4]]
+
+    def test_rules_unsound_in_a_matrix_drop_it(self):
+        """`dne` is unsound in the three-element chain, so CPL's rules with
+        that chain as their only matrix have no model, and the search still
+        finds `dne`'s instance, which the chain refutes."""
+        chain3 = godel_chain(CPL.signature, 3)
+        calc = Calculus("CPL", CPL.signature, CPL.calculus.rules, matrices=(chain3,))
+        goal = P("(neg (neg xi1)) -> xi1")
+        assert not entails([chain3], [], goal)
+        assert calc.models == ()
+        assert bounded_proof_search(calc, (), [], goal) is not None
+
+    def test_meet_needs_designated_verum_family(self):
+        """A factor whose verum family takes an undesignated value gives the
+        meet no product model, even when every inherited rule is sound in
+        the product: cLFT is not. Models are not worked out at assembly."""
+        sig = CPL.signature
+        bool2 = CPL.characteristic
+        odd = replace(bool2, name="odd", tables={**bool2.tables, sig.verum_at(1): [0, 0]})
+        identity = (Rule("id", (Var(1),), Var(1)),)
+        c1, c2 = Calculus("A", sig, identity, matrices=(bool2,)), Calculus("B", sig, identity, matrices=(odd,))
+        calc = assemble_meet_calculus(c1, c2, CS)
+        assert "models" not in calc.__dict__
+        assert c2.models == (odd,) and calc.models == ()
+        hyp = PM("<neg.CPL1|neg.CPL2>(xi1)")
+        goal = proj_embedded(hyp, 1, CS)
+        product = product_matrix(bool2, odd, CS)
+        assert all(check_rule_soundness([product], r) for r in calc.rules)
+        assert bounded_proof_search(calc, (), [hyp], goal, SearchBounds(depth=1)) is not None
+        assert not entails([product], [hyp], goal)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,8 @@ class TestMeetBundle:
         assert meet.signature == cs
         assert meet.calculus.name == calc.name and meet.calculus.rules == calc.rules
         (m,) = meet.matrices
+        assert meet.matrices is meet.calculus.models
+        assert meet.calculus.components == (b1.calculus, b2.calculus)
         assert m.carrier == prod.carrier and m.designated == prod.designated
         assert m.tables == prod.tables
         assert meet.basis.provenance == basis.provenance and meet.basis.rules == basis.rules

@@ -4,44 +4,38 @@ basis-augmented derivability, combined bases, and structural-completeness sampli
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Protocol, Sequence
 
 from .calculus import Derivation, Rule, SearchBounds, bounded_proof_search, inherit_rules
 from .combination import CombinedSignature, project
 from .semantics import entails
-from .syntax import App, Ctor, FALSUM, Formula, print_formula, variables_of
+from .syntax import App, Ctor, FALSUM, Formula, Record, print_formula, variables_of
 
 # The component falsum the fallback call asks about, on either side.
 _COMPONENT_FALSUM = App(Ctor(FALSUM, 0))
 
 
-@dataclass
-class AdmissibilityOracle:
-    """An injected component decision procedure with declared exactness.
+class AdmissibilityOracle(Record):
+    """An injected component decision procedure `fn` with declared exactness.
 
     exact=False marks a bounded/heuristic procedure whose caveat must be
     propagated to any verdict built on top of it. Calls are counted for
-    instrumentation.
+    instrumentation, so an oracle is mutable and unhashable.
     """
 
-    logic: str
-    exact: bool
-    fn: Callable
-    calls: int = 0
+    __slots__ = ("logic", "exact", "fn", "calls")
+    _defaults = {"calls": 0}
+    __setattr__ = object.__setattr__
+    __hash__ = None
 
     def __call__(self, premises: Sequence[Formula], beta: Formula) -> bool:
         self.calls += 1
         return bool(self.fn(tuple(premises), beta))
 
 
-@dataclass(frozen=True)
-class MeetDecision:
-    admissible: bool
-    exact: bool
-    calls: int
-    trace: tuple
+class MeetDecision(Record):
+    __slots__ = ("admissible", "exact", "calls", "trace")
 
     def __bool__(self):
         return self.admissible
@@ -89,21 +83,22 @@ class TheoremProcedure(Protocol):
     def instances(self, pattern: Formula) -> Callable[[Mapping[int, Hashable]], bool]: ...
 
 
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
-    status: str  # "admissible" | "not-admissible" | "inconclusive"
-    exact: bool
-    witness: Optional[tuple] = None  # frozen substitution for not-admissible
-    tried: int = field(default=0, compare=False)  # distinct key tuples the sweep checked
+class AdmissibilityVerdict(Record):
+    """`status` is "admissible", "not-admissible" or "inconclusive";
+    `witness` is the frozen substitution for not-admissible, and `tried`
+    counts the distinct key tuples the sweep checked."""
+
+    __slots__ = ("status", "exact", "witness", "tried")
+    _defaults = {"witness": None, "tried": 0}
+    _compare = ("status", "exact", "witness")
 
     def __bool__(self):
         return self.status == "admissible"
 
 
-@dataclass(frozen=True)
-class BruteForceBounds:
-    depth: int = 2
-    max_candidates: int = 8
+class BruteForceBounds(Record):
+    __slots__ = ("depth", "max_candidates")
+    _defaults = {"depth": 2, "max_candidates": 8}
 
 
 @lru_cache(maxsize=32)
@@ -185,10 +180,8 @@ def brute_force_admissible(bundle, premises: Sequence[Formula], beta: Formula,
 # ---------------------------------------------------------------------------
 # bases
 
-@dataclass(frozen=True)
-class Basis:
-    provenance: str
-    rules: tuple
+class Basis(Record):
+    __slots__ = ("provenance", "rules")
 
 
 def derivable_with_basis(premises, goal, basis: Basis, bundle,
@@ -208,13 +201,10 @@ def combined_basis(b1: Basis, b2: Basis, cs: CombinedSignature) -> Basis:
 # ---------------------------------------------------------------------------
 # structural completeness sampling
 
-@dataclass(frozen=True)
-class CompletenessReport:
-    checked: int
-    agreements: int
-    not_admissible: int
-    inconclusive: int
-    flagged: tuple  # rules admissible (per oracle) but not found derivable
+class CompletenessReport(Record):
+    """`flagged` holds the rules admissible (per oracle) but not found derivable."""
+
+    __slots__ = ("checked", "agreements", "not_admissible", "inconclusive", "flagged")
 
 
 def check_structural_completeness_sample(bundle, rules: Iterable[Rule],

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -20,6 +19,7 @@ from .semantics import check_rule_soundness, entails, product_matrix
 from .syntax import (
     App,
     Formula,
+    Record,
     Var,
     apply_substitution,
     match_formula,
@@ -34,11 +34,8 @@ class BuilderError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Rule:
-    name: str
-    premises: tuple
-    conclusion: Formula
+class Rule(Record):
+    __slots__ = ("name", "premises", "conclusion", "__dict__")
 
     @property
     def liberal(self) -> bool:
@@ -87,8 +84,7 @@ class Rule:
         return f"{self.name}: {ps} / {print_formula(self.conclusion)}"
 
 
-@dataclass(frozen=True)
-class Calculus:
+class Calculus(Record):
     """A named finite rule set over a signature.
 
     A calculus over a `CombinedSignature` is a meet calculus: it also has the
@@ -100,11 +96,9 @@ class Calculus:
     takes part in equality; `models` is read from them.
     """
 
-    name: str
-    signature: object
-    rules: tuple
-    matrices: tuple = field(default=(), compare=False, repr=False)
-    components: tuple = field(default=(), compare=False, repr=False)
+    __slots__ = ("name", "signature", "rules", "matrices", "components", "__dict__")
+    _defaults = {"matrices": (), "components": ()}
+    _compare = ("name", "signature", "rules")
 
     @cached_property
     def models(self) -> tuple:
@@ -125,12 +119,6 @@ class Calculus:
             tried = self.matrices
         return tuple(m for m in tried if all(check_rule_soundness((m,), r) for r in self.rules))
 
-    def rule_named(self, name: str) -> Optional[Rule]:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        return None
-
 
 def _verum_designated(m) -> bool:
     """Whether every verum-family constructor of m's signature takes only
@@ -143,46 +131,38 @@ def _verum_designated(m) -> bool:
 # ---------------------------------------------------------------------------
 # derivations
 
-@dataclass(frozen=True)
-class Hyp:
-    pass
+class Hyp(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RuleApp:
-    rule: str
-    cites: tuple  # 1-based earlier line indices, one per premise
-    subst: tuple  # sorted ((var index, Formula), ...) witness
+class RuleApp(Record):
+    """`cites` are 1-based earlier line indices, one per premise; `subst` is
+    the sorted ((var index, Formula), ...) witness."""
+
+    __slots__ = ("rule", "cites", "subst")
 
     def subst_dict(self) -> dict:
         return dict(self.subst)
 
 
-@dataclass(frozen=True)
-class Lft:
-    cites: tuple  # (line of phi|1, line of phi|2)
+class Lft(Record):
+    __slots__ = ("cites",)  # (line of phi|1, line of phi|2)
 
 
-@dataclass(frozen=True)
-class Clft:
-    cite: int
-    side: int
+class Clft(Record):
+    __slots__ = ("cite", "side")
 
 
-@dataclass(frozen=True)
-class Fx:
-    cite: int
+class Fx(Record):
+    __slots__ = ("cite",)
 
 
-@dataclass(frozen=True)
-class Line:
-    formula: Formula
-    just: object
+class Line(Record):
+    __slots__ = ("formula", "just")
 
 
-@dataclass(frozen=True)
-class Derivation:
-    lines: tuple
+class Derivation(Record):
+    __slots__ = ("lines",)
 
     @property
     def conclusion(self) -> Formula:
@@ -196,11 +176,9 @@ def freeze_subst(s: dict) -> tuple:
     return tuple(sorted(s.items()))
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    line: Optional[int] = None
-    reason: Optional[str] = None
+class Verdict(Record):
+    __slots__ = ("ok", "line", "reason")
+    _defaults = {"line": None, "reason": None}
 
     def __bool__(self):
         return self.ok
@@ -340,17 +318,14 @@ def embed_rule_application(rule: Rule, subst: dict, k: int, cs: CombinedSignatur
 # ---------------------------------------------------------------------------
 # bounded proof search
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(Record):
     """Rounds of rule application (0 answers from the hypotheses alone), the
     largest fact size, the fact cap, and the candidate-pool size."""
 
-    depth: int = 6
-    max_size: int = 30
-    max_facts: int = 3000
-    max_candidates: int = 14
+    __slots__ = ("depth", "max_size", "max_facts", "max_candidates")
 
-    def __post_init__(self):
+    def __init__(self, depth: int = 6, max_size: int = 30, max_facts: int = 3000, max_candidates: int = 14):
+        Record.__init__(self, depth, max_size, max_facts, max_candidates)
         for name, least in (("depth", 0), ("max_size", 1), ("max_facts", 1), ("max_candidates", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"search bound {name} must be at least {least}, got {getattr(self, name)}")

@@ -1,7 +1,6 @@
 """Meet-combination of signatures: paired constructors, embeddings, projection, tagging."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .syntax import (
@@ -9,6 +8,7 @@ from .syntax import (
     Ctor,
     Formula,
     Interned,
+    Record,
     Signature,
     SignatureError,
     Var,
@@ -52,28 +52,28 @@ class PairCtor(Interned):
         return f"PairCtor({self.display})"
 
 
-@dataclass
-class CombinedSignature:
+class CombinedSignature(Record):
     """Arity-wise Cartesian product of two component signatures.
 
     When the component tags coincide (self-combination) they are
-    disambiguated by appending the side number.
+    disambiguated by appending the side number. `_resolved` is the parser's
+    cache.
     """
 
-    sig1: Signature
-    sig2: Signature
-    _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # for the parser
+    __slots__ = ("sig1", "sig2", "tag1", "tag2", "_resolved", "_embedded", "_sides")
+    _fields = ("sig1", "sig2")
 
-    def __post_init__(self):
-        if self.sig1.tag == self.sig2.tag:
-            self.tag1 = f"{self.sig1.tag}1"
-            self.tag2 = f"{self.sig2.tag}2"
-        else:
-            self.tag1, self.tag2 = self.sig1.tag, self.sig2.tag
-        self._embedded = {k: {c: self._pad(c, k) for n in self.arities()
-                              for c in self.component(k).by_arity[n].values()} for k in (1, 2)}
+    def __init__(self, sig1: Signature, sig2: Signature):
+        Record.__init__(self, sig1, sig2)
+        init = object.__setattr__
+        same = sig1.tag == sig2.tag
+        init(self, "tag1", f"{sig1.tag}1" if same else sig1.tag)
+        init(self, "tag2", f"{sig2.tag}2" if same else sig2.tag)
+        init(self, "_resolved", {})
+        init(self, "_embedded", {k: {c: self._pad(c, k) for n in self.arities()
+                                     for c in self.component(k).by_arity[n].values()} for k in (1, 2)})
         # each pair constructor's embedded side constructors, for proj_embedded
-        self._sides = {p: (self._embedded[1][p.c1], self._embedded[2][p.c2]) for p in self.all_ctors()}
+        init(self, "_sides", {p: (self._embedded[1][p.c1], self._embedded[2][p.c2]) for p in self.all_ctors()})
 
     def component(self, k: int) -> Signature:
         return self.sig1 if k == 1 else self.sig2

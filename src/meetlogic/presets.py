@@ -5,17 +5,18 @@ bases, and an intuitionistic theoremhood procedure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Optional
 
-from .admissibility import Basis, TheoremProcedure, combined_basis
+from .admissibility import Basis, combined_basis
 from .calculus import Calculus, Rule, assemble_meet_calculus
 from .combination import CombinedSignature
 from .semantics import Matrix, MatrixTheorem
 from .syntax import (
     FALSUM,
     Formula,
+    Record,
     Signature,
     VERUM,
     Var,
@@ -30,27 +31,31 @@ class PresetError(Exception):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class LogicBundle:
+class LogicBundle(Record):
     """Everything the rest of the library needs to know about one logic.
 
     `load_preset` and `combine_bundles` hand the same bundle to every caller
-    that passes equal arguments, so a bundle is frozen and hashes by
-    identity, and no caller writes to its dict fields (`identity_profiles`,
-    `fixtures` and the completion profile's tables).
+    that passes equal arguments, so a bundle is frozen and compares and
+    hashes by identity, and no caller writes to its dict fields
+    (`identity_profiles`, `fixtures` and the completion profile's tables).
     """
 
-    name: str
-    signature: Signature  # a CombinedSignature in a meet bundle
-    calculus: Calculus
-    matrices: tuple  # finite soundness filters
-    characteristic: Optional[Matrix]  # sound & complete finite matrix, if any
-    structurally_complete: bool
-    theorem: Optional[TheoremProcedure]  # exact theoremhood, if decidable here
-    identity_profiles: dict  # ctor name -> IdentityProfile
-    completion_profile: CompletionProfile
-    basis: Optional[Basis]
-    fixtures: dict = field(default_factory=dict)
+    __slots__ = (
+        "name",
+        "signature",  # a CombinedSignature in a meet bundle
+        "calculus",
+        "matrices",  # finite soundness filters
+        "characteristic",  # sound & complete finite matrix, if any
+        "structurally_complete",
+        "theorem",  # exact theoremhood (an admissibility.TheoremProcedure), if decidable here
+        "identity_profiles",  # ctor name -> IdentityProfile
+        "completion_profile",
+        "basis",  # a Basis or None
+        "fixtures",  # name -> Rule
+    )
+    _defaults = {"fixtures": MappingProxyType({})}
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 # ---------------------------------------------------------------------------
@@ -125,19 +130,19 @@ _FRAME_CONSTRAINTS = {
 }
 
 
-@dataclass(frozen=True)
-class KripkeFrame:
-    worlds: tuple
-    relation: frozenset  # of (w, u) pairs
-    constraint: str  # "s43" | "gl"
+class KripkeFrame(Record):
+    """`relation` is a frozenset of (w, u) pairs; `constraint` is "s43" or "gl"."""
 
-    def __post_init__(self):
-        checks = _FRAME_CONSTRAINTS.get(self.constraint)
+    __slots__ = ("worlds", "relation", "constraint")
+
+    def __init__(self, worlds: tuple, relation: frozenset, constraint: str):
+        checks = _FRAME_CONSTRAINTS.get(constraint)
         if checks is None:
-            raise PresetError(f"unknown frame constraint {self.constraint!r}")
+            raise PresetError(f"unknown frame constraint {constraint!r}")
         for fn, label in checks:
-            if not fn(self.worlds, self.relation):
+            if not fn(worlds, relation):
                 raise PresetError(f"frame is not {label}")
+        Record.__init__(self, worlds, relation, constraint)
 
 
 def kripke_matrix(frame: KripkeFrame, sig: Signature) -> Matrix:

@@ -2,67 +2,63 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .combination import CombinedSignature
-from .syntax import App, Formula, Var
+from .syntax import App, Formula, Record, Var
 
 
 class SemanticsError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """Finite algebra with a nonempty designated subset.
 
-    `carrier` lists the elements (labels); position i is index i. `tables`
-    maps every constructor of the signature to its operation over carrier
-    indices, as a flat row-major list (the layout of matrix files).
-    `designated` is a set of labels. The constructor checks all of this;
-    `index` (label -> position) and `designated_flags` (per position) are
-    derived from it. A product keeps its two `factors` (see `product_matrix`),
-    through which `holds` and `entails` evaluate it.
+    `signature` is a Signature or CombinedSignature. `carrier` lists the
+    elements (labels); position i is index i. `tables` maps every
+    constructor of the signature to its operation over carrier indices, as a
+    flat row-major list, n^arity long (the layout of matrix files).
+    `designated` is a frozenset of labels. The constructor checks all of
+    this; `index` (label -> position) and `designated_flags` (per position)
+    are derived from it. A product keeps its two `factors` (see
+    `product_matrix`), through which `holds` and `entails` evaluate it.
     """
 
-    name: str
-    signature: object  # Signature or CombinedSignature
-    carrier: tuple
-    designated: frozenset
-    tables: Mapping  # ctor -> list of carrier indices, n^arity long
-    factors: tuple = field(default=(), repr=False, compare=False)
-    index: dict = field(init=False, repr=False, compare=False)
-    designated_flags: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "signature", "carrier", "designated", "tables", "factors", "index", "designated_flags")
+    _fields = ("name", "signature", "carrier", "designated", "tables", "factors")
+    _compare = _fields[:5]
 
-    def __post_init__(self):
-        n = len(self.carrier)
-        index = {v: i for i, v in enumerate(self.carrier)}
-        if not self.designated:
-            raise SemanticsError(f"matrix {self.name}: empty designated set")
-        for v in self.designated:
+    def __init__(self, name: str, signature, carrier: tuple, designated: frozenset, tables: Mapping,
+                 factors: tuple = ()):
+        n = len(carrier)
+        index = {v: i for i, v in enumerate(carrier)}
+        if not designated:
+            raise SemanticsError(f"matrix {name}: empty designated set")
+        for v in designated:
             if v not in index:
-                raise SemanticsError(f"matrix {self.name}: designated value {v!r} is not in the carrier")
-        ctors = set(self.signature.all_ctors())
-        missing = sorted(c.display for c in ctors.difference(self.tables))
+                raise SemanticsError(f"matrix {name}: designated value {v!r} is not in the carrier")
+        ctors = set(signature.all_ctors())
+        missing = sorted(c.display for c in ctors.difference(tables))
         if missing:
-            raise SemanticsError(f"matrix {self.name}: no operation for {missing[0]}")
-        extra = sorted(c.display for c in set(self.tables).difference(ctors))
+            raise SemanticsError(f"matrix {name}: no operation for {missing[0]}")
+        extra = sorted(c.display for c in set(tables).difference(ctors))
         if extra:
-            raise SemanticsError(f"matrix {self.name}: op {extra[0]} is not in the signature")
-        for ctor, t in self.tables.items():
+            raise SemanticsError(f"matrix {name}: op {extra[0]} is not in the signature")
+        for ctor, t in tables.items():
             if len(t) != n ** ctor.arity:
                 raise SemanticsError(
-                    f"matrix {self.name}: op {ctor.display}: expected {n ** ctor.arity} values, got {len(t)}")
+                    f"matrix {name}: op {ctor.display}: expected {n ** ctor.arity} values, got {len(t)}")
             bad = [v for v in (min(t), max(t)) if not 0 <= v < n]
             if bad:
                 raise SemanticsError(
-                    f"matrix {self.name}: op {ctor.display} yields {bad[0]}, outside the carrier 0..{n - 1}")
-        flags = tuple(v in self.designated for v in self.carrier)
-        if not flags[self.tables[self.signature.top.ctor][0]]:
-            raise SemanticsError(f"matrix {self.name}: top must be designated")
-        if flags[self.tables[self.signature.bot.ctor][0]]:
-            raise SemanticsError(f"matrix {self.name}: bot must not be designated")
+                    f"matrix {name}: op {ctor.display} yields {bad[0]}, outside the carrier 0..{n - 1}")
+        flags = tuple(v in designated for v in carrier)
+        if not flags[tables[signature.top.ctor][0]]:
+            raise SemanticsError(f"matrix {name}: top must be designated")
+        if flags[tables[signature.bot.ctor][0]]:
+            raise SemanticsError(f"matrix {name}: bot must not be designated")
+        Record.__init__(self, name, signature, carrier, designated, tables, factors)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "designated_flags", flags)
 
@@ -178,10 +174,9 @@ def entails(matrices: Iterable[Matrix], gamma: Iterable[Formula], f: Formula) ->
     return all(_entails(m, hyps, goal, variables) for m in matrices)
 
 
-@dataclass(frozen=True)
-class MatrixTheorem:
-    """Theoremhood in a characteristic matrix: a formula is a theorem iff it
-    holds there.
+class MatrixTheorem(Record):
+    """Theoremhood in a characteristic `matrix`: a formula is a theorem iff
+    it holds there.
 
     For the substitution sweep of `brute_force_admissible`, the key of a
     closed formula is the carrier index of its value, and an instance of a
@@ -189,7 +184,7 @@ class MatrixTheorem:
     designated.
     """
 
-    matrix: Matrix
+    __slots__ = ("matrix",)
 
     def __call__(self, f: Formula) -> bool:
         return holds(self.matrix, f)

@@ -12,7 +12,6 @@ import re
 import threading
 import weakref
 import zlib
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
 VERUM = "top"
@@ -69,6 +68,66 @@ class Interned:
 
 
 _init = object.__setattr__
+
+
+class Record:
+    """Base of the immutable value types: plain classes whose constructor,
+    equality, hash and repr come from their field lists, and which refuse
+    assignment like `Interned` nodes.
+
+    A subclass names its fields in `__slots__` (with "__dict__" where a
+    `cached_property` needs one). They are the constructor's parameters, by
+    position or keyword, unless the class names fewer in `_fields` and sets
+    the others in its own `__init__`; `_defaults` maps parameters to their
+    defaults. Equality, hash and repr use the fields named in `_compare`, by
+    default all the parameters.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+    __setattr__ = Interned.__setattr__
+    __delattr__ = Interned.__delattr__
+
+    def __init_subclass__(cls):
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        if "_compare" not in cls.__dict__:
+            cls._compare = cls._fields
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} arguments, got {len(args)}")
+        for name, value in zip(fields, args):
+            _init(self, name, value)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                _init(self, name, kwargs.pop(name))
+            elif name in self._defaults:
+                _init(self, name, self._defaults[name])
+            else:
+                raise TypeError(f"{type(self).__name__} missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} got an unexpected argument {next(iter(kwargs))!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._compare])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join([f'{f}={getattr(self, f)!r}' for f in self._compare])})"
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, f) for f in self._fields])
+
+
 _ctors: dict = {}  # (name, arity) -> Ctor; constructors are never freed
 
 
@@ -233,21 +292,22 @@ Formula = Union[Var, App]
 Substitution = dict  # int -> Formula
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Per-arity constructor sets of one component logic."""
+class Signature(Record):
+    """Per-arity constructor sets of one component logic: `tag`, and
+    `by_arity`, int -> dict name -> Ctor. `_resolved` is the parser's cache."""
 
-    tag: str
-    by_arity: dict  # int -> dict name -> Ctor
-    _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # for the parser
+    __slots__ = ("tag", "by_arity", "_resolved")
+    _fields = ("tag", "by_arity")
 
-    def __post_init__(self):
-        nullary = self.by_arity.get(0, {})
+    def __init__(self, tag: str, by_arity: dict):
+        nullary = by_arity.get(0, {})
         if VERUM not in nullary or FALSUM not in nullary:
-            raise SignatureError(f"signature {self.tag}: top and bot must be nullary constructors")
-        for n, ctors in self.by_arity.items():
+            raise SignatureError(f"signature {tag}: top and bot must be nullary constructors")
+        for n, ctors in by_arity.items():
             if n >= 1 and ctors and verum_family_name(n) not in ctors:
-                raise SignatureError(f"signature {self.tag}: missing {verum_family_name(n)} at arity {n}")
+                raise SignatureError(f"signature {tag}: missing {verum_family_name(n)} at arity {n}")
+        Record.__init__(self, tag, by_arity)
+        _init(self, "_resolved", {})
 
     def arities(self) -> list:
         return sorted(n for n, cs in self.by_arity.items() if cs)
@@ -353,14 +413,6 @@ def apply_substitution(s: Substitution, f: Formula) -> Formula:
     if not args:
         return f
     return App(f.ctor, tuple([apply_substitution(s, a) for a in args]))
-
-
-def compose_substitutions(s2: Substitution, s1: Substitution) -> Substitution:
-    """Substitution s with apply(s, f) = apply(s2, apply(s1, f))."""
-    out = {k: apply_substitution(s2, v) for k, v in s1.items()}
-    for k, v in s2.items():
-        out.setdefault(k, v)
-    return out
 
 
 def match_formula(pattern: Formula, target: Formula, binding: Optional[Substitution] = None) -> Optional[Substitution]:

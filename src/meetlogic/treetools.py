@@ -6,10 +6,9 @@ Every walk here keeps its own stack, so formulas of any depth are handled.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
-from .syntax import App, FALSUM, Formula, VERUM, Var
+from .syntax import App, FALSUM, Formula, Record, VERUM, Var
 
 
 class TreeError(Exception):
@@ -57,8 +56,7 @@ def trees_equiv(t1: Formula, t2: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # identity positions and completion
 
-@dataclass(frozen=True)
-class IdentityProfile:
+class IdentityProfile(Record):
     """An n-ary constructor with an identity argument position.
 
     Filling every other position with the recorded nullary fillers leaves the
@@ -66,16 +64,14 @@ class IdentityProfile:
     The fillers tuple lists the n-1 filler names in position order.
     """
 
-    ctor: str
-    arity: int
-    position: int
-    fillers: tuple
+    __slots__ = ("ctor", "arity", "position", "fillers")
 
-    def __post_init__(self):
-        if not (1 <= self.position <= self.arity):
-            raise TreeError(f"identity position {self.position} out of range for arity {self.arity}")
-        if len(self.fillers) != self.arity - 1:
-            raise TreeError(f"{self.ctor}: expected {self.arity - 1} fillers")
+    def __init__(self, ctor: str, arity: int, position: int, fillers: tuple):
+        if not (1 <= position <= arity):
+            raise TreeError(f"identity position {position} out of range for arity {arity}")
+        if len(fillers) != arity - 1:
+            raise TreeError(f"{ctor}: expected {arity - 1} fillers")
+        Record.__init__(self, ctor, arity, position, fillers)
 
     def filler_at(self, pos: int) -> str:
         """The filler name for a non-identity position."""
@@ -84,20 +80,19 @@ class IdentityProfile:
         return self.fillers[pos - 1 if pos < self.position else pos - 2]
 
 
-@dataclass
-class CompletionProfile:
+class CompletionProfile(Record):
     """Inductive tables producing, for a formula psi and a target constant, a
     formula delta with the same decomposition-tree shape as psi such that
     target <=> delta holds in the profile's logic.
 
     Tables map a head name and target name to the output head and the child
     targets. The builder is purely syntactic: callers certify the recorded
-    laws with the logic's theoremhood or matrix check.
+    laws with the logic's theoremhood or matrix check. `unary` maps a name
+    to {target name -> (out name, child target)}, and `binary` a name to
+    {target name -> (out name, (left target, right target))}.
     """
 
-    signature: object
-    unary: Mapping  # name -> {target name -> (out name, child target)}
-    binary: Mapping  # name -> {target name -> (out name, (left target, right target))}
+    __slots__ = ("signature", "unary", "binary")
 
     def constant(self, target: str) -> Formula:
         return App(self.signature.resolve(target, None, 0))

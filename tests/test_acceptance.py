@@ -6,7 +6,6 @@ per criterion.
 """
 import itertools
 import random
-from dataclasses import replace
 
 from meetlogic.admissibility import (
     decide_admissible_meet,
@@ -14,6 +13,7 @@ from meetlogic.admissibility import (
     stub_oracle,
 )
 from meetlogic.calculus import (
+    Calculus,
     Rule,
     SearchBounds,
     assemble_meet_calculus,
@@ -278,7 +278,7 @@ def test_criterion_06_tagging_arithmetic_and_soundness(capsys):
     failures = []
     sig = CPL.signature
     P = lambda s: parse_formula(s, sig)
-    mp = CPL.calculus.rule_named("mp")
+    mp = next(r for r in CPL.calculus.rules if r.name == "mp")
 
     mc_ctors = list(CS.all_ctors())
     tagged_mc = list(tag_rule(Rule("mp", tuple(embed(p, 1, CS) for p in mp.premises), Var(2)), CS))
@@ -400,7 +400,7 @@ def test_criterion_10_consistency_guard(capsys):
     for calc, cs in meets:
         # The product model refutes these goals before round 0; the copy
         # without models runs the rounds.
-        for searched in (calc, replace(calc, matrices=(), components=())):
+        for searched in (calc, Calculus(calc.name, calc.signature, calc.rules)):
             for goal in (cs.falsum(1), cs.falsum(2), Var(1)):
                 d = bounded_proof_search(searched, (), [], goal, SearchBounds(depth=6))
                 if d is not None:

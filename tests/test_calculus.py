@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -36,7 +35,7 @@ from meetlogic.calculus import (
 from meetlogic.combination import CombinedSignature, combine_signatures, embed, proj_embedded, project
 from meetlogic.formats import serialize_derivation
 from meetlogic.presets import godel_chain, harrop_rule, load_preset
-from meetlogic.semantics import check_rule_soundness, entails, product_matrix
+from meetlogic.semantics import Matrix, check_rule_soundness, entails, product_matrix
 from meetlogic.syntax import (
     App,
     Var,
@@ -62,6 +61,10 @@ def P(s):
 
 def PM(s):
     return parse_formula(s, CS)
+
+
+def rule_named(calc, name):
+    return next(r for r in calc.rules if r.name == name)
 
 
 class TestChecker:
@@ -159,19 +162,19 @@ class TestAssemble:
 
 class TestEmbedRuleApplication:
     def test_non_liberal(self):
-        a1 = CPL.calculus.rule_named("a1")
+        a1 = rule_named(CPL.calculus, "a1")
         name, subst = embed_rule_application(a1, {1: P("xi1"), 2: P("bot")}, 2, CS)
         assert name == "a1@2"
         assert subst[2] == embed(P("bot"), 2, CS)
 
     def test_liberal_selects_tagged_variant(self):
-        mp = CPL.calculus.rule_named("mp")
+        mp = rule_named(CPL.calculus, "mp")
         name, subst = embed_rule_application(mp, {1: P("xi1"), 2: P("xi1 and xi2")}, 1, CS)
         assert name == "mp@1#<and.CPL1|topn.2.CPL2>"
         assert subst[3] == Var(1) and subst[4] == Var(2)
 
     def test_bare_variable_conclusion_rejected(self):
-        mp = CPL.calculus.rule_named("mp")
+        mp = rule_named(CPL.calculus, "mp")
         with pytest.raises(BuilderError):
             embed_rule_application(mp, {1: P("xi1"), 2: Var(2)}, 1, CS)
 
@@ -307,7 +310,7 @@ class TestConsistencyGuard:
     def test_no_falsum_or_bare_variable_from_empty(self):
         # The product model refutes these goals before round 0; the copy
         # without models shows that the rounds do not derive them either.
-        for calc in (MEET, replace(MEET, matrices=(), components=())):
+        for calc in (MEET, _models_free(MEET)):
             for goal in (CS.falsum(1), CS.falsum(2), Var(1)):
                 assert bounded_proof_search(calc, (), [], goal, SearchBounds(depth=4)) is None
 
@@ -496,7 +499,8 @@ def _component_queries(logic):
                            ([], App(sig.resolve("->", None, 2), (a, a))),
                            ([a, c], App(sig.resolve("and", None, 2), (a, c)))):
             for bounds in (SearchBounds(),) + DIFF_BOUNDS:
-                yield b.calculus, hyps, goal, replace(bounds, depth=depth)
+                yield b.calculus, hyps, goal, SearchBounds(depth, bounds.max_size, bounds.max_facts,
+                                                           bounds.max_candidates)
 
 
 def _meet_calculus(l1, l2):
@@ -726,7 +730,7 @@ class TestSearchMatchesReference:
 
 def _models_free(calc):
     """The same calculus with no models: the search without the matrix test."""
-    return replace(calc, matrices=(), components=())
+    return Calculus(calc.name, calc.signature, calc.rules)
 
 
 def _refutation_queries():
@@ -802,7 +806,7 @@ class TestRefutationLosesNothing:
         the product: cLFT is not. Models are not worked out at assembly."""
         sig = CPL.signature
         bool2 = CPL.characteristic
-        odd = replace(bool2, name="odd", tables={**bool2.tables, sig.verum_at(1): [0, 0]})
+        odd = Matrix("odd", sig, bool2.carrier, bool2.designated, {**bool2.tables, sig.verum_at(1): [0, 0]})
         identity = (Rule("id", (Var(1),), Var(1)),)
         c1, c2 = Calculus("A", sig, identity, matrices=(bool2,)), Calculus("B", sig, identity, matrices=(odd,))
         calc = assemble_meet_calculus(c1, c2, CS)
@@ -891,7 +895,7 @@ class TestJoinMatchesReference:
     def test_plan_of_mp(self):
         """`mp` visits its implication, and reads its minor premise off the
         implication's first argument."""
-        mp = CPL.calculus.rule_named("mp")
+        mp = rule_named(CPL.calculus, "mp")
         imp = CPL.signature.resolve("->", None, 2)
         (step,) = mp.plan
         assert step == (1, mp.premises[1], None, False, ((0, 1, ((imp, 0),), True),))

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from meetlogic import cli, presets
-from meetlogic.calculus import SearchBounds
+from meetlogic.calculus import Calculus, Rule, SearchBounds
 from meetlogic.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_NO, EXIT_USAGE, EXIT_YES, main
 from meetlogic.combination import combine_signatures, project
+from meetlogic.semantics import check_rule_soundness
 from meetlogic.syntax import parse_formula, print_formula
 
 
@@ -293,6 +294,37 @@ class TestSoundnessAudit:
     def test_meet(self, capsys):
         code, out, _ = run(capsys, "soundness-audit", "--l1", "CPL", "--l2", "G3")
         assert code == EXIT_YES and "all rules sound" in out
+
+    @staticmethod
+    def _every_matrix(bundle, fmt):
+        """The audit's output when every rule is checked on every matrix."""
+        failures = [r.name for r in bundle.calculus.rules if not check_rule_soundness(bundle.matrices, r)]
+        if fmt == "json":
+            return json.dumps({"sound": not failures, "failures": failures}, sort_keys=True) + "\n"
+        return ("unsound rules: " + ", ".join(failures) if failures else "all rules sound") + "\n"
+
+    @pytest.mark.parametrize("selection", [["--logic", n] for n in presets.PRESET_NAMES]
+                             + [["--l1", a, "--l2", b] for a in presets.PRESET_NAMES for b in presets.PRESET_NAMES])
+    def test_same_output_as_a_check_on_every_matrix(self, capsys, selection):
+        bundle = cli._logic(cli.build_parser().parse_args(["soundness-audit", *selection]))
+        for fmt in ("text", "json"):
+            code, out, _ = run(capsys, "soundness-audit", *selection, "--format", fmt)
+            assert code == EXIT_YES and out == self._every_matrix(bundle, fmt)
+
+    def test_unsound_rule_outside_the_models(self, capsys, monkeypatch):
+        """A rule unsound in some matrices keeps those out of the models, so
+        the audit still checks and reports it."""
+        ipl = presets.load_preset("IPL")
+        P = lambda s: parse_formula(s, ipl.signature)
+        calc = Calculus("IPL+dne", ipl.signature, ipl.calculus.rules + (Rule("dne", (P("neg neg xi1"),), P("xi1")),),
+                        matrices=ipl.matrices)
+        bundle = presets.LogicBundle("IPL+dne", ipl.signature, calc, ipl.matrices, None, False, None, {},
+                                     ipl.completion_profile, None)
+        monkeypatch.setattr(cli, "_logic", lambda args: bundle)
+        for fmt in ("text", "json"):
+            code, out, _ = run(capsys, "soundness-audit", "--logic", "IPL", "--format", fmt)
+            assert code == EXIT_NO and out == self._every_matrix(bundle, fmt)
+        assert len(calc.models) == 1 and out == '{"failures": ["dne"], "sound": false}\n'
 
 
 class TestJsonOutput:

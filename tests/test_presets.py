@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -194,7 +193,7 @@ class TestSharedBundles:
         b = load_preset("IPL")
         for obj, field in ((b, "name"), (b, "fixtures"), (b.calculus, "rules"),
                            (b.signature, "by_arity")):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(obj, field, getattr(obj, field))
 
     def test_bundles_hash_by_identity(self):

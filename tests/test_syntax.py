@@ -12,7 +12,6 @@ from meetlogic.syntax import (
     SignatureError,
     Var,
     apply_substitution,
-    compose_substitutions,
     make_signature,
     match_formula,
     max_schema_index,
@@ -31,6 +30,14 @@ SIG = make_signature("IPL", [("and", 2), ("or", 2), ("->", 2), ("iff", 2), ("neg
 
 def P(s):
     return parse_formula(s, SIG)
+
+
+def compose_substitutions(s2, s1):
+    """Substitution s with apply(s, f) = apply(s2, apply(s1, f))."""
+    out = {k: apply_substitution(s2, v) for k, v in s1.items()}
+    for k, v in s2.items():
+        out.setdefault(k, v)
+    return out
 
 
 class TestSignature:

@@ -4,8 +4,10 @@ meet-calculus assembly, bounded proof search, and derivation-template builders.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .combination import (
@@ -79,9 +81,54 @@ class Rule(Record):
             steps.append((i, p, _arg_key(p), last, []))
         return tuple((i, p, key, last, tuple(checks)) for i, p, key, last, checks in steps)
 
+    @cached_property
+    def instantiator(self) -> tuple:
+        """(build, text), made on the rule's first search. `build` takes the
+        images of the conclusion's variables in `shape` order and returns the
+        conclusion's instance; `text` takes the images' texts and returns the
+        instance's text, filling `shape`'s template."""
+        return _compile_build(self.conclusion, [v for v, _ in self.shape[1]]), self.shape[2].format
+
     def __repr__(self):
         ps = "; ".join(print_formula(p) for p in self.premises)
         return f"{self.name}: {ps} / {print_formula(self.conclusion)}"
+
+
+def _compile_build(f: Formula, variables: list):
+    """A function of the images of `variables`, in order, that returns f's
+    instance under them. Its code is straight-line: one `App` statement per
+    distinct node of f that has a variable below it, in postorder, which a
+    walk with an explicit stack lists, so f may be of any depth. Constructors
+    and variable-free nodes (each a node of f) reach it as globals; no name
+    or text of f is part of the source."""
+    names = {Var(v): f"x{k}" for k, v in enumerate(variables)}  # node -> its name in the code
+    env: dict = {"App": App}
+    ctors: dict = {}  # constructor -> its global's name
+    lines: list = []
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        if g in names:
+            todo.pop()
+            continue
+        pending = [a for a in reversed(g.args) if a not in names]
+        if pending:
+            todo.extend(pending)
+            continue
+        todo.pop()
+        args = [names[a] for a in g.args]
+        if all(a in env for a in args):  # variable-free: the node itself
+            names[g] = f"k{len(env)}"
+            env[names[g]] = g
+            continue
+        c = ctors.setdefault(g.ctor, f"c{len(env)}")
+        env[c] = g.ctor
+        names[g] = f"t{len(lines)}"
+        lines.append(f"    {names[g]} = App({c}, ({', '.join(args)},))")
+    lines.append(f"    return {names[f]}")
+    source = f"def build({', '.join(names[Var(v)] for v in variables)}):\n" + "\n".join(lines)
+    exec(compile(source, "<rule instantiator>", "exec"), env)
+    return env["build"]
 
 
 class Calculus(Record):
@@ -456,29 +503,48 @@ def _index(fresh, keys, every):
     return fresh, by_head, by_arg, set(fresh)
 
 
-def _instance_text(rule, subst, texts: dict) -> str:
-    """The text of the rule's conclusion under `subst`, made in one step from
-    `Rule.shape`'s template and the images' texts, which `texts` keeps."""
-    _, counts, template = rule.shape
-    images = [subst[v] for v, _ in counts]
-    return template.format(*[texts.get(g) or texts.setdefault(g, print_formula(g)) for g in images])
+_size = attrgetter("size")
+
+
+class _Texts(dict):
+    """Printed formulas; a formula is printed on its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, f):
+        text = self[f] = print_formula(f)
+        return text
 
 
 def _bucket_instances(rule, subst, cited, candidates, max_size, buckets):
-    """Append `(None, ("rule", rule, substitution, cited))` to `buckets[size]` for each
-    instance of the conclusion within `max_size`, sized by `Rule.shape`, not built;
-    the variables that `subst` leaves unbound range over `candidates`. When it
-    leaves none, the instance keeps `subst` itself."""
+    """Append the record `("rule", rule, images, subst, cited)` to
+    `buckets[size]` for each instance of the conclusion within `max_size`,
+    sized by `Rule.shape`, not built. `images` are the images of the
+    conclusion's variables in `shape` order, and `subst` is shared, not
+    copied. The variables that `subst` leaves unbound range over
+    `candidates`, which are in size order: each over the prefix of them
+    whose sizes still fit when the others take the smallest, so the
+    instances come in the order of the product over all candidates."""
     size, counts, _ = rule.shape
-    size += sum([n * subst[v].size for v, n in counts if v in subst])
-    unbound = [v for v, _ in counts if v not in subst]
-    weights = [n for v, n in counts if v not in subst]
-    for values in itertools.product(candidates, repeat=len(unbound)):
+    images = [subst.get(v) for v, _ in counts]
+    size += sum([n * g.size for (_, n), g in zip(counts, images) if g is not None])
+    free = [k for k, g in enumerate(images) if g is None]
+    if not free:
+        if size <= max_size:
+            buckets.setdefault(size, []).append(("rule", rule, tuple(images), subst, cited))
+        return
+    weights = [counts[k][1] for k in free]
+    least = candidates[0].size if candidates else 0
+    spare = max_size - size - least * sum(weights)
+    prefixes = [candidates[:bisect_right(candidates, least + spare // n, key=_size)] for n in weights]
+    for values in itertools.product(*prefixes):
         total = size + sum([n * f.size for n, f in zip(weights, values)])
         if total <= max_size:
-            full = dict(subst) if unbound else subst
-            full.update(zip(unbound, values))
-            buckets.setdefault(total, []).append((None, ("rule", rule, full, cited)))
+            if len(free) < len(images):
+                for k, g in zip(free, values):
+                    images[k] = g
+                values = tuple(images)
+            buckets.setdefault(total, []).append(("rule", rule, values, subst, cited))
 
 
 # The search tries a model only while its columns stay this short: `entails`
@@ -532,7 +598,7 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
 
     facts: dict = {}
     order: list = []
-    texts: dict = {}  # texts of substitution images
+    texts = _Texts((c, print_formula(c)) for c in candidates)  # texts of substitution images
 
     def finished() -> bool:
         return goal in facts or len(facts) >= bounds.max_facts
@@ -542,14 +608,13 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
             return False
         facts[f] = record
         order.append(f)
-        _close(f)
+        if cs is not None:
+            _close(f)
         return True
 
     falsa = (cs.falsum(1), cs.falsum(2)) if cs is not None else ()
 
     def _close(f):
-        if cs is None:
-            return
         for k in (1, 2):
             add(proj_embedded(f, k, cs), ("clft", f, k))
         for k in (1, 2):
@@ -570,7 +635,8 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
         fresh = order[seen:]
         seen = len(order)
         new = _index(fresh, arg_keys, every)
-        buckets: dict = {}  # size -> (conclusion or None, record), in the order made
+        buckets: dict = {}  # size -> rule instance records, in the order made
+        lfts: dict = {}  # size -> (LFT target, record), made after every rule instance
         if _round == 0:
             for rule in axioms:
                 _bucket_instances(rule, {}, (), candidates, bounds.max_size, buckets)
@@ -584,18 +650,21 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
                 p1 = proj_embedded(target, 1, cs)
                 p2 = proj_embedded(target, 2, cs)
                 if p1 in facts and p2 in facts:  # so target.size <= bounds.max_size
-                    buckets.setdefault(target.size, []).append((target, ("lft", p1, p2)))
+                    lfts.setdefault(target.size, []).append((target, ("lft", p1, p2)))
         before = len(facts)
-        for size in sorted(buckets):
+        for size in sorted(buckets.keys() | lfts.keys()):
             if finished():
                 break
             built: dict = {}  # conclusion -> (its text, record of its first instance)
-            for f, record in buckets[size]:
-                if f is None:
-                    f = apply_substitution(record[2], record[1].conclusion)
+            for record in buckets.get(size, ()):
+                build, text = record[1].instantiator
+                images = record[2]
+                f = build(*images)
                 if f not in facts and f not in built:
-                    text = print_formula(f) if record[0] == "lft" else _instance_text(record[1], record[2], texts)
-                    built[f] = text, record
+                    built[f] = text(*[texts[g] for g in images]), record
+            for f, record in lfts.get(size, ()):
+                if f not in facts and f not in built:
+                    built[f] = print_formula(f), record
             for f in sorted(built, key=lambda f: built[f][0]):
                 if add(f, built[f][1]) and finished():
                     break
@@ -611,37 +680,57 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
     return _reconstruct(goal, facts)
 
 
-def _reconstruct(goal, facts) -> Derivation:
-    lines: list = []
-    index: dict = {}
+def _cited(record) -> tuple:
+    """The facts a search record cites, in citation order."""
+    kind = record[0]
+    if kind == "rule":
+        return record[4]
+    if kind == "lft":
+        return record[1:]
+    if kind == "hyp":
+        return ()
+    return (record[1],)  # clft and fx
 
-    def build(f) -> int:
+
+def _reconstruct(goal, facts) -> Derivation:
+    """The derivation of `goal` from the search's records: each fact's line
+    comes after the lines of the facts it cites, which come in citation
+    order, and each fact has one line. The walk keeps an explicit stack, so
+    derivations of any length rebuild."""
+    lines: list = []
+    index: dict = {}  # fact -> its line number
+    todo = [goal]
+    while todo:
+        f = todo[-1]
         if f in index:
-            return index[f]
+            todo.pop()
+            continue
         record = facts[f]
+        cited = _cited(record)
+        pending = [c for c in reversed(cited) if c not in index]
+        if pending:
+            todo.extend(pending)
+            continue
+        todo.pop()
+        cites = tuple([index[c] for c in cited])
         kind = record[0]
         if kind == "hyp":
             just = Hyp()
         elif kind == "rule":
-            _, rule, subst, cited = record
-            cites = tuple(build(c) for c in cited)
-            just = RuleApp(rule.name, cites, freeze_subst(subst))
+            _, rule, images, subst, _ = record
+            witness = dict(subst)
+            witness.update(zip([v for v, _ in rule.shape[1]], images))
+            just = RuleApp(rule.name, cites, freeze_subst(witness))
         elif kind == "clft":
-            _, src, side = record
-            just = Clft(build(src), side)
+            just = Clft(cites[0], record[2])
         elif kind == "fx":
-            just = Fx(build(record[1]))
+            just = Fx(cites[0])
         elif kind == "lft":
-            _, p1, p2 = record
-            just = Lft((build(p1), build(p2)))
+            just = Lft(cites)
         else:  # pragma: no cover
             raise AssertionError(kind)
         lines.append(Line(f, just))
         index[f] = len(lines)
-        return index[f]
-
-    build(goal)
-    del build  # it refers to itself; see bounded_proof_search
     return Derivation(tuple(lines))
 
 

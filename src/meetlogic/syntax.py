@@ -403,16 +403,30 @@ def max_schema_index(obj) -> int:
 
 
 def apply_substitution(s: Substitution, f: Formula) -> Formula:
+    """The image of f under s, built children before parents with explicit
+    stacks, so formulas of any depth substitute: one `App` per node
+    occurrence that has arguments."""
     if f.__class__ is Var:
         return s.get(f.index, f)
-    args = f.args
-    if len(args) == 2:
-        return App(f.ctor, (apply_substitution(s, args[0]), apply_substitution(s, args[1])))
-    if len(args) == 1:
-        return App(f.ctor, (apply_substitution(s, args[0]),))
-    if not args:
-        return f
-    return App(f.ctor, tuple([apply_substitution(s, a) for a in args]))
+    nodes = []  # preorder with arguments right to left: reversed, postorder
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        nodes.append(g)
+        if g.__class__ is App:
+            todo.extend(g.args)
+    images: list = []  # the images of the finished nodes, in postorder
+    for g in reversed(nodes):
+        if g.__class__ is Var:
+            images.append(s.get(g.index, g))
+        elif g.args:
+            n = len(g.args)
+            args = tuple(images[-n:])
+            del images[-n:]
+            images.append(App(g.ctor, args))
+        else:
+            images.append(g)
+    return images[0]
 
 
 def match_formula(pattern: Formula, target: Formula, binding: Optional[Substitution] = None) -> Optional[Substitution]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -20,7 +21,6 @@ from meetlogic.calculus import (
     _bucket_instances,
     _candidate_pool,
     _index,
-    _instance_text,
     _join,
     _reconstruct,
     assemble_meet_calculus,
@@ -34,7 +34,7 @@ from meetlogic.calculus import (
 )
 from meetlogic.combination import CombinedSignature, combine_signatures, embed, proj_embedded, project
 from meetlogic.formats import serialize_derivation
-from meetlogic.presets import godel_chain, harrop_rule, load_preset
+from meetlogic.presets import gl_basis_rule, godel_chain, harrop_rule, load_preset, visser_rule
 from meetlogic.semantics import Matrix, check_rule_soundness, entails, product_matrix
 from meetlogic.syntax import (
     App,
@@ -47,6 +47,7 @@ from meetlogic.syntax import (
     variables_of,
 )
 
+from ref_syntax import ref_apply_substitution
 from strategies import random_formula
 
 CPL = load_preset("CPL")
@@ -448,7 +449,8 @@ def _reference_search(calc, hyps, goal, bounds, extra=()):
             full.update(zip(unbound, values))
             concl = apply_substitution(full, rule.conclusion)
             if concl not in facts and concl.size <= bounds.max_size:
-                out.append((concl, ("rule", rule, full, cited)))
+                images = tuple(full[v] for v in sorted(variables_of(rule.conclusion)))
+                out.append((concl, ("rule", rule, images, full, cited)))
 
     for _round in range(bounds.depth):
         if goal in facts:
@@ -482,6 +484,24 @@ def _reference_search(calc, hyps, goal, bounds, extra=()):
         if goal in facts or not progressed:
             break
     return _reconstruct(goal, facts) if goal in facts else None
+
+
+def hook_instantiators(monkeypatch, built: list):
+    """Make every rule's instantiator, for the rest of the test, append the
+    size of each instance it builds to `built`."""
+    made = Rule.instantiator.func
+
+    def spied(rule):
+        build, text = made(rule)
+
+        def spy(*images):
+            g = build(*images)
+            built.append(g.size)
+            return g
+
+        return spy, text
+
+    monkeypatch.setattr(Rule, "instantiator", property(spied))
 
 
 # Besides the default bounds: fact caps reached in the middle of a round,
@@ -600,7 +620,7 @@ class TestSearchMatchesReference:
         """`_bucket_instances` files the same instances, in the same order,
         as building every conclusion and keeping those within `max_size`,
         each under the size of the node `apply_substitution` builds, and
-        `_instance_text` prints each without building it."""
+        the rule's instantiator builds and prints each from its images."""
         bounds = SearchBounds(max_candidates=4, max_size=10)
         calcs = [load_preset(logic).calculus for logic in ("CPL", "G3", "IPL", "S43", "GL")] \
             + [_meet_calculus(*pair)[1] for pair in MEET_PAIRS]
@@ -611,6 +631,8 @@ class TestSearchMatchesReference:
             candidates = _candidate_pool(calc, [], random_formula(rng, sig, 3, 2), bounds)
             for rule in calc.rules:
                 rule_vars = sorted(variables_of(rule.conclusion).union(*map(variables_of, rule.premises)))
+                conclusion_vars = sorted(variables_of(rule.conclusion))
+                build, text = rule.instantiator
                 for _ in range(3):
                     # a search binds the premises' variables; any subset shows the sizing
                     subst = {v: random_formula(rng, sig, 2, 3) for v in rule_vars if rng.random() < 0.5}
@@ -625,10 +647,14 @@ class TestSearchMatchesReference:
                             want.setdefault(concl.size, []).append((concl, full))
                         else:
                             dropped += 1
-                    got = {size: [(apply_substitution(record[2], rule.conclusion), record[2])
-                                   for _, record in entries] for size, entries in buckets.items()}
-                    assert all(_instance_text(rule, s, {}) == print_formula(c)
-                               for entries in got.values() for c, s in entries), rule
+                    got: dict = {}
+                    for size, records in buckets.items():
+                        for _, r, images, shared, _ in records:
+                            assert r is rule and shared is subst, rule
+                            full = {**subst, **dict(zip(conclusion_vars, images))}
+                            concl = build(*images)
+                            assert text(*map(print_formula, images)) == print_formula(concl), rule
+                            got.setdefault(size, []).append((concl, full))
                     assert got.keys() == want.keys(), rule
                     for size, entries in got.items():
                         assert [(c.size, s) for c, s in entries] == [(size, s) for _, s in want[size]], rule
@@ -653,17 +679,12 @@ class TestSearchMatchesReference:
         images)."""
         built: list = []
         added: list = []
-
-        def build(s, f):
-            g = apply_substitution(s, f)
-            built.append(g.size)
-            return g
+        hook_instantiators(monkeypatch, built)
 
         def pe(f, k, cs):
             added.append(f.size)
             return proj_embedded(f, k, cs)
 
-        monkeypatch.setattr(calculus, "apply_substitution", build)
         monkeypatch.setattr(calculus, "proj_embedded", pe)
         cases = 0
         for calc, hyps, goal, bounds in _stop_queries():
@@ -671,6 +692,7 @@ class TestSearchMatchesReference:
                 built.clear()
                 added.clear()
                 bounded_proof_search(calc, (), hyps, goal, bounds)
+                assert built, (print_formula(goal), bounds)
                 assert max(built) == added[-1] == 5, (print_formula(goal), bounds)
                 cases += 1
         assert cases == 8
@@ -679,17 +701,16 @@ class TestSearchMatchesReference:
         """A goal larger than `max_size` can never be a fact, so the search
         returns before round 0, with basis rules in `extra` too."""
         built: list = []
-
-        def build(s, f):
-            built.append(f)
-            return apply_substitution(s, f)
-
-        monkeypatch.setattr(calculus, "apply_substitution", build)
+        hook_instantiators(monkeypatch, built)
         ipl = load_preset("IPL")
         for rule in ipl.basis.rules[1:]:  # visser2 and visser3: 41 and 71 nodes
             assert rule.conclusion.size > SearchBounds().max_size
             assert bounded_proof_search(ipl.calculus, ipl.basis.rules, rule.premises, rule.conclusion) is None
         assert built == []
+        # the hook sees the builds of a search that starts
+        first = ipl.basis.rules[0]
+        bounded_proof_search(ipl.calculus, ipl.basis.rules, first.premises, first.conclusion)
+        assert built
 
     def test_one_match_per_joint_match(self, monkeypatch):
         """Bound premises are tested on the candidate fact before it is
@@ -909,3 +930,97 @@ class TestJoinMatchesReference:
         assert [step[0] for step in chain.plan] == [0, 1]
         assert chain.plan[1][4] == ((2, 1, None, False), (3, 3, ((imp, 1),), True))
         assert [(step[0], step[3], step[4]) for step in scans.plan] == [(0, False, ()), (1, False, ()), (2, True, ())]
+
+
+# ---------------------------------------------------------------------------
+# each rule's compiled instantiator against the reference substitution
+
+def _instantiator_rule_sets():
+    """(signature, rules): the preset calculi, the meet calculi, the Visser
+    and GL bases, and the Harrop rule."""
+    for logic in ("CPL", "G3", "IPL", "S43", "GL"):
+        b = load_preset(logic)
+        yield b.signature, b.calculus.rules
+    for pair in MEET_PAIRS:
+        cs, calc = _meet_calculus(*pair)
+        yield cs, calc.rules
+    ipl, gl = load_preset("IPL").signature, load_preset("GL").signature
+    yield ipl, tuple(visser_rule(ipl, n) for n in (1, 2, 3)) + (harrop_rule(ipl),)
+    yield gl, tuple(gl_basis_rule(gl, n) for n in (1, 2, 3))
+
+
+def _deep_rule(sig, depth):
+    """A made-up axiom whose conclusion is `depth` levels deep: a chain of
+    the signature's constructors over `xi1`. Each other argument is a
+    constant or a variable-free formula, and every 1,000th is `xi2` or `xi3`."""
+    rng = random.Random(f"deep-rule:{sig.tag}")
+    ctors = [c for c in sig.all_ctors() if c.arity]
+    ground = [sig.top, sig.bot] + [App(c, (sig.bot,) * c.arity) for c in ctors]
+    f = Var(1)
+    for level in range(1, depth + 1):
+        c = rng.choice(ctors)
+        args = [Var(2 + level // 1000 % 2) if level % 1000 == 0 else rng.choice(ground) for _ in range(c.arity)]
+        args[rng.randrange(c.arity)] = f
+        f = App(c, tuple(args))
+    return Rule("deep", (), f)
+
+
+def _deep_image(sig, depth):
+    unary = next(c for c in sig.all_ctors() if c.arity == 1)
+    f = sig.bot
+    for _ in range(depth):
+        f = App(unary, (f,))
+    return f
+
+
+class TestInstantiatorMatchesReference:
+    """A rule's `build` returns the very node that the reference
+    substitution makes of its conclusion, and its `text` that node's text.
+    The images are seeded: variables, constants, formulas at random and, in
+    one tuple per rule, a formula 10,000 levels deep."""
+
+    def _check(self, rule, sig, rng, tuples, deep):
+        build, text = rule.instantiator
+        variables = sorted(variables_of(rule.conclusion))
+        nullary = [App(c) for c in sig.all_ctors() if not c.arity]
+        draws = (lambda: Var(rng.randint(1, 4)), lambda: rng.choice(nullary), lambda: random_formula(rng, sig, 3))
+        for k in range(tuples):
+            images = [rng.choice(draws)() for _ in variables]
+            if k == 0 and images:
+                images[rng.randrange(len(images))] = deep
+            want = ref_apply_substitution(dict(zip(variables, images)), rule.conclusion)
+            assert build(*images) is want, rule.name
+            assert text(*map(print_formula, images)) == print_formula(want), rule.name
+
+    def test_rules_of_calculi_and_bases(self):
+        rules = 0
+        for sig, rule_set in _instantiator_rule_sets():
+            deep = _deep_image(sig, 10_000)
+            for rule in rule_set:
+                self._check(rule, sig, random.Random(f"instantiator:{rule.name}"), 8, deep)
+                rules += 1
+        assert rules > 250
+
+    def test_conclusion_5000_levels_deep(self):
+        sig = CPL.signature
+        rule = _deep_rule(sig, 5000)
+        assert variables_of(rule.conclusion) == {1, 2, 3}
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 6000)  # the reference recurses once per level
+        try:
+            self._check(rule, sig, random.Random("instantiator:deep"), 4, _deep_image(sig, 10_000))
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+class TestLongDerivations:
+    def test_1200_step_mp_chain(self):
+        """The search rebuilds a derivation of any length: 1,200 `mp` steps,
+        one per round."""
+        n = 1200
+        hyps = [P("xi1")] + [P(f"xi{i} -> xi{i + 1}") for i in range(1, n)]
+        d = bounded_proof_search(CPL.calculus, (), hyps, P(f"xi{n}"),
+                                 SearchBounds(depth=n + 5, max_facts=200_000, max_candidates=0))
+        assert d is not None and len(d) == 2 * n - 1
+        assert check_derivation(d, CPL.calculus, hyps=hyps)
+        assert [ln.just for ln in d.lines[:3]] == [Hyp(), Hyp(), RuleApp("mp", (1, 2), ((1, Var(1)), (2, Var(2))))]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from meetlogic import cli, presets
+from meetlogic import cli, formats, presets
 from meetlogic.calculus import Calculus, Rule, SearchBounds
 from meetlogic.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_NO, EXIT_USAGE, EXIT_YES, main
 from meetlogic.combination import combine_signatures, project
@@ -101,6 +101,25 @@ class TestTagVerb:
         assert code == EXIT_YES
         lines = out.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("ax@2:")
+
+
+    def test_deep_liberal_rule_reads_back(self, tmp_path, capsys):
+        """A liberal rule whose premise is 3,000 levels deep is tagged: the
+        conclusion variable is replaced at the bottom of the premise."""
+        rule = tmp_path / "r.rule"
+        rule.write_text("neg " * 3000 + "xi1\n---\nxi1\n")
+        code, out, _ = run(capsys, "tag", "--l1", "CPL", "--l2", "G3", "--side", "1", "--rule", str(rule))
+        assert code == EXIT_YES
+        cpl, g3 = presets.load_preset("CPL").signature, presets.load_preset("G3").signature
+        cs = combine_signatures(cpl, g3)
+        lines = out.strip().splitlines()
+        assert len(lines) == len(list(cs.side_ctors(1)))
+        for line in lines:
+            r = formats.parse_rule_line(line, cs)
+            assert formats.rule_line(r) == line
+            (premise,) = r.premises
+            assert premise.size == 3000 + r.conclusion.size
+            assert project(premise, 1) is parse_formula("neg " * 3000 + print_formula(project(r.conclusion, 1)), cpl)
 
 
 class TestSearchAndCheck:

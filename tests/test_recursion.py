@@ -10,11 +10,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "meetlogic"
 
 ALLOWED = {
-    "syntax.apply_substitution": "one level of recursion per formula level",
     "presets._ipl_norm": "normal form for the G4ip prover, one level per formula level",
     "presets._g4ip": "the G4ip proof search recurses per sequent rule",
     "presets._plug": "plugs keys into a normal form, one level per formula level",
-    "calculus._reconstruct.build": "one level per derivation step",
 }
 
 

@@ -19,10 +19,11 @@ from meetlogic.syntax import (
     print_formula,
     variables_of,
 )
-from meetlogic.calculus import Rule, _instance_text
+from meetlogic.calculus import Rule, _Texts
 from meetlogic.combination import CombinedSignature, PairCtor, combine_signatures
 
 from ref_parser import ref_parse_formula
+from ref_syntax import ref_apply_substitution
 from strategies import formula_strategy, random_formula
 
 SIG = make_signature("IPL", [("and", 2), ("or", 2), ("->", 2), ("iff", 2), ("neg", 1)])
@@ -101,13 +102,14 @@ class TestParser:
         seeded instances share, is the instance's plain text; braces in a
         constructor's name are not template fields."""
         braces = make_signature("BR", [("{0}", 2), ("}", 1)])
-        texts: dict = {}
+        texts = _Texts()
         for sig in (SIG, CAB, braces):
             for i in range(300):
                 rng = random.Random(f"memo:{i}")
                 rule = Rule("r", (), random_formula(rng, sig, 3))
                 subst = {v: random_formula(rng, sig, 3) for v in variables_of(rule.conclusion)}
-                text = _instance_text(rule, subst, texts)
+                images = [subst[v] for v in sorted(subst)]
+                text = rule.instantiator[1](*[texts[g] for g in images])
                 assert text == print_formula(apply_substitution(subst, rule.conclusion))
         assert len(texts) > 600
         assert all(text == print_formula(g) for g, text in texts.items())
@@ -291,6 +293,26 @@ class TestSubstitution:
         lhs = apply_substitution(s2, apply_substitution(s1, f))
         rhs = apply_substitution(compose_substitutions(s2, s1), f)
         assert lhs == rhs
+
+    def test_same_node_as_reference(self):
+        """The iterative substitution returns the very node that the
+        recursive one it replaced returns, on seeded formulas over a
+        component and a combined signature, with images that are variables,
+        constants or formulas, and sometimes no image at all."""
+        for name, sig in (("component", SIG), ("combined", CAB)):
+            rng = random.Random(f"substitution:{name}")
+            for _ in range(400):
+                f = random_formula(rng, sig, rng.randint(0, 6), 4)
+                s = {v: random_formula(rng, sig, rng.randint(0, 3), 4) for v in range(1, 5) if rng.random() < 0.7}
+                assert apply_substitution(s, f) is ref_apply_substitution(s, f), print_formula(f)
+
+    def test_deep_formula(self):
+        """A formula 10,000 levels deep substitutes, at every level."""
+        neg, conj = SIG.resolve("neg", None, 1), SIG.resolve("and", None, 2)
+        f, want = Var(1), P("xi2 -> xi3")
+        for _ in range(10_000):
+            f, want = App(conj, (App(neg, (f,)), Var(2))), App(conj, (App(neg, (want,)), SIG.top))
+        assert apply_substitution({1: P("xi2 -> xi3"), 2: SIG.top}, f) is want
 
 
 class TestMatch:

@@ -25,6 +25,7 @@ from .syntax import (
     Var,
     apply_substitution,
     match_formula,
+    postorder,
     print_formula,
     subformulas,
     variables_of,
@@ -97,25 +98,14 @@ class Rule(Record):
 def _compile_build(f: Formula, variables: list):
     """A function of the images of `variables`, in order, that returns f's
     instance under them. Its code is straight-line: one `App` statement per
-    distinct node of f that has a variable below it, in postorder, which a
-    walk with an explicit stack lists, so f may be of any depth. Constructors
-    and variable-free nodes (each a node of f) reach it as globals; no name
-    or text of f is part of the source."""
+    distinct node of f that has a variable below it, in `postorder`, so f may
+    be of any depth. Constructors and variable-free nodes (each a node of f)
+    reach it as globals; no name or text of f is part of the source."""
     names = {Var(v): f"x{k}" for k, v in enumerate(variables)}  # node -> its name in the code
     env: dict = {"App": App}
     ctors: dict = {}  # constructor -> its global's name
     lines: list = []
-    todo = [f]
-    while todo:
-        g = todo[-1]
-        if g in names:
-            todo.pop()
-            continue
-        pending = [a for a in reversed(g.args) if a not in names]
-        if pending:
-            todo.extend(pending)
-            continue
-        todo.pop()
+    for g in postorder(f):
         args = [names[a] for a in g.args]
         if all(a in env for a in args):  # variable-free: the node itself
             names[g] = f"k{len(env)}"

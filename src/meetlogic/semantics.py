@@ -76,7 +76,10 @@ def _table(m: Matrix, ctor) -> list:
 # explicit stack, so deep formulas do not hit the recursion limit.
 
 def _postorder(f: Formula) -> list:
-    """The node occurrences of f, arguments before their parent."""
+    """The node occurrences of f, arguments before their parent. `_column`
+    runs them as a stack machine that frees each column, n^k values long,
+    once its parent has used it; a table over `syntax.postorder`'s distinct
+    nodes would keep every column alive to the end."""
     out, todo = [], [f]
     while todo:
         g = todo.pop()

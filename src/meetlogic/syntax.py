@@ -375,7 +375,8 @@ def make_signature(tag: str, ctors: Iterable) -> Signature:
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """All subformula occurrences, root first, arguments left to right."""
+    """All subformula occurrences, root first, arguments left to right: a
+    shared subterm once per occurrence, which is what counts need."""
     todo = [f]
     while todo:
         g = todo.pop()
@@ -384,8 +385,43 @@ def subformulas(f: Formula) -> Iterator[Formula]:
             todo.extend(reversed(g.args))
 
 
+def postorder(f: Formula, done=None) -> list:
+    """The distinct `App` nodes of f, each after its arguments, arguments
+    left to right; variables are not listed. This is the kernel's one walk
+    over the distinct nodes of a formula DAG.
+
+    `done`, when given, is asked once about each distinct application, when
+    the walk first reaches it, so parents before children; a node it accepts
+    is left out, with everything that lies only below it.
+
+    Frames on an explicit stack hold a node and an iterator over its
+    arguments, so f may be of any depth. Visited nodes are tracked by `id`
+    (safe, as nodes are interned and f keeps them alive), which calls no
+    `__hash__`; the order depends only on f.
+    """
+    if f.__class__ is not App or done is not None and done(f):
+        return []
+    out = []
+    seen = {id(f)}
+    stack = [(f, iter(f.args))]
+    while stack:
+        g, args = stack[-1]
+        for a in args:
+            if a.__class__ is App and id(a) not in seen:
+                seen.add(id(a))
+                if done is None or not done(a):
+                    stack.append((a, iter(a.args)))
+                    break
+        else:
+            stack.pop()
+            out.append(g)
+    return out
+
+
 def variables_of(f: Formula) -> set:
-    return {g.index for g in subformulas(f) if g.__class__ is Var}
+    if f.__class__ is Var:
+        return {f.index}
+    return {a.index for g in postorder(f) for a in g.args if a.__class__ is Var}
 
 
 def max_schema_index(obj) -> int:
@@ -403,30 +439,16 @@ def max_schema_index(obj) -> int:
 
 
 def apply_substitution(s: Substitution, f: Formula) -> Formula:
-    """The image of f under s, built children before parents with explicit
-    stacks, so formulas of any depth substitute: one `App` per node
-    occurrence that has arguments."""
+    """The image of f under s, built over `postorder`: one `App` per distinct
+    node of f, so formulas of any depth substitute and a shared subterm is
+    rebuilt once."""
     if f.__class__ is Var:
         return s.get(f.index, f)
-    nodes = []  # preorder with arguments right to left: reversed, postorder
-    todo = [f]
-    while todo:
-        g = todo.pop()
-        nodes.append(g)
-        if g.__class__ is App:
-            todo.extend(g.args)
-    images: list = []  # the images of the finished nodes, in postorder
-    for g in reversed(nodes):
-        if g.__class__ is Var:
-            images.append(s.get(g.index, g))
-        elif g.args:
-            n = len(g.args)
-            args = tuple(images[-n:])
-            del images[-n:]
-            images.append(App(g.ctor, args))
-        else:
-            images.append(g)
-    return images[0]
+    image = {}  # id of a node of f -> its image
+    for g in postorder(f):
+        image[id(g)] = App(g.ctor, tuple([s.get(a.index, a) if a.__class__ is Var else image[id(a)]
+                                          for a in g.args]))
+    return image[id(f)]
 
 
 def match_formula(pattern: Formula, target: Formula, binding: Optional[Substitution] = None) -> Optional[Substitution]:
@@ -456,6 +478,8 @@ def match_formula(pattern: Formula, target: Formula, binding: Optional[Substitut
 # printer
 
 def print_formula(f: Formula) -> str:
+    """The text of f. Text is written once per occurrence, so the walk goes
+    over occurrences, not over `postorder`'s distinct nodes."""
     out = []
     todo = [f]
     while todo:

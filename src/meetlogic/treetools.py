@@ -2,13 +2,13 @@
 of unordered shapes, identity-position metadata, pairwise formula completion,
 and equalization of a formula pair up to equivalence with matching tree shapes.
 
-Every walk here keeps its own stack, so formulas of any depth are handled.
+No walk here recurses, so formulas of any depth are handled.
 """
 from __future__ import annotations
 
 from typing import Optional
 
-from .syntax import App, FALSUM, Formula, Record, VERUM, Var
+from .syntax import App, FALSUM, Formula, Record, VERUM, Var, postorder
 
 
 class TreeError(Exception):
@@ -35,22 +35,12 @@ def trees_equiv(t1: Formula, t2: Formula) -> bool:
     if t1.size != t2.size:
         return False
     numbers = {(): 0}  # sorted tuple of argument shapes -> shape
-    shape = {}  # id of a node (nodes are interned) -> shape
-    todo = [t1, t2]
-    while todo:
-        g = todo[-1]
-        if id(g) in shape:
-            todo.pop()
-            continue
-        args = () if g.__class__ is Var else g.args
-        pending = [a for a in args if id(a) not in shape]
-        if pending:
-            todo.extend(pending)
-            continue
-        todo.pop()
-        key = tuple(sorted([shape[id(a)] for a in args]))
-        shape[id(g)] = numbers.setdefault(key, len(numbers))
-    return shape[id(t1)] == shape[id(t2)]
+    shape = {}  # id of an application of either formula -> shape; a variable's is 0
+    for t in (t1, t2):
+        for g in postorder(t, lambda g: id(g) in shape):
+            key = tuple(sorted([shape.get(id(a), 0) for a in g.args]))
+            shape[id(g)] = numbers.setdefault(key, len(numbers))
+    return shape.get(id(t1), 0) == shape.get(id(t2), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,34 +149,23 @@ def transliterate_shape(f: Formula, sig_b) -> Formula:
     """Rebuild f over sig_b with a fixed same-arity representative per head;
     the result's decomposition tree has exactly f's shape.
 
-    Each distinct node is rebuilt once, and each arity's representative is
-    looked up at the first node in preorder that needs it.
+    Each distinct node is rebuilt once. Each arity's representative is
+    looked up when `postorder` first reaches a node that needs it, parents
+    first, so a missing arity is reported at the first such node in preorder.
     """
     reps = {}  # arity -> representative constructor of sig_b
-    done = {}  # id of a node of f -> its image
-    todo = [f]
-    while todo:
-        g = todo[-1]
-        if id(g) in done:
-            todo.pop()
-            continue
-        if g.__class__ is Var:
-            done[id(g)] = g
-            continue
+
+    def find_rep(g) -> bool:
         n = g.ctor.arity
-        if n == 0:
-            done[id(g)] = App(sig_b.resolve(VERUM, None, 0))
-            continue
-        rep = reps.get(n)
-        if rep is None:
-            rep = reps[n] = _representative(sig_b, n)
-        pending = [a for a in reversed(g.args) if id(a) not in done]
-        if pending:
-            todo.extend(pending)
-            continue
-        todo.pop()
-        done[id(g)] = App(rep, tuple([done[id(a)] for a in g.args]))
-    return done[id(f)]
+        if n and n not in reps:
+            reps[n] = _representative(sig_b, n)
+        return False
+
+    image = {}  # id of a node of f -> its image
+    for g in postorder(f, find_rep):
+        image[id(g)] = (App(reps[g.ctor.arity], tuple([a if a.__class__ is Var else image[id(a)] for a in g.args]))
+                        if g.args else App(sig_b.resolve(VERUM, None, 0)))
+    return image.get(id(f), f)
 
 
 def _wrap(f, shape_delta, profile: IdentityProfile, sig) -> Formula:

@@ -19,7 +19,19 @@ import meetlogic
 from meetlogic import presets, syntax
 from meetlogic.combination import combine_signatures, embed, proj_embedded, project
 from meetlogic.presets import load_preset
-from meetlogic.syntax import App, Ctor, Var, make_signature, parse_formula, print_formula, subformulas
+from meetlogic.syntax import (
+    App,
+    Ctor,
+    Var,
+    apply_substitution,
+    make_signature,
+    max_schema_index,
+    parse_formula,
+    print_formula,
+    subformulas,
+    variables_of,
+)
+from meetlogic.treetools import transliterate_shape, trees_equiv
 
 from golden import GOLDEN, queries, results
 from strategies import random_formula
@@ -193,6 +205,34 @@ class TestDeepFormulas:
         assert project(e, 2).ctor.name == "topn.1" and project(e, 2).size == self.DEPTH + 1
         assert proj_embedded(e, 1, cs) is e
         assert print_formula(e) == "<neg.CPL|topn.1.G3>(" * self.DEPTH + "xi1" + ")" * self.DEPTH
+
+    def test_shared_subterms_cost_their_distinct_nodes(self):
+        """A 64-level tower t = and(t, t) has 65 distinct nodes and 2**65 - 1
+        occurrences: every walk must visit the distinct nodes only, and each
+        returns the tower built directly over its target."""
+        cpl, g3 = load_preset("CPL").signature, load_preset("G3").signature
+        cs = combine_signatures(cpl, g3)
+
+        def tower(ctor, leaf, levels=64):
+            for _ in range(levels):
+                leaf = App(ctor, (leaf,) * ctor.arity)
+            return leaf
+
+        conj = cpl.resolve("and", None, 2)
+        t = tower(conj, Var(1))
+        assert t.size == 2 ** 65 - 1
+        image = parse_formula("neg xi2 -> xi3", cpl)
+        assert apply_substitution({1: image}, t) is tower(conj, image)
+        assert variables_of(t) == {1} and max_schema_index(t) == 1
+        e = embed(t, 1, cs)
+        assert e is tower(cs.embed_ctor(conj, 1), Var(1))
+        assert project(e, 1) is t and project(e, 2) is tower(g3.verum_at(2), Var(1))
+        assert proj_embedded(e, 1, cs) is e
+        assert proj_embedded(e, 2, cs) is tower(cs.embed_ctor(g3.verum_at(2), 2), Var(1))
+        assert trees_equiv(t, tower(cpl.resolve("or", None, 2), Var(2)))
+        neg = cpl.resolve("neg", None, 1)
+        assert not trees_equiv(t, tower(conj, App(neg, (App(neg, (Var(1),)),)), 63))
+        assert transliterate_shape(t, g3) is tower(g3.resolve("and", None, 2), Var(1))
 
 
 class TestGoldenSearch:

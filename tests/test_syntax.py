@@ -16,6 +16,7 @@ from meetlogic.syntax import (
     match_formula,
     max_schema_index,
     parse_formula,
+    postorder,
     print_formula,
     variables_of,
 )
@@ -23,7 +24,7 @@ from meetlogic.calculus import Rule, _Texts
 from meetlogic.combination import CombinedSignature, PairCtor, combine_signatures
 
 from ref_parser import ref_parse_formula
-from ref_syntax import ref_apply_substitution
+from ref_syntax import ref_apply_substitution, ref_postorder
 from strategies import formula_strategy, random_formula
 
 SIG = make_signature("IPL", [("and", 2), ("or", 2), ("->", 2), ("iff", 2), ("neg", 1)])
@@ -313,6 +314,89 @@ class TestSubstitution:
         for _ in range(10_000):
             f, want = App(conj, (App(neg, (f,)), Var(2))), App(conj, (App(neg, (want,)), SIG.top))
         assert apply_substitution({1: P("xi2 -> xi3"), 2: SIG.top}, f) is want
+
+
+def shared_formula(rng, sig, steps):
+    """A seeded formula DAG: each step applies a constructor to earlier
+    results, so subterms are shared, and the pool starts with variables and
+    every nullary constant."""
+    pool = [Var(1), Var(2)] + [App(c) for c in sig.all_ctors() if not c.arity]
+    ctors = [c for c in sig.all_ctors() if c.arity]
+    for _ in range(steps):
+        c = rng.choice(ctors)
+        pool.append(App(c, tuple(rng.choice(pool[-8:] if rng.random() < 0.7 else pool) for _ in range(c.arity))))
+    return pool[-1]
+
+
+class TestPostorder:
+    def _walk(self, walk, f, accepted):
+        asked = []
+
+        def done(g):
+            asked.append(g)
+            return id(g) in accepted
+
+        return walk(f, done), asked
+
+    def test_matches_reference(self):
+        """The same nodes in the same order as the recursive reference, and
+        the same questions to `done` in the same order, on seeded formulas
+        with shared subterms and constants, with `done` accepting nothing, a
+        random set of nodes, or everything."""
+        rng = random.Random("postorder")
+        for _ in range(300):
+            f = shared_formula(rng, SIG, rng.randint(0, 40)) if rng.random() < 0.8 else random_formula(rng, SIG, 5)
+            want = ref_postorder(f)
+            assert [id(g) for g in postorder(f)] == [id(g) for g in want], print_formula(f)
+            for accepted in (set(), {id(g) for g in want if rng.random() < 0.3}, {id(g) for g in want}):
+                got, asked = self._walk(postorder, f, accepted)
+                ref_got, ref_asked = self._walk(ref_postorder, f, accepted)
+                assert [id(g) for g in got] == [id(g) for g in ref_got], print_formula(f)
+                assert [id(g) for g in asked] == [id(g) for g in ref_asked], print_formula(f)
+
+    def test_done_contract(self):
+        """`done` is asked once about each distinct application, parents
+        first; an accepted node is left out with exactly what lies only
+        below it; every listed node comes after its listed arguments."""
+        rng = random.Random("postorder:done")
+        for _ in range(200):
+            f = shared_formula(rng, SIG, rng.randint(1, 40))
+            accepted = {id(g) for g in postorder(f) if g is not f and rng.random() < 0.25}
+            got, asked = self._walk(postorder, f, accepted)
+            ids = [id(g) for g in asked]
+            assert len(set(ids)) == len(ids) and ids[0] == id(f)
+            reached, todo = set(), [f]  # the applications reachable without passing an accepted node
+            while todo:
+                g = todo.pop()
+                if g.__class__ is App and id(g) not in reached:
+                    reached.add(id(g))
+                    if id(g) not in accepted:
+                        todo.extend(g.args)
+            assert set(ids) == reached
+            for k, g in enumerate(asked[1:], 1):  # each reached through an earlier asked, unaccepted parent
+                assert any(g in p.args for p in asked[:k] if id(p) not in accepted)
+            assert {id(g) for g in got} == reached - accepted
+            position = {id(g): k for k, g in enumerate(got)}
+            for k, g in enumerate(got):
+                assert all(position[id(a)] < k for a in g.args if id(a) in position)
+
+    def test_leaves(self):
+        asked = []
+        assert postorder(Var(1), asked.append) == [] and asked == []
+        assert postorder(SIG.top) == [SIG.top]
+        assert postorder(SIG.top, lambda g: True) == []
+        f = P("top and (xi1 or top)")
+        assert postorder(f) == [SIG.top, P("xi1 or top"), f]
+
+    def test_deep_chain(self):
+        """A chain 10,000 levels deep, with a constant beside every link."""
+        neg, conj = SIG.resolve("neg", None, 1), SIG.resolve("and", None, 2)
+        f, want = Var(1), []
+        for level in range(10_000):
+            f = App(conj, (f, SIG.bot)) if level % 2 else App(neg, (f,))
+            want.append(f)
+        want.insert(1, SIG.bot)
+        assert [id(g) for g in postorder(f)] == [id(g) for g in want]
 
 
 class TestMatch:

@@ -23,7 +23,6 @@ from .syntax import (
     Formula,
     Record,
     Var,
-    apply_substitution,
     match_formula,
     postorder,
     print_formula,
@@ -221,6 +220,27 @@ class Verdict(Record):
         return self.ok
 
 
+def _instance_is(s: dict, pattern: Formula, f: Formula) -> bool:
+    """Whether `apply_substitution(s, pattern)` is f, without building it:
+    the walk goes over (pattern, formula) node pairs, where a variable that
+    s leaves unbound stands for itself. Each pair of nodes is compared
+    once, so shared subterms cost their distinct pairs, and the walk keeps
+    an explicit stack."""
+    seen = set()
+    todo = [(pattern, f)]
+    while todo:
+        p, g = todo.pop()
+        if p.__class__ is Var:
+            if s.get(p.index, p) is not g:
+                return False
+        elif g.__class__ is not App or p.ctor is not g.ctor:
+            return False
+        elif (pair := id(p) << 64 | id(g)) not in seen:
+            seen.add(pair)
+            todo.extend(zip(p.args, g.args))
+    return True
+
+
 def check_derivation(d: Derivation, calc: Calculus, extra: Sequence[Rule] = (),
                      hyps: Iterable[Formula] = ()) -> Verdict:
     """Accept iff every line is justified from hyps and the rules of calc and extra.
@@ -259,9 +279,9 @@ def check_derivation(d: Derivation, calc: Calculus, extra: Sequence[Rule] = (),
                 return fail(i, f"rule {rule.name} expects {len(rule.premises)} cited lines")
             s = just.subst_dict()
             for c, prem in zip(just.cites, rule.premises):
-                if apply_substitution(s, prem) != d.lines[c - 1].formula:
+                if not _instance_is(s, prem, d.lines[c - 1].formula):
                     return fail(i, f"cited line {c} is not the matching instance of a premise of {rule.name}")
-            if apply_substitution(s, rule.conclusion) != line.formula:
+            if not _instance_is(s, rule.conclusion, line.formula):
                 return fail(i, f"line is not the witnessed instance of the conclusion of {rule.name}")
         elif isinstance(just, Lft):
             if cs is None:
@@ -568,6 +588,14 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
     derivable, and need not be sound in those models, so with `extra` the
     models are not read.
 
+    Between the two, a goal-directed pass (`_round_one`) may answer without
+    any round. It runs on a calculus that is not a meet, without `extra`, at
+    `depth` 2 or more, when every proper rule matches in one step and the
+    fact cap cannot be reached in rounds 0 and 1. It decides whether round 1
+    adds the goal by matching backwards from the goal, and if so returns
+    the derivation the rounds would return, line for line. Otherwise the
+    rounds run as below, and None still means only "inconclusive".
+
     Rounds are semi-naive: a round makes only the premise matches that cite
     a fact added by the round before. A match of older facts was made in an
     earlier round, which added all its conclusions unless the fact cap
@@ -580,11 +608,17 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
     facts of the round's start, as `proj_embedded` and FX keep size.
     """
     hyps = list(dict.fromkeys(hyps))
-    if goal.size > bounds.max_size or not extra and _refuted(calc, hyps, goal):
+    if goal.size > bounds.max_size:
         return None
-    rules = list(calc.rules) + list(extra)
     cs = calc.signature if isinstance(calc.signature, CombinedSignature) else None
     candidates = _candidate_pool(calc, hyps, goal, bounds)
+    if cs is None and not extra and bounds.depth >= 2:
+        found = _round_one(calc.rules, hyps, goal, candidates, bounds)
+        if found is not None:
+            return found
+    if not extra and _refuted(calc, hyps, goal):
+        return None
+    rules = list(calc.rules) + list(extra)
 
     facts: dict = {}
     order: list = []
@@ -668,6 +702,150 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
     if goal not in facts:
         return None
     return _reconstruct(goal, facts)
+
+
+# ---------------------------------------------------------------------------
+# goal-directed round one
+
+class _RoundZero(dict):
+    """The facts after a search's round 0, each with the record round 0
+    makes first for it, worked out on lookup instead of made. A formula is
+    such a fact when it is a hypothesis, which the dict starts with, an
+    axiom instance over the pool within `max_size`, or a conclusion of round
+    0's join over the hypotheses (`derived`); an axiom's record comes before
+    a join's, as round 0 makes axiom instances first. Any other formula maps
+    to None, and `in` asks whether a formula is a fact."""
+
+    __slots__ = ("derived", "axioms", "pool", "max_size")
+
+    def __init__(self, hyps, derived, axioms, pool, max_size):
+        dict.__init__(self, dict.fromkeys(hyps, ("hyp",)))
+        self.derived, self.axioms, self.pool, self.max_size = derived, axioms, pool, max_size
+
+    def __missing__(self, f):
+        record = self.derived.get(f)
+        for rule in self.axioms if f.size <= self.max_size else ():
+            s = match_formula(rule.conclusion, f)
+            if s is not None and self.pool.issuperset(s.values()):
+                record = ("rule", rule, tuple([s[v] for v, _ in rule.shape[1]]), {}, ())
+                break
+        self[f] = record
+        return record
+
+    def __contains__(self, f):
+        return self[f] is not None
+
+
+def _instance_count(rule, candidates, max_size) -> int:
+    """The number of records `_bucket_instances` makes for the axiom `rule`
+    over `candidates`: image tuples whose instance fits `max_size`, counted
+    by convolving the candidates' sizes, not made."""
+    nodes, counts, _ = rule.shape
+    sizes = Counter([g.size for g in candidates])
+    ways = Counter({nodes: 1} if nodes <= max_size else ())  # instance size so far -> image tuples
+    for _, n in counts:
+        step: Counter = Counter()
+        for total, k in ways.items():
+            for size, m in sizes.items():
+                if total + n * size <= max_size:
+                    step[total + n * size] += k * m
+        ways = step
+    return sum(ways.values())
+
+
+def _instances_matching(rule, premise, beta, candidates, pool, max_size) -> list:
+    """The instances of the axiom `rule`'s conclusion, images among
+    `candidates` (the set `pool`) and size at most `max_size`, that
+    `premise` matches extending `beta`. Where the premise's variable is
+    bound, the conclusion is matched one way against its image; the
+    conclusion's variables left unbound range over the candidates, and the
+    premise match decides."""
+    theta: Optional[dict] = {}
+    todo = [(rule.conclusion, premise)]
+    while todo:
+        c, p = todo.pop()
+        if p.__class__ is Var:
+            if p.index in beta:
+                theta = match_formula(c, beta[p.index], theta)
+                if theta is None:
+                    return []
+        elif c.__class__ is App:
+            if c.ctor is not p.ctor:
+                return []
+            todo.extend(zip(c.args, p.args))
+    if not pool.issuperset(theta.values()):
+        return []
+    nodes, counts, _ = rule.shape
+    build = rule.instantiator[0]
+    out = []
+    for values in itertools.product(candidates, repeat=len(counts) - len(theta)):
+        free = iter(values)
+        images = [theta[v] if v in theta else next(free) for v, _ in counts]
+        if nodes + sum([n * g.size for (_, n), g in zip(counts, images)]) <= max_size:
+            f = build(*images)
+            if match_formula(premise, f, beta) is not None:
+                out.append(f)
+    return out
+
+
+def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
+    """The derivation the forward search returns when it adds the goal in
+    round 1, found by matching backwards from the goal without making round
+    0; None when the search would not, or when this cannot tell.
+
+    It answers only when each proper rule's plan has one step whose premise
+    holds the conclusion's variables, so that a fact starts at most one
+    match and round 1 makes at most one record per rule and fact, and when
+    the fact cap cannot stop the search first: F0, the hypotheses and round
+    0's records, times one plus the number of proper rules stays under
+    `max_facts`. A goal that round 0 reaches is left to the rounds.
+
+    For each proper rule, in rule order, whose conclusion matches the goal,
+    the facts after round 0 that its premise matches under that binding are
+    found: the hypotheses, then round 0's additions in its (size, text)
+    order, axiom instances among them by unifying each axiom's conclusion
+    with the premise. The real `_join` runs over them, and its first match
+    is the record round 1 makes first for the goal."""
+    max_size = bounds.max_size
+    axioms = [r for r in rules if not r.premises]
+    proper = [r for r in rules if r.premises]
+    if not all(len(r.plan) == 1 and variables_of(r.conclusion) <= variables_of(r.plan[0][1]) for r in proper):
+        return None
+    hyps = [h for h in hyps if h.size <= max_size]
+    every = (hyps, {}, {}, set(hyps))
+    new = _index(hyps, {_arg_key(p) for r in proper for p in r.premises}, every)
+    buckets: dict = {}
+    for rule in proper:
+        for subst, cited in _join(rule, every, new):
+            _bucket_instances(rule, subst, cited, candidates, max_size, buckets)
+    made = [record for records in buckets.values() for record in records]
+    f0 = len(hyps) + len(made) + sum([_instance_count(r, candidates, max_size) for r in axioms])
+    if f0 * (1 + len(proper)) >= bounds.max_facts:
+        return None
+    derived: dict = {}  # round 0's proper conclusions -> their first records
+    for record in made:
+        derived.setdefault(record[1].instantiator[0](*record[2]), record)
+    known = _RoundZero(hyps, derived, axioms, set(candidates), max_size)
+    if goal in known:
+        return None
+    for rule in proper:
+        beta = match_formula(rule.conclusion, goal)
+        if beta is None:
+            continue
+        _, premise, key, _, _ = rule.plan[0]
+        later = {f for f in derived if match_formula(premise, f, beta) is not None}
+        for axiom in axioms:
+            later.update(_instances_matching(axiom, premise, beta, candidates, known.pool, max_size))
+        facts = [h for h in hyps if match_formula(premise, h, beta) is not None] \
+            + sorted(later - every[3], key=lambda f: (f.size, print_formula(f)))
+        # Every fact counts as new: a match citing only hypotheses was made
+        # in round 0, so it does not conclude the goal, and round 1's
+        # semi-naive rule drops no match that does.
+        view = (facts, {getattr(premise, "ctor", None): facts}, {key: facts}, known)
+        for subst, cited in _join(rule, view, view):
+            known[goal] = ("rule", rule, tuple([subst[v] for v, _ in rule.shape[1]]), subst, cited)
+            return _reconstruct(goal, known)
+    return None
 
 
 def _cited(record) -> tuple:

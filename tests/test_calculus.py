@@ -47,6 +47,7 @@ from meetlogic.syntax import (
     variables_of,
 )
 
+import golden
 from ref_syntax import ref_apply_substitution
 from strategies import random_formula
 
@@ -1024,3 +1025,235 @@ class TestLongDerivations:
         assert d is not None and len(d) == 2 * n - 1
         assert check_derivation(d, CPL.calculus, hyps=hyps)
         assert [ln.just for ln in d.lines[:3]] == [Hyp(), Hyp(), RuleApp("mp", (1, 2), ((1, Var(1)), (2, Var(2))))]
+
+
+# ---------------------------------------------------------------------------
+# the checker's instance comparison against building the instance
+
+def _old_instance_is(s, pattern, f):
+    """The checker's comparison before the walk: build, then compare."""
+    return apply_substitution(s, pattern) == f
+
+
+def _draw(rng, sig):
+    nullary = [App(c) for c in sig.all_ctors() if not c.arity]
+    return rng.choice((lambda: Var(rng.randint(1, 4)), lambda: rng.choice(nullary),
+                       lambda: random_formula(rng, sig, 3)))()
+
+
+def _mutants(rng, sig, s, pattern, f):
+    """Formulas near f: a formula at random, the instance under one image
+    changed, the instance with an unbound variable bound, the pattern
+    itself, and f with one argument of a node replaced."""
+    yield random_formula(rng, sig, 3)
+    variables = sorted(variables_of(pattern))
+    for v in variables:
+        yield apply_substitution({**s, v: _draw(rng, sig)}, pattern)
+        if v not in s:
+            yield apply_substitution({**s, v: Var(v + 1)}, pattern)
+    yield pattern
+    if f.__class__ is App and f.args:
+        args = list(f.args)
+        args[rng.randrange(len(args))] = _draw(rng, sig)
+        yield App(f.ctor, tuple(args))
+
+
+class TestInstanceComparisonMatchesApply:
+    """`check_derivation` compares a rule's premises and conclusion with the
+    cited lines by walking them side by side; the walk says what comparing
+    with `apply_substitution`'s instance said, an unbound variable standing
+    for itself."""
+
+    def test_seeded_rule_substitution_formula_triples(self):
+        same = differ = 0
+        for sig, rule_set in _instantiator_rule_sets():
+            for rule in rule_set:
+                rng = random.Random(f"instance-is:{rule.name}")
+                for pattern in rule.premises + (rule.conclusion,):
+                    for _ in range(3):
+                        s = {v: _draw(rng, sig) for v in variables_of(pattern) if rng.random() < 0.8}
+                        f = apply_substitution(s, pattern)
+                        for g in (f, *_mutants(rng, sig, s, pattern, f)):
+                            want = _old_instance_is(s, pattern, g)
+                            assert calculus._instance_is(s, pattern, g) == want, (rule.name, s, print_formula(g))
+                            same += want
+                            differ += not want
+        assert same > 1000 and differ > 3000
+
+    def test_10000_levels_deep_and_shared(self):
+        sig = CPL.signature
+        deep = _deep_rule(sig, 10_000).conclusion
+        rng = random.Random("instance-is:deep")
+        s = {1: _deep_image(sig, 10_000), 2: P("xi2 -> xi1")}  # xi3 stays unbound
+        f = apply_substitution(s, deep)
+        assert calculus._instance_is(s, deep, f)
+        for g in _mutants(rng, sig, s, deep, f):
+            assert calculus._instance_is(s, deep, g) == (apply_substitution(s, deep) == g)
+        conj = CPL.signature.resolve("and", None, 2)
+        tower = Var(1)
+        for _ in range(64):  # 2**65 - 1 occurrences, 65 distinct nodes
+            tower = App(conj, (tower, tower))
+        image = apply_substitution({1: P("bot")}, tower)
+        assert calculus._instance_is({1: P("bot")}, tower, image)
+        assert not calculus._instance_is({1: P("top")}, tower, image)
+
+    def test_verdicts_unchanged(self, monkeypatch):
+        """Verdicts, failing lines and reasons on searched derivations and
+        on their mutants: a line's formula or a witness image swapped."""
+        verdicts = rejected = 0
+        queries = itertools.chain(*map(_component_queries, ("CPL", "G3", "IPL")))
+        for calc, hyps, goal, bounds in queries:
+            d = bounded_proof_search(calc, (), hyps, goal, bounds)
+            if d is None:
+                continue
+            rng = random.Random(f"verdicts:{print_formula(goal)}:{bounds}")
+            sig = calc.signature
+            lines = list(d.lines)
+            variants = [d]
+            for _ in range(4):
+                k = rng.randrange(len(lines))
+                ln = lines[k]
+                mutated = Line(_draw(rng, sig), ln.just)
+                if isinstance(ln.just, RuleApp) and ln.just.subst and rng.random() < 0.5:
+                    (v, _), *rest = ln.just.subst
+                    mutated = Line(ln.formula, RuleApp(ln.just.rule, ln.just.cites,
+                                                       freeze_subst({v: _draw(rng, sig), **dict(rest)})))
+                variants.append(Derivation(tuple(lines[:k] + [mutated] + lines[k + 1:])))
+            for v in variants:
+                got = check_derivation(v, calc, hyps=hyps)
+                with monkeypatch.context() as m:
+                    m.setattr(calculus, "_instance_is", _old_instance_is)
+                    want = check_derivation(v, calc, hyps=hyps)
+                assert (got.ok, got.line, got.reason) == (want.ok, want.line, want.reason)
+                verdicts += 1
+                rejected += not got.ok
+        assert verdicts > 100 and rejected > 50
+
+
+# ---------------------------------------------------------------------------
+# goal-directed round one against the forward search and the naive loop
+
+def _cap_bound(calc, hyps, goal, bounds):
+    """F0 times one plus the number of proper rules, with F0 the admitted
+    hypotheses and the records round 0 makes, counted by making them: the
+    pass answers only under a larger fact cap."""
+    candidates = _candidate_pool(calc, hyps, goal, bounds)
+    hyps = [h for h in dict.fromkeys(hyps) if h.size <= bounds.max_size]
+    proper = [r for r in calc.rules if r.premises]
+    buckets: dict = {}
+    for rule in calc.rules:
+        if not rule.premises:
+            _bucket_instances(rule, {}, (), candidates, bounds.max_size, buckets)
+    every = (hyps, {}, {}, set(hyps))
+    new = _index(hyps, {_arg_key(p) for r in proper for p in r.premises}, every)
+    for rule in proper:
+        for subst, cited in _join(rule, every, new):
+            _bucket_instances(rule, subst, cited, candidates, bounds.max_size, buckets)
+    return (len(hyps) + sum(map(len, buckets.values()))) * (1 + len(proper))
+
+
+def _round_one_queries():
+    """Seeded component searches over the five presets: `a or c` from `a`,
+    ex falso from `bot`, `c` from `a` and `a -> c`, an axiom instance `k` from
+    `a` and `a -> k` (two goals that round 0 reaches), `box a` from `a` (through
+    `nec`), and goals at random, at depths 1 to 4, at two size and pool
+    bounds (the golden queries have the default ones), under caps on both
+    sides of the pass's bound and a low one."""
+    for logic in ("CPL", "G3", "IPL", "S43", "GL"):
+        b = load_preset(logic, max_worlds=2)
+        sig = b.signature
+        imp, disj = sig.resolve("->", None, 2), sig.resolve("or", None, 2)
+        rng = random.Random(f"round-one:{logic}")
+        for depth in (1, 2, 3, 4):
+            a, c = random_formula(rng, sig, 1, 2), random_formula(rng, sig, 1, 2)
+            k = App(imp, (a, App(imp, (c, a))))  # an instance of the axiom K, which round 0 adds
+            shapes = [([a], App(disj, (a, c))), ([sig.bot], c), ([a, App(imp, (a, c))], c), ([a, App(imp, (a, k))], k),
+                      ([], random_formula(rng, sig, 2, 2)), ([a], random_formula(rng, sig, 2, 2))]
+            if sig.has("box", 1):
+                shapes.append(([a], App(sig.resolve("box", None, 1), (a,))))
+            for hyps, goal in shapes:
+                for bounds in (SearchBounds(depth, 12, 3000, 10), SearchBounds(depth, 10, 3000, 6))[:depth]:
+                    cap = _cap_bound(b.calculus, hyps, goal, bounds)
+                    for max_facts in (cap, cap + 1, 50)[:3 if bounds.max_size == 12 else 2]:
+                        yield b.calculus, hyps, goal, SearchBounds(depth, bounds.max_size, max_facts,
+                                                                   bounds.max_candidates)
+
+
+def _three_ways(monkeypatch, calc, hyps, goal, bounds):
+    """The search, the forward search with the pass patched out, and the
+    naive loop, as texts; and the pass's answers during the search."""
+    answers: list = []
+    real = calculus._round_one
+    with monkeypatch.context() as m:
+        m.setattr(calculus, "_round_one", lambda *args: answers.append(real(*args)) or answers[-1])
+        got = bounded_proof_search(calc, (), hyps, goal, bounds)
+    with monkeypatch.context() as m:
+        m.setattr(calculus, "_round_one", lambda *args: None)
+        forward = bounded_proof_search(calc, (), hyps, goal, bounds)
+    want = _reference_search(calc, hyps, goal, bounds)
+    return (_text(got), _text(forward), _text(want)), answers
+
+
+class TestRoundOneMatchesForward:
+    """The goal-directed pass answers only when the forward search adds the
+    goal in round 1, with the derivation that search returns."""
+
+    def _assert_same(self, monkeypatch, queries):
+        answered = searched = 0
+        for calc, hyps, goal, bounds in queries:
+            texts, answers = _three_ways(monkeypatch, calc, hyps, goal, bounds)
+            assert texts[0] == texts[1] == texts[2], \
+                f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
+            answered += any(a is not None for a in answers)
+            searched += 1
+        return answered, searched
+
+    def test_golden_queries(self, monkeypatch):
+        answered, searched = self._assert_same(monkeypatch, golden.queries())
+        assert searched == 77 and answered >= 20
+
+    def test_seeded_searches(self, monkeypatch):
+        answered, searched = self._assert_same(monkeypatch, _round_one_queries())
+        assert answered >= 40 and searched - answered >= 200
+
+    def test_declines_on_meets_extra_and_depth_1(self, monkeypatch):
+        calls: list = []
+        real = calculus._round_one
+        monkeypatch.setattr(calculus, "_round_one", lambda *args: calls.append(real(*args)) or calls[-1])
+        a, goal = P("xi1"), P("xi1 or xi2")
+        assert bounded_proof_search(CPL.calculus, (), [a], goal, SearchBounds(depth=2)) is not None
+        assert len(calls) == 1 and calls[0] is not None
+        calls.clear()
+        bounded_proof_search(CPL.calculus, (), [a], goal, SearchBounds(depth=1))
+        bounded_proof_search(CPL.calculus, (Rule("id", (P("xi1"),), P("xi1")),), [a], goal)
+        bounded_proof_search(MEET, (), [PM("xi1")], PM("xi1 ->.CPL1 (xi2 ->.CPL1 xi1)"))
+        assert calls == []
+
+    def test_declines_when_the_cap_bound_fails(self):
+        a, goal = P("xi1"), P("xi1 or xi2")
+        for bounds in (SearchBounds(depth=2), SearchBounds(depth=3, max_size=10, max_candidates=6)):
+            cap = _cap_bound(CPL.calculus, [a], goal, bounds)
+            candidates = _candidate_pool(CPL.calculus, [a], goal, bounds)
+            at = SearchBounds(bounds.depth, bounds.max_size, cap, bounds.max_candidates)
+            over = SearchBounds(bounds.depth, bounds.max_size, cap + 1, bounds.max_candidates)
+            assert calculus._round_one(CPL.calculus.rules, [a], goal, candidates, at) is None
+            assert calculus._round_one(CPL.calculus.rules, [a], goal, candidates, over) is not None
+
+    def test_record_count_is_the_records_made(self):
+        """`_instance_count` counts the records `_bucket_instances` makes for
+        an axiom over a pool, at every size bound."""
+        counted = 0
+        for k, (sig, rule_set) in enumerate(_join_rule_sets()):
+            rng = random.Random(f"record-count:{k}")
+            for rule in rule_set:
+                if rule.premises:
+                    continue
+                pool = sorted({random_formula(rng, sig, 2, 3) for _ in range(rng.randint(0, 14))},
+                              key=lambda f: (f.size, print_formula(f)))
+                for max_size in (1, 5, 12, 30):
+                    buckets: dict = {}
+                    _bucket_instances(rule, {}, (), pool, max_size, buckets)
+                    made = sum(map(len, buckets.values()))
+                    assert calculus._instance_count(rule, pool, max_size) == made, (rule.name, max_size)
+                    counted += made
+        assert counted > 10_000

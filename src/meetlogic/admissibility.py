@@ -270,8 +270,11 @@ def stub_oracle(logic: str, main: bool, falsum_answer: bool = False,
 
 
 def rule_key(premises: Sequence[Formula], beta: Formula) -> str:
+    """`premise ; premise / conclusion`, and `/ conclusion` for a rule
+    without premises: the stripped text that `formats.parse_oracle_table`
+    reads after a verdict."""
     ps = " ; ".join(print_formula(p) for p in premises)
-    return f"{ps} / {print_formula(beta)}"
+    return f"{ps} / {print_formula(beta)}" if ps else f"/ {print_formula(beta)}"
 
 
 def oracle_from_table(logic: str, table: Mapping, default: bool = False,

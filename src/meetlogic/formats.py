@@ -1,11 +1,10 @@
-"""Plain-text file formats: rules, derivations, matrices, oracle stub tables,
-and sectioned logic-definition files.
+"""Plain-text file formats: rules, derivations, matrices and oracle stub
+tables.
 """
 from __future__ import annotations
 
 from .admissibility import rule_key
 from .calculus import (
-    Calculus,
     Clft,
     Derivation,
     Fx,
@@ -16,11 +15,10 @@ from .calculus import (
     RuleApp,
     freeze_subst,
 )
-from .semantics import Matrix, MatrixTheorem, SemanticsError
+from .semantics import Matrix, SemanticsError
 from .syntax import (
     Signature,
     VERUM,
-    make_signature,
     parse_formula,
     print_formula,
     verum_family_name,
@@ -235,7 +233,10 @@ def parse_oracle_table(text: str):
         if head == "default":
             default = _verdict(rest.strip(), n)
             continue
-        table[rest.strip()] = _verdict(head, n)
+        verdict, key = _verdict(head, n), rest.strip()
+        if not key:
+            raise FormatError(f"line {n}: verdict {head} has no rule key")
+        table[key] = verdict
     return table, default
 
 
@@ -244,79 +245,3 @@ def _verdict(word: str, n: int) -> bool:
         raise FormatError(f"line {n}: expected a verdict 0 or 1, got {word!r}")
     return word == "1"
 
-
-# ---------------------------------------------------------------------------
-# logic-definition files
-
-_SECTIONS = ("signature", "rules", "matrix", "profiles", "basis")
-
-
-def load_logic_definition(text: str, name: str = "custom"):
-    """Sectioned bundle definition; see the README for the section grammars."""
-    from .admissibility import Basis
-    from .presets import LogicBundle
-    from .treetools import CompletionProfile, IdentityProfile, TreeError
-
-    sections = {s: [] for s in _SECTIONS}
-    current = None
-    for raw in _content_lines(text):
-        if raw.startswith("[") and raw.endswith("]"):
-            current = raw[1:-1]
-            if current not in sections:
-                raise FormatError(f"unknown section [{current}]")
-            continue
-        if current is None:
-            if raw.startswith("name "):
-                name = raw[5:].strip()
-                continue
-            raise FormatError(f"content before any section: {raw!r}")
-        sections[current].append(raw)
-
-    ctors = []
-    for line in sections["signature"]:
-        try:
-            cname, arity = line.split()
-            ctors.append((cname, int(arity)))
-        except ValueError:
-            raise FormatError(f"[signature]: expected `name arity`, got {line!r}") from None
-    sig = make_signature(name, ctors)
-
-    rules = tuple(parse_rule_line(line, sig) for line in sections["rules"])
-
-    matrices = ()
-    characteristic = None
-    if sections["matrix"]:
-        body = [l for l in sections["matrix"] if l != "characteristic"]
-        m = parse_matrix_file("\n".join(body), sig, name=f"{name}-matrix")
-        matrices = (m,)
-        if "characteristic" in sections["matrix"]:
-            characteristic = m
-    calc = Calculus(name, sig, rules, matrices=matrices)
-
-    identity_profiles = {}
-    structurally_complete = False
-    for line in sections["profiles"]:
-        parts = line.split()
-        if parts[0] == "identity":
-            try:
-                cname, arity, pos = parts[1], int(parts[2]), int(parts[3])
-                identity_profiles[cname] = IdentityProfile(cname, arity, pos, tuple(parts[4:]))
-            except (IndexError, ValueError):
-                raise FormatError(
-                    f"[profiles]: expected `identity name arity position filler...`, got {line!r}") from None
-            except TreeError as e:
-                raise FormatError(f"[profiles]: {e}, in {line!r}") from None
-        elif parts[0] == "structurally-complete":
-            structurally_complete = True
-        else:
-            raise FormatError(f"unknown profile directive {parts[0]!r}")
-
-    basis = Basis(name, tuple(parse_rule_line(line, sig) for line in sections["basis"]))
-
-    theorem = MatrixTheorem(characteristic) if characteristic is not None else None
-    return LogicBundle(
-        name=name, signature=sig, calculus=calc, matrices=matrices,
-        characteristic=characteristic, structurally_complete=structurally_complete,
-        theorem=theorem, identity_profiles=identity_profiles,
-        completion_profile=CompletionProfile(sig, {}, {}), basis=basis,
-    )

@@ -380,13 +380,6 @@ _GL_UNARY.update({
 })
 
 
-def _identity_profiles():
-    return {
-        "and": IdentityProfile("and", 2, 1, (VERUM,)),
-        "->": IdentityProfile("->", 2, 2, (VERUM,)),
-    }
-
-
 # ---------------------------------------------------------------------------
 # bases
 
@@ -436,10 +429,7 @@ def harrop_rule(sig: Signature) -> Rule:
 
 DEFAULT_SCHEMA_BOUND = 3
 DEFAULT_MAX_WORLDS = 2
-
-
-def _prop_completion(sig):
-    return CompletionProfile(sig, dict(_PROP_UNARY), dict(_PROP_BINARY))
+PRESET_NAMES = ("CPL", "G3", "IPL", "S43", "GL")
 
 
 def load_preset(name: str, schema_bound: int = DEFAULT_SCHEMA_BOUND,
@@ -458,78 +448,53 @@ def load_preset(name: str, schema_bound: int = DEFAULT_SCHEMA_BOUND,
     return _load(name, schema_bound, max_worlds)
 
 
+def _bundle(sig: Signature, axioms: list, matrices: tuple, characteristic: Optional[Matrix] = None,
+            theorem=None, unary: dict = _PROP_UNARY, basis=(),
+            fixtures=MappingProxyType({})) -> LogicBundle:
+    """A preset's bundle, named by its signature's tag. A preset is
+    structurally complete exactly when it has a characteristic matrix, which
+    then decides its theorems. Every preset shares the identity profiles and
+    the binary completion tables; `unary` gives its unary ones."""
+    name = sig.tag
+    if characteristic is not None:
+        theorem = MatrixTheorem(characteristic)
+    return LogicBundle(
+        name=name, signature=sig, calculus=Calculus(name, sig, _rules(sig, axioms), matrices=matrices),
+        matrices=matrices, characteristic=characteristic,
+        structurally_complete=characteristic is not None, theorem=theorem,
+        identity_profiles={
+            "and": IdentityProfile("and", 2, 1, (VERUM,)),
+            "->": IdentityProfile("->", 2, 2, (VERUM,)),
+        },
+        completion_profile=CompletionProfile(sig, dict(unary), dict(_PROP_BINARY)),
+        basis=Basis(name, tuple(basis)), fixtures=fixtures,
+    )
+
+
 @lru_cache(maxsize=32)
 def _load(name: str, schema_bound: int, max_worlds: int) -> LogicBundle:
+    if name not in PRESET_NAMES:
+        raise PresetError(f"unknown preset {name!r} (expected CPL, G3, IPL, S43 or GL)")
+    sig = make_signature(name, _MODAL_CTORS if name in ("S43", "GL") else _PROP_CTORS)
     if name == "CPL":
-        sig = make_signature("CPL", _PROP_CTORS)
         char = godel_chain(sig, 2, "bool2")
-        calc = Calculus("CPL", sig, _rules(sig, _INT_CORE + _DNE), matrices=(char,))
-        thm = MatrixTheorem(char)
-        return LogicBundle(
-            name="CPL", signature=sig, calculus=calc, matrices=(char,),
-            characteristic=char, structurally_complete=True, theorem=thm,
-            identity_profiles=_identity_profiles(),
-            completion_profile=_prop_completion(sig),
-            basis=Basis("CPL", ()),
-        )
+        return _bundle(sig, _INT_CORE + _DNE, (char,), characteristic=char)
     if name == "G3":
-        sig = make_signature("G3", _PROP_CTORS)
         char = godel_chain(sig, 3, "g3")
-        calc = Calculus("G3", sig, _rules(sig, _INT_CORE + _LIN), matrices=(char,))
-        thm = MatrixTheorem(char)
-        return LogicBundle(
-            name="G3", signature=sig, calculus=calc, matrices=(char,),
-            characteristic=char, structurally_complete=True, theorem=thm,
-            identity_profiles=_identity_profiles(),
-            completion_profile=_prop_completion(sig),
-            basis=Basis("G3", ()),
-        )
+        return _bundle(sig, _INT_CORE + _LIN, (char,), characteristic=char)
     if name == "IPL":
-        sig = make_signature("IPL", _PROP_CTORS)
-        chains = tuple(godel_chain(sig, k) for k in range(2, 6))
-        calc = Calculus("IPL", sig, _rules(sig, _INT_CORE), matrices=chains)
-        basis = Basis("IPL", tuple(visser_rule(sig, n) for n in range(1, schema_bound + 1)))
-        thm = G4ipTheorem()
-        return LogicBundle(
-            name="IPL", signature=sig, calculus=calc, matrices=chains,
-            characteristic=None, structurally_complete=False, theorem=thm,
-            identity_profiles=_identity_profiles(),
-            completion_profile=_prop_completion(sig),
-            basis=basis,
-            fixtures={"harrop": harrop_rule(sig)},
-        )
+        return _bundle(sig, _INT_CORE, tuple(godel_chain(sig, k) for k in range(2, 6)),
+                       theorem=G4ipTheorem(),
+                       basis=[visser_rule(sig, n) for n in range(1, schema_bound + 1)],
+                       fixtures={"harrop": harrop_rule(sig)})
+    matrices = tuple(kripke_matrix(fr, sig) for fr in generate_frames(name.lower(), max_worlds))
     if name == "S43":
-        sig = make_signature("S43", _MODAL_CTORS)
-        frames = generate_frames("s43", max_worlds)
-        matrices = tuple(kripke_matrix(fr, sig) for fr in frames)
-        calc = Calculus("S43", sig, _rules(sig, _INT_CORE + _DNE + _MODAL_S43), matrices=matrices)
         P = lambda s: parse_formula(s, sig)
-        basis = Basis("S43", (Rule("s43b", (P("(dia xi1) and (dia (neg xi1))"),), P("bot")),))
-        return LogicBundle(
-            name="S43", signature=sig, calculus=calc, matrices=matrices,
-            characteristic=None, structurally_complete=False, theorem=None,
-            identity_profiles=_identity_profiles(),
-            completion_profile=CompletionProfile(sig, dict(_S43_UNARY), dict(_PROP_BINARY)),
-            basis=basis,
-            fixtures={"non-admissible": Rule("t-collapse", (P("(box xi1) -> xi1"),), P("xi1"))},
-        )
-    if name == "GL":
-        sig = make_signature("GL", _MODAL_CTORS)
-        frames = generate_frames("gl", max_worlds)
-        matrices = tuple(kripke_matrix(fr, sig) for fr in frames)
-        calc = Calculus("GL", sig, _rules(sig, _INT_CORE + _DNE + _MODAL_GL), matrices=matrices)
-        basis = Basis("GL", tuple(gl_basis_rule(sig, n) for n in range(1, schema_bound + 1)))
-        return LogicBundle(
-            name="GL", signature=sig, calculus=calc, matrices=matrices,
-            characteristic=None, structurally_complete=False, theorem=None,
-            identity_profiles=_identity_profiles(),
-            completion_profile=CompletionProfile(sig, dict(_GL_UNARY), dict(_PROP_BINARY)),
-            basis=basis,
-        )
-    raise PresetError(f"unknown preset {name!r} (expected CPL, G3, IPL, S43 or GL)")
-
-
-PRESET_NAMES = ("CPL", "G3", "IPL", "S43", "GL")
+        return _bundle(sig, _INT_CORE + _DNE + _MODAL_S43, matrices, unary=_S43_UNARY,
+                       basis=[Rule("s43b", (P("(dia xi1) and (dia (neg xi1))"),), P("bot"))],
+                       fixtures={"non-admissible": Rule("t-collapse", (P("(box xi1) -> xi1"),), P("xi1"))})
+    return _bundle(sig, _INT_CORE + _DNE + _MODAL_GL, matrices, unary=_GL_UNARY,
+                   basis=[gl_basis_rule(sig, n) for n in range(1, schema_bound + 1)])
 
 
 @lru_cache(maxsize=64)

@@ -24,10 +24,10 @@ from meetlogic.admissibility import (
 )
 from meetlogic.calculus import Rule, SearchBounds, check_derivation
 from meetlogic.combination import combine_signatures, embed
-from meetlogic.formats import load_logic_definition
-from meetlogic.presets import harrop_rule, load_preset
-from meetlogic.semantics import entails
-from meetlogic.syntax import App, Var, apply_substitution, parse_formula, variables_of
+from meetlogic.formats import parse_matrix_file
+from meetlogic.presets import LogicBundle, harrop_rule, load_preset
+from meetlogic.semantics import MatrixTheorem, entails
+from meetlogic.syntax import App, Var, apply_substitution, make_signature, parse_formula, variables_of
 from strategies import random_formula
 
 CPL = load_preset("CPL")
@@ -150,19 +150,14 @@ class TestBruteForce:
         assert v.tried == 1
 
 
-# The tiny three-valued Lukasiewicz logic below is given as a matrix file in a
-# logic definition, with a constant for the middle value so that closed
-# candidates reach all three keys. It is not declared structurally complete,
-# so its verdicts come from the sweep alone.
-L3_TEXT = """
-name L3
-[signature]
-and 2
--> 2
-neg 1
-half 0
-[matrix]
-characteristic
+# The tiny three-valued Lukasiewicz logic below is given as a matrix file, with
+# a constant for the middle value so that closed candidates reach all three
+# keys. Its matrix is characteristic but it is not declared structurally
+# complete, so its verdicts come from the sweep alone. The sweep reads only
+# the signature, the theorem procedure and those two fields; the bundle has
+# no calculus, completion profile or basis.
+L3_SIG = make_signature("L3", [("and", 2), ("->", 2), ("neg", 1), ("half", 0)])
+L3_MATRIX = parse_matrix_file("""
 carrier 3
 designated 2
 op top 2
@@ -171,8 +166,12 @@ op half 1
 op neg 2 1 0
 op and 0 0 0 0 1 1 0 1 2
 op -> 2 2 2 1 2 2 0 1 2
-"""
-L3 = load_logic_definition(L3_TEXT)
+""", L3_SIG, name="L3-matrix")
+L3 = LogicBundle(
+    name="L3", signature=L3_SIG, calculus=None, matrices=(L3_MATRIX,),
+    characteristic=L3_MATRIX, structurally_complete=False, theorem=MatrixTheorem(L3_MATRIX),
+    identity_profiles={}, completion_profile=None, basis=None,
+)
 
 
 def reference_sweep(bundle, premises, beta, bounds=BruteForceBounds()):

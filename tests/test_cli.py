@@ -202,6 +202,15 @@ class TestDecideAdmissible:
                            "--oracle1", f"table:{table}", "--oracle2", f"table:{table}")
         assert code == EXIT_YES and "(inexact oracles)" in out
 
+    def test_table_oracle_answers_a_premise_free_rule(self, tmp_path, capsys):
+        table = tmp_path / "t.txt"
+        table.write_text("1 / ->(xi1, xi1)\ndefault 0\n")
+        rule = self.write_rule(tmp_path, "---\nxi1 ->.CPL xi1\n")
+        code, out, _ = run(capsys, "decide-admissible", "--l1", "CPL", "--l2", "G3",
+                           "--rule", rule, "--oracle1", f"table:{table}", "--oracle2", "stub:1")
+        assert code == EXIT_YES
+        assert out.startswith("a1=1 a2=1 -> 1")
+
     def test_bad_oracle_spec(self, tmp_path, capsys):
         rule = self.write_rule(tmp_path, "xi1\n---\nxi1\n")
         code, _, err = run(capsys, "decide-admissible", "--l1", "CPL", "--l2", "CPL",

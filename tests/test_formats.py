@@ -1,5 +1,6 @@
 import pytest
 
+from meetlogic.admissibility import rule_key
 from meetlogic.calculus import (
     Clft,
     Derivation,
@@ -13,7 +14,6 @@ from meetlogic.calculus import (
 )
 from meetlogic.formats import (
     FormatError,
-    load_logic_definition,
     parse_derivation_file,
     parse_matrix_file,
     parse_oracle_table,
@@ -232,54 +232,12 @@ class TestOracleTables:
         with pytest.raises(FormatError, match=f"line {line}: expected a verdict 0 or 1"):
             parse_oracle_table(text)
 
+    @pytest.mark.parametrize("text, line", [("1\n", 1), ("0 xi1 / xi1\n0   \n", 2)])
+    def test_verdict_without_rule_key_rejected(self, text, line):
+        with pytest.raises(FormatError, match=f"line {line}: verdict [01] has no rule key"):
+            parse_oracle_table(text)
 
-class TestLogicDefinition:
-    TEXT = """
-name tiny
-[signature]
-and 2
-neg 1
-[rules]
-mp2: xi1 ; neg (neg xi1) / xi1
-[matrix]
-characteristic
-carrier 2
-designated 1
-op top 1
-op bot 0
-op neg 1 0
-op and 0 0 0 1
-[profiles]
-identity and 2 1 top
-structurally-complete
-[basis]
-b1: neg (xi1 and xi2) / neg xi1
-"""
-
-    def test_load(self):
-        b = load_logic_definition(self.TEXT)
-        assert b.name == "tiny"
-        assert b.signature.resolve("and", None, 2) is not None
-        assert [r.name for r in b.calculus.rules] == ["mp2"]
-        assert b.characteristic is not None and b.structurally_complete
-        assert b.theorem(parse_formula("neg (xi1 and (neg xi1))", b.signature))
-        assert "and" in b.identity_profiles
-        assert [r.name for r in b.basis.rules] == ["b1"]
-
-    def test_unknown_section_rejected(self):
-        with pytest.raises(FormatError):
-            load_logic_definition("[nope]\n")
-
-    def test_content_before_section_rejected(self):
-        with pytest.raises(FormatError):
-            load_logic_definition("and 2\n[signature]\n")
-
-    @pytest.mark.parametrize("line", ["and x", "and"])
-    def test_malformed_signature_line_rejected(self, line):
-        with pytest.raises(FormatError, match=repr(line)):
-            load_logic_definition(f"[signature]\n{line}\n")
-
-    @pytest.mark.parametrize("line", ["identity", "identity and x 1 top", "identity and 2 3 top"])
-    def test_malformed_profile_line_rejected(self, line):
-        with pytest.raises(FormatError, match=repr(line)):
-            load_logic_definition(f"[signature]\nand 2\n[profiles]\n{line}\n")
+    def test_premise_free_keys_match_rule_key(self):
+        goal = P("xi1 -> xi1")
+        table, _ = parse_oracle_table(f"1 {rule_key((), goal)}\n0  / xi1\n")
+        assert table == {rule_key((), goal): True, rule_key((), P("xi1")): False}

@@ -158,11 +158,15 @@ class TestInterning:
         for r in range(rounds):
             assert all(ids == built[r][0] for ids in built[r]), f"round {r}"
 
-    def test_table_shrinks_after_throwaway_formulas(self):
+    def test_table_shrinks_after_throwaway_formulas(self, monkeypatch):
         sig = load_preset("CPL").signature
         conj, neg = sig.resolve("and", None, 2), sig.resolve("neg", None, 1)
         gc.collect()
-        live_before = _live_nodes()
+        sweep = syntax._sweep
+        sweep()
+        swept = [len(syntax._apps)]  # table sizes right after each sweep: the nodes alive then
+        monkeypatch.setattr(syntax, "_sweep", lambda: (sweep(), swept.append(len(syntax._apps))))
+        live_before = swept[0]
         for i in range(1000):
             f = Var(1 + i % 5)
             for j in range(100):
@@ -172,8 +176,37 @@ class TestInterning:
         gc.collect()
         live_after = _live_nodes()
         assert live_after <= live_before + 10
+        # a sweep also keeps the formula under construction, at most 150 nodes
+        assert swept[-1] <= live_before + 150
         # dead entries are swept once the table has grown by a quarter
-        assert len(syntax._apps) <= live_after + max(syntax._SWEEP_MIN, live_after // 4) + 1
+        assert len(syntax._apps) <= swept[-1] + max(syntax._SWEEP_MIN, swept[-1] // 4) + 1
+
+    def test_sweep_threshold_counts_the_nodes_alive_at_the_sweep(self):
+        # Nodes alive at a sweep count toward the next threshold even when
+        # they die right after it. Every node here has a variable of its own
+        # as argument, and variables live forever, so no two nodes share a key
+        # and no entry is replaced, whatever addresses are reused.
+        neg = Ctor("neg", 1)
+        fresh = iter(range(10**6, 2 * 10**6))
+        quarter = lambda n: max(syntax._SWEEP_MIN, n // 4)
+        gc.disable()
+        try:
+            gc.collect()
+            syntax._sweep()
+            live = len(syntax._apps)
+            held = [App(neg, (Var(next(fresh)),)) for _ in range(500)]
+            syntax._sweep()
+            assert syntax._sweep_at == live + 500 + quarter(live + 500)
+            del held
+            while len(syntax._apps) < syntax._sweep_at:
+                App(neg, (Var(next(fresh)),))
+            assert _live_nodes() == live
+            # the table now holds more than a quarter over the nodes alive
+            assert len(syntax._apps) == live + 500 + quarter(live + 500) > live + quarter(live) + 1
+            App(neg, (Var(next(fresh)),))  # swept while it is being built
+            assert len(syntax._apps) == live + 1 and _live_nodes() == live
+        finally:
+            gc.enable()
 
 
 class TestDeepFormulas:

@@ -164,6 +164,21 @@ class TestLoadPreset:
         b = load_preset("GL", schema_bound=2, max_worlds=1)
         assert [r.name for r in b.basis.rules] == ["glb1", "glb2"]
 
+    # proof search tries rules in this order
+    CORE = ["mp", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "efq", "neg-intro", "neg-elim",
+            "iff-elim1", "iff-elim2", "iff-intro", "truth"]
+
+    @pytest.mark.parametrize("name, rules", [
+        ("CPL", CORE + ["dne"]),
+        ("G3", CORE + ["lin"]),
+        ("IPL", CORE),
+        ("S43", CORE + ["dne", "k", "t", "four", "conn", "dia-def", "nec"]),
+        ("GL", CORE + ["dne", "k", "loeb", "four", "dia-def", "nec"]),
+    ])
+    def test_rule_order(self, name, rules):
+        for bounds in ({}, {"schema_bound": 1, "max_worlds": 1}):
+            assert [r.name for r in load_preset(name, **bounds).calculus.rules] == rules
+
     def test_schema_bound_respected(self):
         assert len(load_preset("IPL", schema_bound=5).basis.rules) == 5
 

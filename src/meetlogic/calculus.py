@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
@@ -739,9 +739,14 @@ class _RoundZero(dict):
 def _instance_count(rule, candidates, max_size) -> int:
     """The number of records `_bucket_instances` makes for the axiom `rule`
     over `candidates`: image tuples whose instance fits `max_size`, counted
-    by convolving the candidates' sizes, not made."""
-    nodes, counts, _ = rule.shape
-    sizes = Counter([g.size for g in candidates])
+    by convolving the candidates' sizes, not made. The count is kept per
+    rule shape, candidate sizes and `max_size`."""
+    return _count_instances(*rule.shape[:2], tuple([g.size for g in candidates]), max_size)
+
+
+@lru_cache(maxsize=4096)
+def _count_instances(nodes, counts, sizes, max_size) -> int:
+    sizes = Counter(sizes)
     ways = Counter({nodes: 1} if nodes <= max_size else ())  # instance size so far -> image tuples
     for _, n in counts:
         step: Counter = Counter()
@@ -753,13 +758,13 @@ def _instance_count(rule, candidates, max_size) -> int:
     return sum(ways.values())
 
 
-def _instances_matching(rule, premise, beta, candidates, pool, max_size) -> list:
-    """The instances of the axiom `rule`'s conclusion, images among
-    `candidates` (the set `pool`) and size at most `max_size`, that
-    `premise` matches extending `beta`. Where the premise's variable is
+def _instances_matching(rule, premise, beta, pool) -> Optional[dict]:
+    """The instances of the axiom `rule`'s conclusion, images in `pool`,
+    that `premise` may match extending `beta`, given as the substitution
+    they share, or None when none can. Where the premise's variable is
     bound, the conclusion is matched one way against its image; the
-    conclusion's variables left unbound range over the candidates, and the
-    premise match decides."""
+    conclusion's variables left unbound range over the pool, and the premise
+    match on the built instance decides."""
     theta: Optional[dict] = {}
     todo = [(rule.conclusion, premise)]
     while todo:
@@ -768,24 +773,12 @@ def _instances_matching(rule, premise, beta, candidates, pool, max_size) -> list
             if p.index in beta:
                 theta = match_formula(c, beta[p.index], theta)
                 if theta is None:
-                    return []
+                    return None
         elif c.__class__ is App:
             if c.ctor is not p.ctor:
-                return []
+                return None
             todo.extend(zip(c.args, p.args))
-    if not pool.issuperset(theta.values()):
-        return []
-    nodes, counts, _ = rule.shape
-    build = rule.instantiator[0]
-    out = []
-    for values in itertools.product(candidates, repeat=len(counts) - len(theta)):
-        free = iter(values)
-        images = [theta[v] if v in theta else next(free) for v, _ in counts]
-        if nodes + sum([n * g.size for (_, n), g in zip(counts, images)]) <= max_size:
-            f = build(*images)
-            if match_formula(premise, f, beta) is not None:
-                out.append(f)
-    return out
+    return theta if pool.issuperset(theta.values()) else None
 
 
 def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
@@ -801,11 +794,14 @@ def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
     `max_facts`. A goal that round 0 reaches is left to the rounds.
 
     For each proper rule, in rule order, whose conclusion matches the goal,
-    the facts after round 0 that its premise matches under that binding are
-    found: the hypotheses, then round 0's additions in its (size, text)
-    order, axiom instances among them by unifying each axiom's conclusion
-    with the premise. The real `_join` runs over them, and its first match
-    is the record round 1 makes first for the goal."""
+    the real `_join` runs over the facts after round 0 that its premise
+    matches under that binding: first the hypotheses, in their order, then
+    round 0's additions one size at a time, smallest first. Those are
+    grouped by size before any is built, axiom instances among them by
+    unifying each axiom's conclusion with the premise. A fact starts at
+    most one match, so the first hypothesis that does, or else the least
+    text at the first size with a match, starts the record round 1 makes
+    first for the goal; only those matches are printed."""
     max_size = bounds.max_size
     axioms = [r for r in rules if not r.premises]
     proper = [r for r in rules if r.premises]
@@ -832,19 +828,27 @@ def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
         beta = match_formula(rule.conclusion, goal)
         if beta is None:
             continue
-        _, premise, key, _, _ = rule.plan[0]
-        later = {f for f in derived if match_formula(premise, f, beta) is not None}
+        i, premise, key, _, _ = rule.plan[0]
+        groups: dict = {}  # size -> records of round 0's additions that the premise may match
+        for f, record in derived.items():
+            if match_formula(premise, f, beta) is not None:
+                groups.setdefault(f.size, []).append(record)
         for axiom in axioms:
-            later.update(_instances_matching(axiom, premise, beta, candidates, known.pool, max_size))
-        facts = [h for h in hyps if match_formula(premise, h, beta) is not None] \
-            + sorted(later - every[3], key=lambda f: (f.size, print_formula(f)))
-        # Every fact counts as new: a match citing only hypotheses was made
-        # in round 0, so it does not conclude the goal, and round 1's
-        # semi-naive rule drops no match that does.
-        view = (facts, {getattr(premise, "ctor", None): facts}, {key: facts}, known)
-        for subst, cited in _join(rule, view, view):
-            known[goal] = ("rule", rule, tuple([subst[v] for v, _ in rule.shape[1]]), subst, cited)
-            return _reconstruct(goal, known)
+            theta = _instances_matching(axiom, premise, beta, known.pool)
+            if theta is not None:
+                _bucket_instances(axiom, theta, (), candidates, max_size, groups)
+        for size in [0] + sorted(groups):  # 0: the hypotheses, in their order
+            facts = [f for f in (hyps if size == 0 else {r[1].instantiator[0](*r[2]) for r in groups[size]} - every[3])
+                     if match_formula(premise, f, beta) is not None]
+            # Every fact counts as new: a match citing only hypotheses was made
+            # in round 0, so it does not conclude the goal, and round 1's
+            # semi-naive rule drops no match that does.
+            view = (facts, {getattr(premise, "ctor", None): facts}, {key: facts}, known)
+            found = {cited[i]: (subst, cited) for subst, cited in _join(rule, view, view)}
+            if found:
+                subst, cited = found[next(iter(found)) if size == 0 else min(found, key=print_formula)]
+                known[goal] = ("rule", rule, tuple([subst[v] for v, _ in rule.shape[1]]), subst, cited)
+                return _reconstruct(goal, known)
     return None
 
 

@@ -64,11 +64,17 @@ def _oracle(spec, bundle):
         falsum = bool(int(parts[2])) if len(parts) > 2 else False
         return admissibility.stub_oracle(bundle.name, main, falsum)
     if spec.startswith("table:"):
-        parts = spec.split(":")
-        table, default = formats.parse_oracle_table(_read(parts[1]))
-        if len(parts) > 2:
-            default = bool(int(parts[2]))
-        return admissibility.oracle_from_table(bundle.name, table, default)
+        path = spec[len("table:"):]  # a default only from a trailing :0 or :1
+        path, d = (path[:-2], path[-1]) if path[-2:] in (":0", ":1") else (path, None)
+        table, default = formats.parse_oracle_table(_read(path))
+        keys = {}  # a key may be in any form the parser reads; the oracle looks up printed forms
+        for key, verdict in table.items():
+            try:
+                rule = formats.parse_rule_line(f"key: {key}", bundle.signature)
+            except (ParseError, SignatureError, formats.FormatError) as e:
+                raise formats.FormatError(f"oracle table key {key!r} does not parse: {e}") from None
+            keys[admissibility.rule_key(rule.premises, rule.conclusion)] = verdict
+        return admissibility.oracle_from_table(bundle.name, keys, default if d is None else d == "1")
     raise formats.FormatError(f"unknown oracle spec {spec!r} (auto, stub:A[:F], table:PATH[:D])")
 
 

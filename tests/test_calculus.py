@@ -1257,3 +1257,60 @@ class TestRoundOneMatchesForward:
                     assert calculus._instance_count(rule, pool, max_size) == made, (rule.name, max_size)
                     counted += made
         assert counted > 10_000
+
+
+def _hand_calculus(name, rules):
+    """A calculus over CPL's signature with the rules given as
+    (name, premise texts, conclusion text)."""
+    return Calculus(name, CPL.signature, tuple(Rule(n, tuple(map(P, ps)), P(c)) for n, ps, c in rules))
+
+
+# `r` has a one-step plan. At size 3 the pass finds two matches of its
+# premise `xi1 or xi2` under the goal `xi2 := xi1`, made top first but
+# printed `or(bot, xi1)` first; `wide` makes a third match at size 5.
+LEAST_TEXT = _hand_calculus("least-text", [
+    ("r", ["xi1 or xi2"], "xi2"), ("top-or", [], "top or xi1"), ("bot-or", [], "bot or xi1"),
+    ("wide", [], "(top and top) or xi1")])
+# `mp`'s premise `xi1 -> xi2` matches `bot -> xi1` at size 3, but `bot` is no
+# fact; the only joint match is `(top and top) -> xi1` at size 5.
+LARGER_SIZE = _hand_calculus("larger-size", [
+    ("mp", ["xi1", "xi1 -> xi2"], "xi2"), ("bot-imp", [], "bot -> xi1"),
+    ("top2-imp", [], "(top and top) -> xi1"), ("top2", [], "top and top")])
+
+
+class TestRoundOneBySize:
+    """The pass builds round 0's additions one size at a time and answers
+    from the least text at the first size with a joint match."""
+
+    @pytest.mark.parametrize("calc, first", [(LEAST_TEXT, "bot or xi1"), (LARGER_SIZE, "top and top")])
+    def test_same_as_forward_and_naive(self, monkeypatch, calc, first):
+        texts, answers = _three_ways(monkeypatch, calc, [], P("xi1"), SearchBounds(depth=3))
+        assert texts[0] == texts[1] == texts[2]
+        assert [a is not None for a in answers] == [True]
+        assert texts[0].startswith(f"1. {print_formula(P(first))} ;")
+
+    @pytest.mark.parametrize("calc, printed", [
+        (LEAST_TEXT, {"or(bot, xi1)", "or(top, xi1)"}), (LARGER_SIZE, {"->(and(top, top), xi1)"})])
+    def test_prints_only_the_matches_of_the_answering_size(self, monkeypatch, calc, printed):
+        goal, bounds = P("xi1"), SearchBounds(depth=3)
+        candidates = _candidate_pool(calc, [], goal, bounds)
+        texts: list = []
+        monkeypatch.setattr(calculus, "print_formula", lambda f: texts.append(print_formula(f)) or texts[-1])
+        assert calculus._round_one(calc.rules, [], goal, candidates, bounds) is not None
+        assert sorted(texts) == sorted(printed)
+
+    def test_memoised_count_is_a_fresh_count(self):
+        def made(rule, pool, max_size):
+            buckets: dict = {}
+            _bucket_instances(rule, {}, (), pool, max_size, buckets)
+            return sum(map(len, buckets.values()))
+
+        k = rule_named(CPL.calculus, "a2")  # three variables, occurring 3, 2 and 2 times
+        same_sizes = ([P("xi1"), P("top"), P("neg xi1"), P("xi1 and xi2")],
+                      [P("bot"), P("xi2"), P("neg top"), P("xi2 -> xi1")])
+        hits = calculus._count_instances.cache_info().hits
+        for pool in same_sizes:
+            assert calculus._instance_count(k, pool, 14) == made(k, pool, 14)
+        for max_size in (30, 1, 16, 12, 30, 16):
+            assert calculus._instance_count(k, same_sizes[0], max_size) == made(k, same_sizes[0], max_size)
+        assert calculus._count_instances.cache_info().hits >= hits + 3

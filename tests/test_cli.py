@@ -211,6 +211,38 @@ class TestDecideAdmissible:
         assert code == EXIT_YES
         assert out.startswith("a1=1 a2=1 -> 1")
 
+    @pytest.mark.parametrize("key", ["/ xi1 -> xi1", "/ (xi1 -> xi1)", "  /   ->(xi1,xi1)"])
+    def test_table_keys_in_any_parsed_form(self, tmp_path, capsys, key):
+        """A key is read as a rule over the component's signature, so it
+        answers the rule whatever form it is written in."""
+        table = tmp_path / "t.txt"
+        table.write_text(f"1 {key}\ndefault 0\n")
+        rule = self.write_rule(tmp_path, "---\nxi1 ->.CPL xi1\n")
+        code, out, _ = run(capsys, "decide-admissible", "--l1", "CPL", "--l2", "G3",
+                           "--rule", rule, "--oracle1", f"table:{table}", "--oracle2", "stub:1")
+        assert code == EXIT_YES
+        assert out.startswith("a1=1 a2=1 -> 1")
+
+    @pytest.mark.parametrize("key", ["/ xi1 ->", "xi1 -> xi1", "/ box xi1"])
+    def test_table_key_that_does_not_parse_is_a_usage_error(self, tmp_path, capsys, key):
+        table = tmp_path / "t.txt"
+        table.write_text(f"1 {key}\n")
+        rule = self.write_rule(tmp_path, "xi1\n---\nxi1\n")
+        code, _, err = run(capsys, "decide-admissible", "--l1", "CPL", "--l2", "G3",
+                           "--rule", rule, "--oracle1", f"table:{table}", "--oracle2", "stub:1")
+        assert code == EXIT_USAGE and f"oracle table key {key!r}" in err
+
+    @pytest.mark.parametrize("suffix, expected", [("", EXIT_NO), (":0", EXIT_NO), (":1", EXIT_YES)])
+    def test_table_path_may_contain_colons(self, tmp_path, capsys, suffix, expected):
+        """Only a trailing `:0` or `:1` is a default; the rest is the path."""
+        folder = tmp_path / "a:b"
+        folder.mkdir()
+        (folder / "t:1.txt").write_text("1 xi2 / xi2\n")
+        rule = self.write_rule(tmp_path, "xi1\n---\nxi1\n")
+        code, out, _ = run(capsys, "decide-admissible", "--l1", "CPL", "--l2", "G3", "--rule", rule,
+                           "--oracle1", f"table:{folder / 't:1.txt'}{suffix}", "--oracle2", "stub:1")
+        assert code == expected, out
+
     def test_bad_oracle_spec(self, tmp_path, capsys):
         rule = self.write_rule(tmp_path, "xi1\n---\nxi1\n")
         code, _, err = run(capsys, "decide-admissible", "--l1", "CPL", "--l2", "CPL",

@@ -739,8 +739,7 @@ class _RoundZero(dict):
 def _instance_count(rule, candidates, max_size) -> int:
     """The number of records `_bucket_instances` makes for the axiom `rule`
     over `candidates`: image tuples whose instance fits `max_size`, counted
-    by convolving the candidates' sizes, not made. The count is kept per
-    rule shape, candidate sizes and `max_size`."""
+    by convolving the candidates' sizes, not made; memoised on those sizes."""
     return _count_instances(*rule.shape[:2], tuple([g.size for g in candidates]), max_size)
 
 
@@ -758,13 +757,10 @@ def _count_instances(nodes, counts, sizes, max_size) -> int:
     return sum(ways.values())
 
 
-def _instances_matching(rule, premise, beta, pool) -> Optional[dict]:
-    """The instances of the axiom `rule`'s conclusion, images in `pool`,
-    that `premise` may match extending `beta`, given as the substitution
-    they share, or None when none can. Where the premise's variable is
-    bound, the conclusion is matched one way against its image; the
-    conclusion's variables left unbound range over the pool, and the premise
-    match on the built instance decides."""
+def _premise_unifier(rule, premise, beta, pool) -> Optional[dict]:
+    """One-way unification of the axiom `rule`'s conclusion with `premise`
+    under `beta`: the substitution that the premise's bound variables force,
+    or None when they clash or force an image outside `pool`."""
     theta: Optional[dict] = {}
     todo = [(rule.conclusion, premise)]
     while todo:
@@ -781,6 +777,17 @@ def _instances_matching(rule, premise, beta, pool) -> Optional[dict]:
     return theta if pool.issuperset(theta.values()) else None
 
 
+def _matches(rule, beta, facts, known) -> dict:
+    """The one-step `rule`'s joint matches under `beta` over those of `facts`
+    that its premise matches, keyed by the fact each cites, in `_join`'s
+    order. All count as new: round 1's semi-naive rule drops only matches
+    that round 0 made, and the pass declines a goal that round 0 reaches."""
+    i, premise, key, _, _ = rule.plan[0]
+    facts = [f for f in facts if match_formula(premise, f, beta) is not None]
+    view = (facts, {getattr(premise, "ctor", None): facts}, {key: facts}, known)
+    return {cited[i]: (subst, cited) for subst, cited in _join(rule, view, view)}
+
+
 def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
     """The derivation the forward search returns when it adds the goal in
     round 1, found by matching backwards from the goal without making round
@@ -794,14 +801,11 @@ def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
     `max_facts`. A goal that round 0 reaches is left to the rounds.
 
     For each proper rule, in rule order, whose conclusion matches the goal,
-    the real `_join` runs over the facts after round 0 that its premise
-    matches under that binding: first the hypotheses, in their order, then
-    round 0's additions one size at a time, smallest first. Those are
-    grouped by size before any is built, axiom instances among them by
-    unifying each axiom's conclusion with the premise. A fact starts at
-    most one match, so the first hypothesis that does, or else the least
-    text at the first size with a match, starts the record round 1 makes
-    first for the goal; only those matches are printed."""
+    the real `_join` runs over the hypotheses, then over round 0's additions
+    grouped by size, unbuilt, and built one size at a time, smallest first.
+    A fact starts at most one match, so the first hypothesis that does, or
+    else the least text at the first size with a match, starts the record
+    round 1 makes first for the goal; only that size's matches are printed."""
     max_size = bounds.max_size
     axioms = [r for r in rules if not r.premises]
     proper = [r for r in rules if r.premises]
@@ -828,27 +832,23 @@ def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
         beta = match_formula(rule.conclusion, goal)
         if beta is None:
             continue
-        i, premise, key, _, _ = rule.plan[0]
-        groups: dict = {}  # size -> records of round 0's additions that the premise may match
-        for f, record in derived.items():
-            if match_formula(premise, f, beta) is not None:
-                groups.setdefault(f.size, []).append(record)
-        for axiom in axioms:
-            theta = _instances_matching(axiom, premise, beta, known.pool)
-            if theta is not None:
-                _bucket_instances(axiom, theta, (), candidates, max_size, groups)
-        for size in [0] + sorted(groups):  # 0: the hypotheses, in their order
-            facts = [f for f in (hyps if size == 0 else {r[1].instantiator[0](*r[2]) for r in groups[size]} - every[3])
-                     if match_formula(premise, f, beta) is not None]
-            # Every fact counts as new: a match citing only hypotheses was made
-            # in round 0, so it does not conclude the goal, and round 1's
-            # semi-naive rule drops no match that does.
-            view = (facts, {getattr(premise, "ctor", None): facts}, {key: facts}, known)
-            found = {cited[i]: (subst, cited) for subst, cited in _join(rule, view, view)}
-            if found:
-                subst, cited = found[next(iter(found)) if size == 0 else min(found, key=print_formula)]
-                known[goal] = ("rule", rule, tuple([subst[v] for v, _ in rule.shape[1]]), subst, cited)
-                return _reconstruct(goal, known)
+        found = _matches(rule, beta, hyps, known)
+        first = next(iter(found), None)
+        if first is None:
+            groups = {size: list(records) for size, records in buckets.items()}  # round 0's additions by size
+            for axiom in axioms:
+                theta = _premise_unifier(axiom, rule.plan[0][1], beta, known.pool)
+                if theta is not None:
+                    _bucket_instances(axiom, theta, (), candidates, max_size, groups)
+            for size in sorted(groups):
+                found = _matches(rule, beta, {r[1].instantiator[0](*r[2]) for r in groups[size]} - every[3], known)
+                if found:
+                    first = min(found, key=print_formula)
+                    break
+        if first is not None:
+            subst, cited = found[first]
+            known[goal] = ("rule", rule, tuple([subst[v] for v, _ in rule.shape[1]]), subst, cited)
+            return _reconstruct(goal, known)
     return None
 
 

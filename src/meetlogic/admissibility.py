@@ -269,21 +269,13 @@ def stub_oracle(logic: str, main: bool, falsum_answer: bool = False,
     return AdmissibilityOracle(logic=logic, exact=exact, fn=fn)
 
 
-def rule_key(premises: Sequence[Formula], beta: Formula) -> str:
-    """`premise ; premise / conclusion`, and `/ conclusion` for a rule
-    without premises: the stripped text that `formats.parse_oracle_table`
-    reads after a verdict."""
-    ps = " ; ".join(print_formula(p) for p in premises)
-    return f"{ps} / {print_formula(beta)}" if ps else f"/ {print_formula(beta)}"
-
-
 def oracle_from_table(logic: str, table: Mapping, default: bool = False,
                       exact: bool = False) -> AdmissibilityOracle:
-    """Oracle answering from a rule-key table (see rule_key); unknown keys get
-    the default answer.
+    """Oracle answering from a table keyed by rule, as (premise tuple,
+    conclusion); rules not in the table get the default answer.
     """
     def fn(premises, beta):
-        return bool(table.get(rule_key(premises, beta), default))
+        return bool(table.get((tuple(premises), beta), default))
 
     return AdmissibilityOracle(logic=logic, exact=exact, fn=fn)
 

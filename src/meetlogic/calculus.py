@@ -167,13 +167,18 @@ def _verum_designated(m) -> bool:
 # ---------------------------------------------------------------------------
 # derivations
 
+# Every justification cites through `cites`, a tuple of 1-based earlier
+# line indices: none for HYP, one per premise for a rule, the lines of
+# phi|1 and phi|2 for LFT, and the line projected or taken to the other
+# falsum for cLFT and FX.
+
 class Hyp(Record):
     __slots__ = ()
+    cites = ()
 
 
 class RuleApp(Record):
-    """`cites` are 1-based earlier line indices, one per premise; `subst` is
-    the sorted ((var index, Formula), ...) witness."""
+    """`subst` is the sorted ((var index, Formula), ...) witness."""
 
     __slots__ = ("rule", "cites", "subst")
 
@@ -182,15 +187,19 @@ class RuleApp(Record):
 
 
 class Lft(Record):
-    __slots__ = ("cites",)  # (line of phi|1, line of phi|2)
+    __slots__ = ("cites",)
 
 
 class Clft(Record):
-    __slots__ = ("cite", "side")
+    __slots__ = ("cites", "side")
 
 
 class Fx(Record):
-    __slots__ = ("cite",)
+    __slots__ = ("cites",)
+
+
+# the number of lines each justification cites; a rule's premises decide
+_CITE_COUNTS = {Hyp: 0, RuleApp: None, Lft: 2, Clft: 1, Fx: 1}
 
 
 class Line(Record):
@@ -257,14 +266,12 @@ def check_derivation(d: Derivation, calc: Calculus, extra: Sequence[Rule] = (),
 
     for i, line in enumerate(d.lines, start=1):
         just = line.just
-        cited = []
-        if isinstance(just, RuleApp):
-            cited = list(just.cites)
-        elif isinstance(just, Lft):
-            cited = list(just.cites)
-        elif isinstance(just, (Clft, Fx)):
-            cited = [just.cite]
-        for c in cited:
+        if just.__class__ not in _CITE_COUNTS:
+            return fail(i, f"unknown justification {type(just).__name__}")
+        cites, count = just.cites, _CITE_COUNTS[just.__class__]
+        if count is not None and len(cites) != count:
+            return fail(i, f"{type(just).__name__} must cite {count} line(s), not {len(cites)}")
+        for c in cites:
             if not (1 <= c < i):
                 return fail(i, f"cited line {c} is not strictly earlier")
 
@@ -275,10 +282,10 @@ def check_derivation(d: Derivation, calc: Calculus, extra: Sequence[Rule] = (),
             rule = rules.get(just.rule)
             if rule is None:
                 return fail(i, f"unknown rule {just.rule!r}")
-            if len(just.cites) != len(rule.premises):
+            if len(cites) != len(rule.premises):
                 return fail(i, f"rule {rule.name} expects {len(rule.premises)} cited lines")
             s = just.subst_dict()
-            for c, prem in zip(just.cites, rule.premises):
+            for c, prem in zip(cites, rule.premises):
                 if not _instance_is(s, prem, d.lines[c - 1].formula):
                     return fail(i, f"cited line {c} is not the matching instance of a premise of {rule.name}")
             if not _instance_is(s, rule.conclusion, line.formula):
@@ -286,7 +293,7 @@ def check_derivation(d: Derivation, calc: Calculus, extra: Sequence[Rule] = (),
         elif isinstance(just, Lft):
             if cs is None:
                 return fail(i, "LFT is not available in this calculus")
-            l1, l2 = just.cites
+            l1, l2 = cites
             if d.lines[l1 - 1].formula != proj_embedded(line.formula, 1, cs):
                 return fail(i, "first LFT citation is not the component-1 projection")
             if d.lines[l2 - 1].formula != proj_embedded(line.formula, 2, cs):
@@ -296,21 +303,19 @@ def check_derivation(d: Derivation, calc: Calculus, extra: Sequence[Rule] = (),
                 return fail(i, "cLFT is not available in this calculus")
             if just.side not in (1, 2):
                 return fail(i, "cLFT side must be 1 or 2")
-            src = d.lines[just.cite - 1].formula
+            src = d.lines[cites[0] - 1].formula
             if line.formula != proj_embedded(src, just.side, cs):
                 return fail(i, "cLFT line is not the projection of the cited line")
         elif isinstance(just, Fx):
             if cs is None:
                 return fail(i, "FX is not available in this calculus")
-            src = d.lines[just.cite - 1].formula
+            src = d.lines[cites[0] - 1].formula
             matched = False
             for k in (1, 2):
                 if src == cs.falsum(k) and line.formula == cs.falsum(3 - k):
                     matched = True
             if not matched:
                 return fail(i, "FX line must take one component falsum to the other")
-        else:
-            return fail(i, f"unknown justification {type(just).__name__}")
     return Verdict(True)
 
 
@@ -527,7 +532,7 @@ class _Texts(dict):
 
 
 def _bucket_instances(rule, subst, cited, candidates, max_size, buckets):
-    """Append the record `("rule", rule, images, subst, cited)` to
+    """Append the record `("rule", cited, rule, images, subst)` to
     `buckets[size]` for each instance of the conclusion within `max_size`,
     sized by `Rule.shape`, not built. `images` are the images of the
     conclusion's variables in `shape` order, and `subst` is shared, not
@@ -541,7 +546,7 @@ def _bucket_instances(rule, subst, cited, candidates, max_size, buckets):
     free = [k for k, g in enumerate(images) if g is None]
     if not free:
         if size <= max_size:
-            buckets.setdefault(size, []).append(("rule", rule, tuple(images), subst, cited))
+            buckets.setdefault(size, []).append(("rule", cited, rule, tuple(images), subst))
         return
     weights = [counts[k][1] for k in free]
     least = candidates[0].size if candidates else 0
@@ -554,7 +559,7 @@ def _bucket_instances(rule, subst, cited, candidates, max_size, buckets):
                 for k, g in zip(free, values):
                     images[k] = g
                 values = tuple(images)
-            buckets.setdefault(total, []).append(("rule", rule, values, subst, cited))
+            buckets.setdefault(total, []).append(("rule", cited, rule, values, subst))
 
 
 # The search tries a model only while its columns stay this short: `entails`
@@ -627,26 +632,30 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
     def finished() -> bool:
         return goal in facts or len(facts) >= bounds.max_facts
 
-    def add(f, record) -> bool:
-        if f in facts or f.size > bounds.max_size or len(facts) >= bounds.max_facts:
-            return False
-        facts[f] = record
-        order.append(f)
-        if cs is not None:
-            _close(f)
-        return True
-
     falsa = (cs.falsum(1), cs.falsum(2)) if cs is not None else ()
 
-    def _close(f):
-        for k in (1, 2):
-            add(proj_embedded(f, k, cs), ("clft", f, k))
-        for k in (1, 2):
-            if f is falsa[k - 1]:
-                add(falsa[2 - k], ("fx", f))
+    def add(f, record) -> bool:
+        """Add f, and in a meet its closure under cLFT and FX, depth first:
+        each fact's cLFT images, side 1 first, then its FX image. Whether f
+        itself was added."""
+        before = len(order)
+        todo = [(f, record)]
+        while todo:
+            f, record = todo.pop()
+            if f in facts or f.size > bounds.max_size or len(facts) >= bounds.max_facts:
+                continue
+            facts[f] = record
+            order.append(f)
+            if cs is not None:  # pushed in reverse, as the last pushed is added first
+                cited = (f,)
+                if f is falsa[0] or f is falsa[1]:
+                    todo.append((falsa[1] if f is falsa[0] else falsa[0], ("fx", cited)))
+                todo.append((proj_embedded(f, 2, cs), ("clft", cited, 2)))
+                todo.append((proj_embedded(f, 1, cs), ("clft", cited, 1)))
+        return len(order) > before
 
     for h in hyps:
-        add(h, ("hyp",))
+        add(h, ("hyp", ()))
 
     axioms = [r for r in rules if not r.premises]
     proper = [r for r in rules if r.premises]
@@ -674,15 +683,15 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
                 p1 = proj_embedded(target, 1, cs)
                 p2 = proj_embedded(target, 2, cs)
                 if p1 in facts and p2 in facts:  # so target.size <= bounds.max_size
-                    lfts.setdefault(target.size, []).append((target, ("lft", p1, p2)))
+                    lfts.setdefault(target.size, []).append((target, ("lft", (p1, p2))))
         before = len(facts)
         for size in sorted(buckets.keys() | lfts.keys()):
             if finished():
                 break
             built: dict = {}  # conclusion -> (its text, record of its first instance)
             for record in buckets.get(size, ()):
-                build, text = record[1].instantiator
-                images = record[2]
+                build, text = record[2].instantiator
+                images = record[3]
                 f = build(*images)
                 if f not in facts and f not in built:
                     built[f] = text(*[texts[g] for g in images]), record
@@ -695,10 +704,6 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
         if goal in facts or len(facts) == before:
             break
 
-    # add and _close refer to each other. Unlinking them frees the facts
-    # when the search returns, not at the next cyclic collection, which
-    # keeps the intern table from filling with finished searches.
-    del add, _close
     if goal not in facts:
         return None
     return _reconstruct(goal, facts)
@@ -719,7 +724,7 @@ class _RoundZero(dict):
     __slots__ = ("derived", "axioms", "pool", "max_size")
 
     def __init__(self, hyps, derived, axioms, pool, max_size):
-        dict.__init__(self, dict.fromkeys(hyps, ("hyp",)))
+        dict.__init__(self, dict.fromkeys(hyps, ("hyp", ())))
         self.derived, self.axioms, self.pool, self.max_size = derived, axioms, pool, max_size
 
     def __missing__(self, f):
@@ -727,7 +732,7 @@ class _RoundZero(dict):
         for rule in self.axioms if f.size <= self.max_size else ():
             s = match_formula(rule.conclusion, f)
             if s is not None and self.pool.issuperset(s.values()):
-                record = ("rule", rule, tuple([s[v] for v, _ in rule.shape[1]]), {}, ())
+                record = ("rule", (), rule, tuple([s[v] for v, _ in rule.shape[1]]), {})
                 break
         self[f] = record
         return record
@@ -824,7 +829,7 @@ def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
         return None
     derived: dict = {}  # round 0's proper conclusions -> their first records
     for record in made:
-        derived.setdefault(record[1].instantiator[0](*record[2]), record)
+        derived.setdefault(record[2].instantiator[0](*record[3]), record)
     known = _RoundZero(hyps, derived, axioms, set(candidates), max_size)
     if goal in known:
         return None
@@ -841,31 +846,20 @@ def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
                 if theta is not None:
                     _bucket_instances(axiom, theta, (), candidates, max_size, groups)
             for size in sorted(groups):
-                found = _matches(rule, beta, {r[1].instantiator[0](*r[2]) for r in groups[size]} - every[3], known)
+                found = _matches(rule, beta, {r[2].instantiator[0](*r[3]) for r in groups[size]} - every[3], known)
                 if found:
                     first = min(found, key=print_formula)
                     break
         if first is not None:
             subst, cited = found[first]
-            known[goal] = ("rule", rule, tuple([subst[v] for v, _ in rule.shape[1]]), subst, cited)
+            known[goal] = ("rule", cited, rule, tuple([subst[v] for v, _ in rule.shape[1]]), subst)
             return _reconstruct(goal, known)
     return None
 
 
-def _cited(record) -> tuple:
-    """The facts a search record cites, in citation order."""
-    kind = record[0]
-    if kind == "rule":
-        return record[4]
-    if kind == "lft":
-        return record[1:]
-    if kind == "hyp":
-        return ()
-    return (record[1],)  # clft and fx
-
-
 def _reconstruct(goal, facts) -> Derivation:
-    """The derivation of `goal` from the search's records: each fact's line
+    """The derivation of `goal` from the search's records, each of them
+    (kind, the facts it cites in citation order, ...): each fact's line
     comes after the lines of the facts it cites, which come in citation
     order, and each fact has one line. The walk keeps an explicit stack, so
     derivations of any length rebuild."""
@@ -878,7 +872,7 @@ def _reconstruct(goal, facts) -> Derivation:
             todo.pop()
             continue
         record = facts[f]
-        cited = _cited(record)
+        cited = record[1]
         pending = [c for c in reversed(cited) if c not in index]
         if pending:
             todo.extend(pending)
@@ -889,14 +883,14 @@ def _reconstruct(goal, facts) -> Derivation:
         if kind == "hyp":
             just = Hyp()
         elif kind == "rule":
-            _, rule, images, subst, _ = record
+            _, _, rule, images, subst = record
             witness = dict(subst)
             witness.update(zip([v for v, _ in rule.shape[1]], images))
             just = RuleApp(rule.name, cites, freeze_subst(witness))
         elif kind == "clft":
-            just = Clft(cites[0], record[2])
+            just = Clft(cites, record[2])
         elif kind == "fx":
-            just = Fx(cites[0])
+            just = Fx(cites)
         elif kind == "lft":
             just = Lft(cites)
         else:  # pragma: no cover
@@ -952,7 +946,7 @@ def _template_prologue(premises, calc, b1, b2, sides):
     for k in sides:
         hyp_line_of[k] = {}
         for i, a in enumerate(premises, start=1):
-            lines.append(Line(proj_embedded(a, k, cs), Clft(i, k)))
+            lines.append(Line(proj_embedded(a, k, cs), Clft((i,), k)))
             hyp_line_of[k].setdefault(project(a, k), len(lines))
     return cs, comp, lines, hyp_line_of
 
@@ -992,7 +986,7 @@ def build_vacuous_side_derivation(premises, conclusion, falsum_side: int, dfalsu
 
     falsum_line = _splice(dfalsum, fs, cs, comp[fs], extra_same, lines, hyp_line_of[fs])
     end_same = _splice(dexfalso_same, fs, cs, comp[fs], extra_same, lines, {bot_same: falsum_line})
-    lines.append(Line(cs.falsum(other), Fx(falsum_line)))
+    lines.append(Line(cs.falsum(other), Fx((falsum_line,))))
     end_other = _splice(dexfalso_other, other, cs, comp[other], extra_other, lines, {bot_other: len(lines)})
     cites = (end_same, end_other) if fs == 1 else (end_other, end_same)
     lines.append(Line(conclusion, Lft(cites)))

@@ -59,21 +59,21 @@ def _oracle(spec, bundle):
     if spec == "auto":
         return admissibility.bundle_oracle(bundle)
     if spec.startswith("stub:"):
-        parts = spec.split(":")
-        main = bool(int(parts[1]))
-        falsum = bool(int(parts[2])) if len(parts) > 2 else False
-        return admissibility.stub_oracle(bundle.name, main, falsum)
+        answers = spec[len("stub:"):].split(":")
+        if len(answers) > 2 or not all(a in ("0", "1") for a in answers):
+            raise formats.FormatError(f"oracle spec {spec!r}: stub:A[:F] takes one or two answers, each 0 or 1")
+        return admissibility.stub_oracle(bundle.name, answers[0] == "1", answers[1:] == ["1"])
     if spec.startswith("table:"):
         path = spec[len("table:"):]  # a default only from a trailing :0 or :1
         path, d = (path[:-2], path[-1]) if path[-2:] in (":0", ":1") else (path, None)
         table, default = formats.parse_oracle_table(_read(path))
-        keys = {}  # a key may be in any form the parser reads; the oracle looks up printed forms
+        keys = {}  # a key may be in any form the parser reads; the oracle compares rules
         for key, verdict in table.items():
             try:
                 rule = formats.parse_rule_line(f"key: {key}", bundle.signature)
             except (ParseError, SignatureError, formats.FormatError) as e:
                 raise formats.FormatError(f"oracle table key {key!r} does not parse: {e}") from None
-            keys[admissibility.rule_key(rule.premises, rule.conclusion)] = verdict
+            keys[rule.premises, rule.conclusion] = verdict
         return admissibility.oracle_from_table(bundle.name, keys, default if d is None else d == "1")
     raise formats.FormatError(f"unknown oracle spec {spec!r} (auto, stub:A[:F], table:PATH[:D])")
 

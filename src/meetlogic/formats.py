@@ -3,7 +3,8 @@ tables.
 """
 from __future__ import annotations
 
-from .admissibility import rule_key
+from typing import Sequence
+
 from .calculus import (
     Clft,
     Derivation,
@@ -17,6 +18,7 @@ from .calculus import (
 )
 from .semantics import Matrix, SemanticsError
 from .syntax import (
+    Formula,
     Signature,
     VERUM,
     parse_formula,
@@ -64,6 +66,14 @@ def serialize_rule_file(rule: Rule) -> str:
     return "\n".join(out) + "\n"
 
 
+def rule_key(premises: Sequence[Formula], beta: Formula) -> str:
+    """`premise ; premise / conclusion`, and `/ conclusion` for a rule
+    without premises: the text `parse_rule_line` reads after a name, and
+    `parse_oracle_table` after a verdict."""
+    ps = " ; ".join(print_formula(p) for p in premises)
+    return f"{ps} / {print_formula(beta)}" if ps else f"/ {print_formula(beta)}"
+
+
 def rule_line(rule: Rule) -> str:
     return f"{rule.name}: {rule_key(rule.premises, rule.conclusion)}"
 
@@ -95,17 +105,17 @@ def serialize_derivation(d: Derivation) -> str:
 def _just_text(just) -> str:
     if isinstance(just, Hyp):
         return "HYP"
+    if not isinstance(just, (RuleApp, Lft, Clft, Fx)):
+        raise FormatError(f"unknown justification {type(just).__name__}")
+    lines = ",".join(str(c) for c in just.cites)
     if isinstance(just, RuleApp):
         entries = "; ".join(f"xi{v}:={print_formula(f)}" for v, f in just.subst)
-        lines = ",".join(str(c) for c in just.cites)
         return f"RULE {just.rule} s={{{entries}}} lines={lines}"
     if isinstance(just, Lft):
-        return f"LFT lines={just.cites[0]},{just.cites[1]}"
+        return f"LFT lines={lines}"
     if isinstance(just, Clft):
-        return f"CLFT line={just.cite} k={just.side}"
-    if isinstance(just, Fx):
-        return f"FX line={just.cite}"
-    raise FormatError(f"unknown justification {type(just).__name__}")
+        return f"CLFT line={lines} k={just.side}"
+    return f"FX line={lines}"
 
 
 def parse_derivation_file(text: str, sig) -> Derivation:
@@ -158,9 +168,9 @@ def _parse_just(text: str, sig, n: int):
     if text.startswith("CLFT line="):
         body = text[len("CLFT line="):]
         cite, k = body.split("k=")
-        return Clft(int(cite.strip()), int(k))
+        return Clft((int(cite.strip()),), int(k))
     if text.startswith("FX line="):
-        return Fx(int(text[len("FX line="):]))
+        return Fx((int(text[len("FX line="):]),))
     raise FormatError(f"line {n}: unknown justification {text!r}")
 
 

@@ -17,7 +17,6 @@ from meetlogic.admissibility import (
     decide_admissible_meet,
     derivable_with_basis,
     oracle_from_table,
-    rule_key,
     semantic_oracle,
     stub_oracle,
     _closed_candidates,
@@ -334,8 +333,7 @@ class TestOracleConstructors:
             semantic_oracle(IPL)
 
     def test_oracle_from_table(self):
-        key = rule_key([P("xi1")], P("xi1 or xi2"))
-        o = oracle_from_table("L", {key: True}, default=False)
+        o = oracle_from_table("L", {((P("xi1"),), P("xi1 or xi2")): True}, default=False)
         assert o([P("xi1")], P("xi1 or xi2")) is True
         assert o([P("xi2")], P("xi1")) is False
         assert o.calls == 2

@@ -118,7 +118,7 @@ class TestChecker:
 
     def test_forward_citation_rejected(self):
         d = Derivation((
-            Line(PM("<top.CPL1|top.CPL2>"), Clft(1, 1)),
+            Line(PM("<top.CPL1|top.CPL2>"), Clft((1,), 1)),
         ))
         v = check_derivation(d, MEET)
         assert not v and v.line == 1
@@ -126,18 +126,31 @@ class TestChecker:
     def test_fx_both_directions(self):
         b1, b2 = CS.falsum(1), CS.falsum(2)
         for src, dst in ((b1, b2), (b2, b1)):
-            d = Derivation((Line(src, Hyp()), Line(dst, Fx(1))))
+            d = Derivation((Line(src, Hyp()), Line(dst, Fx((1,)))))
             assert check_derivation(d, MEET, hyps=[src])
 
     def test_fx_wrong_direction_rejected(self):
-        d = Derivation((Line(CS.falsum(1), Hyp()), Line(CS.top, Fx(1))))
+        d = Derivation((Line(CS.falsum(1), Hyp()), Line(CS.top, Fx((1,)))))
         v = check_derivation(d, MEET, hyps=[CS.falsum(1)])
         assert not v and v.line == 2
 
     def test_schematic_families_disabled_outside_combined(self):
-        d = Derivation((Line(P("xi1"), Hyp()), Line(P("xi1"), Clft(1, 1))))
+        d = Derivation((Line(P("xi1"), Hyp()), Line(P("xi1"), Clft((1,), 1))))
         v = check_derivation(d, CPL.calculus, hyps=[P("xi1")])
         assert not v and v.line == 2
+
+    @pytest.mark.parametrize("just", [Lft((1,)), Lft((1, 2, 2)), Clft((), 1), Fx((1, 2))], ids=repr)
+    def test_wrong_citation_count_rejected(self, just):
+        """Each schematic family cites a fixed number of lines: LFT 2, cLFT
+        and FX 1. Any other count is a rejection at that line, not a crash."""
+        psi = PM("<and.CPL1|or.CPL2>(xi1, xi2)")
+        d = Derivation((
+            Line(proj_embedded(psi, 1, CS), Hyp()),
+            Line(proj_embedded(psi, 2, CS), Hyp()),
+            Line(psi, just),
+        ))
+        v = check_derivation(d, MEET, hyps=[proj_embedded(psi, k, CS) for k in (1, 2)])
+        assert not v and v.line == 3 and "must cite" in v.reason
 
 
 class TestAssemble:
@@ -433,15 +446,15 @@ def _reference_search(calc, hyps, goal, bounds, extra=()):
         order.append(f)
         if cs is not None:
             for k in (1, 2):
-                add(pe(f, k), ("clft", f, k))
+                add(pe(f, k), ("clft", (f,), k))
         if cs is not None:
             for k in (1, 2):
                 if f == cs.falsum(k):
-                    add(cs.falsum(3 - k), ("fx", f))
+                    add(cs.falsum(3 - k), ("fx", (f,)))
         return True
 
     for h in hyps:
-        add(h, ("hyp",))
+        add(h, ("hyp", ()))
 
     def instances(rule, subst, cited, out):
         unbound = sorted(variables_of(rule.conclusion) - set(subst))
@@ -451,7 +464,7 @@ def _reference_search(calc, hyps, goal, bounds, extra=()):
             concl = apply_substitution(full, rule.conclusion)
             if concl not in facts and concl.size <= bounds.max_size:
                 images = tuple(full[v] for v in sorted(variables_of(rule.conclusion)))
-                out.append((concl, ("rule", rule, images, full, cited)))
+                out.append((concl, ("rule", cited, rule, images, full)))
 
     for _round in range(bounds.depth):
         if goal in facts:
@@ -476,7 +489,7 @@ def _reference_search(calc, hyps, goal, bounds, extra=()):
                     continue
                 p1, p2 = pe(target, 1), pe(target, 2)
                 if p1 in facts and p2 in facts:
-                    additions.append((target, ("lft", p1, p2)))
+                    additions.append((target, ("lft", (p1, p2))))
         additions.sort(key=lambda item: (item[0].size, print_formula(item[0])))
         progressed = False
         for f, record in additions:
@@ -650,7 +663,7 @@ class TestSearchMatchesReference:
                             dropped += 1
                     got: dict = {}
                     for size, records in buckets.items():
-                        for _, r, images, shared, _ in records:
+                        for _, _, r, images, shared in records:
                             assert r is rule and shared is subst, rule
                             full = {**subst, **dict(zip(conclusion_vars, images))}
                             concl = build(*images)

@@ -249,6 +249,16 @@ class TestDecideAdmissible:
                            "--rule", rule, "--oracle1", "magic")
         assert code == EXIT_USAGE and "oracle spec" in err
 
+    @pytest.mark.parametrize("spec", ["stub:", "stub:2", "stub:1:5", "stub:1:0:junk", "stub:1:"])
+    def test_stub_takes_one_or_two_answers_each_0_or_1(self, tmp_path, capsys, spec):
+        """Anything else is a usage error, not an answer: `stub:2` would read
+        as yes, `stub:1:5` answer the falsum query yes, and `stub:1:0:junk`
+        drop a field."""
+        rule = self.write_rule(tmp_path, "xi1\n---\nxi1\n")
+        code, _, err = run(capsys, "decide-admissible", "--l1", "CPL", "--l2", "G3",
+                           "--rule", rule, "--oracle1", spec, "--oracle2", "stub:0")
+        assert code == EXIT_USAGE and "oracle spec" in err
+
 
 class TestBasisVerb:
     def test_ipl_s43_combined(self, capsys):

@@ -1,6 +1,5 @@
 import pytest
 
-from meetlogic.admissibility import rule_key
 from meetlogic.calculus import (
     Clft,
     Derivation,
@@ -19,6 +18,7 @@ from meetlogic.formats import (
     parse_oracle_table,
     parse_rule_file,
     parse_rule_line,
+    rule_key,
     rule_line,
     serialize_derivation,
     serialize_matrix_file,
@@ -96,11 +96,11 @@ class TestDerivationFiles:
         psi = parse_formula("<and.CPL1|or.CPL2>(xi1, xi2)", cs)
         d = Derivation((
             Line(psi, Hyp()),
-            Line(proj_embedded(psi, 1, cs), Clft(1, 1)),
-            Line(proj_embedded(psi, 2, cs), Clft(1, 2)),
+            Line(proj_embedded(psi, 1, cs), Clft((1,), 1)),
+            Line(proj_embedded(psi, 2, cs), Clft((1,), 2)),
             Line(psi, Lft((2, 3))),
             Line(cs.falsum(1), Hyp()),
-            Line(cs.falsum(2), Fx(5)),
+            Line(cs.falsum(2), Fx((5,))),
         ))
         assert parse_derivation_file(serialize_derivation(d), cs) == d
 

@@ -95,9 +95,9 @@ RECORDS = [
     (Hyp, lambda: {}, True, {}, None),
     (RuleApp, lambda: {"rule": "mp", "cites": (1, 2), "subst": ((1, Var(1)),)}, True, {}, ("cites", (2, 1))),
     (Lft, lambda: {"cites": (1, 2)}, True, {}, ("cites", (2, 1))),
-    (Clft, lambda: {"cite": 1, "side": 2}, True, {}, ("side", 1)),
-    (Fx, lambda: {"cite": 3}, True, {}, ("cite", 2)),
-    (Line, lambda: {"formula": P("xi1"), "just": Hyp()}, True, {}, ("just", Fx(1))),
+    (Clft, lambda: {"cites": (1,), "side": 2}, True, {}, ("side", 1)),
+    (Fx, lambda: {"cites": (3,)}, True, {}, ("cites", (2,))),
+    (Line, lambda: {"formula": P("xi1"), "just": Hyp()}, True, {}, ("just", Fx((1,)))),
     (Derivation, lambda: {"lines": (Line(P("xi1"), Hyp()),)}, True, {}, ("lines", ())),
     (Verdict, lambda: {"ok": False, "line": 2, "reason": "bad"}, True, {}, ("line", 3)),
     (SearchBounds, lambda: {"depth": 3, "max_size": 20, "max_facts": 100, "max_candidates": 5}, True, {},

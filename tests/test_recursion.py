@@ -33,8 +33,9 @@ def _scope(node):
 
 def call_graph(src):
     """Qualified function name -> the qualified names of the module's
-    functions that its body calls by bare name, resolved as Python resolves
-    them: its own nested functions, then its enclosing functions', then the
+    functions that its body names, whether it calls them or passes them on
+    (as a callback to `map` or a `key=`), resolved as Python resolves bare
+    names: its own nested functions, then its enclosing functions', then the
     module's (a class body's names are not visible to its methods)."""
     graph = {}
     for path in sorted(src.glob("*.py")):
@@ -45,8 +46,8 @@ def call_graph(src):
             local = {n.name: f"{name}.{n.name}" for n in nodes if isinstance(n, _FUNCTIONS)}
             inner = visible if isinstance(node, ast.ClassDef) else {**visible, **local}
             if isinstance(node, _FUNCTIONS):
-                graph[name] = {inner[n.func.id] for n in nodes
-                               if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in inner}
+                graph[name] = {inner[n.id] for n in nodes
+                               if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in inner}
             todo.extend((n, f"{name}.{n.name}", inner) for n in nodes if isinstance(n, _FUNCTIONS + (ast.ClassDef,)))
     return graph
 
@@ -78,7 +79,8 @@ def test_no_tree_tool_recurses():
 
 def test_mutual_recursion_between_nested_functions_is_found(tmp_path):
     """A cycle through two nested functions counts, as does a function
-    calling itself; a method and a module function of one name do not."""
+    calling itself or passing a nested function that calls it back as a
+    callback; a method and a module function of one name do not."""
     (tmp_path / "m.py").write_text(
         "def outer():\n"
         "    def a():\n"
@@ -88,9 +90,18 @@ def test_mutual_recursion_between_nested_functions_is_found(tmp_path):
         "    a()\n"
         "def walk(n):\n"
         "    return walk(n - 1)\n"
+        "def visit(n):\n"
+        "    def go(c):\n"
+        "        return visit(c)\n"
+        "    return list(map(go, n.args))\n"
+        "def order(xs):\n"
+        "    def key(x):\n"
+        "        return order(x)\n"
+        "    return sorted(xs, key=key)\n"
         "class C:\n"
         "    def size(self):\n"
         "        return size(self)\n"
         "def size(c):\n"
         "    return 1\n")
-    assert recursive_functions(tmp_path) == {"m.outer.a", "m.outer.b", "m.walk"}
+    assert recursive_functions(tmp_path) == {"m.outer.a", "m.outer.b", "m.walk", "m.visit", "m.visit.go",
+                                              "m.order", "m.order.key"}

@@ -235,7 +235,7 @@ def _instance_is(s: dict, pattern: Formula, f: Formula) -> bool:
     s leaves unbound stands for itself. Each pair of nodes is compared
     once, so shared subterms cost their distinct pairs, and the walk keeps
     an explicit stack."""
-    seen = set()
+    seen = set()  # packed ids of the pairs: one int is cheaper to hash than a tuple of two nodes
     todo = [(pattern, f)]
     while todo:
         p, g = todo.pop()

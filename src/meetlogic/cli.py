@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import admissibility, calculus, combination, formats, presets, semantics, treetools
-from .syntax import ParseError, SignatureError, parse_formula, print_formula
+from .syntax import App, ParseError, SignatureError, parse_formula, print_formula
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -161,7 +161,7 @@ def cmd_search(args):
 
 def cmd_decide_admissible(args):
     cs = _logic(args).signature
-    rule = formats.parse_rule_file(_read(args.rule), cs, name=args.name)
+    rule = formats.parse_rule_file(_read(args.rule), cs)
     o1 = _oracle(args.oracle1, _bundle(args.l1, args))
     o2 = _oracle(args.oracle2, _bundle(args.l2, args))
     decision = admissibility.decide_admissible_meet(o1, o2, rule.premises, rule.conclusion)
@@ -207,13 +207,14 @@ def cmd_trees(args):
 
 def cmd_complete(args):
     bundle = _bundle(args.logic, args)
-    psi = parse_formula(args.formula, bundle.signature)
+    sig = bundle.signature
+    psi = parse_formula(args.formula, sig)
     delta = treetools.completion_formula(psi, args.target, bundle.completion_profile,
                                          root_head=args.root_head)
     out = print_formula(delta)
     verified = None
     if bundle.theorem is not None:
-        law = parse_formula(f"{args.target} iff ({out})", bundle.signature)
+        law = App(sig.resolve("iff", None, 2), (App(sig.resolve(args.target, None, 0)), delta))
         verified = bundle.theorem(law)
     _emit(args, {"completion": out, "verified": verified},
           out + ("" if verified is None else f"  # equivalence verified: {verified}"))
@@ -293,7 +294,7 @@ def build_parser() -> _Parser:
         _add_either(p), p.add_argument("--goal", required=True), p.add_argument("--hyps"),
         p.add_argument("--with-basis", action="store_true"), _add_schema_bound(p),
         p.add_argument("--depth", type=int, default=6), p.add_argument("--max-size", type=int, default=30)))
-    verb("decide-admissible", lambda p: (_add_meet(p), p.add_argument("--rule", required=True), p.add_argument("--oracle1", default="auto"), p.add_argument("--oracle2", default="auto"), p.add_argument("--name", default="rule")))
+    verb("decide-admissible", lambda p: (_add_meet(p), p.add_argument("--rule", required=True), p.add_argument("--oracle1", default="auto"), p.add_argument("--oracle2", default="auto")))
     verb("basis", lambda p: (_add_meet(p), _add_schema_bound(p)))
     verb("eval", lambda p: (_add_either(p), p.add_argument("formula")))
     verb("entails", lambda p: (_add_either(p), p.add_argument("--hyps"), p.add_argument("--goal", required=True)))

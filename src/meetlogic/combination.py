@@ -14,22 +14,21 @@ from .syntax import (
     Var,
     apply_substitution,
     max_schema_index,
-    name_hash,
     postorder,
     verum_family_name,
 )
 
 
-_pairs: dict = {}  # (id(c1), id(c2), tag1, tag2) -> PairCtor; ctors are never freed
+_pairs: dict = {}  # (c1, c2, tag1, tag2) -> PairCtor; ctors are never freed
 
 
 class PairCtor(Interned):
     """Combined constructor <c1.tag1|c2.tag2>, interned like every kernel node."""
 
-    __slots__ = ("c1", "c2", "tag1", "tag2", "arity", "display", "_hash")
+    __slots__ = ("c1", "c2", "tag1", "tag2", "arity", "display")
 
     def __new__(cls, c1: Ctor, c2: Ctor, tag1: str, tag2: str):
-        key = (id(c1), id(c2), tag1, tag2)
+        key = (c1, c2, tag1, tag2)
         p = _pairs.get(key)
         if p is None:
             if c1.arity != c2.arity:
@@ -42,7 +41,6 @@ class PairCtor(Interned):
             init(p, "tag2", tag2)
             init(p, "arity", c1.arity)
             init(p, "display", f"<{c1.name}.{tag1}|{c2.name}.{tag2}>")
-            init(p, "_hash", hash((c1._hash, c2._hash, name_hash(tag1), name_hash(tag2))))
             p = _pairs.setdefault(key, p)
         return p
 
@@ -158,11 +156,10 @@ def embed(f: Formula, k: int, cs: CombinedSignature) -> Formula:
     """The embedding of a component-k formula, padding with the verum family."""
     if f.__class__ is Var:
         return f
-    image = {}  # id of a node of f -> its embedding
+    image = {}  # node of f -> its embedding
     for g in postorder(f):
-        image[id(g)] = App(cs.embed_ctor(g.ctor, k), tuple([a if a.__class__ is Var else image[id(a)]
-                                                             for a in g.args]))
-    return image[id(f)]
+        image[g] = App(cs.embed_ctor(g.ctor, k), tuple([a if a.__class__ is Var else image[a] for a in g.args]))
+    return image[f]
 
 
 def project(f: Formula, k: int) -> Formula:

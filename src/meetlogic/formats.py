@@ -179,13 +179,14 @@ def _parse_just(text: str, sig, n: int):
 
 def parse_matrix_file(text: str, sig: Signature, name: str = "matrix") -> Matrix:
     """Header `carrier N` and `designated i j ...`; then one `op <name> v...`
-    per constructor of the signature, values row-major over carrier indices
-    0..N-1. Verum-family tables default to the `top` value.
+    per constructor of the signature, by its display (a pair's is
+    `<n1.T1|n2.T2>`), values row-major over carrier indices 0..N-1. A
+    component signature's verum-family tables default to the `top` value.
     """
     size = None
     designated = None
     rows = {}
-    names = {c.name for c in sig.all_ctors()}
+    names = {c.display for c in sig.all_ctors()}
     for raw in _content_lines(text):
         parts = raw.split()
         if parts[0] == "carrier":
@@ -199,7 +200,7 @@ def parse_matrix_file(text: str, sig: Signature, name: str = "matrix") -> Matrix
             if len(parts) < 2:
                 raise FormatError("op: missing constructor name")
             if parts[1] not in names:
-                raise FormatError(f"op {parts[1]}: no such constructor in signature {sig.tag}")
+                raise FormatError(f"op {parts[1]}: no such constructor in the signature")
             rows[parts[1]] = _integers(f"op {parts[1]}", parts[2:])
         else:
             raise FormatError(f"unknown matrix directive {parts[0]!r}")
@@ -207,9 +208,9 @@ def parse_matrix_file(text: str, sig: Signature, name: str = "matrix") -> Matrix
         raise FormatError("matrix file needs carrier and designated headers")
     tables = {}
     for ctor in sig.all_ctors():
-        if ctor.name in rows:
-            tables[ctor] = rows[ctor.name]
-        elif ctor.name == verum_family_name(ctor.arity) and VERUM in rows:
+        if ctor.display in rows:
+            tables[ctor] = rows[ctor.display]
+        elif ctor.display == verum_family_name(ctor.arity) and VERUM in rows:
             tables[ctor] = rows[VERUM][:1] * size ** ctor.arity
     try:
         return Matrix(name, sig, tuple(range(size)), frozenset(designated), tables)

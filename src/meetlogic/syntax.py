@@ -11,7 +11,6 @@ import itertools
 import re
 import threading
 import weakref
-import zlib
 from typing import Iterable, Iterator, Optional, Union
 
 VERUM = "top"
@@ -36,14 +35,12 @@ class ParseError(Exception):
 # hash-consed nodes
 #
 # Constructors, variables and applications are interned: each value has one
-# live object, so equality is identity. Size and hash are computed once, at
-# construction, from the children's cached values. Hashes are built from
-# names through crc32, never from addresses or the string hash, so the
-# iteration order of a set of formulas is the same in every process.
-
-
-def name_hash(name: str) -> int:
-    return zlib.crc32(name.encode())
+# live object, so equality is identity, and a node hashes by identity too
+# (`object.__hash__`, computed in C). Size is computed once, at construction,
+# from the children's sizes. Hashes are addresses, so the iteration order of
+# a set of nodes differs between processes, and no output may depend on it:
+# a set of nodes is only probed, or read out sorted or through its least
+# printed text.
 
 
 class Interned:
@@ -56,9 +53,6 @@ class Interned:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} objects are immutable")
-
-    def __hash__(self):
-        return self._hash
 
     def __copy__(self):
         return self
@@ -132,7 +126,7 @@ _ctors: dict = {}  # (name, arity) -> Ctor; constructors are never freed
 
 
 class Ctor(Interned):
-    __slots__ = ("name", "arity", "display", "_hash")
+    __slots__ = ("name", "arity", "display")
 
     def __new__(cls, name: str, arity: int):
         c = _ctors.get((name, arity))
@@ -141,7 +135,6 @@ class Ctor(Interned):
             _init(c, "name", name)
             _init(c, "arity", arity)
             _init(c, "display", name)
-            _init(c, "_hash", hash((name_hash(name), arity)))
             c = _ctors.setdefault((name, arity), c)
         return c
 
@@ -153,13 +146,12 @@ class Ctor(Interned):
 
 
 _vars: dict = {}  # index -> Var
-_VAR_SALT = name_hash("xi")
 
 
 class Var(Interned):
     """Schema variable xi_<index>."""
 
-    __slots__ = ("index", "size", "_hash")
+    __slots__ = ("index", "size")
 
     def __new__(cls, index: int):
         v = _vars.get(index)
@@ -167,7 +159,6 @@ class Var(Interned):
             v = object.__new__(cls)
             _init(v, "index", index)
             _init(v, "size", 1)
-            _init(v, "_hash", hash((_VAR_SALT, index)))
             v = _vars.setdefault(index, v)
         return v
 
@@ -181,12 +172,14 @@ class Var(Interned):
 # The application table maps the ids of the ctor and the arguments, packed
 # into one int at 64 bits each (ids are addresses below 2**64), to a weak
 # reference to the node. A live node keeps its ctor and arguments alive, so a
-# live entry's ids name exactly those objects. An entry whose node has died
-# stays until its key is built again or until the next sweep; sweeps run
-# whenever the table has grown by a quarter. Entries are only ever added by
-# `setdefault`, and replaced or deleted under the lock, so two threads never
-# intern two nodes for one value. The lock is reentrant because a collection
-# triggered inside it may run finalizers that build formulas.
+# live entry's ids name exactly those objects. The key holds ids, not the
+# objects, since those would keep a dead node's arguments alive until the
+# next sweep. An entry whose node has died stays until its key is built
+# again or until the next sweep; sweeps run whenever the table has grown by
+# a quarter. Entries are only ever added by `setdefault`, and replaced or
+# deleted under the lock, so two threads never intern two nodes for one
+# value. The lock is reentrant because a collection triggered inside it may
+# run finalizers that build formulas.
 _apps: dict = {}
 _SWEEP_MIN = 1 << 12
 _sweep_at = _SWEEP_MIN
@@ -209,7 +202,7 @@ def _sweep():
 
 
 class _AppSlots:
-    __slots__ = ("ctor", "args", "size", "_hash", "_proj", "_pe", "__weakref__")
+    __slots__ = ("ctor", "args", "size", "_proj", "_pe", "__weakref__")
 
 
 class App(_AppSlots, Interned):
@@ -240,22 +233,16 @@ class App(_AppSlots, Interned):
                 return node
         if n != ctor.arity:
             raise SignatureError(f"{ctor.display} expects {ctor.arity} arguments, got {n}")
-        if n == 0:
-            size, h = 1, hash((ctor._hash,))
+        if n == 2:
+            size = 1 + args[0].size + args[1].size
         elif n == 1:
-            a = args[0]
-            size, h = 1 + a.size, hash((ctor._hash, a._hash))
-        elif n == 2:
-            a, b = args
-            size, h = 1 + a.size + b.size, hash((ctor._hash, a._hash, b._hash))
+            size = 1 + args[0].size
         else:
-            size = 1 + sum(a.size for a in args)
-            h = hash((ctor._hash, *(a._hash for a in args)))
+            size = 1 + sum([a.size for a in args])
         node = _new(_AppSlots)
         node.ctor = ctor
         node.args = args if args.__class__ is tuple else tuple(args)
         node.size = size
-        node._hash = h
         node._proj = None
         node._pe = None
         node.__class__ = cls
@@ -395,20 +382,19 @@ def postorder(f: Formula, done=None) -> list:
     is left out, with everything that lies only below it.
 
     Frames on an explicit stack hold a node and an iterator over its
-    arguments, so f may be of any depth. Visited nodes are tracked by `id`
-    (safe, as nodes are interned and f keeps them alive), which calls no
-    `__hash__`; the order depends only on f.
+    arguments, so f may be of any depth. The visited set is only probed, so
+    the order depends only on f.
     """
     if f.__class__ is not App or done is not None and done(f):
         return []
     out = []
-    seen = {id(f)}
+    seen = {f}
     stack = [(f, iter(f.args))]
     while stack:
         g, args = stack[-1]
         for a in args:
-            if a.__class__ is App and id(a) not in seen:
-                seen.add(id(a))
+            if a.__class__ is App and a not in seen:
+                seen.add(a)
                 if done is None or not done(a):
                     stack.append((a, iter(a.args)))
                     break
@@ -444,11 +430,10 @@ def apply_substitution(s: Substitution, f: Formula) -> Formula:
     rebuilt once."""
     if f.__class__ is Var:
         return s.get(f.index, f)
-    image = {}  # id of a node of f -> its image
+    image = {}  # node of f -> its image
     for g in postorder(f):
-        image[id(g)] = App(g.ctor, tuple([s.get(a.index, a) if a.__class__ is Var else image[id(a)]
-                                          for a in g.args]))
-    return image[id(f)]
+        image[g] = App(g.ctor, tuple([s.get(a.index, a) if a.__class__ is Var else image[a] for a in g.args]))
+    return image[f]
 
 
 def match_formula(pattern: Formula, target: Formula, binding: Optional[Substitution] = None) -> Optional[Substitution]:

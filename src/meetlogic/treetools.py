@@ -35,12 +35,12 @@ def trees_equiv(t1: Formula, t2: Formula) -> bool:
     if t1.size != t2.size:
         return False
     numbers = {(): 0}  # sorted tuple of argument shapes -> shape
-    shape = {}  # id of an application of either formula -> shape; a variable's is 0
+    shape = {}  # application of either formula -> shape; a variable's is 0
     for t in (t1, t2):
-        for g in postorder(t, lambda g: id(g) in shape):
-            key = tuple(sorted([shape.get(id(a), 0) for a in g.args]))
-            shape[id(g)] = numbers.setdefault(key, len(numbers))
-    return shape.get(id(t1), 0) == shape.get(id(t2), 0)
+        for g in postorder(t, shape.__contains__):
+            key = tuple(sorted([shape.get(a, 0) for a in g.args]))
+            shape[g] = numbers.setdefault(key, len(numbers))
+    return shape.get(t1, 0) == shape.get(t2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -101,18 +101,18 @@ def completion_formula(psi: Formula, target: str, profile: CompletionProfile,
     if target not in (VERUM, FALSUM):
         raise TreeError(f"completion target must be {VERUM} or {FALSUM}")
     resolve = profile.signature.resolve
-    done = {}  # (id of a node of psi, target) -> completion
+    done = {}  # (node of psi, target) -> completion
     todo = [(psi, target, root_head)]  # the third slot of a finished node holds its plan
     while todo:
         g, tgt, head = todo.pop()
         if head.__class__ is tuple:
             ctor, kids = head
-            done[id(g), tgt] = App(ctor, tuple([done[id(a), t] for a, t in zip(g.args, kids)]))
+            done[g, tgt] = App(ctor, tuple([done[a, t] for a, t in zip(g.args, kids)]))
             continue
-        if (id(g), tgt) in done:
+        if (g, tgt) in done:
             continue
         if g.__class__ is Var or g.ctor.arity == 0:
-            done[id(g), tgt] = profile.constant(tgt)
+            done[g, tgt] = profile.constant(tgt)
             continue
         n = g.ctor.arity
         if n > 2:
@@ -126,7 +126,7 @@ def completion_formula(psi: Formula, target: str, profile: CompletionProfile,
             kids = (kids,)
         todo.append((g, tgt, (resolve(out, None, n), kids)))
         todo.extend((a, t, None) for a, t in zip(reversed(g.args), reversed(kids)))
-    return done[id(psi), target]
+    return done[psi, target]
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +161,11 @@ def transliterate_shape(f: Formula, sig_b) -> Formula:
             reps[n] = _representative(sig_b, n)
         return False
 
-    image = {}  # id of a node of f -> its image
+    image = {}  # node of f -> its image
     for g in postorder(f, find_rep):
-        image[id(g)] = (App(reps[g.ctor.arity], tuple([a if a.__class__ is Var else image[id(a)] for a in g.args]))
-                        if g.args else App(sig_b.resolve(VERUM, None, 0)))
-    return image.get(id(f), f)
+        image[g] = (App(reps[g.ctor.arity], tuple([a if a.__class__ is Var else image[a] for a in g.args]))
+                    if g.args else App(sig_b.resolve(VERUM, None, 0)))
+    return image.get(f, f)
 
 
 def _wrap(f, shape_delta, profile: IdentityProfile, sig) -> Formula:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ from meetlogic.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_NO, EXIT_USAGE,
 from meetlogic.combination import combine_signatures, project
 from meetlogic.semantics import check_rule_soundness
 from meetlogic.syntax import parse_formula, print_formula
+
+from strategies import random_formula
 
 
 def run(capsys, *argv):
@@ -249,6 +252,13 @@ class TestDecideAdmissible:
                            "--rule", rule, "--oracle1", "magic")
         assert code == EXIT_USAGE and "oracle spec" in err
 
+    def test_name_option_is_gone(self, tmp_path, capsys):
+        """The rule's name showed in no output, so the verb takes no `--name`."""
+        rule = self.write_rule(tmp_path, "xi1\n---\nxi1\n")
+        code, out, _ = run(capsys, "decide-admissible", "--l1", "CPL", "--l2", "G3", "--rule", rule,
+                           "--name", "r")
+        assert code == EXIT_USAGE and out == ""
+
     @pytest.mark.parametrize("spec", ["stub:", "stub:2", "stub:1:5", "stub:1:0:junk", "stub:1:"])
     def test_stub_takes_one_or_two_answers_each_0_or_1(self, tmp_path, capsys, spec):
         """Anything else is a usage error, not an answer: `stub:2` would read
@@ -307,6 +317,26 @@ class TestTreeVerbs:
         assert code == EXIT_YES
         assert out.strip().startswith("or(top, neg(bot))")
         assert "verified: True" in out
+
+    @pytest.mark.parametrize("logic", ["IPL", "CPL"])
+    def test_complete_verifies_the_law_it_prints(self, capsys, logic):
+        """`verified` is the theorem procedure's answer on `target iff (completion)`
+        read back from the printed completion."""
+        bundle = presets.load_preset(logic)
+        rng = random.Random(f"complete:{logic}")
+        seen = set()
+        for i in range(40):
+            text = print_formula(random_formula(rng, bundle.signature, 3))
+            target = ("top", "bot")[i % 2]
+            code, out, _ = run(capsys, "complete", "--logic", logic, "--target", target, "--format", "json", text)
+            if code == EXIT_USAGE:  # no completion table for a constructor of the formula
+                continue
+            payload = json.loads(out)
+            law = parse_formula(f"{target} iff ({payload['completion']})", bundle.signature)
+            assert payload["verified"] == bundle.theorem(law)
+            assert code == (EXIT_YES if payload["verified"] else EXIT_NO)
+            seen.add(target)
+        assert seen == {"top", "bot"}
 
     def test_equalize(self, capsys):
         code, out, _ = run(capsys, "equalize", "--l1", "CPL", "--l2", "CPL",

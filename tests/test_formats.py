@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meetlogic.calculus import (
     Clft,
@@ -11,6 +13,7 @@ from meetlogic.calculus import (
     check_derivation,
     freeze_subst,
 )
+from meetlogic.combination import combine_signatures
 from meetlogic.formats import (
     FormatError,
     parse_derivation_file,
@@ -25,8 +28,8 @@ from meetlogic.formats import (
     serialize_rule_file,
 )
 from meetlogic.presets import load_preset
-from meetlogic.semantics import holds
-from meetlogic.syntax import Var, parse_formula
+from meetlogic.semantics import holds, product_matrix
+from meetlogic.syntax import ParseError, SignatureError, Var, parse_formula
 
 from ref_semantics import eval_formula
 
@@ -208,6 +211,17 @@ op iff 1 0 0 1
         with pytest.raises(FormatError, match=names):
             parse_matrix_file(text, CPL.signature)
 
+    @pytest.mark.parametrize("pair", [("CPL", "G3"), ("CPL", "CPL"), ("IPL", "S43")], ids="x".join)
+    def test_product_roundtrip(self, pair):
+        """A product over a combined signature writes an `op` row per pair
+        constructor, by its display, and reads back to the same tables."""
+        b1, b2 = load_preset(pair[0]), load_preset(pair[1], max_worlds=2)
+        cs = combine_signatures(b1.signature, b2.signature)
+        m = product_matrix(b1.matrices[0], b2.matrices[0], cs)
+        m2 = parse_matrix_file(serialize_matrix_file(m), cs)
+        assert m2.tables == m.tables
+        assert m2.designated_flags == m.designated_flags
+
 
 class TestOracleTables:
     def test_parse(self):
@@ -241,3 +255,33 @@ class TestOracleTables:
         goal = P("xi1 -> xi1")
         table, _ = parse_oracle_table(f"1 {rule_key((), goal)}\n0  / xi1\n")
         assert table == {rule_key((), goal): True, rule_key((), P("xi1")): False}
+
+
+# Token soup for the readers: formula tokens over both signatures, the
+# formats' keywords, small integers (a `carrier N` line makes each
+# verum-family table N**arity long), comment marks and newlines.
+CPL_G3 = combine_signatures(CPL.signature, load_preset("G3").signature)
+TOKENS = (
+    "xi1", "xi2", "(", ")", ",", "->", "and", "or", "iff", "neg", "top", "bot", "topn.1", "topn.2",
+    "<->.CPL|->.G3>", "<top.CPL|top.G3>", "<bot.CPL|top.G3>", "<neg.CPL|topn.1.G3>", "->.CPL", "neg.G3",
+    "---", "/", ";", ":", ".", "=", "HYP", "RULE", "s={", "}", ":=", "lines=", "line=", "k=", "LFT", "CLFT",
+    "FX", "carrier", "designated", "op", "default", "#", "\n",
+)
+SOUP = st.lists(st.tuples(st.sampled_from(TOKENS) | st.integers(0, 99).map(str), st.sampled_from(["", " "])),
+                max_size=40).map(lambda parts: "".join(t + sep for t, sep in parts))
+
+
+class TestFuzzReaders:
+    @pytest.mark.parametrize("sig", [CPL.signature, CPL_G3], ids=["CPL", "CPLxG3"])
+    @settings(max_examples=300, deadline=None)
+    @given(text=SOUP)
+    def test_token_soup_raises_only_format_errors(self, sig, text):
+        for read in (parse_rule_file, parse_rule_line, parse_derivation_file, parse_matrix_file):
+            try:
+                read(text, sig)
+            except (FormatError, ParseError, SignatureError):
+                pass
+        try:
+            parse_oracle_table(text)
+        except FormatError:
+            pass

@@ -1,6 +1,6 @@
-"""The hash-consed formula kernel: one node per value, cached size and hash,
-recursion-free deep formulas, and search results pinned at the dataclass
-kernel it replaced."""
+"""The hash-consed formula kernel: one node per value, cached size, hash by
+identity, recursion-free deep formulas, and search results pinned at the
+dataclass kernel it replaced."""
 import copy
 import gc
 import json
@@ -74,12 +74,15 @@ class TestInterning:
             with pytest.raises(AttributeError):
                 delattr(obj, attr)
 
-    def test_size_and_hash_cached_and_structural(self):
+    def test_size_cached_and_hash_by_identity(self):
         sig = load_preset("IPL").signature
         f = parse_formula("(xi1 -> xi2) or neg (xi1 and top)", sig)
         assert f.size == 8
         assert hash(f) == hash(App(f.ctor, f.args))
         assert hash(f) != hash(parse_formula("(xi1 -> xi2) or neg (xi2 and top)", sig))
+        cs = combine_signatures(sig, load_preset("G3").signature)
+        for x in (f, Var(1), f.ctor, cs.top.ctor):
+            assert hash(x) == object.__hash__(x)
 
     def test_memos_make_no_reference_cycles(self):
         # nodes with filled project/proj_embedded memos, inner nodes and the
@@ -276,19 +279,43 @@ class TestGoldenSearch:
         for g, w in zip(got, want):
             assert g == w, f"{w['calculus']}: {w['hyps']} / {w['goal']}"
 
-    def test_hashes_and_derivations_independent_of_hash_seed(self):
+    def test_outputs_independent_of_hash_seed_and_node_addresses(self):
+        """Nodes hash by address, so each process first holds a different
+        number of throwaway objects and formulas: its nodes then land at
+        other addresses, and a set of them iterates in another order. The
+        last search answers in round one from five matches of one size,
+        which the pass holds in a set."""
         script = (
-            "import json\n"
+            "import json, random, sys\n"
             "from golden import MEET_GOALS, queries, results\n"
-            "qs = queries(6, MEET_GOALS[:2])\n"
-            "print(json.dumps([hash(goal) for _, _, goal, _ in qs]))\n"
-            "print(json.dumps(results(qs)))\n"
+            "from strategies import random_formula\n"
+            "from meetlogic import (Calculus, Rule, SearchBounds, brute_force_admissible, bounded_proof_search,\n"
+            "                       load_preset, parse_formula, print_formula)\n"
+            "from meetlogic.formats import serialize_derivation\n"
+            "n = int(sys.argv[1])\n"
+            "ipl = load_preset('IPL')\n"
+            "rng = random.Random(n)\n"
+            "held = [object() for _ in range(997 * n)]\n"
+            "held += [random_formula(rng, ipl.signature, 3) for _ in range(301 * n)]\n"
+            "print(json.dumps(results(queries(6, MEET_GOALS[:2]))))\n"
+            "h = ipl.fixtures['harrop']\n"
+            "v = brute_force_admissible(ipl, h.premises, h.conclusion)\n"
+            "witness = v.witness and [(i, print_formula(f)) for i, f in v.witness]\n"
+            "print(json.dumps([v.status, v.exact, v.tried, witness]))\n"
+            "P = lambda text: parse_formula(text, ipl.signature)\n"
+            "rules = (Rule('r', (P('xi1 or xi2'),), P('xi2')), Rule('any-or', (), P('xi3 or xi1')))\n"
+            "d = bounded_proof_search(Calculus('c', ipl.signature, rules), (), [], P('xi1 and (xi2 and xi3)'),\n"
+            "                         SearchBounds(depth=3))\n"
+            "print(json.dumps(serialize_derivation(d)))\n"
         )
         path = os.pathsep.join([str(Path(meetlogic.__file__).parent.parent), str(Path(__file__).parent)])
         outs = [
-            subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            subprocess.run([sys.executable, "-c", script, seed], capture_output=True, text=True, check=True,
                            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}).stdout
             for seed in ("1", "2")
         ]
         assert outs[0] == outs[1] != ""
-        assert any(r["derivation"] for r in json.loads(outs[0].splitlines()[1])[-2:])
+        searches, harrop, round_one = outs[0].splitlines()
+        assert any(r["derivation"] for r in json.loads(searches)[-2:])
+        assert json.loads(harrop) == ["inconclusive", False, 125, None]
+        assert json.loads(round_one).startswith("1. or(bot, and(xi1, and(xi2, xi3))) ; RULE any-or")

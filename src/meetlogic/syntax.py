@@ -502,27 +502,34 @@ _PREFIX = {"neg", "box", "dia"}
 # One regular expression reads the tokens. A name is '->', an identifier, or
 # the verum family's topn.<digits>, with an optional .TAG or a lone trailing
 # dot; a name without a tag that reads xi<digits> is a variable; a combined
-# constructor is <name.TAG|name.TAG>, with no space inside. The groups are:
-# punctuation, variable index, pair (n1, t1, n2, t2), name, tag, and a
-# character that starts no token. The empty match at the end takes trailing
-# whitespace in one step, where a failed match would rescan it from every
-# position. The verum suffix is what str.isdigit accepts, which outside
-# ASCII includes characters such as '²' that no character class can tell
-# from letters; the regex takes both there, and `_lex_check` reads them
-# apart.
+# constructor is <name.TAG|name.TAG>, with no space inside. The empty match
+# at the end takes trailing whitespace in one step, where a failed match
+# would rescan it from every position. The verum suffix is what str.isdigit
+# accepts, which outside ASCII includes characters such as '²' that no
+# character class can tell from letters; the regex takes both there, and
+# `_lex_check` reads them apart. The regex has two forms, built from one
+# source in which '(%' opens a group: `_TOKEN`'s groups capture punctuation,
+# variable index, pair (n1, t1, n2, t2), name, tag, and a character that
+# starts no token; `_SPLIT`'s one group captures each token's text, '' at
+# the end.
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_NAME = rf"(->|topn\.[^\W_a-zA-Z]+|{_IDENT})"
-_TAG = rf"(?:\.({_IDENT})?)?"
-_TOKEN = re.compile(rf"""\s*(?:
-    ([(),])
-  | xi([0-9]+)(?![A-Za-z0-9_]|\.[A-Za-z_])\.?
-  | <{_NAME}\.({_IDENT})\|{_NAME}\.({_IDENT})>
+_NAME = rf"(%->|topn\.[^\W_a-zA-Z]+|{_IDENT})"
+_TAG = rf"(?:\.(%{_IDENT})?)?"
+_ALTERNATIVES = rf"""
+    (%[(),])
+  | xi(%[0-9]+)(?![A-Za-z0-9_]|\.[A-Za-z_])\.?
+  | <{_NAME}\.(%{_IDENT})\|{_NAME}\.(%{_IDENT})>
   | {_NAME}{_TAG}
-  | (\S)
-  | \Z)""", re.VERBOSE)
-_NAME_TAG = re.compile(_NAME + _TAG)
-_PUNCT = {c: (c, None, None) for c in "(),"}
-_END = ("end", None, None)
+  | (%\S)"""
+_TOKEN = re.compile(rf"\s*(?:{_ALTERNATIVES.replace('(%', '(')}|\Z)", re.VERBOSE)
+_SPLIT = re.compile(rf"\s*(?:({_ALTERNATIVES.replace('(%', '(?:')})|\Z)", re.VERBOSE)
+_NAME_TAG = re.compile((_NAME + _TAG).replace("(%", "("))
+
+# Token text -> token, for the texts of at most `_MEMO_LEN` characters seen;
+# emptied when it reaches `_MEMO_SIZE` entries.
+_MEMO_SIZE = 1 << 12
+_MEMO_LEN = 64
+_MEMO: dict = {}
 
 
 def _tokenize(text: str) -> list:
@@ -532,22 +539,52 @@ def _tokenize(text: str) -> list:
     prefix tables are read by: a name's own, or a pair's first name if its
     two names are both infix, both prefix or both neither, else None.
     Tokens carry no position: an error finds it with `_token_pos`."""
-    toks = []
-    for punct, var, n1, t1, n2, t2, name, tag, bad in _TOKEN.findall(text):
-        if punct:
-            toks.append(_PUNCT[punct])
-        elif var:
-            toks.append(("var", int(var), None))
-        elif name:
-            toks.append(("name", (name, tag or None), name))
-        elif n1:
-            same = (n1 in _INFIX) == (n2 in _INFIX) and (n1 in _PREFIX) == (n2 in _PREFIX)
-            toks.append(("pair", (n1, t1, n2, t2), n1 if same else None))
-        elif bad:  # a character that starts no token
-            _lex_check(text)
+    texts = _SPLIT.findall(text)
+    if len(texts) > 1 and not texts[-2]:  # trailing whitespace, then an empty match
+        texts.pop()
+    try:
+        toks = list(map(_MEMO.__getitem__, texts))
+    except KeyError:
+        toks = _classify(text, texts)
     if not text.isascii():
         _lex_check(text)
-    toks.append(_END)
+    return toks
+
+
+def _classify(text: str, texts: list) -> list:
+    """The tokens of `texts`, the token texts of `text`, classifying and
+    keeping those the memo lacks. A token text alone matches `_TOKEN` with
+    the groups it had in `text`: the one lookahead, after a variable's
+    digits, fails only on characters that then belong to the token. A
+    variable index too long for `int` is a ParseError at the index."""
+    toks = []
+    for k, t in enumerate(texts):
+        tok = _MEMO.get(t)
+        if tok is None:
+            punct, var, n1, t1, n2, t2, name, tag, bad = _TOKEN.match(t).groups()
+            if punct:
+                tok = (punct, None, None)
+            elif var:
+                try:
+                    tok = ("var", int(var), None)
+                except ValueError:
+                    raise ParseError(f"variable index of {len(var)} digits is too long",
+                                     _token_pos(text, k) + 2) from None
+            elif name:
+                tok = ("name", (name, tag or None), name)
+            elif n1:
+                same = (n1 in _INFIX) == (n2 in _INFIX) and (n1 in _PREFIX) == (n2 in _PREFIX)
+                tok = ("pair", (n1, t1, n2, t2), n1 if same else None)
+            elif bad:
+                _lex_check(text)
+                continue
+            else:
+                tok = ("end", None, None)
+            if len(t) <= _MEMO_LEN:
+                if len(_MEMO) >= _MEMO_SIZE:
+                    _MEMO.clear()
+                _MEMO[t] = tok
+        toks.append(tok)
     return toks
 
 

@@ -94,25 +94,35 @@ def completion_formula(psi: Formula, target: str, profile: CompletionProfile,
     same-arity head's table at the root (tree shape only fixes arities, not
     constructor names).
 
-    Each distinct (node, target) pair is completed once. A node's table is
+    Each distinct (node, target) pair is completed once, and each output
+    constructor and target constant is resolved once. A node's table is
     checked before its arguments are visited, left to right, so a failure is
     reported at the first failing node in preorder.
     """
     if target not in (VERUM, FALSUM):
         raise TreeError(f"completion target must be {VERUM} or {FALSUM}")
     resolve = profile.signature.resolve
+    ctors = {}  # (output name, arity) -> constructor
+    leaves = {}  # target -> its constant
     done = {}  # (node of psi, target) -> completion
-    todo = [(psi, target, root_head)]  # the third slot of a finished node holds its plan
+    # The third slot of a node to finish holds its plan: its constructor and
+    # the table's child target (unary) or pair of child targets (binary).
+    todo = [(psi, target, root_head)]
     while todo:
         g, tgt, head = todo.pop()
         if head.__class__ is tuple:
             ctor, kids = head
-            done[g, tgt] = App(ctor, tuple([done[a, t] for a, t in zip(g.args, kids)]))
+            a = g.args
+            done[g, tgt] = App(ctor, (done[a[0], kids],) if len(a) == 1
+                               else (done[a[0], kids[0]], done[a[1], kids[1]]))
             continue
         if (g, tgt) in done:
             continue
         if g.__class__ is Var or g.ctor.arity == 0:
-            done[g, tgt] = profile.constant(tgt)
+            leaf = leaves.get(tgt)
+            if leaf is None:
+                leaf = leaves[tgt] = profile.constant(tgt)
+            done[g, tgt] = leaf
             continue
         n = g.ctor.arity
         if n > 2:
@@ -122,10 +132,14 @@ def completion_formula(psi: Formula, target: str, profile: CompletionProfile,
         if table is None:
             raise TreeError(f"no {'unary' if n == 1 else 'binary'} completion table for {name!r}")
         out, kids = table[tgt]
+        ctor = ctors.get((out, n))
+        if ctor is None:
+            ctor = ctors[out, n] = resolve(out, None, n)
+        a = g.args
         if n == 1:
-            kids = (kids,)
-        todo.append((g, tgt, (resolve(out, None, n), kids)))
-        todo.extend((a, t, None) for a, t in zip(reversed(g.args), reversed(kids)))
+            todo += ((g, tgt, (ctor, kids)), (a[0], kids, None))
+        else:
+            todo += ((g, tgt, (ctor, kids)), (a[1], kids[1], None), (a[0], kids[0], None))
     return done[psi, target]
 
 

@@ -10,10 +10,14 @@ walked.
 
 `ref_postorder` is the recursive statement of `syntax.postorder`'s contract,
 with the same recursion depth limit.
+
+`ref_tokenize` is the tokenizer that the memoised `syntax._tokenize`
+replaced, kept unchanged: it reads every token's groups from `_TOKEN`, so
+the memoised one must give the same token list, or the same error.
 """
 from __future__ import annotations
 
-from meetlogic.syntax import App, Formula, Substitution, Var
+from meetlogic.syntax import _INFIX, _PREFIX, _TOKEN, App, Formula, Substitution, Var, _lex_check
 
 
 def ref_apply_substitution(s: Substitution, f: Formula) -> Formula:
@@ -49,3 +53,23 @@ def ref_postorder(f: Formula, done=None) -> list:
 
     walk(f)
     return out
+
+
+def ref_tokenize(text: str) -> list:
+    toks = []
+    for punct, var, n1, t1, n2, t2, name, tag, bad in _TOKEN.findall(text):
+        if punct:
+            toks.append((punct, None, None))
+        elif var:
+            toks.append(("var", int(var), None))
+        elif name:
+            toks.append(("name", (name, tag or None), name))
+        elif n1:
+            same = (n1 in _INFIX) == (n2 in _INFIX) and (n1 in _PREFIX) == (n2 in _PREFIX)
+            toks.append(("pair", (n1, t1, n2, t2), n1 if same else None))
+        elif bad:  # a character that starts no token
+            _lex_check(text)
+    if not text.isascii():
+        _lex_check(text)
+    toks.append(("end", None, None))
+    return toks

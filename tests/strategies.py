@@ -1,5 +1,6 @@
-"""Formula generators shared by the test modules: hypothesis strategies and
-seeded deterministic samplers (for fixed-size corpora).
+"""Formula generators shared by the test modules: hypothesis strategies,
+seeded deterministic samplers (for fixed-size corpora), and seeded surface
+text with mutants for the reader.
 """
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ import random
 
 from hypothesis import strategies as st
 
-from meetlogic.syntax import App, Var
+from meetlogic.combination import combine_signatures
+from meetlogic.syntax import App, Var, make_signature
 
 
 def ctor_inventory(sig):
@@ -47,3 +49,60 @@ def random_formula(rng: random.Random, sig, depth: int, max_var: int = 3):
 
 def random_substitution(rng: random.Random, sig, variables, depth: int = 2, max_var: int = 3):
     return {v: random_formula(rng, sig, depth, max_var) for v in variables}
+
+
+# Surface syntax for the parser's differential tests and the CLI fuzz test:
+# one component signature, and a combined one whose sides differ, so that
+# tags and pairs can fail to resolve.
+K = make_signature("K", [("and", 2), ("or", 2), ("->", 2), ("iff", 2), ("neg", 1),
+                         ("box", 1), ("dia", 1), ("f", 3), ("g", 1), ("c", 0)])
+CA = make_signature("A", [("and", 2), ("or", 2), ("->", 2), ("iff", 2), ("neg", 1)])
+CB = make_signature("B", [("and", 2), ("or", 2), ("->", 2), ("neg", 1), ("box", 1), ("dia", 1), ("c", 0)])
+CAB = combine_signatures(CA, CB)
+INFIX, PREFIX = ["and", "or", "->", "iff"], ["neg", "box", "dia"]
+SNIPPETS = ["(", ")", ",", "<", ">", "|", ".", " ", "xi", "and", "neg", "->", "-", "A", "1", ".A", "box "]
+
+
+def random_surface(rng, sig, depth):
+    """Seeded text over `sig` with infix, prefix, applications and parentheses;
+    about one name in twenty is picked regardless of the signature."""
+    def name(arity, only=None):
+        def pick(side):
+            names = [n for n in side.by_arity.get(arity, ()) if only is None or n in only]
+            if not names or rng.random() < 0.05:
+                names = INFIX + PREFIX + ["f", "top", "topn.1"]
+            return rng.choice(names)
+        if sig is not CAB:
+            return pick(sig)
+        if rng.random() < 0.5:
+            k = rng.choice((1, 2))
+            return f"{pick(CA if k == 1 else CB)}.{'AB'[k - 1]}"
+        return f"<{pick(CA)}.A|{pick(CB)}.B>"
+
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        return f"xi{rng.randint(1, 3)}" if rng.random() < 0.6 else name(0)
+    sub = lambda: random_surface(rng, sig, depth - 1)
+    if r < 0.4:
+        return name(1, PREFIX) + rng.choice([" ", "  ", ""]) + sub()
+    if r < 0.7:
+        return sub() + rng.choice([" ", " ", "\t"]) + name(2, INFIX) + " " + sub()
+    if r < 0.85:
+        n = rng.choice([1, 1, 2, 2, 3])
+        return f"{name(n)}({', '.join(sub() for _ in range(n))})"
+    return f"({sub()})"
+
+
+def mutate_text(rng, text):
+    """One to three edits: insert a snippet, delete or duplicate a few characters."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        op = rng.random()
+        if op < 0.4:
+            text = text[:i] + rng.choice(SNIPPETS) + text[i:]
+        elif op < 0.7:
+            text = text[:i] + text[i + rng.randint(1, 3):]
+        else:
+            j = min(len(text), i + rng.randint(1, 6))
+            text = text[:j] + text[i:j] + text[j:]
+    return text

@@ -1,11 +1,16 @@
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meetlogic import cli, formats, presets
 from meetlogic.calculus import Calculus, Rule, SearchBounds
@@ -14,7 +19,7 @@ from meetlogic.combination import combine_signatures, project
 from meetlogic.semantics import check_rule_soundness
 from meetlogic.syntax import parse_formula, print_formula
 
-from strategies import random_formula
+from strategies import CA, CAB, mutate_text, random_formula, random_surface
 
 
 def run(capsys, *argv):
@@ -577,3 +582,51 @@ class TestReuse:
         cold = (proc.returncode, proc.stdout, proc.stderr)
         assert run(capsys, *argv) == cold
         assert run(capsys, *argv) == cold
+
+
+class TestArgumentFuzz:
+    """Formula arguments drawn like the parser's differential test draws its
+    texts (seeded surface text, half of it mutated, over a component
+    signature with CPL's constructor names and over a combined signature
+    whose tags A and B are read as CPL and G3) go through `main` in-process
+    to every verb that reads a formula. No call may end in exit 4.
+
+    The texts keep the generator's own depth, at most 5 levels: deep input
+    to `complete` still exits 4, since the G4ip check of an IPL completion
+    recurses, and `test_deep_input_process_exit_code` pins that."""
+
+    VERBS = ("project", "embed", "eval", "entails", "trees", "complete", "equalize", "search")
+
+    @staticmethod
+    def argv(rng, verb):
+        def text(combined=False):
+            t = random_surface(rng, CAB if combined else CA, rng.randint(0, 5))
+            if rng.random() < 0.5:
+                t = mutate_text(rng, t)
+            return re.sub(r"\.([AB])\b", lambda m: ".CPL" if m[1] == "A" else ".G3", t)
+
+        meet = rng.random() < 0.5
+        logic = ["--l1", "CPL", "--l2", "G3"] if meet else ["--logic", "CPL"]
+        if verb in ("project", "embed"):
+            return [verb, "--l1", "CPL", "--l2", "G3", "-k", rng.choice("12"), text(verb == "project")]
+        if verb == "eval":
+            return [verb, *logic, text(meet)]
+        if verb in ("entails", "search"):
+            hyps = " ; ".join(text(meet) for _ in range(rng.randint(0, 2)))
+            extra = ["--depth", "1"] if verb == "search" else []
+            return [verb, *logic, "--goal", text(meet), *(["--hyps", hyps] if hyps else []), *extra]
+        if verb == "trees":
+            return [verb, text(), text()]
+        if verb == "complete":
+            head = ["--root-head", rng.choice(["neg", "and", "->", "or", "box"])] if rng.random() < 0.3 else []
+            return [verb, "--target", rng.choice(["top", "bot"]), *head, text()]
+        return [verb, "--l1", "CPL", "--l2", "G3", "--f1", text(), "--f2", text()]
+
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), verb=st.sampled_from(VERBS))
+    def test_no_argument_exits_internal(self, seed, verb):
+        argv = self.argv(random.Random(seed), verb)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_YES, EXIT_NO, EXIT_INCONCLUSIVE, EXIT_USAGE), (argv, err.getvalue())

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meetlogic.calculus import (
@@ -267,6 +267,9 @@ TOKENS = (
     "---", "/", ";", ":", ".", "=", "HYP", "RULE", "s={", "}", ":=", "lines=", "line=", "k=", "LFT", "CLFT",
     "FX", "carrier", "designated", "op", "default", "#", "\n",
 )
+# A variable index too long for `int` on Python 3.11+, in a rule file, a
+# rule line and a derivation line.
+LONG_VAR = "xi" + "9" * 5000
 SOUP = st.lists(st.tuples(st.sampled_from(TOKENS) | st.integers(0, 99).map(str), st.sampled_from(["", " "])),
                 max_size=40).map(lambda parts: "".join(t + sep for t, sep in parts))
 
@@ -275,6 +278,9 @@ class TestFuzzReaders:
     @pytest.mark.parametrize("sig", [CPL.signature, CPL_G3], ids=["CPL", "CPLxG3"])
     @settings(max_examples=300, deadline=None)
     @given(text=SOUP)
+    @example(text=f"{LONG_VAR}\n---\nxi1")
+    @example(text=f"r: xi1 ; {LONG_VAR} / xi1")
+    @example(text=f"1. {LONG_VAR} ; HYP")
     def test_token_soup_raises_only_format_errors(self, sig, text):
         for read in (parse_rule_file, parse_rule_line, parse_derivation_file, parse_matrix_file):
             try:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meetlogic import syntax
 from meetlogic.syntax import (
     App,
     Ctor,
@@ -24,8 +25,8 @@ from meetlogic.calculus import Rule, _Texts
 from meetlogic.combination import CombinedSignature, PairCtor, combine_signatures
 
 from ref_parser import ref_parse_formula
-from ref_syntax import ref_apply_substitution, ref_postorder
-from strategies import formula_strategy, random_formula
+from ref_syntax import ref_apply_substitution, ref_postorder, ref_tokenize
+from strategies import CAB, K, formula_strategy, mutate_text, random_formula, random_surface
 
 SIG = make_signature("IPL", [("and", 2), ("or", 2), ("->", 2), ("iff", 2), ("neg", 1)])
 
@@ -84,6 +85,20 @@ class TestParser:
         assert P("xi1 -> xi2 -> xi3") == P("xi1 -> (xi2 -> xi3)")
         assert P("neg xi1 and xi2") == P("(neg xi1) and xi2")
 
+    def test_long_variable_index(self):
+        """An index too long for `int` (Python's limit on decimal digits,
+        where there is one) is a ParseError at the index, not a ValueError."""
+        digits = "9" * 5000
+        for text, pos in (("xi" + digits, 2), ("neg xi" + digits, 6), ("xi1 and (xi" + digits + ")", 11)):
+            try:
+                index = int(digits)
+            except ValueError:
+                with pytest.raises(ParseError, match="variable index of 5000 digits is too long") as e:
+                    P(text)
+                assert e.value.pos == pos
+            else:
+                assert index in variables_of(P(text))
+
     def test_verum_family_literal(self):
         f = P("topn.2(xi1, xi2)")
         assert f.ctor.name == "topn.2" and f.ctor.arity == 2
@@ -114,62 +129,6 @@ class TestParser:
                 assert text == print_formula(apply_substitution(subst, rule.conclusion))
         assert len(texts) > 600
         assert all(text == print_formula(g) for g, text in texts.items())
-
-
-# Surface syntax for the differential test: one component signature, and
-# a combined one whose sides differ, so that tags and pairs can fail to resolve.
-K = make_signature("K", [("and", 2), ("or", 2), ("->", 2), ("iff", 2), ("neg", 1),
-                         ("box", 1), ("dia", 1), ("f", 3), ("g", 1), ("c", 0)])
-CA = make_signature("A", [("and", 2), ("or", 2), ("->", 2), ("iff", 2), ("neg", 1)])
-CB = make_signature("B", [("and", 2), ("or", 2), ("->", 2), ("neg", 1), ("box", 1), ("dia", 1), ("c", 0)])
-CAB = combine_signatures(CA, CB)
-INFIX, PREFIX = ["and", "or", "->", "iff"], ["neg", "box", "dia"]
-SNIPPETS = ["(", ")", ",", "<", ">", "|", ".", " ", "xi", "and", "neg", "->", "-", "A", "1", ".A", "box "]
-
-
-def random_surface(rng, sig, depth):
-    """Seeded text over `sig` with infix, prefix, applications and parentheses;
-    about one name in twenty is picked regardless of the signature."""
-    def name(arity, only=None):
-        def pick(side):
-            names = [n for n in side.by_arity.get(arity, ()) if only is None or n in only]
-            if not names or rng.random() < 0.05:
-                names = INFIX + PREFIX + ["f", "top", "topn.1"]
-            return rng.choice(names)
-        if sig is not CAB:
-            return pick(sig)
-        if rng.random() < 0.5:
-            k = rng.choice((1, 2))
-            return f"{pick(CA if k == 1 else CB)}.{'AB'[k - 1]}"
-        return f"<{pick(CA)}.A|{pick(CB)}.B>"
-
-    r = rng.random()
-    if depth == 0 or r < 0.2:
-        return f"xi{rng.randint(1, 3)}" if rng.random() < 0.6 else name(0)
-    sub = lambda: random_surface(rng, sig, depth - 1)
-    if r < 0.4:
-        return name(1, PREFIX) + rng.choice([" ", "  ", ""]) + sub()
-    if r < 0.7:
-        return sub() + rng.choice([" ", " ", "\t"]) + name(2, INFIX) + " " + sub()
-    if r < 0.85:
-        n = rng.choice([1, 1, 2, 2, 3])
-        return f"{name(n)}({', '.join(sub() for _ in range(n))})"
-    return f"({sub()})"
-
-
-def mutate_text(rng, text):
-    """One to three edits: insert a snippet, delete or duplicate a few characters."""
-    for _ in range(rng.randint(1, 3)):
-        i = rng.randint(0, len(text))
-        op = rng.random()
-        if op < 0.4:
-            text = text[:i] + rng.choice(SNIPPETS) + text[i:]
-        elif op < 0.7:
-            text = text[:i] + text[i + rng.randint(1, 3):]
-        else:
-            j = min(len(text), i + rng.randint(1, 6))
-            text = text[:j] + text[i:j] + text[j:]
-    return text
 
 
 def parse_outcome(parse, text, sig):
@@ -218,6 +177,46 @@ class TestParserAgainstReference:
     def test_fixed_texts(self, text):
         for sig in (K, CAB):
             assert parse_outcome(parse_formula, text, sig) == parse_outcome(ref_parse_formula, text, sig)
+
+
+class TestMemoisedTokenizer:
+    """`_tokenize` classifies each distinct token text once per process;
+    the token lists and errors are those of the grouped tokenizer it
+    replaced (tests/ref_syntax.py)."""
+
+    @staticmethod
+    def outcome(tokenize, text):
+        try:
+            return tokenize(text)
+        except ParseError as e:
+            return ("ParseError", str(e), e.pos)
+
+    def texts(self):
+        rng = random.Random("tokenizer-differential")
+        for i in range(4000):
+            text = random_surface(rng, K if i % 2 == 0 else CAB, rng.randint(0, 5))
+            yield mutate_text(rng, text) if rng.random() < 0.5 else text
+
+    @pytest.mark.parametrize("memo", ["cold", "warm"])
+    def test_same_tokens_as_reference(self, memo):
+        errors = 0
+        for text in self.texts():
+            if memo == "cold":
+                syntax._MEMO.clear()
+            want = self.outcome(ref_tokenize, text)
+            assert self.outcome(syntax._tokenize, text) == want, text
+            errors += want[0] == "ParseError"
+        assert 100 < errors < 3000
+
+    def test_memo_stays_within_its_bound(self):
+        syntax._MEMO.clear()
+        for i in range(10_000):
+            assert syntax._tokenize(f"xi{i} and xi{i + 1}")[2] == ("var", i + 1, None)
+        long_name = "a" * 50_000
+        assert syntax._tokenize(long_name + ".A") == [("name", (long_name, "A"), long_name), ("end", None, None)]
+        assert 0 < len(syntax._MEMO) <= syntax._MEMO_SIZE
+        assert max(map(len, syntax._MEMO)) <= syntax._MEMO_LEN
+        assert P("xi1 and neg xi2") == App(SIG.resolve("and", None, 2), (Var(1), App(SIG.resolve("neg", None, 1), (Var(2),))))
 
 
 def fresh(sig):

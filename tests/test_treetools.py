@@ -332,6 +332,26 @@ class TestAgainstReference:
                             errors.add(want[1])
         assert len(errors) >= 8, errors
 
+    def test_completion_matches_reference_at_every_root_head(self):
+        """The same node, or the same error, as the recursive builder, for
+        both targets and every root head: none, each constructor name of the
+        formulas' signatures, and a name no table has."""
+        rng = random.Random(44)
+        heads = sorted({c.name for b in (IPL, S43, CPL) for c in b.signature.all_ctors()}) + ["bogus"]
+        outcomes = set()
+        for bundle in (IPL, S43):
+            for _ in range(60):
+                psi = random_formula(rng, bundle.signature, rng.randint(0, 4), max_var=2)
+                for owner in (IPL, S43, CPL):
+                    prof = owner.completion_profile
+                    for target in ("top", "bot"):
+                        for head in (None, *heads):
+                            want = outcome(ref_trees.completion_formula, psi, target, prof, root_head=head)
+                            got = outcome(completion_formula, psi, target, prof, root_head=head)
+                            assert got == want, (print_formula(psi), target, owner.name, head)
+                            outcomes.add(want[0])
+        assert outcomes == {"ok", "TreeError"}
+
     def test_transliterate_matches_reference(self):
         rng = random.Random(53)
         targets = (CPL.signature, GL.signature, make_signature("B2", [("and", 2)]),

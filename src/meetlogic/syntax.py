@@ -526,7 +526,8 @@ _SPLIT = re.compile(rf"\s*(?:({_ALTERNATIVES.replace('(%', '(?:')})|\Z)", re.VER
 _NAME_TAG = re.compile((_NAME + _TAG).replace("(%", "("))
 
 # Token text -> token, for the texts of at most `_MEMO_LEN` characters seen;
-# emptied when it reaches `_MEMO_SIZE` entries.
+# emptied when it reaches `_MEMO_SIZE` entries (threads that race past the
+# test may each add one more).
 _MEMO_SIZE = 1 << 12
 _MEMO_LEN = 64
 _MEMO: dict = {}

@@ -192,8 +192,9 @@ class TestMemoisedTokenizer:
             return ("ParseError", str(e), e.pos)
 
     def texts(self):
-        rng = random.Random("tokenizer-differential")
-        for i in range(4000):
+        """The texts `TestParserAgainstReference.test_seeded_texts` draws."""
+        rng = random.Random("parser-differential")
+        for i in range(6000):
             text = random_surface(rng, K if i % 2 == 0 else CAB, rng.randint(0, 5))
             yield mutate_text(rng, text) if rng.random() < 0.5 else text
 
@@ -206,7 +207,7 @@ class TestMemoisedTokenizer:
             want = self.outcome(ref_tokenize, text)
             assert self.outcome(syntax._tokenize, text) == want, text
             errors += want[0] == "ParseError"
-        assert 100 < errors < 3000
+        assert 1000 < errors < 3000
 
     def test_memo_stays_within_its_bound(self):
         syntax._MEMO.clear()

@@ -19,6 +19,9 @@ from meetlogic.combination import combine_signatures, project
 from meetlogic.semantics import check_rule_soundness
 from meetlogic.syntax import parse_formula, print_formula
 
+from golden_decide import GOLDEN as GOLDEN_DECIDE
+from golden_decide import calls as golden_decide_calls
+from golden_decide import replay as golden_decide_replay
 from strategies import CA, CAB, mutate_text, random_formula, random_surface
 
 
@@ -273,6 +276,18 @@ class TestDecideAdmissible:
         code, _, err = run(capsys, "decide-admissible", "--l1", "CPL", "--l2", "G3",
                            "--rule", rule, "--oracle1", spec, "--oracle2", "stub:0")
         assert code == EXIT_USAGE and "oracle spec" in err
+
+
+class TestGoldenDecide:
+    def test_calls_match_recorded(self, tmp_path):
+        """Every recorded `decide-admissible` call gives its recorded exit
+        code and standard output, byte for byte."""
+        want = json.loads(GOLDEN_DECIDE.read_text())
+        calls = golden_decide_calls()
+        assert len(want) == len(calls) and all(w.items() >= c.items() for w, c in zip(want, calls))
+        for w in want:
+            got = golden_decide_replay(w, tmp_path)
+            assert got == {"exit": w["exit"], "stdout": w["stdout"]}, (w["l1"], w["l2"], w["oracle1"], w["rule"])
 
 
 class TestBasisVerb:

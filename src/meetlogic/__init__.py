@@ -25,7 +25,6 @@ from .combination import (
     embed,
     proj_embedded,
     project,
-    tag_rule,
 )
 from .calculus import (
     BuilderError,
@@ -38,6 +37,7 @@ from .calculus import (
     build_both_admissible_derivation,
     build_vacuous_side_derivation,
     check_derivation,
+    tag_rule,
 )
 from .semantics import (
     Matrix,
@@ -48,10 +48,9 @@ from .semantics import (
     product_matrix,
 )
 from .admissibility import (
-    AdmissibilityOracle,
+    AdmissibilityVerdict,
     Basis,
     BruteForceBounds,
-    MeetDecision,
     brute_force_admissible,
     check_structural_completeness_sample,
     combined_basis,

@@ -16,59 +16,55 @@ from .syntax import App, Ctor, FALSUM, Formula, Record, print_formula, variables
 _COMPONENT_FALSUM = App(Ctor(FALSUM, 0))
 
 
-class AdmissibilityOracle(Record):
-    """An injected component decision procedure `fn` with declared exactness.
+class AdmissibilityVerdict(Record):
+    """One admissibility answer. `status` is "admissible", "not-admissible"
+    or "inconclusive"; `exact` is False when a bounded procedure or a guess
+    stands behind it; `witness` is the frozen substitution of a refutation.
+    `calls` counts what the answer cost: the substitution key tuples of the
+    sweep, or the oracle answers of the meet decider, whose steps `trace`
+    holds; these two take no part in equality."""
 
-    exact=False marks a bounded/heuristic procedure whose caveat must be
-    propagated to any verdict built on top of it. Calls are counted for
-    instrumentation, so an oracle is mutable and unhashable.
-    """
+    __slots__ = ("status", "exact", "witness", "calls", "trace")
+    _defaults = {"witness": None, "calls": 0, "trace": ()}
+    _compare = ("status", "exact", "witness")
 
-    __slots__ = ("logic", "exact", "fn", "calls")
-    _defaults = {"calls": 0}
-    __setattr__ = object.__setattr__
-    __hash__ = None
-
-    def __call__(self, premises: Sequence[Formula], beta: Formula) -> bool:
-        self.calls += 1
-        return bool(self.fn(tuple(premises), beta))
-
-
-class MeetDecision(Record):
-    __slots__ = ("admissible", "exact", "calls", "trace")
+    @property
+    def admissible(self) -> bool:
+        return self.status == "admissible"
 
     def __bool__(self):
         return self.admissible
 
 
-def decide_admissible_meet(o1: AdmissibilityOracle, o2: AdmissibilityOracle,
-                           premises: Sequence[Formula], beta: Formula) -> MeetDecision:
+# An oracle answers a rule, given as its premise tuple and its conclusion.
+Oracle = Callable[[tuple, Formula], AdmissibilityVerdict]
+
+
+def _answer(yes: bool, exact: bool, **costs) -> AdmissibilityVerdict:
+    return AdmissibilityVerdict("admissible" if yes else "not-admissible", exact, **costs)
+
+
+def decide_admissible_meet(o1: Oracle, o2: Oracle, premises: Sequence[Formula],
+                           beta: Formula) -> AdmissibilityVerdict:
     """Decide admissibility in the combined logic with at most three oracle calls.
 
     Ask each component about the projected rule; agreement is the answer.
     On disagreement the admitting side is asked whether its projected premises
-    already yield falsum (vacuous admissibility).
+    already yield falsum (vacuous admissibility). The decision is exact when
+    every answer it used is.
     """
-    premises = tuple(premises)
-    start = o1.calls + o2.calls
-    proj = {k: [project(a, k) for a in premises] for k in (1, 2)}
-    a1 = o1(proj[1], project(beta, 1))
-    a2 = o2(proj[2], project(beta, 2))
+    proj = {k: tuple([project(a, k) for a in premises]) for k in (1, 2)}
+    answers = [o1(proj[1], project(beta, 1)), o2(proj[2], project(beta, 2))]
+    a1, a2 = answers[0].admissible, answers[1].admissible
     trace = [f"a1={int(a1)}", f"a2={int(a2)}"]
-    consulted = [o1, o2]
-    if a1 and a2:
-        result = True
-    elif not a1 and not a2:
-        result = False
-    elif a1:
-        result = o1(proj[1], _COMPONENT_FALSUM)
-        trace.append(f"fallback o1(bot)={int(result)}")
-    else:
-        result = o2(proj[2], _COMPONENT_FALSUM)
-        trace.append(f"fallback o2(bot)={int(result)}")
-    calls = o1.calls + o2.calls - start
-    exact = all(o.exact for o in consulted)
-    return MeetDecision(result, exact, calls, tuple(trace))
+    result = a1
+    if a1 != a2:
+        k, oracle = (1, o1) if a1 else (2, o2)
+        answers.append(oracle(proj[k], _COMPONENT_FALSUM))
+        result = answers[-1].admissible
+        trace.append(f"fallback o{k}(bot)={int(result)}")
+    exact = all(a.exact for a in answers)
+    return _answer(result, exact, calls=len(answers), trace=tuple(trace))
 
 
 class TheoremProcedure(Protocol):
@@ -81,19 +77,6 @@ class TheoremProcedure(Protocol):
     def key(self, closed: Formula) -> Hashable: ...
 
     def instances(self, pattern: Formula) -> Callable[[Mapping[int, Hashable]], bool]: ...
-
-
-class AdmissibilityVerdict(Record):
-    """`status` is "admissible", "not-admissible" or "inconclusive";
-    `witness` is the frozen substitution for not-admissible, and `tried`
-    counts the distinct key tuples the sweep checked."""
-
-    __slots__ = ("status", "exact", "witness", "tried")
-    _defaults = {"witness": None, "tried": 0}
-    _compare = ("status", "exact", "witness")
-
-    def __bool__(self):
-        return self.status == "admissible"
 
 
 class BruteForceBounds(Record):
@@ -153,7 +136,7 @@ def brute_force_admissible(bundle, premises: Sequence[Formula], beta: Formula,
     """
     premises = tuple(premises)
     thm = bundle.theorem
-    tried = 0
+    calls = 0
     if thm is not None:
         variables = sorted(set().union(variables_of(beta), *(variables_of(p) for p in premises)))
         representative = {}
@@ -162,19 +145,16 @@ def brute_force_admissible(bundle, premises: Sequence[Formula], beta: Formula,
         premise_tests = [thm.instances(p) for p in premises]
         goal_test = thm.instances(beta)
         for keys in itertools.product(representative, repeat=len(variables)):
-            tried += 1
+            calls += 1
             env = dict(zip(variables, keys))
             if all(t(env) for t in premise_tests) and not goal_test(env):
                 witness = tuple(zip(variables, map(representative.__getitem__, keys)))
-                return AdmissibilityVerdict("not-admissible", True, witness, tried)
+                return AdmissibilityVerdict("not-admissible", True, witness, calls)
     char = bundle.characteristic
     if bundle.structurally_complete and char is not None:
-        if entails([char], premises, beta):
-            return AdmissibilityVerdict("admissible", True, tried=tried)
-        # entailment says non-admissible; report it exactly even if the
-        # bounded witness sweep missed a concrete substitution
-        return AdmissibilityVerdict("not-admissible", True, tried=tried)
-    return AdmissibilityVerdict("inconclusive", False, tried=tried)
+        # entailment decides exactly, even where the bounded sweep found no witness
+        return _answer(entails([char], premises, beta), True, calls=calls)
+    return AdmissibilityVerdict("inconclusive", False, calls=calls)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +189,7 @@ class CompletenessReport(Record):
 
 def check_structural_completeness_sample(bundle, rules: Iterable[Rule],
                                          search_bounds: SearchBounds = SearchBounds(),
-                                         oracle: Optional[Callable] = None,
+                                         oracle: Optional[Oracle] = None,
                                          bf_bounds: BruteForceBounds = BruteForceBounds()) -> CompletenessReport:
     """Compare an admissibility verdict with plain derivability, rule by rule.
 
@@ -217,16 +197,14 @@ def check_structural_completeness_sample(bundle, rules: Iterable[Rule],
     flagged (derivability search is incomplete); nothing is ever asserted as a
     counterexample.
     """
+    if oracle is None:
+        oracle = lambda premises, beta: brute_force_admissible(bundle, premises, beta, bf_bounds)
     empty = Basis("empty", ())
     checked = agreements = nonadm = inconclusive = 0
     flagged = []
     for rule in rules:
         checked += 1
-        if oracle is not None:
-            verdict = oracle(rule.premises, rule.conclusion)
-            status = "admissible" if verdict else "not-admissible"
-        else:
-            status = brute_force_admissible(bundle, rule.premises, rule.conclusion, bf_bounds).status
+        status = oracle(rule.premises, rule.conclusion).status
         if status == "inconclusive":
             inconclusive += 1
             continue
@@ -244,51 +222,43 @@ def check_structural_completeness_sample(bundle, rules: Iterable[Rule],
 # ---------------------------------------------------------------------------
 # oracle constructors
 
-def semantic_oracle(bundle) -> AdmissibilityOracle:
+def semantic_oracle(bundle) -> Oracle:
     """Exact oracle for a structurally complete bundle with a characteristic matrix."""
     char = bundle.characteristic
     if char is None or not bundle.structurally_complete:
         raise ValueError(f"{bundle.name}: semantic oracle needs structural completeness and a characteristic matrix")
-    return AdmissibilityOracle(
-        logic=bundle.name,
-        exact=True,
-        fn=lambda premises, beta: entails([char], premises, beta),
-    )
+    return lambda premises, beta: _answer(entails([char], premises, beta), True)
 
 
-def stub_oracle(logic: str, main: bool, falsum_answer: bool = False,
-                exact: bool = True) -> AdmissibilityOracle:
+def stub_oracle(main: bool, falsum_answer: bool = False, exact: bool = True) -> Oracle:
     """Fixed-answer oracle for case-table exercises: main answer for ordinary
     queries, falsum_answer when the query conclusion is the falsum constant.
     """
-    def fn(premises, beta):
-        if isinstance(beta, App) and beta.ctor.arity == 0 and beta.ctor.name == FALSUM:
-            return falsum_answer
-        return main
+    def oracle(premises, beta):
+        falsum = isinstance(beta, App) and beta.ctor.arity == 0 and beta.ctor.name == FALSUM
+        return _answer(falsum_answer if falsum else main, exact)
 
-    return AdmissibilityOracle(logic=logic, exact=exact, fn=fn)
+    return oracle
 
 
-def oracle_from_table(logic: str, table: Mapping, default: bool = False,
-                      exact: bool = False) -> AdmissibilityOracle:
-    """Oracle answering from a table keyed by rule, as (premise tuple,
-    conclusion); rules not in the table get the default answer.
+def oracle_from_table(table: Mapping, default: bool = False) -> Oracle:
+    """Inexact oracle answering from a table keyed by rule, as (premise
+    tuple, conclusion); rules not in the table get the default answer.
     """
-    def fn(premises, beta):
-        return bool(table.get((tuple(premises), beta), default))
-
-    return AdmissibilityOracle(logic=logic, exact=exact, fn=fn)
+    return lambda premises, beta: _answer(bool(table.get((premises, beta), default)), False)
 
 
-def bundle_oracle(bundle, bounds: BruteForceBounds = BruteForceBounds()) -> AdmissibilityOracle:
+def bundle_oracle(bundle, bounds: BruteForceBounds = BruteForceBounds()) -> Oracle:
     """Best available oracle for a preset: exact when the bundle supports it,
-    otherwise a bounded procedure marked inexact (inconclusive counts as a
-    negative answer, which is why the caveat must travel with the verdict).
+    otherwise the bounded sweep, whose answers are all marked inexact and
+    whose "inconclusive" counts as a negative answer (ROADMAP item 2), which
+    is why the caveat must travel with the verdict.
     """
     if bundle.structurally_complete and bundle.characteristic is not None:
         return semantic_oracle(bundle)
 
-    def fn(premises, beta):
-        return brute_force_admissible(bundle, premises, beta, bounds).status == "admissible"
+    def oracle(premises, beta):
+        v = brute_force_admissible(bundle, premises, beta, bounds)
+        return _answer(v.admissible, False, witness=v.witness, calls=v.calls)
 
-    return AdmissibilityOracle(logic=bundle.name, exact=False, fn=fn)
+    return oracle

@@ -1,5 +1,5 @@
 """Hilbert calculi, line-justified derivations, the derivation checker,
-meet-calculus assembly, bounded proof search, and derivation-template builders.
+rule tagging, meet-calculus assembly, bounded proof search, and derivation-template builders.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .combination import (
     embed,
     proj_embedded,
     project,
-    tag_rule,
 )
 from .semantics import check_rule_soundness, entails, product_matrix
 from .syntax import (
@@ -23,7 +22,9 @@ from .syntax import (
     Formula,
     Record,
     Var,
+    apply_substitution,
     match_formula,
+    max_schema_index,
     postorder,
     print_formula,
     subformulas,
@@ -324,6 +325,29 @@ def check_derivation(d: Derivation, calc: Calculus, extra: Sequence[Rule] = (),
 
 def _embed_rule(rule: Rule, k: int, cs: CombinedSignature) -> Rule:
     return Rule(f"{rule.name}@{k}", tuple(embed(p, k, cs) for p in rule.premises), embed(rule.conclusion, k, cs))
+
+
+def tag_rule(rule: Rule, ctors: Iterable) -> tuple:
+    """Tag one rule over a family of constructors.
+
+    A non-liberal rule is kept whole. A liberal rule (conclusion a schema
+    variable) yields one rule per constructor c, named `rule#c`: the
+    conclusion variable is replaced, everywhere it occurs, by c applied to
+    fresh variables starting just past the rule's maximum index.
+    """
+    if not rule.liberal:
+        return (rule,)
+    j = max_schema_index(rule)
+    out = []
+    for c in ctors:
+        fresh = App(c, tuple(Var(j + i) for i in range(1, c.arity + 1)))
+        rho = {rule.conclusion.index: fresh}
+        out.append(Rule(
+            name=f"{rule.name}#{c.display}",
+            premises=tuple(apply_substitution(rho, p) for p in rule.premises),
+            conclusion=fresh,
+        ))
+    return tuple(out)
 
 
 def inherit_rule(rule: Rule, k: int, cs: CombinedSignature) -> tuple:

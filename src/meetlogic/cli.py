@@ -27,6 +27,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _exit(answer) -> int:
+    """The exit code of a yes/no answer: True 0, False 1, None (unknown) 2."""
+    return EXIT_INCONCLUSIVE if answer is None else EXIT_YES if answer else EXIT_NO
+
+
 def _emit(args, payload: dict, text: str):
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -62,7 +67,7 @@ def _oracle(spec, bundle):
         answers = spec[len("stub:"):].split(":")
         if len(answers) > 2 or not all(a in ("0", "1") for a in answers):
             raise formats.FormatError(f"oracle spec {spec!r}: stub:A[:F] takes one or two answers, each 0 or 1")
-        return admissibility.stub_oracle(bundle.name, answers[0] == "1", answers[1:] == ["1"])
+        return admissibility.stub_oracle(answers[0] == "1", answers[1:] == ["1"])
     if spec.startswith("table:"):
         path = spec[len("table:"):]  # a default only from a trailing :0 or :1
         path, d = (path[:-2], path[-1]) if path[-2:] in (":0", ":1") else (path, None)
@@ -74,7 +79,7 @@ def _oracle(spec, bundle):
             except (ParseError, SignatureError, formats.FormatError) as e:
                 raise formats.FormatError(f"oracle table key {key!r} does not parse: {e}") from None
             keys[rule.premises, rule.conclusion] = verdict
-        return admissibility.oracle_from_table(bundle.name, keys, default if d is None else d == "1")
+        return admissibility.oracle_from_table(keys, default if d is None else d == "1")
     raise formats.FormatError(f"unknown oracle spec {spec!r} (auto, stub:A[:F], table:PATH[:D])")
 
 
@@ -115,7 +120,7 @@ def cmd_tag(args):
     sig = _logic(args).signature
     if args.logic or args.side == "mc":
         rule = formats.parse_rule_file(_read(args.rule), sig, name=args.name)
-        tagged = combination.tag_rule(rule, sig)
+        tagged = calculus.tag_rule(rule, sig.all_ctors())
     else:
         k = int(args.side)
         rule = formats.parse_rule_file(_read(args.rule), sig.component(k), name=args.name)
@@ -137,10 +142,10 @@ def cmd_check_derivation(args):
     verdict = calculus.check_derivation(d, calc, extra, hyps)
     if verdict.ok:
         _emit(args, {"accepted": True}, "accepted")
-        return EXIT_YES
-    text = f"rejected at line {verdict.line}: {verdict.reason}"
-    _emit(args, {"accepted": False, "line": verdict.line, "reason": verdict.reason}, text)
-    return EXIT_NO
+    else:
+        text = f"rejected at line {verdict.line}: {verdict.reason}"
+        _emit(args, {"accepted": False, "line": verdict.line, "reason": verdict.reason}, text)
+    return _exit(verdict.ok)
 
 
 def cmd_search(args):
@@ -153,10 +158,10 @@ def cmd_search(args):
     d = calculus.bounded_proof_search(calc, extra, hyps, goal, bounds)
     if d is None:
         _emit(args, {"found": False}, "not found within bounds")
-        return EXIT_INCONCLUSIVE
+        return _exit(None)
     text = formats.serialize_derivation(d).rstrip("\n")
     _emit(args, {"found": True, "derivation": text.splitlines()}, text)
-    return EXIT_YES
+    return _exit(True)
 
 
 def cmd_decide_admissible(args):
@@ -169,7 +174,7 @@ def cmd_decide_admissible(args):
         + ("" if decision.exact else " (inexact oracles)")
     _emit(args, {"admissible": decision.admissible, "exact": decision.exact,
                  "calls": decision.calls, "trace": list(decision.trace)}, text)
-    return EXIT_YES if decision.admissible else EXIT_NO
+    return _exit(decision.admissible)
 
 
 def cmd_basis(args):
@@ -185,7 +190,7 @@ def cmd_eval(args):
     ok = all(semantics.holds(m, f) for m in bundle.matrices)
     _emit(args, {"holds": ok, "matrices": len(bundle.matrices)},
           f"holds on {len(bundle.matrices)} matrices: {ok}")
-    return EXIT_YES if ok else EXIT_NO
+    return _exit(ok)
 
 
 def cmd_entails(args):
@@ -194,7 +199,7 @@ def cmd_entails(args):
     hyps = _split_formulas(args.hyps, bundle.signature) if args.hyps else []
     ok = semantics.entails(bundle.matrices, hyps, goal)
     _emit(args, {"entails": ok}, f"entails: {ok}")
-    return EXIT_YES if ok else EXIT_NO
+    return _exit(ok)
 
 
 def cmd_trees(args):
@@ -202,7 +207,7 @@ def cmd_trees(args):
     ok = treetools.trees_equiv(parse_formula(args.f1, bundle.signature),
                                parse_formula(args.f2, bundle.signature))
     _emit(args, {"equivalent": ok}, f"trees equivalent: {ok}")
-    return EXIT_YES if ok else EXIT_NO
+    return _exit(ok)
 
 
 def cmd_complete(args):
@@ -218,9 +223,7 @@ def cmd_complete(args):
         verified = bundle.theorem(law)
     _emit(args, {"completion": out, "verified": verified},
           out + ("" if verified is None else f"  # equivalence verified: {verified}"))
-    if verified is False:
-        return EXIT_NO
-    return EXIT_YES
+    return _exit(verified is not False)
 
 
 def cmd_equalize(args):
@@ -238,7 +241,7 @@ def cmd_equalize(args):
     s1, s2 = print_formula(out1), print_formula(out2)
     _emit(args, {"f1": s1, "f2": s2, "trees_equivalent": ok},
           f"{s1}\n{s2}\ntrees equivalent: {ok}")
-    return EXIT_YES if ok else EXIT_NO
+    return _exit(ok)
 
 
 def cmd_soundness_audit(args):
@@ -250,7 +253,7 @@ def cmd_soundness_audit(args):
     ok = not failures
     text = "all rules sound" if ok else "unsound rules: " + ", ".join(failures)
     _emit(args, {"sound": ok, "failures": failures}, text)
-    return EXIT_YES if ok else EXIT_NO
+    return _exit(ok)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Meet-combination of signatures: paired constructors, embeddings, projection, tagging."""
+"""Meet-combination of signatures: paired constructors, embeddings, projection."""
 from __future__ import annotations
 
 from typing import Iterator, Optional
@@ -12,8 +12,6 @@ from .syntax import (
     Signature,
     SignatureError,
     Var,
-    apply_substitution,
-    max_schema_index,
     postorder,
     verum_family_name,
 )
@@ -130,7 +128,7 @@ class CombinedSignature(Record):
 
     # parser hooks -----------------------------------------------------------
 
-    def resolve(self, name: str, tag: Optional[str], arity: Optional[int] = None) -> PairCtor:
+    def resolve(self, name: str, tag: Optional[str], arity: int) -> PairCtor:
         if tag is None:
             raise SignatureError(
                 f"constructor {name!r} over a combined signature needs a component tag or pair form"
@@ -138,14 +136,10 @@ class CombinedSignature(Record):
         k = self.side_of(tag)
         return self.embed_ctor(self.component(k).resolve(name, None, arity), k)
 
-    def resolve_pair(self, n1, t1, n2, t2, arity=None) -> PairCtor:
+    def resolve_pair(self, n1, t1, n2, t2, arity: int) -> PairCtor:
         if self.side_of(t1) != 1 or self.side_of(t2) != 2:
             raise SignatureError(f"component tags <{t1}|{t2}> do not match ({self.tag1}, {self.tag2})")
-        c1 = self.sig1.resolve(n1, None, arity)
-        c2 = self.sig2.resolve(n2, None, c1.arity if arity is None else arity)
-        if c1.arity != c2.arity:
-            raise SignatureError(f"arity mismatch in <{n1}.{t1}|{n2}.{t2}>")
-        return self.pair(c1, c2)
+        return self.pair(self.sig1.resolve(n1, None, arity), self.sig2.resolve(n2, None, arity))
 
 
 def combine_signatures(s1: Signature, s2: Signature) -> CombinedSignature:
@@ -229,28 +223,3 @@ def proj_embedded(f: Formula, k: int, cs: CombinedSignature) -> Formula:
         memo = f._pe
     g = memo[1] if k == 1 else memo[2]
     return f if g is None else g
-
-
-def tag_rule(rule, sig) -> tuple:
-    """Tag one rule over a signature (or an explicit constructor family).
-
-    A non-liberal rule is kept whole. A liberal rule (conclusion a schema
-    variable) yields one rule per constructor c, named `rule#c`: the
-    conclusion variable is replaced, everywhere it occurs, by c applied to
-    fresh variables starting just past the rule's maximum index.
-    """
-    from .calculus import Rule
-
-    if not rule.liberal:
-        return (rule,)
-    j = max_schema_index(rule)
-    out = []
-    for c in sig.all_ctors() if hasattr(sig, "all_ctors") else sig:
-        fresh = App(c, tuple(Var(j + i) for i in range(1, c.arity + 1)))
-        rho = {rule.conclusion.index: fresh}
-        out.append(Rule(
-            name=f"{rule.name}#{c.display}",
-            premises=tuple(apply_substitution(rho, p) for p in rule.premises),
-            conclusion=fresh,
-        ))
-    return tuple(out)

@@ -321,22 +321,15 @@ class Signature(Record):
     def bot(self) -> Formula:
         return App(self.by_arity[0][FALSUM])
 
-    def resolve(self, name: str, tag: Optional[str], arity: Optional[int] = None) -> Ctor:
+    def resolve(self, name: str, tag: Optional[str], arity: int) -> Ctor:
         if tag is not None and tag != self.tag:
             raise SignatureError(f"unknown component tag {tag!r} for signature {self.tag}")
-        if arity is not None:
-            ctor = self.by_arity.get(arity, {}).get(name)
-            if ctor is None:
-                raise SignatureError(f"unknown constructor {name!r} of arity {arity} in {self.tag}")
-            return ctor
-        found = [cs[name] for cs in self.by_arity.values() if name in cs]
-        if not found:
-            raise SignatureError(f"unknown constructor {name!r} in {self.tag}")
-        if len(found) > 1:
-            raise SignatureError(f"constructor {name!r} is ambiguous in {self.tag}; give arguments")
-        return found[0]
+        ctor = self.by_arity.get(arity, {}).get(name)
+        if ctor is None:
+            raise SignatureError(f"unknown constructor {name!r} of arity {arity} in {self.tag}")
+        return ctor
 
-    def resolve_pair(self, n1, t1, n2, t2, arity=None):
+    def resolve_pair(self, n1, t1, n2, t2, arity):
         raise SignatureError(f"combined constructor <{n1}.{t1}|{n2}.{t2}> over component signature {self.tag}")
 
 

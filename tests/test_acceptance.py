@@ -22,8 +22,9 @@ from meetlogic.calculus import (
     build_vacuous_side_derivation,
     check_derivation,
     inherit_rule,
+    tag_rule,
 )
-from meetlogic.combination import combine_signatures, embed, project, tag_rule
+from meetlogic.combination import combine_signatures, embed, project
 from meetlogic.presets import ipl_theorem, load_preset
 from meetlogic.semantics import (
     check_rule_soundness,
@@ -145,8 +146,8 @@ def test_criterion_03_decision_case_table(capsys):
     premises = [embed(parse_formula("xi1", CPL.signature), 1, CS)]
     failures = []
     for a1, a2, f1, f2 in itertools.product((False, True), repeat=4):
-        o1 = stub_oracle("L1", a1, falsum_answer=f1)
-        o2 = stub_oracle("L2", a2, falsum_answer=f2)
+        o1 = stub_oracle(a1, falsum_answer=f1)
+        o2 = stub_oracle(a2, falsum_answer=f2)
         d = decide_admissible_meet(o1, o2, premises, beta)
         if a1 and a2:
             expected, calls = True, 2
@@ -281,7 +282,7 @@ def test_criterion_06_tagging_arithmetic_and_soundness(capsys):
     mp = next(r for r in CPL.calculus.rules if r.name == "mp")
 
     mc_ctors = list(CS.all_ctors())
-    tagged_mc = list(tag_rule(Rule("mp", tuple(embed(p, 1, CS) for p in mp.premises), Var(2)), CS))
+    tagged_mc = list(tag_rule(Rule("mp", tuple(embed(p, 1, CS) for p in mp.premises), Var(2)), CS.all_ctors()))
     if len(tagged_mc) != len(mc_ctors):
         failures.append(("count", len(tagged_mc), len(mc_ctors)))
     for r, c in zip(tagged_mc, mc_ctors):

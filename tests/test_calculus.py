@@ -776,7 +776,7 @@ def _refutation_queries():
     for calc in calcs:
         sig = calc.signature
         meet = isinstance(sig, CombinedSignature)
-        imp = sig.resolve_pair("->", sig.tag1, "->", sig.tag2) if meet else sig.resolve("->", None, 2)
+        imp = sig.resolve_pair("->", sig.tag1, "->", sig.tag2, 2) if meet else sig.resolve("->", None, 2)
         rng = random.Random(f"refutation:{calc.name}")
         goals = []
         for _ in range(2):

@@ -3,13 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from meetlogic.calculus import Rule
+from meetlogic.calculus import Rule, tag_rule
 from meetlogic.combination import (
     combine_signatures,
     embed,
     proj_embedded,
     project,
-    tag_rule,
 )
 from meetlogic.syntax import (
     App,
@@ -119,35 +118,35 @@ class TestTagging:
         return Rule("mp", (P("xi1"), P("xi1 -> xi2")), P("xi2"))
 
     def test_tagged_mp_shape(self):
-        tagged = tag_rule(self.mp(IPL), IPL)
+        tagged = tag_rule(self.mp(IPL), IPL.all_ctors())
         by_name = {r.name: r for r in tagged}
         r = by_name["mp#and"]
         assert r.conclusion == P1("and(xi3, xi4)")
         assert r.premises == (P1("xi1"), P1("xi1 -> and(xi3, xi4)"))
 
     def test_tag_count_is_constructor_count(self):
-        tagged = tag_rule(self.mp(IPL), IPL)
+        tagged = tag_rule(self.mp(IPL), IPL.all_ctors())
         assert len(tagged) == sum(len(IPL.by_arity[n]) for n in IPL.arities())
 
     def test_non_liberal_kept_whole(self):
         r = Rule("s43b", (P2("(dia xi1) and (dia (neg xi1))"),), P2("bot"))
-        tagged = tag_rule(r, GL)
+        tagged = tag_rule(r, GL.all_ctors())
         assert tuple(tagged) == (r,)
 
     def test_conclusion_variable_replaced_in_premises(self):
         # a liberal rule whose conclusion variable also occurs in a premise
         r = Rule("id", (Var(1),), Var(1))
-        tagged = tag_rule(r, IPL)
+        tagged = tag_rule(r, IPL.all_ctors())
         by_name = {t.name: t for t in tagged}
         neg = by_name["id#neg"]
         assert neg.conclusion == P1("neg xi2")
         assert neg.premises == (P1("neg xi2"),)
 
     def test_no_tagged_rule_is_liberal(self):
-        for r in tag_rule(self.mp(IPL), CS):
+        for r in tag_rule(self.mp(IPL), CS.all_ctors()):
             assert not r.liberal
 
     def test_fresh_variables_start_past_rule_maximum(self):
         r = Rule("wide", (P1("xi7"),), Var(1))
-        tagged = {t.name: t for t in tag_rule(r, IPL)}
+        tagged = {t.name: t for t in tag_rule(r, IPL.all_ctors())}
         assert tagged["wide#and"].conclusion == P1("and(xi8, xi9)")

@@ -301,7 +301,7 @@ class TestGoldenSearch:
             "h = ipl.fixtures['harrop']\n"
             "v = brute_force_admissible(ipl, h.premises, h.conclusion)\n"
             "witness = v.witness and [(i, print_formula(f)) for i, f in v.witness]\n"
-            "print(json.dumps([v.status, v.exact, v.tried, witness]))\n"
+            "print(json.dumps([v.status, v.exact, v.calls, witness]))\n"
             "P = lambda text: parse_formula(text, ipl.signature)\n"
             "rules = (Rule('r', (P('xi1 or xi2'),), P('xi2')), Rule('any-or', (), P('xi3 or xi1')))\n"
             "d = bounded_proof_search(Calculus('c', ipl.signature, rules), (), [], P('xi1 and (xi2 and xi3)'),\n"

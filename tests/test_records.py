@@ -10,12 +10,10 @@ from pathlib import Path
 import pytest
 
 from meetlogic.admissibility import (
-    AdmissibilityOracle,
     AdmissibilityVerdict,
     Basis,
     BruteForceBounds,
     CompletenessReport,
-    MeetDecision,
     _closed_candidates,
     brute_force_admissible,
 )
@@ -74,10 +72,6 @@ def _rule():
     return Rule("mp", (P("xi1"), P("xi1 -> xi2")), P("xi2"))
 
 
-def _oracle_fn(premises, beta):
-    return True
-
-
 # (class, fresh keyword arguments in parameter order, whether hashable,
 # {parameter equality ignores: another value}, (a compared parameter, another value))
 RECORDS = [
@@ -102,12 +96,9 @@ RECORDS = [
     (Verdict, lambda: {"ok": False, "line": 2, "reason": "bad"}, True, {}, ("line", 3)),
     (SearchBounds, lambda: {"depth": 3, "max_size": 20, "max_facts": 100, "max_candidates": 5}, True, {},
      ("max_facts", 99)),
-    (AdmissibilityOracle, lambda: {"logic": "CPL", "exact": True, "fn": _oracle_fn, "calls": 0}, False, {},
-     ("calls", 1)),
-    (MeetDecision, lambda: {"admissible": True, "exact": True, "calls": 2, "trace": ("a1=1", "a2=1")}, True, {},
-     ("exact", False)),
     (AdmissibilityVerdict, lambda: {"status": "not-admissible", "exact": True, "witness": ((1, P("top")),),
-                                    "tried": 3}, True, {"tried": 7}, ("witness", None)),
+                                    "calls": 3, "trace": ()}, True, {"calls": 7, "trace": ("a1=1",)},
+     ("witness", None)),
     (BruteForceBounds, lambda: {"depth": 1, "max_candidates": 4}, True, {}, ("depth", 2)),
     (Basis, lambda: {"provenance": "CPL", "rules": (_rule(),)}, True, {}, ("rules", ())),
     (CompletenessReport, lambda: {"checked": 3, "agreements": 1, "not_admissible": 1, "inconclusive": 1,
@@ -156,10 +147,6 @@ class TestRecordSemantics:
 
     def test_assignment_raises(self, cls, make, hashable, ignored, other):
         a = cls(**make())
-        if cls is AdmissibilityOracle:  # it counts its calls
-            a.calls = 5
-            assert a.calls == 5
-            return
         name = next(iter(make()), "anything")
         with pytest.raises(AttributeError):
             setattr(a, name, None)
@@ -194,10 +181,9 @@ def test_defaults():
     assert BruteForceBounds() == BruteForceBounds(2, 8)
     assert Verdict(True) == Verdict(True, None, None) and Verdict(False, line=3).reason is None
     v = AdmissibilityVerdict("admissible", True)
-    assert v.witness is None and v.tried == 0 and bool(v)
+    assert v.witness is None and v.calls == 0 and v.trace == () and bool(v)
     c = Calculus("C", SIG, ())
     assert c.matrices == () and c.components == ()
-    assert AdmissibilityOracle("CPL", True, _oracle_fn).calls == 0
     assert Matrix("m", SIG, (0, 1), frozenset({1}), CPL.characteristic.tables).factors == ()
     assert load_preset("G3").fixtures == {}
 

@@ -260,7 +260,7 @@ class TestDeepInput:
         "arrow-chain": ("xi2 -> " * N + "xi1", lambda f: App(SIG.resolve("->", None, 2), (Var(2), f))),
         "and-chain": ("xi1" + " and xi2" * N, lambda f: App(SIG.resolve("and", None, 2), (f, Var(2)))),
         "pair-application": ("<and.A|->.B>(xi2, " * N + "xi1" + ")" * N,
-                             lambda f: App(CAB.resolve_pair("and", "A", "->", "B"), (Var(2), f))),
+                             lambda f: App(CAB.resolve_pair("and", "A", "->", "B", 2), (Var(2), f))),
     }
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))

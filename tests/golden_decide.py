@@ -23,9 +23,9 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from meetlogic import cli, combine_signatures, load_preset, project
+from meetlogic.calculus import Rule
 from meetlogic.formats import rule_key, serialize_rule_file
 from meetlogic.presets import PRESET_NAMES
-from meetlogic.calculus import Rule
 
 from strategies import random_formula
 

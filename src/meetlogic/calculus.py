@@ -261,6 +261,7 @@ def check_derivation(d: Derivation, calc: Calculus, extra: Sequence[Rule] = (),
     hyps = frozenset(hyps)
     rules = {r.name: r for r in list(calc.rules) + list(extra)}
     cs = calc.signature if isinstance(calc.signature, CombinedSignature) else None
+    projected: dict = {}  # proj_embedded's memo
 
     def fail(i, reason):
         return Verdict(False, i, reason)
@@ -295,9 +296,9 @@ def check_derivation(d: Derivation, calc: Calculus, extra: Sequence[Rule] = (),
             if cs is None:
                 return fail(i, "LFT is not available in this calculus")
             l1, l2 = cites
-            if d.lines[l1 - 1].formula != proj_embedded(line.formula, 1, cs):
+            if d.lines[l1 - 1].formula != proj_embedded(line.formula, 1, cs, projected):
                 return fail(i, "first LFT citation is not the component-1 projection")
-            if d.lines[l2 - 1].formula != proj_embedded(line.formula, 2, cs):
+            if d.lines[l2 - 1].formula != proj_embedded(line.formula, 2, cs, projected):
                 return fail(i, "second LFT citation is not the component-2 projection")
         elif isinstance(just, Clft):
             if cs is None:
@@ -305,7 +306,7 @@ def check_derivation(d: Derivation, calc: Calculus, extra: Sequence[Rule] = (),
             if just.side not in (1, 2):
                 return fail(i, "cLFT side must be 1 or 2")
             src = d.lines[cites[0] - 1].formula
-            if line.formula != proj_embedded(src, just.side, cs):
+            if line.formula != proj_embedded(src, just.side, cs, projected):
                 return fail(i, "cLFT line is not the projection of the cited line")
         elif isinstance(just, Fx):
             if cs is None:
@@ -657,6 +658,7 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
         return goal in facts or len(facts) >= bounds.max_facts
 
     falsa = (cs.falsum(1), cs.falsum(2)) if cs is not None else ()
+    projected: dict = {}  # proj_embedded's memo, for facts and LFT targets
 
     def add(f, record) -> bool:
         """Add f, and in a meet its closure under cLFT and FX, depth first:
@@ -674,8 +676,8 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
                 cited = (f,)
                 if f is falsa[0] or f is falsa[1]:
                     todo.append((falsa[1] if f is falsa[0] else falsa[0], ("fx", cited)))
-                todo.append((proj_embedded(f, 2, cs), ("clft", cited, 2)))
-                todo.append((proj_embedded(f, 1, cs), ("clft", cited, 1)))
+                todo.append((proj_embedded(f, 2, cs, projected), ("clft", cited, 2)))
+                todo.append((proj_embedded(f, 1, cs, projected), ("clft", cited, 1)))
         return len(order) > before
 
     for h in hyps:
@@ -704,8 +706,8 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
             for target in [goal] + candidates:
                 if target in facts or isinstance(target, Var):
                     continue
-                p1 = proj_embedded(target, 1, cs)
-                p2 = proj_embedded(target, 2, cs)
+                p1 = proj_embedded(target, 1, cs, projected)
+                p2 = proj_embedded(target, 2, cs, projected)
                 if p1 in facts and p2 in facts:  # so target.size <= bounds.max_size
                     lfts.setdefault(target.size, []).append((target, ("lft", (p1, p2))))
         before = len(facts)
@@ -967,10 +969,11 @@ def _template_prologue(premises, calc, b1, b2, sides):
     comp = {1: b1.calculus, 2: b2.calculus}
     lines = [Line(a, Hyp()) for a in premises]
     hyp_line_of = {}
+    projected: dict = {}  # proj_embedded's memo
     for k in sides:
         hyp_line_of[k] = {}
         for i, a in enumerate(premises, start=1):
-            lines.append(Line(proj_embedded(a, k, cs), Clft((i,), k)))
+            lines.append(Line(proj_embedded(a, k, cs, projected), Clft((i,), k)))
             hyp_line_of[k].setdefault(project(a, k), len(lines))
     return cs, comp, lines, hyp_line_of
 

@@ -157,49 +157,43 @@ def embed(f: Formula, k: int, cs: CombinedSignature) -> Formula:
 
 
 def project(f: Formula, k: int) -> Formula:
-    """Replace every combined constructor by its k-th component.
-
-    Both projections are memoised on every node, and the walk stops at nodes
-    that have them.
-    """
+    """Replace every combined constructor by its k-th component."""
     if f.__class__ is Var:
         return f
-    if f._proj is None:  # a memo hit skips the walk's set-up
-        for g in postorder(f, lambda g: g._proj is not None):
-            args1 = tuple([a if a.__class__ is Var else a._proj[0] for a in g.args])
-            args2 = tuple([a if a.__class__ is Var else a._proj[1] for a in g.args])
-            object.__setattr__(g, "_proj", (App(g.ctor.c1, args1), App(g.ctor.c2, args2)))
-    return f._proj[0] if k == 1 else f._proj[1]
+    image = {}  # node of f -> its projection
+    for g in postorder(f):
+        ctor = g.ctor.c1 if k == 1 else g.ctor.c2
+        image[g] = App(ctor, tuple([a if a.__class__ is Var else image[a] for a in g.args]))
+    return image[f]
 
 
-def proj_embedded(f: Formula, k: int, cs: CombinedSignature) -> Formula:
+def proj_embedded(f: Formula, k: int, cs: CombinedSignature, memo: dict) -> Formula:
     """Projection read back into the combined language via the embedding.
 
     The image of c(args) is the embedded k-th component of c applied to the
-    images of args, so both sides are built from the children's images and
-    memoised on every node for the last `cs` asked. An image that is the
-    node itself is stored as None: a node that referred to itself would form
-    a reference cycle that only the cyclic collector frees.
+    images of args, so both sides are built from the children's images.
+    `memo` maps each node already read to its two images; the caller owns
+    it and keeps one per `cs`, for a search or a check.
 
     This is the meet search's per-fact step, so it keeps its own explicit
-    stack: on `syntax.postorder`, a pass with cold memos over the 3,004 facts
-    of a CPL/G3 meet search took about 45 % longer.
+    stack: on `syntax.postorder`, a pass with an empty memo over the 3,004
+    facts of a CPL/G3 meet search took about 45 % longer.
     """
     if f.__class__ is Var:
         return f
-    memo = f._pe
-    if memo is None or memo[0] is not cs:
+    images = memo.get(f)
+    if images is None:
         sides = cs._sides
         todo = [f]
         while todo:
             g = todo[-1]
-            if g._pe is not None and g._pe[0] is cs:
+            if g in memo:
                 todo.pop()
                 continue
             args = g.args
             waiting = False
             for a in args:
-                if a.__class__ is App and (a._pe is None or a._pe[0] is not cs):
+                if a.__class__ is App and a not in memo:
                     todo.append(a)
                     waiting = True
             if waiting:
@@ -209,17 +203,16 @@ def proj_embedded(f: Formula, k: int, cs: CombinedSignature) -> Formula:
             c1, c2 = pair if pair is not None else (cs.embed_ctor(g.ctor.c1, 1), cs.embed_ctor(g.ctor.c2, 2))
             if len(args) == 2:
                 a, b = args
-                a1, a2 = (a, a) if a.__class__ is Var else (a._pe[1] or a, a._pe[2] or a)
-                b1, b2 = (b, b) if b.__class__ is Var else (b._pe[1] or b, b._pe[2] or b)
+                a1, a2 = (a, a) if a.__class__ is Var else memo[a]
+                b1, b2 = (b, b) if b.__class__ is Var else memo[b]
                 args1, args2 = (a1, b1), (a2, b2)
             elif len(args) == 1:
                 a = args[0]
-                args1, args2 = (args, args) if a.__class__ is Var else ((a._pe[1] or a,), (a._pe[2] or a,))
+                a1, a2 = (a, a) if a.__class__ is Var else memo[a]
+                args1, args2 = (a1,), (a2,)
             else:
-                args1 = tuple([a if a.__class__ is Var else a._pe[1] or a for a in args])
-                args2 = tuple([a if a.__class__ is Var else a._pe[2] or a for a in args])
-            g1, g2 = App(c1, args1), App(c2, args2)
-            object.__setattr__(g, "_pe", (cs, None if g1 is g else g1, None if g2 is g else g2))
-        memo = f._pe
-    g = memo[1] if k == 1 else memo[2]
-    return f if g is None else g
+                args1 = tuple([a if a.__class__ is Var else memo[a][0] for a in args])
+                args2 = tuple([a if a.__class__ is Var else memo[a][1] for a in args])
+            memo[g] = (App(c1, args1), App(c2, args2))
+        images = memo[f]
+    return images[0] if k == 1 else images[1]

@@ -130,16 +130,20 @@ _FRAME_CONSTRAINTS = {
 }
 
 
+def _frame_checks(constraint: str) -> tuple:
+    checks = _FRAME_CONSTRAINTS.get(constraint)
+    if checks is None:
+        raise PresetError(f"unknown frame constraint {constraint!r}")
+    return checks
+
+
 class KripkeFrame(Record):
     """`relation` is a frozenset of (w, u) pairs; `constraint` is "s43" or "gl"."""
 
     __slots__ = ("worlds", "relation", "constraint")
 
     def __init__(self, worlds: tuple, relation: frozenset, constraint: str):
-        checks = _FRAME_CONSTRAINTS.get(constraint)
-        if checks is None:
-            raise PresetError(f"unknown frame constraint {constraint!r}")
-        for fn, label in checks:
+        for fn, label in _frame_checks(constraint):
             if not fn(worlds, relation):
                 raise PresetError(f"frame is not {label}")
         Record.__init__(self, worlds, relation, constraint)
@@ -176,16 +180,15 @@ def kripke_matrix(frame: KripkeFrame, sig: Signature) -> Matrix:
 
 def generate_frames(constraint: str, max_worlds: int) -> list:
     """All frames on 1..max_worlds worlds satisfying the constraint, in a fixed order."""
+    checks = _frame_checks(constraint)
     out = []
     for n in range(1, max_worlds + 1):
         worlds = tuple(range(n))
         pairs = list(itertools.product(worlds, repeat=2))
         for bits in itertools.product((0, 1), repeat=len(pairs)):
             rel = frozenset(p for p, b in zip(pairs, bits) if b)
-            try:
+            if all(fn(worlds, rel) for fn, _ in checks):
                 out.append(KripkeFrame(worlds, rel, constraint))
-            except PresetError:
-                continue
     return out
 
 

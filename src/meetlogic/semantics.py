@@ -5,7 +5,7 @@ import itertools
 from typing import Iterable, Mapping
 
 from .combination import CombinedSignature
-from .syntax import App, Formula, Record, Var
+from .syntax import Formula, Record, Var, subformulas
 
 
 class SemanticsError(Exception):
@@ -72,22 +72,12 @@ def _table(m: Matrix, ctor) -> list:
 
 # Column-wise evaluation. The assignments of carrier elements to k variables
 # (sorted by index) are numbered 0..n^k-1 in `itertools.product` order; a
-# column holds one carrier index per assignment. Formulas are walked with an
-# explicit stack, so deep formulas do not hit the recursion limit.
-
-def _postorder(f: Formula) -> list:
-    """The node occurrences of f, arguments before their parent. `_column`
-    runs them as a stack machine that frees each column, n^k values long,
-    once its parent has used it; a table over `syntax.postorder`'s distinct
-    nodes would keep every column alive to the end."""
-    out, todo = [], [f]
-    while todo:
-        g = todo.pop()
-        out.append(g)
-        if isinstance(g, App):
-            todo.extend(g.args)
-    out.reverse()
-    return out
+# column holds one carrier index per assignment. A formula is given as the
+# list of its node occurrences, `syntax.subformulas` order, and `_column`
+# runs it backwards as a stack machine, so deep formulas do not hit the
+# recursion limit, and each column, n^k values long, is freed once its
+# parent has used it; a table over `syntax.postorder`'s distinct nodes would
+# keep every column alive to the end.
 
 
 def _variable_columns(n: int, variables) -> dict:
@@ -97,12 +87,14 @@ def _variable_columns(n: int, variables) -> dict:
 
 
 def _column(m: Matrix, nodes: list, env: dict, size: int) -> list:
-    """Column of the formula whose postorder is `nodes`; `env` maps each
-    variable to its column, all of length `size`."""
+    """Column of the formula whose occurrences are `nodes`; `env` maps each
+    variable to its column, all of length `size`. Run backwards, the
+    occurrences come right argument first, so a parent pops its first
+    argument's column first."""
     n = len(m.carrier)
     tables = m.tables
     stack = []
-    for g in nodes:
+    for g in reversed(nodes):
         if g.__class__ is Var:
             stack.append(env[g.index])
             continue
@@ -113,11 +105,12 @@ def _column(m: Matrix, nodes: list, env: dict, size: int) -> list:
         elif arity == 1:
             stack.append([t[x] for x in stack.pop()])
         elif arity == 2:
-            y = stack.pop()
-            stack.append([t[a * n + b] for a, b in zip(stack.pop(), y)])
+            x = stack.pop()
+            stack.append([t[a * n + b] for a, b in zip(x, stack.pop())])
         else:
             cols = stack[-arity:]
             del stack[-arity:]
+            cols.reverse()
             idx = cols[0]
             for c in cols[1:]:
                 idx = [a * n + b for a, b in zip(idx, c)]
@@ -130,9 +123,9 @@ def _variables(node_lists) -> list:
 
 
 def _entails_in(m: Matrix, hyps: list, goal: list, variables: list) -> tuple:
-    """`entails` in one matrix, for formulas given as postorders, as the pair
-    (some assignment designates every hypothesis, the goal is designated
-    wherever they all are). Each hypothesis is evaluated on the assignments
+    """`entails` in one matrix, for formulas given as occurrence lists, as
+    the pair (some assignment designates every hypothesis, the goal is
+    designated wherever they all are). Each hypothesis is evaluated on the assignments
     that designate the ones before it; the goal only on those that designate
     them all."""
     flags = m.designated_flags
@@ -164,15 +157,15 @@ def _entails(m: Matrix, hyps: list, goal: list, variables: list) -> bool:
 
 def holds(m: Matrix, f: Formula) -> bool:
     """True iff f denotes a designated value under every assignment."""
-    nodes = _postorder(f)
+    nodes = list(subformulas(f))
     return _entails(m, [], nodes, _variables([nodes]))
 
 
 def entails(matrices: Iterable[Matrix], gamma: Iterable[Formula], f: Formula) -> bool:
     """True iff, in every matrix, every assignment designating all of gamma
     designates f."""
-    hyps = [_postorder(g) for g in gamma]
-    goal = _postorder(f)
+    hyps = [list(subformulas(g)) for g in gamma]
+    goal = list(subformulas(f))
     variables = _variables(hyps + [goal])
     return all(_entails(m, hyps, goal, variables) for m in matrices)
 
@@ -193,10 +186,10 @@ class MatrixTheorem(Record):
         return holds(self.matrix, f)
 
     def key(self, closed: Formula) -> int:
-        return _column(self.matrix, _postorder(closed), {}, 1)[0]
+        return _column(self.matrix, list(subformulas(closed)), {}, 1)[0]
 
     def instances(self, pattern: Formula):
-        m, nodes = self.matrix, _postorder(pattern)
+        m, nodes = self.matrix, list(subformulas(pattern))
         flags = m.designated_flags
         return lambda keys: flags[_column(m, nodes, {v: [i] for v, i in keys.items()}, 1)[0]]
 

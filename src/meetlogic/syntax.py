@@ -202,12 +202,12 @@ def _sweep():
 
 
 class _AppSlots:
-    __slots__ = ("ctor", "args", "size", "_proj", "_pe", "__weakref__")
+    __slots__ = ("ctor", "args", "size", "__weakref__")
 
 
 class App(_AppSlots, Interned):
-    """Constructor application. `size` counts node occurrences; `_proj` and
-    `_pe` memoise `combination.project` and `combination.proj_embedded`.
+    """Constructor application; `size` counts node occurrences. Nothing is
+    written on a node once it is built: walks keep their memos themselves.
 
     A node is filled in as a `_AppSlots`, which has no immutability guard,
     and then given its class: plain stores cost a fraction of
@@ -243,8 +243,6 @@ class App(_AppSlots, Interned):
         node.ctor = ctor
         node.args = args if args.__class__ is tuple else tuple(args)
         node.size = size
-        node._proj = None
-        node._pe = None
         node.__class__ = cls
         ref = _weakref(node)
         if dead is None:

@@ -82,21 +82,21 @@ class TestChecker:
     def test_lft_accept(self):
         psi = PM("<and.CPL1|or.CPL2>(xi1, xi2)")
         d = Derivation((
-            Line(proj_embedded(psi, 1, CS), Hyp()),
-            Line(proj_embedded(psi, 2, CS), Hyp()),
+            Line(proj_embedded(psi, 1, CS, {}), Hyp()),
+            Line(proj_embedded(psi, 2, CS, {}), Hyp()),
             Line(psi, Lft((1, 2))),
         ))
-        hyps = [proj_embedded(psi, k, CS) for k in (1, 2)]
+        hyps = [proj_embedded(psi, k, CS, {}) for k in (1, 2)]
         assert check_derivation(d, MEET, hyps=hyps)
 
     def test_lft_wrong_citations_rejected(self):
         psi = PM("<and.CPL1|or.CPL2>(xi1, xi2)")
         d = Derivation((
-            Line(proj_embedded(psi, 1, CS), Hyp()),
-            Line(proj_embedded(psi, 1, CS), Hyp()),
+            Line(proj_embedded(psi, 1, CS, {}), Hyp()),
+            Line(proj_embedded(psi, 1, CS, {}), Hyp()),
             Line(psi, Lft((1, 2))),
         ))
-        v = check_derivation(d, MEET, hyps=[proj_embedded(psi, 1, CS)])
+        v = check_derivation(d, MEET, hyps=[proj_embedded(psi, 1, CS, {})])
         assert not v and v.line == 3
 
     def test_rule_app_with_witness(self):
@@ -145,11 +145,11 @@ class TestChecker:
         and FX 1. Any other count is a rejection at that line, not a crash."""
         psi = PM("<and.CPL1|or.CPL2>(xi1, xi2)")
         d = Derivation((
-            Line(proj_embedded(psi, 1, CS), Hyp()),
-            Line(proj_embedded(psi, 2, CS), Hyp()),
+            Line(proj_embedded(psi, 1, CS, {}), Hyp()),
+            Line(proj_embedded(psi, 2, CS, {}), Hyp()),
             Line(psi, just),
         ))
-        v = check_derivation(d, MEET, hyps=[proj_embedded(psi, k, CS) for k in (1, 2)])
+        v = check_derivation(d, MEET, hyps=[proj_embedded(psi, k, CS, {}) for k in (1, 2)])
         assert not v and v.line == 3 and "must cite" in v.reason
 
 
@@ -684,7 +684,7 @@ class TestSearchMatchesReference:
             rng = random.Random(f"projection-size:{cs.tag1}:{cs.tag2}")
             for _ in range(300):
                 f = random_formula(rng, cs, 4)
-                assert all(proj_embedded(f, k, cs).size == f.size for k in (1, 2)), print_formula(f)
+                assert all(proj_embedded(f, k, cs, {}).size == f.size for k in (1, 2)), print_formula(f)
 
     def test_no_unreached_size_is_built(self, monkeypatch):
         """A round stopping at the goal or the fact cap builds no conclusion
@@ -695,9 +695,9 @@ class TestSearchMatchesReference:
         added: list = []
         hook_instantiators(monkeypatch, built)
 
-        def pe(f, k, cs):
+        def pe(f, k, cs, memo):
             added.append(f.size)
-            return proj_embedded(f, k, cs)
+            return proj_embedded(f, k, cs, memo)
 
         monkeypatch.setattr(calculus, "proj_embedded", pe)
         cases = 0
@@ -752,7 +752,7 @@ class TestSearchMatchesReference:
         size keeps the rule instance, which was made first."""
         cs, calc = _meet_calculus("CPL", "G3")
         goal = parse_formula("<->.CPL|->.G3>(xi1, xi1)", cs)
-        halves = tuple(proj_embedded(goal, k, cs) for k in (1, 2))
+        halves = tuple(proj_embedded(goal, k, cs, {}) for k in (1, 2))
         calc = Calculus(calc.name, cs, calc.rules + (Rule("join", halves, goal),))
         query = (calc, list(halves), goal, SearchBounds(max_facts=700))
         _assert_same_as_reference([query])
@@ -848,7 +848,7 @@ class TestRefutationLosesNothing:
         assert "models" not in calc.__dict__
         assert c2.models == (odd,) and calc.models == ()
         hyp = PM("<neg.CPL1|neg.CPL2>(xi1)")
-        goal = proj_embedded(hyp, 1, CS)
+        goal = proj_embedded(hyp, 1, CS, {})
         product = product_matrix(bool2, odd, CS)
         assert all(check_rule_soundness([product], r) for r in calc.rules)
         assert bounded_proof_search(calc, (), [hyp], goal, SearchBounds(depth=1)) is not None

@@ -91,7 +91,7 @@ class TestEmbedProject:
 
     def test_proj_embedded_is_embed_of_projection(self):
         f = PM("<and.IPL|or.GL>(xi1, <topn.1.IPL|box.GL>(xi2))")
-        assert proj_embedded(f, 2, CS) == embed(project(f, 2), 2, CS)
+        assert proj_embedded(f, 2, CS, {}) == embed(project(f, 2), 2, CS)
 
     def test_substitution_projection_commutes(self):
         # seeded sweep of the substitution/projection commutation law

@@ -99,8 +99,8 @@ class TestDerivationFiles:
         psi = parse_formula("<and.CPL1|or.CPL2>(xi1, xi2)", cs)
         d = Derivation((
             Line(psi, Hyp()),
-            Line(proj_embedded(psi, 1, cs), Clft((1,), 1)),
-            Line(proj_embedded(psi, 2, cs), Clft((1,), 2)),
+            Line(proj_embedded(psi, 1, cs, {}), Clft((1,), 1)),
+            Line(proj_embedded(psi, 2, cs, {}), Clft((1,), 2)),
             Line(psi, Lft((2, 3))),
             Line(cs.falsum(1), Hyp()),
             Line(cs.falsum(2), Fx((5,))),

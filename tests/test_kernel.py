@@ -85,41 +85,47 @@ class TestInterning:
             assert hash(x) == object.__hash__(x)
 
     def test_memos_make_no_reference_cycles(self):
-        # nodes with filled project/proj_embedded memos, inner nodes and the
+        # nodes read through a proj_embedded memo, inner nodes and the
         # component nodes they point to included, are freed by reference
-        # counting alone, without the cyclic collector
+        # counting alone, without the cyclic collector, once the caller's
+        # memo is dropped
         cs = combine_signatures(load_preset("CPL").signature, load_preset("G3").signature)
         gc.disable()
         try:
             f = parse_formula("<and.CPL|or.G3>(xi11, neg.CPL xi12) ->.G3 <or.CPL|and.G3>(xi13, xi11)", cs)
-            images = [proj_embedded(f, k, cs) for k in (1, 2)]
+            memo: dict = {}
+            images = [proj_embedded(f, k, cs, memo) for k in (1, 2)]
             for g in [f] + images:
                 for k in (1, 2):
-                    proj_embedded(g, k, cs)
+                    proj_embedded(g, k, cs, memo)
                     project(g, k)
             combined = {g for h in [f] + images for g in subformulas(h) if g.__class__ is App}
-            assert all(g._pe[0] is cs for g in combined)
             component = {c for g in combined for k in (1, 2) for c in subformulas(project(g, k))
                          if c.__class__ is App}
             refs = [weakref.ref(g) for g in combined | component]
-            del f, images, g, combined, component
+            del f, images, g, combined, component, memo
             assert all(r() is None for r in refs)
         finally:
             gc.enable()
 
     def test_proj_embedded_built_from_children_is_embed_of_projection(self):
-        # seeded formulas share subformulas, so most images are built from
-        # memos filled by earlier formulas; a second combination of the same
-        # signatures makes every memo be rebuilt for it and then again
+        # seeded formulas share subformulas, so with one memo per combined
+        # signature, shared by every formula and both sides as a search
+        # shares it, most images are built from images an earlier formula
+        # left; a fresh memo per call builds every image anew. A second
+        # combination of the same signatures has a memo of its own.
         rng = random.Random(11)
         for l1, l2 in (("CPL", "G3"), ("CPL", "CPL"), ("IPL", "S43")):
             sig1, sig2 = load_preset(l1).signature, load_preset(l2, max_worlds=2).signature
             css = (combine_signatures(sig1, sig2), combine_signatures(sig1, sig2))
+            memos = ({}, {})
             for _ in range(60):
                 f = random_formula(rng, css[0], 4)
-                for cs in css + css[:1]:
+                for cs, memo in zip(css + css[:1], memos + memos[:1]):
                     for k in (2, 1):
-                        assert proj_embedded(f, k, cs) is embed(project(f, k), k, cs)
+                        want = embed(project(f, k), k, cs)
+                        assert proj_embedded(f, k, cs, memo) is want
+                        assert proj_embedded(f, k, cs, {}) is want
 
     def test_threads_intern_one_node_per_value(self, monkeypatch):
         # Each round, four threads build the same formulas at once, whose
@@ -239,7 +245,7 @@ class TestDeepFormulas:
         assert e.size == self.DEPTH + 1 and e.ctor is cs.embed_ctor(f.ctor, 1)
         assert project(e, 1) is f
         assert project(e, 2).ctor.name == "topn.1" and project(e, 2).size == self.DEPTH + 1
-        assert proj_embedded(e, 1, cs) is e
+        assert proj_embedded(e, 1, cs, {}) is e
         assert print_formula(e) == "<neg.CPL|topn.1.G3>(" * self.DEPTH + "xi1" + ")" * self.DEPTH
 
     def test_shared_subterms_cost_their_distinct_nodes(self):
@@ -263,8 +269,8 @@ class TestDeepFormulas:
         e = embed(t, 1, cs)
         assert e is tower(cs.embed_ctor(conj, 1), Var(1))
         assert project(e, 1) is t and project(e, 2) is tower(g3.verum_at(2), Var(1))
-        assert proj_embedded(e, 1, cs) is e
-        assert proj_embedded(e, 2, cs) is tower(cs.embed_ctor(g3.verum_at(2), 2), Var(1))
+        assert proj_embedded(e, 1, cs, {}) is e
+        assert proj_embedded(e, 2, cs, {}) is tower(cs.embed_ctor(g3.verum_at(2), 2), Var(1))
         assert trees_equiv(t, tower(cpl.resolve("or", None, 2), Var(2)))
         neg = cpl.resolve("neg", None, 1)
         assert not trees_equiv(t, tower(conj, App(neg, (App(neg, (Var(1),)),)), 63))

@@ -71,6 +71,12 @@ class TestKripke:
         # gl adds the empty relation and the two strict chains
         assert len(generate_frames("gl", 2)) == 1 + 3
 
+    def test_unknown_constraint_is_an_error_not_no_frames(self):
+        with pytest.raises(PresetError, match="unknown frame constraint 's4'"):
+            generate_frames("s4", 2)
+        with pytest.raises(PresetError, match="unknown frame constraint"):
+            KripkeFrame((0,), frozenset({(0, 0)}), "s4")
+
 
 class TestGodelChain:
     def test_bool2_is_boolean(self):

@@ -117,7 +117,7 @@ class TestRuleSoundness:
 
         for _ in range(40):
             phi = random_formula(rng, CS, 3, max_var=2)
-            rule = Rule("lft", (proj_embedded(phi, 1, CS), proj_embedded(phi, 2, CS)), phi)
+            rule = Rule("lft", (proj_embedded(phi, 1, CS, {}), proj_embedded(phi, 2, CS, {})), phi)
             assert check_rule_soundness([PROD], rule)
 
     def test_fx_vacuously_sound(self):

@@ -360,7 +360,7 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         g = todo.pop()
         yield g
         if g.__class__ is App:
-            todo.extend(reversed(g.args))
+            todo.extend(g.args[::-1])
 
 
 def postorder(f: Formula, done=None) -> list:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from meetlogic.calculus import Rule, assemble_meet_calculus
 from meetlogic.combination import combine_signatures, embed, project
 from meetlogic.formats import parse_matrix_file
-from meetlogic.presets import KripkeFrame, generate_frames, godel_chain, kripke_matrix, load_preset
+from meetlogic.presets import KripkeFrame, _tabulate, generate_frames, godel_chain, kripke_matrix, load_preset
 from meetlogic.semantics import (
     Matrix,
     SemanticsError,
@@ -180,6 +180,12 @@ def _families():
         products[key] = (cs, [product_matrix(m1, m2, cs)])
         meets[key] = (m1, m2, assemble_meet_calculus(b1.calculus, b2.calculus, cs))
     chains = [godel_chain(SIG, k) for k in range(2, 6)]
+    # a ternary operation that tells its three arguments apart, so that the
+    # column stack's argument order is checked beyond arity 2
+    tri_sig = make_signature("TRI", [("tri", 3), ("->", 2), ("neg", 1)])
+    tri = _tabulate("tri", tri_sig, 3, {2}, {"top": lambda: 2, "bot": lambda: 0, "neg": lambda a: 2 - a,
+                                             "->": lambda a, b: 2 if a <= b else b,
+                                             "tri": lambda a, b, c: (a + 2 * b + c * c) % 3})
     families = {
         "chains": (SIG, chains),
         "chains, modal formulas": (b["S43"].signature, chains),
@@ -188,6 +194,7 @@ def _families():
         "gl frames": (gl_sig, [kripke_matrix(fr, gl_sig) for fr in generate_frames("gl", 3)]),
         **products,
         "matrix file": (SIG, [parse_matrix_file(LP_TEXT, SIG, name="lp")]),
+        "ternary": (tri_sig, [tri]),
     }
     return families, meets
 

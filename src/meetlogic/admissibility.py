@@ -93,23 +93,16 @@ def _closed_candidates(bundle, bounds: BruteForceBounds) -> tuple:
         (App(c) for c in signature.by_arity.get(0, {}).values()),
         key=print_formula,
     )]
+    ctors = [c for n in sorted(signature.arities()) if n
+             for c in sorted(signature.by_arity[n].values(), key=lambda c: c.name)]
     for _ in range(bounds.depth):
         pool = [f for layer in layers for f in layer]
         new = []
-        for n in sorted(signature.arities()):
-            if n == 0:
-                continue
-            for c in sorted(signature.by_arity[n].values(), key=lambda c: c.name):
-                for args in itertools.product(pool, repeat=n):
-                    g = App(c, args)
-                    if all(g not in layer for layer in layers) and g not in new:
-                        new.append(g)
-                    if len(new) >= bounds.max_candidates:
-                        break
-                if len(new) >= bounds.max_candidates:
-                    break
+        for g in (App(c, args) for c in ctors for args in itertools.product(pool, repeat=c.arity)):
             if len(new) >= bounds.max_candidates:
                 break
+            if all(g not in layer for layer in layers) and g not in new:
+                new.append(g)
         layers.append(new)
     flat = [f for layer in layers for f in layer]
     flat.sort(key=lambda f: (f.size, print_formula(f)))

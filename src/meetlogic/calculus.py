@@ -48,7 +48,7 @@ class Rule(Record):
     def shape(self) -> tuple:
         """(constructor nodes, ((variable index, occurrences), ...), text template
         with the variables' texts as fields, in index order) of the conclusion."""
-        nodes = list(subformulas(self.conclusion))
+        nodes = subformulas(self.conclusion)
         counts = Counter(g.index for g in nodes if g.__class__ is Var)
         texts = {Var(v): f"{{{k}}}" for k, v in enumerate(sorted(counts))}
         for g in reversed(nodes):  # arguments before their applications

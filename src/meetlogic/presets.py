@@ -204,7 +204,7 @@ _BOT = (5,)
 _TAGS = {"and": _AND, "or": _OR, "->": _IMP}
 
 
-# `_ipl_norm`, `_g4ip` and `_plug` recurse (the allowlist of
+# `_ipl_norm` and `_g4ip` recurse (the allowlist of
 # tests/test_recursion.py) until ROADMAP item 4 rewrites the prover. Ported
 # onto `syntax.postorder`, `_ipl_norm` took 2.7 times as long on seeded
 # depth 2-5 formulas.
@@ -272,35 +272,20 @@ def ipl_theorem(f: Formula) -> bool:
     return _g4ip(frozenset(), _ipl_norm(f))
 
 
-def _plug(nf, keys):
-    """The normal form nf with each atom i replaced by the normal form keys[i]."""
-    tag = nf[0]
-    if tag == _ATOM:
-        return keys[nf[1]]
-    if len(nf) == 1:
-        return nf
-    return (tag, _plug(nf[1], keys), _plug(nf[2], keys))
-
-
-class G4ipTheorem:
+class G4ipTheorem(MatrixTheorem):
     """Exact intuitionistic theoremhood, called like `ipl_theorem`.
 
-    For the substitution sweep of `brute_force_admissible`, the key of a
-    closed formula is its normal form. Normalising commutes with
-    substitution, so an instance of a pattern is decided by G4ip on the
-    pattern's normal form, computed once, with the keys plugged in for its
-    atoms.
+    `matrix` is the two-element chain, which serves the substitution sweep
+    of `brute_force_admissible` as a `MatrixTheorem`: every closed formula
+    is intuitionistically equivalent to top or bot, and its value in the
+    chain says which. So G4ip decides only formulas with variables.
     """
+
+    __slots__ = ()
+    _fields = ("matrix",)
 
     def __call__(self, f: Formula) -> bool:
         return ipl_theorem(f)
-
-    def key(self, closed: Formula):
-        return _ipl_norm(closed)
-
-    def instances(self, pattern: Formula):
-        nf = _ipl_norm(pattern)
-        return lambda keys: _g4ip(frozenset(), _plug(nf, keys))
 
 
 def ipl_consequence(hyps, f: Formula) -> bool:
@@ -486,8 +471,8 @@ def _load(name: str, schema_bound: int, max_worlds: int) -> LogicBundle:
         char = godel_chain(sig, 3, "g3")
         return _bundle(sig, _INT_CORE + _LIN, (char,), characteristic=char)
     if name == "IPL":
-        return _bundle(sig, _INT_CORE, tuple(godel_chain(sig, k) for k in range(2, 6)),
-                       theorem=G4ipTheorem(),
+        chains = tuple(godel_chain(sig, k) for k in range(2, 6))
+        return _bundle(sig, _INT_CORE, chains, theorem=G4ipTheorem(chains[0]),
                        basis=[visser_rule(sig, n) for n in range(1, schema_bound + 1)],
                        fixtures={"harrop": harrop_rule(sig)})
     matrices = tuple(kripke_matrix(fr, sig) for fr in generate_frames(name.lower(), max_worlds))

@@ -157,15 +157,15 @@ def _entails(m: Matrix, hyps: list, goal: list, variables: list) -> bool:
 
 def holds(m: Matrix, f: Formula) -> bool:
     """True iff f denotes a designated value under every assignment."""
-    nodes = list(subformulas(f))
+    nodes = subformulas(f)
     return _entails(m, [], nodes, _variables([nodes]))
 
 
 def entails(matrices: Iterable[Matrix], gamma: Iterable[Formula], f: Formula) -> bool:
     """True iff, in every matrix, every assignment designating all of gamma
     designates f."""
-    hyps = [list(subformulas(g)) for g in gamma]
-    goal = list(subformulas(f))
+    hyps = [subformulas(g) for g in gamma]
+    goal = subformulas(f)
     variables = _variables(hyps + [goal])
     return all(_entails(m, hyps, goal, variables) for m in matrices)
 
@@ -177,7 +177,8 @@ class MatrixTheorem(Record):
     For the substitution sweep of `brute_force_admissible`, the key of a
     closed formula is the carrier index of its value, and an instance of a
     pattern is a theorem iff the pattern's value at those indices is
-    designated.
+    designated. That needs the matrix to decide only closed formulas, so a
+    subclass may decide the others by other means (`presets.G4ipTheorem`).
     """
 
     __slots__ = ("matrix",)
@@ -186,10 +187,10 @@ class MatrixTheorem(Record):
         return holds(self.matrix, f)
 
     def key(self, closed: Formula) -> int:
-        return _column(self.matrix, list(subformulas(closed)), {}, 1)[0]
+        return _column(self.matrix, subformulas(closed), {}, 1)[0]
 
     def instances(self, pattern: Formula):
-        m, nodes = self.matrix, list(subformulas(pattern))
+        m, nodes = self.matrix, subformulas(pattern)
         flags = m.designated_flags
         return lambda keys: flags[_column(m, nodes, {v: [i] for v, i in keys.items()}, 1)[0]]
 

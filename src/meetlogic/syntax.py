@@ -352,15 +352,17 @@ def make_signature(tag: str, ctors: Iterable) -> Signature:
 # structural helpers
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """All subformula occurrences, root first, arguments left to right: a
-    shared subterm once per occurrence, which is what counts need."""
+def subformulas(f: Formula) -> list:
+    """The list of all subformula occurrences, root first, arguments left to
+    right: a shared subterm once per occurrence, which is what counts need."""
+    out = []
     todo = [f]
     while todo:
         g = todo.pop()
-        yield g
+        out.append(g)
         if g.__class__ is App:
             todo.extend(g.args[::-1])
+    return out
 
 
 def postorder(f: Formula, done=None) -> list:

@@ -23,9 +23,10 @@ from meetlogic.admissibility import (
 from meetlogic.calculus import Rule, SearchBounds, check_derivation
 from meetlogic.combination import combine_signatures, embed
 from meetlogic.formats import parse_matrix_file
-from meetlogic.presets import LogicBundle, harrop_rule, load_preset
-from meetlogic.semantics import MatrixTheorem, entails
-from meetlogic.syntax import App, Var, apply_substitution, make_signature, parse_formula, variables_of
+from meetlogic.presets import LogicBundle, harrop_rule, ipl_theorem, load_preset
+from meetlogic.semantics import MatrixTheorem, entails, holds
+from meetlogic.syntax import (App, Ctor, Var, apply_substitution, make_signature, parse_formula, print_formula,
+                              variables_of)
 from strategies import random_formula
 
 CPL = load_preset("CPL")
@@ -149,11 +150,27 @@ class TestBruteForce:
         assert v.calls == 0
 
     def test_harrop_tries_one_instance_per_key_tuple(self):
-        # the 8 closed candidates fall into 5 intuitionistic normal forms,
-        # and the rule has 3 variables: 5^3 key tuples, not 8^3 substitutions
+        # the 8 closed candidates fall into the 2 intuitionistic classes, top
+        # and bot, and the rule has 3 variables: 2^3 key tuples, not 8^3
+        # substitutions
         h = harrop_rule(IPL.signature)
         v = brute_force_admissible(IPL, list(h.premises), h.conclusion)
-        assert v.calls == 125
+        assert v.calls == 8
+
+    @pytest.mark.parametrize("bounds", [BruteForceBounds(3, 200), BruteForceBounds(2, 400)],
+                             ids=["depth3", "depth2"])
+    def test_ipl_closed_candidates_are_decided_by_the_two_element_chain(self, bounds):
+        """The sweep keys IPL's closed candidates by their value in the
+        two-element chain. That value is the candidate's class: G4ip proves
+        c exactly when it holds there, and neg c exactly when it does not."""
+        chain2 = IPL.theorem.matrix
+        assert chain2 is IPL.matrices[0] and len(chain2.carrier) == 2
+        candidates = _closed_candidates(IPL, bounds)
+        assert len(candidates) == bounds.max_candidates
+        neg = Ctor("neg", 1)
+        for c in candidates:
+            assert ipl_theorem(c) == holds(chain2, c), c
+            assert ipl_theorem(App(neg, (c,))) != holds(chain2, c), c
 
     def test_tried_counts_up_to_the_counterexample(self):
         v = brute_force_admissible(IPL, [], Var(1))
@@ -201,6 +218,46 @@ def reference_sweep(bundle, premises, beta, bounds=BruteForceBounds()):
     return AdmissibilityVerdict("inconclusive", False)
 
 
+def reference_closed_candidates(bundle, bounds):
+    """The candidate layers built by nested loops, each with its own exit at
+    the cap: the reference for `_closed_candidates`."""
+    signature = bundle.signature
+    layers = [sorted(
+        (App(c) for c in signature.by_arity.get(0, {}).values()),
+        key=print_formula,
+    )]
+    for _ in range(bounds.depth):
+        pool = [f for layer in layers for f in layer]
+        new = []
+        for n in sorted(signature.arities()):
+            if n == 0:
+                continue
+            for c in sorted(signature.by_arity[n].values(), key=lambda c: c.name):
+                for args in itertools.product(pool, repeat=n):
+                    g = App(c, args)
+                    if all(g not in layer for layer in layers) and g not in new:
+                        new.append(g)
+                    if len(new) >= bounds.max_candidates:
+                        break
+                if len(new) >= bounds.max_candidates:
+                    break
+            if len(new) >= bounds.max_candidates:
+                break
+        layers.append(new)
+    flat = [f for layer in layers for f in layer]
+    flat.sort(key=lambda f: (f.size, print_formula(f)))
+    return tuple(flat[: bounds.max_candidates])
+
+
+@pytest.mark.parametrize("name", ["CPL", "G3", "IPL", "S43", "GL"])
+def test_closed_candidates_match_reference(name):
+    bundle = load_preset(name)
+    for depth in range(4):
+        for cap in (0, 1, 2, 5, 8, 14, 40, 120):
+            bounds = BruteForceBounds(depth, cap)
+            assert _closed_candidates(bundle, bounds) == reference_closed_candidates(bundle, bounds), bounds
+
+
 def seeded_rules(bundle, seed, count, max_var=3, depth=2):
     """Rules with 0-2 premises and 1 to max_var variables."""
     rng = random.Random(seed)
@@ -239,6 +296,16 @@ class TestSweepAgainstReference:
         h = harrop_rule(IPL.signature)
         self.check(IPL, [(h.premises, h.conclusion)])
 
+    def test_ipl_larger_bounds(self):
+        """At this bound the candidates include ones headed by iff, neg and
+        the verum family, which the reference decides by G4ip on the built
+        instances."""
+        bounds = BruteForceBounds(depth=3, max_candidates=20)
+        heads = {c.ctor.name for c in _closed_candidates(IPL, bounds)}
+        assert {"iff", "neg", "topn.1"} <= heads
+        verdicts = self.check(IPL, seeded_rules(IPL, 10, 60), bounds)
+        assert {v.status for v in verdicts} == {"not-admissible", "inconclusive"}
+
     @pytest.mark.parametrize("bundle", [CPL, G3], ids=["CPL", "G3"])
     def test_characteristic_matrix_presets(self, bundle):
         verdicts = self.check(bundle, seeded_rules(bundle, 8, 120))
@@ -251,25 +318,19 @@ class TestSweepAgainstReference:
         assert any(L3.theorem.key(f) == 1 for v in verdicts if v.witness for _, f in v.witness)
 
     def test_sweep_builds_no_instances(self, monkeypatch):
-        """Normal forms are computed once per candidate and per pattern, never
-        per substitution, and no instance is built by substitution."""
-        def refuse(*args):
-            raise AssertionError("apply_substitution called by the sweep")
+        """No instance is built by substitution, and IPL's sweep runs on the
+        two-element chain: it asks G4ip nothing, not even for a normal form."""
+        def refuse(name):
+            def refused(*args):
+                raise AssertionError(f"{name} called by the sweep")
+            return refused
 
-        monkeypatch.setattr(meetlogic.syntax, "apply_substitution", refuse)
-        norm = meetlogic.presets._ipl_norm
-        calls = []
-
-        def counting(f):
-            calls.append(f)
-            return norm(f)
-
-        monkeypatch.setattr(meetlogic.presets, "_ipl_norm", counting)
+        monkeypatch.setattr(meetlogic.syntax, "apply_substitution", refuse("apply_substitution"))
+        monkeypatch.setattr(meetlogic.presets, "_ipl_norm", refuse("_ipl_norm"))
+        monkeypatch.setattr(meetlogic.presets, "_g4ip", refuse("_g4ip"))
         h = harrop_rule(IPL.signature)
         v = brute_force_admissible(IPL, list(h.premises), h.conclusion)
-        nodes = sum(c.size for c in _closed_candidates(IPL, BruteForceBounds()))
-        nodes += sum(f.size for f in (*h.premises, h.conclusion))
-        assert v.calls == 125 and len(calls) <= nodes
+        assert v.calls == 8
 
 
 class TestDerivableWithBasis:

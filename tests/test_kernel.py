@@ -323,5 +323,5 @@ class TestGoldenSearch:
         assert outs[0] == outs[1] != ""
         searches, harrop, round_one = outs[0].splitlines()
         assert any(r["derivation"] for r in json.loads(searches)[-2:])
-        assert json.loads(harrop) == ["inconclusive", False, 125, None]
+        assert json.loads(harrop) == ["inconclusive", False, 8, None]
         assert json.loads(round_one).startswith("1. or(bot, and(xi1, and(xi2, xi3))) ; RULE any-or")

@@ -31,7 +31,7 @@ from meetlogic.calculus import (
     Verdict,
 )
 from meetlogic.combination import CombinedSignature
-from meetlogic.presets import _PROP_CTORS, KripkeFrame, LogicBundle, godel_chain, load_preset
+from meetlogic.presets import _PROP_CTORS, G4ipTheorem, KripkeFrame, LogicBundle, godel_chain, load_preset
 from meetlogic.semantics import Matrix, MatrixTheorem
 from meetlogic.syntax import Signature, Var, make_signature, parse_formula
 from meetlogic.treetools import CompletionProfile, IdentityProfile
@@ -82,6 +82,7 @@ RECORDS = [
                       "tables": dict(CPL.characteristic.tables), "factors": ()},
      False, {"factors": (CPL.characteristic,)}, ("name", "other")),
     (MatrixTheorem, lambda: {"matrix": _bool2()}, False, {}, ("matrix", godel_chain(SIG, 2, "other"))),
+    (G4ipTheorem, lambda: {"matrix": _bool2()}, False, {}, ("matrix", godel_chain(SIG, 2, "other"))),
     (Rule, lambda: {"name": "mp", "premises": (P("xi1"), P("xi1 -> xi2")), "conclusion": P("xi2")}, True, {},
      ("conclusion", P("xi1"))),
     (Calculus, lambda: {"name": "C", "signature": SIG, "rules": (_rule(),), "matrices": (), "components": ()},

@@ -14,7 +14,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "meetlogic"
 ALLOWED = {
     "presets._ipl_norm": "normal form for the G4ip prover, one level per formula level",
     "presets._g4ip": "the G4ip proof search recurses per sequent rule",
-    "presets._plug": "plugs keys into a normal form, one level per formula level",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -3,6 +3,7 @@ rule tagging, meet-calculus assembly, bounded proof search, and derivation-templ
 """
 from __future__ import annotations
 
+import gc
 import itertools
 from bisect import bisect_right
 from collections import Counter
@@ -102,7 +103,7 @@ def _compile_build(f: Formula, variables: list):
     be of any depth. Constructors and variable-free nodes (each a node of f)
     reach it as globals; no name or text of f is part of the source."""
     names = {Var(v): f"x{k}" for k, v in enumerate(variables)}  # node -> its name in the code
-    env: dict = {"App": App}
+    env: dict = {"App": App, "new": App.__new__}  # new(App, ...) skips type.__call__
     ctors: dict = {}  # constructor -> its global's name
     lines: list = []
     for g in postorder(f):
@@ -114,7 +115,7 @@ def _compile_build(f: Formula, variables: list):
         c = ctors.setdefault(g.ctor, f"c{len(env)}")
         env[c] = g.ctor
         names[g] = f"t{len(lines)}"
-        lines.append(f"    {names[g]} = App({c}, ({', '.join(args)},))")
+        lines.append(f"    {names[g]} = new(App, {c}, ({', '.join(args)},))")
     lines.append(f"    return {names[f]}")
     source = f"def build({', '.join(names[Var(v)] for v in variables)}):\n" + "\n".join(lines)
     exec(compile(source, "<rule instantiator>", "exec"), env)
@@ -636,7 +637,21 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
     before LFT). It stops once the goal is a fact or the fact cap is reached,
     so it builds a size's instances only on reaching it; they meet that size's
     facts of the round's start, as `proj_embedded` and FX keep size.
+
+    The cyclic garbage collector is paused for the search, and left off if
+    it was off. A search makes no reference cycles, as formula nodes are
+    immutable DAGs and its facts, records and memos refer only downwards.
     """
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        return _bounded_proof_search(calc, extra, hyps, goal, bounds)
+    finally:
+        if was:
+            gc.enable()
+
+
+def _bounded_proof_search(calc, extra, hyps, goal, bounds):
     hyps = list(dict.fromkeys(hyps))
     if goal.size > bounds.max_size:
         return None

@@ -16,6 +16,8 @@ from .syntax import (
     verum_family_name,
 )
 
+_app = App.__new__  # App(ctor, args) without type.__call__, for the walk in proj_embedded
+
 
 _pairs: dict = {}  # (c1, c2, tag1, tag2) -> PairCtor; ctors are never freed
 
@@ -69,8 +71,11 @@ class CombinedSignature(Record):
         init(self, "_resolved", {})
         init(self, "_embedded", {k: {c: self._pad(c, k) for n in self.arities()
                                      for c in self.component(k).by_arity[n].values()} for k in (1, 2)})
-        # each pair constructor's embedded side constructors, for proj_embedded
-        init(self, "_sides", {p: (self._embedded[1][p.c1], self._embedded[2][p.c2]) for p in self.all_ctors()})
+        # for proj_embedded: each pair constructor's two embedded side
+        # constructors, and the verum-family pair of its arity
+        verum = {n: self.pair(self.sig1.verum_at(n), self.sig2.verum_at(n)) for n in self.arities()}
+        init(self, "_sides", {p: (self._embedded[1][p.c1], self._embedded[2][p.c2], verum[p.arity])
+                              for p in self.all_ctors()})
 
     def component(self, k: int) -> Signature:
         return self.sig1 if k == 1 else self.sig2
@@ -172,8 +177,13 @@ def proj_embedded(f: Formula, k: int, cs: CombinedSignature, memo: dict) -> Form
 
     The image of c(args) is the embedded k-th component of c applied to the
     images of args, so both sides are built from the children's images.
-    `memo` maps each node already read to its two images; the caller owns
-    it and keeps one per `cs`, for a search or a check.
+    `memo` maps each node already read to its two images and its verum
+    image, its shape over the combined verum family (`<topn.n|topn.n>`,
+    `<top|top>` at arity 0); the caller owns it and keeps one per `cs`, for
+    a search or a check. A walk also fills it for the three images it
+    builds, as side 1's image projects to itself and the verum image, side
+    2's symmetrically, and the verum image to itself: so the cLFT closure
+    of a fact walks only the fact.
 
     This is the meet search's per-fact step, so it keeps its own explicit
     stack: on `syntax.postorder`, a pass with an empty memo over the 3,004
@@ -199,20 +209,23 @@ def proj_embedded(f: Formula, k: int, cs: CombinedSignature, memo: dict) -> Form
             if waiting:
                 continue
             todo.pop()
-            pair = sides.get(g.ctor)
-            c1, c2 = pair if pair is not None else (cs.embed_ctor(g.ctor.c1, 1), cs.embed_ctor(g.ctor.c2, 2))
+            c1, c2, cv = sides.get(g.ctor) or (cs.embed_ctor(g.ctor.c1, 1), cs.embed_ctor(g.ctor.c2, 2),
+                                               cs.embed_ctor(cs.sig1.verum_at(len(args)), 1))
             if len(args) == 2:
                 a, b = args
-                a1, a2 = (a, a) if a.__class__ is Var else memo[a]
-                b1, b2 = (b, b) if b.__class__ is Var else memo[b]
-                args1, args2 = (a1, b1), (a2, b2)
+                a1, a2, av = (a, a, a) if a.__class__ is Var else memo[a]
+                b1, b2, bv = (b, b, b) if b.__class__ is Var else memo[b]
+                g1, g2, v = _app(App, c1, (a1, b1)), _app(App, c2, (a2, b2)), _app(App, cv, (av, bv))
             elif len(args) == 1:
                 a = args[0]
-                a1, a2 = (a, a) if a.__class__ is Var else memo[a]
-                args1, args2 = (a1,), (a2,)
+                a1, a2, av = (a, a, a) if a.__class__ is Var else memo[a]
+                g1, g2, v = _app(App, c1, (a1,)), _app(App, c2, (a2,)), _app(App, cv, (av,))
             else:
-                args1 = tuple([a if a.__class__ is Var else memo[a][0] for a in args])
-                args2 = tuple([a if a.__class__ is Var else memo[a][1] for a in args])
-            memo[g] = (App(c1, args1), App(c2, args2))
+                below = [(a, a, a) if a.__class__ is Var else memo[a] for a in args]
+                g1, g2, v = [_app(App, c, tuple([x[j] for x in below])) for j, c in enumerate((c1, c2, cv))]
+            memo[g] = (g1, g2, v)
+            memo.setdefault(g1, (g1, v, v))
+            memo.setdefault(g2, (v, g2, v))
+            memo.setdefault(v, (v, v, v))
         images = memo[f]
     return images[0] if k == 1 else images[1]

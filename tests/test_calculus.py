@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import sys
@@ -253,6 +254,70 @@ class TestSearch:
         d1 = bounded_proof_search(*args)
         d2 = bounded_proof_search(*args)
         assert d1 is not None and d1 == d2
+
+
+@pytest.fixture
+def collector():
+    """Leaves the cyclic garbage collector as the test found it."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+class TestSearchPausesCollector:
+    """A search runs with the cyclic garbage collector paused and leaves it
+    as it found it; the pause is safe because a search makes no cycles."""
+
+    # a meet goal, so the search runs its rounds and calls `_index`
+    QUERY = (MEET, (), [], "<->.CPL1|->.CPL2>(xi1, xi1)", SearchBounds(max_facts=700))
+
+    def search(self):
+        calc, extra, hyps, goal, bounds = self.QUERY
+        return bounded_proof_search(calc, extra, hyps, PM(goal), bounds)
+
+    def spy(self, monkeypatch):
+        states: list = []
+        real = calculus._index
+
+        def index(*args):
+            states.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(calculus, "_index", index)
+        return states
+
+    def test_paused_during_search_and_enabled_after(self, monkeypatch, collector):
+        states = self.spy(monkeypatch)
+        gc.enable()
+        self.search()
+        assert states and not any(states)
+        assert gc.isenabled()
+
+    def test_left_disabled_when_it_was(self, monkeypatch, collector):
+        states = self.spy(monkeypatch)
+        gc.disable()
+        self.search()
+        assert states and not any(states)
+        assert not gc.isenabled()
+
+    def test_restored_when_the_search_raises(self, monkeypatch, collector):
+        def index(*args):
+            raise RuntimeError("index")
+
+        monkeypatch.setattr(calculus, "_index", index)
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(RuntimeError):
+                self.search()
+            assert gc.isenabled() is enabled
+
+    def test_search_makes_no_cyclic_garbage(self, collector):
+        comp = (CPL.calculus, (), [P("xi1 and xi2")], P("xi2 and xi1"), SearchBounds(depth=4))
+        gc.disable()
+        gc.collect()
+        self.search()
+        assert bounded_proof_search(*comp) is not None
+        assert gc.collect() == 0
 
 
 def _component_search(bundle, hyps, goal, depth=4):

@@ -10,6 +10,7 @@ from meetlogic.combination import (
     proj_embedded,
     project,
 )
+from meetlogic.presets import PRESET_NAMES, load_preset
 from meetlogic.syntax import (
     App,
     SignatureError,
@@ -110,6 +111,60 @@ class TestEmbedProject:
     def test_untagged_name_rejected_over_combined(self):
         with pytest.raises(Exception):
             PM("xi1 and xi2")
+
+
+def _verum_image(f, cs):
+    """The other side of f's side-1 image: f's shape over the combined
+    verum family, from embed and project alone."""
+    return embed(project(embed(project(f, 1), 1, cs), 2), 2, cs)
+
+
+class TestProjEmbeddedMemoFill:
+    """One walk of f fills `proj_embedded`'s memo for f's two images and its
+    verum image too. Every answer read from the memo must be the image that
+    embed and project give without one."""
+
+    @pytest.mark.parametrize("l1", PRESET_NAMES)
+    @pytest.mark.parametrize("l2", PRESET_NAMES)
+    def test_filled_images_match_embed_of_projection(self, l1, l2):
+        cs = combine_signatures(load_preset(l1).signature, load_preset(l2).signature)
+        if l1 == l2:
+            assert (cs.tag1, cs.tag2) == (f"{l1}1", f"{l1}2")
+        rng = random.Random(f"memo-fill:{l1}:{l2}")
+        corpus = [cs.top, cs.bot, cs.falsum(1), cs.falsum(2)]
+        corpus += [random_formula(rng, cs, depth) for depth in (1, 2, 3, 4) for _ in range(15)]
+        shared: dict = {}
+        walked = 0
+        for f in corpus:
+            if isinstance(f, Var):
+                continue
+            p1, p2 = embed(project(f, 1), 1, cs), embed(project(f, 2), 2, cs)
+            v = _verum_image(f, cs)
+            alone: dict = {}
+            assert proj_embedded(f, 1, cs, alone) == p1
+            assert {f, p1, p2, v} <= alone.keys(), print_formula(f)
+            for x in (f, p1, p2, v):
+                for j in (1, 2):
+                    assert proj_embedded(x, j, cs, shared) == embed(project(x, j), j, cs), \
+                        (print_formula(f), print_formula(x), j)
+            walked += 1
+        assert walked > 30
+        # every entry, those filled without a walk of their own included
+        for x in list(shared):
+            for j in (1, 2):
+                assert proj_embedded(x, j, cs, shared) == embed(project(x, j), j, cs), (print_formula(x), j)
+
+    def test_pair_constructors_of_another_combination(self):
+        """Constructors outside `cs`'s table (here, other component tags)
+        are read back through `cs`'s embeddings too."""
+        other = combine_signatures(make_signature("J", [("and", 2), ("neg", 1)]), GL)
+        rng = random.Random("memo-fill:foreign")
+        memo: dict = {}
+        for f in [random_formula(rng, other, 3) for _ in range(40)]:
+            images = [f] + [embed(project(f, k), k, CS) for k in (1, 2)]
+            for x in images:
+                for j in (1, 2):
+                    assert proj_embedded(x, j, CS, memo) == embed(project(x, j), j, CS), print_formula(f)
 
 
 class TestTagging:

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .calculus import Derivation, Rule, SearchBounds, bounded_proof_search, inherit_rules
 from .combination import CombinedSignature, project
-from .semantics import entails
-from .syntax import App, Ctor, FALSUM, Formula, Record, print_formula, variables_of
+from .semantics import _column, _variable_columns, entails
+from .syntax import App, Ctor, FALSUM, Formula, Record, print_formula, subformulas, variables_of
 
 # The component falsum the fallback call asks about, on either side.
 _COMPONENT_FALSUM = App(Ctor(FALSUM, 0))
@@ -20,7 +20,7 @@ class AdmissibilityVerdict(Record):
     """One admissibility answer. `status` is "admissible", "not-admissible"
     or "inconclusive"; `exact` is False when a bounded procedure or a guess
     stands behind it; `witness` is the frozen substitution of a refutation.
-    `calls` counts what the answer cost: the substitution key tuples of the
+    `calls` counts what the answer cost: the ground value tuples of the
     sweep, or the oracle answers of the meet decider, whose steps `trace`
     holds; these two take no part in equality."""
 
@@ -67,85 +67,78 @@ def decide_admissible_meet(o1: Oracle, o2: Oracle, premises: Sequence[Formula],
     return _answer(result, exact, calls=len(answers), trace=tuple(trace))
 
 
-class TheoremProcedure(Protocol):
-    """Exact theoremhood, with the instance form `brute_force_admissible`
-    sweeps: `key(c)` for a closed candidate c, and `instances(p)`, a test of
-    the substitution instance of p given by {variable index: key}."""
-
-    def __call__(self, f: Formula) -> bool: ...
-
-    def key(self, closed: Formula) -> Hashable: ...
-
-    def instances(self, pattern: Formula) -> Callable[[Mapping[int, Hashable]], bool]: ...
-
-
 class BruteForceBounds(Record):
+    """Bounds of a closed-candidate sweep, which `brute_force_admissible` no
+    longer makes: it sweeps the ground values, which no bound would change.
+    Nothing in the package reads it. It stays exported because the traced
+    `decide` runs of `perfbench` compute their `substitution_bound` counter
+    from `BruteForceBounds().max_candidates` (ROADMAP item 8)."""
+
     __slots__ = ("depth", "max_candidates")
     _defaults = {"depth": 2, "max_candidates": 8}
 
 
 @lru_cache(maxsize=32)
-def _closed_candidates(bundle, bounds: BruteForceBounds) -> tuple:
-    """Variable-free formulas of bounded depth over the bundle's signature,
-    smallest first, deterministic; built once per bundle and bounds."""
-    signature = bundle.signature
-    layers = [sorted(
-        (App(c) for c in signature.by_arity.get(0, {}).values()),
-        key=print_formula,
-    )]
-    ctors = [c for n in sorted(signature.arities()) if n
-             for c in sorted(signature.by_arity[n].values(), key=lambda c: c.name)]
-    for _ in range(bounds.depth):
-        pool = [f for layer in layers for f in layer]
-        new = []
-        for g in (App(c, args) for c in ctors for args in itertools.product(pool, repeat=c.arity)):
-            if len(new) >= bounds.max_candidates:
-                break
-            if all(g not in layer for layer in layers) and g not in new:
-                new.append(g)
-        layers.append(new)
-    flat = [f for layer in layers for f in layer]
-    flat.sort(key=lambda f: (f.size, print_formula(f)))
-    return tuple(flat[: bounds.max_candidates])
+def _ground_values(bundle) -> tuple:
+    """The subalgebra of `bundle.ground` that the constants generate, as
+    (carrier index, least closed formula with that value) pairs in the order
+    of those formulas by (size, printed text); built once per bundle.
+
+    Each round applies every operation to the formulas kept so far, and keeps
+    per value the least formula built, until a round changes nothing. The
+    least size is exact, since a least formula's arguments may be swapped for
+    kept ones of no greater size; ties in size are broken among the formulas
+    built from kept ones.
+    """
+    m = bundle.ground
+    least = lambda f: (f.size, print_formula(f))
+    best = {}
+    while True:
+        kept = list(best.values())
+        for ctor in m.tables:
+            for args in itertools.product(kept, repeat=ctor.arity):
+                f = App(ctor, args)
+                v = _column(m, subformulas(f), {}, 1)[0]
+                best[v] = min(best.get(v, f), f, key=least)
+        if list(best.values()) == kept:
+            return tuple(sorted(best.items(), key=lambda item: least(item[1])))
 
 
-def brute_force_admissible(bundle, premises: Sequence[Formula], beta: Formula,
-                           bounds: BruteForceBounds = BruteForceBounds()) -> AdmissibilityVerdict:
+def brute_force_admissible(bundle, premises: Sequence[Formula], beta: Formula) -> AdmissibilityVerdict:
     """Decide or bound admissibility of premises/beta in a concrete logic.
 
-    With an exact theoremhood procedure, closed substitutions up to the bound
-    are swept for a counterexample. A structurally complete bundle with a
-    characteristic matrix additionally gets exact positive answers via
-    entailment. Everything else is inconclusive, never an error.
+    A bundle's `ground` matrix decides theoremhood of closed formulas by
+    their value, so a closed substitution instance of a formula is a theorem
+    iff the formula is designated at the values substituted. Those values
+    are the ground values (`_ground_values`). The sweep evaluates the
+    premises and beta column-wise at every tuple of ground values, in the
+    order of their least formulas, and answers with the first tuple that
+    designates every premise but not beta, witnessed by those formulas.
+    `calls` counts the tuples up to it, or all of them.
 
-    The sweep builds no formula. The procedure gives each closed candidate a
-    key (`thm.key(c)`), and `thm.instances(p)` decides, from a map of the
-    pattern p's variable indices to keys, whether that substitution instance
-    of p is a theorem. So the verdict on a substitution depends only on its
-    tuple of keys, and each distinct tuple is decided once, by the tuple of
-    the first candidates with those keys. Those tuples come in the order of
-    the full candidate product, and the first counterexample of the full
-    product has one, so the witness is the one the full sweep would find.
+    Without a counterexample, a bundle with a characteristic matrix (which
+    makes it structurally complete) gets an exact answer via entailment.
+    Everything else is inconclusive, never an error.
     """
     premises = tuple(premises)
-    thm = bundle.theorem
+    m = bundle.ground
     calls = 0
-    if thm is not None:
+    if m is not None:
+        ground = _ground_values(bundle)
         variables = sorted(set().union(variables_of(beta), *(variables_of(p) for p in premises)))
-        representative = {}
-        for c in _closed_candidates(bundle, bounds):
-            representative.setdefault(thm.key(c), c)
-        premise_tests = [thm.instances(p) for p in premises]
-        goal_test = thm.instances(beta)
-        for keys in itertools.product(representative, repeat=len(variables)):
-            calls += 1
-            env = dict(zip(variables, keys))
-            if all(t(env) for t in premise_tests) and not goal_test(env):
-                witness = tuple(zip(variables, map(representative.__getitem__, keys)))
-                return AdmissibilityVerdict("not-admissible", True, witness, calls)
+        # per variable, the position in `ground` of its value at each tuple
+        picks = _variable_columns(len(ground), variables)
+        calls = len(ground) ** len(variables)
+        env = {v: [ground[i][0] for i in col] for v, col in picks.items()}
+        flags = m.designated_flags
+        goal, *hyps = ([flags[x] for x in _column(m, subformulas(f), env, calls)] for f in (beta, *premises))
+        for a, row in enumerate(zip(goal, *hyps)):
+            if not row[0] and all(row[1:]):
+                witness = tuple((v, ground[col[a]][1]) for v, col in picks.items())
+                return AdmissibilityVerdict("not-admissible", True, witness, a + 1)
     char = bundle.characteristic
-    if bundle.structurally_complete and char is not None:
-        # entailment decides exactly, even where the bounded sweep found no witness
+    if char is not None:
+        # entailment decides exactly, even where the sweep found no witness
         return _answer(entails([char], premises, beta), True, calls=calls)
     return AdmissibilityVerdict("inconclusive", False, calls=calls)
 
@@ -182,8 +175,7 @@ class CompletenessReport(Record):
 
 def check_structural_completeness_sample(bundle, rules: Iterable[Rule],
                                          search_bounds: SearchBounds = SearchBounds(),
-                                         oracle: Optional[Oracle] = None,
-                                         bf_bounds: BruteForceBounds = BruteForceBounds()) -> CompletenessReport:
+                                         oracle: Optional[Oracle] = None) -> CompletenessReport:
     """Compare an admissibility verdict with plain derivability, rule by rule.
 
     A rule admissible per the oracle but not derivable within bounds is only
@@ -191,7 +183,7 @@ def check_structural_completeness_sample(bundle, rules: Iterable[Rule],
     counterexample.
     """
     if oracle is None:
-        oracle = lambda premises, beta: brute_force_admissible(bundle, premises, beta, bf_bounds)
+        oracle = lambda premises, beta: brute_force_admissible(bundle, premises, beta)
     empty = Basis("empty", ())
     checked = agreements = nonadm = inconclusive = 0
     flagged = []
@@ -216,10 +208,11 @@ def check_structural_completeness_sample(bundle, rules: Iterable[Rule],
 # oracle constructors
 
 def semantic_oracle(bundle) -> Oracle:
-    """Exact oracle for a structurally complete bundle with a characteristic matrix."""
+    """Exact oracle for a bundle with a characteristic matrix, which makes
+    a preset structurally complete."""
     char = bundle.characteristic
-    if char is None or not bundle.structurally_complete:
-        raise ValueError(f"{bundle.name}: semantic oracle needs structural completeness and a characteristic matrix")
+    if char is None:
+        raise ValueError(f"{bundle.name}: semantic oracle needs a characteristic matrix")
     return lambda premises, beta: _answer(entails([char], premises, beta), True)
 
 
@@ -241,17 +234,17 @@ def oracle_from_table(table: Mapping, default: bool = False) -> Oracle:
     return lambda premises, beta: _answer(bool(table.get((premises, beta), default)), False)
 
 
-def bundle_oracle(bundle, bounds: BruteForceBounds = BruteForceBounds()) -> Oracle:
+def bundle_oracle(bundle) -> Oracle:
     """Best available oracle for a preset: exact when the bundle supports it,
-    otherwise the bounded sweep, whose answers are all marked inexact and
+    otherwise the ground sweep, whose answers are all marked inexact and
     whose "inconclusive" counts as a negative answer (ROADMAP item 2), which
     is why the caveat must travel with the verdict.
     """
-    if bundle.structurally_complete and bundle.characteristic is not None:
+    if bundle.characteristic is not None:
         return semantic_oracle(bundle)
 
     def oracle(premises, beta):
-        v = brute_force_admissible(bundle, premises, beta, bounds)
+        v = brute_force_admissible(bundle, premises, beta)
         return _answer(v.admissible, False, witness=v.witness, calls=v.calls)
 
     return oracle

@@ -5,14 +5,14 @@ bases, and an intuitionistic theoremhood procedure.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import Optional
 
 from .admissibility import Basis, combined_basis
 from .calculus import Calculus, Rule, assemble_meet_calculus
 from .combination import CombinedSignature
-from .semantics import Matrix, MatrixTheorem
+from .semantics import Matrix, holds
 from .syntax import (
     FALSUM,
     Formula,
@@ -46,8 +46,8 @@ class LogicBundle(Record):
         "calculus",
         "matrices",  # finite soundness filters
         "characteristic",  # sound & complete finite matrix, if any
-        "structurally_complete",
-        "theorem",  # exact theoremhood (an admissibility.TheoremProcedure), if decidable here
+        "ground",  # a matrix whose values decide theoremhood of closed formulas, if any
+        "theorem",  # exact theoremhood, a function of a formula, if decidable here
         "identity_profiles",  # ctor name -> IdentityProfile
         "completion_profile",
         "basis",  # a Basis or None
@@ -272,22 +272,6 @@ def ipl_theorem(f: Formula) -> bool:
     return _g4ip(frozenset(), _ipl_norm(f))
 
 
-class G4ipTheorem(MatrixTheorem):
-    """Exact intuitionistic theoremhood, called like `ipl_theorem`.
-
-    `matrix` is the two-element chain, which serves the substitution sweep
-    of `brute_force_admissible` as a `MatrixTheorem`: every closed formula
-    is intuitionistically equivalent to top or bot, and its value in the
-    chain says which. So G4ip decides only formulas with variables.
-    """
-
-    __slots__ = ()
-    _fields = ("matrix",)
-
-    def __call__(self, f: Formula) -> bool:
-        return ipl_theorem(f)
-
-
 def ipl_consequence(hyps, f: Formula) -> bool:
     return _g4ip(frozenset(_ipl_norm(h) for h in hyps), _ipl_norm(f))
 
@@ -441,15 +425,19 @@ def _bundle(sig: Signature, axioms: list, matrices: tuple, characteristic: Optio
             fixtures=MappingProxyType({})) -> LogicBundle:
     """A preset's bundle, named by its signature's tag. A preset is
     structurally complete exactly when it has a characteristic matrix, which
-    then decides its theorems. Every preset shares the identity profiles and
-    the binary completion tables; `unary` gives its unary ones."""
+    then decides its theorems. A preset that decides its theorems has its
+    first matrix as ground matrix: the characteristic one, or IPL's
+    two-element chain, since every closed formula is intuitionistically
+    equivalent to top or bot and its value there says which. Every preset
+    shares the identity profiles and the binary completion tables; `unary`
+    gives its unary ones."""
     name = sig.tag
     if characteristic is not None:
-        theorem = MatrixTheorem(characteristic)
+        theorem = partial(holds, characteristic)
     return LogicBundle(
         name=name, signature=sig, calculus=Calculus(name, sig, _rules(sig, axioms), matrices=matrices),
-        matrices=matrices, characteristic=characteristic,
-        structurally_complete=characteristic is not None, theorem=theorem,
+        matrices=matrices, characteristic=characteristic, ground=matrices[0] if theorem else None,
+        theorem=theorem,
         identity_profiles={
             "and": IdentityProfile("and", 2, 1, (VERUM,)),
             "->": IdentityProfile("->", 2, 2, (VERUM,)),
@@ -472,7 +460,7 @@ def _load(name: str, schema_bound: int, max_worlds: int) -> LogicBundle:
         return _bundle(sig, _INT_CORE + _LIN, (char,), characteristic=char)
     if name == "IPL":
         chains = tuple(godel_chain(sig, k) for k in range(2, 6))
-        return _bundle(sig, _INT_CORE, chains, theorem=G4ipTheorem(chains[0]),
+        return _bundle(sig, _INT_CORE, chains, theorem=ipl_theorem,
                        basis=[visser_rule(sig, n) for n in range(1, schema_bound + 1)],
                        fixtures={"harrop": harrop_rule(sig)})
     matrices = tuple(kripke_matrix(fr, sig) for fr in generate_frames(name.lower(), max_worlds))
@@ -490,8 +478,8 @@ def combine_bundles(b1: LogicBundle, b2: LogicBundle) -> LogicBundle:
     """The meet of two bundles, itself a bundle, built once per pair. Its one
     matrix is its calculus's model (`Calculus.models`): the product of each
     side's first matrix in which that side's rules are sound. A meet without
-    a model has no matrix. It claims no theorem procedure or structural
-    completeness."""
+    a model has no matrix. It has no characteristic or ground matrix and no
+    theorem procedure."""
     for b in (b1, b2):
         if isinstance(b.signature, CombinedSignature):
             raise PresetError(f"nested meets are not supported yet: {b.name} is itself a meet")
@@ -499,7 +487,7 @@ def combine_bundles(b1: LogicBundle, b2: LogicBundle) -> LogicBundle:
     calc = assemble_meet_calculus(b1.calculus, b2.calculus, cs)
     return LogicBundle(
         name=f"meet({b1.name},{b2.name})", signature=cs, calculus=calc, matrices=calc.models,
-        characteristic=None, structurally_complete=False, theorem=None,
+        characteristic=None, ground=None, theorem=None,
         identity_profiles={}, completion_profile=CompletionProfile(cs, {}, {}),
         basis=combined_basis(b1.basis, b2.basis, cs),
     )

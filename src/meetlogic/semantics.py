@@ -170,31 +170,6 @@ def entails(matrices: Iterable[Matrix], gamma: Iterable[Formula], f: Formula) ->
     return all(_entails(m, hyps, goal, variables) for m in matrices)
 
 
-class MatrixTheorem(Record):
-    """Theoremhood in a characteristic `matrix`: a formula is a theorem iff
-    it holds there.
-
-    For the substitution sweep of `brute_force_admissible`, the key of a
-    closed formula is the carrier index of its value, and an instance of a
-    pattern is a theorem iff the pattern's value at those indices is
-    designated. That needs the matrix to decide only closed formulas, so a
-    subclass may decide the others by other means (`presets.G4ipTheorem`).
-    """
-
-    __slots__ = ("matrix",)
-
-    def __call__(self, f: Formula) -> bool:
-        return holds(self.matrix, f)
-
-    def key(self, closed: Formula) -> int:
-        return _column(self.matrix, subformulas(closed), {}, 1)[0]
-
-    def instances(self, pattern: Formula):
-        m, nodes = self.matrix, subformulas(pattern)
-        flags = m.designated_flags
-        return lambda keys: flags[_column(m, nodes, {v: [i] for v, i in keys.items()}, 1)[0]]
-
-
 def product_matrix(m1: Matrix, m2: Matrix, cs: CombinedSignature) -> Matrix:
     """Componentwise product over the combined signature. The pair (a, b) of
     component indices is product index a * n2 + b.

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -18,15 +19,15 @@ from meetlogic.admissibility import (
     oracle_from_table,
     semantic_oracle,
     stub_oracle,
-    _closed_candidates,
+    _ground_values,
 )
 from meetlogic.calculus import Rule, SearchBounds, check_derivation
 from meetlogic.combination import combine_signatures, embed
 from meetlogic.formats import parse_matrix_file
-from meetlogic.presets import LogicBundle, harrop_rule, ipl_theorem, load_preset
-from meetlogic.semantics import MatrixTheorem, entails, holds
+from meetlogic.presets import LogicBundle, combine_bundles, harrop_rule, ipl_theorem, load_preset
+from meetlogic.semantics import _column, entails, holds
 from meetlogic.syntax import (App, Ctor, Var, apply_substitution, make_signature, parse_formula, print_formula,
-                              variables_of)
+                              subformulas, variables_of)
 from strategies import random_formula
 
 CPL = load_preset("CPL")
@@ -144,15 +145,16 @@ class TestBruteForce:
         assert v.status == "inconclusive"
 
     def test_s43_inconclusive_without_theorem_procedure(self):
+        for b in (S43, load_preset("GL"), combine_bundles(IPL, S43), combine_bundles(CPL, G3)):
+            assert b.ground is None, b.name
         r = S43.fixtures["non-admissible"]
         v = brute_force_admissible(S43, list(r.premises), r.conclusion)
         assert v.status == "inconclusive" and not v.exact
         assert v.calls == 0
 
     def test_harrop_tries_one_instance_per_key_tuple(self):
-        # the 8 closed candidates fall into the 2 intuitionistic classes, top
-        # and bot, and the rule has 3 variables: 2^3 key tuples, not 8^3
-        # substitutions
+        # IPL has 2 ground values, those of bot and top, and the rule has 3
+        # variables: 2^3 value tuples
         h = harrop_rule(IPL.signature)
         v = brute_force_admissible(IPL, list(h.premises), h.conclusion)
         assert v.calls == 8
@@ -160,12 +162,12 @@ class TestBruteForce:
     @pytest.mark.parametrize("bounds", [BruteForceBounds(3, 200), BruteForceBounds(2, 400)],
                              ids=["depth3", "depth2"])
     def test_ipl_closed_candidates_are_decided_by_the_two_element_chain(self, bounds):
-        """The sweep keys IPL's closed candidates by their value in the
-        two-element chain. That value is the candidate's class: G4ip proves
-        c exactly when it holds there, and neg c exactly when it does not."""
-        chain2 = IPL.theorem.matrix
+        """IPL's ground matrix, the two-element chain, decides closed
+        formulas: G4ip proves c exactly when it holds there, and neg c exactly
+        when it does not."""
+        chain2 = IPL.ground
         assert chain2 is IPL.matrices[0] and len(chain2.carrier) == 2
-        candidates = _closed_candidates(IPL, bounds)
+        candidates = reference_closed_candidates(IPL, bounds)
         assert len(candidates) == bounds.max_candidates
         neg = Ctor("neg", 1)
         for c in candidates:
@@ -178,11 +180,12 @@ class TestBruteForce:
 
 
 # The tiny three-valued Lukasiewicz logic below is given as a matrix file, with
-# a constant for the middle value so that closed candidates reach all three
-# keys. Its matrix is characteristic but it is not declared structurally
-# complete, so its verdicts come from the sweep alone. The sweep reads only
-# the signature, the theorem procedure and those two fields; the bundle has
-# no calculus, completion profile or basis.
+# a constant for the middle value so that the ground values are all three
+# values. Its matrix is its ground matrix, and it is not given as
+# characteristic, so its verdicts come from the sweep alone. The sweep reads
+# only the ground and characteristic fields; the bundle has no calculus,
+# completion profile or basis, and its theorem procedure serves
+# `reference_sweep`.
 L3_SIG = make_signature("L3", [("and", 2), ("->", 2), ("neg", 1), ("half", 0)])
 L3_MATRIX = parse_matrix_file("""
 carrier 3
@@ -196,7 +199,7 @@ op -> 2 2 2 1 2 2 0 1 2
 """, L3_SIG, name="L3-matrix")
 L3 = LogicBundle(
     name="L3", signature=L3_SIG, calculus=None, matrices=(L3_MATRIX,),
-    characteristic=L3_MATRIX, structurally_complete=False, theorem=MatrixTheorem(L3_MATRIX),
+    characteristic=None, ground=L3_MATRIX, theorem=partial(holds, L3_MATRIX),
     identity_profiles={}, completion_profile=None, basis=None,
 )
 
@@ -206,21 +209,22 @@ def reference_sweep(bundle, premises, beta, bounds=BruteForceBounds()):
     candidate product, in order, and ask the theoremhood procedure about it."""
     thm = bundle.theorem
     variables = sorted(set().union(variables_of(beta), *(variables_of(p) for p in premises)))
-    candidates = _closed_candidates(bundle, bounds)
+    candidates = reference_closed_candidates(bundle, bounds)
     for values in itertools.product(candidates, repeat=len(variables)):
         subst = dict(zip(variables, values))
         if all(thm(apply_substitution(subst, p)) for p in premises):
             if not thm(apply_substitution(subst, beta)):
                 return AdmissibilityVerdict("not-admissible", True, tuple(sorted(subst.items())))
-    if bundle.structurally_complete and bundle.characteristic is not None:
+    if bundle.characteristic is not None:
         return AdmissibilityVerdict(
             "admissible" if entails([bundle.characteristic], premises, beta) else "not-admissible", True)
     return AdmissibilityVerdict("inconclusive", False)
 
 
 def reference_closed_candidates(bundle, bounds):
-    """The candidate layers built by nested loops, each with its own exit at
-    the cap: the reference for `_closed_candidates`."""
+    """Variable-free formulas of bounded depth over the bundle's signature,
+    smallest first: candidate layers built by nested loops, each with its own
+    exit at the cap."""
     signature = bundle.signature
     layers = [sorted(
         (App(c) for c in signature.by_arity.get(0, {}).values()),
@@ -249,15 +253,6 @@ def reference_closed_candidates(bundle, bounds):
     return tuple(flat[: bounds.max_candidates])
 
 
-@pytest.mark.parametrize("name", ["CPL", "G3", "IPL", "S43", "GL"])
-def test_closed_candidates_match_reference(name):
-    bundle = load_preset(name)
-    for depth in range(4):
-        for cap in (0, 1, 2, 5, 8, 14, 40, 120):
-            bounds = BruteForceBounds(depth, cap)
-            assert _closed_candidates(bundle, bounds) == reference_closed_candidates(bundle, bounds), bounds
-
-
 def seeded_rules(bundle, seed, count, max_var=3, depth=2):
     """Rules with 0-2 premises and 1 to max_var variables."""
     rng = random.Random(seed)
@@ -273,13 +268,13 @@ def seeded_rules(bundle, seed, count, max_var=3, depth=2):
 
 
 class TestSweepAgainstReference:
-    """The key sweep against `reference_sweep`: equal status, exactness and
-    witness on every rule."""
+    """The ground sweep against `reference_sweep` over bounded candidates:
+    equal status, exactness and witness on every rule."""
 
     def check(self, bundle, rules, bounds=BruteForceBounds()):
         verdicts = []
         for premises, beta in rules:
-            got = brute_force_admissible(bundle, premises, beta, bounds)
+            got = brute_force_admissible(bundle, premises, beta)
             want = reference_sweep(bundle, premises, beta, bounds)
             assert got == want, (premises, beta)
             verdicts.append(got)
@@ -301,7 +296,7 @@ class TestSweepAgainstReference:
         the verum family, which the reference decides by G4ip on the built
         instances."""
         bounds = BruteForceBounds(depth=3, max_candidates=20)
-        heads = {c.ctor.name for c in _closed_candidates(IPL, bounds)}
+        heads = {c.ctor.name for c in reference_closed_candidates(IPL, bounds)}
         assert {"iff", "neg", "topn.1"} <= heads
         verdicts = self.check(IPL, seeded_rules(IPL, 10, 60), bounds)
         assert {v.status for v in verdicts} == {"not-admissible", "inconclusive"}
@@ -314,8 +309,8 @@ class TestSweepAgainstReference:
     def test_matrix_file_logic_definition(self):
         verdicts = self.check(L3, seeded_rules(L3, 9, 150))
         assert {v.status for v in verdicts} == {"not-admissible", "inconclusive"}
-        # some witness uses the middle value, so the sweep really has three keys
-        assert any(L3.theorem.key(f) == 1 for v in verdicts if v.witness for _, f in v.witness)
+        # some witness uses the middle value, so the sweep really has three values
+        assert any(value_of(L3_MATRIX, f) == 1 for v in verdicts if v.witness for _, f in v.witness)
 
     def test_sweep_builds_no_instances(self, monkeypatch):
         """No instance is built by substitution, and IPL's sweep runs on the
@@ -331,6 +326,33 @@ class TestSweepAgainstReference:
         h = harrop_rule(IPL.signature)
         v = brute_force_admissible(IPL, list(h.premises), h.conclusion)
         assert v.calls == 8
+
+
+def value_of(m, closed):
+    """The carrier index of a closed formula's value in m."""
+    return _column(m, subformulas(closed), {}, 1)[0]
+
+
+class TestGroundValues:
+    @pytest.mark.parametrize("bundle, least", [
+        (CPL, ["bot", "top"]), (G3, ["bot", "top"]), (IPL, ["bot", "top"]), (L3, ["bot", "half", "top"]),
+    ], ids=["CPL", "G3", "IPL", "L3"])
+    def test_least_formulas_of_a_closed_subalgebra(self, bundle, least):
+        """The ground values are closed under every operation of the ground
+        matrix, and each comes with its least closed formula by (size, text)
+        among bounded candidates, in that order."""
+        m = bundle.ground
+        ground = _ground_values(bundle)
+        assert [print_formula(f) for _, f in ground] == least
+        values = {v for v, _ in ground}
+        for ctor in m.tables:
+            for args in itertools.product([f for _, f in ground], repeat=ctor.arity):
+                assert value_of(m, App(ctor, args)) in values, (ctor, args)
+        candidates = reference_closed_candidates(bundle, BruteForceBounds(3, 200))
+        for v, f in ground:
+            assert value_of(m, f) == v
+            assert f == min((c for c in candidates if value_of(m, c) == v),
+                            key=lambda c: (c.size, print_formula(c)))
 
 
 class TestDerivableWithBasis:

@@ -147,7 +147,7 @@ class TestLoadPreset:
 
     def test_cpl_bundle(self):
         b = load_preset("CPL")
-        assert b.structurally_complete and b.characteristic is not None
+        assert b.characteristic is not None and b.ground is b.characteristic
         assert b.basis is not None and not b.basis.rules
 
     def test_ipl_basis_is_visser_family(self):
@@ -261,8 +261,8 @@ class TestMeetBundle:
         assert m.carrier == prod.carrier and m.designated == prod.designated
         assert m.tables == prod.tables
         assert meet.basis.provenance == basis.provenance and meet.basis.rules == basis.rules
-        assert meet.characteristic is None and meet.theorem is None
-        assert not meet.structurally_complete and meet.identity_profiles == {}
+        assert meet.characteristic is None and meet.ground is None and meet.theorem is None
+        assert meet.identity_profiles == {}
 
 
 class TestSoundness:

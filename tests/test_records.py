@@ -14,7 +14,7 @@ from meetlogic.admissibility import (
     Basis,
     BruteForceBounds,
     CompletenessReport,
-    _closed_candidates,
+    _ground_values,
     brute_force_admissible,
 )
 from meetlogic.calculus import (
@@ -31,8 +31,8 @@ from meetlogic.calculus import (
     Verdict,
 )
 from meetlogic.combination import CombinedSignature
-from meetlogic.presets import _PROP_CTORS, G4ipTheorem, KripkeFrame, LogicBundle, godel_chain, load_preset
-from meetlogic.semantics import Matrix, MatrixTheorem
+from meetlogic.presets import _PROP_CTORS, KripkeFrame, LogicBundle, godel_chain, load_preset
+from meetlogic.semantics import Matrix
 from meetlogic.syntax import Signature, Var, make_signature, parse_formula
 from meetlogic.treetools import CompletionProfile, IdentityProfile
 
@@ -81,8 +81,6 @@ RECORDS = [
     (Matrix, lambda: {"name": "bool2", "signature": SIG, "carrier": (0, 1), "designated": frozenset({1}),
                       "tables": dict(CPL.characteristic.tables), "factors": ()},
      False, {"factors": (CPL.characteristic,)}, ("name", "other")),
-    (MatrixTheorem, lambda: {"matrix": _bool2()}, False, {}, ("matrix", godel_chain(SIG, 2, "other"))),
-    (G4ipTheorem, lambda: {"matrix": _bool2()}, False, {}, ("matrix", godel_chain(SIG, 2, "other"))),
     (Rule, lambda: {"name": "mp", "premises": (P("xi1"), P("xi1 -> xi2")), "conclusion": P("xi2")}, True, {},
      ("conclusion", P("xi1"))),
     (Calculus, lambda: {"name": "C", "signature": SIG, "rules": (_rule(),), "matrices": (), "components": ()},
@@ -213,7 +211,7 @@ def test_validation_keeps_its_messages():
 def test_bundles_compare_by_identity():
     b = load_preset("IPL")
     twin = LogicBundle(*[getattr(b, f) for f in (
-        "name", "signature", "calculus", "matrices", "characteristic", "structurally_complete", "theorem",
+        "name", "signature", "calculus", "matrices", "characteristic", "ground", "theorem",
         "identity_profiles", "completion_profile", "basis", "fixtures")])
     assert twin != b and b == b and hash(b) == object.__hash__(b)
     assert twin.fixtures is b.fixtures
@@ -221,10 +219,10 @@ def test_bundles_compare_by_identity():
         b.name = "x"
 
 
-def test_closed_candidates_cache_hits_on_fresh_bounds():
+def test_ground_values_cache_hits_on_the_same_bundle():
     ipl = load_preset("IPL")
     rule = ipl.fixtures["harrop"]
-    brute_force_admissible(ipl, rule.premises, rule.conclusion, BruteForceBounds())
-    hits = _closed_candidates.cache_info().hits
-    brute_force_admissible(ipl, rule.premises, rule.conclusion, BruteForceBounds())
-    assert _closed_candidates.cache_info().hits == hits + 1
+    brute_force_admissible(ipl, rule.premises, rule.conclusion)
+    hits = _ground_values.cache_info().hits
+    brute_force_admissible(ipl, rule.premises, rule.conclusion)
+    assert _ground_values.cache_info().hits == hits + 1

@@ -52,8 +52,13 @@ def _logic(args):
 
 
 def _read(path):
-    with open(path) as fh:
-        return fh.read()
+    """The text of a file argument. A file that cannot be read (missing, a
+    directory, a device that fails) is a usage error, not an internal one."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as e:
+        raise formats.FormatError(f"cannot read {path}: {e.strerror or e}") from None
 
 
 def _split_formulas(text, sig):
@@ -279,6 +284,7 @@ def build_parser() -> _Parser:
     functions: `main` looks up `cmd_<verb>` at each call."""
     top = _Parser(prog="meetlogic", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
+    top.verbs = sub.choices  # verb name -> its parser, for `_parse`
 
     def verb(name, setup):
         p = sub.add_parser(name)
@@ -308,10 +314,24 @@ def build_parser() -> _Parser:
     return top
 
 
-def main(argv=None) -> int:
+def _parse(argv):
+    """`build_parser().parse_args(argv)`, parsed once. A call that names a
+    verb first is read by that verb's own parser alone, as the top-level
+    parser would hand it on. Any other call, and one that leaves arguments
+    over, goes through the top-level parser for its usage and error text."""
     parser = build_parser()
+    verb = parser.verbs.get(argv[0]) if argv else None
+    if verb is not None:
+        args, rest = verb.parse_known_args(argv[1:])
+        if not rest:
+            args.verb = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     # only the verbs that take `--logic` or `--l1/--l2` have both attributes
@@ -321,7 +341,7 @@ def main(argv=None) -> int:
     try:
         return globals()["cmd_" + args.verb.replace("-", "_")](args)
     except (ParseError, SignatureError, formats.FormatError, presets.PresetError,
-            calculus.BuilderError, treetools.TreeError, FileNotFoundError, ValueError) as e:
+            calculus.BuilderError, treetools.TreeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:

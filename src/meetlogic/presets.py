@@ -178,9 +178,17 @@ def kripke_matrix(frame: KripkeFrame, sig: Signature) -> Matrix:
     return _tabulate(f"frame{len(frame.worlds)}w", sig, w_all + 1, {w_all}, fns)
 
 
+# The frames are found by trying every relation, 2^(n*n) on n worlds: 2^16
+# on 4 worlds take about 0.3 s, and 2^25 on 5 would take minutes.
+MAX_FRAME_WORLDS = 4
+
+
 def generate_frames(constraint: str, max_worlds: int) -> list:
-    """All frames on 1..max_worlds worlds satisfying the constraint, in a fixed order."""
+    """All frames on 1..max_worlds worlds satisfying the constraint, in a
+    fixed order. `max_worlds` is at most `MAX_FRAME_WORLDS`."""
     checks = _frame_checks(constraint)
+    if max_worlds > MAX_FRAME_WORLDS:
+        raise PresetError(f"max worlds must be at most {MAX_FRAME_WORLDS} on Kripke frames, got {max_worlds}")
     out = []
     for n in range(1, max_worlds + 1):
         worlds = tuple(range(n))
@@ -407,7 +415,8 @@ PRESET_NAMES = ("CPL", "G3", "IPL", "S43", "GL")
 def load_preset(name: str, schema_bound: int = DEFAULT_SCHEMA_BOUND,
                 max_worlds: int = DEFAULT_MAX_WORLDS) -> LogicBundle:
     """The bundle of a built-in logic. Basis families run to `schema_bound`
-    and Kripke frames to `max_worlds` worlds; both must be at least 1.
+    and Kripke frames to `max_worlds` worlds; both must be at least 1, and
+    S43 and GL take at most `MAX_FRAME_WORLDS` worlds.
 
     A bundle is built once per process for each `(name, schema_bound,
     max_worlds)`: equal arguments return the same shared, frozen bundle.

@@ -484,6 +484,59 @@ MEET_ARGV = {
 }
 
 
+# Calls for the parse-once check: each verb in both formats, argparse's
+# errors, help, abbreviations and separators, and the calls that go through
+# the top-level parser (no verb first, or arguments left over).
+PARSE_CORPUS = [
+    *([verb, *VERB_ARGV[verb], "--format", fmt] for verb in sorted(VERB_ARGV) for fmt in ("text", "json")),
+    ["search", "--logic", "CPL"],
+    ["project", "--l1", "CPL", "--l2", "G3", "-k", "3", "xi1"],
+    ["search", "--logic", "CPL", "--goal", "xi1", "--depth", "x"],
+    ["eval", "--logic", "CPL", "--bogus", "xi1"],
+    ["eval", "--logic", "CPL", "xi1", "xi2"],
+    *([verb, flag] for verb in sorted(VERB_ARGV) for flag in ("-h", "--help")),
+    ["eval", "--logic", "CPL", "--form", "json", "xi1"],
+    ["combine", "--l1=CPL", "--l2", "G3"],
+    ["project", "--l1", "CPL", "--l2", "G3", "-k1", "xi1"],
+    ["eval", "--logic", "CPL", "--", "xi1"],
+    ["trees", "--", "-xi1", "xi2"],
+    ["--", "eval", "--logic", "CPL", "xi1"],
+    [],
+    ["frobnicate"],
+    ["--format", "json", "trees", "xi1", "xi1"],
+    ["-h"],
+    ["eval"],
+]
+
+
+class TestParseOnce:
+    """`main` parses a call once (`cli._parse`): the verb's own parser reads
+    it, and only a call without a verb first, or with arguments left over,
+    goes through the top-level parser. The top-level parser's `parse_args`
+    is the reference."""
+
+    @staticmethod
+    def outcome(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                result = vars(parse(list(argv)))
+            except SystemExit as e:
+                result = ("exit", e.code)
+        return result, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+    def test_same_namespace_or_same_failure(self, argv):
+        assert self.outcome(cli._parse, argv) == self.outcome(cli.build_parser().parse_args, argv)
+
+    def test_a_verb_call_skips_the_top_level_parser(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser ran")
+
+        monkeypatch.setattr(cli._Parser, "parse_args", refuse)
+        assert run(capsys, "eval", "--logic", "CPL", "xi1") == (EXIT_NO, "holds on 1 matrices: False\n", "")
+
+
 class TestErrorContract:
     """Exit code 1 only ever means "no": an exception the CLI does not expect
     is an internal error, exit 4."""
@@ -512,6 +565,22 @@ class TestErrorContract:
         code, out, err = run(capsys, "eval", "--logic", "CPL", "xi1")
         assert code == EXIT_INTERNAL and out == ""
         assert err == "error: internal: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["tag", "--logic", "CPL", "--rule", "DIR"],
+        ["check-derivation", "--logic", "CPL", "--derivation", "DIR"],
+        ["check-derivation", "--logic", "CPL", "--derivation", "d.txt", "--extra", "DIR"],
+        ["decide-admissible", "--l1", "CPL", "--l2", "G3", "--rule", "DIR"],
+        ["decide-admissible", "--l1", "CPL", "--l2", "G3", "--rule", "r.rule", "--oracle1", "table:DIR"],
+    ], ids=lambda argv: argv[0] + " " + argv[-2])
+    def test_unreadable_file_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        (tmp_path / "r.rule").write_text("xi1\n---\nxi1\n")
+        (tmp_path / "d.txt").write_text("1. xi1 ; HYP\n")
+        (tmp_path / "DIR").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: cannot read DIR: ")
 
     @pytest.mark.parametrize("text", ["neg " * 3000 + "top", "neg(" * 3000 + "top" + ")" * 3000],
                              ids=["prefix", "application"])
@@ -545,6 +614,20 @@ class TestBounds:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and "at least 1" in err
+
+    @pytest.mark.parametrize("logic", ["S43", "GL"])
+    def test_max_worlds_above_four_on_a_modal_preset_is_a_usage_error(self, logic):
+        # five worlds would mean trying 2^25 relations; a hang fails on the timeout
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-m", "meetlogic.cli", "eval", "--logic", logic,
+                               "--max-worlds", "5", "xi1"], env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+        assert proc.stderr == "error: max worlds must be at most 4 on Kripke frames, got 5\n"
+
+    def test_max_worlds_is_ignored_without_kripke_frames(self, capsys):
+        code, out, _ = run(capsys, "eval", "--logic", "CPL", "--max-worlds", "9", "xi1")
+        assert code == EXIT_NO and out == "holds on 1 matrices: False\n"
 
     @pytest.mark.parametrize("argv, field", [
         (["search", "--logic", "CPL", "--goal", "top", "--depth", "-3"], "depth"),

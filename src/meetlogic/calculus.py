@@ -91,6 +91,13 @@ class Rule(Record):
         instance's text, filling `shape`'s template."""
         return _compile_build(self.conclusion, [v for v, _ in self.shape[1]]), self.shape[2].format
 
+    @cached_property
+    def matcher(self):
+        """A function of a formula that returns the images of the
+        conclusion's variables in `shape` order under which the conclusion's
+        instance is that formula, or None; made on first use."""
+        return _compile_match(self.conclusion, [v for v, _ in self.shape[1]])
+
     def __repr__(self):
         ps = "; ".join(print_formula(p) for p in self.premises)
         return f"{self.name}: {ps} / {print_formula(self.conclusion)}"
@@ -101,25 +108,60 @@ def _compile_build(f: Formula, variables: list):
     instance under them. Its code is straight-line: one `App` statement per
     distinct node of f that has a variable below it, in `postorder`, so f may
     be of any depth. Constructors and variable-free nodes (each a node of f)
-    reach it as globals; no name or text of f is part of the source."""
+    reach it as globals; no name or text of f is part of the source. f may
+    also be a tuple of formulas: the function then returns the tuple of
+    their instances, and builds a node they share once."""
     names = {Var(v): f"x{k}" for k, v in enumerate(variables)}  # node -> its name in the code
     env: dict = {"App": App, "new": App.__new__}  # new(App, ...) skips type.__call__
     ctors: dict = {}  # constructor -> its global's name
     lines: list = []
-    for g in postorder(f):
-        args = [names[a] for a in g.args]
-        if all(a in env for a in args):  # variable-free: the node itself
-            names[g] = f"k{len(env)}"
-            env[names[g]] = g
-            continue
-        c = ctors.setdefault(g.ctor, f"c{len(env)}")
-        env[c] = g.ctor
-        names[g] = f"t{len(lines)}"
-        lines.append(f"    {names[g]} = new(App, {c}, ({', '.join(args)},))")
-    lines.append(f"    return {names[f]}")
+    roots = f if f.__class__ is tuple else (f,)
+    for root in roots:
+        for g in postorder(root, names.__contains__):  # the nodes no earlier root named
+            args = [names[a] for a in g.args]
+            if all(a in env for a in args):  # variable-free: the node itself
+                names[g] = f"k{len(env)}"
+                env[names[g]] = g
+                continue
+            c = ctors.setdefault(g.ctor, f"c{len(env)}")
+            env[c] = g.ctor
+            names[g] = f"t{len(lines)}"
+            lines.append(f"    {names[g]} = new(App, {c}, ({', '.join(args)},))")
+    result = names[f] if roots is not f else f"({''.join(names[r] + ', ' for r in roots)})"
+    lines.append(f"    return {result}")
     source = f"def build({', '.join(names[Var(v)] for v in variables)}):\n" + "\n".join(lines)
     exec(compile(source, "<rule instantiator>", "exec"), env)
     return env["build"]
+
+
+def _compile_match(f: Formula, variables: list):
+    """A function of a formula g that returns the images of `variables`, in
+    order, under which f's instance is g, or None when there are none, as
+    `match_formula(f, g)` would tell. Its code is straight-line: per node of
+    f in preorder, a test of g's subterm there (its constructor, or its
+    identity with the image a variable already took) and the unpacking of
+    its arguments. Constructors reach it as globals."""
+    env: dict = {"App": App}
+    bound: dict = {}  # variable index -> the name of its image
+    lines: list = []
+    todo = [(f, "g")]
+    while todo:
+        p, name = todo.pop()
+        if p.__class__ is Var:
+            if p.index in bound:
+                lines.append(f"    if {name} is not {bound[p.index]}: return None")
+            bound.setdefault(p.index, name)
+            continue
+        c = f"c{len(env)}"
+        env[c] = p.ctor
+        lines.append(f"    if {name}.__class__ is not App or {name}.ctor is not {c}: return None")
+        if p.args:
+            args = [f"{name}_{j}" for j in range(len(p.args))]
+            lines.append(f"    {''.join(a + ', ' for a in args)}= {name}.args")
+            todo.extend(reversed(list(zip(p.args, args))))
+    lines.append(f"    return ({''.join(bound[v] + ', ' for v in variables)})")
+    exec(compile("def match(g):\n" + "\n".join(lines), "<rule matcher>", "exec"), env)
+    return env["match"]
 
 
 class Calculus(Record):
@@ -621,11 +663,17 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
 
     Between the two, a goal-directed pass (`_round_one`) may answer without
     any round. It runs on a calculus that is not a meet, without `extra`, at
-    `depth` 2 or more, when every proper rule matches in one step and the
-    fact cap cannot be reached in rounds 0 and 1. It decides whether round 1
-    adds the goal by matching backwards from the goal, and if so returns
-    the derivation the rounds would return, line for line. Otherwise the
-    rounds run as below, and None still means only "inconclusive".
+    `depth` 2 or more, when every proper rule matches in one step that holds
+    its conclusion's variables. When the fact cap cannot be reached in
+    rounds 0 and 1, it decides whether round 1 adds the goal by matching
+    backwards from the goal. Else, at `depth` 3 or more, `_round_two`
+    decides whether round 2 adds it: it makes round 1 from round 0's
+    records without building round 0, and it answers only when a count
+    certifies that the cap cannot stop the rounds first (the hypotheses,
+    round 0's records, round 1's matches and round 2's matches no larger
+    than the goal stay under `max_facts`). An answer is the derivation the
+    rounds would return, line for line. Otherwise the rounds run as below,
+    and None still means only "inconclusive".
 
     Rounds are semi-naive: a round makes only the premise matches that cite
     a fact added by the round before. A match of older facts was made in an
@@ -751,7 +799,31 @@ def _bounded_proof_search(calc, extra, hyps, goal, bounds):
 
 
 # ---------------------------------------------------------------------------
-# goal-directed round one
+# goal-directed rounds one and two
+
+def _head_key(f):
+    """None for a variable; else f's constructor and, per argument, the
+    argument's constructor or None for a variable."""
+    if f.__class__ is not App:
+        return None
+    return f.ctor, tuple([a.ctor if a.__class__ is App else None for a in f.args])
+
+
+def _fits(pattern, key) -> bool:
+    """Whether a formula whose `_head_key` is `key` may be an instance of
+    `pattern`, as far as its head and its arguments' heads tell."""
+    if pattern.__class__ is Var:
+        return True
+    return key is not None and pattern.ctor is key[0] and \
+        all([a.__class__ is Var or a.ctor is c for a, c in zip(pattern.args, key[1])])
+
+
+@lru_cache(maxsize=256)
+def _fitting(axioms: tuple) -> dict:
+    """The memo of `_RoundZero`'s lookups over `axioms`: `_head_key` -> the
+    axioms that `_fits` it, in rule order; kept across searches."""
+    return {}
+
 
 class _RoundZero(dict):
     """The facts after a search's round 0, each with the record round 0
@@ -760,21 +832,28 @@ class _RoundZero(dict):
     axiom instance over the pool within `max_size`, or a conclusion of round
     0's join over the hypotheses (`derived`); an axiom's record comes before
     a join's, as round 0 makes axiom instances first. Any other formula maps
-    to None, and `in` asks whether a formula is a fact."""
+    to None, and `in` asks whether a formula is a fact. A lookup tries, with
+    their `Rule.matcher`, only the axioms that `_fits` its `_head_key`."""
 
-    __slots__ = ("derived", "axioms", "pool", "max_size")
+    __slots__ = ("derived", "axioms", "fitting", "pool", "max_size")
 
     def __init__(self, hyps, derived, axioms, pool, max_size):
         dict.__init__(self, dict.fromkeys(hyps, ("hyp", ())))
         self.derived, self.axioms, self.pool, self.max_size = derived, axioms, pool, max_size
+        self.fitting = _fitting(tuple(axioms))
 
     def __missing__(self, f):
         record = self.derived.get(f)
-        for rule in self.axioms if f.size <= self.max_size else ():
-            s = match_formula(rule.conclusion, f)
-            if s is not None and self.pool.issuperset(s.values()):
-                record = ("rule", (), rule, tuple([s[v] for v, _ in rule.shape[1]]), {})
-                break
+        if f.size <= self.max_size:
+            key = _head_key(f)
+            axioms = self.fitting.get(key)
+            if axioms is None:
+                axioms = self.fitting[key] = [r for r in self.axioms if _fits(r.conclusion, key)]
+            for rule in axioms:
+                images = rule.matcher(f)
+                if images is not None and self.pool.issuperset(images):
+                    record = ("rule", (), rule, images, {})
+                    break
         self[f] = record
         return record
 
@@ -837,7 +916,8 @@ def _matches(rule, beta, facts, known) -> dict:
 def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
     """The derivation the forward search returns when it adds the goal in
     round 1, found by matching backwards from the goal without making round
-    0; None when the search would not, or when this cannot tell.
+    0, or in round 2 (`_round_two`); None when the search would not, or when
+    this cannot tell.
 
     It answers only when each proper rule's plan has one step whose premise
     holds the conclusion's variables, so that a fact starts at most one
@@ -851,7 +931,11 @@ def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
     grouped by size, unbuilt, and built one size at a time, smallest first.
     A fact starts at most one match, so the first hypothesis that does, or
     else the least text at the first size with a match, starts the record
-    round 1 makes first for the goal; only that size's matches are printed."""
+    round 1 makes first for the goal; only that size's matches are printed.
+
+    When round 1 does not add the goal, or the cap bound does not hold, and
+    `depth` is 3 or more, `_round_two` decides whether round 2 adds it; it
+    reads round 0's join and lookups made here."""
     max_size = bounds.max_size
     axioms = [r for r in rules if not r.premises]
     proper = [r for r in rules if r.premises]
@@ -866,7 +950,8 @@ def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
             _bucket_instances(rule, subst, cited, candidates, max_size, buckets)
     made = [record for records in buckets.values() for record in records]
     f0 = len(hyps) + len(made) + sum([_instance_count(r, candidates, max_size) for r in axioms])
-    if f0 * (1 + len(proper)) >= bounds.max_facts:
+    bounded = f0 * (1 + len(proper)) < bounds.max_facts
+    if not bounded and bounds.depth < 3:
         return None
     derived: dict = {}  # round 0's proper conclusions -> their first records
     for record in made:
@@ -874,7 +959,7 @@ def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
     known = _RoundZero(hyps, derived, axioms, set(candidates), max_size)
     if goal in known:
         return None
-    for rule in proper:
+    for rule in proper if bounded else ():
         beta = match_formula(rule.conclusion, goal)
         if beta is None:
             continue
@@ -895,7 +980,184 @@ def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
             subst, cited = found[first]
             known[goal] = ("rule", cited, rule, tuple([subst[v] for v, _ in rule.shape[1]]), subst)
             return _reconstruct(goal, known)
-    return None
+    if bounds.depth < 3:
+        return None
+    return _round_two(proper, axioms, hyps, derived, known, goal, candidates, bounds, f0)
+
+
+def _images(axiom, groups, max_size) -> list:
+    """The images of the records `_bucket_instances` makes for `axiom`,
+    in another order: one product of the candidate `groups` (size ->
+    candidates) per tuple of sizes that fits `max_size`."""
+    nodes, counts, _ = axiom.shape
+    out: list = []
+    for sizes in itertools.product(groups, repeat=len(counts)):
+        if nodes + sum([n * k for (_, n), k in zip(counts, sizes)]) <= max_size:
+            out += itertools.product(*[groups[k] for k in sizes])
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _composition(axiom, rule):
+    """How the premise of `rule`'s one step matches the instances of
+    `axiom`: None when none does, as their heads differ; (None, None) when
+    that depends on the images; else (checks, conclusion), compiled
+    functions of the axiom's images in `shape` order. They are made when
+    `match_formula` matches the premise to the axiom's conclusion, so that
+    every instance matches alike: `checks` builds the images of the step's
+    check variables, as a tuple in check order, and `conclusion` builds the
+    instance of `rule`'s conclusion."""
+    premise, c = rule.plan[0][1], axiom.conclusion
+    if premise.__class__ is App and c.__class__ is App and premise.ctor is not c.ctor:
+        return None
+    sigma = match_formula(premise, c)
+    if sigma is None:
+        return None, None
+    variables = [v for v, _ in axiom.shape[1]]
+    return (_compile_build(tuple([sigma[v] for _, v, _, _ in rule.plan[0][4]]), variables),
+            _compile_build(apply_substitution(sigma, rule.conclusion), variables))
+
+
+def _round_two(proper, axioms, hyps, derived, known, goal, candidates, bounds, f0) -> Optional[Derivation]:
+    """The derivation the forward search returns when it adds the goal in
+    round 2, found without making round 0; None when the search would not,
+    or when this cannot tell. The rule conditions are `_round_one`'s, and
+    each step premise's variables must lie in its checks or its conclusion,
+    so that a match is known by its rule, its check images and its
+    conclusion, whatever record its step fact came from.
+
+    Round 1 is made from round 0's records (`known` is round 0's facts).
+    Each proper rule's step premise meets each of them: the hypotheses and
+    round 0's proper conclusions, which are built, and the axiom records,
+    which are not. For an axiom whose conclusion the premise matches, only
+    the images of the step's check variables are built (`_composition`),
+    and the step's fact and the conclusion only once every check is a
+    round-0 fact; the instances of any other axiom are built and matched.
+    A match that cites no fact round 0 added was made in round 0. Round 1's
+    facts are the conclusions within `max_size` that round 0 lacks, and the
+    goal must not be one.
+
+    Round 2's matches are those that cite a round-1 fact, each check a fact:
+    a round-0 step whose first check that round 0 lacked is a round-1 fact
+    (the steps are kept by that check), or a round-1 step. The search adds
+    the goal in round 2 only if the cap cannot stop it first,
+    which is certified by counting: the hypotheses and round 0's records
+    (`f0`), round 1's matches within `max_size`, and round 2's matches no
+    larger than the goal stay under `max_facts`.
+
+    The goal's record, and each round-1 fact's, is the first match the
+    rounds make for it: the least by rule order, then by the step fact's
+    place in the search's fact order (hypotheses in order, round 0's facts
+    by size and text, round 1's by size and text); only those candidates'
+    steps are printed."""
+    max_size = bounds.max_size
+    steps = [(rule, rule.plan[0][1], [v for _, v, _, _ in rule.plan[0][4]]) for rule in proper]
+    if not all(variables_of(premise) <= variables_of(rule.conclusion).union(checks) for rule, premise, checks in steps):
+        return None
+    hypset = set(hyps)
+    groups: dict = {}  # size -> the candidates of that size
+    for g in candidates:
+        groups.setdefault(g.size, []).append(g)
+    instances = [_images(axiom, groups, max_size) for axiom in axioms]  # per axiom, its records' images
+    seen = [set() for _ in proper]  # per rule, (check images, conclusion) of each match taken
+    ones: dict = {}  # round 1's facts -> their matches
+    pending: dict = {}  # a check image round 0 lacks -> the round-0 steps whose first such it is
+    made = 0  # round 1's matches within max_size
+
+    def conclude(match):
+        """The conclusion of a match: (rule index, check images, step fact or
+        None, and when None, the axiom, the images and the conclusion's
+        builder of the step's record)."""
+        k, _, f, _, images, build = match
+        if build is not None:
+            return build(*images)
+        rule, premise, _ = steps[k]
+        s = match_formula(premise, f)
+        return rule.instantiator[0](*[s[v] for v, _ in rule.shape[1]])
+
+    def step(match):
+        _, _, f, axiom, images, _ = match
+        return f if f is not None else axiom.instantiator[0](*images)
+
+    for k, (rule, premise, checks) in enumerate(steps):
+        built = hyps + [f for f in derived if f not in hypset]
+        static = []
+        for axiom, records in zip(axioms, instances):
+            comp = _composition(axiom, rule)
+            if comp is None:
+                continue
+            if comp[0] is None:
+                make = axiom.instantiator[0]
+                built += [make(*images) for images in records]
+            else:
+                static.append((axiom, records) + comp)
+        scan = [(k, tuple([s[v] for v in checks]), f, None, None, None) for f in built
+                if (s := match_formula(premise, f)) is not None]
+        scan += [(k, reach(*images), None, axiom, images, build)
+                 for axiom, records, reach, build in static for images in records]
+        for match in scan:
+            for g in match[1]:
+                if known[g] is None:  # `in` would cost a call of `_RoundZero.__contains__`
+                    pending.setdefault(g, []).append(match)
+                    break
+            else:  # a match of round 1, or of round 0 when it cites only hypotheses
+                c = conclude(match)
+                if (match[1], c) in seen[k] or hyps and hypset.issuperset(match[1]) and step(match) in hypset:
+                    continue
+                seen[k].add((match[1], c))
+                if c.size <= max_size:
+                    made += 1
+                    if known[c] is None:
+                        ones.setdefault(c, []).append(match)
+    if goal in ones or f0 + made >= bounds.max_facts:
+        return None
+
+    made2 = 0  # round 2's matches no larger than the goal
+    firsts = []  # the goal's round-2 matches
+    for match in [m for g in ones for m in pending.get(g, ())]:  # round-0 steps whose first check is new
+        k, gs = match[:2]
+        if all([g in ones or g in known for g in gs]) and ((c := conclude(match)).size <= goal.size
+                                                            and (gs, c) not in seen[k]):
+            seen[k].add((gs, c))
+            made2 += 1
+            if c is goal:
+                firsts.append(match)
+    for f in ones:
+        for k, (rule, premise, checks) in enumerate(steps):
+            s = match_formula(premise, f)
+            if s is None or not all([s[v] in ones or s[v] in known for v in checks]):
+                continue
+            nodes, counts, _ = rule.shape
+            if nodes + sum([n * s[v].size for v, n in counts]) <= goal.size:  # sized before it is built
+                made2 += 1
+                if rule.instantiator[0](*[s[v] for v, _ in counts]) is goal:
+                    firsts.append((k, tuple([s[v] for v in checks]), f, None, None, None))
+    if not firsts or f0 + made + made2 >= bounds.max_facts:
+        return None
+
+    places = {h: n for n, h in enumerate(hyps)}
+
+    def place(k, f):
+        """Where the rounds meet the match of rule k with step fact f."""
+        if f in places:
+            return k, 0, places[f], ""
+        return k, 1 if f in known else 2, f.size, print_formula(f)
+
+    def first(matches):
+        """The record of the match the rounds make first of `matches`."""
+        k, f = min([(m[0], step(m)) for m in matches], key=lambda m: place(*m))
+        rule, premise, checks = steps[k]
+        i, s = rule.plan[0][0], match_formula(premise, f)
+        cited = [None] * len(rule.premises)
+        cited[i] = f
+        for j, v, _, _ in rule.plan[0][4]:
+            cited[j] = s[v]
+        return "rule", tuple(cited), rule, tuple([s[v] for v, _ in rule.shape[1]]), s
+
+    record = first(firsts)
+    known.update({c: first(ones[c]) for c in record[1] if c in ones})
+    known[goal] = record
+    return _reconstruct(goal, known)
 
 
 def _reconstruct(goal, facts) -> Derivation:

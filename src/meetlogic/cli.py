@@ -192,7 +192,7 @@ def cmd_basis(args):
 def cmd_eval(args):
     bundle = _logic(args)
     f = parse_formula(args.formula, bundle.signature)
-    ok = all(semantics.holds(m, f) for m in bundle.matrices)
+    ok = semantics.entails(bundle.matrices, (), f)
     _emit(args, {"holds": ok, "matrices": len(bundle.matrices)},
           f"holds on {len(bundle.matrices)} matrices: {ok}")
     return _exit(ok)

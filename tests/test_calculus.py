@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -1257,13 +1258,16 @@ def _round_one_queries():
                                                                    bounds.max_candidates)
 
 
-def _three_ways(monkeypatch, calc, hyps, goal, bounds):
+def _three_ways(monkeypatch, calc, hyps, goal, bounds, seconds=None):
     """The search, the forward search with the pass patched out, and the
-    naive loop, as texts; and the pass's answers during the search."""
+    naive loop, as texts; and the pass's answers during the search. When
+    `seconds` is a list, `_round_two`'s answers are appended to it."""
     answers: list = []
-    real = calculus._round_one
+    real, real_two = calculus._round_one, calculus._round_two
     with monkeypatch.context() as m:
         m.setattr(calculus, "_round_one", lambda *args: answers.append(real(*args)) or answers[-1])
+        if seconds is not None:
+            m.setattr(calculus, "_round_two", lambda *args: seconds.append(real_two(*args)) or seconds[-1])
         got = bounded_proof_search(calc, (), hyps, goal, bounds)
     with monkeypatch.context() as m:
         m.setattr(calculus, "_round_one", lambda *args: None)
@@ -1274,24 +1278,28 @@ def _three_ways(monkeypatch, calc, hyps, goal, bounds):
 
 class TestRoundOneMatchesForward:
     """The goal-directed pass answers only when the forward search adds the
-    goal in round 1, with the derivation that search returns."""
+    goal in round 1, or in round 2, with the derivation that search returns."""
 
     def _assert_same(self, monkeypatch, queries):
-        answered = searched = 0
+        """(searches the pass answered, searches, of them answered in round 2)."""
+        answered = searched = second = 0
         for calc, hyps, goal, bounds in queries:
-            texts, answers = _three_ways(monkeypatch, calc, hyps, goal, bounds)
+            seconds: list = []
+            texts, answers = _three_ways(monkeypatch, calc, hyps, goal, bounds, seconds)
             assert texts[0] == texts[1] == texts[2], \
                 f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
             answered += any(a is not None for a in answers)
             searched += 1
-        return answered, searched
+            second += any(a is not None for a in seconds)
+        return answered, searched, second
 
     def test_golden_queries(self, monkeypatch):
-        answered, searched = self._assert_same(monkeypatch, golden.queries())
-        assert searched == 77 and answered >= 20
+        """Round 2 adds the goals `a -> a`, and `a and c` from `a` and `c`."""
+        answered, searched, second = self._assert_same(monkeypatch, golden.queries())
+        assert searched == 77 and answered >= 20 and second >= 40
 
     def test_seeded_searches(self, monkeypatch):
-        answered, searched = self._assert_same(monkeypatch, _round_one_queries())
+        answered, searched, _ = self._assert_same(monkeypatch, _round_one_queries())
         assert answered >= 40 and searched - answered >= 200
 
     def test_declines_on_meets_extra_and_depth_1(self, monkeypatch):
@@ -1392,3 +1400,199 @@ class TestRoundOneBySize:
         for max_size in (30, 1, 16, 12, 30, 16):
             assert calculus._instance_count(k, same_sizes[0], max_size) == made(k, same_sizes[0], max_size)
         assert calculus._count_instances.cache_info().hits >= hits + 3
+
+
+# ---------------------------------------------------------------------------
+# goal-directed round two against the forward search and the naive loop
+
+def _round_two_reference(calc, hyps, goal, bounds):
+    """(count, round) from rounds 0 to 2 made with `_join` and no fact cap.
+    The count is what the pass counts: the admitted hypotheses, round 0's
+    records, round 1's records and round 2's records no larger than the
+    goal (a record per match, as every step holds its rule's conclusion's
+    variables); the pass answers only under a larger fact cap. The round is
+    the one that first holds the goal as a fact (0 for a hypothesis), or
+    None when the goal is no fact after round 2."""
+    candidates = _candidate_pool(calc, hyps, goal, bounds)
+    hyps = [h for h in dict.fromkeys(hyps) if h.size <= bounds.max_size]
+    proper = [r for r in calc.rules if r.premises]
+    order, facts = list(hyps), set(hyps)
+    every = (order, {}, {}, facts)
+    keys = {_arg_key(p) for r in proper for p in r.premises}
+    new = _index(hyps, keys, every)
+    count, added = len(hyps), 0 if goal in facts else None
+    for n, limit in enumerate((bounds.max_size, bounds.max_size, goal.size)):
+        buckets: dict = {}
+        for rule in calc.rules if n == 0 else ():
+            if not rule.premises:
+                _bucket_instances(rule, {}, (), candidates, limit, buckets)
+        for rule in proper:
+            for subst, cited in _join(rule, every, new):
+                _bucket_instances(rule, subst, cited, candidates, limit, buckets)
+        records = [record for records in buckets.values() for record in records]
+        count += len(records)
+        fresh = [f for f in dict.fromkeys(r[2].instantiator[0](*r[3]) for r in records) if f not in facts]
+        if added is None and goal in fresh:
+            added = n
+        new = _index(fresh, keys, every)
+        order += fresh
+        facts.update(fresh)
+    return count, added
+
+
+def _round_two_queries():
+    """Seeded component searches over the five presets: `a -> a` from
+    nothing, as the benchmark's identity searches, `a and c` from `a` and
+    `c`, and `c` from `a` and `a -> (a -> (a -> c))`, through round 0's
+    join; at depth 3, the least the pass takes, under two size and pool
+    bounds, and at the benchmark's depth 4 under the larger. Each runs at
+    caps on both sides of the pass's count, and comes with that count and
+    the round that first adds the goal."""
+    for logic in ("CPL", "G3", "IPL", "S43", "GL"):
+        b = load_preset(logic, max_worlds=2)
+        sig = b.signature
+        imp, conj = sig.resolve("->", None, 2), sig.resolve("and", None, 2)
+        rng = random.Random(f"round-two:{logic}")
+        for depth in (3, 4):
+            a, c = random_formula(rng, sig, 1, 2), random_formula(rng, sig, 1, 2)
+            chain = App(imp, (a, App(imp, (a, App(imp, (a, c))))))
+            for hyps, goal in (([], App(imp, (a, a))), ([a, c], App(conj, (a, c))), ([a, chain], c)):
+                for bounds in (SearchBounds(depth, 30, 3000, 8), SearchBounds(depth, 16, 3000, 6))[:5 - depth]:
+                    count, added = _round_two_reference(b.calculus, hyps, goal, bounds)
+                    for max_facts in (count, count + 1):
+                        yield (b.calculus, hyps, goal,
+                               SearchBounds(depth, bounds.max_size, max_facts, bounds.max_candidates), count, added)
+
+
+MP = ("mp", ["xi1", "xi1 -> xi2"], "xi2")
+# The goal `xi1` has two round-2 matches of size 3, both of round-1 steps:
+# `top -> xi1`, from `kt`, the first axiom, and `bot -> xi1`, which prints
+# first. `bot -> xi1` has two round-1 matches of size 5: `kt2`'s, from the
+# earlier axiom, and `kb`'s, whose step prints first.
+TIE_TEXT = _hand_calculus("tie-text", [
+    MP, ("t", [], "top"), ("b", [], "bot"), ("kt", [], "top -> (top -> xi1)"),
+    ("kt2", [], "top -> (bot -> xi1)"), ("kb", [], "bot -> (bot -> xi1)")])
+# As TIE_TEXT, and `back` adds a round-0 step `(bot -> xi1) -> xi1` whose
+# check is round 1's `bot -> xi1`: larger than the round-1 steps, but round
+# 0's facts come first in the search's fact order.
+ROUND_ZERO_FIRST = _hand_calculus("round-zero-first", [
+    MP, ("t", [], "top"), ("b", [], "bot"), ("kt", [], "top -> (top -> xi1)"),
+    ("kb", [], "bot -> (bot -> xi1)"), ("back", [], "(bot -> xi1) -> xi1")])
+# `kt` concludes `top -> top` in round 1, which `id` made in round 0; the
+# goal's round-2 match cites it, with `id`'s record.
+CONCLUDED_BEFORE = _hand_calculus("concluded-before", [
+    MP, ("t", [], "top"), ("id", [], "xi1 -> xi1"), ("kt", [], "top -> (xi1 -> xi1)"),
+    ("kk", [], "top -> ((top -> top) -> xi1)")])
+# `mp2` has two checks, and makes `(top -> top) -> xi1` in round 1. `nmp`'s
+# step `(xi1 -> xi1) -> xi2` meets the conclusions of `k` and `kv` only at
+# a variable, so their instances are built and matched: from the pool
+# element `top -> top`, `kv` makes `(top -> top) -> top`, which matches.
+CHECKS = _hand_calculus("checks", [
+    ("mp2", ["xi1", "xi2", "xi1 -> (xi2 -> xi3)"], "xi3"), ("nmp", ["xi1", "(xi1 -> xi1) -> xi2"], "xi2"),
+    ("t", [], "top"), ("k", [], "xi1 -> (xi2 -> xi1)"), ("kv", [], "xi1 -> top"),
+    ("kt", [], "top -> (top -> ((top -> top) -> xi1))")])
+# `r`'s premise has a variable that neither its check nor its conclusion
+# holds, so the pass leaves the round-2 goal to the rounds.
+UNCHECKED = _hand_calculus("unchecked", [
+    MP, ("r", ["xi1 or xi2"], "xi2"), ("t", [], "top"), ("kt", [], "top -> (top or xi1)")])
+
+
+class TestRoundTwoMatchesForward:
+    """The goal-directed pass answers a goal that the rounds first add in
+    round 2 with the derivation they return, line for line, and declines
+    unless its count certifies that the fact cap cannot stop them first."""
+
+    def test_seeded_searches(self, monkeypatch):
+        answered = declined = at_cap = 0
+        by_logic = Counter()
+        for calc, hyps, goal, bounds, count, added in _round_two_queries():
+            seconds: list = []
+            texts, _ = _three_ways(monkeypatch, calc, hyps, goal, bounds, seconds)
+            assert texts[0] == texts[1] == texts[2], \
+                f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
+            got = any(a is not None for a in seconds)
+            if bounds.max_facts <= count:
+                assert not got  # the certificate fails at the count
+                at_cap += bounds.max_facts == count and added == 2
+            elif added == 2 and seconds:
+                assert got, f"{calc.name}: {print_formula(goal)} at {bounds}"
+            answered += got
+            declined += bool(seconds) and not got
+            by_logic[calc.name] += got
+        assert answered >= 39 and declined >= 50 and at_cap >= 39
+        assert min(by_logic.values()) >= 7, by_logic
+
+    @pytest.mark.parametrize("calc, hyps, lines", [
+        (TIE_TEXT, [], ["bot", "->(bot, ->(bot, xi1))", "->(bot, xi1)", "xi1"]),
+        (ROUND_ZERO_FIRST, [], ["bot", "->(bot, ->(bot, xi1))", "->(bot, xi1)", "->(->(bot, xi1), xi1)", "xi1"]),
+        (CONCLUDED_BEFORE, [], ["->(top, top)", "top", "->(top, ->(->(top, top), xi1))", "->(->(top, top), xi1)",
+                                "xi1"]),
+        (CHECKS, ["top -> top"], ["top", "->(top, ->(top, ->(->(top, top), xi1)))", "->(->(top, top), xi1)", "xi1"]),
+    ])
+    def test_hand_calculi(self, monkeypatch, calc, hyps, lines):
+        hyps, bounds = [P(h) for h in hyps], SearchBounds(depth=3)
+        seconds: list = []
+        texts, answers = _three_ways(monkeypatch, calc, hyps, P("xi1"), bounds, seconds)
+        assert texts[0] == texts[1] == texts[2]
+        assert [a is not None for a in answers] == [True] and [a is not None for a in seconds] == [True]
+        d = bounded_proof_search(calc, (), hyps, P("xi1"), bounds)
+        assert [print_formula(ln.formula) for ln in d.lines] == lines
+        assert check_derivation(d, calc, hyps=hyps)
+
+    def test_declines_when_a_premise_variable_is_unchecked(self, monkeypatch):
+        seconds: list = []
+        texts, answers = _three_ways(monkeypatch, UNCHECKED, [], P("xi1"), SearchBounds(depth=3), seconds)
+        assert texts[0] == texts[1] == texts[2] and texts[0] is not None
+        assert answers == [None] and seconds == [None]
+
+
+class TestRoundTwoParts:
+    """The compiled matchers, the tuple builders and the image lists the
+    pass reads agree with the kernel's matcher, substitution and
+    `_bucket_instances`."""
+
+    def test_matcher_matches_match_formula(self):
+        checked = matched = 0
+        for k, (sig, rule_set) in enumerate(_join_rule_sets()):
+            rng = random.Random(f"matcher:{k}")
+            for rule in rule_set:
+                pattern, variables = rule.conclusion, [v for v, _ in rule.shape[1]]
+                for _ in range(8):
+                    s = {v: random_formula(rng, sig, 2, 3) for v in variables}
+                    others = (random_formula(rng, sig, 3, 3), rng.choice(rule_set).conclusion)
+                    for f in (apply_substitution(s, pattern),) + others:
+                        want = match_formula(pattern, f)
+                        got = rule.matcher(f)
+                        assert got == (None if want is None else tuple(want[v] for v in variables))
+                        checked += 1
+                        matched += got is not None
+        assert checked > 6000 and matched > 2000
+
+    def test_tuple_builder_matches_substitution(self):
+        for k, (sig, rule_set) in enumerate(_join_rule_sets()):
+            rng = random.Random(f"tuple-builder:{k}")
+            for rule in rule_set:
+                fs = tuple(rule.premises) + (rule.conclusion,)
+                variables = sorted(set().union(*map(variables_of, fs)))
+                build = calculus._compile_build(fs, variables)
+                for _ in range(5):
+                    s = {v: random_formula(rng, sig, 2, 3) for v in variables}
+                    assert build(*[s[v] for v in variables]) == tuple(apply_substitution(s, f) for f in fs)
+
+    def test_images_are_the_bucketed_records(self):
+        for k, (sig, rule_set) in enumerate(_join_rule_sets()):
+            rng = random.Random(f"images:{k}")
+            for rule in rule_set:
+                if rule.premises:
+                    continue
+                pool = sorted({random_formula(rng, sig, 2, 3) for _ in range(rng.randint(1, 12))},
+                              key=lambda f: (f.size, print_formula(f)))
+                groups: dict = {}
+                for g in pool:
+                    groups.setdefault(g.size, []).append(g)
+                for max_size in (1, 5, 12, 30):
+                    buckets: dict = {}
+                    _bucket_instances(rule, {}, (), pool, max_size, buckets)
+                    want = sorted((r[3] for rs in buckets.values() for r in rs), key=lambda t: [id(g) for g in t])
+                    got = sorted(calculus._images(rule, groups, max_size), key=lambda t: [id(g) for g in t])
+                    assert got == want

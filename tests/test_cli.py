@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meetlogic import cli, formats, presets
+from meetlogic import cli, formats, presets, semantics
 from meetlogic.calculus import Calculus, Rule, SearchBounds
 from meetlogic.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_NO, EXIT_USAGE, EXIT_YES, main
 from meetlogic.combination import combine_signatures, project
@@ -313,6 +313,17 @@ class TestSemanticsVerbs:
                          "<->.CPL|->.G3>(xi1, xi1)")
         assert code == EXIT_YES
 
+    @pytest.mark.parametrize("logic, text, code", [
+        ("IPL", "xi1 -> xi1", EXIT_YES), ("IPL", "xi1 or (neg xi1)", EXIT_NO), ("S43", "(box xi1) -> xi1", EXIT_YES),
+        ("GL", "xi1 or (neg xi1)", EXIT_YES)])
+    def test_eval_lists_the_formula_once(self, capsys, monkeypatch, logic, text, code):
+        """`eval` lists the formula's occurrences once, not once per matrix."""
+        calls = []
+        real = semantics.subformulas
+        monkeypatch.setattr(semantics, "subformulas", lambda f: calls.append(f) or real(f))
+        assert run(capsys, "eval", "--logic", logic, text)[0] == code
+        assert len(calls) == 1
+
     def test_entails(self, capsys):
         code, _, _ = run(capsys, "entails", "--logic", "CPL",
                          "--hyps", "xi1 ; xi1 -> xi2", "--goal", "xi2")
@@ -337,6 +348,15 @@ class TestTreeVerbs:
         assert code == EXIT_YES
         assert out.strip().startswith("or(top, neg(bot))")
         assert "verified: True" in out
+
+    def test_complete_with_an_implication_root_head(self, capsys):
+        """argparse reads a value that begins with `-` as an option, so `->`
+        is given as `--root-head=->`, as the README's example does."""
+        code, out, _ = run(capsys, "complete", "--logic", "CPL", "--target", "top", "--root-head=->", "xi1 and xi2")
+        assert code == EXIT_YES and out == "->(top, top)  # equivalence verified: True\n"
+        code, out, err = run(capsys, "complete", "--logic", "CPL", "--target", "top", "--root-head", "->",
+                             "xi1 and xi2")
+        assert code == EXIT_USAGE and out == "" and "argument --root-head: expected one argument" in err
 
     @pytest.mark.parametrize("logic", ["IPL", "CPL"])
     def test_complete_verifies_the_law_it_prints(self, capsys, logic):

@@ -223,9 +223,9 @@ def cmd_complete(args):
                                          root_head=args.root_head)
     out = print_formula(delta)
     verified = None
-    if bundle.theorem is not None:
+    if bundle.ground is not None:
         law = App(sig.resolve("iff", None, 2), (App(sig.resolve(args.target, None, 0)), delta))
-        verified = bundle.theorem(law)
+        verified = semantics.holds(bundle.ground, law)
     _emit(args, {"completion": out, "verified": verified},
           out + ("" if verified is None else f"  # equivalence verified: {verified}"))
     return _exit(verified is not False)

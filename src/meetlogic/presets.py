@@ -5,14 +5,14 @@ bases, and an intuitionistic theoremhood procedure.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Optional
 
 from .admissibility import Basis, combined_basis
 from .calculus import Calculus, Rule, assemble_meet_calculus
 from .combination import CombinedSignature
-from .semantics import Matrix, holds
+from .semantics import Matrix
 from .syntax import (
     FALSUM,
     Formula,
@@ -41,21 +41,30 @@ class LogicBundle(Record):
     """
 
     __slots__ = (
-        "name",
-        "signature",  # a CombinedSignature in a meet bundle
         "calculus",
-        "matrices",  # finite soundness filters
         "characteristic",  # sound & complete finite matrix, if any
         "ground",  # a matrix whose values decide theoremhood of closed formulas, if any
-        "theorem",  # exact theoremhood, a function of a formula, if decidable here
         "identity_profiles",  # ctor name -> IdentityProfile
         "completion_profile",
         "basis",  # a Basis or None
         "fixtures",  # name -> Rule
     )
-    _defaults = {"fixtures": MappingProxyType({})}
+    _defaults = {"characteristic": None, "ground": None, "fixtures": MappingProxyType({})}
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    @property
+    def name(self) -> str:
+        return self.calculus.name
+
+    @property
+    def signature(self):  # a CombinedSignature in a meet bundle
+        return self.calculus.signature
+
+    @property
+    def matrices(self) -> tuple:
+        """Finite soundness filters: a meet calculus has none, so its models."""
+        return self.calculus.matrices or self.calculus.models
 
 
 # ---------------------------------------------------------------------------
@@ -430,29 +439,24 @@ def load_preset(name: str, schema_bound: int = DEFAULT_SCHEMA_BOUND,
 
 
 def _bundle(sig: Signature, axioms: list, matrices: tuple, characteristic: Optional[Matrix] = None,
-            theorem=None, unary: dict = _PROP_UNARY, basis=(),
+            ground: Optional[Matrix] = None, unary: dict = _PROP_UNARY, basis=(),
             fixtures=MappingProxyType({})) -> LogicBundle:
     """A preset's bundle, named by its signature's tag. A preset is
     structurally complete exactly when it has a characteristic matrix, which
-    then decides its theorems. A preset that decides its theorems has its
-    first matrix as ground matrix: the characteristic one, or IPL's
-    two-element chain, since every closed formula is intuitionistically
-    equivalent to top or bot and its value there says which. Every preset
-    shares the identity profiles and the binary completion tables; `unary`
-    gives its unary ones."""
-    name = sig.tag
-    if characteristic is not None:
-        theorem = partial(holds, characteristic)
+    is then also its ground matrix. IPL's ground matrix is its two-element
+    chain, since every closed formula is intuitionistically equivalent to
+    top or bot and its value there says which. Every preset shares the
+    identity profiles and the binary completion tables; `unary` gives its
+    unary ones."""
     return LogicBundle(
-        name=name, signature=sig, calculus=Calculus(name, sig, _rules(sig, axioms), matrices=matrices),
-        matrices=matrices, characteristic=characteristic, ground=matrices[0] if theorem else None,
-        theorem=theorem,
+        calculus=Calculus(sig.tag, sig, _rules(sig, axioms), matrices=matrices),
+        characteristic=characteristic, ground=ground or characteristic,
         identity_profiles={
             "and": IdentityProfile("and", 2, 1, (VERUM,)),
             "->": IdentityProfile("->", 2, 2, (VERUM,)),
         },
         completion_profile=CompletionProfile(sig, dict(unary), dict(_PROP_BINARY)),
-        basis=Basis(name, tuple(basis)), fixtures=fixtures,
+        basis=Basis(sig.tag, tuple(basis)), fixtures=fixtures,
     )
 
 
@@ -469,7 +473,7 @@ def _load(name: str, schema_bound: int, max_worlds: int) -> LogicBundle:
         return _bundle(sig, _INT_CORE + _LIN, (char,), characteristic=char)
     if name == "IPL":
         chains = tuple(godel_chain(sig, k) for k in range(2, 6))
-        return _bundle(sig, _INT_CORE, chains, theorem=ipl_theorem,
+        return _bundle(sig, _INT_CORE, chains, ground=chains[0],
                        basis=[visser_rule(sig, n) for n in range(1, schema_bound + 1)],
                        fixtures={"harrop": harrop_rule(sig)})
     matrices = tuple(kripke_matrix(fr, sig) for fr in generate_frames(name.lower(), max_worlds))
@@ -487,16 +491,11 @@ def combine_bundles(b1: LogicBundle, b2: LogicBundle) -> LogicBundle:
     """The meet of two bundles, itself a bundle, built once per pair. Its one
     matrix is its calculus's model (`Calculus.models`): the product of each
     side's first matrix in which that side's rules are sound. A meet without
-    a model has no matrix. It has no characteristic or ground matrix and no
-    theorem procedure."""
+    a model has no matrix. It has no characteristic or ground matrix."""
     for b in (b1, b2):
         if isinstance(b.signature, CombinedSignature):
             raise PresetError(f"nested meets are not supported yet: {b.name} is itself a meet")
     cs = CombinedSignature(b1.signature, b2.signature)
     calc = assemble_meet_calculus(b1.calculus, b2.calculus, cs)
-    return LogicBundle(
-        name=f"meet({b1.name},{b2.name})", signature=cs, calculus=calc, matrices=calc.models,
-        characteristic=None, ground=None, theorem=None,
-        identity_profiles={}, completion_profile=CompletionProfile(cs, {}, {}),
-        basis=combined_basis(b1.basis, b2.basis, cs),
-    )
+    return LogicBundle(calculus=calc, identity_profiles={}, completion_profile=CompletionProfile(cs, {}, {}),
+                       basis=combined_basis(b1.basis, b2.basis, cs))

@@ -21,7 +21,7 @@ from meetlogic.admissibility import (
     stub_oracle,
     _ground_values,
 )
-from meetlogic.calculus import Rule, SearchBounds, check_derivation
+from meetlogic.calculus import Calculus, Rule, SearchBounds, check_derivation
 from meetlogic.combination import combine_signatures, embed
 from meetlogic.formats import parse_matrix_file
 from meetlogic.presets import LogicBundle, combine_bundles, harrop_rule, ipl_theorem, load_preset
@@ -118,8 +118,8 @@ class TestBruteForce:
         v = brute_force_admissible(CPL, [P("xi1 or xi2")], P("xi1"))
         assert v.status == "not-admissible" and v.witness is not None
         subst = dict(v.witness)
-        assert CPL.theorem(apply_substitution(subst, P("xi1 or xi2")))
-        assert not CPL.theorem(apply_substitution(subst, P("xi1")))
+        assert holds(CPL.characteristic, apply_substitution(subst, P("xi1 or xi2")))
+        assert not holds(CPL.characteristic, apply_substitution(subst, P("xi1")))
 
     def test_modus_ponens_admissible_exact(self):
         v = brute_force_admissible(CPL, [P("xi1"), P("xi1 -> xi2")], P("xi2"))
@@ -183,9 +183,9 @@ class TestBruteForce:
 # a constant for the middle value so that the ground values are all three
 # values. Its matrix is its ground matrix, and it is not given as
 # characteristic, so its verdicts come from the sweep alone. The sweep reads
-# only the ground and characteristic fields; the bundle has no calculus,
-# completion profile or basis, and its theorem procedure serves
-# `reference_sweep`.
+# only the ground and characteristic fields; the bundle's calculus has no
+# rules and only names it and gives its signature, and it has no completion
+# profile or basis.
 L3_SIG = make_signature("L3", [("and", 2), ("->", 2), ("neg", 1), ("half", 0)])
 L3_MATRIX = parse_matrix_file("""
 carrier 3
@@ -198,16 +198,17 @@ op and 0 0 0 0 1 1 0 1 2
 op -> 2 2 2 1 2 2 0 1 2
 """, L3_SIG, name="L3-matrix")
 L3 = LogicBundle(
-    name="L3", signature=L3_SIG, calculus=None, matrices=(L3_MATRIX,),
-    characteristic=None, ground=L3_MATRIX, theorem=partial(holds, L3_MATRIX),
+    calculus=Calculus("L3", L3_SIG, (), matrices=(L3_MATRIX,)), ground=L3_MATRIX,
     identity_profiles={}, completion_profile=None, basis=None,
 )
 
 
-def reference_sweep(bundle, premises, beta, bounds=BruteForceBounds()):
+def reference_sweep(bundle, thm, premises, beta, bounds=BruteForceBounds()):
     """The sweep as specified: build every substitution instance over the full
-    candidate product, in order, and ask the theoremhood procedure about it."""
-    thm = bundle.theorem
+    candidate product, in order, and ask the theoremhood procedure `thm`
+    about it. `thm` is named by the caller and never reads the bundle's
+    ground field: G4ip on IPL, the characteristic matrix on CPL and G3, the
+    matrix of L3."""
     variables = sorted(set().union(variables_of(beta), *(variables_of(p) for p in premises)))
     candidates = reference_closed_candidates(bundle, bounds)
     for values in itertools.product(candidates, repeat=len(variables)):
@@ -271,25 +272,25 @@ class TestSweepAgainstReference:
     """The ground sweep against `reference_sweep` over bounded candidates:
     equal status, exactness and witness on every rule."""
 
-    def check(self, bundle, rules, bounds=BruteForceBounds()):
+    def check(self, bundle, thm, rules, bounds=BruteForceBounds()):
         verdicts = []
         for premises, beta in rules:
             got = brute_force_admissible(bundle, premises, beta)
-            want = reference_sweep(bundle, premises, beta, bounds)
+            want = reference_sweep(bundle, thm, premises, beta, bounds)
             assert got == want, (premises, beta)
             verdicts.append(got)
         return verdicts
 
     def test_ipl_seeded_rules(self):
-        verdicts = self.check(IPL, seeded_rules(IPL, 5, 300))
+        verdicts = self.check(IPL, ipl_theorem, seeded_rules(IPL, 5, 300))
         assert {v.status for v in verdicts} == {"not-admissible", "inconclusive"}
 
     def test_ipl_smaller_bounds(self):
-        self.check(IPL, seeded_rules(IPL, 6, 60), BruteForceBounds(depth=1, max_candidates=5))
+        self.check(IPL, ipl_theorem, seeded_rules(IPL, 6, 60), BruteForceBounds(depth=1, max_candidates=5))
 
     def test_harrop(self):
         h = harrop_rule(IPL.signature)
-        self.check(IPL, [(h.premises, h.conclusion)])
+        self.check(IPL, ipl_theorem, [(h.premises, h.conclusion)])
 
     def test_ipl_larger_bounds(self):
         """At this bound the candidates include ones headed by iff, neg and
@@ -298,16 +299,16 @@ class TestSweepAgainstReference:
         bounds = BruteForceBounds(depth=3, max_candidates=20)
         heads = {c.ctor.name for c in reference_closed_candidates(IPL, bounds)}
         assert {"iff", "neg", "topn.1"} <= heads
-        verdicts = self.check(IPL, seeded_rules(IPL, 10, 60), bounds)
+        verdicts = self.check(IPL, ipl_theorem, seeded_rules(IPL, 10, 60), bounds)
         assert {v.status for v in verdicts} == {"not-admissible", "inconclusive"}
 
     @pytest.mark.parametrize("bundle", [CPL, G3], ids=["CPL", "G3"])
     def test_characteristic_matrix_presets(self, bundle):
-        verdicts = self.check(bundle, seeded_rules(bundle, 8, 120))
+        verdicts = self.check(bundle, partial(holds, bundle.characteristic), seeded_rules(bundle, 8, 120))
         assert {v.status for v in verdicts} == {"admissible", "not-admissible"}
 
     def test_matrix_file_logic_definition(self):
-        verdicts = self.check(L3, seeded_rules(L3, 9, 150))
+        verdicts = self.check(L3, partial(holds, L3_MATRIX), seeded_rules(L3, 9, 150))
         assert {v.status for v in verdicts} == {"not-admissible", "inconclusive"}
         # some witness uses the middle value, so the sweep really has three values
         assert any(value_of(L3_MATRIX, f) == 1 for v in verdicts if v.witness for _, f in v.witness)

@@ -360,9 +360,11 @@ class TestTreeVerbs:
 
     @pytest.mark.parametrize("logic", ["IPL", "CPL"])
     def test_complete_verifies_the_law_it_prints(self, capsys, logic):
-        """`verified` is the theorem procedure's answer on `target iff (completion)`
-        read back from the printed completion."""
+        """`verified` is the answer on `target iff (completion)`, read back
+        from the printed completion, of a decider other than the bundle's
+        ground matrix: G4ip on IPL, the characteristic matrix on CPL."""
         bundle = presets.load_preset(logic)
+        thm = presets.ipl_theorem if logic == "IPL" else (lambda f: semantics.holds(bundle.characteristic, f))
         rng = random.Random(f"complete:{logic}")
         seen = set()
         for i in range(40):
@@ -373,7 +375,7 @@ class TestTreeVerbs:
                 continue
             payload = json.loads(out)
             law = parse_formula(f"{target} iff ({payload['completion']})", bundle.signature)
-            assert payload["verified"] == bundle.theorem(law)
+            assert payload["verified"] == thm(law)
             assert code == (EXIT_YES if payload["verified"] else EXIT_NO)
             seen.add(target)
         assert seen == {"top", "bot"}
@@ -458,8 +460,8 @@ class TestSoundnessAudit:
         P = lambda s: parse_formula(s, ipl.signature)
         calc = Calculus("IPL+dne", ipl.signature, ipl.calculus.rules + (Rule("dne", (P("neg neg xi1"),), P("xi1")),),
                         matrices=ipl.matrices)
-        bundle = presets.LogicBundle("IPL+dne", ipl.signature, calc, ipl.matrices, None, False, None, {},
-                                     ipl.completion_profile, None)
+        bundle = presets.LogicBundle(calculus=calc, identity_profiles={}, completion_profile=ipl.completion_profile,
+                                     basis=None)
         monkeypatch.setattr(cli, "_logic", lambda args: bundle)
         for fmt in ("text", "json"):
             code, out, _ = run(capsys, "soundness-audit", "--logic", "IPL", "--format", fmt)
@@ -609,18 +611,32 @@ class TestErrorContract:
         code, out, _ = run(capsys, "eval", "--logic", "CPL", text)
         assert code == EXIT_YES and out == "holds on 1 matrices: True\n"
 
-    def test_deep_input_process_exit_code(self):
-        # the G4ip prover that verifies an IPL completion still recurses, so a
-        # deep `complete` query is an internal error, and the process exit
-        # code is 4, never 1
+    def test_internal_error_process_exit_code(self):
+        # no verb recurses any more, so a verb is patched to raise; the
+        # process exit code of an internal error is 4, never 1
         src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run(
-            [sys.executable, "-m", "meetlogic.cli", "complete", "--logic", "IPL", "--target", "top",
-             "neg " * 3000 + "xi1"],
-            env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == EXIT_INTERNAL
-        assert proc.stderr.startswith("error: internal: RecursionError")
+        script = ("import sys\n"
+                  "from meetlogic import cli\n"
+                  "def boom(args):\n"
+                  "    raise RecursionError('injected')\n"
+                  "cli.cmd_complete = boom\n"
+                  "sys.exit(cli.main())\n")
+        proc = subprocess.run([sys.executable, "-c", script, "complete", "--logic", "IPL", "--target", "top", "xi1"],
+                              env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_INTERNAL and proc.stdout == ""
+        assert proc.stderr == "error: internal: RecursionError: injected\n"
+
+    @pytest.mark.parametrize("depth", [350, 600, 3000])
+    def test_deep_ipl_completion_is_verified(self, capsys, depth):
+        # the law is checked on IPL's ground matrix, which has no recursion
+        # limit; G4ip ran out of stack from about 350 levels
+        argv = ["complete", "--logic", "IPL", "--target", "top", "--format", "json", "neg " * depth + "xi1"]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_YES and json.loads(out)["verified"] is True
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-m", "meetlogic.cli", *argv], env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
 
 class TestBounds:
@@ -709,18 +725,23 @@ class TestArgumentFuzz:
     whose tags A and B are read as CPL and G3) go through `main` in-process
     to every verb that reads a formula. No call may end in exit 4.
 
-    The texts keep the generator's own depth, at most 5 levels: deep input
-    to `complete` still exits 4, since the G4ip check of an IPL completion
-    recurses, and `test_deep_input_process_exit_code` pins that."""
+    In one example in 10, every text is wrapped in nested prefix
+    constructors, `neg` or a pair of `neg`s, as `cli-batch`'s deep stratum
+    nests: a third of them 200-260 levels deep, the others 600-3000."""
 
     VERBS = ("project", "embed", "eval", "entails", "trees", "complete", "equalize", "search")
 
     @staticmethod
     def argv(rng, verb):
+        deep = rng.random() < 0.1
+
         def text(combined=False):
             t = random_surface(rng, CAB if combined else CA, rng.randint(0, 5))
             if rng.random() < 0.5:
                 t = mutate_text(rng, t)
+            if deep:
+                levels = rng.randint(200, 260) if rng.random() < 1 / 3 else rng.randint(600, 3000)
+                t = ("<neg.A|neg.B> " if combined else "neg ") * levels + f"({t})"
             return re.sub(r"\.([AB])\b", lambda m: ".CPL" if m[1] == "A" else ".G3", t)
 
         meet = rng.random() < 0.5

@@ -137,7 +137,7 @@ class TestIplProver:
         for text in ("((xi1 -> xi2) -> xi1) -> xi1", "xi1 or (neg xi1)", "xi1 and (neg xi1)"):
             f = parse_formula(text, self.SIG)
             nn = parse_formula(f"neg (neg ({text}))", self.SIG)
-            assert cpl.theorem(parse_formula(text, cpl.signature)) == ipl_theorem(nn)
+            assert holds(cpl.characteristic, parse_formula(text, cpl.signature)) == ipl_theorem(nn)
 
 
 class TestLoadPreset:
@@ -261,7 +261,7 @@ class TestMeetBundle:
         assert m.carrier == prod.carrier and m.designated == prod.designated
         assert m.tables == prod.tables
         assert meet.basis.provenance == basis.provenance and meet.basis.rules == basis.rules
-        assert meet.characteristic is None and meet.ground is None and meet.theorem is None
+        assert meet.name == calc.name and meet.characteristic is None and meet.ground is None
         assert meet.identity_profiles == {}
 
 

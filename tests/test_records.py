@@ -209,14 +209,18 @@ def test_validation_keeps_its_messages():
 
 
 def test_bundles_compare_by_identity():
+    """A bundle stores seven fields; its name, signature and matrices are
+    read from its calculus."""
+    assert LogicBundle.__slots__ == ("calculus", "characteristic", "ground", "identity_profiles",
+                                     "completion_profile", "basis", "fixtures")
     b = load_preset("IPL")
-    twin = LogicBundle(*[getattr(b, f) for f in (
-        "name", "signature", "calculus", "matrices", "characteristic", "ground", "theorem",
-        "identity_profiles", "completion_profile", "basis", "fixtures")])
+    twin = LogicBundle(*[getattr(b, f) for f in LogicBundle.__slots__])
     assert twin != b and b == b and hash(b) == object.__hash__(b)
     assert twin.fixtures is b.fixtures
-    with pytest.raises(AttributeError):
-        b.name = "x"
+    assert (twin.name, twin.signature, twin.matrices) == (b.calculus.name, b.calculus.signature, b.calculus.matrices)
+    for field in ("name", "ground"):
+        with pytest.raises(AttributeError):
+            setattr(b, field, None)
 
 
 def test_ground_values_cache_hits_on_the_same_bundle():

@@ -51,25 +51,42 @@ def call_graph(src):
     return graph
 
 
+def reachable(graph, start):
+    """The functions that `start` leads to through one or more calls."""
+    seen, todo = set(), list(graph[start])
+    while todo:
+        f = todo.pop()
+        if f not in seen:
+            seen.add(f)
+            todo.extend(graph.get(f, ()))
+    return seen
+
+
 def recursive_functions(src=SRC):
     """The functions that lie on a call cycle: those that some function they
     call leads back to."""
     graph = call_graph(src)
-    found = set()
-    for start, callees in graph.items():
-        seen, todo = set(), list(callees)
-        while todo:
-            f = todo.pop()
-            if f not in seen:
-                seen.add(f)
-                todo.extend(graph.get(f, ()))
-        if start in seen:
-            found.add(start)
-    return found
+    return {start for start in graph if start in reachable(graph, start)}
 
 
 def test_only_allowlisted_functions_recurse():
     assert recursive_functions() == set(ALLOWED)
+
+
+def test_only_the_ipl_deciders_reach_the_allowlist():
+    """Outside the allowlist, only `ipl_theorem` and `ipl_consequence` lead to
+    the recursive prover, and no other module calls or names any of the
+    four, so no CLI verb reaches recursion."""
+    graph = call_graph(SRC)
+    callers = {f for f in graph if f not in ALLOWED and reachable(graph, f) & set(ALLOWED)}
+    assert callers == {"presets.ipl_theorem", "presets.ipl_consequence"}
+    names = {f.split(".")[-1] for f in callers | set(ALLOWED)}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "presets":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            assert not used & names, path.stem
 
 
 def test_no_tree_tool_recurses():

@@ -173,7 +173,7 @@ class Calculus(Record):
 
     `matrices` are the matrices the calculus is meant to be sound in, and a
     meet calculus keeps its two component calculi as `components`. Neither
-    takes part in equality; `models` is read from them.
+    takes part in equality; `models` and `lifted_heads` are read from them.
     """
 
     __slots__ = ("name", "signature", "rules", "matrices", "components", "__dict__")
@@ -198,6 +198,19 @@ class Calculus(Record):
         else:
             tried = self.matrices
         return tuple(m for m in tried if all(check_rule_soundness((m,), r) for r in self.rules))
+
+    @cached_property
+    def lifted_heads(self) -> frozenset:
+        """The pair constructors that head a formula only LFT concludes,
+        worked out on first use: in a meet, the pairs of two constructors
+        outside the verum family that no rule concludes; none when a rule
+        concludes a bare variable. cLFT and FX conclude only pairs with a
+        verum-family side."""
+        if not self.components or any(r.liberal for r in self.rules):
+            return frozenset()
+        concluded = {r.conclusion.ctor for r in self.rules}
+        return frozenset(p for p in self.signature.all_ctors() if p not in concluded
+                         and verum_family_name(p.arity) not in (p.c1.name, p.c2.name))
 
 
 def _verum_designated(m) -> bool:
@@ -675,6 +688,19 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
     rounds would return, line for line. Otherwise the rounds run as below,
     and None still means only "inconclusive".
 
+    A meet goal that only LFT can conclude is searched projection first
+    (`_lifted`): without `extra`, when the goal fits `max_size`, is not a
+    hypothesis, is not refuted in `calc.models`, and its head is one of
+    `calc.lifted_heads`. Each projection of the goal is searched in its
+    component calculus from the projected hypotheses, under the same
+    bounds and through the same path (the goal-directed pass, the models
+    test, the rounds), and the both-sides template joins the two
+    derivations by LFT. When either search gives up, or a component line
+    cannot be inherited (`BuilderError`), the rounds run as they would
+    have. They conclude such a goal only by LFT from the same two
+    projections, so this loses no goal; it changes only the derivations
+    of such goals.
+
     Rounds are semi-naive: a round makes only the premise matches that cite
     a fact added by the round before. A match of older facts was made in an
     earlier round, which added all its conclusions unless the fact cap
@@ -701,16 +727,53 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
 
 def _bounded_proof_search(calc, extra, hyps, goal, bounds):
     hyps = list(dict.fromkeys(hyps))
+    if extra or goal.__class__ is not App or goal.ctor not in calc.lifted_heads \
+            or goal.size > bounds.max_size or goal in hyps:
+        return _forward_search(calc, extra, hyps, goal, bounds)
+    if _refuted(calc, hyps, goal):
+        return None
+    found = _lifted(calc, hyps, goal, bounds)
+    if found is not None:
+        return found
+    return _rounds(calc, (), hyps, goal, _candidate_pool(calc, hyps, goal, bounds), bounds)
+
+
+def _lifted(calc, hyps, goal, bounds) -> Optional[Derivation]:
+    """The derivation of a meet goal by LFT from its two projections, each
+    searched in its component calculus from the projected hypotheses, and
+    joined with the both-sides template; None when either search gives up
+    or the template cannot inherit a component line."""
+    ds = []
+    for k, comp in enumerate(calc.components, start=1):
+        d = _forward_search(comp, (), [project(h, k) for h in hyps], project(goal, k), bounds)
+        if d is None:
+            return None
+        ds.append(d)
+    try:
+        return _both_sides(hyps, goal, ds[0], ds[1], calc, *calc.components)
+    except BuilderError:
+        return None
+
+
+def _forward_search(calc, extra, hyps, goal, bounds):
+    """The search without the lifted phase: the `max_size` test, the
+    goal-directed pass, the models test and the rounds."""
+    hyps = list(dict.fromkeys(hyps))
     if goal.size > bounds.max_size:
         return None
-    cs = calc.signature if isinstance(calc.signature, CombinedSignature) else None
     candidates = _candidate_pool(calc, hyps, goal, bounds)
-    if cs is None and not extra and bounds.depth >= 2:
+    if not isinstance(calc.signature, CombinedSignature) and not extra and bounds.depth >= 2:
         found = _round_one(calc.rules, hyps, goal, candidates, bounds)
         if found is not None:
             return found
     if not extra and _refuted(calc, hyps, goal):
         return None
+    return _rounds(calc, extra, hyps, goal, candidates, bounds)
+
+
+def _rounds(calc, extra, hyps, goal, candidates, bounds):
+    """The forward rounds from the hypotheses over `candidates`."""
+    cs = calc.signature if isinstance(calc.signature, CombinedSignature) else None
     rules = list(calc.rules) + list(extra)
 
     facts: dict = {}
@@ -1234,16 +1297,14 @@ def _splice(d, k, cs, component_calc, component_extra, lines, hyp_line_of) -> in
     return local[len(d.lines)]
 
 
-def _template_prologue(premises, calc, b1, b2, sides):
+def _template_prologue(premises, calc, sides):
     """The start both templates share: a HYP line per premise, then for each
     of `sides` a cLFT line per premise. Returns the combined signature, the
-    component calculi of bundles b1 and b2 by side, the lines, and per side
-    the line of each projected premise."""
+    lines, and per side the line of each projected premise."""
     cs = calc.signature
     if not isinstance(cs, CombinedSignature):
         raise BuilderError("template requires a combined calculus")
     premises = tuple(premises)
-    comp = {1: b1.calculus, 2: b2.calculus}
     lines = [Line(a, Hyp()) for a in premises]
     hyp_line_of = {}
     projected: dict = {}  # proj_embedded's memo
@@ -1252,7 +1313,7 @@ def _template_prologue(premises, calc, b1, b2, sides):
         for i, a in enumerate(premises, start=1):
             lines.append(Line(proj_embedded(a, k, cs, projected), Clft((i,), k)))
             hyp_line_of[k].setdefault(project(a, k), len(lines))
-    return cs, comp, lines, hyp_line_of
+    return cs, lines, hyp_line_of
 
 
 def build_both_admissible_derivation(premises, conclusion, d1, d2, calc: Calculus,
@@ -1260,14 +1321,20 @@ def build_both_admissible_derivation(premises, conclusion, d1, d2, calc: Calculu
     """Both-sides template: hypotheses, cLFT to each side, spliced component
     derivations of the projected conclusion, final LFT.
 
-    d1 derives conclusion|1 from the projected premises in component 1 (with
-    basis rules in extra1 for the basis-mode layout); d2 symmetrically.
+    d1 derives conclusion|1 from the projected premises in component 1, the
+    calculus of bundle b1 (with basis rules in extra1 for the basis-mode
+    layout); d2 symmetrically.
     """
-    cs, comp, lines, hyp_line_of = _template_prologue(premises, calc, b1, b2, (1, 2))
-    sides = ((1, d1, extra1), (2, d2, extra2))
-    for k, d, _ in sides:
+    return _both_sides(premises, conclusion, d1, d2, calc, b1.calculus, b2.calculus, extra1, extra2)
+
+
+def _both_sides(premises, conclusion, d1, d2, calc, c1, c2, extra1=(), extra2=()) -> Derivation:
+    """The both-sides template over the component calculi c1 and c2."""
+    cs, lines, hyp_line_of = _template_prologue(premises, calc, (1, 2))
+    sides = ((1, d1, c1, extra1), (2, d2, c2, extra2))
+    for k, d, _, _ in sides:
         _check_component_derivation(d, hyp_line_of[k], project(conclusion, k), f"component-{k} derivation")
-    endpoints = tuple(_splice(d, k, cs, comp[k], extra, lines, hyp_line_of[k]) for k, d, extra in sides)
+    endpoints = tuple(_splice(d, k, cs, c, extra, lines, hyp_line_of[k]) for k, d, c, extra in sides)
     lines.append(Line(conclusion, Lft(endpoints)))
     return Derivation(tuple(lines))
 
@@ -1281,7 +1348,8 @@ def build_vacuous_side_derivation(premises, conclusion, falsum_side: int, dfalsu
     """
     fs = falsum_side
     other = 3 - fs
-    cs, comp, lines, hyp_line_of = _template_prologue(premises, calc, b1, b2, (fs,))
+    cs, lines, hyp_line_of = _template_prologue(premises, calc, (fs,))
+    comp = {1: b1.calculus, 2: b2.calculus}
     bot_same = comp[fs].signature.bot
     bot_other = comp[other].signature.bot
     _check_component_derivation(dfalsum, hyp_line_of[fs], bot_same, "falsum derivation")

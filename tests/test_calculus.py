@@ -36,7 +36,7 @@ from meetlogic.calculus import (
 )
 from meetlogic.combination import CombinedSignature, combine_signatures, embed, proj_embedded, project
 from meetlogic.formats import serialize_derivation
-from meetlogic.presets import gl_basis_rule, godel_chain, harrop_rule, load_preset, visser_rule
+from meetlogic.presets import combine_bundles, gl_basis_rule, godel_chain, harrop_rule, load_preset, visser_rule
 from meetlogic.semantics import Matrix, check_rule_soundness, entails, product_matrix
 from meetlogic.syntax import (
     App,
@@ -47,6 +47,7 @@ from meetlogic.syntax import (
     parse_formula,
     print_formula,
     variables_of,
+    verum_family_name,
 )
 
 import golden
@@ -654,14 +655,41 @@ def _text(d):
     return None if d is None else serialize_derivation(d)
 
 
+def _lft_only(calc, hyps, goal):
+    """Whether only LFT can conclude the goal in the meet `calc`: it is not
+    a hypothesis, its head pairs two constructors outside the verum family,
+    and no rule concludes that head or a bare variable."""
+    return bool(calc.components) and isinstance(goal, App) and goal not in hyps \
+        and verum_family_name(goal.ctor.arity) not in (goal.ctor.c1.name, goal.ctor.c2.name) \
+        and not any(isinstance(r.conclusion, Var) or r.conclusion.ctor is goal.ctor for r in calc.rules)
+
+
+def _assert_public_keeps(calc, hyps, goal, bounds, forward):
+    """The public search finds every goal that the forward search finds,
+    with the same derivation unless only LFT can conclude the goal; what it
+    finds passes the checker. Returns its derivation."""
+    got = bounded_proof_search(calc, (), hyps, goal, bounds)
+    where = f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
+    if not _lft_only(calc, hyps, goal):
+        assert _text(got) == _text(forward), where
+    elif forward is not None:
+        assert got is not None, where
+    assert got is None or check_derivation(got, calc, hyps=hyps), where
+    return got
+
+
 def _assert_same_as_reference(queries, extra=()):
+    """The forward search against the naive loop; without `extra`, the
+    public search against the forward search."""
     found = 0
     for calc, hyps, goal, bounds in queries:
-        got = bounded_proof_search(calc, extra, hyps, goal, bounds)
+        got = calculus._forward_search(calc, extra, hyps, goal, bounds)
         want = _reference_search(calc, hyps, goal, bounds, extra)
         found += got is not None
         assert _text(got) == _text(want), \
             f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
+        if not extra:
+            _assert_public_keeps(calc, hyps, goal, bounds, got)
     assert found
 
 
@@ -810,7 +838,7 @@ class TestSearchMatchesReference:
         monkeypatch.setattr(calculus, "_bucket_instances", bucket)
         queries = itertools.chain(*(_meet_queries(*pair) for pair in MEET_PAIRS), _stop_queries())
         for calc, hyps, goal, bounds in queries:
-            bounded_proof_search(calc, (), hyps, goal, bounds)
+            calculus._forward_search(calc, (), hyps, goal, bounds)
         assert calls["joint"] > 1000 and calls["match"] == calls["joint"]
 
     def test_rule_instance_kept_over_lft_of_the_same_formula(self):
@@ -860,18 +888,22 @@ class TestRefutationLosesNothing:
     is not derivable, so returning None for it changes no search result."""
 
     def test_same_results_as_without_models(self):
-        refuted = found = 0
+        refuted = found = lifted = 0
         for calc, hyps, goal, bounds in _refutation_queries():
             assert calc.models
-            got = bounded_proof_search(calc, (), hyps, goal, bounds)
-            want = bounded_proof_search(_models_free(calc), (), hyps, goal, bounds)
+            got = calculus._forward_search(calc, (), hyps, goal, bounds)
+            want = calculus._forward_search(_models_free(calc), (), hyps, goal, bounds)
             assert _text(got) == _text(want), \
                 f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
             refuted += not entails(calc.models, hyps, goal)
             if got is not None:
                 found += 1
                 assert entails(calc.models, hyps, got.conclusion)
-        assert refuted > 50 and found > 10
+            if _lft_only(calc, hyps, goal):  # any other goal's search is the forward search
+                public = _assert_public_keeps(calc, hyps, goal, bounds, got)
+                lifted += public is not None and got is None
+                assert public is None or entails(calc.models, hyps, public.conclusion)
+        assert refuted > 50 and found > 10 and lifted >= 12
 
     def test_wide_goals_skip_large_models(self, monkeypatch):
         """A model is tried only while a column over the goal's variables
@@ -919,6 +951,91 @@ class TestRefutationLosesNothing:
         assert all(check_rule_soundness([product], r) for r in calc.rules)
         assert bounded_proof_search(calc, (), [hyp], goal, SearchBounds(depth=1)) is not None
         assert not entails([product], [hyp], goal)
+
+
+# ---------------------------------------------------------------------------
+# the lifted phase against the forward search
+
+PRESETS = ("CPL", "G3", "IPL", "S43", "GL")
+LIFTED_BOUNDS = SearchBounds(depth=3, max_size=8, max_facts=3000, max_candidates=3)
+
+
+def _lifted_queries():
+    """Seeded meet goals with 0-2 hypotheses over all 25 ordered preset
+    pairs: four shapes whose head pairs two constructors outside the verum
+    family, and two that only look alike, an embedded goal and a goal that
+    is a hypothesis."""
+    for l1, l2 in itertools.product(PRESETS, repeat=2):
+        calc = combine_bundles(load_preset(l1), load_preset(l2)).calculus
+        cs = calc.signature
+        imp, conj, disj = (cs.resolve_pair(n, cs.tag1, n, cs.tag2, 2) for n in ("->", "and", "or"))
+        rng = random.Random(f"lifted:{l1}:{l2}")
+        for k in (1, 2):
+            a, c = random_formula(rng, cs, 1, 2), random_formula(rng, cs, 1, 2)
+            for hyps, goal in (([], App(imp, (a, a))), ([a], App(disj, (a, c))), ([a, c], App(conj, (a, c))),
+                               ([a, App(imp, (a, c))], App(disj, (c, c))),
+                               ([], proj_embedded(App(imp, (a, a)), k, cs, {})),
+                               ([App(conj, (a, c))], App(conj, (a, c)))):
+                yield calc, hyps, goal
+
+
+class TestLiftedPhaseLosesNothing:
+    """Searching a goal that only LFT can conclude projection first loses
+    no goal that the forward search finds, returns only derivations that
+    pass the checker and that the meet's models bear out, and changes no
+    other goal's result."""
+
+    def test_all_preset_pairs(self):
+        lifted = kept = other = 0
+        for calc, hyps, goal in _lifted_queries():
+            forward = calculus._forward_search(calc, (), hyps, goal, LIFTED_BOUNDS)
+            got = _assert_public_keeps(calc, hyps, goal, LIFTED_BOUNDS, forward)
+            if got is not None and calc.models:
+                assert entails(calc.models, hyps, got.conclusion)
+            if _lft_only(calc, hyps, goal):
+                lifted += got is not None and forward is None
+                kept += forward is not None
+            else:
+                other += 1
+        assert lifted >= 8 and kept >= 12 and other == 100
+
+    def test_lifted_heads(self):
+        """CPL x CPL: the pairs of `bot`, `neg` and the four binary
+        connectives, also where no rule concludes a pair with a verum-family
+        side (no rule is liberal in `k`); a rule concluding a pair takes it
+        out, and a calculus without components, or with a rule concluding a
+        bare variable, has none."""
+        heads = MEET.lifted_heads
+        assert len(heads) == 1 + 1 + 4 * 4
+        k = Calculus("K", CPL.signature, (rule_named(CPL.calculus, "a1"),))
+        assert assemble_meet_calculus(k, k, CS).lifted_heads == heads
+        assert CS.bot.ctor in heads and PM("<->.CPL1|and.CPL2>(xi1, xi1)").ctor in heads
+        assert CS.top.ctor not in heads and PM("xi1 ->.CPL1 xi1").ctor not in heads
+        goal = PM("<->.CPL1|->.CPL2>(xi1, xi1)")
+        halves = tuple(proj_embedded(goal, k, CS, {}) for k in (1, 2))
+        joined = Calculus("J", CS, MEET.rules + (Rule("join", halves, goal),), components=MEET.components)
+        assert joined.lifted_heads == heads - {goal.ctor}
+        liberal = Calculus("L", CS, MEET.rules + (Rule("id", (Var(1),), Var(1)),), components=MEET.components)
+        assert CPL.calculus.lifted_heads == _models_free(MEET).lifted_heads == liberal.lifted_heads == frozenset()
+
+    def test_falls_back_when_a_line_cannot_be_inherited(self):
+        """Each side's search reaches `xi1 or xi1` first through `xi1`, a
+        bare variable that no meet rule concludes, so the template raises
+        `BuilderError`; the rounds then find the goal through `join`."""
+        rules = (Rule("proj", (P("xi1 and xi2"),), P("xi1")), Rule("intro", (P("xi1"),), P("xi1 or xi1")),
+                 Rule("pair", (P("xi1 and xi2"),), P("xi1 and xi1")), Rule("join", (P("xi1 and xi1"),), P("xi1 or xi1")))
+        comp = Calculus("C", CPL.signature, rules)
+        calc = assemble_meet_calculus(comp, comp, CS)
+        hyps, goal = [PM("<and.CPL1|and.CPL2>(xi1, xi2)")], PM("<or.CPL1|or.CPL2>(xi1, xi1)")
+        bounds = SearchBounds(depth=3)
+        sides = [bounded_proof_search(comp, (), [project(hyps[0], k)], project(goal, k), bounds) for k in (1, 2)]
+        assert all(d.lines[1] == Line(P("xi1"), RuleApp("proj", (1,), ((1, Var(1)), (2, Var(2))))) for d in sides)
+        with pytest.raises(BuilderError):
+            build_both_admissible_derivation(hyps, goal, *sides, calc, CPL, CPL2)
+        assert calculus._lifted(calc, hyps, goal, bounds) is None
+        d = bounded_proof_search(calc, (), hyps, goal, bounds)
+        assert d == calculus._forward_search(calc, (), hyps, goal, bounds)
+        assert check_derivation(d, calc, hyps=hyps) and isinstance(d.lines[-1].just, Lft)
 
 
 # ---------------------------------------------------------------------------
@@ -1259,7 +1376,7 @@ def _round_one_queries():
 
 
 def _three_ways(monkeypatch, calc, hyps, goal, bounds, seconds=None):
-    """The search, the forward search with the pass patched out, and the
+    """The forward search, the same with the pass patched out, and the
     naive loop, as texts; and the pass's answers during the search. When
     `seconds` is a list, `_round_two`'s answers are appended to it."""
     answers: list = []
@@ -1268,10 +1385,10 @@ def _three_ways(monkeypatch, calc, hyps, goal, bounds, seconds=None):
         m.setattr(calculus, "_round_one", lambda *args: answers.append(real(*args)) or answers[-1])
         if seconds is not None:
             m.setattr(calculus, "_round_two", lambda *args: seconds.append(real_two(*args)) or seconds[-1])
-        got = bounded_proof_search(calc, (), hyps, goal, bounds)
+        got = calculus._forward_search(calc, (), hyps, goal, bounds)
     with monkeypatch.context() as m:
         m.setattr(calculus, "_round_one", lambda *args: None)
-        forward = bounded_proof_search(calc, (), hyps, goal, bounds)
+        forward = calculus._forward_search(calc, (), hyps, goal, bounds)
     want = _reference_search(calc, hyps, goal, bounds)
     return (_text(got), _text(forward), _text(want)), answers
 

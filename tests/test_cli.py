@@ -380,6 +380,17 @@ class TestTreeVerbs:
             seen.add(target)
         assert seen == {"top", "bot"}
 
+    @pytest.mark.parametrize("logic", ["S43", "GL"])
+    def test_complete_without_a_ground_matrix_exits_0_unverified(self, capsys, logic):
+        """S43 and GL have no ground matrix, so the completion is printed
+        unverified: `verified` is null, the text names no verdict, and the
+        exit code is 0, as for a construction, not a yes/no answer."""
+        code, out, _ = run(capsys, "complete", "--logic", logic, "--target", "top", "--format", "json",
+                           "xi1 -> (neg xi2)")
+        assert code == EXIT_YES and json.loads(out) == {"completion": "->(top, neg(bot))", "verified": None}
+        code, out, _ = run(capsys, "complete", "--logic", logic, "--target", "bot", "box xi1 and xi2")
+        assert code == EXIT_YES and out == "and(box(top), bot)\n"
+
     def test_equalize(self, capsys):
         code, out, _ = run(capsys, "equalize", "--l1", "CPL", "--l2", "CPL",
                            "--f1", "xi1", "--f2", "xi2 and xi2")

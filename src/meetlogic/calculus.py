@@ -5,10 +5,8 @@ from __future__ import annotations
 
 import gc
 import itertools
-from bisect import bisect_right
 from collections import Counter
 from functools import cached_property, lru_cache
-from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .combination import (
@@ -599,9 +597,6 @@ def _index(fresh, keys, every):
     return fresh, by_head, by_arg, set(fresh)
 
 
-_size = attrgetter("size")
-
-
 class _Texts(dict):
     """Printed formulas; a formula is printed on its first lookup."""
 
@@ -612,35 +607,47 @@ class _Texts(dict):
         return text
 
 
-def _bucket_instances(rule, subst, cited, candidates, max_size, buckets):
-    """Append the record `("rule", cited, rule, images, subst)` to
-    `buckets[size]` for each instance of the conclusion within `max_size`,
-    sized by `Rule.shape`, not built. `images` are the images of the
-    conclusion's variables in `shape` order, and `subst` is shared, not
-    copied. The variables that `subst` leaves unbound range over
-    `candidates`, which are in size order: each over the prefix of them
-    whose sizes still fit when the others take the smallest, so the
-    instances come in the order of the product over all candidates."""
+def _by_size(candidates) -> dict:
+    """The candidates, which are in size order, as size -> the candidates of
+    that size."""
+    groups: dict = {}
+    for g in candidates:
+        groups.setdefault(g.size, []).append(g)
+    return groups
+
+
+def _images(rule, subst, groups, max_size) -> dict:
+    """Instance size -> the images of the conclusion's variables, in
+    `Rule.shape` order, of each instance of the conclusion within
+    `max_size` under `subst`: sized by `Rule.shape`, not built. The
+    variables that `subst` leaves unbound range over the candidate `groups`
+    (size -> candidates), one product per tuple of candidate sizes that
+    fits. Every such variable occurs in the conclusion, so each image tuple
+    is another instance."""
     size, counts, _ = rule.shape
     images = [subst.get(v) for v, _ in counts]
     size += sum([n * g.size for (_, n), g in zip(counts, images) if g is not None])
-    free = [k for k, g in enumerate(images) if g is None]
-    if not free:
-        if size <= max_size:
-            buckets.setdefault(size, []).append(("rule", cited, rule, tuple(images), subst))
-        return
-    weights = [counts[k][1] for k in free]
-    least = candidates[0].size if candidates else 0
-    spare = max_size - size - least * sum(weights)
-    prefixes = [candidates[:bisect_right(candidates, least + spare // n, key=_size)] for n in weights]
-    for values in itertools.product(*prefixes):
-        total = size + sum([n * f.size for n, f in zip(weights, values)])
+    free = [(k, n) for k, ((_, n), g) in enumerate(zip(counts, images)) if g is None]
+    if not free:  # one tuple: most joint premise matches bind every variable
+        return {size: [tuple(images)]} if size <= max_size else {}
+    choices = [(g,) for g in images]
+    out: dict = {}
+    for sizes in itertools.product(groups, repeat=len(free)):
+        total = size + sum([n * m for (_, n), m in zip(free, sizes)])
         if total <= max_size:
-            if len(free) < len(images):
-                for k, g in zip(free, values):
-                    images[k] = g
-                values = tuple(images)
-            buckets.setdefault(total, []).append(("rule", cited, rule, values, subst))
+            for (k, _), m in zip(free, sizes):
+                choices[k] = groups[m]
+            out.setdefault(total, []).extend(itertools.product(*choices))
+    return out
+
+
+def _file(rule, subst, cited, groups, max_size, buckets):
+    """Append the record `("rule", cited, rule, images, subst)` of each of
+    `_images`' tuples to `buckets[size]`; `subst` is shared, not copied."""
+    for size, images in _images(rule, subst, groups, max_size).items():
+        bucket = buckets.setdefault(size, [])
+        for t in images:
+            bucket.append(("rule", cited, rule, t, subst))
 
 
 # The search tries a model only while its columns stay this short: `entails`
@@ -813,6 +820,7 @@ def _rounds(calc, extra, hyps, goal, candidates, bounds):
     proper = [r for r in rules if r.premises]
     arg_keys = {_arg_key(p) for r in proper for p in r.premises}
     every = (order, {}, {}, facts)  # facts by head constructor and by argument key
+    groups = _by_size(candidates)
     seen = 0  # facts before order[seen] were matched in an earlier round
     for _round in range(bounds.depth):
         if finished():
@@ -824,10 +832,10 @@ def _rounds(calc, extra, hyps, goal, candidates, bounds):
         lfts: dict = {}  # size -> (LFT target, record), made after every rule instance
         if _round == 0:
             for rule in axioms:
-                _bucket_instances(rule, {}, (), candidates, bounds.max_size, buckets)
+                _file(rule, {}, (), groups, bounds.max_size, buckets)
         for rule in proper:
             for subst, cited in _join(rule, every, new):
-                _bucket_instances(rule, subst, cited, candidates, bounds.max_size, buckets)
+                _file(rule, subst, cited, groups, bounds.max_size, buckets)
         if cs is not None:
             for target in [goal] + candidates:
                 if target in facts or isinstance(target, Var):
@@ -924,21 +932,20 @@ class _RoundZero(dict):
         return self[f] is not None
 
 
-def _instance_count(rule, candidates, max_size) -> int:
-    """The number of records `_bucket_instances` makes for the axiom `rule`
-    over `candidates`: image tuples whose instance fits `max_size`, counted
-    by convolving the candidates' sizes, not made; memoised on those sizes."""
-    return _count_instances(*rule.shape[:2], tuple([g.size for g in candidates]), max_size)
+def _instance_count(rule, groups, max_size) -> int:
+    """The number of image tuples `_images` makes for the axiom `rule` over
+    the candidate `groups`, counted by convolving the groups' sizes, not
+    made; memoised on the groups' sizes and lengths."""
+    return _count_instances(*rule.shape[:2], tuple(groups), tuple(map(len, groups.values())), max_size)
 
 
 @lru_cache(maxsize=4096)
-def _count_instances(nodes, counts, sizes, max_size) -> int:
-    sizes = Counter(sizes)
+def _count_instances(nodes, counts, sizes, lengths, max_size) -> int:
     ways = Counter({nodes: 1} if nodes <= max_size else ())  # instance size so far -> image tuples
     for _, n in counts:
         step: Counter = Counter()
         for total, k in ways.items():
-            for size, m in sizes.items():
+            for size, m in zip(sizes, lengths):
                 if total + n * size <= max_size:
                     step[total + n * size] += k * m
         ways = step
@@ -1005,14 +1012,15 @@ def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
     if not all(len(r.plan) == 1 and variables_of(r.conclusion) <= variables_of(r.plan[0][1]) for r in proper):
         return None
     hyps = [h for h in hyps if h.size <= max_size]
+    groups = _by_size(candidates)
     every = (hyps, {}, {}, set(hyps))
     new = _index(hyps, {_arg_key(p) for r in proper for p in r.premises}, every)
     buckets: dict = {}
     for rule in proper:
         for subst, cited in _join(rule, every, new):
-            _bucket_instances(rule, subst, cited, candidates, max_size, buckets)
+            _file(rule, subst, cited, groups, max_size, buckets)
     made = [record for records in buckets.values() for record in records]
-    f0 = len(hyps) + len(made) + sum([_instance_count(r, candidates, max_size) for r in axioms])
+    f0 = len(hyps) + len(made) + sum([_instance_count(r, groups, max_size) for r in axioms])
     bounded = f0 * (1 + len(proper)) < bounds.max_facts
     if not bounded and bounds.depth < 3:
         return None
@@ -1029,13 +1037,13 @@ def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
         found = _matches(rule, beta, hyps, known)
         first = next(iter(found), None)
         if first is None:
-            groups = {size: list(records) for size, records in buckets.items()}  # round 0's additions by size
+            additions = {size: list(records) for size, records in buckets.items()}  # round 0's, by size
             for axiom in axioms:
                 theta = _premise_unifier(axiom, rule.plan[0][1], beta, known.pool)
                 if theta is not None:
-                    _bucket_instances(axiom, theta, (), candidates, max_size, groups)
-            for size in sorted(groups):
-                found = _matches(rule, beta, {r[2].instantiator[0](*r[3]) for r in groups[size]} - every[3], known)
+                    _file(axiom, theta, (), groups, max_size, additions)
+            for size in sorted(additions):
+                found = _matches(rule, beta, {r[2].instantiator[0](*r[3]) for r in additions[size]} - every[3], known)
                 if found:
                     first = min(found, key=print_formula)
                     break
@@ -1045,19 +1053,7 @@ def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
             return _reconstruct(goal, known)
     if bounds.depth < 3:
         return None
-    return _round_two(proper, axioms, hyps, derived, known, goal, candidates, bounds, f0)
-
-
-def _images(axiom, groups, max_size) -> list:
-    """The images of the records `_bucket_instances` makes for `axiom`,
-    in another order: one product of the candidate `groups` (size ->
-    candidates) per tuple of sizes that fits `max_size`."""
-    nodes, counts, _ = axiom.shape
-    out: list = []
-    for sizes in itertools.product(groups, repeat=len(counts)):
-        if nodes + sum([n * k for (_, n), k in zip(counts, sizes)]) <= max_size:
-            out += itertools.product(*[groups[k] for k in sizes])
-    return out
+    return _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds, f0)
 
 
 @lru_cache(maxsize=4096)
@@ -1081,7 +1077,7 @@ def _composition(axiom, rule):
             _compile_build(apply_substitution(sigma, rule.conclusion), variables))
 
 
-def _round_two(proper, axioms, hyps, derived, known, goal, candidates, bounds, f0) -> Optional[Derivation]:
+def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds, f0) -> Optional[Derivation]:
     """The derivation the forward search returns when it adds the goal in
     round 2, found without making round 0; None when the search would not,
     or when this cannot tell. The rule conditions are `_round_one`'s, and
@@ -1118,10 +1114,8 @@ def _round_two(proper, axioms, hyps, derived, known, goal, candidates, bounds, f
     if not all(variables_of(premise) <= variables_of(rule.conclusion).union(checks) for rule, premise, checks in steps):
         return None
     hypset = set(hyps)
-    groups: dict = {}  # size -> the candidates of that size
-    for g in candidates:
-        groups.setdefault(g.size, []).append(g)
-    instances = [_images(axiom, groups, max_size) for axiom in axioms]  # per axiom, its records' images
+    # per axiom, the images of its round-0 records
+    instances = [list(itertools.chain(*_images(axiom, {}, groups, max_size).values())) for axiom in axioms]
     seen = [set() for _ in proper]  # per rule, (check images, conclusion) of each match taken
     ones: dict = {}  # round 1's facts -> their matches
     pending: dict = {}  # a check image round 0 lacks -> the round-0 steps whose first such it is

@@ -2,7 +2,9 @@ import gc
 import itertools
 import random
 import sys
+from bisect import bisect_right
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 
@@ -20,7 +22,6 @@ from meetlogic.calculus import (
     RuleApp,
     SearchBounds,
     _arg_key,
-    _bucket_instances,
     _candidate_pool,
     _index,
     _join,
@@ -270,36 +271,46 @@ class TestSearchPausesCollector:
     """A search runs with the cyclic garbage collector paused and leaves it
     as it found it; the pause is safe because a search makes no cycles."""
 
-    # a meet goal, so the search runs its rounds and calls `_index`
-    QUERY = (MEET, (), [], "<->.CPL1|->.CPL2>(xi1, xi1)", SearchBounds(max_facts=700))
+    # A meet goal that no rule and not only LFT concludes, so the lifted
+    # phase leaves it to the rounds, which add it in round 2: `_index` runs
+    # once per round, and the meet's cLFT and FX closure runs on every fact.
+    QUERY = (MEET, (), [], "xi1 ->.CPL1 xi1", SearchBounds(max_size=16))
 
     def search(self):
         calc, extra, hyps, goal, bounds = self.QUERY
         return bounded_proof_search(calc, extra, hyps, PM(goal), bounds)
 
     def spy(self, monkeypatch):
+        """The collector's state at each `_index` call, and the calculi the
+        rounds ran in."""
         states: list = []
-        real = calculus._index
+        calcs: list = []
+        real, real_rounds = calculus._index, calculus._rounds
 
         def index(*args):
             states.append(gc.isenabled())
             return real(*args)
 
+        def rounds(calc, *args):
+            calcs.append(calc)
+            return real_rounds(calc, *args)
+
         monkeypatch.setattr(calculus, "_index", index)
-        return states
+        monkeypatch.setattr(calculus, "_rounds", rounds)
+        return states, calcs
 
     def test_paused_during_search_and_enabled_after(self, monkeypatch, collector):
-        states = self.spy(monkeypatch)
+        states, calcs = self.spy(monkeypatch)
         gc.enable()
-        self.search()
-        assert states and not any(states)
+        assert len(self.search()) == 9
+        assert calcs == [MEET] and len(states) == 3 and not any(states)
         assert gc.isenabled()
 
     def test_left_disabled_when_it_was(self, monkeypatch, collector):
-        states = self.spy(monkeypatch)
+        states, calcs = self.spy(monkeypatch)
         gc.disable()
         self.search()
-        assert states and not any(states)
+        assert calcs == [MEET] and len(states) == 3 and not any(states)
         assert not gc.isenabled()
 
     def test_restored_when_the_search_raises(self, monkeypatch, collector):
@@ -317,7 +328,7 @@ class TestSearchPausesCollector:
         comp = (CPL.calculus, (), [P("xi1 and xi2")], P("xi2 and xi1"), SearchBounds(depth=4))
         gc.disable()
         gc.collect()
-        self.search()
+        assert self.search() is not None
         assert bounded_proof_search(*comp) is not None
         assert gc.collect() == 0
 
@@ -412,6 +423,41 @@ class TestConsistencyGuard:
 
 # ---------------------------------------------------------------------------
 # differential test of the search against the naive round loop
+
+_size = attrgetter("size")
+
+
+def _bucket_instances(rule, subst, cited, candidates, max_size, buckets):
+    """The product-order reference of the search's instance enumerator
+    (`calculus._images`): append the record `("rule", cited, rule, images,
+    subst)` to `buckets[size]` for each instance of the conclusion within
+    `max_size`, sized by `Rule.shape`, not built. `images` are the images of
+    the conclusion's variables in `shape` order. The variables that `subst`
+    leaves unbound range over `candidates`, which are in size order: each
+    over the prefix of them whose sizes still fit when the others take the
+    smallest, so the instances come in the order of the product over all
+    candidates."""
+    size, counts, _ = rule.shape
+    images = [subst.get(v) for v, _ in counts]
+    size += sum([n * g.size for (_, n), g in zip(counts, images) if g is not None])
+    free = [k for k, g in enumerate(images) if g is None]
+    if not free:
+        if size <= max_size:
+            buckets.setdefault(size, []).append(("rule", cited, rule, tuple(images), subst))
+        return
+    weights = [counts[k][1] for k in free]
+    least = candidates[0].size if candidates else 0
+    spare = max_size - size - least * sum(weights)
+    prefixes = [candidates[:bisect_right(candidates, least + spare // n, key=_size)] for n in weights]
+    for values in itertools.product(*prefixes):
+        total = size + sum([n * f.size for n, f in zip(weights, values)])
+        if total <= max_size:
+            if len(free) < len(images):
+                for k, g in zip(free, values):
+                    images[k] = g
+                values = tuple(images)
+            buckets.setdefault(total, []).append(("rule", cited, rule, values, subst))
+
 
 def _reference_matches(rule, facts_order, by_head, facts_set):
     idxs = sorted(range(len(rule.premises)), key=lambda i: -rule.premises[i].size)
@@ -725,10 +771,12 @@ class TestSearchMatchesReference:
         assert len(projected) == 2 and isinstance(projected.lines[-1].just, Clft)
 
     def test_instance_sizes_predicted_from_substitution(self):
-        """`_bucket_instances` files the same instances, in the same order,
-        as building every conclusion and keeping those within `max_size`,
-        each under the size of the node `apply_substitution` builds, and
-        the rule's instantiator builds and prints each from its images."""
+        """`_file` files the same instances per size as building every
+        conclusion and keeping those within `max_size`, each under the size
+        of the node `apply_substitution` builds, and the rule's instantiator
+        builds and prints each from its images. Within a size the order may
+        differ: each instance of one enumeration has its own conclusion, so
+        the search's first record for a conclusion does not depend on it."""
         bounds = SearchBounds(max_candidates=4, max_size=10)
         calcs = [load_preset(logic).calculus for logic in ("CPL", "G3", "IPL", "S43", "GL")] \
             + [_meet_calculus(*pair)[1] for pair in MEET_PAIRS]
@@ -737,6 +785,7 @@ class TestSearchMatchesReference:
             sig = calc.signature
             rng = random.Random(f"sizes:{calc.name}")
             candidates = _candidate_pool(calc, [], random_formula(rng, sig, 3, 2), bounds)
+            groups = calculus._by_size(candidates)
             for rule in calc.rules:
                 rule_vars = sorted(variables_of(rule.conclusion).union(*map(variables_of, rule.premises)))
                 conclusion_vars = sorted(variables_of(rule.conclusion))
@@ -745,7 +794,7 @@ class TestSearchMatchesReference:
                     # a search binds the premises' variables; any subset shows the sizing
                     subst = {v: random_formula(rng, sig, 2, 3) for v in rule_vars if rng.random() < 0.5}
                     buckets: dict = {}
-                    _bucket_instances(rule, subst, (), candidates, bounds.max_size, buckets)
+                    calculus._file(rule, subst, (), groups, bounds.max_size, buckets)
                     want: dict = {}
                     unbound = sorted(variables_of(rule.conclusion) - set(subst))
                     for values in itertools.product(candidates, repeat=len(unbound)):
@@ -765,6 +814,8 @@ class TestSearchMatchesReference:
                             got.setdefault(size, []).append((concl, full))
                     assert got.keys() == want.keys(), rule
                     for size, entries in got.items():
+                        entries.sort(key=lambda e: print_formula(e[0]))
+                        want[size].sort(key=lambda e: print_formula(e[0]))
                         assert [(c.size, s) for c, s in entries] == [(size, s) for _, s in want[size]], rule
                         assert all(c is w for (c, _), (w, _) in zip(entries, want[size])), rule
                         kept += len(entries)
@@ -823,19 +874,21 @@ class TestSearchMatchesReference:
     def test_one_match_per_joint_match(self, monkeypatch):
         """Bound premises are tested on the candidate fact before it is
         matched, so on the meet calculi every `match_formula` call of a
-        search is a joint premise match: one that `_bucket_instances` gets."""
+        search is a joint premise match: one that `_file` gets."""
         calls = {"match": 0, "joint": 0}
 
         def match(*args):
             calls["match"] += 1
             return match_formula(*args)
 
-        def bucket(rule, *args):
+        real = calculus._file
+
+        def file(rule, *args):
             calls["joint"] += bool(rule.premises)
-            return _bucket_instances(rule, *args)
+            return real(rule, *args)
 
         monkeypatch.setattr(calculus, "match_formula", match)
-        monkeypatch.setattr(calculus, "_bucket_instances", bucket)
+        monkeypatch.setattr(calculus, "_file", file)
         queries = itertools.chain(*(_meet_queries(*pair) for pair in MEET_PAIRS), _stop_queries())
         for calc, hyps, goal, bounds in queries:
             calculus._forward_search(calc, (), hyps, goal, bounds)
@@ -1443,8 +1496,9 @@ class TestRoundOneMatchesForward:
             assert calculus._round_one(CPL.calculus.rules, [a], goal, candidates, over) is not None
 
     def test_record_count_is_the_records_made(self):
-        """`_instance_count` counts the records `_bucket_instances` makes for
-        an axiom over a pool, at every size bound."""
+        """`_instance_count` counts the records the product-order reference
+        `_bucket_instances` makes for an axiom over a pool, at every size
+        bound."""
         counted = 0
         for k, (sig, rule_set) in enumerate(_join_rule_sets()):
             rng = random.Random(f"record-count:{k}")
@@ -1457,7 +1511,8 @@ class TestRoundOneMatchesForward:
                     buckets: dict = {}
                     _bucket_instances(rule, {}, (), pool, max_size, buckets)
                     made = sum(map(len, buckets.values()))
-                    assert calculus._instance_count(rule, pool, max_size) == made, (rule.name, max_size)
+                    assert calculus._instance_count(rule, calculus._by_size(pool), max_size) == made, \
+                        (rule.name, max_size)
                     counted += made
         assert counted > 10_000
 
@@ -1513,9 +1568,10 @@ class TestRoundOneBySize:
                       [P("bot"), P("xi2"), P("neg top"), P("xi2 -> xi1")])
         hits = calculus._count_instances.cache_info().hits
         for pool in same_sizes:
-            assert calculus._instance_count(k, pool, 14) == made(k, pool, 14)
+            assert calculus._instance_count(k, calculus._by_size(pool), 14) == made(k, pool, 14)
         for max_size in (30, 1, 16, 12, 30, 16):
-            assert calculus._instance_count(k, same_sizes[0], max_size) == made(k, same_sizes[0], max_size)
+            assert calculus._instance_count(k, calculus._by_size(same_sizes[0]), max_size) \
+                == made(k, same_sizes[0], max_size)
         assert calculus._count_instances.cache_info().hits >= hits + 3
 
 
@@ -1664,9 +1720,8 @@ class TestRoundTwoMatchesForward:
 
 
 class TestRoundTwoParts:
-    """The compiled matchers, the tuple builders and the image lists the
-    pass reads agree with the kernel's matcher, substitution and
-    `_bucket_instances`."""
+    """The compiled matchers and the tuple builders the pass reads agree
+    with the kernel's matcher and substitution."""
 
     def test_matcher_matches_match_formula(self):
         checked = matched = 0
@@ -1696,20 +1751,40 @@ class TestRoundTwoParts:
                     s = {v: random_formula(rng, sig, 2, 3) for v in variables}
                     assert build(*[s[v] for v in variables]) == tuple(apply_substitution(s, f) for f in fs)
 
-    def test_images_are_the_bucketed_records(self):
+
+class TestImagesMatchProductOrder:
+    """`_images`, the search's one enumerator of rule instances, makes at
+    each instance size the image tuples that the product over the whole
+    pool (`_bucket_instances`, the reference) files there, each once: with
+    no, some and all of the rule's variables bound, over empty and small
+    pools, at `max_size` at and next to each instance size, on component
+    and meet calculi."""
+
+    def test_size_by_size(self):
+        cases = at_bound = empty_bound = tuples = 0
         for k, (sig, rule_set) in enumerate(_join_rule_sets()):
             rng = random.Random(f"images:{k}")
             for rule in rule_set:
-                if rule.premises:
-                    continue
-                pool = sorted({random_formula(rng, sig, 2, 3) for _ in range(rng.randint(1, 12))},
-                              key=lambda f: (f.size, print_formula(f)))
-                groups: dict = {}
-                for g in pool:
-                    groups.setdefault(g.size, []).append(g)
-                for max_size in (1, 5, 12, 30):
-                    buckets: dict = {}
-                    _bucket_instances(rule, {}, (), pool, max_size, buckets)
-                    want = sorted((r[3] for rs in buckets.values() for r in rs), key=lambda t: [id(g) for g in t])
-                    got = sorted(calculus._images(rule, groups, max_size), key=lambda t: [id(g) for g in t])
-                    assert got == want
+                rule_vars = sorted(variables_of(rule.conclusion).union(*map(variables_of, rule.premises)))
+                for n in (0, rng.randint(1, 6)):
+                    pool = sorted({random_formula(rng, sig, 2, 3) for _ in range(n)},
+                                  key=lambda f: (f.size, print_formula(f)))
+                    groups = calculus._by_size(pool)
+                    for share in (0, 0.5, 1):
+                        subst = {v: random_formula(rng, sig, 2, 2) for v in rule_vars if rng.random() < share}
+                        wide: dict = {}
+                        _bucket_instances(rule, subst, (), pool, 40, wide)
+                        for max_size in sorted({1, 40}.union(*({s - 1, s, s + 1} for s in wide))):
+                            buckets: dict = {}
+                            _bucket_instances(rule, subst, (), pool, max_size, buckets)
+                            got = calculus._images(rule, subst, groups, max_size)
+                            where = (rule.name, n, sorted(subst), max_size)
+                            assert got.keys() == buckets.keys(), where
+                            for size, images in got.items():
+                                assert Counter(images) == Counter(r[3] for r in buckets[size]), where
+                                tuples += len(images)
+                            cases += 1
+                            at_bound += max_size in got
+                            empty_bound += not pool and bool(got)
+        assert cases > 4000 and tuples > 20_000 and at_bound > 1000 and empty_bound > 500, \
+            (cases, tuples, at_bound, empty_bound)

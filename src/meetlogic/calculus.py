@@ -128,7 +128,7 @@ def _compile_build(f: Formula, variables: list):
     result = names[f] if roots is not f else f"({''.join(names[r] + ', ' for r in roots)})"
     lines.append(f"    return {result}")
     source = f"def build({', '.join(names[Var(v)] for v in variables)}):\n" + "\n".join(lines)
-    exec(compile(source, "<rule instantiator>", "exec"), env)
+    exec(_code(source), env)
     return env["build"]
 
 
@@ -158,8 +158,17 @@ def _compile_match(f: Formula, variables: list):
             lines.append(f"    {''.join(a + ', ' for a in args)}= {name}.args")
             todo.extend(reversed(list(zip(p.args, args))))
     lines.append(f"    return ({''.join(bound[v] + ', ' for v in variables)})")
-    exec(compile("def match(g):\n" + "\n".join(lines), "<rule matcher>", "exec"), env)
+    exec(_code("def match(g):\n" + "\n".join(lines)), env)
     return env["match"]
+
+
+@lru_cache(maxsize=1024)
+def _code(source: str):
+    """The compiled `source` of a builder or matcher. The source names no
+    constructor and no formula, so rules of one shape share it across
+    logics; each `exec` of the code in a rule's own globals makes that
+    rule's function."""
+    return compile(source, "<rule function>", "exec")
 
 
 class Calculus(Record):
@@ -209,6 +218,24 @@ class Calculus(Record):
         concluded = {r.conclusion.ctor for r in self.rules}
         return frozenset(p for p in self.signature.all_ctors() if p not in concluded
                          and verum_family_name(p.arity) not in (p.c1.name, p.c2.name))
+
+    @cached_property
+    def axiom_closures(self) -> tuple:
+        """What a meet's axiom lookup (`_axiom_line`) reads of the axioms,
+        worked out on first use. Per map of a fact's closure (`_closure`:
+        the identity, cLFT to side 1, to side 2, the verum image), the
+        constructors it makes of those it moves in the axioms' conclusions;
+        and each pattern that a map makes of a conclusion, as an axiom, with
+        the maps that make it."""
+        cs, memo = self.signature, {}
+        conclusions = [r.conclusion for r in self.rules if not r.premises]
+        nodes = {g for c in conclusions for g in subformulas(c) if g.__class__ is App}
+        moved = [{m.ctor for g in nodes if (m := _closure(g, cs, memo)[k]).ctor is not g.ctor} for k in range(4)]
+        patterns: dict = {}  # a pattern -> the maps that make it
+        for c in conclusions:
+            for k, a in enumerate(_closure(c, cs, memo)):
+                patterns.setdefault(a, set()).add(k)
+        return moved, [(Rule("", (), a), ks) for a, ks in patterns.items()]
 
 
 def _verum_designated(m) -> bool:
@@ -687,13 +714,17 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
     its conclusion's variables. When the fact cap cannot be reached in
     rounds 0 and 1, it decides whether round 1 adds the goal by matching
     backwards from the goal. Else, at `depth` 3 or more, `_round_two`
-    decides whether round 2 adds it: it makes round 1 from round 0's
-    records without building round 0, and it answers only when a count
-    certifies that the cap cannot stop the rounds first (the hypotheses,
-    round 0's records, round 1's matches and round 2's matches no larger
-    than the goal stay under `max_facts`). An answer is the derivation the
-    rounds would return, line for line. Otherwise the rounds run as below,
-    and None still means only "inconclusive".
+    makes round 1 from round 0's records without building round 0, and
+    rounds 2 to `depth - 1` without the fact cap. When none of them adds
+    the goal, the search returns None with no models test and no round, as
+    the cap only removes facts. When one does, the pass answers only when a
+    count certifies that the cap cannot stop the rounds first (the
+    hypotheses, round 0's records, the earlier rounds' matches and that
+    round's matches no larger than the goal stay under `max_facts`). In a
+    meet, without hypotheses, a goal that round 0 adds as an axiom
+    instance is looked up instead (`_axiom_line`). An answer is the
+    derivation the rounds would return, line for line. Otherwise the
+    rounds run as below, and None still means only "inconclusive".
 
     A meet goal that only LFT can conclude is searched projection first
     (`_lifted`): without `extra`, when the goal fits `max_size`, is not a
@@ -764,17 +795,21 @@ def _lifted(calc, hyps, goal, bounds) -> Optional[Derivation]:
 
 def _forward_search(calc, extra, hyps, goal, bounds):
     """The search without the lifted phase: the `max_size` test, the
-    goal-directed pass, the models test and the rounds."""
+    goal-directed pass or, in a meet, the axiom lookup, the models test and
+    the rounds."""
     hyps = list(dict.fromkeys(hyps))
     if goal.size > bounds.max_size:
         return None
     candidates = _candidate_pool(calc, hyps, goal, bounds)
-    if not isinstance(calc.signature, CombinedSignature) and not extra and bounds.depth >= 2:
-        found = _round_one(calc.rules, hyps, goal, candidates, bounds)
+    if not extra:
+        if not isinstance(calc.signature, CombinedSignature):
+            found = _round_one(calc.rules, hyps, goal, candidates, bounds) if bounds.depth >= 2 else None
+        else:
+            found = _axiom_line(calc, goal, candidates, bounds) if not hyps and bounds.depth else None
         if found is not None:
-            return found
-    if not extra and _refuted(calc, hyps, goal):
-        return None
+            return found or None  # False: no round below `depth` adds the goal
+        if _refuted(calc, hyps, goal):
+            return None
     return _rounds(calc, extra, hyps, goal, candidates, bounds)
 
 
@@ -872,17 +907,11 @@ def _rounds(calc, extra, hyps, goal, candidates, bounds):
 # ---------------------------------------------------------------------------
 # goal-directed rounds one and two
 
-def _head_key(f):
-    """None for a variable; else f's constructor and, per argument, the
-    argument's constructor or None for a variable."""
-    if f.__class__ is not App:
-        return None
-    return f.ctor, tuple([a.ctor if a.__class__ is App else None for a in f.args])
-
-
 def _fits(pattern, key) -> bool:
-    """Whether a formula whose `_head_key` is `key` may be an instance of
-    `pattern`, as far as its head and its arguments' heads tell."""
+    """Whether a formula whose head key is `key` may be an instance of
+    `pattern`, as far as its head and its arguments' heads tell. The head
+    key is None for a variable; else the formula's constructor and, per
+    argument, the argument's constructor or None for a variable."""
     if pattern.__class__ is Var:
         return True
     return key is not None and pattern.ctor is key[0] and \
@@ -891,7 +920,7 @@ def _fits(pattern, key) -> bool:
 
 @lru_cache(maxsize=256)
 def _fitting(axioms: tuple) -> dict:
-    """The memo of `_RoundZero`'s lookups over `axioms`: `_head_key` -> the
+    """The memo of `_RoundZero`'s lookups over `axioms`: head key -> the
     axioms that `_fits` it, in rule order; kept across searches."""
     return {}
 
@@ -904,7 +933,7 @@ class _RoundZero(dict):
     0's join over the hypotheses (`derived`); an axiom's record comes before
     a join's, as round 0 makes axiom instances first. Any other formula maps
     to None, and `in` asks whether a formula is a fact. A lookup tries, with
-    their `Rule.matcher`, only the axioms that `_fits` its `_head_key`."""
+    their `Rule.matcher`, only the axioms that `_fits` its head key."""
 
     __slots__ = ("derived", "axioms", "fitting", "pool", "max_size")
 
@@ -916,7 +945,8 @@ class _RoundZero(dict):
     def __missing__(self, f):
         record = self.derived.get(f)
         if f.size <= self.max_size:
-            key = _head_key(f)
+            key = None if f.__class__ is not App else \
+                (f.ctor, tuple([a.ctor if a.__class__ is App else None for a in f.args]))
             axioms = self.fitting.get(key)
             if axioms is None:
                 axioms = self.fitting[key] = [r for r in self.axioms if _fits(r.conclusion, key)]
@@ -952,6 +982,63 @@ def _count_instances(nodes, counts, sizes, lengths, max_size) -> int:
     return sum(ways.values())
 
 
+def _axiom_line(calc, goal, candidates, bounds) -> Optional[Derivation]:
+    """The one-line derivation the rounds return for a meet goal, searched
+    without hypotheses, that round 0 adds as an axiom instance: its first
+    axiom record, looked up as `_RoundZero` does; None when the goal is no
+    such instance, or when this cannot tell.
+
+    Without hypotheses round 0 makes only axiom records, and each adds at
+    most its closure: itself, its images under cLFT to either side and
+    their verum image, and FX's other falsum. The image of an instance of
+    an axiom A over the pool under one of these maps, each of which
+    replaces every constructor by one constructor, is an instance of A's
+    image over the pool's images. So the facts that round 0 adds up to the
+    goal's size are at most the two falsa and, per pattern that some map
+    makes of an axiom, its instances no larger than the goal over the
+    images of the pool under the maps that make it (`_instance_count`).
+    When they stay under `max_facts`, the cap cannot stop round 0 before
+    the goal. Round 0 makes the goal's axiom records in rule order, and
+    adds the first of them unless a fact of the goal's size that comes
+    before it has the goal in its closure: an axiom instance F over the
+    pool other than the goal, and the goal its image under one of the
+    maps, so its own image too. Either the map moves a constructor of F's
+    axiom, and the goal has a node with that constructor's image, or it
+    keeps the axiom and moves one of F's images, a pool formula whose image
+    is a subformula of the goal. The lookup declines in both cases, on a
+    falsum, which FX may add, and on a variable, which only a liberal axiom
+    concludes."""
+    cs = calc.signature
+    if goal.__class__ is not App or goal in (cs.falsum(1), cs.falsum(2)):
+        return None
+    record = _RoundZero((), {}, [r for r in calc.rules if not r.premises], set(candidates), bounds.max_size)[goal]
+    if record is None:
+        return None
+    moved, patterns = calc.axiom_closures
+    memo: dict = {}
+    images = [_closure(c, cs, memo) for c in candidates]
+    made = 2 + sum([_instance_count(rule, _by_size(sorted({i[m] for i in images for m in ms}, key=lambda f: f.size)),
+                                    goal.size) for rule, ms in patterns])
+    if made >= bounds.max_facts:
+        return None
+    kept = [m for m, g in enumerate(_closure(goal, cs, memo)) if g is goal and m]  # maps the goal is an image of
+    if kept:
+        nodes = set(subformulas(goal))
+        if any([g.__class__ is App and g.ctor in moved[m] for g in nodes for m in kept]) \
+                or any([i[m] is not i[0] and i[m] in nodes for i in images for m in kept]):
+            return None
+    return _reconstruct(goal, {goal: record})
+
+
+def _closure(f, cs, memo) -> tuple:
+    """f and its images under the maps of a fact's closure: cLFT to side 1,
+    to side 2, and the verum image; `memo` is `proj_embedded`'s."""
+    if f.__class__ is Var:
+        return f, f, f, f
+    proj_embedded(f, 1, cs, memo)
+    return (f,) + memo[f]
+
+
 def _premise_unifier(rule, premise, beta, pool) -> Optional[dict]:
     """One-way unification of the axiom `rule`'s conclusion with `premise`
     under `beta`: the substitution that the premise's bound variables force,
@@ -983,11 +1070,12 @@ def _matches(rule, beta, facts, known) -> dict:
     return {cited[i]: (subst, cited) for subst, cited in _join(rule, view, view)}
 
 
-def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
+def _round_one(rules, hyps, goal, candidates, bounds):
     """The derivation the forward search returns when it adds the goal in
     round 1, found by matching backwards from the goal without making round
-    0, or in round 2 (`_round_two`); None when the search would not, or when
-    this cannot tell.
+    0, or in a later round (`_round_two`); False when `_round_two` finds
+    that no round below `depth` adds it; None otherwise: this cannot tell,
+    or `depth` is 2 and round 1 does not add it.
 
     It answers only when each proper rule's plan has one step whose premise
     holds the conclusion's variables, so that a fact starts at most one
@@ -1004,8 +1092,8 @@ def _round_one(rules, hyps, goal, candidates, bounds) -> Optional[Derivation]:
     round 1 makes first for the goal; only that size's matches are printed.
 
     When round 1 does not add the goal, or the cap bound does not hold, and
-    `depth` is 3 or more, `_round_two` decides whether round 2 adds it; it
-    reads round 0's join and lookups made here."""
+    `depth` is 3 or more, `_round_two` decides whether a later round adds
+    it; it reads round 0's join and lookups made here."""
     max_size = bounds.max_size
     axioms = [r for r in rules if not r.premises]
     proper = [r for r in rules if r.premises]
@@ -1077,13 +1165,14 @@ def _composition(axiom, rule):
             _compile_build(apply_substitution(sigma, rule.conclusion), variables))
 
 
-def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds, f0) -> Optional[Derivation]:
+def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds, f0):
     """The derivation the forward search returns when it adds the goal in
-    round 2, found without making round 0; None when the search would not,
-    or when this cannot tell. The rule conditions are `_round_one`'s, and
-    each step premise's variables must lie in its checks or its conclusion,
-    so that a match is known by its rule, its check images and its
-    conclusion, whatever record its step fact came from.
+    round 2 or later, found without making round 0; False when no round
+    below `depth` adds it; None when this cannot tell. The rule conditions
+    are `_round_one`'s, and each step premise's variables must lie in its
+    checks or its conclusion, so that a match is known by its rule, its
+    check images and its conclusion, whatever record its step fact came
+    from.
 
     Round 1 is made from round 0's records (`known` is round 0's facts).
     Each proper rule's step premise meets each of them: the hypotheses and
@@ -1093,22 +1182,32 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds, f0) -
     and the step's fact and the conclusion only once every check is a
     round-0 fact; the instances of any other axiom are built and matched.
     A match that cites no fact round 0 added was made in round 0. Round 1's
-    facts are the conclusions within `max_size` that round 0 lacks, and the
-    goal must not be one.
+    facts are the conclusions within `max_size` that round 0 lacks; a goal
+    among them is left to the rounds, as `_round_one`'s bound on the cap
+    failed.
 
-    Round 2's matches are those that cite a round-1 fact, each check a fact:
-    a round-0 step whose first check that round 0 lacked is a round-1 fact
-    (the steps are kept by that check), or a round-1 step. The search adds
-    the goal in round 2 only if the cap cannot stop it first,
-    which is certified by counting: the hypotheses and round 0's records
-    (`f0`), round 1's matches within `max_size`, and round 2's matches no
-    larger than the goal stay under `max_facts`.
+    Rounds 2 to `depth - 1` are semi-naive, as the search's are: round n's
+    matches cite a fact of round n - 1, each check a fact. A step whose
+    check is no fact yet waits, kept by the first such check, until a
+    round adds it; its step fact is then an older one. Round n's facts are
+    its conclusions within `max_size` that no earlier round holds, made
+    only up to the goal's size in the last round and before the goal is
+    seen. This is the search without the fact cap, which only ever removes
+    facts: when no round adds the goal, or a round adds nothing, the
+    search does not find it (False). When round n adds it, the search does
+    too, unless the cap stops it first, which is ruled out by counting:
+    the hypotheses and round 0's records (`f0`), the matches within
+    `max_size` of rounds 1 to n - 1, and round n's matches no larger than
+    the goal stay under `max_facts`, or the pass declines. Once the
+    hypotheses and the facts of rounds 1 to n - 1 number `max_facts`, the
+    search has reached the cap by the end of round n - 1 without the goal,
+    so the pass answers False before round n; past round 0 it makes no
+    more than a round's facts beyond `max_facts`.
 
-    The goal's record, and each round-1 fact's, is the first match the
-    rounds make for it: the least by rule order, then by the step fact's
-    place in the search's fact order (hypotheses in order, round 0's facts
-    by size and text, round 1's by size and text); only those candidates'
-    steps are printed."""
+    Each fact's record is the first of its matches that the rounds make:
+    the least by rule order, then by the step fact's place in the search's
+    fact order (hypotheses in order, then each round's facts by size and
+    text); only the candidates for the goal's derivation are printed."""
     max_size = bounds.max_size
     steps = [(rule, rule.plan[0][1], [v for _, v, _, _ in rule.plan[0][4]]) for rule in proper]
     if not all(variables_of(premise) <= variables_of(rule.conclusion).union(checks) for rule, premise, checks in steps):
@@ -1117,25 +1216,43 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds, f0) -
     # per axiom, the images of its round-0 records
     instances = [list(itertools.chain(*_images(axiom, {}, groups, max_size).values())) for axiom in axioms]
     seen = [set() for _ in proper]  # per rule, (check images, conclusion) of each match taken
-    ones: dict = {}  # round 1's facts -> their matches
-    pending: dict = {}  # a check image round 0 lacks -> the round-0 steps whose first such it is
-    made = 0  # round 1's matches within max_size
+    later: dict = {}  # the facts of rounds 1 and on -> (their round, their matches)
+    pending: dict = {}  # a check image that is no fact yet -> the steps whose first such it is
+    # A match is (rule index, check images, step fact or None, the axiom
+    # and its images when None, else the step premise's substitution, and
+    # the conclusion's builder for an axiom's step, else None).
 
     def conclude(match):
-        """The conclusion of a match: (rule index, check images, step fact or
-        None, and when None, the axiom, the images and the conclusion's
-        builder of the step's record)."""
-        k, _, f, _, images, build = match
+        k, _, _, _, images, build = match
         if build is not None:
             return build(*images)
-        rule, premise, _ = steps[k]
-        s = match_formula(premise, f)
-        return rule.instantiator[0](*[s[v] for v, _ in rule.shape[1]])
+        rule = steps[k][0]
+        return rule.instantiator[0](*[images[v] for v, _ in rule.shape[1]])
 
     def step(match):
         _, _, f, axiom, images, _ = match
         return f if f is not None else axiom.instantiator[0](*images)
 
+    def waits(match) -> bool:
+        """Whether a check of the match is no fact yet; it is then kept by the first such."""
+        for g in match[1]:
+            if g not in later and known[g] is None:  # `in` would cost a call of `_RoundZero.__contains__`
+                pending.setdefault(g, []).append(match)
+                return True
+        return False
+
+    def take(match, c, into) -> int:
+        """File a match whose every check is a fact under its conclusion c in
+        `into`; 0 when it was taken before."""
+        key = match[1], c
+        if key in seen[match[0]]:
+            return 0
+        seen[match[0]].add(key)
+        into.setdefault(c, []).append(match)
+        return 1
+
+    ones: dict = {}  # round 1's facts -> their matches
+    made = f0  # the facts the rounds can add up to the last round made
     for k, (rule, premise, checks) in enumerate(steps):
         built = hyps + [f for f in derived if f not in hypset]
         static = []
@@ -1148,48 +1265,62 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds, f0) -
                 built += [make(*images) for images in records]
             else:
                 static.append((axiom, records) + comp)
-        scan = [(k, tuple([s[v] for v in checks]), f, None, None, None) for f in built
+        scan = [(k, tuple([s[v] for v in checks]), f, None, s, None) for f in built
                 if (s := match_formula(premise, f)) is not None]
         scan += [(k, reach(*images), None, axiom, images, build)
                  for axiom, records, reach, build in static for images in records]
-        for match in scan:
+        for match in scan:  # `waits` and `take` inlined: round 1 has a match per round-0 record
             for g in match[1]:
-                if known[g] is None:  # `in` would cost a call of `_RoundZero.__contains__`
+                if known[g] is None:
                     pending.setdefault(g, []).append(match)
                     break
-            else:  # a match of round 1, or of round 0 when it cites only hypotheses
+            else:
+                if hyps and hypset.issuperset(match[1]) and step(match) in hypset:
+                    continue  # a match of round 0, citing only hypotheses
                 c = conclude(match)
-                if (match[1], c) in seen[k] or hyps and hypset.issuperset(match[1]) and step(match) in hypset:
-                    continue
-                seen[k].add((match[1], c))
-                if c.size <= max_size:
+                if c.size <= max_size and (key := (match[1], c)) not in seen[k]:
+                    seen[k].add(key)
                     made += 1
                     if known[c] is None:
                         ones.setdefault(c, []).append(match)
-    if goal in ones or f0 + made >= bounds.max_facts:
+    if goal in ones:
         return None
+    later.update((c, (1, ms)) for c, ms in ones.items())
 
-    made2 = 0  # round 2's matches no larger than the goal
-    firsts = []  # the goal's round-2 matches
-    for match in [m for g in ones for m in pending.get(g, ())]:  # round-0 steps whose first check is new
-        k, gs = match[:2]
-        if all([g in ones or g in known for g in gs]) and ((c := conclude(match)).size <= goal.size
-                                                            and (gs, c) not in seen[k]):
-            seen[k].add((gs, c))
-            made2 += 1
-            if c is goal:
-                firsts.append(match)
-    for f in ones:
-        for k, (rule, premise, checks) in enumerate(steps):
-            s = match_formula(premise, f)
-            if s is None or not all([s[v] in ones or s[v] in known for v in checks]):
-                continue
-            nodes, counts, _ = rule.shape
-            if nodes + sum([n * s[v].size for v, n in counts]) <= goal.size:  # sized before it is built
-                made2 += 1
-                if rule.instantiator[0](*[s[v] for v, _ in counts]) is goal:
-                    firsts.append((k, tuple([s[v] for v in checks]), f, None, None, None))
-    if not firsts or f0 + made + made2 >= bounds.max_facts:
+    fresh, last = ones, bounds.depth - 1
+    for n in range(2, bounds.depth):
+        if len(hyps) + len(later) >= bounds.max_facts:  # the search stops at the cap by now
+            return False
+        ready = [m for g in fresh for m in pending.pop(g, ()) if not waits(m)]
+        for f in fresh:
+            for k, (rule, premise, checks) in enumerate(steps):
+                s = match_formula(premise, f)
+                if s is not None and not waits(m := (k, tuple([s[v] for v in checks]), f, None, s, None)):
+                    ready.append(m)
+        small, large = [], []  # (match, its conclusion or None if unbuilt): no larger than the goal; larger
+        for m in ready:
+            c = None
+            if m[5] is None:  # sized before it is built
+                nodes, counts, _ = steps[m[0]][0].shape
+                size = nodes + sum([times * m[4][v].size for v, times in counts])
+            else:
+                size = (c := conclude(m)).size
+            if size <= goal.size:
+                small.append((m, c))
+            elif size <= max_size and n < last:
+                large.append((m, c))
+        fresh = {}
+        count = sum([take(m, conclude(m) if c is None else c, fresh) for m, c in small])
+        if goal in fresh:
+            break
+        made += count + sum([take(m, conclude(m) if c is None else c, fresh) for m, c in large])
+        fresh = {c: ms for c, ms in fresh.items() if c not in later and known[c] is None}  # the new facts
+        if not fresh:
+            return False
+        later.update((c, (n, ms)) for c, ms in fresh.items())
+    else:
+        return False
+    if made + count >= bounds.max_facts:
         return None
 
     places = {h: n for n, h in enumerate(hyps)}
@@ -1198,7 +1329,7 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds, f0) -
         """Where the rounds meet the match of rule k with step fact f."""
         if f in places:
             return k, 0, places[f], ""
-        return k, 1 if f in known else 2, f.size, print_formula(f)
+        return k, later[f][0] + 1 if f in later else 1, f.size, print_formula(f)
 
     def first(matches):
         """The record of the match the rounds make first of `matches`."""
@@ -1211,9 +1342,13 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds, f0) -
             cited[j] = s[v]
         return "rule", tuple(cited), rule, tuple([s[v] for v, _ in rule.shape[1]]), s
 
-    record = first(firsts)
-    known.update({c: first(ones[c]) for c in record[1] if c in ones})
-    known[goal] = record
+    known[goal] = first(fresh[goal])
+    todo = [goal]
+    while todo:
+        for c in known[todo.pop()][1]:
+            if c in later and known.get(c) is None:
+                known[c] = first(later[c][1])
+                todo.append(c)
     return _reconstruct(goal, known)
 
 

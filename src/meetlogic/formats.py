@@ -120,6 +120,7 @@ def _just_text(just) -> str:
 
 def parse_derivation_file(text: str, sig) -> Derivation:
     lines = []
+    parsed: dict = {}  # formula text -> its formula: each distinct text is parsed once
     for n, raw in enumerate(_content_lines(text), start=1):
         head, _, rest = raw.partition(".")
         try:
@@ -131,9 +132,9 @@ def parse_derivation_file(text: str, sig) -> Derivation:
         if ";" not in rest:
             raise FormatError(f"line {n}: missing `; JUST` part")
         ftext, jtext = rest.split(";", 1)
-        formula = parse_formula(ftext.strip(), sig)
+        formula = _parse(ftext.strip(), sig, parsed)
         try:
-            just = _parse_just(jtext.strip(), sig, n)
+            just = _parse_just(jtext.strip(), sig, n, parsed)
         except ValueError:
             raise FormatError(f"line {n}: malformed justification {jtext.strip()!r}") from None
         lines.append(Line(formula, just))
@@ -142,7 +143,14 @@ def parse_derivation_file(text: str, sig) -> Derivation:
     return Derivation(tuple(lines))
 
 
-def _parse_just(text: str, sig, n: int):
+def _parse(text: str, sig, parsed: dict):
+    f = parsed.get(text)
+    if f is None:
+        f = parsed[text] = parse_formula(text, sig)
+    return f
+
+
+def _parse_just(text: str, sig, n: int, parsed: dict):
     if text == "HYP":
         return Hyp()
     if text.startswith("RULE "):
@@ -160,7 +168,7 @@ def _parse_just(text: str, sig, n: int):
             var, ftext = entry.split(":=", 1)
             if not var.startswith("xi"):
                 raise FormatError(f"line {n}: bad substitution variable {var!r}")
-            subst[int(var[2:])] = parse_formula(ftext.strip(), sig)
+            subst[int(var[2:])] = _parse(ftext.strip(), sig, parsed)
         return RuleApp(name.strip(), cited, freeze_subst(subst))
     if text.startswith("LFT lines="):
         i, j = text[len("LFT lines="):].split(",")

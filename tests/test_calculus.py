@@ -835,7 +835,8 @@ class TestSearchMatchesReference:
         """A round stopping at the goal or the fact cap builds no conclusion
         larger than the size it stopped in, the size of the last fact added
         (every added fact passes through `proj_embedded` for its cLFT
-        images)."""
+        images). The rounds run directly, as the meet's axiom lookup answers
+        the axiom goal under some of these bounds without a round."""
         built: list = []
         added: list = []
         hook_instantiators(monkeypatch, built)
@@ -850,7 +851,7 @@ class TestSearchMatchesReference:
             if bounds.max_facts in (215, 216, 700) or bounds.max_size == 5:
                 built.clear()
                 added.clear()
-                bounded_proof_search(calc, (), hyps, goal, bounds)
+                calculus._rounds(calc, (), hyps, goal, _candidate_pool(calc, hyps, goal, bounds), bounds)
                 assert built, (print_formula(goal), bounds)
                 assert max(built) == added[-1] == 5, (print_formula(goal), bounds)
                 cases += 1
@@ -1579,13 +1580,14 @@ class TestRoundOneBySize:
 # goal-directed round two against the forward search and the naive loop
 
 def _round_two_reference(calc, hyps, goal, bounds):
-    """(count, round) from rounds 0 to 2 made with `_join` and no fact cap.
-    The count is what the pass counts: the admitted hypotheses, round 0's
-    records, round 1's records and round 2's records no larger than the
-    goal (a record per match, as every step holds its rule's conclusion's
-    variables); the pass answers only under a larger fact cap. The round is
-    the one that first holds the goal as a fact (0 for a hypothesis), or
-    None when the goal is no fact after round 2."""
+    """(count, round) from rounds 0 to 2 made with `_join` and no fact cap,
+    and from round 3 when `depth` is 4 and no earlier round adds the goal.
+    The count is what the pass counts: the admitted hypotheses, the records
+    of each round but the last made, and the last one's records no larger
+    than the goal (a record per match, as every step holds its rule's
+    conclusion's variables); the pass answers only under a larger fact cap.
+    The round is the one that first holds the goal as a fact (0 for a
+    hypothesis), or None when no round made adds it."""
     candidates = _candidate_pool(calc, hyps, goal, bounds)
     hyps = [h for h in dict.fromkeys(hyps) if h.size <= bounds.max_size]
     proper = [r for r in calc.rules if r.premises]
@@ -1594,19 +1596,22 @@ def _round_two_reference(calc, hyps, goal, bounds):
     keys = {_arg_key(p) for r in proper for p in r.premises}
     new = _index(hyps, keys, every)
     count, added = len(hyps), 0 if goal in facts else None
-    for n, limit in enumerate((bounds.max_size, bounds.max_size, goal.size)):
+    for n in range(bounds.depth):
         buckets: dict = {}
         for rule in calc.rules if n == 0 else ():
             if not rule.premises:
-                _bucket_instances(rule, {}, (), candidates, limit, buckets)
+                _bucket_instances(rule, {}, (), candidates, bounds.max_size, buckets)
         for rule in proper:
             for subst, cited in _join(rule, every, new):
-                _bucket_instances(rule, subst, cited, candidates, limit, buckets)
+                _bucket_instances(rule, subst, cited, candidates, bounds.max_size, buckets)
         records = [record for records in buckets.values() for record in records]
-        count += len(records)
         fresh = [f for f in dict.fromkeys(r[2].instantiator[0](*r[3]) for r in records) if f not in facts]
         if added is None and goal in fresh:
             added = n
+        last = n == bounds.depth - 1 or n >= 2 and added is not None
+        count += sum([len(rs) for size, rs in buckets.items() if not last or size <= goal.size])
+        if last:
+            break
         new = _index(fresh, keys, every)
         order += fresh
         facts.update(fresh)
@@ -1618,7 +1623,9 @@ def _round_two_queries():
     nothing, as the benchmark's identity searches, `a and c` from `a` and
     `c`, and `c` from `a` and `a -> (a -> (a -> c))`, through round 0's
     join; at depth 3, the least the pass takes, under two size and pool
-    bounds, and at the benchmark's depth 4 under the larger. Each runs at
+    bounds, and at the benchmark's depth 4 under the larger, where also
+    `c` from `a` and `a -> (a -> (a -> (a -> c)))`, which round 3 adds
+    first when the cap allows. Each runs at
     caps on both sides of the pass's count, and comes with that count and
     the round that first adds the goal."""
     for logic in ("CPL", "G3", "IPL", "S43", "GL"):
@@ -1629,7 +1636,8 @@ def _round_two_queries():
         for depth in (3, 4):
             a, c = random_formula(rng, sig, 1, 2), random_formula(rng, sig, 1, 2)
             chain = App(imp, (a, App(imp, (a, App(imp, (a, c))))))
-            for hyps, goal in (([], App(imp, (a, a))), ([a, c], App(conj, (a, c))), ([a, chain], c)):
+            longer = [([a, App(imp, (a, chain))], c)] if depth == 4 else []
+            for hyps, goal in [([], App(imp, (a, a))), ([a, c], App(conj, (a, c))), ([a, chain], c)] + longer:
                 for bounds in (SearchBounds(depth, 30, 3000, 8), SearchBounds(depth, 16, 3000, 6))[:5 - depth]:
                     count, added = _round_two_reference(b.calculus, hyps, goal, bounds)
                     for max_facts in (count, count + 1):
@@ -1672,27 +1680,34 @@ UNCHECKED = _hand_calculus("unchecked", [
 
 class TestRoundTwoMatchesForward:
     """The goal-directed pass answers a goal that the rounds first add in
-    round 2 with the derivation they return, line for line, and declines
-    unless its count certifies that the fact cap cannot stop them first."""
+    round 2 or later with the derivation they return, line for line, and
+    declines unless its count certifies that the fact cap cannot stop them
+    first; it answers False, a definite "not found", when no round below
+    `depth` adds the goal."""
 
     def test_seeded_searches(self, monkeypatch):
-        answered = declined = at_cap = 0
+        found = absent = declined = at_cap = third = 0
         by_logic = Counter()
         for calc, hyps, goal, bounds, count, added in _round_two_queries():
             seconds: list = []
             texts, _ = _three_ways(monkeypatch, calc, hyps, goal, bounds, seconds)
             assert texts[0] == texts[1] == texts[2], \
                 f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
-            got = any(a is not None for a in seconds)
-            if bounds.max_facts <= count:
+            got = any(a is not None and a is not False for a in seconds)  # a derivation
+            none = any(a is False for a in seconds)
+            if none:
+                assert texts[1] is None and added is None, f"{calc.name}: {print_formula(goal)} at {bounds}"
+            elif added is not None and bounds.max_facts <= count:  # a goal the rounds add
                 assert not got  # the certificate fails at the count
-                at_cap += bounds.max_facts == count and added == 2
-            elif added == 2 and seconds:
+                at_cap += bounds.max_facts == count and added in (2, 3)
+            elif added in (2, 3) and seconds:
                 assert got, f"{calc.name}: {print_formula(goal)} at {bounds}"
-            answered += got
-            declined += bool(seconds) and not got
+                third += added == 3
+            found += got
+            absent += none
+            declined += seconds == [None]
             by_logic[calc.name] += got
-        assert answered >= 39 and declined >= 50 and at_cap >= 39
+        assert found >= 42 and third >= 3 and absent >= 4 and declined >= 50 and at_cap >= 42
         assert min(by_logic.values()) >= 7, by_logic
 
     @pytest.mark.parametrize("calc, hyps, lines", [
@@ -1712,11 +1727,148 @@ class TestRoundTwoMatchesForward:
         assert [print_formula(ln.formula) for ln in d.lines] == lines
         assert check_derivation(d, calc, hyps=hyps)
 
+    def test_round_three_takes_the_older_step(self, monkeypatch):
+        """`xi5` has two round-3 matches: the step `xi4 -> xi5`, made in
+        round 1 and kept by its check `xi4` until round 2 makes it, and the
+        step `xi1 -> xi5` of round 2, which prints first. The rounds take
+        the older step, as each fact's place follows its round."""
+        hyps = [P(h) for h in ("xi1", "xi1 -> xi2", "xi2 -> xi3", "xi3 -> xi4", "xi2 -> (xi4 -> xi5)",
+                               "xi3 -> (xi1 -> xi5)")]
+        seconds: list = []
+        texts, answers = _three_ways(monkeypatch, _hand_calculus("chain", [MP]), hyps, P("xi5"),
+                                     SearchBounds(depth=4), seconds)
+        assert texts[0] == texts[1] == texts[2]
+        assert answers == seconds and isinstance(seconds[0], Derivation)
+        assert texts[0].splitlines()[-1] == "10. xi5 ; RULE mp s={xi1:=xi4; xi2:=xi5} lines=7,9"
+
+    def test_not_found_once_the_facts_reach_the_cap(self, monkeypatch):
+        """From `iff(and(top, xi1), and(top, top))`, round 1 alone makes
+        more than 200 facts, so under a cap of 200 the search stops without
+        `iff(bot, xi2)`: the pass answers False before round 2, and builds
+        as much at depth 7 as at depth 3."""
+        hyps, goal = [P("iff(and(top, xi1), and(top, top))")], P("iff(bot, xi2)")
+        seconds: list = []
+        texts, _ = _three_ways(monkeypatch, CPL.calculus, hyps, goal, SearchBounds(depth=7, max_facts=200), seconds)
+        assert texts == (None, None, None) and seconds == [False]
+        built: list = []
+        hook_instantiators(monkeypatch, built)
+        counts = []
+        for depth in (3, 7):
+            built.clear()
+            assert calculus._forward_search(CPL.calculus, (), hyps, goal, SearchBounds(depth, max_facts=200)) is None
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0, counts
+
     def test_declines_when_a_premise_variable_is_unchecked(self, monkeypatch):
         seconds: list = []
         texts, answers = _three_ways(monkeypatch, UNCHECKED, [], P("xi1"), SearchBounds(depth=3), seconds)
         assert texts[0] == texts[1] == texts[2] and texts[0] is not None
         assert answers == [None] and seconds == [None]
+
+
+def _axiom_goal_queries():
+    """Seeded meet goals that embed an instance of a component axiom, over
+    all 25 ordered preset pairs: images drawn from variables and a small
+    formula, and top-like ones (`top`, `bot`, a verum-family application);
+    the same goal's verum image; without and with a hypothesis; in round 0
+    under a size bound at the goal's size, with a fact cap that often lets
+    it reach the goal and one that stops it first (only the latter with a
+    hypothesis, where no lookup runs)."""
+    for l1, l2 in itertools.product(PRESETS, repeat=2):
+        calc = combine_bundles(load_preset(l1), load_preset(l2)).calculus
+        cs = calc.signature
+        rng = random.Random(f"axiom-goals:{l1}:{l2}")
+        for k, comp in ((1, calc.components[0]), (2, calc.components[1])):
+            sig = comp.signature
+            top_like = [sig.top, sig.bot, App(sig.verum_at(2), (Var(1), Var(2)))]
+            axioms = [r for r in comp.rules if not r.premises]
+            for axiom in rng.sample(axioms, min(2, len(axioms))):
+                for pool in ([Var(1), Var(2), random_formula(rng, sig, 1, 2)], top_like):
+                    s = {v: rng.choice(pool) for v in variables_of(axiom.conclusion)}
+                    goal = embed(apply_substitution(s, axiom.conclusion), k, cs)
+                    for g, hyps in ((goal, []), (goal, [embed(rng.choice(pool), k, cs)]),
+                                    (proj_embedded(goal, 3 - k, cs, {}), [])):
+                        for max_facts in (1000, 60)[bool(hyps):]:
+                            yield calc, hyps, g, SearchBounds(depth=1, max_size=g.size, max_facts=max_facts)
+
+
+class TestAxiomLookupMatchesRounds:
+    """A meet goal that round 0 adds as an axiom instance, searched without
+    hypotheses, is looked up: the derivation is the one the rounds return,
+    and the lookup declines where the cap or another fact's closure could
+    change it."""
+
+    def test_seeded_goals(self, monkeypatch):
+        answers: list = []
+        rounds: list = []  # the rounds' answers within the search: each query runs them once
+        real_line, real_rounds = calculus._axiom_line, calculus._rounds
+        monkeypatch.setattr(calculus, "_axiom_line", lambda *args: answers.append(real_line(*args)) or answers[-1])
+        monkeypatch.setattr(calculus, "_rounds", lambda *args: rounds.append(real_rounds(*args)) or rounds[-1])
+        looked_up = declined = 0
+        for calc, hyps, goal, bounds in _axiom_goal_queries():
+            answers.clear()
+            rounds.clear()
+            got = calculus._forward_search(calc, (), hyps, goal, bounds)
+            want = rounds[0] if rounds else real_rounds(
+                calc, (), hyps, goal, _candidate_pool(calc, hyps, goal, bounds), bounds)
+            where = f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
+            assert _text(got) == _text(want), where
+            assert answers == [] if hyps else len(answers) == 1, where
+            if answers and answers[0] is not None:
+                assert len(got) == 1 and isinstance(got.lines[0].just, RuleApp), where
+                looked_up += 1
+            declined += bool(answers) and answers[0] is None and want is not None and len(want) == 1
+        assert looked_up >= 30 and declined >= 40, (looked_up, declined)
+
+    def test_closure_of_an_earlier_instance_declines(self):
+        """`bot` in the pool makes `K(bot, xi2)`, printed before the goal
+        `K(falsum1, xi2)`, whose cLFT image the goal is: the rounds add the
+        goal as that image, not as its own instance."""
+        cs, calc = _meet_calculus("CPL", "G3")
+        goal = parse_formula("<bot.CPL|top.G3> ->.CPL (xi2 ->.CPL <bot.CPL|top.G3>)", cs)
+        bounds = SearchBounds(depth=1)
+        candidates = _candidate_pool(calc, [], goal, bounds)
+        assert calculus._axiom_line(calc, goal, candidates, bounds) is None
+        d = calculus._forward_search(calc, (), [], goal, bounds)
+        assert isinstance(d.lines[-1].just, Clft)
+        plain = parse_formula("xi1 ->.CPL (xi2 ->.CPL xi1)", cs)
+        assert calculus._axiom_line(calc, plain, _candidate_pool(calc, [], plain, bounds), bounds) is not None
+
+    @pytest.mark.parametrize("pool", [0, 14])
+    def test_falsum_declines(self, pool):
+        """With the unsound axiom `bot` on both sides, round 0 adds the
+        falsum printed first as an axiom instance and the other by FX from
+        it: the lookup declines both falsa. In a pool of 14, `<bot|bot>`,
+        whose cLFT images the falsa are, would decline them too; an empty
+        pool leaves the falsum test alone."""
+        bundles = CPL, load_preset("G3")
+        sides = [Calculus(f"bot{k}", b.signature, (Rule("b", (), b.signature.bot),))
+                 for k, b in enumerate(bundles, 1)]
+        cs = combine_signatures(*[b.signature for b in bundles])
+        calc, bounds = assemble_meet_calculus(*sides, cs), SearchBounds(depth=1, max_candidates=pool)
+        for k in (1, 2):
+            goal = cs.falsum(k)
+            assert calculus._axiom_line(calc, goal, _candidate_pool(calc, [], goal, bounds), bounds) is None
+        assert [type(ln.just) for ln in calculus._forward_search(calc, (), [], cs.falsum(2), bounds).lines] \
+            == [RuleApp, Fx]
+
+
+class TestRuleCodeShared:
+    """Rules of one shape share their compiled builder and matcher code."""
+
+    def test_same_shape_rules_share_code(self):
+        """The builder and matcher of a rule shape are compiled once per
+        process; each rule's function still reads its own constructors."""
+        cs, meet = _meet_calculus("CPL", "G3")
+        own, embedded = rule_named(CPL.calculus, "a1"), rule_named(meet, "a1@1")
+        assert own.conclusion.ctor is not embedded.conclusion.ctor
+        assert own.instantiator[0].__code__ is embedded.instantiator[0].__code__
+        assert own.matcher.__code__ is embedded.matcher.__code__
+        xs = (Var(1), Var(2))
+        for rule in (own, embedded):
+            assert rule.instantiator[0](*xs) is rule.conclusion
+            assert rule.matcher(rule.conclusion) == xs
+        assert own.matcher(embedded.conclusion) is None and embedded.matcher(own.conclusion) is None
 
 
 class TestRoundTwoParts:

@@ -29,7 +29,7 @@ from meetlogic.formats import (
 )
 from meetlogic.presets import load_preset
 from meetlogic.semantics import holds, product_matrix
-from meetlogic.syntax import ParseError, SignatureError, Var, parse_formula
+from meetlogic.syntax import ParseError, SignatureError, Var, parse_formula, print_formula
 
 from ref_semantics import eval_formula
 
@@ -128,6 +128,37 @@ class TestDerivationFiles:
             assert "#<" in text
             assert parse_derivation_file(text, cs) == d
             assert parse_derivation_file(text.replace("\n", "  # a comment\n"), cs) == d
+
+    def test_repeated_texts_read_back(self):
+        """Each distinct formula text is parsed once per file; a text that
+        lines and witnesses repeat reads back as the same formula, texts
+        that differ only in their last variable stay apart, a text read
+        over one signature is read again over another, and a malformed
+        text fails where it first occurs, as a single one does."""
+        a, b, c = P("xi1 -> xi1"), P("(xi1 -> xi1) -> (xi1 -> xi1)"), P("xi1 -> xi2")
+        d = Derivation((
+            Line(a, Hyp()),
+            Line(b, Hyp()),
+            Line(a, RuleApp("mp", (1, 2), freeze_subst({1: a, 2: a}))),
+            Line(b, RuleApp("mp", (1, 2), freeze_subst({1: a, 2: a}))),
+            Line(c, Hyp()),
+        ))
+        text = serialize_derivation(d)
+        assert text.count(print_formula(a)) >= 6
+        back = parse_derivation_file(text, CPL.signature)
+        assert back == d and back.lines[2].formula is back.lines[0].formula
+        boxed = "1. box(xi1) ; HYP\n"
+        assert parse_derivation_file(boxed, load_preset("S43", max_worlds=2).signature).conclusion.ctor.name == "box"
+        with pytest.raises(ParseError, match="unknown constructor 'box'"):
+            parse_derivation_file(boxed, CPL.signature)
+        bad = "xi1 -> (xi2"
+        with pytest.raises(ParseError) as once:
+            parse_formula(bad, CPL.signature)
+        for body in (f"1. {bad} ; HYP\n2. {bad} ; HYP\n",
+                     f"1. xi1 ; HYP\n2. xi1 ; RULE r s={{xi1:={bad}; xi2:={bad}}} lines=1\n"):
+            with pytest.raises(ParseError) as err:
+                parse_derivation_file(body, CPL.signature)
+            assert str(err.value) == str(once.value)
 
     def test_bad_indices_rejected(self):
         with pytest.raises(FormatError):

@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """Soundness audit over every preset: check each calculus rule against the
-preset's finite matrices, and each pairwise meet calculus against the product
-of its components' first models. Exits nonzero on any unsound rule, or on a
-meet with no such product.
+preset's finite matrices (S43 and GL on every rooted frame of up to
+`MAX_FRAME_WORLDS` worlds), and each pairwise meet calculus against the
+product of its components' first models. Exits nonzero on any unsound rule,
+or on a meet with no such product.
 """
 import itertools
 import sys
 
-from meetlogic.presets import PRESET_NAMES, combine_bundles, load_preset
+from meetlogic.presets import MAX_FRAME_WORLDS, PRESET_NAMES, combine_bundles, load_preset
 from meetlogic.semantics import check_rule_soundness, product_matrix
 
 
 def main():
     failures = []
-    bundles = {name: load_preset(name, max_worlds=2) for name in PRESET_NAMES}
+    bundles = {name: load_preset(name, max_worlds=MAX_FRAME_WORLDS) for name in PRESET_NAMES}
 
     for name, b in bundles.items():
         bad = [r.name for r in b.calculus.rules
@@ -25,8 +26,11 @@ def main():
     # Each meet is checked against the product its calculus tries as a
     # model, not against `meet.matrices`: those keep the product only when
     # every rule is already sound in it, and no matrix at all passes any rule.
+    # The product reads only each side's first model, the one-world frame at
+    # any number of worlds, so the meets are built from the default bundles,
+    # whose models are found without the 32-element matrices.
     for n1, n2 in itertools.combinations_with_replacement(PRESET_NAMES, 2):
-        meet = combine_bundles(bundles[n1], bundles[n2])
+        meet = combine_bundles(load_preset(n1), load_preset(n2))
         name = f"meet({n1},{n2})"
         firsts = [c.models[0] for c in meet.calculus.components if c.models]
         if len(firsts) < 2:

@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 
+import meetlogic.admissibility
 import meetlogic.presets
 import meetlogic.syntax
 from meetlogic.admissibility import (
@@ -93,6 +94,28 @@ class TestMeetDecider:
             o2 = stub_oracle(m2, falsum_answer=f2)
             d = self.query(o1, o2)
             assert d.calls <= 3
+
+    def test_calls_and_projections_counted_on_every_preset_pair(self, monkeypatch):
+        """The paper's "no penalty on the time complexity", as counts: with
+        bundle oracles on seeded rules over all 25 ordered preset pairs, the
+        decider makes at most three oracle calls and projects each premise
+        and the conclusion once per side, so `project` is handed at most
+        twice the rule's nodes."""
+        handed = []
+        real_project = meetlogic.admissibility.project
+        monkeypatch.setattr(meetlogic.admissibility, "project",
+                            lambda f, k: handed.append(f.size) or real_project(f, k))
+        fallbacks = 0
+        for l1, l2 in itertools.product(meetlogic.presets.PRESET_NAMES, repeat=2):
+            b1, b2 = load_preset(l1), load_preset(l2)
+            for premises, beta in seeded_rules(combine_bundles(b1, b2), f"cost:{l1}:{l2}", 20):
+                o1, o2 = counted(bundle_oracle(b1)), counted(bundle_oracle(b2))
+                handed.clear()
+                d = decide_admissible_meet(o1, o2, premises, beta)
+                assert len(o1.answers) + len(o2.answers) == d.calls <= 3
+                assert sum(handed) <= 2 * sum(f.size for f in (*premises, beta))
+                fallbacks += d.calls == 3
+        assert fallbacks > 0
 
     def test_inexact_component_taints_verdict(self):
         d = self.query(stub_oracle(True, exact=False), stub_oracle(True))
@@ -199,6 +222,23 @@ op -> 2 2 2 1 2 2 0 1 2
 """, L3_SIG, name="L3-matrix")
 L3 = LogicBundle(
     calculus=Calculus("L3", L3_SIG, (), matrices=(L3_MATRIX,)), ground=L3_MATRIX,
+    identity_profiles={}, completion_profile=None, basis=None,
+)
+# A ground matrix with a tie in size: value 2 is `or(top, bot)`, built in the
+# first round that applies operations, and `box(neg(top))`, built in the
+# next, both of size 3 and nothing smaller; the second has the lesser text.
+TIE_SIG = make_signature("TIE", [("or", 2), ("neg", 1), ("box", 1)])
+TIE_MATRIX = parse_matrix_file("""
+carrier 4
+designated 3
+op top 3
+op bot 0
+op neg 3 0 0 1
+op box 0 2 2 3
+op or 3 3 3 3 1 3 3 3 1 2 3 3 2 1 2 3
+""", TIE_SIG, name="tie-matrix")
+TIE = LogicBundle(
+    calculus=Calculus("TIE", TIE_SIG, (), matrices=(TIE_MATRIX,)), ground=TIE_MATRIX,
     identity_profiles={}, completion_profile=None, basis=None,
 )
 
@@ -337,7 +377,8 @@ def value_of(m, closed):
 class TestGroundValues:
     @pytest.mark.parametrize("bundle, least", [
         (CPL, ["bot", "top"]), (G3, ["bot", "top"]), (IPL, ["bot", "top"]), (L3, ["bot", "half", "top"]),
-    ], ids=["CPL", "G3", "IPL", "L3"])
+        (TIE, ["bot", "top", "neg(top)", "box(neg(top))"]),
+    ], ids=["CPL", "G3", "IPL", "L3", "TIE"])
     def test_least_formulas_of_a_closed_subalgebra(self, bundle, least):
         """The ground values are closed under every operation of the ground
         matrix, and each comes with its least closed formula by (size, text)
@@ -354,6 +395,12 @@ class TestGroundValues:
             assert value_of(m, f) == v
             assert f == min((c for c in candidates if value_of(m, c) == v),
                             key=lambda c: (c.size, print_formula(c)))
+
+    def test_a_tie_in_size_goes_to_the_least_text_not_the_first_built(self):
+        first, least = (parse_formula(t, TIE_SIG) for t in ("or(top, bot)", "box(neg(top))"))
+        assert first.size == least.size == 3
+        assert value_of(TIE_MATRIX, first) == value_of(TIE_MATRIX, least) == 2
+        assert dict(_ground_values(TIE))[2] == least
 
 
 class TestDerivableWithBasis:

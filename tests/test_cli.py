@@ -663,14 +663,24 @@ class TestBounds:
         assert err.startswith("error: ") and "at least 1" in err
 
     @pytest.mark.parametrize("logic", ["S43", "GL"])
-    def test_max_worlds_above_four_on_a_modal_preset_is_a_usage_error(self, logic):
-        # five worlds would mean trying 2^25 relations; a hang fails on the timeout
+    def test_max_worlds_above_the_limit_on_a_modal_preset_is_a_usage_error(self, logic):
+        # six worlds would take over a second to load; a hang fails on the timeout
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run([sys.executable, "-m", "meetlogic.cli", "eval", "--logic", logic,
-                               "--max-worlds", "5", "xi1"], env=dict(os.environ, PYTHONPATH=str(src)),
+                               "--max-worlds", "6", "xi1"], env=dict(os.environ, PYTHONPATH=str(src)),
                               capture_output=True, text=True, timeout=10)
         assert proc.returncode == EXIT_USAGE and proc.stdout == ""
-        assert proc.stderr == "error: max worlds must be at most 4 on Kripke frames, got 5\n"
+        assert proc.stderr == "error: max worlds must be at most 5 on Kripke frames, got 6\n"
+
+    @pytest.mark.parametrize("logic, formula, frames", [
+        ("S43", "(box xi1) -> xi1", 31), ("GL", "box ((box xi1) -> xi1) -> box xi1", 25)], ids=["S43", "GL"])
+    def test_max_worlds_at_the_limit_answers_in_time(self, logic, formula, frames):
+        # every rooted frame of up to five worlds, one per isomorphism class
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-m", "meetlogic.cli", "eval", "--logic", logic,
+                               "--max-worlds", "5", formula], env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_YES, f"holds on {frames} matrices: True\n", "")
 
     def test_max_worlds_is_ignored_without_kripke_frames(self, capsys):
         code, out, _ = run(capsys, "eval", "--logic", "CPL", "--max-worlds", "9", "xi1")

@@ -1,6 +1,9 @@
+import itertools
 import os
+import random
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from meetlogic.combination import combine_signatures
 from meetlogic.presets import (
     DEFAULT_MAX_WORLDS,
     DEFAULT_SCHEMA_BOUND,
+    MAX_FRAME_WORLDS,
     KripkeFrame,
     PRESET_NAMES,
     PresetError,
@@ -27,8 +31,10 @@ from meetlogic.presets import (
     load_preset,
     visser_rule,
 )
-from meetlogic.semantics import check_rule_soundness, holds, product_matrix
+from meetlogic.semantics import check_rule_soundness, entails, holds, product_matrix
 from meetlogic.syntax import make_signature, parse_formula
+from ref_frames import all_frames, isomorphic, rooted
+from strategies import random_formula
 
 
 class TestKripke:
@@ -64,18 +70,81 @@ class TestKripke:
         assert holds(m, dot3)
 
     def test_frame_counts(self):
-        assert len(generate_frames("s43", 1)) == 1
-        assert len(generate_frames("gl", 1)) == 1
-        # two worlds: s4.3 adds the discrete frame, the two chains and the clique
-        assert len(generate_frames("s43", 2)) == 1 + 4
-        # gl adds the empty relation and the two strict chains
-        assert len(generate_frames("gl", 2)) == 1 + 3
+        # rooted S4.3 frames are the chains of clusters, one per composition
+        # of n, so 2^(n-1) on n worlds; rooted GL frames are the strict
+        # partial orders with a least element, one per poset on n - 1 points
+        assert [len(generate_frames("s43", n)) for n in range(1, 6)] == [1, 3, 7, 15, 31]
+        assert [len(generate_frames("gl", n)) for n in range(1, 6)] == [1, 2, 4, 9, 25]
 
     def test_unknown_constraint_is_an_error_not_no_frames(self):
         with pytest.raises(PresetError, match="unknown frame constraint 's4'"):
             generate_frames("s4", 2)
         with pytest.raises(PresetError, match="unknown frame constraint"):
             KripkeFrame((0,), frozenset({(0, 0)}), "s4")
+
+
+@lru_cache(maxsize=None)
+def _families(constraint: str, n: int) -> tuple:
+    """The generated and the reference frames on up to n worlds."""
+    return generate_frames(constraint, n), all_frames(constraint, n)
+
+
+FRAME_CASES = [(c, n) for c in ("s43", "gl") for n in range(1, 5)]
+
+
+class TestFramesAgainstReference:
+    """`generate_frames` against the enumeration it replaced, which tries
+    every relation: one frame per rooted isomorphism class, in a fixed
+    order, and the same answers from `entails` and `check_rule_soundness`."""
+
+    @pytest.mark.parametrize("constraint, n", FRAME_CASES)
+    def test_rooted_and_pairwise_non_isomorphic(self, constraint, n):
+        new, _ = _families(constraint, n)
+        assert all(rooted(f) for f in new)
+        assert not any(isomorphic(f, g) for f, g in itertools.combinations(new, 2))
+
+    @pytest.mark.parametrize("constraint, n", FRAME_CASES)
+    def test_every_rooted_reference_frame_is_one_new_frame(self, constraint, n):
+        new, ref = _families(constraint, n)
+        for f in filter(rooted, ref):
+            assert sum(isomorphic(f, g) for g in new) == 1, sorted(f.relation)
+
+    @pytest.mark.parametrize("constraint", ["s43", "gl"])
+    def test_order_by_size_then_canonical_form(self, constraint):
+        # the order must not depend on set iteration or hash seeds:
+        # `Calculus.models[0]` is read from it
+        new = generate_frames(constraint, MAX_FRAME_WORLDS)
+        keys = [(len(f.worlds), tuple(sorted(f.relation))) for f in new]
+        assert keys == sorted(keys)
+        assert new[0] == all_frames(constraint, 1)[0]
+        for f in new:
+            assert f.worlds == tuple(range(len(f.worlds)))
+            assert tuple(sorted(f.relation)) == min(
+                tuple(sorted((p[a], p[b]) for a, b in f.relation)) for p in itertools.permutations(f.worlds))
+
+    def test_same_answers_as_reference(self):
+        """Seeded `entails` and `check_rule_soundness` queries, and S4.3's own
+        rules, over the two families of each constraint at 1-4 worlds."""
+        s43 = load_preset("S43", max_worlds=1)
+        sig = s43.signature
+        compared, outcomes = 0, set()
+        for constraint, n in FRAME_CASES:
+            new, ref = ([kripke_matrix(f, sig) for f in fam] for fam in _families(constraint, n))
+            rng = random.Random(f"frames:{constraint}:{n}")
+            draw = lambda: random_formula(rng, sig, rng.randint(1, 3), 2)
+            rules = [Rule("seeded", tuple(draw() for _ in range(rng.randint(1, 2))), draw()) for _ in range(60)]
+            rules += s43.calculus.rules
+            for rule in rules:
+                got = check_rule_soundness(new, rule)
+                assert got == check_rule_soundness(ref, rule), (constraint, n, rule)
+                outcomes.add(got)
+            for _ in range(60):
+                hyps, goal = [draw() for _ in range(rng.randint(0, 2))], draw()
+                got = entails(new, hyps, goal)
+                assert got == entails(ref, hyps, goal), (constraint, n, hyps, goal)
+                outcomes.add(got)
+            compared += len(rules) + 60
+        assert compared >= 1000 and outcomes == {True, False}
 
 
 class TestGodelChain:

@@ -192,19 +192,23 @@ class Calculus(Record):
         """The matrices in which every rule is sound, worked out on first use.
 
         A component calculus tries its `matrices`. A meet tries the product
-        of its components' first models, and only when each factor gives
-        every verum-family constructor designated values: LFT and cLFT are
-        sound in the product only then, while FX always is, as no factor
-        designates `bot`.
+        of its components' first models, each found by trying the
+        component's matrices in order up to the first sound one, and only
+        when each factor gives every verum-family constructor designated
+        values: LFT and cLFT are sound in the product only then, while FX
+        always is, as no factor designates `bot`.
         """
+        return tuple(self._sound())
+
+    def _sound(self):
+        """`models` in order, each checked when it is reached."""
+        tried = self.matrices
         if self.components:
-            firsts = [c.models[0] for c in self.components if c.models]
-            if len(firsts) < 2 or not all(map(_verum_designated, firsts)):
-                return ()
+            firsts = [next(c._sound(), None) for c in self.components]
+            if any(m is None for m in firsts) or not all(map(_verum_designated, firsts)):
+                return
             tried = (product_matrix(*firsts, self.signature),)
-        else:
-            tried = self.matrices
-        return tuple(m for m in tried if all(check_rule_soundness((m,), r) for r in self.rules))
+        yield from (m for m in tried if all(check_rule_soundness((m,), r) for r in self.rules))
 
     @cached_property
     def lifted_heads(self) -> frozenset:
@@ -220,22 +224,14 @@ class Calculus(Record):
                          and verum_family_name(p.arity) not in (p.c1.name, p.c2.name))
 
     @cached_property
-    def axiom_closures(self) -> tuple:
+    def axiom_closures(self) -> list:
         """What a meet's axiom lookup (`_axiom_line`) reads of the axioms,
-        worked out on first use. Per map of a fact's closure (`_closure`:
+        worked out on first use: per map of a fact's closure (`_closure`:
         the identity, cLFT to side 1, to side 2, the verum image), the
-        constructors it makes of those it moves in the axioms' conclusions;
-        and each pattern that a map makes of a conclusion, as an axiom, with
-        the maps that make it."""
+        constructors it makes of those it moves in the axioms' conclusions."""
         cs, memo = self.signature, {}
-        conclusions = [r.conclusion for r in self.rules if not r.premises]
-        nodes = {g for c in conclusions for g in subformulas(c) if g.__class__ is App}
-        moved = [{m.ctor for g in nodes if (m := _closure(g, cs, memo)[k]).ctor is not g.ctor} for k in range(4)]
-        patterns: dict = {}  # a pattern -> the maps that make it
-        for c in conclusions:
-            for k, a in enumerate(_closure(c, cs, memo)):
-                patterns.setdefault(a, set()).add(k)
-        return moved, [(Rule("", (), a), ks) for a, ks in patterns.items()]
+        nodes = {g for r in self.rules if not r.premises for g in subformulas(r.conclusion) if g.__class__ is App}
+        return [{m.ctor for g in nodes if (m := _closure(g, cs, memo)[k]).ctor is not g.ctor} for k in range(4)]
 
 
 def _verum_designated(m) -> bool:
@@ -708,23 +704,26 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
     derivable, and need not be sound in those models, so with `extra` the
     models are not read.
 
-    Between the two, a goal-directed pass (`_round_one`) may answer without
-    any round. It runs on a calculus that is not a meet, without `extra`, at
-    `depth` 2 or more, when every proper rule matches in one step that holds
-    its conclusion's variables. When the fact cap cannot be reached in
-    rounds 0 and 1, it decides whether round 1 adds the goal by matching
-    backwards from the goal. Else, at `depth` 3 or more, `_round_two`
-    makes round 1 from round 0's records without building round 0, and
-    rounds 2 to `depth - 1` without the fact cap. When none of them adds
-    the goal, the search returns None with no models test and no round, as
-    the cap only removes facts. When one does, the pass answers only when a
-    count certifies that the cap cannot stop the rounds first (the
-    hypotheses, round 0's records, the earlier rounds' matches and that
-    round's matches no larger than the goal stay under `max_facts`). In a
-    meet, without hypotheses, a goal that round 0 adds as an axiom
-    instance is looked up instead (`_axiom_line`). An answer is the
-    derivation the rounds would return, line for line. Otherwise the
-    rounds run as below, and None still means only "inconclusive".
+    The fact cap, `max_facts`, bounds the facts that the forward rounds
+    hold and the facts of the goal-directed pass's own later rounds. The
+    rounds stop adding at the cap, so it never changes a derivation, only
+    removes one. A goal that the pass finds is answered with the derivation
+    that the rounds return without the cap, even where the capped rounds
+    would stop first.
+
+    Between the two tests, a goal-directed pass (`_round_one`) may answer
+    without any round. It runs on a calculus that is not a meet, without
+    `extra`, at `depth` 2 or more, when every proper rule matches in one
+    step that holds its conclusion's variables. It decides whether round 1
+    adds the goal by matching backwards from the goal. At `depth` 3 or
+    more, `_round_two` then makes round 1 from round 0's records without
+    building round 0, and rounds 2 to `depth - 1` without the fact cap.
+    When none of them adds the goal, the search returns None with no models
+    test and no round, as the cap only removes facts. In a meet, without
+    hypotheses, a goal that round 0 adds as an axiom instance is looked up
+    instead (`_axiom_line`). An answer is the derivation the rounds would
+    return, line for line. Otherwise the rounds run as below, and None
+    still means only "inconclusive".
 
     A meet goal that only LFT can conclude is searched projection first
     (`_lifted`): without `extra`, when the goal fits `max_size`, is not a
@@ -962,26 +961,6 @@ class _RoundZero(dict):
         return self[f] is not None
 
 
-def _instance_count(rule, groups, max_size) -> int:
-    """The number of image tuples `_images` makes for the axiom `rule` over
-    the candidate `groups`, counted by convolving the groups' sizes, not
-    made; memoised on the groups' sizes and lengths."""
-    return _count_instances(*rule.shape[:2], tuple(groups), tuple(map(len, groups.values())), max_size)
-
-
-@lru_cache(maxsize=4096)
-def _count_instances(nodes, counts, sizes, lengths, max_size) -> int:
-    ways = Counter({nodes: 1} if nodes <= max_size else ())  # instance size so far -> image tuples
-    for _, n in counts:
-        step: Counter = Counter()
-        for total, k in ways.items():
-            for size, m in zip(sizes, lengths):
-                if total + n * size <= max_size:
-                    step[total + n * size] += k * m
-        ways = step
-    return sum(ways.values())
-
-
 def _axiom_line(calc, goal, candidates, bounds) -> Optional[Derivation]:
     """The one-line derivation the rounds return for a meet goal, searched
     without hypotheses, that round 0 adds as an axiom instance: its first
@@ -990,40 +969,28 @@ def _axiom_line(calc, goal, candidates, bounds) -> Optional[Derivation]:
 
     Without hypotheses round 0 makes only axiom records, and each adds at
     most its closure: itself, its images under cLFT to either side and
-    their verum image, and FX's other falsum. The image of an instance of
-    an axiom A over the pool under one of these maps, each of which
-    replaces every constructor by one constructor, is an instance of A's
-    image over the pool's images. So the facts that round 0 adds up to the
-    goal's size are at most the two falsa and, per pattern that some map
-    makes of an axiom, its instances no larger than the goal over the
-    images of the pool under the maps that make it (`_instance_count`).
-    When they stay under `max_facts`, the cap cannot stop round 0 before
-    the goal. Round 0 makes the goal's axiom records in rule order, and
-    adds the first of them unless a fact of the goal's size that comes
-    before it has the goal in its closure: an axiom instance F over the
-    pool other than the goal, and the goal its image under one of the
-    maps, so its own image too. Either the map moves a constructor of F's
-    axiom, and the goal has a node with that constructor's image, or it
-    keeps the axiom and moves one of F's images, a pool formula whose image
-    is a subformula of the goal. The lookup declines in both cases, on a
-    falsum, which FX may add, and on a variable, which only a liberal axiom
-    concludes."""
+    their verum image, and FX's other falsum. Each of these maps replaces
+    every constructor by one constructor. Round 0 makes the goal's axiom
+    records in rule order, and adds the first of them unless a fact of the
+    goal's size that comes before it has the goal in its closure: an axiom
+    instance F over the pool other than the goal, and the goal its image
+    under one of the maps, so its own image too. Either the map moves a
+    constructor of F's axiom, and the goal has a node with that
+    constructor's image, or it keeps the axiom and moves one of F's images,
+    a pool formula whose image is a subformula of the goal. The lookup
+    declines in both cases, on a falsum, which FX may add, and on a
+    variable, which only a liberal axiom concludes."""
     cs = calc.signature
     if goal.__class__ is not App or goal in (cs.falsum(1), cs.falsum(2)):
         return None
     record = _RoundZero((), {}, [r for r in calc.rules if not r.premises], set(candidates), bounds.max_size)[goal]
     if record is None:
         return None
-    moved, patterns = calc.axiom_closures
     memo: dict = {}
-    images = [_closure(c, cs, memo) for c in candidates]
-    made = 2 + sum([_instance_count(rule, _by_size(sorted({i[m] for i in images for m in ms}, key=lambda f: f.size)),
-                                    goal.size) for rule, ms in patterns])
-    if made >= bounds.max_facts:
-        return None
     kept = [m for m, g in enumerate(_closure(goal, cs, memo)) if g is goal and m]  # maps the goal is an image of
     if kept:
-        nodes = set(subformulas(goal))
+        moved, nodes = calc.axiom_closures, set(subformulas(goal))
+        images = [_closure(c, cs, memo) for c in candidates]
         if any([g.__class__ is App and g.ctor in moved[m] for g in nodes for m in kept]) \
                 or any([i[m] is not i[0] and i[m] in nodes for i in images for m in kept]):
             return None
@@ -1073,16 +1040,13 @@ def _matches(rule, beta, facts, known) -> dict:
 def _round_one(rules, hyps, goal, candidates, bounds):
     """The derivation the forward search returns when it adds the goal in
     round 1, found by matching backwards from the goal without making round
-    0, or in a later round (`_round_two`); False when `_round_two` finds
-    that no round below `depth` adds it; None otherwise: this cannot tell,
-    or `depth` is 2 and round 1 does not add it.
+    0, or in a later round (`_round_two`); False when no round below
+    `depth` adds it; None when this cannot tell.
 
     It answers only when each proper rule's plan has one step whose premise
     holds the conclusion's variables, so that a fact starts at most one
-    match and round 1 makes at most one record per rule and fact, and when
-    the fact cap cannot stop the search first: F0, the hypotheses and round
-    0's records, times one plus the number of proper rules stays under
-    `max_facts`. A goal that round 0 reaches is left to the rounds.
+    match and round 1 makes at most one record per rule and fact. A goal
+    that round 0 reaches is left to the rounds.
 
     For each proper rule, in rule order, whose conclusion matches the goal,
     the real `_join` runs over the hypotheses, then over round 0's additions
@@ -1091,9 +1055,10 @@ def _round_one(rules, hyps, goal, candidates, bounds):
     else the least text at the first size with a match, starts the record
     round 1 makes first for the goal; only that size's matches are printed.
 
-    When round 1 does not add the goal, or the cap bound does not hold, and
-    `depth` is 3 or more, `_round_two` decides whether a later round adds
-    it; it reads round 0's join and lookups made here."""
+    The backward match decides round 1 exactly. When it does not add the
+    goal, the answer is False at `depth` 2; at 3 or more `_round_two`
+    decides whether a later round adds it, reading round 0's join and
+    lookups made here."""
     max_size = bounds.max_size
     axioms = [r for r in rules if not r.premises]
     proper = [r for r in rules if r.premises]
@@ -1107,18 +1072,13 @@ def _round_one(rules, hyps, goal, candidates, bounds):
     for rule in proper:
         for subst, cited in _join(rule, every, new):
             _file(rule, subst, cited, groups, max_size, buckets)
-    made = [record for records in buckets.values() for record in records]
-    f0 = len(hyps) + len(made) + sum([_instance_count(r, groups, max_size) for r in axioms])
-    bounded = f0 * (1 + len(proper)) < bounds.max_facts
-    if not bounded and bounds.depth < 3:
-        return None
     derived: dict = {}  # round 0's proper conclusions -> their first records
-    for record in made:
+    for record in itertools.chain(*buckets.values()):
         derived.setdefault(record[2].instantiator[0](*record[3]), record)
     known = _RoundZero(hyps, derived, axioms, set(candidates), max_size)
     if goal in known:
         return None
-    for rule in proper if bounded else ():
+    for rule in proper:
         beta = match_formula(rule.conclusion, goal)
         if beta is None:
             continue
@@ -1140,8 +1100,8 @@ def _round_one(rules, hyps, goal, candidates, bounds):
             known[goal] = ("rule", cited, rule, tuple([subst[v] for v, _ in rule.shape[1]]), subst)
             return _reconstruct(goal, known)
     if bounds.depth < 3:
-        return None
-    return _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds, f0)
+        return False
+    return _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds)
 
 
 @lru_cache(maxsize=4096)
@@ -1165,7 +1125,7 @@ def _composition(axiom, rule):
             _compile_build(apply_substitution(sigma, rule.conclusion), variables))
 
 
-def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds, f0):
+def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds):
     """The derivation the forward search returns when it adds the goal in
     round 2 or later, found without making round 0; False when no round
     below `depth` adds it; None when this cannot tell. The rule conditions
@@ -1182,9 +1142,8 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds, f0):
     and the step's fact and the conclusion only once every check is a
     round-0 fact; the instances of any other axiom are built and matched.
     A match that cites no fact round 0 added was made in round 0. Round 1's
-    facts are the conclusions within `max_size` that round 0 lacks; a goal
-    among them is left to the rounds, as `_round_one`'s bound on the cap
-    failed.
+    facts are the conclusions within `max_size` that round 0 lacks, and
+    `_round_one` has found that the goal is none of them.
 
     Rounds 2 to `depth - 1` are semi-naive, as the search's are: round n's
     matches cite a fact of round n - 1, each check a fact. A step whose
@@ -1194,11 +1153,8 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds, f0):
     only up to the goal's size in the last round and before the goal is
     seen. This is the search without the fact cap, which only ever removes
     facts: when no round adds the goal, or a round adds nothing, the
-    search does not find it (False). When round n adds it, the search does
-    too, unless the cap stops it first, which is ruled out by counting:
-    the hypotheses and round 0's records (`f0`), the matches within
-    `max_size` of rounds 1 to n - 1, and round n's matches no larger than
-    the goal stay under `max_facts`, or the pass declines. Once the
+    search does not find it (False). When round n adds it, the pass
+    answers with the derivation the rounds return without the cap. Once the
     hypotheses and the facts of rounds 1 to n - 1 number `max_facts`, the
     search has reached the cap by the end of round n - 1 without the goal,
     so the pass answers False before round n; past round 0 it makes no
@@ -1241,18 +1197,15 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds, f0):
                 return True
         return False
 
-    def take(match, c, into) -> int:
+    def take(match, c, into):
         """File a match whose every check is a fact under its conclusion c in
-        `into`; 0 when it was taken before."""
+        `into`, unless it was taken before."""
         key = match[1], c
-        if key in seen[match[0]]:
-            return 0
-        seen[match[0]].add(key)
-        into.setdefault(c, []).append(match)
-        return 1
+        if key not in seen[match[0]]:
+            seen[match[0]].add(key)
+            into.setdefault(c, []).append(match)
 
     ones: dict = {}  # round 1's facts -> their matches
-    made = f0  # the facts the rounds can add up to the last round made
     for k, (rule, premise, checks) in enumerate(steps):
         built = hyps + [f for f in derived if f not in hypset]
         static = []
@@ -1280,11 +1233,8 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds, f0):
                 c = conclude(match)
                 if c.size <= max_size and (key := (match[1], c)) not in seen[k]:
                     seen[k].add(key)
-                    made += 1
                     if known[c] is None:
                         ones.setdefault(c, []).append(match)
-    if goal in ones:
-        return None
     later.update((c, (1, ms)) for c, ms in ones.items())
 
     fresh, last = ones, bounds.depth - 1
@@ -1310,18 +1260,18 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds, f0):
             elif size <= max_size and n < last:
                 large.append((m, c))
         fresh = {}
-        count = sum([take(m, conclude(m) if c is None else c, fresh) for m, c in small])
+        for m, c in small:
+            take(m, conclude(m) if c is None else c, fresh)
         if goal in fresh:
             break
-        made += count + sum([take(m, conclude(m) if c is None else c, fresh) for m, c in large])
+        for m, c in large:
+            take(m, conclude(m) if c is None else c, fresh)
         fresh = {c: ms for c, ms in fresh.items() if c not in later and known[c] is None}  # the new facts
         if not fresh:
             return False
         later.update((c, (n, ms)) for c, ms in fresh.items())
     else:
         return False
-    if made + count >= bounds.max_facts:
-        return None
 
     places = {h: n for n, h in enumerate(hyps)}
 

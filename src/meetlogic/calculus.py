@@ -690,53 +690,38 @@ def _refuted(calc: Calculus, hyps: list, goal: Formula) -> bool:
 
 def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[Formula],
                          goal: Formula, bounds: SearchBounds = SearchBounds()) -> Optional[Derivation]:
-    """Iterative forward search; a returned derivation always passes the checker.
+    """Bounded proof search; a returned derivation always passes the checker.
 
-    None is inconclusive, never a non-derivability claim: the search gave up
-    at its bounds, or it never started because no fact could be the goal.
-    Exploration order is fixed, so results are deterministic for fixed bounds.
+    None is inconclusive, never a non-derivability claim. Exploration order
+    is fixed, so results are deterministic for fixed bounds. These phases
+    run in order, and the first that answers ends the search:
 
-    Two tests return None before round 0, and neither loses a derivation
-    the rounds would find. A goal over `max_size` is never added as a fact,
-    not even as a hypothesis. Without `extra`, a goal that the hypotheses do
-    not entail in one of `calc.models` is not derivable, as every rule is
-    sound there. Rules in `extra` (basis rules) are admissible, not
-    derivable, and need not be sound in those models, so with `extra` the
-    models are not read.
+    1. A goal over `max_size` is never a fact: None.
+    2. In a component calculus at `depth` 1 or more, the goal-directed pass
+       over `calc.rules` and `extra` (`_round_one`), which answers a
+       hypothesis goal with its HYP line. In a meet without hypotheses and
+       without `extra`, which may hold a premise-free rule, the axiom
+       lookup (`_axiom_line`).
+    3. Without `extra`, None for a goal that the hypotheses do not entail
+       in one of `calc.models`, where every rule is sound. Basis rules in
+       `extra` are admissible and need not be. Besides the axiom lookup,
+       whose answer the rounds return too, `extra` skips only this phase.
+    4. A meet goal, not a hypothesis, whose head only LFT concludes
+       (`calc.lifted_heads`): each projection is searched through these
+       phases in its component calculus from the projected hypotheses,
+       without `extra`, as a component derivation is one with basis rules
+       too, and the both-sides template joins the two by LFT (`_lifted`).
+       The rounds conclude such a goal only by LFT from the same
+       projections, so this loses no goal and changes only such goals'
+       derivations. When a search gives up or a component line cannot be
+       inherited, the rounds run.
+    5. The forward rounds (`_rounds`). In a meet they may add a hypothesis
+       goal first as an earlier hypothesis's cLFT or FX image.
 
-    The fact cap, `max_facts`, bounds the facts that the forward rounds
-    hold and the facts of the goal-directed pass's own later rounds. The
-    rounds stop adding at the cap, so it never changes a derivation, only
-    removes one. A goal that the pass finds is answered with the derivation
-    that the rounds return without the cap, even where the capped rounds
-    would stop first.
-
-    Between the two tests, a goal-directed pass (`_round_one`) may answer
-    without any round. It runs on a calculus that is not a meet, without
-    `extra`, at `depth` 2 or more, when every proper rule matches in one
-    step that holds its conclusion's variables. It decides whether round 1
-    adds the goal by matching backwards from the goal. At `depth` 3 or
-    more, `_round_two` then makes round 1 from round 0's records without
-    building round 0, and rounds 2 to `depth - 1` without the fact cap.
-    When none of them adds the goal, the search returns None with no models
-    test and no round, as the cap only removes facts. In a meet, without
-    hypotheses, a goal that round 0 adds as an axiom instance is looked up
-    instead (`_axiom_line`). An answer is the derivation the rounds would
-    return, line for line. Otherwise the rounds run as below, and None
-    still means only "inconclusive".
-
-    A meet goal that only LFT can conclude is searched projection first
-    (`_lifted`): without `extra`, when the goal fits `max_size`, is not a
-    hypothesis, is not refuted in `calc.models`, and its head is one of
-    `calc.lifted_heads`. Each projection of the goal is searched in its
-    component calculus from the projected hypotheses, under the same
-    bounds and through the same path (the goal-directed pass, the models
-    test, the rounds), and the both-sides template joins the two
-    derivations by LFT. When either search gives up, or a component line
-    cannot be inherited (`BuilderError`), the rounds run as they would
-    have. They conclude such a goal only by LFT from the same two
-    projections, so this loses no goal; it changes only the derivations
-    of such goals.
+    Phase 2 answers with the derivation the rounds return, line for line,
+    without the fact cap `max_facts`; the pass answers False, read as
+    None, when no round below `depth` adds the goal. The rounds stop adding
+    at the cap, so it never changes a derivation, only removes one.
 
     Rounds are semi-naive: a round makes only the premise matches that cite
     a fact added by the round before. A match of older facts was made in an
@@ -756,33 +741,60 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
     was = gc.isenabled()
     gc.disable()
     try:
-        return _bounded_proof_search(calc, extra, hyps, goal, bounds)
+        return _search(calc, extra, hyps, goal, bounds)
     finally:
         if was:
             gc.enable()
 
 
-def _bounded_proof_search(calc, extra, hyps, goal, bounds):
+def _search(calc, extra, hyps, goal, bounds):
+    """`bounded_proof_search` without the collector pause. The lifted
+    phase's component searches run their `_phases` on an explicit stack,
+    so no function of the search calls back into it."""
+    stack, answer = [_phases(calc, extra, hyps, goal, bounds)], None
+    while stack:
+        try:
+            stack.append(_phases(*stack[-1].send(answer), bounds))
+            answer = None
+        except StopIteration as stop:
+            stack.pop()
+            answer = stop.value
+    return answer
+
+
+def _phases(calc, extra, hyps, goal, bounds):
+    """The phases of `bounded_proof_search`, as a generator that returns
+    the answer. The lifted phase yields each component search as
+    (calculus, extra, hypotheses, goal) and is sent its answer."""
     hyps = list(dict.fromkeys(hyps))
-    if extra or goal.__class__ is not App or goal.ctor not in calc.lifted_heads \
-            or goal.size > bounds.max_size or goal in hyps:
-        return _forward_search(calc, extra, hyps, goal, bounds)
-    if _refuted(calc, hyps, goal):
+    if goal.size > bounds.max_size:
         return None
-    found = _lifted(calc, hyps, goal, bounds)
+    candidates = _candidate_pool(calc, hyps, goal, bounds)
+    found = None
+    if bounds.depth and not isinstance(calc.signature, CombinedSignature):
+        found = _round_one(list(calc.rules) + list(extra), hyps, goal, candidates, bounds)
+    elif bounds.depth and not hyps and not extra:
+        found = _axiom_line(calc, goal, candidates, bounds)
     if found is not None:
-        return found
-    return _rounds(calc, (), hyps, goal, _candidate_pool(calc, hyps, goal, bounds), bounds)
+        return found or None  # False: no round below `depth` adds the goal
+    if not extra and _refuted(calc, hyps, goal):
+        return None
+    if goal.__class__ is App and goal.ctor in calc.lifted_heads and goal not in hyps:
+        found = yield from _lifted(calc, hyps, goal)
+        if found is not None:
+            return found
+    return _rounds(calc, extra, hyps, goal, candidates, bounds)
 
 
-def _lifted(calc, hyps, goal, bounds) -> Optional[Derivation]:
+def _lifted(calc, hyps, goal):
     """The derivation of a meet goal by LFT from its two projections, each
     searched in its component calculus from the projected hypotheses, and
     joined with the both-sides template; None when either search gives up
-    or the template cannot inherit a component line."""
+    or the template cannot inherit a component line. A generator: it
+    yields each component search to `_search`, which sends its answer."""
     ds = []
     for k, comp in enumerate(calc.components, start=1):
-        d = _forward_search(comp, (), [project(h, k) for h in hyps], project(goal, k), bounds)
+        d = yield comp, (), [project(h, k) for h in hyps], project(goal, k)
         if d is None:
             return None
         ds.append(d)
@@ -790,26 +802,6 @@ def _lifted(calc, hyps, goal, bounds) -> Optional[Derivation]:
         return _both_sides(hyps, goal, ds[0], ds[1], calc, *calc.components)
     except BuilderError:
         return None
-
-
-def _forward_search(calc, extra, hyps, goal, bounds):
-    """The search without the lifted phase: the `max_size` test, the
-    goal-directed pass or, in a meet, the axiom lookup, the models test and
-    the rounds."""
-    hyps = list(dict.fromkeys(hyps))
-    if goal.size > bounds.max_size:
-        return None
-    candidates = _candidate_pool(calc, hyps, goal, bounds)
-    if not extra:
-        if not isinstance(calc.signature, CombinedSignature):
-            found = _round_one(calc.rules, hyps, goal, candidates, bounds) if bounds.depth >= 2 else None
-        else:
-            found = _axiom_line(calc, goal, candidates, bounds) if not hyps and bounds.depth else None
-        if found is not None:
-            return found or None  # False: no round below `depth` adds the goal
-        if _refuted(calc, hyps, goal):
-            return None
-    return _rounds(calc, extra, hyps, goal, candidates, bounds)
 
 
 def _rounds(calc, extra, hyps, goal, candidates, bounds):
@@ -1030,7 +1022,8 @@ def _matches(rule, beta, facts, known) -> dict:
     """The one-step `rule`'s joint matches under `beta` over those of `facts`
     that its premise matches, keyed by the fact each cites, in `_join`'s
     order. All count as new: round 1's semi-naive rule drops only matches
-    that round 0 made, and the pass declines a goal that round 0 reaches."""
+    that round 0 made, and the pass answers a goal that round 0 adds
+    before it matches."""
     i, premise, key, _, _ = rule.plan[0]
     facts = [f for f in facts if match_formula(premise, f, beta) is not None]
     view = (facts, {getattr(premise, "ctor", None): facts}, {key: facts}, known)
@@ -1039,14 +1032,14 @@ def _matches(rule, beta, facts, known) -> dict:
 
 def _round_one(rules, hyps, goal, candidates, bounds):
     """The derivation the forward search returns when it adds the goal in
-    round 1, found by matching backwards from the goal without making round
-    0, or in a later round (`_round_two`); False when no round below
-    `depth` adds it; None when this cannot tell.
+    round 0, with the record `_RoundZero` holds for it, in round 1, found by
+    matching backwards from the goal without making round 0, or in a later
+    round (`_round_two`); False when no round below `depth` adds it; None
+    when this cannot tell.
 
     It answers only when each proper rule's plan has one step whose premise
     holds the conclusion's variables, so that a fact starts at most one
-    match and round 1 makes at most one record per rule and fact. A goal
-    that round 0 reaches is left to the rounds.
+    match and round 1 makes at most one record per rule and fact.
 
     For each proper rule, in rule order, whose conclusion matches the goal,
     the real `_join` runs over the hypotheses, then over round 0's additions
@@ -1077,7 +1070,9 @@ def _round_one(rules, hyps, goal, candidates, bounds):
         derived.setdefault(record[2].instantiator[0](*record[3]), record)
     known = _RoundZero(hyps, derived, axioms, set(candidates), max_size)
     if goal in known:
-        return None
+        return _reconstruct(goal, known)
+    if bounds.depth < 2:
+        return False
     for rule in proper:
         beta = match_formula(rule.conclusion, goal)
         if beta is None:

@@ -686,6 +686,18 @@ def _stop_queries():
             yield calc, [], parse_formula(text, cs), bounds
 
 
+def _hypothesis_goal_queries():
+    """Meet goals that are hypotheses: `a`, then its cLFT images and their
+    verum image, each listed after `a`, and the two falsa."""
+    for pair in MEET_PAIRS:
+        cs, calc = _meet_calculus(*pair)
+        a = random_formula(random.Random(f"hypothesis-goals:{cs.tag1}:{cs.tag2}"), cs, 2, 2)
+        p1 = proj_embedded(a, 1, cs, {})
+        hyps = [a, p1, proj_embedded(a, 2, cs, {}), proj_embedded(p1, 2, cs, {}), cs.falsum(1), cs.falsum(2)]
+        for goal in hyps:
+            yield calc, hyps, goal, SearchBounds()
+
+
 def _basis_queries(logic):
     """Searches with the logic's basis rules as `extra`, as
     `derivable_with_basis` and `search --with-basis` run them: each basis
@@ -711,10 +723,19 @@ def _lft_only(calc, hyps, goal):
         and not any(isinstance(r.conclusion, Var) or r.conclusion.ctor is goal.ctor for r in calc.rules)
 
 
+def _unlifted(calc, extra, hyps, goal, bounds):
+    """The search with the lifted phase patched out: `yield from` an empty
+    iterator gives None."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(calculus, "_lifted", lambda *args: iter(()))
+        return bounded_proof_search(calc, extra, hyps, goal, bounds)
+
+
 def _assert_public_keeps(calc, hyps, goal, bounds, forward):
-    """The public search finds every goal that the forward search finds,
-    with the same derivation unless only LFT can conclude the goal; what it
-    finds passes the checker. Returns its derivation."""
+    """The public search finds every goal that the search without the
+    lifted phase (`forward`) finds, with the same derivation unless only
+    LFT can conclude the goal; what it finds passes the checker. Returns
+    its derivation."""
     got = bounded_proof_search(calc, (), hyps, goal, bounds)
     where = f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
     if not _lft_only(calc, hyps, goal):
@@ -731,20 +752,21 @@ def _uncapped(bounds):
 
 
 def _assert_same_as_reference(queries, extra=()):
-    """The forward search against the naive loop: under the same bounds
-    where the loop finds the goal, as the cap never changes a derivation,
-    else with the cap lifted where the search finds it. Without `extra`,
-    the public search against the forward search. Returns the number
-    found."""
+    """The search without the lifted phase against the naive loop: under
+    the same bounds where the loop finds the goal, as the cap never changes
+    a derivation, else with the cap lifted where the search finds it; what
+    it finds passes the checker with `extra`. Without `extra`, the public
+    search against it. Returns the number found."""
     found = 0
     for calc, hyps, goal, bounds in queries:
-        got = calculus._forward_search(calc, extra, hyps, goal, bounds)
+        got = _unlifted(calc, extra, hyps, goal, bounds)
         found += got is not None
         want = _reference_search(calc, hyps, goal, bounds, extra)
         if want is None and got is not None:
             want = _reference_search(calc, hyps, goal, _uncapped(bounds), extra)
-        assert _text(got) == _text(want), \
-            f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
+        where = f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
+        assert _text(got) == _text(want), where
+        assert got is None or check_derivation(got, calc, extra, hyps), where
         if not extra:
             _assert_public_keeps(calc, hyps, goal, bounds, got)
     assert found
@@ -768,11 +790,20 @@ class TestSearchMatchesReference:
     def test_meet(self, pair):
         assert _assert_same_as_reference(_meet_queries(*pair)) >= 4
 
-    @pytest.mark.parametrize("logic", ["IPL", "GL"])
+    @pytest.mark.parametrize("logic", ["IPL", "S43", "GL"])
     def test_basis_rules(self, logic):
         """Basis rules given as `extra` join, size and order like the
         calculus's own rules."""
         _assert_same_as_reference(_basis_queries(logic), load_preset(logic).basis.rules)
+
+    def test_hypothesis_goals(self):
+        """The rounds add a hypothesis goal first as the cLFT or FX image of
+        an earlier hypothesis when it is one, so its derivation is then
+        longer than its HYP line."""
+        queries = list(_hypothesis_goal_queries())
+        _assert_same_as_reference(queries)
+        lengths = [len(bounded_proof_search(calc, (), hyps, goal, bounds)) for calc, hyps, goal, bounds in queries]
+        assert lengths == [1, 2, 2, 3, 1, 2] * 2 + [1, 1, 1, 1, 1, 2], lengths
 
     def test_stop_at_goal_or_cap(self):
         """A round stops adding at the goal, at the fact cap, or past the
@@ -907,7 +938,7 @@ class TestSearchMatchesReference:
         monkeypatch.setattr(calculus, "_file", file)
         queries = itertools.chain(*(_meet_queries(*pair) for pair in MEET_PAIRS), _stop_queries())
         for calc, hyps, goal, bounds in queries:
-            calculus._forward_search(calc, (), hyps, goal, bounds)
+            _unlifted(calc, (), hyps, goal, bounds)
         assert calls["joint"] > 1000 and calls["match"] == calls["joint"]
 
     def test_rule_instance_kept_over_lft_of_the_same_formula(self):
@@ -956,12 +987,21 @@ class TestRefutationLosesNothing:
     """A goal that the hypotheses do not entail in a model of the calculus
     is not derivable, so returning None for it changes no search result."""
 
-    def test_same_results_as_without_models(self):
-        refuted = found = lifted = 0
+    def test_same_results_as_without_models(self, monkeypatch):
+        """The models test itself answers only meet searches here, as the
+        goal-directed pass answers every component one first."""
+        refuted = found = lifted = answered = 0
+        tests: list = []  # the models test's answers in one search
+        real = calculus._refuted
+        monkeypatch.setattr(calculus, "_refuted", lambda *args: tests.append(real(*args)) or tests[-1])
         for calc, hyps, goal, bounds in _refutation_queries():
             assert calc.models
-            got = calculus._forward_search(calc, (), hyps, goal, bounds)
-            want = calculus._forward_search(_models_free(calc), (), hyps, goal, bounds)
+            tests.clear()
+            got = _unlifted(calc, (), hyps, goal, bounds)
+            if True in tests:
+                assert calc.components and got is None
+                answered += 1
+            want = _unlifted(_models_free(calc), (), hyps, goal, bounds)
             assert _text(got) == _text(want), \
                 f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
             refuted += not entails(calc.models, hyps, goal)
@@ -972,7 +1012,7 @@ class TestRefutationLosesNothing:
                 public = _assert_public_keeps(calc, hyps, goal, bounds, got)
                 lifted += public is not None and got is None
                 assert public is None or entails(calc.models, hyps, public.conclusion)
-        assert refuted > 50 and found > 10 and lifted >= 12
+        assert refuted > 50 and found > 10 and lifted >= 12 and answered >= 60, (refuted, found, lifted, answered)
 
     def test_wide_goals_skip_large_models(self, monkeypatch):
         """A model is tried only while a column over the goal's variables
@@ -1086,7 +1126,7 @@ class TestLiftedPhaseLosesNothing:
     def test_all_preset_pairs(self):
         lifted = kept = other = 0
         for calc, hyps, goal in _lifted_queries():
-            forward = calculus._forward_search(calc, (), hyps, goal, LIFTED_BOUNDS)
+            forward = _unlifted(calc, (), hyps, goal, LIFTED_BOUNDS)
             got = _assert_public_keeps(calc, hyps, goal, LIFTED_BOUNDS, forward)
             if got is not None and calc.models:
                 assert entails(calc.models, hyps, got.conclusion)
@@ -1116,10 +1156,18 @@ class TestLiftedPhaseLosesNothing:
         liberal = Calculus("L", CS, MEET.rules + (Rule("id", (Var(1),), Var(1)),), components=MEET.components)
         assert CPL.calculus.lifted_heads == _models_free(MEET).lifted_heads == liberal.lifted_heads == frozenset()
 
-    def test_falls_back_when_a_line_cannot_be_inherited(self):
+    def test_falls_back_when_a_line_cannot_be_inherited(self, monkeypatch):
         """Each side's search reaches `xi1 or xi1` first through `xi1`, a
         bare variable that no meet rule concludes, so the template raises
         `BuilderError`; the rounds then find the goal through `join`."""
+        lifted: list = []
+        real = calculus._lifted
+
+        def spy(*args):
+            lifted.append((yield from real(*args)))
+            return lifted[-1]
+
+        monkeypatch.setattr(calculus, "_lifted", spy)
         rules = (Rule("proj", (P("xi1 and xi2"),), P("xi1")), Rule("intro", (P("xi1"),), P("xi1 or xi1")),
                  Rule("pair", (P("xi1 and xi2"),), P("xi1 and xi1")), Rule("join", (P("xi1 and xi1"),), P("xi1 or xi1")))
         comp = Calculus("C", CPL.signature, rules)
@@ -1130,9 +1178,9 @@ class TestLiftedPhaseLosesNothing:
         assert all(d.lines[1] == Line(P("xi1"), RuleApp("proj", (1,), ((1, Var(1)), (2, Var(2))))) for d in sides)
         with pytest.raises(BuilderError):
             build_both_admissible_derivation(hyps, goal, *sides, calc, CPL, CPL2)
-        assert calculus._lifted(calc, hyps, goal, bounds) is None
         d = bounded_proof_search(calc, (), hyps, goal, bounds)
-        assert d == calculus._forward_search(calc, (), hyps, goal, bounds)
+        assert lifted == [None]
+        assert d == _unlifted(calc, (), hyps, goal, bounds)
         assert check_derivation(d, calc, hyps=hyps) and isinstance(d.lines[-1].just, Lft)
 
 
@@ -1474,20 +1522,20 @@ def _round_one_queries():
 
 
 def _three_ways(monkeypatch, calc, hyps, goal, bounds, seconds=None):
-    """The forward search, the same with the pass patched out, and the
-    naive loop, as texts; and the pass's answers during the search. When
-    `seconds` is a list, `_round_two`'s answers are appended to it. See
-    `_assert_pass_keeps` for how the three compare."""
+    """The search without the lifted phase, the same with the pass patched
+    out, and the naive loop, as texts; and the pass's answers during the
+    search. When `seconds` is a list, `_round_two`'s answers are appended
+    to it. See `_assert_pass_keeps` for how the three compare."""
     answers: list = []
     real, real_two = calculus._round_one, calculus._round_two
     with monkeypatch.context() as m:
         m.setattr(calculus, "_round_one", lambda *args: answers.append(real(*args)) or answers[-1])
         if seconds is not None:
             m.setattr(calculus, "_round_two", lambda *args: seconds.append(real_two(*args)) or seconds[-1])
-        got = calculus._forward_search(calc, (), hyps, goal, bounds)
+        got = _unlifted(calc, (), hyps, goal, bounds)
     with monkeypatch.context() as m:
         m.setattr(calculus, "_round_one", lambda *args: None)
-        forward = calculus._forward_search(calc, (), hyps, goal, bounds)
+        forward = _unlifted(calc, (), hyps, goal, bounds)
     want = _reference_search(calc, hyps, goal, bounds)
     return (_text(got), _text(forward), _text(want)), answers
 
@@ -1504,8 +1552,8 @@ def _assert_pass_keeps(texts, calc, hyps, goal, bounds):
 
 class TestRoundOneMatchesForward:
     """The goal-directed pass answers when the forward search without the
-    fact cap adds the goal in round 1, or in round 2, with the derivation
-    that search returns."""
+    fact cap adds the goal in round 0, 1 or 2, with the derivation that
+    search returns."""
 
     def _assert_same(self, monkeypatch, queries) -> Counter:
         """Counts of the searches, of those the pass answered, of those it
@@ -1527,21 +1575,26 @@ class TestRoundOneMatchesForward:
         assert n["searched"] == 77 and n["answered"] >= 20 and n["second"] >= 40
 
     def test_seeded_searches(self, monkeypatch):
-        """The floors are the counts measured with the pass answering
-        whenever it finds the goal."""
+        """The floors are the counts measured with the pass answering at
+        every `depth` from 1, goals that round 0 adds included: it answers
+        every search but those of the 4 goals over `max_size`."""
         n = self._assert_same(monkeypatch, _round_one_queries())
-        assert n["searched"] == 576 and n["found"] >= 349 and n["answered"] >= 300 and n["absent"] >= 149, n
+        assert n["searched"] == 576 and n["found"] >= 369 and n["answered"] >= 572 and n["absent"] >= 203, n
 
-    def test_declines_on_meets_extra_and_depth_1(self, monkeypatch):
+    def test_runs_on_components_at_depth_1_and_with_extra(self, monkeypatch):
+        """The pass answers a component search at `depth` 1, and one with
+        rules in `extra`, which it matches like the calculus's own; it does
+        not run on a meet, nor at `depth` 0."""
         calls: list = []
         real = calculus._round_one
         monkeypatch.setattr(calculus, "_round_one", lambda *args: calls.append(real(*args)) or calls[-1])
         a, goal = P("xi1"), P("xi1 or xi2")
         assert bounded_proof_search(CPL.calculus, (), [a], goal, SearchBounds(depth=2)) is not None
-        assert len(calls) == 1 and calls[0] is not None
+        assert bounded_proof_search(CPL.calculus, (), [a], goal, SearchBounds(depth=1)) is None
+        assert bounded_proof_search(CPL.calculus, (Rule("id", (P("xi1"),), P("xi1")),), [a], goal) is not None
+        assert isinstance(calls[0], Derivation) and calls[1] is False and isinstance(calls[2], Derivation)
         calls.clear()
-        bounded_proof_search(CPL.calculus, (), [a], goal, SearchBounds(depth=1))
-        bounded_proof_search(CPL.calculus, (Rule("id", (P("xi1"),), P("xi1")),), [a], goal)
+        bounded_proof_search(CPL.calculus, (), [a], goal, SearchBounds(depth=0))
         bounded_proof_search(MEET, (), [PM("xi1")], PM("xi1 ->.CPL1 (xi2 ->.CPL1 xi1)"))
         assert calls == []
 
@@ -1557,18 +1610,24 @@ class TestRoundOneMatchesForward:
                    for n in (cap, cap + 1)]
             assert got[0] is not None and _text(got[0]) == _text(got[1])
 
-    def test_depth_2_answers_false_when_round_1_does_not_add_the_goal(self, monkeypatch):
-        """At `depth` 2 the backward match decides round 1, so a goal it
-        does not find is answered False, with no models test and no round;
-        a goal that round 0 reaches is left to them."""
+    def test_answers_false_when_no_round_adds_the_goal(self, monkeypatch):
+        """Round 0 adds the axiom instance `xi1 -> (xi1 -> xi1)`, which the
+        pass answers at `depth` 1 with round 0's record; round 1 adds `xi1 or
+        xi2`. At `depth` 1 the lookup decides round 0, and at `depth` 2 the
+        backward match decides round 1, so a goal neither finds is answered
+        False, with no models test and no round."""
         tried: list = []
         monkeypatch.setattr(calculus, "_refuted", lambda *args: tried.append(args) or False)
-        a, bounds = P("xi1"), SearchBounds(depth=2)
-        for goal, answer in ((P("xi2"), False), (P("xi1 -> (xi1 -> xi1)"), None), (P("xi1 or xi2"), True)):
+        monkeypatch.setattr(calculus, "_rounds", lambda *args: tried.append(args))
+        a = P("xi1")
+        for depth, goal, answer in ((1, "xi2", False), (1, "xi1 -> (xi1 -> xi1)", True), (1, "xi1 or xi2", False),
+                                    (2, "xi2", False), (2, "xi1 -> (xi1 -> xi1)", True), (2, "xi1 or xi2", True)):
+            goal, bounds = P(goal), SearchBounds(depth=depth)
             got = calculus._round_one(CPL.calculus.rules, [a], goal, _candidate_pool(CPL.calculus, [a], goal, bounds),
                                       bounds)
-            assert got is answer if answer is not True else isinstance(got, Derivation), print_formula(goal)
-        assert calculus._forward_search(CPL.calculus, (), [a], P("xi2"), bounds) is None and tried == []
+            assert got is answer if answer is False else isinstance(got, Derivation), (depth, print_formula(goal))
+            assert _text(bounded_proof_search(CPL.calculus, (), [a], goal, bounds)) == _text(got or None)
+        assert tried == []
 
 
 def _hand_calculus(name, rules):
@@ -1795,7 +1854,7 @@ class TestRoundTwoMatchesForward:
         counts = []
         for depth in (3, 7):
             built.clear()
-            assert calculus._forward_search(CPL.calculus, (), hyps, goal, SearchBounds(depth, max_facts=200)) is None
+            assert bounded_proof_search(CPL.calculus, (), hyps, goal, SearchBounds(depth, max_facts=200)) is None
             counts.append(len(built))
         assert counts[0] == counts[1] > 0, counts
 
@@ -1804,6 +1863,43 @@ class TestRoundTwoMatchesForward:
         texts, answers = _three_ways(monkeypatch, UNCHECKED, [], P("xi1"), SearchBounds(depth=3), seconds)
         assert texts[0] == texts[1] == texts[2] and texts[0] is not None
         assert answers == [None] and seconds == [None]
+
+
+class TestComponentSearchIsThePass:
+    """At `depth` 1 or more, the goal-directed pass answers every seeded and
+    golden search in a preset's component calculus, also with the preset's
+    basis rules as `extra`: neither the models test nor the rounds run. The
+    one exception is S43's basis at `depth` 3 or more: the premise of its
+    rule `s43b`, `dia xi1 and dia neg xi1 / bot`, holds a variable that its
+    conclusion lacks, so `_round_two` declines, and the rounds run for the
+    goals that rounds 0 and 1 do not add."""
+
+    @pytest.mark.parametrize("with_basis", [False, True], ids=["calculus", "basis"])
+    def test_no_models_test_and_no_rounds(self, monkeypatch, with_basis):
+        queries = itertools.chain(*map(_component_queries, ("CPL", "G3", "IPL")), _round_one_queries(),
+                                  [q[:4] for q in _round_two_queries()],
+                                  [q for q in golden.queries() if not q[0].components])
+        reached: list = []
+        real_refuted, real_rounds = calculus._refuted, calculus._rounds
+        monkeypatch.setattr(calculus, "_refuted", lambda *args: reached.append("models") or real_refuted(*args))
+        monkeypatch.setattr(calculus, "_rounds", lambda *args: reached.append("rounds") or real_rounds(*args))
+        searched = with_extra = left = 0
+        for calc, hyps, goal, bounds in queries:
+            assert bounds.depth >= 1 and not calc.components
+            basis = load_preset(calc.name).basis
+            extra = basis.rules if with_basis and basis else ()
+            reached.clear()
+            d = bounded_proof_search(calc, extra, hyps, goal, bounds)
+            where = f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
+            assert d is None or check_derivation(d, calc, extra, hyps), where
+            if extra and calc.name == "S43" and bounds.depth >= 3 and reached == ["rounds"]:
+                left += 1
+            else:
+                assert reached == [], where
+            searched += 1
+            with_extra += bool(extra)
+        assert searched == 144 + 576 + 100 + 72 and with_extra == (492 if with_basis else 0) and left <= 36, \
+            (with_extra, left)
 
 
 def _axiom_goal_queries():
@@ -1852,7 +1948,7 @@ class TestAxiomLookupMatchesRounds:
         for calc, hyps, goal, bounds in _axiom_goal_queries():
             answers.clear()
             rounds.clear()
-            got = calculus._forward_search(calc, (), hyps, goal, bounds)
+            got = bounded_proof_search(calc, (), hyps, goal, bounds)
             where = f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
             if rounds:
                 want = rounds[0]
@@ -1879,7 +1975,7 @@ class TestAxiomLookupMatchesRounds:
         bounds = SearchBounds(depth=1)
         candidates = _candidate_pool(calc, [], goal, bounds)
         assert calculus._axiom_line(calc, goal, candidates, bounds) is None
-        d = calculus._forward_search(calc, (), [], goal, bounds)
+        d = bounded_proof_search(calc, (), [], goal, bounds)
         assert isinstance(d.lines[-1].just, Clft)
         plain = parse_formula("xi1 ->.CPL (xi2 ->.CPL xi1)", cs)
         assert calculus._axiom_line(calc, plain, _candidate_pool(calc, [], plain, bounds), bounds) is not None
@@ -1899,7 +1995,7 @@ class TestAxiomLookupMatchesRounds:
         for k in (1, 2):
             goal = cs.falsum(k)
             assert calculus._axiom_line(calc, goal, _candidate_pool(calc, [], goal, bounds), bounds) is None
-        assert [type(ln.just) for ln in calculus._forward_search(calc, (), [], cs.falsum(2), bounds).lines] \
+        assert [type(ln.just) for ln in bounded_proof_search(calc, (), [], cs.falsum(2), bounds).lines] \
             == [RuleApp, Fx]
 
 

@@ -155,6 +155,21 @@ class TestSearchAndCheck:
                             "--derivation", str(deriv), "--hyps", "xi1 ; xi1 -> xi2")
         assert code == EXIT_YES and out2.strip() == "accepted"
 
+    def test_search_with_basis_keeps_the_lifted_derivation(self, tmp_path, capsys):
+        """Basis rules lose no derivation: the meet goal that only LFT
+        concludes is found with the basis too, and the checker accepts the
+        derivation with the meet basis as extra rules."""
+        meet = ("--l1", "IPL", "--l2", "S43")
+        code, out, _ = run(capsys, "search", *meet, "--goal", "<->.IPL|->.S43>(xi1, xi1)", "--with-basis")
+        assert code == EXIT_YES
+        deriv, basis = tmp_path / "d.txt", tmp_path / "basis.txt"
+        deriv.write_text(out)
+        code, out, _ = run(capsys, "basis", *meet)
+        assert code == EXIT_YES
+        basis.write_text(out)
+        code, out, _ = run(capsys, "check-derivation", *meet, "--derivation", str(deriv), "--extra", str(basis))
+        assert code == EXIT_YES and out.strip() == "accepted"
+
     def test_check_rejects_corrupt_derivation(self, tmp_path, capsys):
         deriv = tmp_path / "bad.txt"
         deriv.write_text("1. xi1 ; HYP\n2. xi2 ; LFT lines=1,1\n")

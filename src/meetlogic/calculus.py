@@ -698,10 +698,11 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
 
     1. A goal over `max_size` is never a fact: None.
     2. In a component calculus at `depth` 1 or more, the goal-directed pass
-       over `calc.rules` and `extra` (`_round_one`), which answers a
-       hypothesis goal with its HYP line. In a meet without hypotheses and
-       without `extra`, which may hold a premise-free rule, the axiom
-       lookup (`_axiom_line`).
+       (`_round_one`) over `calc.rules` and `extra`, when each proper rule's
+       plan is one step whose premise holds its conclusion's variables
+       (`_one_step`), as in every preset and basis; a hypothesis goal gets
+       its HYP line. In a meet without hypotheses and without `extra`,
+       which may hold a premise-free rule, the axiom lookup (`_axiom_line`).
     3. Without `extra`, None for a goal that the hypotheses do not entail
        in one of `calc.models`, where every rule is sound. Basis rules in
        `extra` are admissible and need not be. Besides the axiom lookup,
@@ -719,9 +720,9 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
        goal first as an earlier hypothesis's cLFT or FX image.
 
     Phase 2 answers with the derivation the rounds return, line for line,
-    without the fact cap `max_facts`; the pass answers False, read as
-    None, when no round below `depth` adds the goal. The rounds stop adding
-    at the cap, so it never changes a derivation, only removes one.
+    without the fact cap `max_facts`, or the pass with None when no round
+    below `depth` adds the goal. The rounds stop adding at the cap, so it
+    never changes a derivation, only removes one.
 
     Rounds are semi-naive: a round makes only the premise matches that cite
     a fact added by the round before. A match of older facts was made in an
@@ -770,13 +771,12 @@ def _phases(calc, extra, hyps, goal, bounds):
     if goal.size > bounds.max_size:
         return None
     candidates = _candidate_pool(calc, hyps, goal, bounds)
-    found = None
-    if bounds.depth and not isinstance(calc.signature, CombinedSignature):
-        found = _round_one(list(calc.rules) + list(extra), hyps, goal, candidates, bounds)
-    elif bounds.depth and not hyps and not extra:
-        found = _axiom_line(calc, goal, candidates, bounds)
-    if found is not None:
-        return found or None  # False: no round below `depth` adds the goal
+    if not isinstance(calc.signature, CombinedSignature):
+        rules = list(calc.rules) + list(extra)
+        if bounds.depth and _one_step(rules):
+            return _round_one(rules, hyps, goal, candidates, bounds)
+    elif bounds.depth and not hyps and not extra and (found := _axiom_line(calc, goal, candidates, bounds)):
+        return found
     if not extra and _refuted(calc, hyps, goal):
         return None
     if goal.__class__ is App and goal.ctor in calc.lifted_heads and goal not in hyps:
@@ -1030,16 +1030,20 @@ def _matches(rule, beta, facts, known) -> dict:
     return {cited[i]: (subst, cited) for subst, cited in _join(rule, view, view)}
 
 
+def _one_step(rules) -> bool:
+    """Whether each proper rule's plan has one step whose premise holds the
+    conclusion's variables: the rules the goal-directed pass takes."""
+    return all([len(r.plan) == 1 and variables_of(r.conclusion) <= variables_of(r.plan[0][1])
+                for r in rules if r.premises])
+
+
 def _round_one(rules, hyps, goal, candidates, bounds):
     """The derivation the forward search returns when it adds the goal in
     round 0, with the record `_RoundZero` holds for it, in round 1, found by
     matching backwards from the goal without making round 0, or in a later
-    round (`_round_two`); False when no round below `depth` adds it; None
-    when this cannot tell.
-
-    It answers only when each proper rule's plan has one step whose premise
-    holds the conclusion's variables, so that a fact starts at most one
-    match and round 1 makes at most one record per rule and fact.
+    round (`_round_two`); None when no round below `depth` adds it. The
+    rules are `_one_step`, so a fact starts at most one match, and round 1
+    makes at most one record per rule and fact.
 
     For each proper rule, in rule order, whose conclusion matches the goal,
     the real `_join` runs over the hypotheses, then over round 0's additions
@@ -1049,14 +1053,12 @@ def _round_one(rules, hyps, goal, candidates, bounds):
     round 1 makes first for the goal; only that size's matches are printed.
 
     The backward match decides round 1 exactly. When it does not add the
-    goal, the answer is False at `depth` 2; at 3 or more `_round_two`
+    goal, the answer is None at `depth` 2; at 3 or more `_round_two`
     decides whether a later round adds it, reading round 0's join and
     lookups made here."""
     max_size = bounds.max_size
     axioms = [r for r in rules if not r.premises]
     proper = [r for r in rules if r.premises]
-    if not all(len(r.plan) == 1 and variables_of(r.conclusion) <= variables_of(r.plan[0][1]) for r in proper):
-        return None
     hyps = [h for h in hyps if h.size <= max_size]
     groups = _by_size(candidates)
     every = (hyps, {}, {}, set(hyps))
@@ -1072,7 +1074,7 @@ def _round_one(rules, hyps, goal, candidates, bounds):
     if goal in known:
         return _reconstruct(goal, known)
     if bounds.depth < 2:
-        return False
+        return None
     for rule in proper:
         beta = match_formula(rule.conclusion, goal)
         if beta is None:
@@ -1095,7 +1097,7 @@ def _round_one(rules, hyps, goal, candidates, bounds):
             known[goal] = ("rule", cited, rule, tuple([subst[v] for v, _ in rule.shape[1]]), subst)
             return _reconstruct(goal, known)
     if bounds.depth < 3:
-        return False
+        return None
     return _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds)
 
 
@@ -1122,12 +1124,11 @@ def _composition(axiom, rule):
 
 def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds):
     """The derivation the forward search returns when it adds the goal in
-    round 2 or later, found without making round 0; False when no round
-    below `depth` adds it; None when this cannot tell. The rule conditions
-    are `_round_one`'s, and each step premise's variables must lie in its
-    checks or its conclusion, so that a match is known by its rule, its
-    check images and its conclusion, whatever record its step fact came
-    from.
+    round 2 or later, found without making round 0; None when no round
+    below `depth` adds it. A match is known by its rule, check images and
+    conclusion, whatever record its step fact came from, and by its step
+    fact too when the step premise has a variable outside its checks and
+    its conclusion (a loose rule, as S43's `dia xi1 and dia neg xi1 / bot`).
 
     Round 1 is made from round 0's records (`known` is round 0's facts).
     Each proper rule's step premise meets each of them: the hypotheses and
@@ -1135,7 +1136,8 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds):
     which are not. For an axiom whose conclusion the premise matches, only
     the images of the step's check variables are built (`_composition`),
     and the step's fact and the conclusion only once every check is a
-    round-0 fact; the instances of any other axiom are built and matched.
+    round-0 fact; the instances of any other axiom, and of every axiom for
+    a loose rule, are built and matched.
     A match that cites no fact round 0 added was made in round 0. Round 1's
     facts are the conclusions within `max_size` that round 0 lacks, and
     `_round_one` has found that the goal is none of them.
@@ -1148,11 +1150,11 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds):
     only up to the goal's size in the last round and before the goal is
     seen. This is the search without the fact cap, which only ever removes
     facts: when no round adds the goal, or a round adds nothing, the
-    search does not find it (False). When round n adds it, the pass
+    search does not find it (None). When round n adds it, the pass
     answers with the derivation the rounds return without the cap. Once the
     hypotheses and the facts of rounds 1 to n - 1 number `max_facts`, the
     search has reached the cap by the end of round n - 1 without the goal,
-    so the pass answers False before round n; past round 0 it makes no
+    so the pass answers None before round n; past round 0 it makes no
     more than a round's facts beyond `max_facts`.
 
     Each fact's record is the first of its matches that the rounds make:
@@ -1161,12 +1163,11 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds):
     text); only the candidates for the goal's derivation are printed."""
     max_size = bounds.max_size
     steps = [(rule, rule.plan[0][1], [v for _, v, _, _ in rule.plan[0][4]]) for rule in proper]
-    if not all(variables_of(premise) <= variables_of(rule.conclusion).union(checks) for rule, premise, checks in steps):
-        return None
+    loose = [not variables_of(premise) <= variables_of(r.conclusion).union(checks) for r, premise, checks in steps]
     hypset = set(hyps)
     # per axiom, the images of its round-0 records
     instances = [list(itertools.chain(*_images(axiom, {}, groups, max_size).values())) for axiom in axioms]
-    seen = [set() for _ in proper]  # per rule, (check images, conclusion) of each match taken
+    seen = [set() for _ in proper]  # per rule, `key` of each match taken
     later: dict = {}  # the facts of rounds 1 and on -> (their round, their matches)
     pending: dict = {}  # a check image that is no fact yet -> the steps whose first such it is
     # A match is (rule index, check images, step fact or None, the axiom
@@ -1186,18 +1187,20 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds):
 
     def waits(match) -> bool:
         """Whether a check of the match is no fact yet; it is then kept by the first such."""
-        for g in match[1]:
-            if g not in later and known[g] is None:  # `in` would cost a call of `_RoundZero.__contains__`
-                pending.setdefault(g, []).append(match)
-                return True
-        return False
+        g = next((g for g in match[1] if g not in later and known[g] is None), None)  # `in` would add a call
+        if g is not None:
+            pending.setdefault(g, []).append(match)
+        return g is not None
+
+    def key(match, c):
+        """(check images, conclusion) of a match, and for a loose rule its step fact."""
+        return (match[1], c, match[2]) if loose[match[0]] else (match[1], c)
 
     def take(match, c, into):
         """File a match whose every check is a fact under its conclusion c in
         `into`, unless it was taken before."""
-        key = match[1], c
-        if key not in seen[match[0]]:
-            seen[match[0]].add(key)
+        if (k := key(match, c)) not in seen[match[0]]:
+            seen[match[0]].add(k)
             into.setdefault(c, []).append(match)
 
     ones: dict = {}  # round 1's facts -> their matches
@@ -1208,7 +1211,7 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds):
             comp = _composition(axiom, rule)
             if comp is None:
                 continue
-            if comp[0] is None:
+            if comp[0] is None or loose[k]:  # a loose rule's match needs its step fact
                 make = axiom.instantiator[0]
                 built += [make(*images) for images in records]
             else:
@@ -1226,8 +1229,8 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds):
                 if hyps and hypset.issuperset(match[1]) and step(match) in hypset:
                     continue  # a match of round 0, citing only hypotheses
                 c = conclude(match)
-                if c.size <= max_size and (key := (match[1], c)) not in seen[k]:
-                    seen[k].add(key)
+                if c.size <= max_size and (kept := key(match, c)) not in seen[k]:
+                    seen[k].add(kept)
                     if known[c] is None:
                         ones.setdefault(c, []).append(match)
     later.update((c, (1, ms)) for c, ms in ones.items())
@@ -1235,10 +1238,10 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds):
     fresh, last = ones, bounds.depth - 1
     for n in range(2, bounds.depth):
         if len(hyps) + len(later) >= bounds.max_facts:  # the search stops at the cap by now
-            return False
+            return None
         ready = [m for g in fresh for m in pending.pop(g, ()) if not waits(m)]
         for f in fresh:
-            for k, (rule, premise, checks) in enumerate(steps):
+            for k, (_, premise, checks) in enumerate(steps):
                 s = match_formula(premise, f)
                 if s is not None and not waits(m := (k, tuple([s[v] for v in checks]), f, None, s, None)):
                     ready.append(m)
@@ -1263,10 +1266,10 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds):
             take(m, conclude(m) if c is None else c, fresh)
         fresh = {c: ms for c, ms in fresh.items() if c not in later and known[c] is None}  # the new facts
         if not fresh:
-            return False
+            return None
         later.update((c, (n, ms)) for c, ms in fresh.items())
     else:
-        return False
+        return None
 
     places = {h: n for n, h in enumerate(hyps)}
 
@@ -1279,7 +1282,7 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds):
     def first(matches):
         """The record of the match the rounds make first of `matches`."""
         k, f = min([(m[0], step(m)) for m in matches], key=lambda m: place(*m))
-        rule, premise, checks = steps[k]
+        rule, premise, _ = steps[k]
         i, s = rule.plan[0][0], match_formula(premise, f)
         cited = [None] * len(rule.premises)
         cited[i] = f
@@ -1353,9 +1356,9 @@ def _check_component_derivation(d, premises_proj, endpoint, what):
             raise BuilderError(f"{what}: component derivations may use only HYP and rule lines")
 
 
-def _splice(d, k, cs, component_calc, component_extra, lines, hyp_line_of) -> int:
+def _splice(d, k, cs, component_calc, lines, hyp_line_of) -> int:
     """Append the embedded image of a component derivation; returns the endpoint line."""
-    rules = {r.name: r for r in list(component_calc.rules) + list(component_extra)}
+    rules = {r.name: r for r in component_calc.rules}
     local: dict = {}
     for j, ln in enumerate(d.lines, start=1):
         if isinstance(ln.just, Hyp):
@@ -1390,32 +1393,29 @@ def _template_prologue(premises, calc, sides):
     return cs, lines, hyp_line_of
 
 
-def build_both_admissible_derivation(premises, conclusion, d1, d2, calc: Calculus,
-                                     b1, b2, extra1=(), extra2=()) -> Derivation:
+def build_both_admissible_derivation(premises, conclusion, d1, d2, calc: Calculus, b1, b2) -> Derivation:
     """Both-sides template: hypotheses, cLFT to each side, spliced component
     derivations of the projected conclusion, final LFT.
 
     d1 derives conclusion|1 from the projected premises in component 1, the
-    calculus of bundle b1 (with basis rules in extra1 for the basis-mode
-    layout); d2 symmetrically.
+    calculus of bundle b1; d2 symmetrically.
     """
-    return _both_sides(premises, conclusion, d1, d2, calc, b1.calculus, b2.calculus, extra1, extra2)
+    return _both_sides(premises, conclusion, d1, d2, calc, b1.calculus, b2.calculus)
 
 
-def _both_sides(premises, conclusion, d1, d2, calc, c1, c2, extra1=(), extra2=()) -> Derivation:
+def _both_sides(premises, conclusion, d1, d2, calc, c1, c2) -> Derivation:
     """The both-sides template over the component calculi c1 and c2."""
     cs, lines, hyp_line_of = _template_prologue(premises, calc, (1, 2))
-    sides = ((1, d1, c1, extra1), (2, d2, c2, extra2))
-    for k, d, _, _ in sides:
+    sides = ((1, d1, c1), (2, d2, c2))
+    for k, d, _ in sides:
         _check_component_derivation(d, hyp_line_of[k], project(conclusion, k), f"component-{k} derivation")
-    endpoints = tuple(_splice(d, k, cs, c, extra, lines, hyp_line_of[k]) for k, d, c, extra in sides)
+    endpoints = tuple(_splice(d, k, cs, c, lines, hyp_line_of[k]) for k, d, c in sides)
     lines.append(Line(conclusion, Lft(endpoints)))
     return Derivation(tuple(lines))
 
 
 def build_vacuous_side_derivation(premises, conclusion, falsum_side: int, dfalsum,
-                                  dexfalso_same, dexfalso_other, calc: Calculus,
-                                  b1, b2, extra_same=(), extra_other=()) -> Derivation:
+                                  dexfalso_same, dexfalso_other, calc: Calculus, b1, b2) -> Derivation:
     """Vacuous-side template: derive the falsum of one component from its projected
     premises, continue to the projected conclusion, propagate falsum with FX,
     continue on the other side, and lift.
@@ -1430,10 +1430,10 @@ def build_vacuous_side_derivation(premises, conclusion, falsum_side: int, dfalsu
     _check_component_derivation(dexfalso_same, {bot_same}, project(conclusion, fs), "same-side continuation")
     _check_component_derivation(dexfalso_other, {bot_other}, project(conclusion, other), "other-side continuation")
 
-    falsum_line = _splice(dfalsum, fs, cs, comp[fs], extra_same, lines, hyp_line_of[fs])
-    end_same = _splice(dexfalso_same, fs, cs, comp[fs], extra_same, lines, {bot_same: falsum_line})
+    falsum_line = _splice(dfalsum, fs, cs, comp[fs], lines, hyp_line_of[fs])
+    end_same = _splice(dexfalso_same, fs, cs, comp[fs], lines, {bot_same: falsum_line})
     lines.append(Line(cs.falsum(other), Fx((falsum_line,))))
-    end_other = _splice(dexfalso_other, other, cs, comp[other], extra_other, lines, {bot_other: len(lines)})
+    end_other = _splice(dexfalso_other, other, cs, comp[other], lines, {bot_other: len(lines)})
     cites = (end_same, end_other) if fs == 1 else (end_other, end_same)
     lines.append(Line(conclusion, Lft(cites)))
     return Derivation(tuple(lines))

@@ -1522,10 +1522,11 @@ def _round_one_queries():
 
 
 def _three_ways(monkeypatch, calc, hyps, goal, bounds, seconds=None):
-    """The search without the lifted phase, the same with the pass patched
-    out, and the naive loop, as texts; and the pass's answers during the
-    search. When `seconds` is a list, `_round_two`'s answers are appended
-    to it. See `_assert_pass_keeps` for how the three compare."""
+    """The search without the lifted phase, the same with the pass switched
+    off by its one-step test, and the naive loop, as texts; and the pass's
+    answers during the search. When `seconds` is a list, `_round_two`'s
+    answers are appended to it. See `_assert_pass_keeps` for how the three
+    compare."""
     answers: list = []
     real, real_two = calculus._round_one, calculus._round_two
     with monkeypatch.context() as m:
@@ -1534,7 +1535,7 @@ def _three_ways(monkeypatch, calc, hyps, goal, bounds, seconds=None):
             m.setattr(calculus, "_round_two", lambda *args: seconds.append(real_two(*args)) or seconds[-1])
         got = _unlifted(calc, (), hyps, goal, bounds)
     with monkeypatch.context() as m:
-        m.setattr(calculus, "_round_one", lambda *args: None)
+        m.setattr(calculus, "_one_step", lambda rules: False)
         forward = _unlifted(calc, (), hyps, goal, bounds)
     want = _reference_search(calc, hyps, goal, bounds)
     return (_text(got), _text(forward), _text(want)), answers
@@ -1553,19 +1554,18 @@ def _assert_pass_keeps(texts, calc, hyps, goal, bounds):
 class TestRoundOneMatchesForward:
     """The goal-directed pass answers when the forward search without the
     fact cap adds the goal in round 0, 1 or 2, with the derivation that
-    search returns."""
+    search returns, and None when it does not."""
 
     def _assert_same(self, monkeypatch, queries) -> Counter:
         """Counts of the searches, of those the pass answered, of those it
-        answered in round 2, of those it answered False, and of the goals
+        answered in round 2, of those it answered None, and of the goals
         found."""
         n = Counter()
         for calc, hyps, goal, bounds in queries:
             seconds: list = []
             texts, answers = _three_ways(monkeypatch, calc, hyps, goal, bounds, seconds)
             _assert_pass_keeps(texts, calc, hyps, goal, bounds)
-            n.update(searched=1, answered=any(a is not None for a in answers),
-                     second=any(a is not None for a in seconds), absent=any(a is False for a in answers),
+            n.update(searched=1, answered=bool(answers), second=bool(seconds), absent=any(a is None for a in answers),
                      found=texts[0] is not None)
         return n
 
@@ -1592,11 +1592,27 @@ class TestRoundOneMatchesForward:
         assert bounded_proof_search(CPL.calculus, (), [a], goal, SearchBounds(depth=2)) is not None
         assert bounded_proof_search(CPL.calculus, (), [a], goal, SearchBounds(depth=1)) is None
         assert bounded_proof_search(CPL.calculus, (Rule("id", (P("xi1"),), P("xi1")),), [a], goal) is not None
-        assert isinstance(calls[0], Derivation) and calls[1] is False and isinstance(calls[2], Derivation)
+        assert isinstance(calls[0], Derivation) and calls[1] is None and isinstance(calls[2], Derivation)
         calls.clear()
         bounded_proof_search(CPL.calculus, (), [a], goal, SearchBounds(depth=0))
         bounded_proof_search(MEET, (), [PM("xi1")], PM("xi1 ->.CPL1 (xi2 ->.CPL1 xi1)"))
         assert calls == []
+
+    def test_leaves_multi_step_rules_to_the_rounds(self, monkeypatch):
+        """`andi`'s plan has two steps, as neither premise holds the other's
+        variable, so the pass does not run, and the rounds answer as the
+        naive loop does."""
+        calc = _hand_calculus("two-step", [("andi", ["xi1", "xi2"], "xi1 and xi2"), ("t", [], "top")])
+        calls: list = []
+        real = calculus._rounds
+        monkeypatch.setattr(calculus, "_round_one", lambda *args: calls.append("pass"))
+        monkeypatch.setattr(calculus, "_rounds", lambda *args: calls.append("rounds") or real(*args))
+        hyps, bounds = [P("xi1"), P("xi2")], SearchBounds(depth=2)
+        for goal in ("xi1 and xi2", "xi2 and (top and xi1)", "xi1 and xi1"):
+            calls.clear()
+            d = bounded_proof_search(calc, (), hyps, P(goal), bounds)
+            assert calls == ["rounds"] and _text(d) == _text(_reference_search(calc, hyps, P(goal), bounds)), goal
+            assert d is None or check_derivation(d, calc, hyps=hyps)
 
     def test_answers_on_both_sides_of_the_cap_bound(self):
         """Under a fact cap at `_cap_bound` and one over it, the pass answers
@@ -1610,12 +1626,12 @@ class TestRoundOneMatchesForward:
                    for n in (cap, cap + 1)]
             assert got[0] is not None and _text(got[0]) == _text(got[1])
 
-    def test_answers_false_when_no_round_adds_the_goal(self, monkeypatch):
+    def test_answers_none_when_no_round_adds_the_goal(self, monkeypatch):
         """Round 0 adds the axiom instance `xi1 -> (xi1 -> xi1)`, which the
         pass answers at `depth` 1 with round 0's record; round 1 adds `xi1 or
         xi2`. At `depth` 1 the lookup decides round 0, and at `depth` 2 the
         backward match decides round 1, so a goal neither finds is answered
-        False, with no models test and no round."""
+        None, with no models test and no round."""
         tried: list = []
         monkeypatch.setattr(calculus, "_refuted", lambda *args: tried.append(args) or False)
         monkeypatch.setattr(calculus, "_rounds", lambda *args: tried.append(args))
@@ -1625,8 +1641,8 @@ class TestRoundOneMatchesForward:
             goal, bounds = P(goal), SearchBounds(depth=depth)
             got = calculus._round_one(CPL.calculus.rules, [a], goal, _candidate_pool(CPL.calculus, [a], goal, bounds),
                                       bounds)
-            assert got is answer if answer is False else isinstance(got, Derivation), (depth, print_formula(goal))
-            assert _text(bounded_proof_search(CPL.calculus, (), [a], goal, bounds)) == _text(got or None)
+            assert isinstance(got, Derivation) if answer else got is None, (depth, print_formula(goal))
+            assert _text(bounded_proof_search(CPL.calculus, (), [a], goal, bounds)) == _text(got)
         assert tried == []
 
 
@@ -1768,29 +1784,38 @@ CHECKS = _hand_calculus("checks", [
     ("t", [], "top"), ("k", [], "xi1 -> (xi2 -> xi1)"), ("kv", [], "xi1 -> top"),
     ("kt", [], "top -> (top -> ((top -> top) -> xi1))")])
 # `r`'s premise has a variable that neither its check nor its conclusion
-# holds, so the pass leaves the round-2 goal to the rounds.
+# holds. Round 2 concludes the goal `xi1` from round 1's `top or xi1`, which
+# `kt` makes first, and from `bot or xi1`, which prints first: the rounds
+# take the latter, so the pass keys each match by its step fact too.
 UNCHECKED = _hand_calculus("unchecked", [
-    MP, ("r", ["xi1 or xi2"], "xi2"), ("t", [], "top"), ("kt", [], "top -> (top or xi1)")])
+    MP, ("r", ["xi1 or xi2"], "xi2"), ("t", [], "top"), ("kt", [], "top -> (top or xi1)"),
+    ("kb", [], "top -> (bot or xi1)")])
+# As UNCHECKED, with the steps of the loose rule `l` axiom instances of round
+# 0: round 1 concludes `xi1 -> xi1` from `a1`'s `top or xi1` and `a2`'s `bot
+# or xi1`, and round 2 the goal `xi1 and xi1` from it.
+LOOSE_AXIOM = _hand_calculus("loose-axiom", [
+    ("l", ["xi1 or xi2"], "xi2 -> xi2"), ("w", ["xi1 -> xi1"], "xi1 and xi1"), ("a1", [], "top or xi1"),
+    ("a2", [], "bot or xi1")])
 
 
 class TestRoundTwoMatchesForward:
     """The goal-directed pass answers a goal that the rounds without the
     fact cap first add in round 2 or later with the derivation they return,
-    line for line; it answers False, a definite "not found", when no round
+    line for line; it answers None, a definite "not found", when no round
     below `depth` adds the goal."""
 
     def test_seeded_searches(self, monkeypatch):
         """Each goal that a round from 2 on adds is answered at the cap
         `_round_two_reference` counts and at one more, with one derivation."""
-        found = absent = declined = at_cap = third = hits = 0
+        found = absent = at_cap = third = hits = 0
         by_logic = Counter()
         derivations: dict = {}  # a goal a round from 2 on adds -> the pass's texts under each cap
         for calc, hyps, goal, bounds, count, added in _round_two_queries():
             seconds: list = []
             texts, _ = _three_ways(monkeypatch, calc, hyps, goal, bounds, seconds)
             _assert_pass_keeps(texts, calc, hyps, goal, bounds)
-            got = any(a is not None and a is not False for a in seconds)  # a derivation
-            none = any(a is False for a in seconds)
+            got = any(a is not None for a in seconds)  # a derivation
+            none = any(a is None for a in seconds)
             if none:
                 assert texts[1] is None and added is None, f"{calc.name}: {print_formula(goal)} at {bounds}"
             elif added in (2, 3) and seconds:
@@ -1801,12 +1826,11 @@ class TestRoundTwoMatchesForward:
                 third += added == 3
             found += got
             absent += none
-            declined += seconds == [None]
             by_logic[calc.name] += got
             hits += texts[0] is not None
         assert all(len(ts) == 2 and ts[0] == ts[1] for ts in derivations.values())
-        assert hits >= 96 and found >= 84 and third >= 6 and absent >= 4 and declined == 0 and at_cap >= 42, \
-            (hits, found, third, absent, declined, at_cap)
+        assert hits >= 96 and found >= 84 and third >= 6 and absent >= 4 and at_cap >= 42, \
+            (hits, found, third, absent, at_cap)
         assert min(by_logic.values()) >= 7, by_logic
 
     @pytest.mark.parametrize("calc, hyps, lines", [
@@ -1843,12 +1867,12 @@ class TestRoundTwoMatchesForward:
     def test_not_found_once_the_facts_reach_the_cap(self, monkeypatch):
         """From `iff(and(top, xi1), and(top, top))`, round 1 alone makes
         more than 200 facts, so under a cap of 200 the search stops without
-        `iff(bot, xi2)`: the pass answers False before round 2, and builds
+        `iff(bot, xi2)`: the pass answers None before round 2, and builds
         as much at depth 7 as at depth 3."""
         hyps, goal = [P("iff(and(top, xi1), and(top, top))")], P("iff(bot, xi2)")
         seconds: list = []
         texts, _ = _three_ways(monkeypatch, CPL.calculus, hyps, goal, SearchBounds(depth=7, max_facts=200), seconds)
-        assert texts == (None, None, None) and seconds == [False]
+        assert texts == (None, None, None) and seconds == [None]
         built: list = []
         hook_instantiators(monkeypatch, built)
         counts = []
@@ -1858,21 +1882,26 @@ class TestRoundTwoMatchesForward:
             counts.append(len(built))
         assert counts[0] == counts[1] > 0, counts
 
-    def test_declines_when_a_premise_variable_is_unchecked(self, monkeypatch):
+    @pytest.mark.parametrize("calc, goal, lines", [
+        (UNCHECKED, "xi1", ["top", "->(top, or(bot, xi1))", "or(bot, xi1)", "xi1"]),
+        (LOOSE_AXIOM, "xi1 and xi1", ["or(bot, xi1)", "->(xi1, xi1)", "and(xi1, xi1)"]),
+    ], ids=["unchecked", "loose-axiom"])
+    def test_answers_when_a_premise_variable_is_unchecked(self, monkeypatch, calc, goal, lines):
+        """The pass answers with the rounds' derivation, whose step is the
+        `or` fact that prints first."""
         seconds: list = []
-        texts, answers = _three_ways(monkeypatch, UNCHECKED, [], P("xi1"), SearchBounds(depth=3), seconds)
-        assert texts[0] == texts[1] == texts[2] and texts[0] is not None
-        assert answers == [None] and seconds == [None]
+        texts, answers = _three_ways(monkeypatch, calc, [], P(goal), SearchBounds(depth=3), seconds)
+        assert texts[0] == texts[1] == texts[2]
+        assert answers == seconds and isinstance(seconds[0], Derivation)
+        assert [print_formula(ln.formula) for ln in seconds[0].lines] == lines
 
 
 class TestComponentSearchIsThePass:
     """At `depth` 1 or more, the goal-directed pass answers every seeded and
     golden search in a preset's component calculus, also with the preset's
-    basis rules as `extra`: neither the models test nor the rounds run. The
-    one exception is S43's basis at `depth` 3 or more: the premise of its
-    rule `s43b`, `dia xi1 and dia neg xi1 / bot`, holds a variable that its
-    conclusion lacks, so `_round_two` declines, and the rounds run for the
-    goals that rounds 0 and 1 do not add."""
+    basis rules as `extra`: neither the models test nor the rounds run. This
+    holds for S43's basis too, whose rule `s43b`, `dia xi1 and dia neg xi1 /
+    bot`, has a premise variable that its conclusion lacks."""
 
     @pytest.mark.parametrize("with_basis", [False, True], ids=["calculus", "basis"])
     def test_no_models_test_and_no_rounds(self, monkeypatch, with_basis):
@@ -1883,7 +1912,7 @@ class TestComponentSearchIsThePass:
         real_refuted, real_rounds = calculus._refuted, calculus._rounds
         monkeypatch.setattr(calculus, "_refuted", lambda *args: reached.append("models") or real_refuted(*args))
         monkeypatch.setattr(calculus, "_rounds", lambda *args: reached.append("rounds") or real_rounds(*args))
-        searched = with_extra = left = 0
+        searched = with_extra = 0
         for calc, hyps, goal, bounds in queries:
             assert bounds.depth >= 1 and not calc.components
             basis = load_preset(calc.name).basis
@@ -1892,14 +1921,30 @@ class TestComponentSearchIsThePass:
             d = bounded_proof_search(calc, extra, hyps, goal, bounds)
             where = f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
             assert d is None or check_derivation(d, calc, extra, hyps), where
-            if extra and calc.name == "S43" and bounds.depth >= 3 and reached == ["rounds"]:
-                left += 1
-            else:
-                assert reached == [], where
+            assert reached == [], where
             searched += 1
             with_extra += bool(extra)
-        assert searched == 144 + 576 + 100 + 72 and with_extra == (492 if with_basis else 0) and left <= 36, \
-            (with_extra, left)
+        assert searched == 144 + 576 + 100 + 72 and with_extra == (492 if with_basis else 0), with_extra
+
+    def test_s43_basis_same_as_rounds(self):
+        """The 90 seeded S43 searches at `depth` 3 and 4, with S43's basis:
+        each answer is the rounds' derivation under the same bounds where
+        they find the goal, else theirs without the fact cap, and passes the
+        checker with the basis."""
+        extra = load_preset("S43").basis.rules
+        queries = [q for q in itertools.chain(_round_one_queries(), [q[:4] for q in _round_two_queries()])
+                   if q[0].name == "S43" and q[3].depth >= 3]
+        found = 0
+        for calc, hyps, goal, bounds in queries:
+            got = bounded_proof_search(calc, extra, hyps, goal, bounds)
+            hyps, pool = list(dict.fromkeys(hyps)), _candidate_pool(calc, hyps, goal, bounds)
+            want = calculus._rounds(calc, extra, hyps, goal, pool, bounds) or \
+                calculus._rounds(calc, extra, hyps, goal, pool, _uncapped(bounds))
+            where = f"{[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
+            assert _text(got) == _text(want), where
+            assert got is None or check_derivation(got, calc, extra, hyps), where
+            found += got is not None
+        assert len(queries) == 90 and found >= 70, (len(queries), found)
 
 
 def _axiom_goal_queries():

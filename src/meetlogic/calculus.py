@@ -721,8 +721,10 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
 
     Phase 2 answers with the derivation the rounds return, line for line,
     without the fact cap `max_facts`, or the pass with None when no round
-    below `depth` adds the goal. The rounds stop adding at the cap, so it
-    never changes a derivation, only removes one.
+    below `depth` adds the goal. It decides rounds 0 to 2 backwards from
+    the goal, where it ignores the cap, without making round 1, and runs
+    the rounds forward only from round 3. The rounds stop adding at the
+    cap, so it never changes a derivation, only removes one.
 
     Rounds are semi-naive: a round makes only the premise matches that cite
     a fact added by the round before. A match of older facts was made in an
@@ -998,12 +1000,13 @@ def _closure(f, cs, memo) -> tuple:
     return (f,) + memo[f]
 
 
-def _premise_unifier(rule, premise, beta, pool) -> Optional[dict]:
-    """One-way unification of the axiom `rule`'s conclusion with `premise`
-    under `beta`: the substitution that the premise's bound variables force,
-    or None when they clash or force an image outside `pool`."""
+def _premise_unifier(pattern, premise, beta, pool) -> Optional[dict]:
+    """One-way unification of `pattern`, over an axiom's variables, with
+    `premise` under `beta`: the substitution that the premise's bound
+    variables force, or None when they clash or force an image outside
+    `pool`."""
     theta: Optional[dict] = {}
-    todo = [(rule.conclusion, premise)]
+    todo = [(pattern, premise)]
     while todo:
         c, p = todo.pop()
         if p.__class__ is Var:
@@ -1018,18 +1021,6 @@ def _premise_unifier(rule, premise, beta, pool) -> Optional[dict]:
     return theta if pool.issuperset(theta.values()) else None
 
 
-def _matches(rule, beta, facts, known) -> dict:
-    """The one-step `rule`'s joint matches under `beta` over those of `facts`
-    that its premise matches, keyed by the fact each cites, in `_join`'s
-    order. All count as new: round 1's semi-naive rule drops only matches
-    that round 0 made, and the pass answers a goal that round 0 adds
-    before it matches."""
-    i, premise, key, _, _ = rule.plan[0]
-    facts = [f for f in facts if match_formula(premise, f, beta) is not None]
-    view = (facts, {getattr(premise, "ctor", None): facts}, {key: facts}, known)
-    return {cited[i]: (subst, cited) for subst, cited in _join(rule, view, view)}
-
-
 def _one_step(rules) -> bool:
     """Whether each proper rule's plan has one step whose premise holds the
     conclusion's variables: the rules the goal-directed pass takes."""
@@ -1037,25 +1028,120 @@ def _one_step(rules) -> bool:
                 for r in rules if r.premises])
 
 
+def _record(rule, f, s) -> tuple:
+    """The record of the one-step `rule`'s match of the step fact f under
+    the step premise's substitution s."""
+    i, _, _, _, checks = rule.plan[0]
+    cited = [None] * len(rule.premises)
+    cited[i] = f
+    for j, v, _, _ in checks:
+        cited[j] = s[v]
+    return "rule", tuple(cited), rule, tuple([s[v] for v, _ in rule.shape[1]]), s
+
+
+def _least_step(rule, beta, holds, hyps, later):
+    """(step fact, substitution) of the match of the one-step `rule` under
+    `beta`, of those whose every check image `holds`, that the rounds make
+    first: the first hypothesis in order, else the least text in the first
+    of the `later` sets of facts, each of one size, that has one; None when
+    there is none. Only that set's matches are printed."""
+    premise, checks = rule.plan[0][1], [v for _, v, _, _ in rule.plan[0][4]]
+    for facts in itertools.chain([hyps], later):
+        found = {f: s for f in facts if (s := match_formula(premise, f, beta)) is not None
+                 and all([holds(s[v]) for v in checks])}
+        if found:
+            f = next(iter(found)) if facts is hyps else min(found, key=print_formula)
+            return f, found[f]
+    return None
+
+
+class _RoundOne(dict):
+    """The record round 1 makes first for a formula, worked out on lookup
+    backwards from it; None for a formula round 1 does not add. `zero` is
+    round 0's facts (`_RoundZero`). Round 1 adds a formula within
+    `max_size` that round 0 lacks when a match of round-0 facts concludes
+    it, as such a match cites a fact round 0 added; the fact cap is
+    ignored. Its record is the first match (`_least_step`) of the first
+    proper rule whose conclusion matches it, each check a round-0 fact."""
+
+    __slots__ = ("zero", "proper", "hyps", "hypset", "grown", "groups")
+
+    def __init__(self, zero, proper, hyps, groups):
+        self.zero, self.proper, self.hyps, self.groups = zero, proper, hyps, groups
+        self.hypset = set(hyps)
+        self.grown = _by_size([f for f in zero.derived if f not in self.hypset])  # round 0's join additions
+
+    def __missing__(self, f):
+        zero, record = self.zero, None
+        if f.size <= zero.max_size and f not in zero:
+            for rule in self.proper:
+                beta = match_formula(rule.conclusion, f)
+                if beta is not None and (step := _least_step(rule, beta, zero.__contains__, self.hyps,
+                                                             self.round_zero(rule.plan[0][1], beta))):
+                    record = _record(rule, *step)
+                    break
+        self[f] = record
+        return record
+
+    def round_zero(self, premise, beta):
+        """Round 0's additions that `premise` may match under `beta`, as sets
+        of one size, smallest first: its join conclusions, and the axiom
+        instances `_premise_unifier` allows, built one size at a time."""
+        zero, records = self.zero, {}
+        for axiom in zero.axioms:
+            theta = _premise_unifier(axiom.conclusion, premise, beta, zero.pool)
+            if theta is not None:
+                _file(axiom, theta, (), self.groups, zero.max_size, records)
+        for size in sorted(records.keys() | self.grown.keys()):
+            facts = {r[2].instantiator[0](*r[3]) for r in records.get(size, ())}
+            yield facts.union(self.grown.get(size, ())) - self.hypset
+
+    def round_one(self, premise, beta):
+        """Round 1's facts that `premise` matches under `beta`, as sets of
+        one size, smallest first. Per proper rule, the hypotheses and round
+        0's join conclusions are matched, and so are the instances of each
+        axiom whose match depends on its images. For an axiom composed
+        statically (`_composition`), the images that unify the composed
+        conclusion with the premise are enumerated, and only their
+        conclusions and, where those match, check images are built."""
+        zero, max_size, facts = self.zero, self.zero.max_size, {}
+
+        def fits(c) -> bool:
+            """Whether round 1 may add c for the premise, its checks aside."""
+            return c.size <= max_size and match_formula(premise, c, beta) is not None and c not in zero
+
+        for rule in self.proper:
+            built = self.hyps + [f for fs in self.grown.values() for f in fs]
+            for axiom in zero.axioms:
+                comp = _composition(axiom, rule)
+                if comp is not None and comp[0] is None:
+                    built += [axiom.instantiator[0](*t) for t in
+                              itertools.chain(*_images(axiom, {}, self.groups, max_size).values())]
+                elif comp is not None and (theta := _premise_unifier(comp[2], premise, beta, zero.pool)) is not None:
+                    for t in itertools.chain(*_images(axiom, theta, self.groups, max_size).values()):
+                        if fits(c := comp[1](*t)) and all([g in zero for g in comp[0](*t)]):
+                            facts.setdefault(c.size, set()).add(c)
+            step, checks = rule.plan[0][1], [v for _, v, _, _ in rule.plan[0][4]]
+            for f in built:
+                if (s := match_formula(step, f)) is not None and \
+                        fits(c := rule.instantiator[0](*[s[v] for v, _ in rule.shape[1]])) and \
+                        all([s[v] in zero for v in checks]):
+                    facts.setdefault(c.size, set()).add(c)
+        for size in sorted(facts):
+            yield facts[size]
+
+
 def _round_one(rules, hyps, goal, candidates, bounds):
     """The derivation the forward search returns when it adds the goal in
-    round 0, with the record `_RoundZero` holds for it, in round 1, found by
-    matching backwards from the goal without making round 0, or in a later
-    round (`_round_two`); None when no round below `depth` adds it. The
-    rules are `_one_step`, so a fact starts at most one match, and round 1
-    makes at most one record per rule and fact.
+    round 0, with the record `_RoundZero` holds for it, in round 1, with
+    the record `_RoundOne` works out backwards from the goal without making
+    round 0, or in a later round (`_round_two`); None when no round below
+    `depth` adds it. Round 0's join over the hypotheses is made with the
+    real `_join`; its axiom instances are looked up, not made.
 
-    For each proper rule, in rule order, whose conclusion matches the goal,
-    the real `_join` runs over the hypotheses, then over round 0's additions
-    grouped by size, unbuilt, and built one size at a time, smallest first.
-    A fact starts at most one match, so the first hypothesis that does, or
-    else the least text at the first size with a match, starts the record
-    round 1 makes first for the goal; only that size's matches are printed.
-
-    The backward match decides round 1 exactly. When it does not add the
-    goal, the answer is None at `depth` 2; at 3 or more `_round_two`
-    decides whether a later round adds it, reading round 0's join and
-    lookups made here."""
+    Rounds 0, 1 and 2 are decided exactly, backwards from the goal, and the
+    fact cap `max_facts` is ignored there: at `depth` 2 or 3 a goal those
+    rounds do not add is answered None at once."""
     max_size = bounds.max_size
     axioms = [r for r in rules if not r.premises]
     proper = [r for r in rules if r.premises]
@@ -1075,42 +1161,26 @@ def _round_one(rules, hyps, goal, candidates, bounds):
         return _reconstruct(goal, known)
     if bounds.depth < 2:
         return None
-    for rule in proper:
-        beta = match_formula(rule.conclusion, goal)
-        if beta is None:
-            continue
-        found = _matches(rule, beta, hyps, known)
-        first = next(iter(found), None)
-        if first is None:
-            additions = {size: list(records) for size, records in buckets.items()}  # round 0's, by size
-            for axiom in axioms:
-                theta = _premise_unifier(axiom, rule.plan[0][1], beta, known.pool)
-                if theta is not None:
-                    _file(axiom, theta, (), groups, max_size, additions)
-            for size in sorted(additions):
-                found = _matches(rule, beta, {r[2].instantiator[0](*r[3]) for r in additions[size]} - every[3], known)
-                if found:
-                    first = min(found, key=print_formula)
-                    break
-        if first is not None:
-            subst, cited = found[first]
-            known[goal] = ("rule", cited, rule, tuple([subst[v] for v, _ in rule.shape[1]]), subst)
-            return _reconstruct(goal, known)
+    ones = _RoundOne(known, proper, hyps, groups)
+    if ones[goal] is not None:
+        known[goal] = ones[goal]
+        return _reconstruct(goal, known)
     if bounds.depth < 3:
         return None
-    return _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds)
+    return _round_two(proper, axioms, hyps, derived, known, ones, goal, groups, bounds)
 
 
 @lru_cache(maxsize=4096)
 def _composition(axiom, rule):
     """How the premise of `rule`'s one step matches the instances of
     `axiom`: None when none does, as their heads differ; (None, None) when
-    that depends on the images; else (checks, conclusion), compiled
-    functions of the axiom's images in `shape` order. They are made when
-    `match_formula` matches the premise to the axiom's conclusion, so that
-    every instance matches alike: `checks` builds the images of the step's
-    check variables, as a tuple in check order, and `conclusion` builds the
-    instance of `rule`'s conclusion."""
+    that depends on the images; else (checks, conclusion, composed), made
+    when `match_formula` matches the premise to the axiom's conclusion with
+    σ, so that every instance matches alike. `checks` and `conclusion` are
+    compiled functions of the axiom's images in `shape` order that build the
+    step's check images, as a tuple in check order, and the instance of
+    `rule`'s conclusion, which is `composed`, `apply_substitution(σ,
+    rule.conclusion)`, over the axiom's variables."""
     premise, c = rule.plan[0][1], axiom.conclusion
     if premise.__class__ is App and c.__class__ is App and premise.ctor is not c.ctor:
         return None
@@ -1118,13 +1188,45 @@ def _composition(axiom, rule):
     if sigma is None:
         return None, None
     variables = [v for v, _ in axiom.shape[1]]
+    composed = apply_substitution(sigma, rule.conclusion)
     return (_compile_build(tuple([sigma[v] for _, v, _, _ in rule.plan[0][4]]), variables),
-            _compile_build(apply_substitution(sigma, rule.conclusion), variables))
+            _compile_build(composed, variables), composed)
 
 
-def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds):
+def _round_two(proper, axioms, hyps, derived, known, ones, goal, groups, bounds):
     """The derivation the forward search returns when it adds the goal in
-    round 2 or later, found without making round 0; None when no round
+    round 2 or later; None when no round below `depth` adds it. `known` and
+    `ones` are rounds 0 and 1, and the goal is a fact of neither.
+
+    Round 2 is decided backwards from the goal, without making round 1:
+    the goal's record is the first match (`_least_step`) of the first
+    proper rule whose conclusion matches it, each check a fact of round 0
+    or 1, with step facts in the search's fact order: hypotheses, round 0's
+    additions, then round 1's facts. Such a match cites a round-1 fact, as
+    neither round adds the goal, and each one it cites takes its record
+    from `ones`. This ignores the fact cap. At `depth` 3 a goal round 2
+    does not add is answered None; from 4 the forward rounds decide
+    (`_later_rounds`)."""
+    for rule in proper:
+        beta = match_formula(rule.conclusion, goal)
+        if beta is None:
+            continue
+        premise = rule.plan[0][1]
+        step = _least_step(rule, beta, lambda g: g in known or ones[g] is not None, hyps,
+                           itertools.chain(ones.round_zero(premise, beta), ones.round_one(premise, beta)))
+        if step is not None:
+            record = _record(rule, *step)
+            known.update({c: ones[c] for c in record[1] if c not in known})  # before `known` grows
+            known[goal] = record
+            return _reconstruct(goal, known)
+    if bounds.depth < 4:
+        return None
+    return _later_rounds(proper, axioms, hyps, derived, known, goal, groups, bounds)
+
+
+def _later_rounds(proper, axioms, hyps, derived, known, goal, groups, bounds):
+    """The derivation the forward search returns when it adds the goal in
+    round 3 or later, found without making round 0; None when no round
     below `depth` adds it. A match is known by its rule, check images and
     conclusion, whatever record its step fact came from, and by its step
     fact too when the step premise has a variable outside its checks and
@@ -1140,7 +1242,8 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds):
     a loose rule, are built and matched.
     A match that cites no fact round 0 added was made in round 0. Round 1's
     facts are the conclusions within `max_size` that round 0 lacks, and
-    `_round_one` has found that the goal is none of them.
+    `_round_one` and `_round_two` have found that the goal is none of
+    them, nor of round 2's.
 
     Rounds 2 to `depth - 1` are semi-naive, as the search's are: round n's
     matches cite a fact of round n - 1, each check a fact. A step whose
@@ -1219,7 +1322,7 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds):
         scan = [(k, tuple([s[v] for v in checks]), f, None, s, None) for f in built
                 if (s := match_formula(premise, f)) is not None]
         scan += [(k, reach(*images), None, axiom, images, build)
-                 for axiom, records, reach, build in static for images in records]
+                 for axiom, records, reach, build, _ in static for images in records]
         for match in scan:  # `waits` and `take` inlined: round 1 has a match per round-0 record
             for g in match[1]:
                 if known[g] is None:
@@ -1283,12 +1386,7 @@ def _round_two(proper, axioms, hyps, derived, known, goal, groups, bounds):
         """The record of the match the rounds make first of `matches`."""
         k, f = min([(m[0], step(m)) for m in matches], key=lambda m: place(*m))
         rule, premise, _ = steps[k]
-        i, s = rule.plan[0][0], match_formula(premise, f)
-        cited = [None] * len(rule.premises)
-        cited[i] = f
-        for j, v, _, _ in rule.plan[0][4]:
-            cited[j] = s[v]
-        return "rule", tuple(cited), rule, tuple([s[v] for v, _ in rule.shape[1]]), s
+        return _record(rule, f, match_formula(premise, f))
 
     known[goal] = first(fresh[goal])
     todo = [goal]

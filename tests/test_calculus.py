@@ -1797,6 +1797,18 @@ LOOSE_AXIOM = _hand_calculus("loose-axiom", [
     ("l", ["xi1 or xi2"], "xi2 -> xi2"), ("w", ["xi1 -> xi1"], "xi1 and xi1"), ("a1", [], "top or xi1"),
     ("a2", [], "bot or xi1")])
 
+# `nmp`'s step `(xi1 -> xi1) -> xi2` meets the conclusions of `k` and `fin`'s
+# step meets `k`'s only at a variable, so whether an instance matches depends
+# on its images: from `top -> top`, a hypothesis and so in the pool, round 1
+# makes `bot -> (top -> top)`, the step of the goal `neg bot` in round 2.
+IMAGE_DEPENDENT = _hand_calculus("image-dependent", [
+    ("nmp", ["xi1", "(xi1 -> xi1) -> xi2"], "xi2"), ("t", [], "top"), ("k", [], "xi1 -> (xi2 -> xi1)"),
+    ("fin", ["xi1 -> (top -> top)"], "neg xi1")])
+# Round 1 makes `top -> top` and `top -> bot`, the checks of the two
+# hypotheses concluding the goal `xi2` in round 2: the rounds take the first
+# hypothesis, not the one that prints first.
+HYP_ORDER = _hand_calculus("hyp-order", [MP, ("t", [], "top"), ("kt", [], "top -> (top -> xi1)")])
+
 
 class TestRoundTwoMatchesForward:
     """The goal-directed pass answers a goal that the rounds without the
@@ -1867,8 +1879,9 @@ class TestRoundTwoMatchesForward:
     def test_not_found_once_the_facts_reach_the_cap(self, monkeypatch):
         """From `iff(and(top, xi1), and(top, top))`, round 1 alone makes
         more than 200 facts, so under a cap of 200 the search stops without
-        `iff(bot, xi2)`: the pass answers None before round 2, and builds
-        as much at depth 7 as at depth 3."""
+        `iff(bot, xi2)`: the pass answers None before round 3, and builds
+        as much at depth 7 as at depth 4. At depth 3 round 2 is decided
+        backwards, and round 1 is not made."""
         hyps, goal = [P("iff(and(top, xi1), and(top, top))")], P("iff(bot, xi2)")
         seconds: list = []
         texts, _ = _three_ways(monkeypatch, CPL.calculus, hyps, goal, SearchBounds(depth=7, max_facts=200), seconds)
@@ -1876,11 +1889,11 @@ class TestRoundTwoMatchesForward:
         built: list = []
         hook_instantiators(monkeypatch, built)
         counts = []
-        for depth in (3, 7):
+        for depth in (3, 4, 7):
             built.clear()
             assert bounded_proof_search(CPL.calculus, (), hyps, goal, SearchBounds(depth, max_facts=200)) is None
             counts.append(len(built))
-        assert counts[0] == counts[1] > 0, counts
+        assert 0 < counts[0] < counts[1] == counts[2], counts
 
     @pytest.mark.parametrize("calc, goal, lines", [
         (UNCHECKED, "xi1", ["top", "->(top, or(bot, xi1))", "or(bot, xi1)", "xi1"]),
@@ -1894,6 +1907,88 @@ class TestRoundTwoMatchesForward:
         assert texts[0] == texts[1] == texts[2]
         assert answers == seconds and isinstance(seconds[0], Derivation)
         assert [print_formula(ln.formula) for ln in seconds[0].lines] == lines
+
+
+def _forward_round_two(proper, axioms, hyps, derived, known, ones, goal, groups, bounds):
+    """`_round_two` with its backward step switched off: the forward rounds
+    decide from round 2 on."""
+    return calculus._later_rounds(proper, axioms, hyps, derived, known, goal, groups, bounds)
+
+
+def _backward_queries(kind):
+    """(calculus, extra, hypotheses, goal, bounds) of one of the query sets
+    `TestRoundTwoBackward` compares."""
+    if kind == "round-two":
+        return [(q[0], (), *q[1:4]) for q in _round_two_queries()]
+    if kind == "golden":
+        return [(q[0], (), *q[1:]) for q in golden.queries()]
+    if kind == "round-one":
+        return [(q[0], (), *q[1:]) for q in _round_one_queries()]
+    if kind == "basis":
+        return [(q[0], load_preset(logic).basis.rules, *q[1:]) for logic in PRESETS if load_preset(logic).basis
+                for q in _basis_queries(logic)]
+    hand = [(TIE_TEXT, [], "xi1"), (ROUND_ZERO_FIRST, [], "xi1"), (CONCLUDED_BEFORE, [], "xi1"),
+            (CHECKS, ["top -> top"], "xi1"), (UNCHECKED, [], "xi1"), (LOOSE_AXIOM, [], "xi1 and xi1"),
+            (IMAGE_DEPENDENT, ["top -> top"], "neg bot"), (HYP_ORDER, ["(top -> top) -> xi2", "(top -> bot) -> xi2"], "xi2")]
+    return [(calc, (), [P(h) for h in hyps], P(goal), SearchBounds(depth, max_facts=max_facts))
+            for calc, hyps, goal in hand for depth in (3, 4) for max_facts in (3000, 5)]
+
+
+class TestRoundTwoBackward:
+    """`_round_two` decides round 2 backwards from the goal. With that step
+    switched off, the forward rounds decide from round 2 on; both return
+    the same derivation, or the forward rounds none where the fact cap stops
+    them and the backward step, which ignores the cap, the naive loop's
+    derivation without the cap."""
+
+    @pytest.mark.parametrize("kind, floor", [
+        ("round-two", (78, 82)), ("golden", (41, 47)), ("round-one", (0, 52)), ("basis", (15, 15)), ("hand", (32, 32))],
+        ids=["round-two", "golden", "round-one", "basis", "hand"])
+    def test_same_derivations_with_the_step_off_and_on(self, monkeypatch, kind, floor):
+        """The floors are on the searches that the backward step answers
+        with a derivation, and on those it decides, with a derivation or
+        None at `depth` 3: the forward rounds do not run."""
+        answered = decided = 0
+        real_two, real_later = calculus._round_two, calculus._later_rounds
+        for calc, extra, hyps, goal, bounds in _backward_queries(kind):
+            with monkeypatch.context() as m:
+                m.setattr(calculus, "_round_two", _forward_round_two)
+                off = _text(bounded_proof_search(calc, extra, hyps, goal, bounds))
+            seconds: list = []
+            with monkeypatch.context() as m:
+                m.setattr(calculus, "_round_two", lambda *args: seconds.append(real_two(*args)) or seconds[-1])
+                m.setattr(calculus, "_later_rounds", lambda *args: seconds.append("forward") or real_later(*args))
+                d = bounded_proof_search(calc, extra, hyps, goal, bounds)
+            where = f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
+            if _text(d) != off:
+                assert off is None and not calc.components, where
+                assert _text(d) == _text(_reference_search(calc, hyps, goal, _uncapped(bounds), extra)), where
+            assert d is None or check_derivation(d, calc, extra, hyps), where
+            decided += bool(seconds) and "forward" not in seconds
+            answered += "forward" not in seconds and any(isinstance(a, Derivation) for a in seconds)
+        assert answered >= floor[0] and decided >= floor[1], (answered, decided)
+
+    def test_asks_round_zero_about_fewer_formulas(self, monkeypatch):
+        """On the seeded `a -> a` goals, the search asks `_RoundZero` about
+        at least 3 times fewer distinct formulas with the backward step than
+        without it: round 1 is not made."""
+        asked: set = set()
+        missing, real_two = calculus._RoundZero.__missing__, calculus._round_two
+        monkeypatch.setattr(calculus._RoundZero, "__missing__", lambda zero, f: asked.add(f) or missing(zero, f))
+        goals = 0
+        for calc, hyps, goal, bounds, _, _ in _round_two_queries():
+            if hyps:
+                continue
+            counts = []
+            for two in (_forward_round_two, real_two):
+                asked.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(calculus, "_round_two", two)
+                    bounded_proof_search(calc, (), hyps, goal, bounds)
+                counts.append(len(asked))
+            assert counts[0] >= 3 * counts[1] > 0, (calc.name, print_formula(goal), bounds, counts)
+            goals += 1
+        assert goals == 30
 
 
 class TestComponentSearchIsThePass:

@@ -82,6 +82,13 @@ class Rule(Record):
         return tuple((i, p, key, last, tuple(checks)) for i, p, key, last, checks in steps)
 
     @cached_property
+    def first_step(self) -> tuple:
+        """(premise index, premise, check variables) of `plan`'s first step,
+        the one step of the rules the goal-directed pass takes."""
+        i, premise, _, _, checks = self.plan[0]
+        return i, premise, tuple([v for _, v, _, _ in checks])
+
+    @cached_property
     def instantiator(self) -> tuple:
         """(build, text), made on the rule's first search. `build` takes the
         images of the conclusion's variables in `shape` order and returns the
@@ -721,10 +728,11 @@ def bounded_proof_search(calc: Calculus, extra: Sequence[Rule], hyps: Iterable[F
 
     Phase 2 answers with the derivation the rounds return, line for line,
     without the fact cap `max_facts`, or the pass with None when no round
-    below `depth` adds the goal. It decides rounds 0 to 2 backwards from
-    the goal, where it ignores the cap, without making round 1, and runs
-    the rounds forward only from round 3. The rounds stop adding at the
-    cap, so it never changes a derivation, only removes one.
+    below `depth` adds the goal. It looks the goal up in round 0, decides
+    rounds 1 and 2 with one backward step (`_Pass.step`), where it ignores
+    the cap, without making round 0 or 1, and runs the rounds forward only
+    from round 3 (`_later_rounds`). The rounds stop adding at the cap, so
+    it never changes a derivation, only removes one.
 
     Rounds are semi-naive: a round makes only the premise matches that cite
     a fact added by the round before. A match of older facts was made in an
@@ -1024,19 +1032,16 @@ def _premise_unifier(pattern, premise, beta, pool) -> Optional[dict]:
 def _one_step(rules) -> bool:
     """Whether each proper rule's plan has one step whose premise holds the
     conclusion's variables: the rules the goal-directed pass takes."""
-    return all([len(r.plan) == 1 and variables_of(r.conclusion) <= variables_of(r.plan[0][1])
+    return all([len(r.plan) == 1 and variables_of(r.conclusion) <= variables_of(r.first_step[1])
                 for r in rules if r.premises])
 
 
 def _record(rule, f, s) -> tuple:
     """The record of the one-step `rule`'s match of the step fact f under
-    the step premise's substitution s."""
-    i, _, _, _, checks = rule.plan[0]
-    cited = [None] * len(rule.premises)
-    cited[i] = f
-    for j, v, _, _ in checks:
-        cited[j] = s[v]
-    return "rule", tuple(cited), rule, tuple([s[v] for v, _ in rule.shape[1]]), s
+    its substitution s; the other premises are checks, bare variables."""
+    i = rule.first_step[0]
+    cited = tuple([f if j == i else s[p.index] for j, p in enumerate(rule.premises)])
+    return "rule", cited, rule, tuple([s[v] for v, _ in rule.shape[1]]), s
 
 
 def _least_step(rule, beta, holds, hyps, later):
@@ -1045,7 +1050,7 @@ def _least_step(rule, beta, holds, hyps, later):
     first: the first hypothesis in order, else the least text in the first
     of the `later` sets of facts, each of one size, that has one; None when
     there is none. Only that set's matches are printed."""
-    premise, checks = rule.plan[0][1], [v for _, v, _, _ in rule.plan[0][4]]
+    _, premise, checks = rule.first_step
     for facts in itertools.chain([hyps], later):
         found = {f: s for f in facts if (s := match_formula(premise, f, beta)) is not None
                  and all([holds(s[v]) for v in checks])}
@@ -1055,14 +1060,12 @@ def _least_step(rule, beta, holds, hyps, later):
     return None
 
 
-class _RoundOne(dict):
-    """The record round 1 makes first for a formula, worked out on lookup
-    backwards from it; None for a formula round 1 does not add. `zero` is
-    round 0's facts (`_RoundZero`). Round 1 adds a formula within
-    `max_size` that round 0 lacks when a match of round-0 facts concludes
-    it, as such a match cites a fact round 0 added; the fact cap is
-    ignored. Its record is the first match (`_least_step`) of the first
-    proper rule whose conclusion matches it, each check a round-0 fact."""
+class _Pass(dict):
+    """The goal-directed pass's state: round 0's facts `zero` (`_RoundZero`,
+    with round 0's join conclusions as `derived`), the proper rules, the
+    hypotheses within `max_size` in order, and the candidate pool by size;
+    as a dict, each formula's round-1 record, worked out on lookup (`step`),
+    None for a formula round 1 does not add."""
 
     __slots__ = ("zero", "proper", "hyps", "hypset", "grown", "groups")
 
@@ -1072,16 +1075,30 @@ class _RoundOne(dict):
         self.grown = _by_size([f for f in zero.derived if f not in self.hypset])  # round 0's join additions
 
     def __missing__(self, f):
-        zero, record = self.zero, None
-        if f.size <= zero.max_size and f not in zero:
-            for rule in self.proper:
-                beta = match_formula(rule.conclusion, f)
-                if beta is not None and (step := _least_step(rule, beta, zero.__contains__, self.hyps,
-                                                             self.round_zero(rule.plan[0][1], beta))):
-                    record = _record(rule, *step)
-                    break
-        self[f] = record
+        record = self[f] = self.step(f, 1)
         return record
+
+    def step(self, f, n):
+        """The record that round n, 1 or 2, makes first for f within
+        `max_size`, which no earlier round adds, worked out backwards from f;
+        None when round n does not add it. It is the first match
+        (`_least_step`) of the first proper rule whose conclusion matches f,
+        each check a fact of an earlier round, with step facts in the
+        search's fact order: hypotheses, round 0's additions, and for n = 2
+        round 1's facts. Such a match cites a fact of round n - 1, as no
+        earlier round adds f. The fact cap is ignored."""
+        zero = self.zero
+        if f.size > zero.max_size or f in zero:
+            return None
+        holds = zero.__contains__ if n == 1 else lambda g: g in zero or self[g] is not None
+        for rule in self.proper:
+            beta = match_formula(rule.conclusion, f)
+            if beta is not None:
+                premise = rule.first_step[1]
+                later = itertools.chain(*[facts(premise, beta) for facts in (self.round_zero, self.round_one)[:n]])
+                if (step := _least_step(rule, beta, holds, self.hyps, later)) is not None:
+                    return _record(rule, *step)
+        return None
 
     def round_zero(self, premise, beta):
         """Round 0's additions that `premise` may match under `beta`, as sets
@@ -1121,7 +1138,7 @@ class _RoundOne(dict):
                     for t in itertools.chain(*_images(axiom, theta, self.groups, max_size).values()):
                         if fits(c := comp[1](*t)) and all([g in zero for g in comp[0](*t)]):
                             facts.setdefault(c.size, set()).add(c)
-            step, checks = rule.plan[0][1], [v for _, v, _, _ in rule.plan[0][4]]
+            _, step, checks = rule.first_step
             for f in built:
                 if (s := match_formula(step, f)) is not None and \
                         fits(c := rule.instantiator[0](*[s[v] for v, _ in rule.shape[1]])) and \
@@ -1132,16 +1149,15 @@ class _RoundOne(dict):
 
 
 def _round_one(rules, hyps, goal, candidates, bounds):
-    """The derivation the forward search returns when it adds the goal in
-    round 0, with the record `_RoundZero` holds for it, in round 1, with
-    the record `_RoundOne` works out backwards from the goal without making
-    round 0, or in a later round (`_round_two`); None when no round below
-    `depth` adds it. Round 0's join over the hypotheses is made with the
-    real `_join`; its axiom instances are looked up, not made.
-
-    Rounds 0, 1 and 2 are decided exactly, backwards from the goal, and the
-    fact cap `max_facts` is ignored there: at `depth` 2 or 3 a goal those
-    rounds do not add is answered None at once."""
+    """The derivation the forward search returns when it adds the goal;
+    None when no round below `depth` adds it. Round 0's join over the
+    hypotheses is made with the real `_join`; its axiom instances are looked
+    up, not made (`_RoundZero`). Rounds 1 and 2 are decided in turn by one
+    backward step from the goal (`_Pass.step`), without making round 0 or
+    1; each round-1 fact the goal's record cites takes its own record. This
+    ignores the fact cap `max_facts`, and at `depth` 3 or less a goal that
+    no round adds is answered None at once. From `depth` 4 the forward
+    rounds decide from round 3 (`_later_rounds`)."""
     max_size = bounds.max_size
     axioms = [r for r in rules if not r.premises]
     proper = [r for r in rules if r.premises]
@@ -1159,15 +1175,14 @@ def _round_one(rules, hyps, goal, candidates, bounds):
     known = _RoundZero(hyps, derived, axioms, set(candidates), max_size)
     if goal in known:
         return _reconstruct(goal, known)
-    if bounds.depth < 2:
-        return None
-    ones = _RoundOne(known, proper, hyps, groups)
-    if ones[goal] is not None:
-        known[goal] = ones[goal]
-        return _reconstruct(goal, known)
-    if bounds.depth < 3:
-        return None
-    return _round_two(proper, axioms, hyps, derived, known, ones, goal, groups, bounds)
+    state = _Pass(known, proper, hyps, groups)
+    for n in range(1, min(bounds.depth, 3)):
+        record = state[goal] if n == 1 else state.step(goal, n)  # round 2 may look the goal up again
+        if record is not None:
+            known.update({c: state[c] for c in record[1] if c not in known})  # before `known` grows
+            known[goal] = record
+            return _reconstruct(goal, known)
+    return _later_rounds(state, goal, bounds) if bounds.depth > 3 else None
 
 
 @lru_cache(maxsize=4096)
@@ -1181,7 +1196,7 @@ def _composition(axiom, rule):
     step's check images, as a tuple in check order, and the instance of
     `rule`'s conclusion, which is `composed`, `apply_substitution(σ,
     rule.conclusion)`, over the axiom's variables."""
-    premise, c = rule.plan[0][1], axiom.conclusion
+    (_, premise, checks), c = rule.first_step, axiom.conclusion
     if premise.__class__ is App and c.__class__ is App and premise.ctor is not c.ctor:
         return None
     sigma = match_formula(premise, c)
@@ -1189,48 +1204,19 @@ def _composition(axiom, rule):
         return None, None
     variables = [v for v, _ in axiom.shape[1]]
     composed = apply_substitution(sigma, rule.conclusion)
-    return (_compile_build(tuple([sigma[v] for _, v, _, _ in rule.plan[0][4]]), variables),
+    return (_compile_build(tuple([sigma[v] for v in checks]), variables),
             _compile_build(composed, variables), composed)
 
 
-def _round_two(proper, axioms, hyps, derived, known, ones, goal, groups, bounds):
-    """The derivation the forward search returns when it adds the goal in
-    round 2 or later; None when no round below `depth` adds it. `known` and
-    `ones` are rounds 0 and 1, and the goal is a fact of neither.
-
-    Round 2 is decided backwards from the goal, without making round 1:
-    the goal's record is the first match (`_least_step`) of the first
-    proper rule whose conclusion matches it, each check a fact of round 0
-    or 1, with step facts in the search's fact order: hypotheses, round 0's
-    additions, then round 1's facts. Such a match cites a round-1 fact, as
-    neither round adds the goal, and each one it cites takes its record
-    from `ones`. This ignores the fact cap. At `depth` 3 a goal round 2
-    does not add is answered None; from 4 the forward rounds decide
-    (`_later_rounds`)."""
-    for rule in proper:
-        beta = match_formula(rule.conclusion, goal)
-        if beta is None:
-            continue
-        premise = rule.plan[0][1]
-        step = _least_step(rule, beta, lambda g: g in known or ones[g] is not None, hyps,
-                           itertools.chain(ones.round_zero(premise, beta), ones.round_one(premise, beta)))
-        if step is not None:
-            record = _record(rule, *step)
-            known.update({c: ones[c] for c in record[1] if c not in known})  # before `known` grows
-            known[goal] = record
-            return _reconstruct(goal, known)
-    if bounds.depth < 4:
-        return None
-    return _later_rounds(proper, axioms, hyps, derived, known, goal, groups, bounds)
-
-
-def _later_rounds(proper, axioms, hyps, derived, known, goal, groups, bounds):
+def _later_rounds(state, goal, bounds):
     """The derivation the forward search returns when it adds the goal in
     round 3 or later, found without making round 0; None when no round
-    below `depth` adds it. A match is known by its rule, check images and
-    conclusion, whatever record its step fact came from, and by its step
-    fact too when the step premise has a variable outside its checks and
-    its conclusion (a loose rule, as S43's `dia xi1 and dia neg xi1 / bot`).
+    below `depth` adds it. Round 0, the hypotheses, round 0's join
+    conclusions and the candidate groups are read from the pass's `state`.
+    A match is known by its rule, check images and conclusion, whatever
+    record its step fact came from, and by its step fact too when the step
+    premise has a variable outside its checks and its conclusion (a loose
+    rule, as S43's `dia xi1 and dia neg xi1 / bot`).
 
     Round 1 is made from round 0's records (`known` is round 0's facts).
     Each proper rule's step premise meets each of them: the hypotheses and
@@ -1242,8 +1228,8 @@ def _later_rounds(proper, axioms, hyps, derived, known, goal, groups, bounds):
     a loose rule, are built and matched.
     A match that cites no fact round 0 added was made in round 0. Round 1's
     facts are the conclusions within `max_size` that round 0 lacks, and
-    `_round_one` and `_round_two` have found that the goal is none of
-    them, nor of round 2's.
+    the pass's backward step has found that the goal is none of them, nor
+    of round 2's.
 
     Rounds 2 to `depth - 1` are semi-naive, as the search's are: round n's
     matches cite a fact of round n - 1, each check a fact. A step whose
@@ -1264,13 +1250,12 @@ def _later_rounds(proper, axioms, hyps, derived, known, goal, groups, bounds):
     the least by rule order, then by the step fact's place in the search's
     fact order (hypotheses in order, then each round's facts by size and
     text); only the candidates for the goal's derivation are printed."""
-    max_size = bounds.max_size
-    steps = [(rule, rule.plan[0][1], [v for _, v, _, _ in rule.plan[0][4]]) for rule in proper]
+    known, hyps, hypset, max_size = state.zero, state.hyps, state.hypset, bounds.max_size
+    steps = [(rule,) + rule.first_step[1:] for rule in state.proper]
     loose = [not variables_of(premise) <= variables_of(r.conclusion).union(checks) for r, premise, checks in steps]
-    hypset = set(hyps)
     # per axiom, the images of its round-0 records
-    instances = [list(itertools.chain(*_images(axiom, {}, groups, max_size).values())) for axiom in axioms]
-    seen = [set() for _ in proper]  # per rule, `key` of each match taken
+    instances = [list(itertools.chain(*_images(axiom, {}, state.groups, max_size).values())) for axiom in known.axioms]
+    seen = [set() for _ in steps]  # per rule, `key` of each match taken
     later: dict = {}  # the facts of rounds 1 and on -> (their round, their matches)
     pending: dict = {}  # a check image that is no fact yet -> the steps whose first such it is
     # A match is (rule index, check images, step fact or None, the axiom
@@ -1308,9 +1293,9 @@ def _later_rounds(proper, axioms, hyps, derived, known, goal, groups, bounds):
 
     ones: dict = {}  # round 1's facts -> their matches
     for k, (rule, premise, checks) in enumerate(steps):
-        built = hyps + [f for f in derived if f not in hypset]
+        built = hyps + [f for f in known.derived if f not in hypset]
         static = []
-        for axiom, records in zip(axioms, instances):
+        for axiom, records in zip(known.axioms, instances):
             comp = _composition(axiom, rule)
             if comp is None:
                 continue

@@ -1524,16 +1524,19 @@ def _round_one_queries():
 def _three_ways(monkeypatch, calc, hyps, goal, bounds, seconds=None):
     """The search without the lifted phase, the same with the pass switched
     off by its one-step test, and the naive loop, as texts; and the pass's
-    answers during the search. When `seconds` is a list, `_round_two`'s
-    answers are appended to it. See `_assert_pass_keeps` for how the three
-    compare."""
+    answers during the search. When `seconds` is a list, the pass's answer
+    is appended to it if the pass asked round 2's backward step about the
+    goal. See `_assert_pass_keeps` for how the three compare."""
     answers: list = []
-    real, real_two = calculus._round_one, calculus._round_two
+    rounds: list = []  # the round of each backward step taken
+    real, real_step = calculus._round_one, calculus._Pass.step
     with monkeypatch.context() as m:
         m.setattr(calculus, "_round_one", lambda *args: answers.append(real(*args)) or answers[-1])
         if seconds is not None:
-            m.setattr(calculus, "_round_two", lambda *args: seconds.append(real_two(*args)) or seconds[-1])
+            m.setattr(calculus._Pass, "step", lambda state, f, n: rounds.append(n) or real_step(state, f, n))
         got = _unlifted(calc, (), hyps, goal, bounds)
+    if 2 in rounds:
+        seconds.append(answers[-1])
     with monkeypatch.context() as m:
         m.setattr(calculus, "_one_step", lambda rules: False)
         forward = _unlifted(calc, (), hyps, goal, bounds)
@@ -1909,10 +1912,20 @@ class TestRoundTwoMatchesForward:
         assert [print_formula(ln.formula) for ln in seconds[0].lines] == lines
 
 
-def _forward_round_two(proper, axioms, hyps, derived, known, ones, goal, groups, bounds):
-    """`_round_two` with its backward step switched off: the forward rounds
-    decide from round 2 on."""
-    return calculus._later_rounds(proper, axioms, hyps, derived, known, goal, groups, bounds)
+def _round_two_off(m, bounds):
+    """Switch round 2's backward step off under the monkeypatch context
+    `m`, for searches under `bounds`: in its place the forward rounds
+    (`_later_rounds`) decide from round 2 on, at `depth` 3 too, and they
+    run only there."""
+    real_step, real_later = calculus._Pass.step, calculus._later_rounds
+
+    def step(state, f, n):
+        if n == 1:
+            return real_step(state, f, n)
+        return None if real_later(state, f, bounds) is None else state.zero[f]  # the goal's record
+
+    m.setattr(calculus._Pass, "step", step)
+    m.setattr(calculus, "_later_rounds", lambda state, goal, bounds: None)
 
 
 def _backward_queries(kind):
@@ -1935,10 +1948,11 @@ def _backward_queries(kind):
 
 
 class TestRoundTwoBackward:
-    """`_round_two` decides round 2 backwards from the goal. With that step
-    switched off, the forward rounds decide from round 2 on; both return
-    the same derivation, or the forward rounds none where the fact cap stops
-    them and the backward step, which ignores the cap, the naive loop's
+    """The pass's backward step (`_Pass.step`) decides round 2 backwards
+    from the goal, as it does round 1. With round 2's step switched off,
+    the forward rounds decide from round 2 on; both return the same
+    derivation, or the forward rounds none where the fact cap stops them
+    and the backward step, which ignores the cap, the naive loop's
     derivation without the cap."""
 
     @pytest.mark.parametrize("kind, floor", [
@@ -1949,14 +1963,22 @@ class TestRoundTwoBackward:
         with a derivation, and on those it decides, with a derivation or
         None at `depth` 3: the forward rounds do not run."""
         answered = decided = 0
-        real_two, real_later = calculus._round_two, calculus._later_rounds
+        real_step, real_later = calculus._Pass.step, calculus._later_rounds
+
+        def step(state, f, n):
+            """The backward step, whose round-2 answers go to `seconds`."""
+            record = real_step(state, f, n)
+            if n == 2:
+                seconds.append(record)
+            return record
+
         for calc, extra, hyps, goal, bounds in _backward_queries(kind):
             with monkeypatch.context() as m:
-                m.setattr(calculus, "_round_two", _forward_round_two)
+                _round_two_off(m, bounds)
                 off = _text(bounded_proof_search(calc, extra, hyps, goal, bounds))
-            seconds: list = []
+            seconds: list = []  # round 2's records or None, and "forward" when the forward rounds run
             with monkeypatch.context() as m:
-                m.setattr(calculus, "_round_two", lambda *args: seconds.append(real_two(*args)) or seconds[-1])
+                m.setattr(calculus._Pass, "step", step)
                 m.setattr(calculus, "_later_rounds", lambda *args: seconds.append("forward") or real_later(*args))
                 d = bounded_proof_search(calc, extra, hyps, goal, bounds)
             where = f"{calc.name}: {[print_formula(h) for h in hyps]} / {print_formula(goal)} at {bounds}"
@@ -1965,7 +1987,7 @@ class TestRoundTwoBackward:
                 assert _text(d) == _text(_reference_search(calc, hyps, goal, _uncapped(bounds), extra)), where
             assert d is None or check_derivation(d, calc, extra, hyps), where
             decided += bool(seconds) and "forward" not in seconds
-            answered += "forward" not in seconds and any(isinstance(a, Derivation) for a in seconds)
+            answered += "forward" not in seconds and any(a is not None for a in seconds)
         assert answered >= floor[0] and decided >= floor[1], (answered, decided)
 
     def test_asks_round_zero_about_fewer_formulas(self, monkeypatch):
@@ -1973,17 +1995,18 @@ class TestRoundTwoBackward:
         at least 3 times fewer distinct formulas with the backward step than
         without it: round 1 is not made."""
         asked: set = set()
-        missing, real_two = calculus._RoundZero.__missing__, calculus._round_two
+        missing = calculus._RoundZero.__missing__
         monkeypatch.setattr(calculus._RoundZero, "__missing__", lambda zero, f: asked.add(f) or missing(zero, f))
         goals = 0
         for calc, hyps, goal, bounds, _, _ in _round_two_queries():
             if hyps:
                 continue
             counts = []
-            for two in (_forward_round_two, real_two):
+            for off in (True, False):
                 asked.clear()
                 with monkeypatch.context() as m:
-                    m.setattr(calculus, "_round_two", two)
+                    if off:
+                        _round_two_off(m, bounds)
                     bounded_proof_search(calc, (), hyps, goal, bounds)
                 counts.append(len(asked))
             assert counts[0] >= 3 * counts[1] > 0, (calc.name, print_formula(goal), bounds, counts)
